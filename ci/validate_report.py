@@ -3,15 +3,16 @@
 
 Stdlib only — implements the subset of JSON Schema the checked-in schema
 uses: type (including union types and null), const, required, properties,
-items, minimum. The report_version gate is the schema's `const` on
-`report_version`: a report from an incompatible writer fails loudly here
-instead of being misparsed downstream.
+additionalProperties: false, items, minimum. The report_version gate is
+the schema's `const` on `report_version`: a report from an incompatible
+writer fails loudly here instead of being misparsed downstream.
 
 Usage: validate_report.py BENCH_eval.json [more.json ...]
 
 Each file may be either a bare report (`Report::to_json` output) or a
-bench envelope with the report nested under its "report" key; in the
-envelope case the top-level "report_version" must match the nested one.
+bench document with the report nested under its "report" key; the bench
+document is checked against the schema's `$defs.bench` (which admits no
+top-level key duplicating the report) and its report against the schema.
 """
 
 import json
@@ -56,6 +57,9 @@ def check(value, schema, path, errors):
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 check(value[key], sub, f"{path}.{key}", errors)
+        if schema.get("additionalProperties") is False:
+            for key in value.keys() - schema.get("properties", {}).keys():
+                errors.append(f"{path}: unexpected key {key!r}")
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             check(item, schema["items"], f"{path}[{i}]", errors)
@@ -69,11 +73,7 @@ def validate_file(name):
     report = doc.get("report", doc) if isinstance(doc, dict) else doc
     errors = []
     if report is not doc:
-        if doc.get("report_version") != report.get("report_version"):
-            errors.append(
-                f"envelope report_version {doc.get('report_version')!r} "
-                f"!= report.report_version {report.get('report_version')!r}"
-            )
+        check(doc, SCHEMA["$defs"]["bench"], "bench", errors)
     check(report, SCHEMA, "report", errors)
     for e in errors:
         print(f"{name}: {e}", file=sys.stderr)

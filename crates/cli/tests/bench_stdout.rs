@@ -95,11 +95,25 @@ fn bare_json_flag_keeps_stdout_pure() {
     let (stdout, stderr) = run_bench(&["--json"]);
     assert_single_json_value(&stdout);
     assert!(
-        stdout.contains("\"report_version\": 1"),
+        stdout.contains("\"report\": {\"report_version\":1"),
         "versioned report missing: {stdout}"
     );
     assert!(stdout.contains("\"stage_speedups\""));
-    assert!(stdout.contains("\"report\":"));
+    // Engine counters live in the embedded report only: none of the keys
+    // that used to duplicate it at the top level may come back.
+    for legacy in [
+        "\"report_version\": ",
+        "\"threads\": ",
+        "\"disk_cache\"",
+        "\"stages_ns\"",
+        "\"cache_hits\"",
+        "\"cache_misses\"",
+    ] {
+        assert!(
+            !stdout.contains(legacy),
+            "duplicate key {legacy} is back: {stdout}"
+        );
+    }
     // The human narration still happened — on the other stream.
     assert!(
         stderr.contains("benchmarking"),
@@ -112,5 +126,5 @@ fn bare_json_flag_keeps_stdout_pure() {
 fn json_dash_keeps_stdout_pure() {
     let (stdout, _) = run_bench(&["--json", "-"]);
     assert_single_json_value(&stdout);
-    assert!(stdout.contains("\"report_version\": 1"));
+    assert!(stdout.contains("\"report\": {\"report_version\":1"));
 }

@@ -99,8 +99,9 @@ pub fn compile_with_threads(
     // independent and fan out over the worker pool.
     let mut built: Vec<CompilationUnit> = vec![];
     while !frontier.is_empty() {
-        // Small waves (every workload's tail waves) don't amortize the
-        // fan-out; fall back to the serial path below the measured cutoff.
+        // Small waves (every workload's first and tail waves) don't
+        // amortize the fan-out; fall back to the serial path below the
+        // measured cutoff.
         let workers = nimage_par::workers_for(
             n_threads,
             frontier.len(),
@@ -146,10 +147,12 @@ pub fn compile_with_threads(
 
 /// The mandatory first-wave CU roots: the entry point, spawn targets and
 /// every target of a polymorphic virtual call (those are reached through
-/// the vtable and can never be fully inlined away). This is the first —
-/// and largest — wave of [`compile_with_threads`]'s worklist; `nimage
-/// bench` uses its size to decide whether the compile stage's fan-out
-/// engages at the measured thread count (see `nimage_par::cutoff`).
+/// the vtable and can never be fully inlined away). This is the first
+/// wave of [`compile_with_threads`]'s worklist — a handful of roots on
+/// the bundled workloads, where the wide waves come later. `nimage
+/// bench` reports the compile fan-out as engaged only when this wave
+/// crosses `nimage_par::cutoff::COMPILE_MIN_ROOTS`, which under-reports:
+/// a later wave may cross it when this one does not.
 pub fn initial_roots(program: &Program, reachability: &Reachability) -> Vec<MethodId> {
     initial_roots_impl(program, reachability, &mut HashSet::new())
 }

@@ -35,7 +35,7 @@ use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::HeapStrategy;
 use nimage_par::StealQueue;
-use nimage_trace::Tracer;
+use nimage_trace::{StageAgg, Tracer};
 use nimage_vm::{ExecMode, HeapTemplate, LoweredProgram, LoweredShard, RunReport, StopWhen};
 
 use std::collections::BTreeMap;
@@ -147,8 +147,6 @@ impl<'p> WorkloadSpec<'p> {
 
 /// A typed request for one optimized build: the workload, its profiling
 /// artifacts, and the layout strategy (`None` = the baseline layout).
-/// The builder-style counterpart of the old positional
-/// `Engine::optimized_parts` arguments.
 #[derive(Debug)]
 pub struct BuildRequest<'a, 'p, 's> {
     /// The workload to build.
@@ -246,11 +244,19 @@ impl<'p, 's> Ctx<'p, 's> {
     }
 }
 
+/// [`Engine::build_front`]'s output, with the cache keys downstream stages
+/// derive theirs from.
+struct BuildFront {
+    compiled: Arc<CompiledProgram>,
+    compile_key: CacheKey,
+    snapshot: Arc<HeapSnapshot>,
+    snapshot_key: CacheKey,
+}
+
 /// The baseline half of one workload's evaluation, every part shared
 /// behind the cache.
 struct BaselineParts {
-    compiled: Arc<CompiledProgram>,
-    snapshot: Arc<HeapSnapshot>,
+    front: BuildFront,
     template: Arc<HeapTemplate>,
     lowered: Option<Arc<LoweredProgram>>,
     run: Arc<RunReport>,
@@ -342,13 +348,18 @@ impl Engine {
     /// times are the summed exclusive durations of this engine's stage
     /// spans, computed from the physical (per-thread) span nesting.
     pub fn stats(&self) -> EngineStats {
+        self.stats_from(&nimage_trace::aggregate(&self.tracer.events()))
+    }
+
+    /// [`Engine::stats`] over an already-aggregated span tree, so report
+    /// building aggregates the events once for both views.
+    pub(crate) fn stats_from(&self, agg: &BTreeMap<&'static str, StageAgg>) -> EngineStats {
         let mut lowered_shards = ShardStats::default();
         for lp in self.cache.lowered.values() {
             lowered_shards.lazy += lp.shards_lowered_lazy();
             lowered_shards.eager += lp.shards_lowered_eager();
             lowered_shards.cus += lp.n_cus() as u64;
         }
-        let agg = nimage_trace::aggregate(&self.tracer.events());
         let mut stages = StageTimes::default();
         for (slot, name) in stages.ns.iter_mut().zip(StageTimes::NAMES) {
             if let Some(a) = agg.get(name) {
@@ -399,16 +410,21 @@ impl Engine {
         })
     }
 
-    fn worker_count(&self, jobs: usize) -> usize {
-        let n = if self.opts.n_threads > 0 {
+    /// The configured worker-thread count (`0` = host parallelism).
+    fn threads(&self) -> usize {
+        if self.opts.n_threads > 0 {
             self.opts.n_threads
         } else {
             nimage_par::host_parallelism()
-        };
+        }
+    }
+
+    fn worker_count(&self, jobs: usize) -> usize {
         // Capped at the host's parallelism (workers beyond it only
         // contend) and gated on the cell-count cutoff like every other
         // parallel stage.
-        nimage_par::workers_for(n, jobs, nimage_par::cutoff::RUN_MIN_CELLS).clamp(1, jobs.max(1))
+        nimage_par::workers_for(self.threads(), jobs, nimage_par::cutoff::RUN_MIN_CELLS)
+            .clamp(1, jobs.max(1))
     }
 
     /// Evaluates every `(workload, strategy)` cell of the matrix, sharing
@@ -519,28 +535,17 @@ impl Engine {
     pub fn instrumented_parts(&self, spec: &WorkloadSpec<'_>) -> Result<BuildParts, PipelineError> {
         let ctx = Ctx::new(spec);
         let p = ctx.pipeline();
-        let reach = self.reach(&ctx, &p);
-        let compiled = self.instrumented_compiled(&ctx, &p, &reach);
-        let snapshot = self.snapshot_for(
+        let front = self.build_front(&ctx, &p, None)?;
+        let image = self.default_image(
             &ctx,
             &p,
-            ctx.key("snapshot:instrumented"),
-            &compiled,
-            &ctx.spec.opts.heap_instrumented,
+            ctx.key("layout:instrumented"),
             "instrumented",
+            &front,
         )?;
-        let image = self
-            .cache
-            .images
-            .get_or_try(ctx.key("layout:instrumented"), || {
-                let _s = self.tracer.root_span("layout", || {
-                    format!("workload={} variant=instrumented", ctx.spec.name)
-                });
-                p.layout_stage(&compiled, &snapshot, LayoutOrders::default(), None)
-            })?;
         Ok(BuildParts {
-            compiled,
-            snapshot,
+            compiled: front.compiled,
+            snapshot: front.snapshot,
             image,
         })
     }
@@ -558,20 +563,8 @@ impl Engine {
         let (spec, artifacts, strategy) = (req.spec, req.artifacts, req.strategy);
         let ctx = Ctx::new(spec);
         let p = ctx.pipeline();
-        let reach = self.reach(&ctx, &p);
-        let compiled = self.optimized_compiled(&ctx, &p, &reach, artifacts);
-        let snapshot = self.snapshot_for(
-            &ctx,
-            &p,
-            ctx.key("snapshot:optimized"),
-            &compiled,
-            &ctx.spec.opts.heap_optimized,
-            "optimized",
-        )?;
-        let ids = strategy
-            .and_then(|s| ctx.spec.opts.heap_strategy_for(s))
-            .map(|hs| self.heap_ids(&ctx, ctx.key("snapshot:optimized"), &snapshot, hs));
-        let orders = self.orders_for(&ctx, &p, artifacts, &compiled, &snapshot, strategy, &ids)?;
+        let front = self.build_front(&ctx, &p, Some(artifacts))?;
+        let orders = self.orders_for(&ctx, &p, artifacts, &front, strategy)?;
         let native = strategy
             .is_some()
             .then_some(artifacts.native_pages.as_slice());
@@ -586,33 +579,12 @@ impl Engine {
                 None => format!("workload={} variant=baseline", ctx.spec.name),
                 Some(s) => format!("workload={} strategy={}", ctx.spec.name, s.name()),
             });
-            p.layout_stage(&compiled, &snapshot, orders, native)
+            p.layout_stage(&front.compiled, &front.snapshot, orders, native)
         })?;
         Ok(BuildParts {
-            compiled,
-            snapshot,
+            compiled: front.compiled,
+            snapshot: front.snapshot,
             image,
-        })
-    }
-
-    /// Deprecated positional form of [`Engine::optimized_image`].
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::optimized_image with a BuildRequest"
-    )]
-    pub fn optimized_parts(
-        &self,
-        spec: &WorkloadSpec<'_>,
-        artifacts: &ProfiledArtifacts,
-        strategy: Option<Strategy>,
-    ) -> Result<BuildParts, PipelineError> {
-        self.optimized_image(&BuildRequest {
-            spec,
-            artifacts,
-            strategy,
         })
     }
 
@@ -621,18 +593,20 @@ impl Engine {
     /// the one ordering stage worth caching: the plan (orders + predicted
     /// fault counts) is memoized and persisted under the `optimize` disk
     /// stage, like `lower`'s inputs. Every other strategy replays its
-    /// profile inline, uncached, exactly as before.
-    #[allow(clippy::too_many_arguments)]
+    /// profile inline, uncached. Either way the strategy's identities of
+    /// the optimized snapshot come from the `assign-ids` cache first.
     fn orders_for(
         &self,
         ctx: &Ctx<'_, '_>,
         p: &Pipeline<'_>,
         artifacts: &ProfiledArtifacts,
-        compiled: &CompiledProgram,
-        snapshot: &HeapSnapshot,
+        front: &BuildFront,
         strategy: Option<Strategy>,
-        ids: &Option<Arc<HashMap<ObjId, u64>>>,
     ) -> Result<LayoutOrders, PipelineError> {
+        let (compiled, snapshot) = (&*front.compiled, &*front.snapshot);
+        let ids = strategy
+            .and_then(|s| ctx.spec.opts.heap_strategy_for(s))
+            .map(|hs| self.heap_ids(ctx, front.snapshot_key, snapshot, hs));
         if let Some(s) = strategy.filter(|s| s.clustered()) {
             let key =
                 CacheKey::for_stage("optimize", &[ctx.base, CacheKey::of_debug("strategy", &s)]);
@@ -679,49 +653,9 @@ impl Engine {
         }
         let ctx = Ctx::new(spec);
         let p = ctx.pipeline();
-        let reach = self.reach(&ctx, &p);
-        let compiled = self.optimized_compiled(&ctx, &p, &reach, artifacts);
-        let snapshot = self.snapshot_for(
-            &ctx,
-            &p,
-            ctx.key("snapshot:optimized"),
-            &compiled,
-            &ctx.spec.opts.heap_optimized,
-            "optimized",
-        )?;
-        let ids = ctx
-            .spec
-            .opts
-            .heap_strategy_for(strategy)
-            .map(|hs| self.heap_ids(&ctx, ctx.key("snapshot:optimized"), &snapshot, hs));
-        self.orders_for(
-            &ctx,
-            &p,
-            artifacts,
-            &compiled,
-            &snapshot,
-            Some(strategy),
-            &ids,
-        )
-        .map(Some)
-    }
-
-    /// Evaluates all `strategies` for one workload, returning
-    /// `(strategy, evaluation)` pairs in input order.
-    ///
-    /// # Errors
-    /// Returns the first failing strategy's error.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::evaluate with an EvalRequest (or evaluate_matrix)"
-    )]
-    pub fn evaluate_workload<'p>(
-        &self,
-        spec: &WorkloadSpec<'p>,
-        strategies: &[Strategy],
-    ) -> Result<Vec<(Strategy, Evaluation)>, PipelineError> {
-        let cells = self.evaluate_matrix(std::slice::from_ref(spec), strategies)?;
-        Ok(cells.into_iter().map(|c| (c.strategy, c.eval)).collect())
+        let front = self.build_front(&ctx, &p, Some(artifacts))?;
+        self.orders_for(&ctx, &p, artifacts, &front, Some(strategy))
+            .map(Some)
     }
 
     fn run_job(&self, ctx: &Ctx<'_, '_>, strategy: Strategy) -> Result<Evaluation, PipelineError> {
@@ -770,53 +704,94 @@ impl Engine {
         }
     }
 
-    /// The instrumented compile, disk-backed under the `compile` stage.
-    fn instrumented_compiled(
+    /// The strategy-independent front of one build variant — reach →
+    /// compile → snapshot, each behind the cache and the disk tier. Without
+    /// a profile this is the instrumented build; with one, the
+    /// PGO-optimized build compiled under its call counts.
+    fn build_front(
         &self,
         ctx: &Ctx<'_, '_>,
         p: &Pipeline<'_>,
-        reach: &Reachability,
-    ) -> Arc<CompiledProgram> {
-        match self.disk_backed::<_, std::convert::Infallible>(
+        pgo: Option<&ProfiledArtifacts>,
+    ) -> Result<BuildFront, PipelineError> {
+        let opts = &ctx.spec.opts;
+        let (variant, compile_key, snapshot_key, instr, heap_cfg) = match pgo {
+            None => (
+                "instrumented",
+                ctx.key("compile:instrumented"),
+                ctx.key("snapshot:instrumented"),
+                InstrumentConfig::FULL,
+                &opts.heap_instrumented,
+            ),
+            Some(_) => (
+                "optimized",
+                ctx.key("compile:optimized"),
+                ctx.key("snapshot:optimized"),
+                InstrumentConfig::NONE,
+                &opts.heap_optimized,
+            ),
+        };
+        let span_args = || format!("workload={} variant={variant}", ctx.spec.name);
+        let reach = self.reach(ctx, p);
+        let Ok(compiled) = self.disk_backed::<_, std::convert::Infallible>(
             &self.cache.compiled,
             "compile",
-            ctx.key("compile:instrumented"),
+            compile_key,
             || {
-                let _s = self.tracer.root_span("compile", || {
-                    format!("workload={} variant=instrumented", ctx.spec.name)
-                });
-                Ok(p.compile_stage(reach.clone(), InstrumentConfig::FULL, None))
+                let _s = self.tracer.root_span("compile", span_args);
+                Ok(p.compile_stage((*reach).clone(), instr, pgo.map(|a| &a.call_counts)))
             },
-        ) {
-            Ok(v) => v,
-        }
+        );
+        let snapshot = self.disk_backed(&self.cache.snapshots, "snapshot", snapshot_key, || {
+            let _s = self.tracer.root_span("snapshot", span_args);
+            p.snapshot_stage(&compiled, heap_cfg)
+        })?;
+        Ok(BuildFront {
+            compiled,
+            compile_key,
+            snapshot,
+            snapshot_key,
+        })
     }
 
-    /// The PGO-optimized compile, disk-backed under the `compile` stage.
-    fn optimized_compiled(
+    /// A build's default-order image (`variant` = `instrumented` or
+    /// `baseline`), shared across cells behind the image memo.
+    fn default_image(
         &self,
         ctx: &Ctx<'_, '_>,
         p: &Pipeline<'_>,
-        reach: &Reachability,
-        artifacts: &ProfiledArtifacts,
-    ) -> Arc<CompiledProgram> {
-        match self.disk_backed::<_, std::convert::Infallible>(
-            &self.cache.compiled,
-            "compile",
-            ctx.key("compile:optimized"),
-            || {
-                let _s = self.tracer.root_span("compile", || {
-                    format!("workload={} variant=optimized", ctx.spec.name)
-                });
-                Ok(p.compile_stage(
-                    reach.clone(),
-                    InstrumentConfig::NONE,
-                    Some(&artifacts.call_counts),
-                ))
-            },
-        ) {
-            Ok(v) => v,
-        }
+        key: CacheKey,
+        variant: &'static str,
+        front: &BuildFront,
+    ) -> Result<Arc<BinaryImage>, PipelineError> {
+        self.cache.images.get_or_try(key, || {
+            let _s = self.tracer.root_span("layout", || {
+                format!("workload={} variant={variant}", ctx.spec.name)
+            });
+            p.layout_stage(
+                &front.compiled,
+                &front.snapshot,
+                LayoutOrders::default(),
+                None,
+            )
+        })
+    }
+
+    /// The materialized heap of one build's snapshot, shared by every run
+    /// of that snapshot.
+    fn template_for(
+        &self,
+        ctx: &Ctx<'_, '_>,
+        key: CacheKey,
+        variant: &'static str,
+        front: &BuildFront,
+    ) -> Arc<HeapTemplate> {
+        self.cache.heap_templates.get_or(key, || {
+            let _s = self.tracer.root_span("snapshot", || {
+                format!("workload={} variant=template:{variant}", ctx.spec.name)
+            });
+            HeapTemplate::from_build_heap(front.snapshot.heap())
+        })
     }
 
     /// The sharded execution program of one compile: one lazy container
@@ -891,13 +866,11 @@ impl Engine {
                     return;
                 }
                 self.tracer.count("lower.prelowered_cus", todo.len() as u64);
-                let n = if self.opts.n_threads > 0 {
-                    self.opts.n_threads
-                } else {
-                    nimage_par::host_parallelism()
-                };
-                let workers =
-                    nimage_par::workers_for(n, todo.len(), nimage_par::cutoff::PRELOWER_MIN_CUS);
+                let workers = nimage_par::workers_for(
+                    self.threads(),
+                    todo.len(),
+                    nimage_par::cutoff::PRELOWER_MIN_CUS,
+                );
                 nimage_par::parallel_map(workers, todo.len(), |i| {
                     let cu = todo[i];
                     let key = CacheKey::for_stage(
@@ -923,26 +896,6 @@ impl Engine {
             });
     }
 
-    /// A heap snapshot of `compiled`, disk-backed under the `snapshot`
-    /// stage. `key` distinguishes the instrumented and optimized variants;
-    /// `cfg` is the matching heap-build configuration.
-    fn snapshot_for(
-        &self,
-        ctx: &Ctx<'_, '_>,
-        p: &Pipeline<'_>,
-        key: CacheKey,
-        compiled: &CompiledProgram,
-        cfg: &nimage_heap::HeapBuildConfig,
-        variant: &'static str,
-    ) -> Result<Arc<HeapSnapshot>, PipelineError> {
-        self.disk_backed(&self.cache.snapshots, "snapshot", key, || {
-            let _s = self.tracer.root_span("snapshot", || {
-                format!("workload={} variant={variant}", ctx.spec.name)
-            });
-            p.snapshot_stage(compiled, cfg)
-        })
-    }
-
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
     /// workload.
     fn profiled(&self, ctx: &Ctx<'_, '_>) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
@@ -951,47 +904,27 @@ impl Engine {
                 .tracer
                 .root_span("profile", || format!("workload={}", ctx.spec.name));
             let p = ctx.pipeline();
-            let reach = self.reach(ctx, &p);
-            let compiled = self.instrumented_compiled(ctx, &p, &reach);
-            let snap_key = ctx.key("snapshot:instrumented");
-            let snap = self.snapshot_for(
+            let front = self.build_front(ctx, &p, None)?;
+            let image = self.default_image(
                 ctx,
                 &p,
-                snap_key,
-                &compiled,
-                &ctx.spec.opts.heap_instrumented,
+                ctx.key("layout:instrumented"),
                 "instrumented",
+                &front,
             )?;
-            let image = self
-                .cache
-                .images
-                .get_or_try(ctx.key("layout:instrumented"), || {
-                    let _s = self.tracer.root_span("layout", || {
-                        format!("workload={} variant=instrumented", ctx.spec.name)
-                    });
-                    p.layout_stage(&compiled, &snap, LayoutOrders::default(), None)
-                })?;
-            let template =
-                self.cache
-                    .heap_templates
-                    .get_or(ctx.key("heap-template:instrumented"), || {
-                        let _s = self.tracer.root_span("snapshot", || {
-                            format!("workload={} variant=template:instrumented", ctx.spec.name)
-                        });
-                        HeapTemplate::from_build_heap(snap.heap())
-                    });
-            let lowered = self.lowered_for(
+            let template = self.template_for(
                 ctx,
-                ctx.key("compile:instrumented"),
-                &compiled,
+                ctx.key("heap-template:instrumented"),
                 "instrumented",
+                &front,
             );
+            let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "instrumented");
             let report = {
                 let _s = self.tracer.span_with("run", || {
                     format!("workload={} variant=instrumented", ctx.spec.name)
                 });
                 p.run(
-                    RunParts::new(&compiled, &snap, &image)
+                    RunParts::new(&front.compiled, &front.snapshot, &image)
                         .heap(Some(template))
                         .lowered(lowered)
                         .tracer(self.vm_tracer()),
@@ -1001,7 +934,9 @@ impl Engine {
             let _s = self
                 .tracer
                 .span_with("replay", || format!("workload={}", ctx.spec.name));
-            p.post_process(report, &mut |hs| self.heap_ids(ctx, snap_key, &snap, hs))
+            p.post_process(report, &mut |hs| {
+                self.heap_ids(ctx, front.snapshot_key, &front.snapshot, hs)
+            })
         })
     }
 
@@ -1013,38 +948,13 @@ impl Engine {
         artifacts: &ProfiledArtifacts,
     ) -> Result<BaselineParts, PipelineError> {
         let p = ctx.pipeline();
-        let reach = self.reach(ctx, &p);
-        let compiled = self.optimized_compiled(ctx, &p, &reach, artifacts);
-        let snapshot = self.snapshot_for(
-            ctx,
-            &p,
-            ctx.key("snapshot:optimized"),
-            &compiled,
-            &ctx.spec.opts.heap_optimized,
-            "optimized",
-        )?;
-        let template = self
-            .cache
-            .heap_templates
-            .get_or(ctx.key("heap-template:optimized"), || {
-                let _s = self.tracer.root_span("snapshot", || {
-                    format!("workload={} variant=template:optimized", ctx.spec.name)
-                });
-                HeapTemplate::from_build_heap(snapshot.heap())
-            });
-        let image: Arc<BinaryImage> =
-            self.cache
-                .images
-                .get_or_try(ctx.key("layout:baseline"), || {
-                    let _s = self.tracer.root_span("layout", || {
-                        format!("workload={} variant=baseline", ctx.spec.name)
-                    });
-                    p.layout_stage(&compiled, &snapshot, LayoutOrders::default(), None)
-                })?;
-        let compile_key = ctx.key("compile:optimized");
-        let lowered = self.lowered_for(ctx, compile_key, &compiled, "optimized");
+        let front = self.build_front(ctx, &p, Some(artifacts))?;
+        let template =
+            self.template_for(ctx, ctx.key("heap-template:optimized"), "optimized", &front);
+        let image = self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
+        let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
         if let Some(lp) = &lowered {
-            self.prelower_hot(ctx, compile_key, &compiled, lp, artifacts);
+            self.prelower_hot(ctx, front.compile_key, &front.compiled, lp, artifacts);
         }
         let run = self.disk_backed(
             &self.cache.runs,
@@ -1055,7 +965,7 @@ impl Engine {
                     format!("workload={} variant=baseline", ctx.spec.name)
                 });
                 p.run(
-                    RunParts::new(&compiled, &snapshot, &image)
+                    RunParts::new(&front.compiled, &front.snapshot, &image)
                         .heap(Some(template.clone()))
                         .lowered(lowered.clone())
                         .tracer(self.vm_tracer()),
@@ -1064,8 +974,7 @@ impl Engine {
             },
         )?;
         Ok(BaselineParts {
-            compiled,
-            snapshot,
+            front,
             template,
             lowered,
             run,
@@ -1082,27 +991,15 @@ impl Engine {
         strategy: Strategy,
     ) -> Result<Evaluation, PipelineError> {
         let p = ctx.pipeline();
-        let ids = ctx
-            .spec
-            .opts
-            .heap_strategy_for(strategy)
-            .map(|hs| self.heap_ids(ctx, ctx.key("snapshot:optimized"), &parts.snapshot, hs));
-        let orders = self.orders_for(
-            ctx,
-            &p,
-            artifacts,
-            &parts.compiled,
-            &parts.snapshot,
-            Some(strategy),
-            &ids,
-        )?;
+        let front = &parts.front;
+        let orders = self.orders_for(ctx, &p, artifacts, front, Some(strategy))?;
         let image = {
             let _s = self.tracer.span_with("layout", || {
                 format!("workload={} strategy={}", ctx.spec.name, strategy.name())
             });
             p.layout_stage(
-                &parts.compiled,
-                &parts.snapshot,
+                &front.compiled,
+                &front.snapshot,
                 orders,
                 Some(artifacts.native_pages.as_slice()),
             )?
@@ -1112,7 +1009,7 @@ impl Engine {
                 format!("workload={} strategy={}", ctx.spec.name, strategy.name())
             });
             p.run(
-                RunParts::new(&parts.compiled, &parts.snapshot, &image)
+                RunParts::new(&front.compiled, &front.snapshot, &image)
                     .heap(Some(parts.template.clone()))
                     .lowered(parts.lowered.clone())
                     .tracer(self.vm_tracer()),

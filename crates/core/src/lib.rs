@@ -65,7 +65,7 @@ use nimage_analysis::{analyze, AnalysisConfig, Reachability};
 use nimage_compiler::{
     compile_with_threads, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig,
 };
-use nimage_heap::{snapshot_with_threads, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
+use nimage_heap::{snapshot, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
 pub use nimage_order::PredictedFaults;
@@ -224,8 +224,8 @@ pub struct BuildOptions {
     /// error-severity finding aborts the pipeline with
     /// [`PipelineError::Verify`].
     pub verify: bool,
-    /// Intra-stage worker-thread count for the parallel stages (compile,
-    /// heap traversal, trace post-processing). Every parallel path merges
+    /// Intra-stage worker-thread count for the parallel stages (compile
+    /// waves, chunked trace post-processing). Every parallel path merges
     /// in a thread-count-independent order, so the produced artifacts are
     /// bit-identical to the serial ones — and [`Parallelism`]'s `Debug`
     /// rendering is constant, so the thread count never enters cache
@@ -514,10 +514,6 @@ fn native_order(touched: &[u32], n_pages: u32) -> Vec<u32> {
 /// artifacts plus the optional shared state (heap template, pre-lowered
 /// program) and an optional [`Tracer`] for VM-level fault events.
 ///
-/// Replaces the positional `run_parts_shared(compiled, snapshot, image,
-/// heap, lowered, stop)` signature, whose two adjacent `Option`s were
-/// easy to transpose:
-///
 /// ```ignore
 /// pipeline.run(
 ///     RunParts::new(&compiled, &snapshot, &image)
@@ -656,12 +652,7 @@ impl<'p> Pipeline<'p> {
         compiled: &CompiledProgram,
         cfg: &HeapBuildConfig,
     ) -> Result<HeapSnapshot, PipelineError> {
-        Ok(snapshot_with_threads(
-            self.program,
-            compiled,
-            cfg,
-            self.opts.threads.effective(),
-        )?)
+        Ok(snapshot(self.program, compiled, cfg)?)
     }
 
     /// Builds the instrumented image (steps 1–2 of Fig. 1's profiling
@@ -689,25 +680,10 @@ impl<'p> Pipeline<'p> {
         built: &BuiltImage,
         stop: StopWhen,
     ) -> Result<RunReport, PipelineError> {
-        self.run_parts(&built.compiled, &built.snapshot, &built.image, None, stop)
-    }
-
-    /// Runs an image given its parts. With `heap = Some(template)`, the VM
-    /// references the pre-materialized snapshot heap copy-on-write instead
-    /// of converting the whole snapshot again — the evaluation engine
-    /// materializes once per snapshot and shares it across every run.
-    ///
-    /// # Errors
-    /// Propagates VM errors.
-    pub fn run_parts(
-        &self,
-        compiled: &CompiledProgram,
-        snapshot: &HeapSnapshot,
-        image: &BinaryImage,
-        heap: Option<Arc<HeapTemplate>>,
-        stop: StopWhen,
-    ) -> Result<RunReport, PipelineError> {
-        self.run(RunParts::new(compiled, snapshot, image).heap(heap), stop)
+        self.run(
+            RunParts::new(&built.compiled, &built.snapshot, &built.image),
+            stop,
+        )
     }
 
     /// Runs an image from a [`RunParts`] description.
@@ -734,28 +710,6 @@ impl<'p> Pipeline<'p> {
         .tracer(parts.tracer)
         .build();
         Ok(vm.run(stop)?)
-    }
-
-    /// Deprecated positional form of [`Pipeline::run`].
-    ///
-    /// # Errors
-    /// Propagates VM errors.
-    #[deprecated(since = "0.1.0", note = "use Pipeline::run with RunParts")]
-    pub fn run_parts_shared(
-        &self,
-        compiled: &CompiledProgram,
-        snapshot: &HeapSnapshot,
-        image: &BinaryImage,
-        heap: Option<Arc<HeapTemplate>>,
-        lowered: Option<Arc<LoweredProgram>>,
-        stop: StopWhen,
-    ) -> Result<RunReport, PipelineError> {
-        self.run(
-            RunParts::new(compiled, snapshot, image)
-                .heap(heap)
-                .lowered(lowered),
-            stop,
-        )
     }
 
     /// Performs the full profiling build + run + post-processing (steps 1–3
@@ -977,7 +931,7 @@ impl<'p> Pipeline<'p> {
             obj_align: self.opts.image.obj_align,
             native_tail: self.opts.image.native_tail,
         };
-        let plan = optimize_layout(&code, heap.as_ref(), &params, self.opts.threads.effective());
+        let plan = optimize_layout(&code, heap.as_ref(), &params);
         LayoutOrders {
             cu_order: Some(plan.cu_order),
             object_order: plan.object_order,
@@ -1118,31 +1072,6 @@ impl<'p> Pipeline<'p> {
             baseline: inputs.baseline.report.clone(),
             optimized,
         })
-    }
-
-    /// Deprecated positional form of [`Pipeline::evaluate_strategy`].
-    ///
-    /// # Errors
-    /// Propagates any pipeline stage failure.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Pipeline::evaluate_strategy with EvalInputs"
-    )]
-    pub fn evaluate_with(
-        &self,
-        artifacts: &ProfiledArtifacts,
-        baseline: &Baseline,
-        strategy: Strategy,
-        stop: StopWhen,
-    ) -> Result<Evaluation, PipelineError> {
-        self.evaluate_strategy(
-            EvalInputs {
-                artifacts,
-                baseline,
-            },
-            strategy,
-            stop,
-        )
     }
 
     /// Sec. 7.4: the execution-time overhead factor of one instrumentation

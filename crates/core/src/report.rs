@@ -321,8 +321,8 @@ impl Engine {
     /// incrementally (several `evaluate_matrix` calls against one cache)
     /// can snapshot a report at any point.
     pub fn report(&self, req: &EvalRequest<'_>, cells: &[MatrixCell]) -> Report {
-        let stats: EngineStats = self.stats();
         let agg = nimage_trace::aggregate(&self.tracer().events());
+        let stats: EngineStats = self.stats_from(&agg);
         let stages = crate::StageTimes::NAMES
             .iter()
             .map(|&name| {

@@ -43,6 +43,6 @@ pub use clinit::{
 };
 pub use object::{BuildHeap, HObject, HObjectKind, HValue, ObjId};
 pub use snapshot::{
-    init_order, snapshot, snapshot_with_threads, HeapBuildConfig, HeapSnapshot, InclusionReason,
-    ParentLink, SnapEntry, SnapshotStats,
+    init_order, snapshot, HeapBuildConfig, HeapSnapshot, InclusionReason, ParentLink, SnapEntry,
+    SnapshotStats,
 };

@@ -10,7 +10,6 @@ use rand::SeedableRng;
 use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, CuId};
 use nimage_ir::{FieldId, Instr, MethodId, Program};
-use nimage_par::parallel_map;
 
 use crate::clinit::{run_initializers, ClinitError, StepBudget};
 use crate::object::{BuildHeap, HObject, HObjectKind, ObjId};
@@ -230,25 +229,6 @@ pub fn snapshot(
     compiled: &CompiledProgram,
     cfg: &HeapBuildConfig,
 ) -> Result<HeapSnapshot, ClinitError> {
-    snapshot_with_threads(program, compiled, cfg, 1)
-}
-
-/// [`snapshot`] with intra-stage parallelism over the reachability walk.
-///
-/// Class-initializer execution and root discovery stay serial (both
-/// mutate the build heap — interning, boxing, resource allocation); only
-/// the read-only encoding walk from the discovered roots fans out across
-/// workers, partitioned by root. See [`traverse_roots`] for why the merge
-/// is bit-identical to the serial walk.
-///
-/// # Errors
-/// Propagates build-time execution failures ([`ClinitError`]).
-pub fn snapshot_with_threads(
-    program: &Program,
-    compiled: &CompiledProgram,
-    cfg: &HeapBuildConfig,
-    n_threads: usize,
-) -> Result<HeapSnapshot, ClinitError> {
     let reach = &compiled.reachability;
     let inits = init_order(program, reach, cfg);
     let mut heap = run_initializers(program, &inits, cfg.budget)?;
@@ -317,7 +297,21 @@ pub fn snapshot_with_threads(
         roots.push((o, InclusionReason::Resource(r.name.clone()), None));
     }
 
-    let (entries, index_of) = traverse_roots(&heap, program, &roots, n_threads);
+    // One traversal in root order against a shared `index_of`: an object
+    // belongs to the first root that reaches it (Sec. 5.3).
+    let mut entries: Vec<SnapEntry> = vec![];
+    let mut index_of: HashMap<ObjId, usize> = HashMap::new();
+    for (obj, reason, cu) in &roots {
+        include(
+            &heap,
+            program,
+            &mut entries,
+            &mut index_of,
+            *obj,
+            reason,
+            *cu,
+        );
+    }
 
     let mut snap = HeapSnapshot {
         heap,
@@ -392,145 +386,6 @@ fn include(
             stack.push((child, Some((o, link))));
         }
     }
-}
-
-/// Every object reachable from `root` in the full heap graph (set
-/// membership only; visit order is irrelevant here).
-fn full_closure(heap: &BuildHeap, root: ObjId) -> Vec<ObjId> {
-    let mut seen: HashSet<ObjId> = HashSet::new();
-    let mut out: Vec<ObjId> = vec![];
-    let mut stack = vec![root];
-    while let Some(o) = stack.pop() {
-        if !seen.insert(o) {
-            continue;
-        }
-        out.push(o);
-        for &(_, child) in heap.get(o).references().iter().rev() {
-            if !seen.contains(&child) {
-                stack.push(child);
-            }
-        }
-    }
-    out
-}
-
-/// The DFS of [`include`] for root `i`, pruned by the first-claim map:
-/// an object belongs to root `i` exactly when `i` is the lowest root
-/// index that reaches it. Objects claimed by earlier roots block the
-/// walk at the same points where the serial walk's global `index_of`
-/// check would, so emit order, parent links and the root-reason
-/// attribution all match the serial pass.
-fn pruned_dfs(
-    heap: &BuildHeap,
-    program: &Program,
-    roots: &[(ObjId, InclusionReason, Option<CuId>)],
-    i: usize,
-    first_claim: &HashMap<ObjId, u32>,
-) -> Vec<SnapEntry> {
-    let (obj, reason, cu) = &roots[i];
-    let i = i as u32;
-    if first_claim.get(obj) != Some(&i) {
-        // An earlier root (or an earlier duplicate of this one) already
-        // owns the root object; the serial walk would emit nothing here.
-        return vec![];
-    }
-    let mut out: Vec<SnapEntry> = vec![];
-    let mut local: HashSet<ObjId> = HashSet::new();
-    let mut stack: Vec<(ObjId, Option<(ObjId, ParentLink)>)> = vec![(*obj, None)];
-    let mut first = true;
-    while let Some((o, parent)) = stack.pop() {
-        if local.contains(&o) {
-            continue;
-        }
-        out.push(SnapEntry {
-            obj: o,
-            size: heap.get(o).size_bytes(),
-            parent,
-            root: if first { Some(reason.clone()) } else { None },
-            cu: *cu,
-        });
-        first = false;
-        local.insert(o);
-
-        let hobj = heap.get(o);
-        let refs = hobj.references();
-        for &(slot, child) in refs.iter().rev() {
-            // Mirrors the serial `index_of` check: claimed by an earlier
-            // root, or already emitted by this one.
-            if first_claim.get(&child).is_some_and(|&c| c < i) || local.contains(&child) {
-                continue;
-            }
-            let Some(link) = child_link(program, hobj, slot) else {
-                continue;
-            };
-            stack.push((child, Some((o, link))));
-        }
-    }
-    out
-}
-
-/// Builds the snapshot's object table from the discovered roots.
-///
-/// Serial reference: run [`include`] root by root against a shared
-/// `index_of`. Parallel: (pass A) compute each root's *full* reachable
-/// closure concurrently, (merge) fold the closures in root order into a
-/// `first_claim` map — an object's claimant is the lowest root index
-/// that reaches it, which is exactly the root whose serial walk would
-/// emit it, because any path from that root to the object passes only
-/// through objects with the same claimant — then (pass B) re-walk each
-/// root concurrently, pruned by `first_claim`, and concatenate the
-/// per-root entry lists in root order. Every step's output order is
-/// fixed by root order and field/slot order, never by scheduling, so
-/// the result is bit-identical to the serial reference.
-fn traverse_roots(
-    heap: &BuildHeap,
-    program: &Program,
-    roots: &[(ObjId, InclusionReason, Option<CuId>)],
-    n_threads: usize,
-) -> (Vec<SnapEntry>, HashMap<ObjId, usize>) {
-    let mut entries: Vec<SnapEntry> = vec![];
-    let mut index_of: HashMap<ObjId, usize> = HashMap::new();
-    // Per-root traversals are short; under the measured cutoff the
-    // two-pass fan-out costs more than it saves, so take the serial
-    // reference path directly.
-    let n_threads = nimage_par::workers_for(
-        n_threads,
-        roots.len(),
-        nimage_par::cutoff::SNAPSHOT_MIN_ROOTS,
-    );
-    if n_threads <= 1 || roots.len() < 2 {
-        for (obj, reason, cu) in roots {
-            include(
-                heap,
-                program,
-                &mut entries,
-                &mut index_of,
-                *obj,
-                reason,
-                *cu,
-            );
-        }
-        return (entries, index_of);
-    }
-
-    let closures = parallel_map(n_threads, roots.len(), |i| full_closure(heap, roots[i].0));
-    let mut first_claim: HashMap<ObjId, u32> = HashMap::new();
-    for (i, closure) in closures.iter().enumerate() {
-        for &o in closure {
-            first_claim.entry(o).or_insert(i as u32);
-        }
-    }
-
-    let per_root = parallel_map(n_threads, roots.len(), |i| {
-        pruned_dfs(heap, program, roots, i, &first_claim)
-    });
-    for list in per_root {
-        for e in list {
-            index_of.insert(e.obj, entries.len());
-            entries.push(e);
-        }
-    }
-    (entries, index_of)
 }
 
 /// Removes a build-dependent subset of non-root instances from the snapshot,

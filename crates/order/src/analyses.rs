@@ -269,6 +269,80 @@ impl fmt::Display for ReplayError {
 
 impl Error for ReplayError {}
 
+/// Signature → method table for path decoding.
+fn methods_by_signature(program: &Program) -> HashMap<String, MethodId> {
+    (0..program.methods().len())
+        .map(|i| {
+            let mid = MethodId::from(i);
+            (program.method_signature(mid), mid)
+        })
+        .collect()
+}
+
+/// Decodes [`TraceRecord::Path`] records against the program, building
+/// each method's path-numbering tables on first use.
+struct PathDecoder<'a> {
+    program: &'a Program,
+    by_sig: &'a HashMap<String, MethodId>,
+    max_paths: u64,
+    tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)>,
+}
+
+impl<'a> PathDecoder<'a> {
+    fn new(program: &'a Program, by_sig: &'a HashMap<String, MethodId>, max_paths: u64) -> Self {
+        PathDecoder {
+            program,
+            by_sig,
+            max_paths,
+            tables: HashMap::new(),
+        }
+    }
+
+    /// Validates one path record — the method signature resolves, and the
+    /// decoded path has exactly as many heap-access sites as the record
+    /// stores ids — and yields the objects it accessed in execution order
+    /// (raw id 0, an access outside the heap snapshot, is skipped).
+    fn accessed<'r>(
+        &mut self,
+        sig: &str,
+        start: u32,
+        path_id: u64,
+        obj_ids: &'r [u64],
+    ) -> Result<impl Iterator<Item = ObjId> + 'r, ReplayError> {
+        let mid = *self
+            .by_sig
+            .get(sig)
+            .ok_or_else(|| ReplayError::UnknownSignature(sig.to_string()))?;
+        let (cfg, num) = self.tables.entry(mid).or_insert_with(|| {
+            let cfg = ProfilingCfg::build(self.program.method(mid));
+            let num = PathNumbering::compute(&cfg, self.max_paths);
+            (cfg, num)
+        });
+        let seq = num.decode(cfg, nimage_compiler::MiniBlockId(start), path_id);
+        let expected: usize = seq
+            .iter()
+            .map(|&m| {
+                cfg.mini(m)
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, StaticEvent::HeapAccess { .. }))
+                    .count()
+            })
+            .sum();
+        if expected != obj_ids.len() {
+            return Err(ReplayError::IdCountMismatch {
+                method: sig.to_string(),
+                stored: obj_ids.len(),
+                expected,
+            });
+        }
+        Ok(obj_ids
+            .iter()
+            .filter(|&&raw| raw != 0)
+            .map(|&raw| ObjId((raw - 1) as u32)))
+    }
+}
+
 /// Replays a trace into the given analyses: decodes records thread by
 /// thread (in creation order, per Sec. 7.1's multi-thread handling) and
 /// dispatches events in execution order.
@@ -291,13 +365,8 @@ pub fn replay(
     max_paths: u64,
     analyses: &mut [&mut dyn OrderingAnalysis],
 ) -> Result<(), ReplayError> {
-    // Signature → method table for path decoding.
-    let mut by_sig: HashMap<String, MethodId> = HashMap::new();
-    for i in 0..program.methods().len() {
-        let mid = MethodId::from(i);
-        by_sig.insert(program.method_signature(mid), mid);
-    }
-    let mut tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)> = HashMap::new();
+    let by_sig = methods_by_signature(program);
+    let mut paths = PathDecoder::new(program, &by_sig, max_paths);
 
     let emit = |event: Event, analyses: &mut [&mut dyn OrderingAnalysis]| {
         for a in analyses.iter_mut() {
@@ -321,37 +390,7 @@ pub fn replay(
                     obj_ids,
                 } => {
                     let sig = trace.string(*method);
-                    let mid = *by_sig
-                        .get(sig)
-                        .ok_or_else(|| ReplayError::UnknownSignature(sig.to_string()))?;
-                    let (cfg, num) = tables.entry(mid).or_insert_with(|| {
-                        let cfg = ProfilingCfg::build(program.method(mid));
-                        let num = PathNumbering::compute(&cfg, max_paths);
-                        (cfg, num)
-                    });
-                    let seq = num.decode(cfg, nimage_compiler::MiniBlockId(*start), *path_id);
-                    let expected: usize = seq
-                        .iter()
-                        .map(|&m| {
-                            cfg.mini(m)
-                                .events
-                                .iter()
-                                .filter(|e| matches!(e, StaticEvent::HeapAccess { .. }))
-                                .count()
-                        })
-                        .sum();
-                    if expected != obj_ids.len() {
-                        return Err(ReplayError::IdCountMismatch {
-                            method: sig.to_string(),
-                            stored: obj_ids.len(),
-                            expected,
-                        });
-                    }
-                    for &raw in obj_ids {
-                        if raw == 0 {
-                            continue; // access outside the heap snapshot
-                        }
-                        let obj = ObjId((raw - 1) as u32);
+                    for obj in paths.accessed(sig, *start, *path_id, obj_ids)? {
                         if let Some(&id) = id_map.get(&obj) {
                             emit(Event::ObjectAccess(id), analyses);
                         }
@@ -438,7 +477,7 @@ fn decode_chunk(
     let mut cu_seen: HashSet<u32> = HashSet::new();
     let mut method_seen: HashSet<u32> = HashSet::new();
     let mut obj_seen: HashSet<ObjId> = HashSet::new();
-    let mut tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)> = HashMap::new();
+    let mut paths = PathDecoder::new(program, by_sig, max_paths);
     for record in records {
         match record {
             TraceRecord::CuEntry { sig } => {
@@ -458,37 +497,7 @@ fn decode_chunk(
                 obj_ids,
             } => {
                 let sig = trace.string(*method);
-                let mid = *by_sig
-                    .get(sig)
-                    .ok_or_else(|| ReplayError::UnknownSignature(sig.to_string()))?;
-                let (cfg, num) = tables.entry(mid).or_insert_with(|| {
-                    let cfg = ProfilingCfg::build(program.method(mid));
-                    let num = PathNumbering::compute(&cfg, max_paths);
-                    (cfg, num)
-                });
-                let seq = num.decode(cfg, nimage_compiler::MiniBlockId(*start), *path_id);
-                let expected: usize = seq
-                    .iter()
-                    .map(|&m| {
-                        cfg.mini(m)
-                            .events
-                            .iter()
-                            .filter(|e| matches!(e, StaticEvent::HeapAccess { .. }))
-                            .count()
-                    })
-                    .sum();
-                if expected != obj_ids.len() {
-                    return Err(ReplayError::IdCountMismatch {
-                        method: sig.to_string(),
-                        stored: obj_ids.len(),
-                        expected,
-                    });
-                }
-                for &raw in obj_ids {
-                    if raw == 0 {
-                        continue; // access outside the heap snapshot
-                    }
-                    let obj = ObjId((raw - 1) as u32);
+                for obj in paths.accessed(sig, *start, *path_id, obj_ids)? {
                     if in_snapshot.contains_key(&obj) && obj_seen.insert(obj) {
                         out.objects.push(obj);
                     }
@@ -525,11 +534,7 @@ pub fn replay_first_access(
     max_paths: u64,
     n_threads: usize,
 ) -> Result<ReplaySummary, ReplayError> {
-    let mut by_sig: HashMap<String, MethodId> = HashMap::new();
-    for i in 0..program.methods().len() {
-        let mid = MethodId::from(i);
-        by_sig.insert(program.method_signature(mid), mid);
-    }
+    let by_sig = methods_by_signature(program);
 
     // Chunk descriptors: contiguous runs within one thread's records, in
     // stream order (thread creation order, then record order). A floor on

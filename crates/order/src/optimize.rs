@@ -30,15 +30,9 @@
 //! paper's ordering, and on workloads where neither the native split nor
 //! the clustering finds slack the optimizer *degenerates to first-touch
 //! order exactly* (see DESIGN.md §12).
-//!
-//! Candidate scoring fans out over `nimage_par::parallel_map` gated by
-//! [`nimage_par::cutoff::OPTIMIZE_MIN_ENTITIES`]; every candidate is
-//! generated and scored by pure deterministic code, so the result is
-//! bit-identical across thread counts.
 
 use nimage_compiler::CuId;
 use nimage_heap::ObjId;
-use nimage_par::{cutoff, parallel_map, workers_for};
 
 use crate::analyses::ObjectSpans;
 
@@ -339,13 +333,8 @@ fn predict(
 /// entities are *startup-window neighbors* when their first accesses fall
 /// within one fault-around window's worth of bytes of each other (measured
 /// along the first-touch layout), and the edge weight grows the closer
-/// they are. Built per-entity and merged in index order, so the edge list
-/// is independent of thread count.
-fn co_access_edges(
-    hot_sizes: &[u64],
-    window_bytes: u64,
-    threads: usize,
-) -> Vec<(u64, usize, usize)> {
+/// they are.
+fn co_access_edges(hot_sizes: &[u64], window_bytes: u64) -> Vec<(u64, usize, usize)> {
     let n = hot_sizes.len();
     // Prefix byte positions along the first-touch sequence.
     let mut pos = Vec::with_capacity(n + 1);
@@ -355,9 +344,8 @@ fn co_access_edges(
         acc += s;
         pos.push(acc);
     }
-    let workers = workers_for(threads, n, cutoff::OPTIMIZE_MIN_ENTITIES);
-    let per_entity = parallel_map(workers, n, |i| {
-        let mut edges = vec![];
+    let mut edges = vec![];
+    for i in 0..n {
         for j in i + 1..n {
             let dist = pos[j] - pos[i + 1];
             if dist >= window_bytes {
@@ -367,9 +355,8 @@ fn co_access_edges(
             // window-neighbor edge above zero.
             edges.push((window_bytes - dist, i, j));
         }
-        edges
-    });
-    per_entity.into_iter().flatten().collect()
+    }
+    edges
 }
 
 /// Ext-TSP-style chain clustering (greedy Pettis–Hansen merge): entities
@@ -379,12 +366,12 @@ fn co_access_edges(
 /// chain still fits one fault-around window. Chains are then emitted by
 /// the earliest first-touch rank of their members, so clustering never
 /// moves an entity far from its startup position.
-fn cluster_hot(hot_sizes: &[u64], window_bytes: u64, threads: usize) -> Vec<usize> {
+fn cluster_hot(hot_sizes: &[u64], window_bytes: u64) -> Vec<usize> {
     let n = hot_sizes.len();
     if n <= 2 {
         return (0..n).collect();
     }
-    let mut edges = co_access_edges(hot_sizes, window_bytes, threads);
+    let mut edges = co_access_edges(hot_sizes, window_bytes);
     edges.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
     // Chain bookkeeping: each entity points at its chain id; chains keep
@@ -471,7 +458,7 @@ fn pack_page_boundaries<T: Copy>(
 
 /// Builds the candidate CU orders for the code section. Candidate 0 is
 /// always plain first-touch with the identity native permutation.
-fn code_candidates(code: &CodeInput<'_>, params: &CostParams, threads: usize) -> Vec<Candidate> {
+fn code_candidates(code: &CodeInput<'_>, params: &CostParams) -> Vec<Candidate> {
     let tail = params.tail_pages();
     let identity = identity_native_order(tail);
     let packed_native = packed_native_order(code.native_pages, tail);
@@ -496,7 +483,7 @@ fn code_candidates(code: &CodeInput<'_>, params: &CostParams, threads: usize) ->
 
     // 2: window-clustered hot prefix + native split.
     let hot_sizes: Vec<u64> = hot.iter().map(|&cu| size_of(cu)).collect();
-    let perm = cluster_hot(&hot_sizes, params.window_bytes(), threads);
+    let perm = cluster_hot(&hot_sizes, params.window_bytes());
     let clustered: Vec<CuId> = perm.iter().map(|&i| hot[i]).collect();
     let clustered_order: Vec<CuId> = clustered.iter().chain(cold.iter()).copied().collect();
     candidates.push(Candidate {
@@ -518,13 +505,13 @@ fn code_candidates(code: &CodeInput<'_>, params: &CostParams, threads: usize) ->
 
 /// Builds the candidate object orders for the heap section (no native
 /// component). Candidate 0 is plain first-touch.
-fn heap_candidates(heap: &HeapInput<'_>, params: &CostParams, threads: usize) -> Vec<Vec<ObjId>> {
+fn heap_candidates(heap: &HeapInput<'_>, params: &CostParams) -> Vec<Vec<ObjId>> {
     let hot = &heap.first_touch[..heap.hot];
     let cold = &heap.first_touch[heap.hot..];
     let size_of = |o: ObjId| heap.sizes[o.index()];
 
     let hot_sizes: Vec<u64> = hot.iter().map(|&o| size_of(o)).collect();
-    let perm = cluster_hot(&hot_sizes, params.window_bytes(), threads);
+    let perm = cluster_hot(&hot_sizes, params.window_bytes());
     let clustered: Vec<ObjId> = perm.iter().map(|&i| hot[i]).collect();
     let clustered_order: Vec<ObjId> = clustered.iter().chain(cold.iter()).copied().collect();
     let packed = pack_page_boundaries(
@@ -544,22 +531,17 @@ fn heap_candidates(heap: &HeapInput<'_>, params: &CostParams, threads: usize) ->
 /// the argmin — ties broken toward the lowest candidate index, so the plan
 /// degenerates to plain first-touch order (plus, always, the native-tail
 /// hot/cold split when it helps) whenever clustering finds no slack.
-///
-/// The output is bit-deterministic across `threads` values: candidate
-/// generation is pure, and scoring fans out via `parallel_map`, whose
-/// results come back in candidate-index order.
 pub fn optimize_layout(
     code: &CodeInput<'_>,
     heap: Option<&HeapInput<'_>>,
     params: &CostParams,
-    threads: usize,
 ) -> OrderPlan {
     assert!(
         params.fault_around_pages.is_power_of_two(),
         "fault_around_pages must be a power of two"
     );
-    let code_cands = code_candidates(code, params, threads);
-    let heap_cands = heap.map(|h| heap_candidates(h, params, threads));
+    let code_cands = code_candidates(code, params);
+    let heap_cands = heap.map(|h| heap_candidates(h, params));
 
     // Cross product of code × heap candidates (heap absent: code only).
     let mut cands: Vec<Candidate> = vec![];
@@ -576,11 +558,10 @@ pub fn optimize_layout(
         }
     }
 
-    let work = code.first_touch.len() + heap.map_or(0, |h| h.first_touch.len());
-    let workers = workers_for(threads, work, cutoff::OPTIMIZE_MIN_ENTITIES);
-    let scores = parallel_map(workers, cands.len(), |i| {
-        predict(&cands[i], code, heap, params)
-    });
+    let scores: Vec<PredictedFaults> = cands
+        .iter()
+        .map(|c| predict(c, code, heap, params))
+        .collect();
 
     let first_touch_faults = scores[0];
     let best = scores
@@ -677,7 +658,7 @@ mod tests {
             // Scattered startup pages: 4 separate windows under identity.
             native_pages: &[0, 40, 90, 150],
         };
-        let plan = optimize_layout(&code, None, &params(), 1);
+        let plan = optimize_layout(&code, None, &params());
         assert!(plan.predicted_faults.text < plan.first_touch_faults.text);
         // The tail starts on page 1 (CUs fill < a page), so the packed hot
         // tail pages land in the same fault-around window as the hot CUs:
@@ -688,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_output_is_permutation_and_thread_invariant() {
+    fn optimizer_output_is_permutation() {
         let order = cus(9);
         let sizes: Vec<u64> = (0..9).map(|i| 1000 + i * 777).collect();
         let objs: Vec<ObjId> = (0..7).map(ObjId).collect();
@@ -705,19 +686,13 @@ mod tests {
             sizes: &osizes,
             spans: &[],
         };
-        let base = optimize_layout(&code, Some(&heap), &params(), 1);
+        let base = optimize_layout(&code, Some(&heap), &params());
         let mut sorted = base.cu_order.clone();
         sorted.sort();
         assert_eq!(sorted, cus(9));
         let mut osorted = base.object_order.clone().unwrap();
         osorted.sort();
         assert_eq!(osorted, objs);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                optimize_layout(&code, Some(&heap), &params(), threads),
-                base
-            );
-        }
     }
 
     #[test]
@@ -778,7 +753,7 @@ mod tests {
             sizes: &sizes,
             native_pages: &[],
         };
-        let plan = optimize_layout(&code, None, &params(), 1);
+        let plan = optimize_layout(&code, None, &params());
         assert_eq!(plan.cu_order, order);
         assert_eq!(plan.native_order, identity_native_order(192));
         assert_eq!(plan.predicted_faults, plan.first_touch_faults);

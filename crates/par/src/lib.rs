@@ -87,35 +87,37 @@ impl fmt::Debug for Parallelism {
 /// Each constant is the smallest work size (in the stage's natural unit)
 /// for which `parallel_map` at 4 threads beat the serial loop on the
 /// bundled workloads (release build, median of 5 warm runs; see
-/// DESIGN.md §11 for the measurement protocol). Below the cutoff the
-/// spawn + mutex overhead of the steal queue dominates the actual work,
-/// which is how the 4-thread bench previously *regressed* on the small
-/// bundled workloads (compile 0.95×, snapshot 0.56×, replay 0.88×).
-/// [`workers_for`] applies them: under the cutoff it returns 1, making
-/// the "parallel" path literally the serial path (`parallel_map` with
-/// one worker is a plain loop), so a sub-1× speedup is impossible by
-/// construction.
+/// DESIGN.md §11 for the measurement protocol and the per-workload work
+/// sizes quoted below). Below the cutoff the spawn + mutex overhead of
+/// the steal queue dominates the actual work, which is how the 4-thread
+/// bench once *regressed* on the small bundled workloads (compile 0.95×,
+/// replay 0.88×). [`workers_for`] applies them: under the cutoff it
+/// returns 1, making the "parallel" path literally the serial path
+/// (`parallel_map` with one worker is a plain loop), so a sub-1× speedup
+/// is impossible by construction.
+///
+/// Every cutoff here is crossed by some bundled workload (pinned by
+/// `core/tests/determinism.rs::live_cutoffs`); a fan-out no workload
+/// reaches is deleted rather than kept behind a cutoff.
 pub mod cutoff {
     /// Inline-wave compilation: minimum CU roots in a wave before the
     /// wave is fanned out. Building one CU is a whole inlining pass, so
-    /// the per-job work is large and the cutoff is low; micronaut's
-    /// first wave (~40 roots) parallelizes, the 2–4 root tail waves of
-    /// every bundled workload no longer do.
+    /// the per-job work is large and the cutoff is low. First waves are
+    /// tiny everywhere (2 roots on every microservice, 1–4 on every Awfy
+    /// program) and stay serial; it is the later, wide waves (306–912
+    /// roots on the microservices, 1 540–2 280 on Awfy, ~97 at the small
+    /// test scale) that cross the cutoff and parallelize.
     pub const COMPILE_MIN_ROOTS: usize = 8;
-
-    /// Snapshot heap traversal: minimum GC roots before the two
-    /// closure/DFS passes fan out. Per-root traversals are short and
-    /// share a serial assignment fold that bounds the win; at 4 threads
-    /// the fan-out lost on every bundled workload, including micronaut's
-    /// 1 610 roots (0.56–0.82×), so the cutoff sits beyond the bundled
-    /// scale until a workload demonstrates a parallel win.
-    pub const SNAPSHOT_MIN_ROOTS: usize = 4096;
 
     /// Trace replay: minimum *records* (not chunks) before chunked
     /// decode fans out. Decoding is a tight varint loop at a few ns per
-    /// record, so only large traces amortize worker spawn; micronaut's
-    /// instrumented trace (~1M records) clears this easily, the small
-    /// Awfy traces fall back to serial.
+    /// record, so only large traces amortize worker spawn. The
+    /// microservice traces stop at the first response and stay serial
+    /// (3 500 quarkus, 4 949 micronaut, 5 847 spring records); the
+    /// fan-out engages on six Awfy programs at bundled scale (Bounce,
+    /// List, Mandelbrot, Queens, Sieve, Towers: 34 303–111 705 records)
+    /// and on four of them at the small test scale (Bounce 43 651, Queens
+    /// 48 295, List 87 363, Mandelbrot 106 651).
     pub const REPLAY_MIN_RECORDS: usize = 32_768;
 
     /// Eval-matrix VM runs: minimum (strategy, workload) cells before
@@ -123,24 +125,14 @@ pub mod cutoff {
     /// already amortize a spawn.
     pub const RUN_MIN_CELLS: usize = 2;
 
-    /// Layout optimization: minimum entities (CUs + objects) before the
-    /// co-access graph build and candidate scoring fan out. Scoring one
-    /// candidate is a single linear pass over the entities (~µs per
-    /// thousand on the bundled workloads, whose largest input is
-    /// micronaut's few thousand entities), so below this floor the spawn +
-    /// mutex overhead of the steal queue dominates just like the other
-    /// small stages did before their cutoffs; the bundled workloads stay
-    /// serial until a workload an order of magnitude larger demonstrates a
-    /// parallel win.
-    pub const OPTIMIZE_MIN_ENTITIES: usize = 16_384;
-
     /// Pre-lowering wave: minimum profile-hot CUs before the engine fans
     /// the per-CU shard lowering out. Lowering one shard is a short flat
     /// re-encode of a handful of method bodies (tens of µs on the bundled
-    /// workloads), so small hot sets — every Awfy workload, and micronaut's
-    /// first-response set (~20 CUs) — stay serial; the cutoff sits just
-    /// past the bundled scale until a larger hot set demonstrates a
-    /// parallel win.
+    /// workloads). Every bundled hot set crosses the cutoff — 428 / 494 /
+    /// 534 CUs on quarkus / micronaut / spring, 773–1 173 on Awfy, 50–55
+    /// at the small test scale — so on the bundled workloads the wave
+    /// always fans out; the cutoff guards hand-built programs with a
+    /// handful of CUs.
     pub const PRELOWER_MIN_CUS: usize = 32;
 }
 

@@ -259,7 +259,7 @@ pub struct Vm<'a> {
 
 /// Builder for a [`Vm`]: the four mandatory inputs up front, everything
 /// shareable or optional — heap template, pre-lowered program, tracer —
-/// as chained setters. [`Vm::with_shared`] delegates here.
+/// as chained setters. [`Vm::new`] is its no-options form.
 pub struct VmBuilder<'a> {
     program: &'a Program,
     compiled: &'a CompiledProgram,
@@ -350,65 +350,7 @@ impl<'a> Vm<'a> {
         image: &'a BinaryImage,
         config: VmConfig,
     ) -> Vm<'a> {
-        let heap = RtHeap::from_build_heap(snapshot.heap());
-        Vm::with_heap(
-            program,
-            compiled,
-            snapshot,
-            image,
-            config,
-            heap,
-            None,
-            Tracer::disabled(),
-        )
-    }
-
-    /// Creates a VM over a built image whose snapshot was materialized once
-    /// into a shared [`crate::HeapTemplate`]. Repeated runs of the same
-    /// image (the evaluation engine runs one baseline per strategy matrix)
-    /// reference the template copy-on-write instead of re-converting the
-    /// whole snapshot per run.
-    pub fn with_heap_template(
-        program: &'a Program,
-        compiled: &'a CompiledProgram,
-        snapshot: &'a HeapSnapshot,
-        image: &'a BinaryImage,
-        config: VmConfig,
-        template: std::sync::Arc<crate::HeapTemplate>,
-    ) -> Vm<'a> {
-        let heap = RtHeap::from_template(template);
-        Vm::with_heap(
-            program,
-            compiled,
-            snapshot,
-            image,
-            config,
-            heap,
-            None,
-            Tracer::disabled(),
-        )
-    }
-
-    /// Creates a VM sharing both the materialized heap template and the
-    /// pre-lowered program across runs. The evaluation engine lowers each
-    /// compiled build once and hands every (strategy, workload) cell the
-    /// same `Arc` — repeated runs skip the lowering pass entirely.
-    ///
-    /// `lowered` must have been built from the same `(program, compiled)`
-    /// pair with the same `max_paths` as `config`.
-    pub fn with_shared(
-        program: &'a Program,
-        compiled: &'a CompiledProgram,
-        snapshot: &'a HeapSnapshot,
-        image: &'a BinaryImage,
-        config: VmConfig,
-        template: Option<Arc<crate::HeapTemplate>>,
-        lowered: Option<Arc<LoweredProgram>>,
-    ) -> Vm<'a> {
-        VmBuilder::new(program, compiled, snapshot, image, config)
-            .heap_template(template)
-            .lowered(lowered)
-            .build()
+        VmBuilder::new(program, compiled, snapshot, image, config).build()
     }
 
     #[allow(clippy::too_many_arguments)]
