@@ -91,11 +91,6 @@ impl Reachability {
     pub fn is_method_reachable(&self, m: MethodId) -> bool {
         self.methods.contains(&m)
     }
-
-    /// Whether a class is reachable.
-    pub fn is_class_reachable(&self, c: ClassId) -> bool {
-        self.classes.contains(&c)
-    }
 }
 
 /// A conservative whole-program call graph over *every* method body —

@@ -1,11 +1,12 @@
 //! Criterion microbench of interpreter dispatch: the pre-lowered
-//! execution engine vs the legacy tree-walking interpreter
-//! (DESIGN.md §11), on the same built image.
+//! execution engine (`Vm::run`) vs the reference tree-walking interpreter
+//! (`Vm::run_reference`, DESIGN.md §11), on the same built image.
 //!
 //! Three views:
-//! - `dispatch/{legacy,lowered}` — a full `run_image` per iteration,
-//!   including per-VM setup (the lowered engine pays lowering here when
-//!   no shared `LoweredProgram` is supplied).
+//! - `dispatch/{legacy,lowered}` — a fresh VM per iteration, including
+//!   per-VM setup (the lowered engine pays lowering here when no shared
+//!   `LoweredProgram` is supplied). `legacy` is the reference interpreter;
+//!   the name is kept so the series stays comparable across PRs.
 //! - `dispatch/lowered_shared` — the engine's steady state: one
 //!   `Arc<LoweredProgram>` + `Arc<HeapTemplate>` built up front and
 //!   shared across iterations, so the measured cost is pure step-loop
@@ -17,43 +18,45 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, Parallelism, Pipeline, RunParts};
-use nimage_vm::{ExecMode, HeapTemplate, LoweredProgram, StopWhen};
+use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder};
 use nimage_workloads::{Awfy, RuntimeScale};
 
-fn opts(exec: ExecMode) -> BuildOptions {
-    let mut o = BuildOptions {
+fn opts() -> BuildOptions {
+    BuildOptions {
         threads: Parallelism::threads(1),
         ..BuildOptions::default()
-    };
-    o.vm.exec = exec;
-    o
+    }
 }
 
 fn bench_dispatch(c: &mut Criterion) {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    for exec in [ExecMode::Legacy, ExecMode::Lowered] {
-        let p = Pipeline::new(&program, opts(exec));
-        let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
-        let name = match exec {
-            ExecMode::Legacy => "dispatch/legacy",
-            ExecMode::Lowered => "dispatch/lowered",
-        };
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                p.run_image(std::hint::black_box(&built), StopWhen::Exit)
-                    .unwrap()
-            })
-        });
-    }
+    let o = opts();
+    let p = Pipeline::new(&program, o.clone());
+    let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
+    let vm = || {
+        let built = std::hint::black_box(&built);
+        VmBuilder::new(
+            &program,
+            &built.compiled,
+            &built.snapshot,
+            &built.image,
+            o.vm.clone(),
+        )
+        .build()
+    };
+    c.bench_function("dispatch/legacy", |b| {
+        b.iter(|| vm().run_reference(StopWhen::Exit).unwrap())
+    });
+    c.bench_function("dispatch/lowered", |b| {
+        b.iter(|| vm().run(StopWhen::Exit).unwrap())
+    });
 
     // Steady state: lowering and heap materialization amortized away.
-    let p = Pipeline::new(&program, opts(ExecMode::Lowered));
-    let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
     let lowered = Arc::new(LoweredProgram::build(
         &program,
         &built.compiled,
-        opts(ExecMode::Lowered).vm.max_paths,
+        o.vm.max_paths,
     ));
     c.bench_function("dispatch/lowered_shared", |b| {
         b.iter(|| {
@@ -74,7 +77,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 fn bench_lowering(c: &mut Criterion) {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let o = opts(ExecMode::Lowered);
+    let o = opts();
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     c.bench_function("lowering/build", |b| {

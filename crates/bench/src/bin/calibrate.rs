@@ -43,10 +43,12 @@ fn main() {
     }
     for m in Microservice::all() {
         let p = m.program();
-        let mut opts = BuildOptions::default();
-        opts.vm = VmConfig {
-            dump_mode: DumpMode::MemoryMapped,
-            ..VmConfig::default()
+        let opts = BuildOptions {
+            vm: VmConfig {
+                dump_mode: DumpMode::MemoryMapped,
+                ..VmConfig::default()
+            },
+            ..BuildOptions::default()
         };
         let pipe = Pipeline::new(&p, opts);
         let t0 = std::time::Instant::now();

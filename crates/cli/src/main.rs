@@ -30,6 +30,7 @@ use nimage_core::{
     Report, RunParts, Strategy, TraceOptions, WorkloadSpec, DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
+use nimage_trace::metrics::json_string;
 use nimage_vm::{render_ascii, summarize, CostModel, VmConfig};
 
 use args::{parse, ArgError, ParsedArgs};
@@ -174,13 +175,7 @@ fn pipeline_for(workload: &Workload) -> BuildOptions {
 /// the nimage-verify checkers default on in debug builds and off in
 /// release builds (they roughly double pipeline cost).
 fn verify_flag(parsed: &ParsedArgs) -> bool {
-    if parsed.has_flag("no-verify") {
-        false
-    } else if parsed.has_flag("verify") {
-        true
-    } else {
-        cfg!(debug_assertions)
-    }
+    !parsed.has_flag("no-verify") && (parsed.has_flag("verify") || cfg!(debug_assertions))
 }
 
 /// Parses `--threads N` (0 = auto).
@@ -791,7 +786,7 @@ fn bench_json(
     report: &Report,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"workload\": \"{workload}\",\n"));
+    out.push_str(&format!("  \"workload\": {},\n", json_string(workload)));
     out.push_str(&format!("  \"strategies\": {n_strategies},\n"));
     out.push_str(&format!("  \"serial_uncached_ns\": {serial_ns},\n"));
     out.push_str(&format!("  \"engine_ns\": {engine_ns},\n"));
@@ -1147,23 +1142,6 @@ struct LintOutcome {
     diags: Vec<nimage_verify::Diagnostic>,
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the `nimage lint --format json` report (no serde in the
 /// workspace — hand-written like `bench_json`).
 fn lint_json(strategy: Strategy, outcomes: &[(&'static str, LintOutcome)]) -> String {
@@ -1174,10 +1152,10 @@ fn lint_json(strategy: Strategy, outcomes: &[(&'static str, LintOutcome)]) -> St
         .iter()
         .map(|(name, o)| {
             let mut b = String::from("    {\n");
-            b.push_str(&format!("      \"workload\": \"{}\",\n", json_escape(name)));
+            b.push_str(&format!("      \"workload\": {},\n", json_string(name)));
             b.push_str(&format!(
-                "      \"strategy\": \"{}\",\n",
-                json_escape(strategy.name())
+                "      \"strategy\": {},\n",
+                json_string(strategy.name())
             ));
             b.push_str(&format!("      \"errors\": {},\n", o.errors));
             b.push_str(&format!("      \"warnings\": {},\n", o.warnings));
@@ -1195,11 +1173,11 @@ fn lint_json(strategy: Strategy, outcomes: &[(&'static str, LintOutcome)]) -> St
                 .iter()
                 .map(|d| {
                     format!(
-                        "        {{\"severity\": \"{}\", \"code\": \"{}\", \"entity\": \"{}\", \"message\": \"{}\"}}",
+                        "        {{\"severity\": \"{}\", \"code\": {}, \"entity\": {}, \"message\": {}}}",
                         if d.severity == Severity::Error { "error" } else { "warning" },
-                        json_escape(d.code),
-                        json_escape(&d.entity),
-                        json_escape(&d.message)
+                        json_string(d.code),
+                        json_string(&d.entity),
+                        json_string(&d.message)
                     )
                 })
                 .collect();

@@ -252,16 +252,6 @@ impl ArtifactCache {
             self.waves.stats(),
         ]
     }
-
-    /// Total hits across all stages.
-    pub fn total_hits(&self) -> u64 {
-        self.stats().iter().map(|s| s.hits).sum()
-    }
-
-    /// Total misses across all stages.
-    pub fn total_misses(&self) -> u64 {
-        self.stats().iter().map(|s| s.misses).sum()
-    }
 }
 
 impl Default for ArtifactCache {

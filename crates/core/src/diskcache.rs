@@ -76,12 +76,6 @@ impl DiskCacheOptions {
         }
     }
 
-    /// Caps the cache at `max_bytes` payload bytes (LRU eviction).
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> DiskCacheOptions {
-        self.max_bytes = Some(max_bytes);
-        self
-    }
-
     /// Caps the cache at `max_entries` entries (LRU eviction).
     pub fn with_max_entries(mut self, max_entries: u64) -> DiskCacheOptions {
         self.max_entries = Some(max_entries);

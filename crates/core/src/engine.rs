@@ -26,7 +26,7 @@
 //! child-duration stack.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, InstrumentConfig};
@@ -34,9 +34,8 @@ use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::HeapStrategy;
-use nimage_par::StealQueue;
 use nimage_trace::{StageAgg, Tracer};
-use nimage_vm::{ExecMode, HeapTemplate, LoweredProgram, LoweredShard, RunReport, StopWhen};
+use nimage_vm::{HeapTemplate, LoweredProgram, LoweredShard, RunReport, StopWhen};
 
 use std::collections::BTreeMap;
 
@@ -258,7 +257,7 @@ struct BuildFront {
 struct BaselineParts {
     front: BuildFront,
     template: Arc<HeapTemplate>,
-    lowered: Option<Arc<LoweredProgram>>,
+    lowered: Arc<LoweredProgram>,
     run: Arc<RunReport>,
 }
 
@@ -419,14 +418,6 @@ impl Engine {
         }
     }
 
-    fn worker_count(&self, jobs: usize) -> usize {
-        // Capped at the host's parallelism (workers beyond it only
-        // contend) and gated on the cell-count cutoff like every other
-        // parallel stage.
-        nimage_par::workers_for(self.threads(), jobs, nimage_par::cutoff::RUN_MIN_CELLS)
-            .clamp(1, jobs.max(1))
-    }
-
     /// Evaluates every `(workload, strategy)` cell of the matrix, sharing
     /// cached artifacts within and across rows and fanning independent
     /// cells out over worker threads. Results come back in deterministic
@@ -444,47 +435,33 @@ impl Engine {
         let jobs: Vec<(usize, usize)> = (0..specs.len())
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
-        let results: Vec<OnceLock<Result<Evaluation, PipelineError>>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-
-        let n_workers = self.worker_count(jobs.len());
-        if n_workers <= 1 {
-            for (slot, &(wi, si)) in results.iter().zip(&jobs) {
-                let _ = slot.set(self.run_job(&ctxs[wi], strategies[si]));
-            }
-        } else {
-            // Seed worker deques workload-major so workers start on
-            // different rows (the shared per-row stages serialize behind
-            // the cache slots); stealing rebalances the strategy cells.
-            let queue = StealQueue::new(n_workers);
-            for (j, &(wi, _)) in jobs.iter().enumerate() {
-                queue.seed(wi % n_workers, j);
-            }
-            let queue = &queue;
-            let results = &results;
-            let ctxs = &ctxs;
-            let jobs = &jobs;
-            std::thread::scope(|scope| {
-                for w in 0..n_workers {
-                    scope.spawn(move || {
-                        while let Some(j) = queue.pop(w) {
-                            let (wi, si) = jobs[j];
-                            let _ = results[j].set(self.run_job(&ctxs[wi], strategies[si]));
-                        }
-                    });
-                }
-            });
-        }
+        // Capped at the host's parallelism (workers beyond it only
+        // contend) and gated on the cell-count cutoff like every other
+        // parallel stage.
+        let workers = nimage_par::workers_for(
+            self.threads(),
+            jobs.len(),
+            nimage_par::cutoff::RUN_MIN_CELLS,
+        );
+        // Seed worker deques workload-major so workers start on different
+        // rows (the shared per-row stages serialize behind the cache
+        // slots); stealing rebalances the strategy cells.
+        let results = nimage_par::parallel_map_seeded(
+            workers,
+            jobs.len(),
+            |j| jobs[j].0,
+            |j| {
+                let (wi, si) = jobs[j];
+                self.run_job(&ctxs[wi], strategies[si])
+            },
+        );
 
         let mut out = Vec::with_capacity(jobs.len());
-        for (slot, &(wi, si)) in results.into_iter().zip(&jobs) {
-            let eval = slot
-                .into_inner()
-                .expect("every seeded job ran to completion")?;
+        for (result, &(wi, si)) in results.into_iter().zip(&jobs) {
             out.push(MatrixCell {
                 workload: specs[wi].name.clone(),
                 strategy: strategies[si],
-                eval,
+                eval: result?,
             });
         }
         // Opportunistic lifecycle sweep: if this evaluation wrote new
@@ -797,9 +774,7 @@ impl Engine {
     /// The sharded execution program of one compile: one lazy container
     /// per compile key, shared (`Arc`) by every VM run of that build —
     /// matrix cells on different worker threads dispatch over the same
-    /// instruction arrays, faulting per-CU shards in exactly once. `None`
-    /// under [`ExecMode::Legacy`], where the tree-walking interpreter
-    /// wants no lowering.
+    /// instruction arrays, faulting per-CU shards in exactly once.
     ///
     /// Constructing the container builds only the cheap global tables;
     /// method bodies are lowered per CU on first call, or ahead of time by
@@ -810,17 +785,14 @@ impl Engine {
         compile_key: CacheKey,
         compiled: &CompiledProgram,
         variant: &'static str,
-    ) -> Option<Arc<LoweredProgram>> {
-        if ctx.spec.opts.vm.exec == ExecMode::Legacy {
-            return None;
-        }
+    ) -> Arc<LoweredProgram> {
         let key = CacheKey::for_stage("lower", &[compile_key]);
-        Some(self.cache.lowered.get_or(key, || {
+        self.cache.lowered.get_or(key, || {
             let _s = self.tracer.root_span("lower", || {
                 format!("workload={} variant={variant}", ctx.spec.name)
             });
             LoweredProgram::new(ctx.spec.program, compiled, ctx.spec.opts.vm.max_paths)
-        }))
+        })
     }
 
     /// The pre-lowering wave: realizes the shards of every CU the profile
@@ -926,7 +898,7 @@ impl Engine {
                 p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
                         .heap(Some(template))
-                        .lowered(lowered)
+                        .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
                     ctx.spec.stop,
                 )?
@@ -953,9 +925,7 @@ impl Engine {
             self.template_for(ctx, ctx.key("heap-template:optimized"), "optimized", &front);
         let image = self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
         let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
-        if let Some(lp) = &lowered {
-            self.prelower_hot(ctx, front.compile_key, &front.compiled, lp, artifacts);
-        }
+        self.prelower_hot(ctx, front.compile_key, &front.compiled, &lowered, artifacts);
         let run = self.disk_backed(
             &self.cache.runs,
             "baseline-run",
@@ -967,7 +937,7 @@ impl Engine {
                 p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
                         .heap(Some(template.clone()))
-                        .lowered(lowered.clone())
+                        .lowered(Some(lowered.clone()))
                         .tracer(self.vm_tracer()),
                     ctx.spec.stop,
                 )
@@ -1011,7 +981,7 @@ impl Engine {
             p.run(
                 RunParts::new(&front.compiled, &front.snapshot, &image)
                     .heap(Some(parts.template.clone()))
-                    .lowered(parts.lowered.clone())
+                    .lowered(Some(parts.lowered.clone()))
                     .tracer(self.vm_tracer()),
                 ctx.spec.stop,
             )?

@@ -183,16 +183,6 @@ impl Strategy {
             Strategy::CuClustered | Strategy::CuClusteredPlusHeapPath
         )
     }
-
-    /// The first-touch strategy a clustered strategy refines (itself for
-    /// the others) — the comparison partner for the bench fault gate.
-    pub fn first_touch_equivalent(&self) -> Strategy {
-        match self {
-            Strategy::CuClustered => Strategy::Cu,
-            Strategy::CuClusteredPlusHeapPath => Strategy::CuPlusHeapPath,
-            s => *s,
-        }
-    }
 }
 
 /// Configuration of every pipeline stage.
@@ -558,9 +548,8 @@ impl<'a> RunParts<'a> {
         self
     }
 
-    /// Shares a pre-built [`LoweredProgram`]; without one the VM lowers on
-    /// construction (and under [`nimage_vm::ExecMode::Legacy`] skips
-    /// lowering entirely).
+    /// Shares a pre-built [`LoweredProgram`]; without one the VM builds a
+    /// private lazy container and lowers each CU on first entry.
     #[must_use]
     pub fn lowered(mut self, lowered: Option<Arc<LoweredProgram>>) -> Self {
         self.lowered = lowered;

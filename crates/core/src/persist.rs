@@ -8,11 +8,15 @@
 //! ```text
 //! <dir>/cu_order.csv          one CU-root signature per line
 //! <dir>/method_order.csv      one method signature per line
-//! <dir>/heap_incremental.csv  one 64-bit hex id per line
+//! <dir>/heap_incremental.csv  one 64-bit hex id per line (+ touched spans)
 //! <dir>/heap_structural.csv
 //! <dir>/heap_path.csv         (heap_path_salted.csv with salted ids)
 //! <dir>/call_counts.csv       signature,count
 //! ```
+//!
+//! This module owns the directory layout only; the line formats of the
+//! ordering profiles belong to `nimage_order::{CodeOrderProfile,
+//! HeapOrderProfile}::{to_csv, from_csv}`.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -45,32 +49,6 @@ fn heap_file_name(strategy: HeapStrategy) -> &'static str {
     }
 }
 
-fn code_csv(profile: &CodeOrderProfile) -> String {
-    let mut s = String::new();
-    for sig in &profile.sigs {
-        s.push_str(sig);
-        s.push('\n');
-    }
-    s
-}
-
-fn heap_csv(profile: &HeapOrderProfile) -> String {
-    let mut s = String::new();
-    for (i, id) in profile.ids.iter().enumerate() {
-        s.push_str(&format!("{id:016x}"));
-        // Measured touched-byte spans ride on the identity's line so the
-        // saved profile keeps the measured touch model across processes
-        // (`HeapOrderProfile::from_csv` reads them back).
-        if let Some(spans) = profile.spans.get(i) {
-            for (a, b) in spans {
-                s.push_str(&format!(",{a}:{b}"));
-            }
-        }
-        s.push('\n');
-    }
-    s
-}
-
 /// Writes the ordering profiles and PGO call counts of `artifacts` into
 /// `dir` (created if missing).
 ///
@@ -78,13 +56,13 @@ fn heap_csv(profile: &HeapOrderProfile) -> String {
 /// Propagates filesystem errors.
 pub fn save_profiles(artifacts: &ProfiledArtifacts, dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("cu_order.csv"), code_csv(&artifacts.cu_profile))?;
+    std::fs::write(dir.join("cu_order.csv"), artifacts.cu_profile.to_csv())?;
     std::fs::write(
         dir.join("method_order.csv"),
-        code_csv(&artifacts.method_profile),
+        artifacts.method_profile.to_csv(),
     )?;
     for (&strategy, profile) in &artifacts.heap_profiles {
-        std::fs::write(dir.join(heap_file_name(strategy)), heap_csv(profile))?;
+        std::fs::write(dir.join(heap_file_name(strategy)), profile.to_csv())?;
     }
     std::fs::write(dir.join("call_counts.csv"), artifacts.call_counts.to_csv())?;
     Ok(())

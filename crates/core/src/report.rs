@@ -279,13 +279,6 @@ impl<'p> EvalRequest<'p> {
         self
     }
 
-    /// Replaces the whole engine configuration.
-    #[must_use]
-    pub fn engine_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Constructs an engine from the request's options and evaluates the
     /// matrix. For reuse of an existing engine's cache across requests,
     /// use [`Engine::evaluate`].

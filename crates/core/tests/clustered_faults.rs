@@ -2,12 +2,12 @@
 //! optimizer must beat plain first-touch ordering by an exact, deterministic
 //! fault margin on the bundled workloads (the win comes from hot/cold
 //! splitting the native tail, which the cost model predicts page-exactly),
-//! and its ordering stage must be bit-identical at any worker count.
+//! and its ordering stage must never predict worse than first touch.
 
 use std::collections::HashMap;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, EvalInputs, Parallelism, Pipeline, Strategy};
+use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
 use nimage_profiler::DumpMode;
 use nimage_vm::{StopWhen, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
@@ -83,45 +83,23 @@ fn micronaut_clustered_fault_counts_are_pinned() {
 }
 
 /// The optimizer's ordering stage — run through `Pipeline::order_stage`
-/// with real profiles — returns the bit-identical plan at every worker
-/// count, and its prediction never exceeds first touch's.
+/// with real profiles — never predicts more faults than first touch and
+/// splits the native tail.
 #[test]
-fn clustered_order_stage_is_thread_count_invariant() {
+fn clustered_order_stage_predicts_no_worse_than_first_touch() {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let base_opts = BuildOptions {
-        threads: Parallelism::threads(1),
-        ..BuildOptions::default()
-    };
-    let serial = Pipeline::new(&program, base_opts.clone());
-    let artifacts = serial.profiling_run(StopWhen::Exit).unwrap();
-    let reach = serial.analyze_stage();
-    let compiled =
-        serial.compile_stage(reach, InstrumentConfig::NONE, Some(&artifacts.call_counts));
-    let snap = serial
-        .snapshot_stage(&compiled, &base_opts.heap_optimized)
-        .unwrap();
+    let o = BuildOptions::default();
+    let p = Pipeline::new(&program, o.clone());
+    let artifacts = p.profiling_run(StopWhen::Exit).unwrap();
+    let reach = p.analyze_stage();
+    let compiled = p.compile_stage(reach, InstrumentConfig::NONE, Some(&artifacts.call_counts));
+    let snap = p.snapshot_stage(&compiled, &o.heap_optimized).unwrap();
     for strategy in [Strategy::CuClustered, Strategy::CuClusteredPlusHeapPath] {
-        let base = serial.order_stage(&artifacts, &compiled, &snap, Some(strategy), None);
-        let predicted = base
+        let orders = p.order_stage(&artifacts, &compiled, &snap, Some(strategy), None);
+        let predicted = orders
             .predicted
             .expect("clustered strategies carry a prediction");
         assert!(predicted.optimized.total() <= predicted.first_touch.total());
-        assert!(base.native_order.is_some(), "native tail must be split");
-        for threads in [2, 4, 8] {
-            let par = Pipeline::new(
-                &program,
-                BuildOptions {
-                    threads: Parallelism::threads(threads),
-                    ..BuildOptions::default()
-                },
-            );
-            let plan = par.order_stage(&artifacts, &compiled, &snap, Some(strategy), None);
-            assert_eq!(
-                base,
-                plan,
-                "{} differs at {threads} threads",
-                strategy.name()
-            );
-        }
+        assert!(orders.native_order.is_some(), "native tail must be split");
     }
 }

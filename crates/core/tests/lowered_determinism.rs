@@ -1,67 +1,86 @@
-//! Engine equivalence: the pre-lowered execution engine must be
-//! observably indistinguishable from the legacy tree-walking interpreter.
-//! Every run report — op counts, per-section fault counts, trace bytes,
-//! call counts, page states — is compared through its `Debug` rendering,
-//! which covers every field bit for bit. The lowered engine may only
-//! change how fast the VM steps, never what it computes.
+//! Engine equivalence: the pre-lowered execution engine (`Vm::run`) must
+//! be observably indistinguishable from the reference tree-walking
+//! interpreter (`Vm::run_reference`). Every run report — op counts,
+//! per-section fault counts, trace bytes, call counts, page states — is
+//! compared through its `Debug` rendering, which covers every field bit
+//! for bit. The lowered engine may only change how fast the VM steps,
+//! never what it computes.
 
 use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, EvalInputs, Parallelism, Pipeline, RunParts, Strategy};
+use nimage_core::{BuildOptions, BuiltImage, Parallelism, Pipeline, RunParts, Strategy};
 use nimage_ir::Program;
-use nimage_vm::{ExecMode, HeapTemplate, LoweredProgram, RunReport, StopWhen};
+use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
-fn opts(exec: ExecMode, threads: usize) -> BuildOptions {
-    let mut o = BuildOptions {
+fn opts(threads: usize) -> BuildOptions {
+    BuildOptions {
         threads: Parallelism::threads(threads),
         ..BuildOptions::default()
+    }
+}
+
+/// Runs one built image on both engines and returns the two reports'
+/// `Debug` renderings, `(reference, lowered)`.
+fn both_engines(
+    program: &Program,
+    built: &BuiltImage,
+    vm: &VmConfig,
+    stop: StopWhen,
+) -> (String, String) {
+    let vm = || {
+        VmBuilder::new(
+            program,
+            &built.compiled,
+            &built.snapshot,
+            &built.image,
+            vm.clone(),
+        )
+        .build()
     };
-    o.vm.exec = exec;
-    o
+    let reference = vm().run_reference(stop).unwrap();
+    let lowered = vm().run(stop).unwrap();
+    (format!("{reference:?}"), format!("{lowered:?}"))
 }
 
-/// Builds the fully instrumented image and runs it, returning the report
-/// (trace included) — the profiling half of the pipeline, where every
-/// interpreter feature is exercised: path profiling, probe costs, paging.
-fn instrumented_report(program: &Program, o: &BuildOptions, stop: StopWhen) -> RunReport {
-    let p = Pipeline::new(program, o.clone());
-    let built = p.build_instrumented(InstrumentConfig::FULL).unwrap();
-    p.run_image(&built, stop).unwrap()
-}
-
-/// Builds the uninstrumented image and runs it — the measurement half.
-fn regular_report(program: &Program, o: &BuildOptions, stop: StopWhen) -> RunReport {
-    let p = Pipeline::new(program, o.clone());
-    let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
-    p.run_image(&built, stop).unwrap()
+/// Builds the image with the given instrumentation and runs it on both
+/// engines. `FULL` is the profiling half of the pipeline, where every
+/// interpreter feature is exercised (path profiling, probe costs, paging,
+/// the trace itself is part of the report); `NONE` is the measurement half.
+fn built_on_both_engines(
+    program: &Program,
+    o: &BuildOptions,
+    instrument: InstrumentConfig,
+    stop: StopWhen,
+) -> (String, String) {
+    let built = Pipeline::new(program, o.clone())
+        .build_instrumented(instrument)
+        .unwrap();
+    both_engines(program, &built, &o.vm, stop)
 }
 
 #[test]
-fn lowered_matches_legacy_on_all_awfy_workloads() {
+fn lowered_matches_reference_on_all_awfy_workloads() {
     let scale = RuntimeScale::small();
     for wl in Awfy::all() {
         let program = wl.program_at(&scale);
-        let legacy = instrumented_report(&program, &opts(ExecMode::Legacy, 1), StopWhen::Exit);
-        let lowered = instrumented_report(&program, &opts(ExecMode::Lowered, 1), StopWhen::Exit);
-        assert_eq!(
-            format!("{legacy:?}"),
-            format!("{lowered:?}"),
-            "instrumented run of {wl:?} differs between engines"
-        );
-        let legacy = regular_report(&program, &opts(ExecMode::Legacy, 1), StopWhen::Exit);
-        let lowered = regular_report(&program, &opts(ExecMode::Lowered, 1), StopWhen::Exit);
-        assert_eq!(
-            format!("{legacy:?}"),
-            format!("{lowered:?}"),
-            "regular run of {wl:?} differs between engines"
-        );
+        for (instrument, what) in [
+            (InstrumentConfig::FULL, "instrumented"),
+            (InstrumentConfig::NONE, "regular"),
+        ] {
+            let (reference, lowered) =
+                built_on_both_engines(&program, &opts(1), instrument, StopWhen::Exit);
+            assert_eq!(
+                reference, lowered,
+                "{what} run of {wl:?} differs between engines"
+            );
+        }
     }
 }
 
 #[test]
-fn lowered_matches_legacy_on_all_microservices() {
+fn lowered_matches_reference_on_all_microservices() {
     for wl in Microservice::all() {
         let program = wl.program();
         // Microservices park in an infinite accept loop, so `Exit` only
@@ -71,17 +90,14 @@ fn lowered_matches_legacy_on_all_microservices() {
             (StopWhen::FirstResponse, None),
             (StopWhen::Exit, Some(2_000_000)),
         ] {
-            let mut legacy_opts = opts(ExecMode::Legacy, 1);
-            let mut lowered_opts = opts(ExecMode::Lowered, 1);
+            let mut o = opts(1);
             if let Some(cap) = max_ops {
-                legacy_opts.vm.max_ops = cap;
-                lowered_opts.vm.max_ops = cap;
+                o.vm.max_ops = cap;
             }
-            let legacy = instrumented_report(&program, &legacy_opts, stop);
-            let lowered = instrumented_report(&program, &lowered_opts, stop);
+            let (reference, lowered) =
+                built_on_both_engines(&program, &o, InstrumentConfig::FULL, stop);
             assert_eq!(
-                format!("{legacy:?}"),
-                format!("{lowered:?}"),
+                reference, lowered,
                 "instrumented run of {wl:?} ({stop:?}) differs between engines"
             );
         }
@@ -95,53 +111,39 @@ fn lowered_matches_legacy_on_all_microservices() {
 fn engine_matrix_is_identical_across_thread_counts() {
     let program = Microservice::Micronaut.program();
     let stop = StopWhen::FirstResponse;
-    let reference = instrumented_report(&program, &opts(ExecMode::Legacy, 1), stop);
-    let ref_dbg = format!("{reference:?}");
+    let (ref_dbg, _) = built_on_both_engines(&program, &opts(1), InstrumentConfig::FULL, stop);
     for threads in [1, 2, 4, 8] {
-        for exec in [ExecMode::Legacy, ExecMode::Lowered] {
-            let r = instrumented_report(&program, &opts(exec, threads), stop);
-            assert_eq!(
-                ref_dbg,
-                format!("{r:?}"),
-                "report differs at {threads} threads with {exec:?}"
-            );
-        }
+        let (reference, lowered) =
+            built_on_both_engines(&program, &opts(threads), InstrumentConfig::FULL, stop);
+        assert_eq!(
+            ref_dbg, reference,
+            "reference-engine report differs at {threads} threads"
+        );
+        assert_eq!(
+            ref_dbg, lowered,
+            "lowered-engine report differs at {threads} threads"
+        );
     }
 }
 
-/// The full evaluation (profiles, baseline, strategy measurements) agrees
-/// between the engines end to end.
+/// The optimizing half agrees between the engines too: the PGO-compiled
+/// Bounce build (profile-driven inlining changes the CUs) under the default
+/// layout and reordered by `cu+heap path` — the build variants none of the
+/// other cases run.
 #[test]
-fn evaluation_matches_between_engines() {
+fn pgo_reordered_image_matches_between_engines() {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let mut evals = vec![];
-    for exec in [ExecMode::Legacy, ExecMode::Lowered] {
-        let o = opts(exec, 1);
-        let p = Pipeline::new(&program, o);
-        let artifacts = p.profiling_run(StopWhen::Exit).unwrap();
-        let baseline = p.baseline(&artifacts, StopWhen::Exit).unwrap();
-        let e = p
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &baseline,
-                },
-                Strategy::CuPlusHeapPath,
-                StopWhen::Exit,
-            )
-            .unwrap();
-        // The heap-profile map is a HashMap; render it in key order so the
-        // comparison is about contents, not iteration order.
-        let mut heap_profiles: Vec<_> = artifacts.heap_profiles.iter().collect();
-        heap_profiles.sort_by_key(|(s, _)| s.name());
-        evals.push((
-            format!("{:?}", artifacts.cu_profile),
-            format!("{heap_profiles:?}"),
-            format!("{:?}", e.baseline),
-            format!("{:?}", e.optimized),
-        ));
+    let o = opts(1);
+    let p = Pipeline::new(&program, o.clone());
+    let artifacts = p.profiling_run(StopWhen::Exit).unwrap();
+    for strategy in [None, Some(Strategy::CuPlusHeapPath)] {
+        let built = p.build_optimized(&artifacts, strategy).unwrap();
+        let (reference, lowered) = both_engines(&program, &built, &o.vm, StopWhen::Exit);
+        assert_eq!(
+            reference, lowered,
+            "optimized run ({strategy:?}) differs between engines"
+        );
     }
-    assert_eq!(evals[0], evals[1], "evaluation differs between engines");
 }
 
 /// Concurrent runs sharing one `Arc<LoweredProgram>` and one
@@ -150,7 +152,7 @@ fn evaluation_matches_between_engines() {
 #[test]
 fn shared_lowered_program_runs_are_isolated() {
     let program = Microservice::Micronaut.program();
-    let o = opts(ExecMode::Lowered, 1);
+    let o = opts(1);
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));

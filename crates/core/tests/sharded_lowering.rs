@@ -11,16 +11,14 @@ use std::sync::Arc;
 use nimage_compiler::{CuId, InstrumentConfig};
 use nimage_core::{BuildOptions, Parallelism, Pipeline, RunParts};
 use nimage_ir::Program;
-use nimage_vm::{ExecMode, HeapTemplate, LoweredProgram, StopWhen};
+use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 fn opts(threads: usize) -> BuildOptions {
-    let mut o = BuildOptions {
+    BuildOptions {
         threads: Parallelism::threads(threads),
         ..BuildOptions::default()
-    };
-    o.vm.exec = ExecMode::Lowered;
-    o
+    }
 }
 
 /// Builds once, then runs the image twice over shared parts: once with a

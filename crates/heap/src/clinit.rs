@@ -16,7 +16,10 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use nimage_ir::{BinOp, Callee, FieldId, Instr, Intrinsic, MethodId, Program, Terminator, UnOp};
+use nimage_ir::{
+    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, FieldId, Instr, Intrinsic, MethodId, Program,
+    Terminator,
+};
 
 use crate::object::{BuildHeap, HObjectKind, HValue, ObjId};
 
@@ -440,7 +443,9 @@ fn exec_instr(
                     s.fx.io_events += 1;
                 }
             }
-            let v = eval_intrinsic(*op, args.iter().map(|l| locals[l.index()]).collect());
+            // `respond` is a runtime-only event; at build time it is inert.
+            let argv: Vec<HValue> = args.iter().map(|l| locals[l.index()]).collect();
+            let v = eval_intrinsic(*op, &argv);
             if let Some(d) = dst {
                 locals[d.index()] = v.unwrap_or(HValue::Null);
             }
@@ -554,96 +559,13 @@ fn display_value(heap: &BuildHeap, v: HValue) -> String {
     }
 }
 
-fn eval_bin(op: BinOp, a: HValue, b: HValue) -> Option<HValue> {
-    use HValue::*;
-    Some(match (op, a, b) {
-        (BinOp::Add, Int(x), Int(y)) => Int(x.wrapping_add(y)),
-        (BinOp::Sub, Int(x), Int(y)) => Int(x.wrapping_sub(y)),
-        (BinOp::Mul, Int(x), Int(y)) => Int(x.wrapping_mul(y)),
-        (BinOp::Div, Int(x), Int(y)) => {
-            if y == 0 {
-                return None;
-            }
-            Int(x.wrapping_div(y))
-        }
-        (BinOp::Rem, Int(x), Int(y)) => {
-            if y == 0 {
-                return None;
-            }
-            Int(x.wrapping_rem(y))
-        }
-        (BinOp::And, Int(x), Int(y)) => Int(x & y),
-        (BinOp::Or, Int(x), Int(y)) => Int(x | y),
-        (BinOp::Xor, Int(x), Int(y)) => Int(x ^ y),
-        (BinOp::Shl, Int(x), Int(y)) => Int(x.wrapping_shl(y as u32)),
-        (BinOp::Shr, Int(x), Int(y)) => Int(x.wrapping_shr(y as u32)),
-        (BinOp::And, Bool(x), Bool(y)) => Bool(x && y),
-        (BinOp::Or, Bool(x), Bool(y)) => Bool(x || y),
-        (BinOp::Xor, Bool(x), Bool(y)) => Bool(x ^ y),
-        (BinOp::Add, Double(x), Double(y)) => Double(x + y),
-        (BinOp::Sub, Double(x), Double(y)) => Double(x - y),
-        (BinOp::Mul, Double(x), Double(y)) => Double(x * y),
-        (BinOp::Div, Double(x), Double(y)) => Double(x / y),
-        (BinOp::Rem, Double(x), Double(y)) => Double(x % y),
-        (BinOp::Lt, Int(x), Int(y)) => Bool(x < y),
-        (BinOp::Le, Int(x), Int(y)) => Bool(x <= y),
-        (BinOp::Gt, Int(x), Int(y)) => Bool(x > y),
-        (BinOp::Ge, Int(x), Int(y)) => Bool(x >= y),
-        (BinOp::Eq, Int(x), Int(y)) => Bool(x == y),
-        (BinOp::Ne, Int(x), Int(y)) => Bool(x != y),
-        (BinOp::Lt, Double(x), Double(y)) => Bool(x < y),
-        (BinOp::Le, Double(x), Double(y)) => Bool(x <= y),
-        (BinOp::Gt, Double(x), Double(y)) => Bool(x > y),
-        (BinOp::Ge, Double(x), Double(y)) => Bool(x >= y),
-        (BinOp::Eq, Double(x), Double(y)) => Bool(x == y),
-        (BinOp::Ne, Double(x), Double(y)) => Bool(x != y),
-        (BinOp::Eq, Bool(x), Bool(y)) => Bool(x == y),
-        (BinOp::Ne, Bool(x), Bool(y)) => Bool(x != y),
-        (BinOp::Eq, Ref(x), Ref(y)) => Bool(x == y),
-        (BinOp::Ne, Ref(x), Ref(y)) => Bool(x != y),
-        (BinOp::Eq, Null, Null) => Bool(true),
-        (BinOp::Ne, Null, Null) => Bool(false),
-        (BinOp::Eq, Ref(_), Null) | (BinOp::Eq, Null, Ref(_)) => Bool(false),
-        (BinOp::Ne, Ref(_), Null) | (BinOp::Ne, Null, Ref(_)) => Bool(true),
-        _ => return None,
-    })
-}
-
-fn eval_un(op: UnOp, a: HValue) -> Option<HValue> {
-    use HValue::*;
-    Some(match (op, a) {
-        (UnOp::Neg, Int(x)) => Int(x.wrapping_neg()),
-        (UnOp::Neg, Double(x)) => Double(-x),
-        (UnOp::Not, Bool(x)) => Bool(!x),
-        (UnOp::IntToDouble, Int(x)) => Double(x as f64),
-        (UnOp::DoubleToInt, Double(x)) => Int(x as i64),
-        _ => return None,
-    })
-}
-
-fn eval_intrinsic(op: Intrinsic, args: Vec<HValue>) -> Option<HValue> {
-    let d = |i: usize| match args.get(i) {
-        Some(HValue::Double(v)) => Some(*v),
-        _ => None,
-    };
-    Some(match op {
-        Intrinsic::Sqrt => HValue::Double(d(0)?.sqrt()),
-        Intrinsic::Abs => HValue::Double(d(0)?.abs()),
-        Intrinsic::Floor => HValue::Double(d(0)?.floor()),
-        Intrinsic::Cos => HValue::Double(d(0)?.cos()),
-        Intrinsic::Sin => HValue::Double(d(0)?.sin()),
-        // `respond` is a runtime-only event; at build time it is inert.
-        Intrinsic::Respond => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nimage_ir::{ProgramBuilder, TypeRef};
 
     fn run_single_clinit(
-        build: impl FnOnce(&mut ProgramBuilder, nimage_ir::ClassId) -> (),
+        build: impl FnOnce(&mut ProgramBuilder, nimage_ir::ClassId),
     ) -> (Program, BuildHeap) {
         let mut pb = ProgramBuilder::new();
         let c = pb.add_class("t.C", None);

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use nimage_ir::{ClassId, FieldId, Program, TypeRef};
+use nimage_ir::{ClassId, FieldId, Program, Scalar, TypeRef};
 
 /// Index of an object in a [`BuildHeap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,6 +36,33 @@ pub enum HValue {
     Double(f64),
     /// Reference to a heap object (instance, array, string, …).
     Ref(ObjId),
+}
+
+/// The operator table's view of a build-time value.
+impl From<HValue> for Scalar {
+    #[inline]
+    fn from(v: HValue) -> Scalar {
+        match v {
+            HValue::Null => Scalar::Null,
+            HValue::Bool(b) => Scalar::Bool(b),
+            HValue::Int(i) => Scalar::Int(i),
+            HValue::Double(d) => Scalar::Double(d),
+            HValue::Ref(o) => Scalar::Ref(o.0),
+        }
+    }
+}
+
+impl From<Scalar> for HValue {
+    #[inline]
+    fn from(s: Scalar) -> HValue {
+        match s {
+            Scalar::Null => HValue::Null,
+            Scalar::Bool(b) => HValue::Bool(b),
+            Scalar::Int(i) => HValue::Int(i),
+            Scalar::Double(d) => HValue::Double(d),
+            Scalar::Ref(r) => HValue::Ref(ObjId(r)),
+        }
+    }
 }
 
 impl HValue {

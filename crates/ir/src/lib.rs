@@ -12,6 +12,8 @@
 //! * **methods** built from basic blocks of register-machine instructions
 //!   (allocation, field/array access, calls, string literals, arithmetic),
 //! * **virtual dispatch** through interned selectors,
+//! * one **operator table** ([`eval_bin`] / [`eval_un`] / [`eval_intrinsic`])
+//!   that the build-time and the run-time interpreter both evaluate through,
 //! * a **code-size model** (every instruction has a machine-code size in
 //!   bytes) that drives the inliner in `nimage-compiler`, and
 //! * build-time metadata: parallel class-initialization groups, resources and
@@ -40,6 +42,7 @@
 
 mod builder;
 pub mod cfg;
+mod eval;
 mod instr;
 mod program;
 mod types;
@@ -47,6 +50,7 @@ mod validate;
 
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use cfg::Cfg;
+pub use eval::{eval_bin, eval_intrinsic, eval_un, Scalar};
 pub use instr::{BinOp, Block, Callee, Instr, Intrinsic, Terminator, UnOp};
 pub use program::{Class, Field, Method, MethodKind, Program, Resource, SelectorId};
 pub use types::{BlockId, ClassId, FieldId, Local, MethodId, TypeRef};

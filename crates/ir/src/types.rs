@@ -104,9 +104,4 @@ impl TypeRef {
     pub fn is_primitive(&self) -> bool {
         matches!(self, TypeRef::Bool | TypeRef::Int | TypeRef::Double)
     }
-
-    /// Whether values of this type are heap references (objects or arrays).
-    pub fn is_reference(&self) -> bool {
-        matches!(self, TypeRef::Object(_) | TypeRef::Array(_))
-    }
 }

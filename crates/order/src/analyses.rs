@@ -1,5 +1,15 @@
-//! The post-processing framework of Sec. 6.2: trace decoding and
-//! visitor-pattern ordering analyses producing CSV profiles.
+//! The post-processing of Sec. 6.2: decode the trace, keep first
+//! occurrences, emit CSV ordering profiles.
+//!
+//! The paper describes a visitor framework that feeds a decoded event
+//! stream to one analysis per ordering. Every ordering analysis is the
+//! same reduction — keep the first occurrence — so here it is one pass:
+//! [`replay_first_access`] decodes the records (Ball–Larus path records
+//! included) into a strategy-independent [`ReplaySummary`], from which the
+//! [`CodeOrderProfile`]s are read off and each strategy's
+//! [`HeapOrderProfile`] is derived by mapping object identities. The CSV
+//! interchange format between the profiling and the optimizing build is
+//! owned by the two profile types (`to_csv` / `from_csv`).
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -10,148 +20,6 @@ use nimage_heap::ObjId;
 use nimage_ir::{MethodId, Program};
 use nimage_par::parallel_map;
 use nimage_profiler::{Trace, TraceRecord};
-
-/// One event reconstructed from the trace, in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A compilation unit was entered (root-method signature).
-    CuEntry(String),
-    /// A method was entered (signature; includes inlined copies).
-    MethodEntry(String),
-    /// An object in the heap snapshot was accessed (its strategy-specific
-    /// 64-bit identity).
-    ObjectAccess(u64),
-}
-
-/// A visitor-pattern ordering analysis: accepts events in execution order
-/// and produces a CSV ordering profile (Sec. 6.2).
-pub trait OrderingAnalysis {
-    /// Consumes the next event.
-    fn visit(&mut self, event: &Event);
-    /// Serializes the analysis result as CSV.
-    fn to_csv(&self) -> String;
-}
-
-/// Collects the first-execution order of CU entries (for *cu ordering*).
-#[derive(Debug, Default)]
-pub struct CuOrderAnalysis {
-    seen: HashSet<String>,
-    order: Vec<String>,
-}
-
-/// Collects the first-execution order of method entries (for *method
-/// ordering*).
-#[derive(Debug, Default)]
-pub struct MethodOrderAnalysis {
-    seen: HashSet<String>,
-    order: Vec<String>,
-}
-
-/// Collects the first-access order of object identities (for the heap
-/// strategies).
-#[derive(Debug, Default)]
-pub struct HeapOrderAnalysis {
-    seen: HashSet<u64>,
-    order: Vec<u64>,
-}
-
-impl CuOrderAnalysis {
-    /// Creates an empty analysis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes into a code-ordering profile.
-    pub fn into_profile(self) -> CodeOrderProfile {
-        CodeOrderProfile { sigs: self.order }
-    }
-}
-
-impl MethodOrderAnalysis {
-    /// Creates an empty analysis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes into a code-ordering profile.
-    pub fn into_profile(self) -> CodeOrderProfile {
-        CodeOrderProfile { sigs: self.order }
-    }
-}
-
-impl HeapOrderAnalysis {
-    /// Creates an empty analysis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes into a heap-ordering profile. Event replay carries no
-    /// touched-byte measurements, so every entry gets an empty span list
-    /// (consumers fall back to the full-extent touch model).
-    pub fn into_profile(self) -> HeapOrderProfile {
-        let spans = vec![Vec::new(); self.order.len()];
-        HeapOrderProfile {
-            ids: self.order,
-            spans,
-        }
-    }
-}
-
-impl OrderingAnalysis for CuOrderAnalysis {
-    fn visit(&mut self, event: &Event) {
-        if let Event::CuEntry(sig) = event {
-            if self.seen.insert(sig.clone()) {
-                self.order.push(sig.clone());
-            }
-        }
-    }
-
-    fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for sig in &self.order {
-            s.push_str(sig);
-            s.push('\n');
-        }
-        s
-    }
-}
-
-impl OrderingAnalysis for MethodOrderAnalysis {
-    fn visit(&mut self, event: &Event) {
-        if let Event::MethodEntry(sig) = event {
-            if self.seen.insert(sig.clone()) {
-                self.order.push(sig.clone());
-            }
-        }
-    }
-
-    fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for sig in &self.order {
-            s.push_str(sig);
-            s.push('\n');
-        }
-        s
-    }
-}
-
-impl OrderingAnalysis for HeapOrderAnalysis {
-    fn visit(&mut self, event: &Event) {
-        if let Event::ObjectAccess(id) = event {
-            if self.seen.insert(*id) {
-                self.order.push(*id);
-            }
-        }
-    }
-
-    fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for id in &self.order {
-            s.push_str(&format!("{id:016x}\n"));
-        }
-        s
-    }
-}
 
 /// A code-ordering profile: method/CU-root signatures in first-execution
 /// order (the CSV consumed by the optimizing build).
@@ -179,6 +47,17 @@ impl CodeOrderProfile {
                 .map(str::to_string)
                 .collect(),
         }
+    }
+
+    /// Serializes the profile as the CSV [`Self::from_csv`] parses: one
+    /// signature per line.
+    pub fn to_csv(&self) -> String {
+        let mut s = String::new();
+        for sig in &self.sigs {
+            s.push_str(sig);
+            s.push('\n');
+        }
+        s
     }
 }
 
@@ -231,6 +110,23 @@ impl HeapOrderProfile {
             );
         }
         HeapOrderProfile { ids, spans }
+    }
+
+    /// Serializes the profile as the CSV [`Self::from_csv`] parses. The
+    /// measured touched-byte spans ride on the identity's line, so a saved
+    /// profile keeps the measured touch model across processes.
+    pub fn to_csv(&self) -> String {
+        let mut s = String::new();
+        for (i, id) in self.ids.iter().enumerate() {
+            s.push_str(&format!("{id:016x}"));
+            if let Some(spans) = self.spans.get(i) {
+                for (a, b) in spans {
+                    s.push_str(&format!(",{a}:{b}"));
+                }
+            }
+            s.push('\n');
+        }
+        s
     }
 }
 
@@ -341,65 +237,6 @@ impl<'a> PathDecoder<'a> {
             .filter(|&&raw| raw != 0)
             .map(|&raw| ObjId((raw - 1) as u32)))
     }
-}
-
-/// Replays a trace into the given analyses: decodes records thread by
-/// thread (in creation order, per Sec. 7.1's multi-thread handling) and
-/// dispatches events in execution order.
-///
-/// `id_map` maps the build-local raw identities stored in the trace
-/// (`ObjId + 1`) to the strategy-specific 64-bit identities; raw id 0
-/// denotes an access to an object outside the heap snapshot and is skipped.
-/// `max_paths` must match the VM's path-numbering limit.
-///
-/// Method-entry events are taken from the explicit method-entry records
-/// (emitted by the method-ordering instrumentation); the `MethodEntry`
-/// static events on decoded paths are ignored to avoid double counting.
-///
-/// # Errors
-/// Returns [`ReplayError`] if the trace is inconsistent with the program.
-pub fn replay(
-    program: &Program,
-    trace: &Trace,
-    id_map: &HashMap<ObjId, u64>,
-    max_paths: u64,
-    analyses: &mut [&mut dyn OrderingAnalysis],
-) -> Result<(), ReplayError> {
-    let by_sig = methods_by_signature(program);
-    let mut paths = PathDecoder::new(program, &by_sig, max_paths);
-
-    let emit = |event: Event, analyses: &mut [&mut dyn OrderingAnalysis]| {
-        for a in analyses.iter_mut() {
-            a.visit(&event);
-        }
-    };
-
-    for thread in &trace.threads {
-        for record in thread {
-            match record {
-                TraceRecord::CuEntry { sig } => {
-                    emit(Event::CuEntry(trace.string(*sig).to_string()), analyses);
-                }
-                TraceRecord::MethodEntry { sig } => {
-                    emit(Event::MethodEntry(trace.string(*sig).to_string()), analyses);
-                }
-                TraceRecord::Path {
-                    method,
-                    start,
-                    path_id,
-                    obj_ids,
-                } => {
-                    let sig = trace.string(*method);
-                    for obj in paths.accessed(sig, *start, *path_id, obj_ids)? {
-                        if let Some(&id) = id_map.get(&obj) {
-                            emit(Event::ObjectAccess(id), analyses);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The strategy-independent first-occurrence summary of one trace:
@@ -521,9 +358,14 @@ fn decode_chunk(
 /// *is* the stream's first error, because chunks partition the stream in
 /// order.
 ///
-/// `in_snapshot` gates object accesses exactly like `replay`'s `id_map`:
-/// only its keys matter, and every strategy's identity map shares the
-/// same key set (the snapshot's objects).
+/// `in_snapshot` gates object accesses (an access to an object outside
+/// the heap snapshot is skipped): only its keys matter, and every
+/// strategy's identity map shares the same key set (the snapshot's
+/// objects). `max_paths` must match the VM's path-numbering limit.
+///
+/// Method order comes from the explicit method-entry records (emitted by
+/// the method-ordering instrumentation); `MethodEntry` static events on
+/// decoded paths are ignored to avoid double counting.
 ///
 /// # Errors
 /// Returns [`ReplayError`] if the trace is inconsistent with the program.
@@ -598,51 +440,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analyses_keep_first_occurrence_order() {
-        let events = [
-            Event::CuEntry("b".into()),
-            Event::CuEntry("a".into()),
-            Event::CuEntry("b".into()),
-            Event::MethodEntry("m1".into()),
-            Event::MethodEntry("m2".into()),
-            Event::MethodEntry("m1".into()),
-            Event::ObjectAccess(7),
-            Event::ObjectAccess(3),
-            Event::ObjectAccess(7),
-        ];
-        let mut cu = CuOrderAnalysis::new();
-        let mut me = MethodOrderAnalysis::new();
-        let mut he = HeapOrderAnalysis::new();
-        for e in &events {
-            cu.visit(e);
-            me.visit(e);
-            he.visit(e);
-        }
-        assert_eq!(cu.into_profile().sigs, vec!["b", "a"]);
-        assert_eq!(me.into_profile().sigs, vec!["m1", "m2"]);
-        assert_eq!(he.into_profile().ids, vec![7, 3]);
+    fn heap_profile_keeps_each_identity_at_its_first_access() {
+        let summary = ReplaySummary {
+            object_order: vec![ObjId(4), ObjId(1), ObjId(9), ObjId(2)],
+            ..ReplaySummary::default()
+        };
+        // Objects 4 and 9 share identity 7; object 2 is outside the map.
+        let ids: HashMap<ObjId, u64> = [(ObjId(4), 7), (ObjId(1), 3), (ObjId(9), 7)].into();
+        let touched: HashMap<u32, Vec<(u64, u64)>> =
+            [(4, vec![(0, 8)]), (9, vec![(16, 24)])].into();
+        let p = summary.heap_profile_with_spans(&ids, &touched);
+        assert_eq!(p.ids, vec![7, 3]);
+        assert_eq!(p.spans, vec![vec![(0, 8)], vec![]]);
+        assert_eq!(summary.heap_profile(&ids).ids, p.ids);
     }
 
     #[test]
-    fn csv_roundtrips() {
-        let mut cu = CuOrderAnalysis::new();
-        cu.visit(&Event::CuEntry("x.Y.z(0)".into()));
-        cu.visit(&Event::CuEntry("a.B.c(2)".into()));
-        let csv = cu.to_csv();
-        assert_eq!(
-            CodeOrderProfile::from_csv(&csv).sigs,
-            vec!["x.Y.z(0)", "a.B.c(2)"]
-        );
-
-        let mut he = HeapOrderAnalysis::new();
-        he.visit(&Event::ObjectAccess(0xdead_beef));
-        he.visit(&Event::ObjectAccess(1));
-        let csv = he.to_csv();
-        assert_eq!(HeapOrderProfile::from_csv(&csv).ids, vec![0xdead_beef, 1]);
-    }
-
-    #[test]
-    fn heap_csv_ignores_garbage_lines() {
+    fn heap_profile_parse_ignores_garbage_lines() {
         let p = HeapOrderProfile::from_csv("00000000000000ff\nnot-hex\n\n10\n");
         assert_eq!(p.ids, vec![0xff, 0x10]);
     }

@@ -2,8 +2,7 @@
 //!
 //! The paper's primary contribution: profile-guided **code ordering**
 //! (Sec. 4) and **heap-snapshot ordering** (Sec. 5), plus the
-//! post-processing framework that turns raw traces into ordering profiles
-//! (Sec. 6.2).
+//! post-processing that turns raw traces into ordering profiles (Sec. 6.2).
 //!
 //! * [`murmur3`] — a from-scratch MurmurHash3 (x64, 128-bit, truncated to
 //!   64 bits), the hash function both hashing strategies rely on.
@@ -11,10 +10,12 @@
 //!   (Algorithm 1), *structural hash* (Algorithm 2, bounded by
 //!   `MAX_DEPTH`), and *heap path* (Algorithm 3, hashing the first
 //!   root-to-object path plus the root's inclusion reason).
-//! * [`replay`] + [`OrderingAnalysis`] — the visitor-pattern
-//!   post-processing framework: decodes per-thread trace records (including
-//!   Ball–Larus path records) back into an event stream and feeds the
-//!   ordering analyses, which produce CSV profiles.
+//! * [`replay_first_access`] — the post-processing pass: decodes
+//!   per-thread trace records (including Ball–Larus path records) and keeps
+//!   first occurrences, which is all any ordering analysis of Sec. 6.2
+//!   does. The result becomes [`CodeOrderProfile`]s and per-strategy
+//!   [`HeapOrderProfile`]s, the two types that own the CSV interchange
+//!   format (`to_csv` / `from_csv`) between profiling and optimizing builds.
 //! * [`order_cus`] / [`order_objects`] — apply a profile to a (different!)
 //!   build: CU orders are matched by root/method *signature*; heap orders
 //!   are matched by re-computing the strategy's 64-bit IDs on the new
@@ -37,16 +38,15 @@ mod quality;
 mod strategies;
 
 pub use analyses::{
-    replay, replay_first_access, CodeOrderProfile, CuOrderAnalysis, Event, HeapOrderAnalysis,
-    HeapOrderProfile, MethodOrderAnalysis, ObjectSpans, OrderingAnalysis, ReplayError,
+    replay_first_access, CodeOrderProfile, HeapOrderProfile, ObjectSpans, ReplayError,
     ReplaySummary,
 };
 pub use optimize::{
     optimize_layout, predict_faults, CodeInput, CostParams, HeapInput, OrderPlan, PredictedFaults,
 };
 pub use ordering::{
-    match_rate, order_cus, order_cus_split, order_objects, order_objects_split,
-    order_objects_split_spans, CodeGranularity,
+    match_rate, order_cus, order_cus_split, order_objects, order_objects_split_spans,
+    CodeGranularity,
 };
-pub use quality::{layout_quality, matched_object_ratio, predicted_faults, LayoutQuality};
+pub use quality::{layout_quality, matched_object_ratio, LayoutQuality};
 pub use strategies::{assign_global_incremental_ids, assign_ids, HeapStrategy};

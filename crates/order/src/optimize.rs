@@ -583,8 +583,7 @@ pub fn optimize_layout(
 
 /// Predicts the major-fault counts of one placement under the cost model —
 /// the same scoring [`optimize_layout`] uses for its candidates, exposed
-/// for reporting (see `quality::predicted_faults`): the caller passes any
-/// CU/object orders (e.g. a strategy's first-touch orders) and gets the
+/// for reporting: the caller passes any CU/object orders (e.g. a strategy's first-touch orders) and gets the
 /// per-section predicted fault counts of that placement.
 pub fn predict_faults(
     code: &CodeInput<'_>,

@@ -107,27 +107,16 @@ pub fn order_objects(
     ids: &HashMap<ObjId, u64>,
     profile: &HeapOrderProfile,
 ) -> Vec<ObjId> {
-    order_objects_split(snapshot, ids, profile).0
+    order_objects_split_spans(snapshot, ids, profile).0
 }
 
-/// Like [`order_objects`], but also returns the length of the hot prefix:
-/// the number of objects matched by the profile (the rest follow in
-/// default order). This is the hot/cold split the layout optimizer
-/// consumes.
-pub fn order_objects_split(
-    snapshot: &HeapSnapshot,
-    ids: &HashMap<ObjId, u64>,
-    profile: &HeapOrderProfile,
-) -> (Vec<ObjId>, usize) {
-    let (order, hot, _) = order_objects_split_spans(snapshot, ids, profile);
-    (order, hot)
-}
-
-/// Like [`order_objects_split`], but also carries each matched object's
-/// measured touched-byte spans out of the profile: the third element is
-/// parallel to the hot prefix of the returned order (`spans[i]` belongs
-/// to `order[i]`), empty per object when the profile carries no
-/// measurement for its identity. This is the span channel into the layout
+/// Like [`order_objects`], but also returns the length of the hot prefix
+/// — the number of objects matched by the profile (the rest follow in
+/// default order), the hot/cold split the layout optimizer consumes —
+/// and each matched object's measured touched-byte spans out of the
+/// profile: the third element is parallel to the hot prefix of the
+/// returned order (`spans[i]` belongs to `order[i]`), empty per object
+/// when the profile carries no measurement for its identity. This is the span channel into the layout
 /// optimizer's fault predictor (`HeapInput::spans`); objects sharing an
 /// identity all inherit that identity's spans.
 pub fn order_objects_split_spans(

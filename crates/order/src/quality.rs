@@ -10,29 +10,6 @@ use std::collections::{HashMap, HashSet};
 
 use nimage_heap::{HeapSnapshot, ObjId};
 
-use crate::optimize::{self, CodeInput, CostParams, HeapInput, PredictedFaults};
-
-/// Predicted per-section major-fault counts of one strategy's placement
-/// under the demand-paging cost model — the quality metric the layout
-/// optimizer minimizes, exposed so reports can put a predicted fault
-/// number next to every strategy (including plain first-touch, whose
-/// orders are just another placement to score).
-///
-/// `cu_order` / `object_order` / `native_order` describe the placement
-/// (`None` object order scores the code section only; `None` native order
-/// is the identity tail). The inputs carry the hot/cold split and entity
-/// sizes; `params` the image geometry and fault-around window.
-pub fn predicted_faults(
-    code: &CodeInput<'_>,
-    heap: Option<&HeapInput<'_>>,
-    cu_order: &[nimage_compiler::CuId],
-    object_order: Option<&[ObjId]>,
-    native_order: Option<&[u32]>,
-    params: &CostParams,
-) -> PredictedFaults {
-    optimize::predict_faults(code, heap, cu_order, object_order, native_order, params)
-}
-
 /// Metrics of one `(layout order, accessed set)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayoutQuality {

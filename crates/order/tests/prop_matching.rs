@@ -8,7 +8,7 @@ use nimage_analysis::{analyze, AnalysisConfig};
 use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
 use nimage_heap::{snapshot, HeapBuildConfig, HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
-use nimage_order::{assign_ids, order_objects, HeapOrderProfile, HeapStrategy};
+use nimage_order::{assign_ids, order_objects, CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 
 /// A registry-of-cells snapshot of parameterizable size.
 fn cells_snapshot(n: i64) -> (Program, HeapSnapshot) {
@@ -129,5 +129,33 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The CSV interchange format loses nothing: signatures (any
+    /// characters but line breaks, inner spaces and commas included), ids
+    /// and touched-byte spans all survive `to_csv` → `from_csv`.
+    #[test]
+    fn profiles_roundtrip_through_csv(
+        sigs in proptest::collection::vec(proptest::collection::vec(0usize..9, 0..12), 0..16),
+        entries in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec((any::<u64>(), any::<u64>()), 0..4)),
+            0..24,
+        ),
+    ) {
+        const ALPHABET: [char; 9] = ['a', 'Z', '.', '$', '<', '>', ',', ' ', ':'];
+        let code = CodeOrderProfile {
+            sigs: sigs
+                .iter()
+                .map(|cs| {
+                    let name: String = cs.iter().map(|&c| ALPHABET[c]).collect();
+                    format!("p.C.{name}({})", cs.len())
+                })
+                .collect(),
+        };
+        prop_assert_eq!(&CodeOrderProfile::from_csv(&code.to_csv()), &code);
+
+        let (ids, spans) = entries.into_iter().unzip();
+        let heap = HeapOrderProfile { ids, spans };
+        prop_assert_eq!(&HeapOrderProfile::from_csv(&heap.to_csv()), &heap);
     }
 }

@@ -4,14 +4,15 @@
 //! Every parallel stage in the pipeline follows the same discipline:
 //! **fan out over independent jobs, then merge in a deterministic order
 //! that does not depend on execution interleaving**. This crate provides
-//! the two building blocks:
+//! the one building block:
 //!
-//! - [`StealQueue`] — the work-stealing deque machinery (each worker owns
-//!   a deque seeded with its share of the jobs, pops locally from the
-//!   front and steals from other workers' backs when its own runs dry).
-//! - [`parallel_map`] — an index-ordered parallel map on top of it:
-//!   results come back in job-index order regardless of which worker ran
-//!   which job, so callers get scheduling-independent output for free.
+//! - [`parallel_map`] (and [`parallel_map_seeded`], which also lets the
+//!   caller pick each job's home worker) — an index-ordered parallel map
+//!   over a work-stealing queue (each worker owns a deque seeded with its
+//!   share of the jobs, pops locally from the front and steals from other
+//!   workers' backs when its own runs dry): results come back in job-index
+//!   order regardless of which worker ran which job, so callers get
+//!   scheduling-independent output for free.
 //!
 //! [`Parallelism`] carries the thread-count knob through configuration
 //! structs whose derived `Debug` rendering doubles as a cache
@@ -170,13 +171,13 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// A work-stealing job queue: each worker owns a deque seeded with its
 /// share of the jobs, pops locally from the front and steals from other
 /// workers' backs when its own runs dry.
-pub struct StealQueue {
+struct StealQueue {
     deques: Vec<Mutex<VecDeque<usize>>>,
 }
 
 impl StealQueue {
     /// Creates a queue with one deque per worker.
-    pub fn new(n_workers: usize) -> StealQueue {
+    fn new(n_workers: usize) -> StealQueue {
         StealQueue {
             deques: (0..n_workers)
                 .map(|_| Mutex::new(VecDeque::new()))
@@ -185,13 +186,13 @@ impl StealQueue {
     }
 
     /// Appends a job to `worker`'s own deque.
-    pub fn seed(&self, worker: usize, job: usize) {
+    fn seed(&self, worker: usize, job: usize) {
         lock_unpoisoned(&self.deques[worker]).push_back(job);
     }
 
     /// Takes the next job for `worker`: its own front, else a steal from
     /// another worker's back, else `None` (all deques dry).
-    pub fn pop(&self, worker: usize) -> Option<usize> {
+    fn pop(&self, worker: usize) -> Option<usize> {
         if let Some(j) = lock_unpoisoned(&self.deques[worker]).pop_front() {
             return Some(j);
         }
@@ -218,13 +219,27 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    parallel_map_seeded(threads, n_jobs, |j| j, f)
+}
+
+/// [`parallel_map`] with the caller choosing where each job starts: job
+/// `j` is seeded onto worker `home(j) % n_workers` (in job order), and
+/// stealing rebalances from there. The seeding decides only which jobs
+/// tend to run next to each other — results are still in job-index order
+/// and every job still runs exactly once, whatever `home` returns.
+pub fn parallel_map_seeded<T, H, F>(threads: usize, n_jobs: usize, home: H, f: F) -> Vec<T>
+where
+    T: Send,
+    H: Fn(usize) -> usize,
+    F: Fn(usize) -> T + Sync,
+{
     let n_workers = threads.clamp(1, n_jobs.max(1));
     if n_workers <= 1 {
         return (0..n_jobs).map(f).collect();
     }
     let queue = StealQueue::new(n_workers);
     for j in 0..n_jobs {
-        queue.seed(j % n_workers, j);
+        queue.seed(home(j) % n_workers, j);
     }
     // Mutex-of-Option slots rather than OnceLock: they only need `T: Send`,
     // and each slot is written exactly once (its job runs on one worker).
@@ -284,14 +299,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_runs_every_job_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let out = parallel_map(4, 64, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 64);
-        assert_eq!(out.len(), 64);
+    fn every_job_runs_exactly_once_in_index_order_under_any_seeding() {
+        // `parallel_map`'s own seeding, then constant, striding, reversed
+        // and far-out-of-range homes (reduced modulo the worker count).
+        let homes: [fn(usize) -> usize; 5] =
+            [|j| j, |_| 0, |j| j / 8, |j| 63 - j, |j| usize::MAX - j];
+        for home in homes {
+            for threads in [1, 2, 3, 8] {
+                let calls: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+                let out = parallel_map_seeded(threads, 64, home, |j| {
+                    calls[j].fetch_add(1, Ordering::Relaxed);
+                    j * 3
+                });
+                assert_eq!(out, (0..64).map(|j| j * 3).collect::<Vec<_>>());
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            }
+        }
     }
 
     #[test]

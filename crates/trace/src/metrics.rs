@@ -228,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_json_escapes() {
+    fn snapshot_is_sorted_and_escapes_json() {
         let r = MetricsRegistry::new();
         r.count("b", 2);
         r.count("a", 1);

@@ -173,7 +173,7 @@ mod tests {
             d.to_string(),
             "error[ir::use-before-def] t.Main.main: local l3 read unset"
         );
-        assert!(has_errors(&[d.clone()]));
+        assert!(has_errors(std::slice::from_ref(&d)));
         assert!(!has_errors(&[Diagnostic::warning("x", "y", "z")]));
         assert_eq!(errors_of(&[Diagnostic::warning("x", "y", "z"), d]).len(), 1);
     }

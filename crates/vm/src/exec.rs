@@ -13,7 +13,10 @@ use std::sync::Arc;
 use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, PathNumbering, ProfilingCfg};
 use nimage_heap::HeapSnapshot;
 use nimage_image::BinaryImage;
-use nimage_ir::{BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program, Terminator, UnOp};
+use nimage_ir::{
+    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program,
+    Terminator,
+};
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
 
@@ -48,30 +51,6 @@ impl Default for ProbeCosts {
     }
 }
 
-/// Which interpreter core executes the program.
-///
-/// Both engines are bit-identical in every observable (report, trace,
-/// faults); the lowered engine dispatches over pre-decoded flat instruction
-/// arrays (see [`crate::lower`]) and is the default. The `Debug` rendering
-/// is deliberately constant — like `Parallelism` in `nimage-par`, the
-/// engine choice must never enter a content-cache fingerprint, precisely
-/// because results are identical either way.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Index-driven dispatch over a pre-lowered program (default).
-    #[default]
-    Lowered,
-    /// The legacy tree-walking path (reference semantics; kept for
-    /// differential testing).
-    Legacy,
-}
-
-impl std::fmt::Debug for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ExecMode(..)")
-    }
-}
-
 /// VM configuration.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
@@ -92,8 +71,6 @@ pub struct VmConfig {
     pub startup_native_pages: u64,
     /// Maximum Ball–Larus paths per method before cutting.
     pub max_paths: u64,
-    /// Interpreter core (results are identical either way).
-    pub exec: ExecMode,
 }
 
 impl Default for VmConfig {
@@ -107,7 +84,6 @@ impl Default for VmConfig {
             trace_buffer: 64 * 1024,
             startup_native_pages: 6,
             max_paths: 1 << 14,
-            exec: ExecMode::Lowered,
         }
     }
 }
@@ -219,15 +195,16 @@ pub struct Vm<'a> {
     paging: PagingSim,
     heap: RtHeap,
     session: Option<TraceSession>,
-    /// The pre-lowered program the index-driven engine dispatches over
-    /// (`None` on the legacy path).
+    /// The pre-lowered program [`Vm::run`] dispatches over (`None` until
+    /// then unless the builder shared one, and throughout
+    /// [`Vm::run_reference`]).
     lowered: Option<Arc<LoweredProgram>>,
     /// Trace string-table index per method (dense by method index;
     /// `u32::MAX` = not yet interned). Interning stays lazy so the string
-    /// table's insertion order matches the legacy path exactly.
+    /// table's insertion order matches the reference interpreter exactly.
     sig_ids: Vec<u32>,
-    /// Lazily built Ball–Larus tables of the legacy path (dense by method
-    /// index).
+    /// Lazily built Ball–Larus tables of the reference interpreter (dense
+    /// by method index).
     path_tables: Vec<Option<Box<(ProfilingCfg, PathNumbering)>>>,
     /// Heap refs of already-interned string literals, dense by
     /// string-table index (`u32::MAX` = not yet interned; interning is
@@ -323,20 +300,55 @@ impl<'a> VmBuilder<'a> {
     /// Builds the VM.
     #[must_use]
     pub fn build(self) -> Vm<'a> {
-        let heap = match self.template {
+        let VmBuilder {
+            program,
+            compiled,
+            snapshot,
+            image,
+            config,
+            template,
+            lowered,
+            trace,
+        } = self;
+        let heap = match template {
             Some(t) => RtHeap::from_template(t),
-            None => RtHeap::from_build_heap(self.snapshot.heap()),
+            None => RtHeap::from_build_heap(snapshot.heap()),
         };
-        Vm::with_heap(
-            self.program,
-            self.compiled,
-            self.snapshot,
-            self.image,
-            self.config,
+        let session = if compiled.instrumentation.any() {
+            Some(TraceSession::new(config.dump_mode, config.trace_buffer))
+        } else {
+            None
+        };
+        let probe_scale = match config.dump_mode {
+            DumpMode::OnFull => 1,
+            DumpMode::MemoryMapped => 2,
+        };
+        let n_methods = program.methods().len();
+        Vm {
+            paging: PagingSim::new(image, config.paging.clone()),
             heap,
-            self.lowered,
-            self.trace,
-        )
+            program,
+            compiled,
+            snapshot,
+            image,
+            config,
+            session,
+            lowered,
+            sig_ids: vec![u32::MAX; n_methods],
+            path_tables: vec![None; n_methods],
+            str_refs: vec![],
+            threads: vec![],
+            ops: 0,
+            probe_ops: 0,
+            call_counts: vec![0; n_methods],
+            first_response: None,
+            entry_return: None,
+            native_seen: std::collections::HashSet::new(),
+            native_touch_pages: Vec::new(),
+            heap_touch_spans: std::collections::HashMap::new(),
+            probe_scale,
+            trace,
+        }
     }
 }
 
@@ -351,66 +363,6 @@ impl<'a> Vm<'a> {
         config: VmConfig,
     ) -> Vm<'a> {
         VmBuilder::new(program, compiled, snapshot, image, config).build()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn with_heap(
-        program: &'a Program,
-        compiled: &'a CompiledProgram,
-        snapshot: &'a HeapSnapshot,
-        image: &'a BinaryImage,
-        config: VmConfig,
-        heap: RtHeap,
-        lowered: Option<Arc<LoweredProgram>>,
-        trace: Tracer,
-    ) -> Vm<'a> {
-        let session = if compiled.instrumentation.any() {
-            Some(TraceSession::new(config.dump_mode, config.trace_buffer))
-        } else {
-            None
-        };
-        let probe_scale = match config.dump_mode {
-            DumpMode::OnFull => 1,
-            DumpMode::MemoryMapped => 2,
-        };
-        let lowered = match config.exec {
-            ExecMode::Legacy => None,
-            ExecMode::Lowered => Some(lowered.unwrap_or_else(|| {
-                // Standalone runs get the lazy sharded container; shards
-                // fault in per CU as execution first enters them.
-                Arc::new(LoweredProgram::new(program, compiled, config.max_paths))
-            })),
-        };
-        let n_methods = program.methods().len();
-        let str_refs = match &lowered {
-            Some(lp) => vec![u32::MAX; lp.n_strings()],
-            None => vec![],
-        };
-        Vm {
-            paging: PagingSim::new(image, config.paging.clone()),
-            heap,
-            program,
-            compiled,
-            snapshot,
-            image,
-            config,
-            session,
-            lowered,
-            sig_ids: vec![u32::MAX; n_methods],
-            path_tables: vec![None; n_methods],
-            str_refs,
-            threads: vec![],
-            ops: 0,
-            probe_ops: 0,
-            call_counts: vec![0; n_methods],
-            first_response: None,
-            entry_return: None,
-            native_seen: std::collections::HashSet::new(),
-            native_touch_pages: Vec::new(),
-            heap_touch_spans: std::collections::HashMap::new(),
-            probe_scale,
-            trace,
-        }
     }
 
     fn sig_idx(&mut self, m: MethodId) -> u32 {
@@ -681,7 +633,8 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Runs the program.
+    /// Runs the program on the pre-lowered engine: index-driven dispatch
+    /// over flat, pre-decoded instruction arrays (see [`crate::lower`]).
     ///
     /// # Errors
     /// Returns a [`VmError`] if the program performs an illegal operation.
@@ -689,6 +642,40 @@ impl<'a> Vm<'a> {
     /// # Panics
     /// Panics if the program has no entry point.
     pub fn run(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
+        let lp = self.lowered.take().unwrap_or_else(|| {
+            // Standalone runs get the lazy sharded container; shards
+            // fault in per CU as execution first enters them.
+            Arc::new(LoweredProgram::new(
+                self.program,
+                self.compiled,
+                self.config.max_paths,
+            ))
+        });
+        self.str_refs = vec![u32::MAX; lp.n_strings()];
+        self.lowered = Some(lp);
+        self.execute(stop)
+    }
+
+    /// Runs the program on the reference interpreter: a tree-walker over
+    /// the IR itself, sharing no dispatch code with [`Vm::run`] and ignoring
+    /// any [`VmBuilder::lowered`] program. It is the differential oracle —
+    /// every observable (report, trace, faults) must be bit-identical to
+    /// [`Vm::run`]'s, which `core/tests/lowered_determinism.rs` pins — and
+    /// has no other caller; nothing in a configuration selects it.
+    ///
+    /// # Errors
+    /// Returns a [`VmError`] if the program performs an illegal operation.
+    ///
+    /// # Panics
+    /// Panics if the program has no entry point.
+    pub fn run_reference(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
+        self.lowered = None;
+        self.execute(stop)
+    }
+
+    /// The scheduler loop shared by both engines: steps lowered code iff
+    /// `self.lowered` is set.
+    fn execute(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
         let entry = self.program.entry.expect("program has an entry point");
 
         // Native runtime startup: the dynamic loader, libc init and VM
@@ -1621,157 +1608,9 @@ fn merge_spans(spans: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-fn eval_bin(op: BinOp, a: RtValue, b: RtValue) -> Option<RtValue> {
-    use RtValue::*;
-    Some(match (op, a, b) {
-        (BinOp::Add, Int(x), Int(y)) => Int(x.wrapping_add(y)),
-        (BinOp::Sub, Int(x), Int(y)) => Int(x.wrapping_sub(y)),
-        (BinOp::Mul, Int(x), Int(y)) => Int(x.wrapping_mul(y)),
-        (BinOp::Div, Int(x), Int(y)) => {
-            if y == 0 {
-                return None;
-            }
-            Int(x.wrapping_div(y))
-        }
-        (BinOp::Rem, Int(x), Int(y)) => {
-            if y == 0 {
-                return None;
-            }
-            Int(x.wrapping_rem(y))
-        }
-        (BinOp::And, Int(x), Int(y)) => Int(x & y),
-        (BinOp::Or, Int(x), Int(y)) => Int(x | y),
-        (BinOp::Xor, Int(x), Int(y)) => Int(x ^ y),
-        (BinOp::Shl, Int(x), Int(y)) => Int(x.wrapping_shl(y as u32)),
-        (BinOp::Shr, Int(x), Int(y)) => Int(x.wrapping_shr(y as u32)),
-        (BinOp::And, Bool(x), Bool(y)) => Bool(x && y),
-        (BinOp::Or, Bool(x), Bool(y)) => Bool(x || y),
-        (BinOp::Xor, Bool(x), Bool(y)) => Bool(x ^ y),
-        (BinOp::Add, Double(x), Double(y)) => Double(x + y),
-        (BinOp::Sub, Double(x), Double(y)) => Double(x - y),
-        (BinOp::Mul, Double(x), Double(y)) => Double(x * y),
-        (BinOp::Div, Double(x), Double(y)) => Double(x / y),
-        (BinOp::Rem, Double(x), Double(y)) => Double(x % y),
-        (BinOp::Lt, Int(x), Int(y)) => Bool(x < y),
-        (BinOp::Le, Int(x), Int(y)) => Bool(x <= y),
-        (BinOp::Gt, Int(x), Int(y)) => Bool(x > y),
-        (BinOp::Ge, Int(x), Int(y)) => Bool(x >= y),
-        (BinOp::Eq, Int(x), Int(y)) => Bool(x == y),
-        (BinOp::Ne, Int(x), Int(y)) => Bool(x != y),
-        (BinOp::Lt, Double(x), Double(y)) => Bool(x < y),
-        (BinOp::Le, Double(x), Double(y)) => Bool(x <= y),
-        (BinOp::Gt, Double(x), Double(y)) => Bool(x > y),
-        (BinOp::Ge, Double(x), Double(y)) => Bool(x >= y),
-        (BinOp::Eq, Double(x), Double(y)) => Bool(x == y),
-        (BinOp::Ne, Double(x), Double(y)) => Bool(x != y),
-        (BinOp::Eq, Bool(x), Bool(y)) => Bool(x == y),
-        (BinOp::Ne, Bool(x), Bool(y)) => Bool(x != y),
-        (BinOp::Eq, Ref(x), Ref(y)) => Bool(x == y),
-        (BinOp::Ne, Ref(x), Ref(y)) => Bool(x != y),
-        (BinOp::Eq, Null, Null) => Bool(true),
-        (BinOp::Ne, Null, Null) => Bool(false),
-        (BinOp::Eq, Ref(_), Null) | (BinOp::Eq, Null, Ref(_)) => Bool(false),
-        (BinOp::Ne, Ref(_), Null) | (BinOp::Ne, Null, Ref(_)) => Bool(true),
-        _ => return None,
-    })
-}
-
-fn eval_un(op: UnOp, a: RtValue) -> Option<RtValue> {
-    use RtValue::*;
-    Some(match (op, a) {
-        (UnOp::Neg, Int(x)) => Int(x.wrapping_neg()),
-        (UnOp::Neg, Double(x)) => Double(-x),
-        (UnOp::Not, Bool(x)) => Bool(!x),
-        (UnOp::IntToDouble, Int(x)) => Double(x as f64),
-        (UnOp::DoubleToInt, Double(x)) => Int(x as i64),
-        _ => return None,
-    })
-}
-
-fn eval_intrinsic(op: Intrinsic, args: &[RtValue]) -> Option<RtValue> {
-    let d = |i: usize| match args.get(i) {
-        Some(RtValue::Double(v)) => Some(*v),
-        _ => None,
-    };
-    Some(match op {
-        Intrinsic::Sqrt => RtValue::Double(d(0)?.sqrt()),
-        Intrinsic::Abs => RtValue::Double(d(0)?.abs()),
-        Intrinsic::Floor => RtValue::Double(d(0)?.floor()),
-        Intrinsic::Cos => RtValue::Double(d(0)?.cos()),
-        Intrinsic::Sin => RtValue::Double(d(0)?.sin()),
-        Intrinsic::Respond => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn int_arithmetic_semantics() {
-        use RtValue::Int;
-        assert_eq!(eval_bin(BinOp::Add, Int(2), Int(3)), Some(Int(5)));
-        assert_eq!(eval_bin(BinOp::Sub, Int(2), Int(3)), Some(Int(-1)));
-        assert_eq!(eval_bin(BinOp::Mul, Int(4), Int(3)), Some(Int(12)));
-        assert_eq!(eval_bin(BinOp::Div, Int(7), Int(2)), Some(Int(3)));
-        assert_eq!(eval_bin(BinOp::Rem, Int(7), Int(2)), Some(Int(1)));
-        assert_eq!(eval_bin(BinOp::Div, Int(7), Int(0)), None);
-        assert_eq!(eval_bin(BinOp::Rem, Int(7), Int(0)), None);
-        // Wrapping, not panicking.
-        assert_eq!(
-            eval_bin(BinOp::Add, Int(i64::MAX), Int(1)),
-            Some(Int(i64::MIN))
-        );
-    }
-
-    #[test]
-    fn comparison_and_reference_equality() {
-        use RtValue::*;
-        assert_eq!(eval_bin(BinOp::Lt, Int(1), Int(2)), Some(Bool(true)));
-        assert_eq!(eval_bin(BinOp::Ge, Int(2), Int(2)), Some(Bool(true)));
-        assert_eq!(eval_bin(BinOp::Eq, Ref(3), Ref(3)), Some(Bool(true)));
-        assert_eq!(eval_bin(BinOp::Eq, Ref(3), Ref(4)), Some(Bool(false)));
-        assert_eq!(eval_bin(BinOp::Eq, Ref(3), Null), Some(Bool(false)));
-        assert_eq!(eval_bin(BinOp::Ne, Null, Null), Some(Bool(false)));
-        // Mixed kinds are type errors, not coercions.
-        assert_eq!(eval_bin(BinOp::Add, Int(1), Double(2.0)), None);
-        assert_eq!(eval_bin(BinOp::Lt, Bool(true), Bool(false)), None);
-    }
-
-    #[test]
-    fn unary_and_conversions() {
-        use RtValue::*;
-        assert_eq!(eval_un(UnOp::Neg, Int(5)), Some(Int(-5)));
-        assert_eq!(eval_un(UnOp::Not, Bool(true)), Some(Bool(false)));
-        assert_eq!(eval_un(UnOp::IntToDouble, Int(3)), Some(Double(3.0)));
-        assert_eq!(eval_un(UnOp::DoubleToInt, Double(3.9)), Some(Int(3)));
-        assert_eq!(eval_un(UnOp::DoubleToInt, Double(-3.9)), Some(Int(-3)));
-        assert_eq!(eval_un(UnOp::Not, Int(1)), None);
-    }
-
-    #[test]
-    fn intrinsic_math() {
-        use RtValue::Double;
-        assert_eq!(
-            eval_intrinsic(Intrinsic::Sqrt, &[Double(9.0)]),
-            Some(Double(3.0))
-        );
-        assert_eq!(
-            eval_intrinsic(Intrinsic::Abs, &[Double(-2.5)]),
-            Some(Double(2.5))
-        );
-        assert_eq!(
-            eval_intrinsic(Intrinsic::Floor, &[Double(2.7)]),
-            Some(Double(2.0))
-        );
-        // Respond produces no value.
-        assert_eq!(
-            eval_intrinsic(Intrinsic::Respond, &[RtValue::Int(200)]),
-            None
-        );
-        // Type mismatch yields None rather than a panic.
-        assert_eq!(eval_intrinsic(Intrinsic::Sqrt, &[RtValue::Int(9)]), None);
-    }
 
     #[test]
     fn probe_costs_default_order_matches_the_paper() {

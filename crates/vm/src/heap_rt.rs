@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use nimage_heap::{BuildHeap, HObjectKind, HValue, ObjId};
-use nimage_ir::{ClassId, FieldId, Program, TypeRef};
+use nimage_ir::{ClassId, FieldId, Program, Scalar, TypeRef};
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +32,33 @@ pub enum RtValue {
     Double(f64),
     /// Reference into the [`RtHeap`] arena.
     Ref(u32),
+}
+
+/// The operator table's view of a runtime value.
+impl From<RtValue> for Scalar {
+    #[inline]
+    fn from(v: RtValue) -> Scalar {
+        match v {
+            RtValue::Null => Scalar::Null,
+            RtValue::Bool(b) => Scalar::Bool(b),
+            RtValue::Int(i) => Scalar::Int(i),
+            RtValue::Double(d) => Scalar::Double(d),
+            RtValue::Ref(r) => Scalar::Ref(r),
+        }
+    }
+}
+
+impl From<Scalar> for RtValue {
+    #[inline]
+    fn from(s: Scalar) -> RtValue {
+        match s {
+            Scalar::Null => RtValue::Null,
+            Scalar::Bool(b) => RtValue::Bool(b),
+            Scalar::Int(i) => RtValue::Int(i),
+            Scalar::Double(d) => RtValue::Double(d),
+            Scalar::Ref(r) => RtValue::Ref(r),
+        }
+    }
 }
 
 impl RtValue {

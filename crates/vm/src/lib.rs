@@ -27,7 +27,7 @@ pub mod lower;
 mod paging;
 mod report;
 
-pub use exec::{ExecMode, ProbeCosts, StopWhen, Vm, VmBuilder, VmConfig, VmError};
+pub use exec::{ProbeCosts, StopWhen, Vm, VmBuilder, VmConfig, VmError};
 pub use faultmap::{render_ascii, summarize, touched_extent, PageMapSummary};
 pub use heap_rt::{HeapTemplate, RtHeap, RtObject, RtValue};
 pub use lower::{LoweredProgram, LoweredShard};

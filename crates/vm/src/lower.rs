@@ -47,7 +47,7 @@
 //! shards in exactly once (`OnceLock` guards make realization idempotent
 //! and race-free). Results are bit-identical to the tree-walking path by
 //! construction — the lowered tables are pure reindexings of the structures
-//! the legacy interpreter consults lazily.
+//! the reference interpreter consults lazily.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,7 +190,7 @@ pub struct PathEdge {
 
 /// Flattened Ball–Larus tables of one method: the per-block head mini and
 /// the dense `(from_mini × target_block)` edge table, precomputed from the
-/// same [`ProfilingCfg`] / [`PathNumbering`] the legacy path builds lazily.
+/// same [`ProfilingCfg`] / [`PathNumbering`] the reference interpreter builds lazily.
 #[derive(Debug, Clone)]
 pub struct LoweredPaths {
     /// Head mini-block index of each basic block.
@@ -337,7 +337,7 @@ pub struct LoweredProgram {
     eager_shards: AtomicU64,
 }
 
-// Deliberately constant, like `ExecMode` and `Parallelism`: which shards
+// Deliberately constant, like `Parallelism`: which shards
 // happen to be realized is interior-mutable scheduling state that must
 // never leak into a content-cache fingerprint — the lowering itself is
 // fully determined by the (program, compiled, max_paths) inputs.

@@ -229,11 +229,6 @@ impl PagingSim {
         self.faults
     }
 
-    /// Number of resident pages (faulted + faulted-around).
-    pub fn resident_pages(&self) -> u64 {
-        self.resident.len
-    }
-
     /// The per-page state of the page range `[first, first + count)`.
     pub fn page_states(&self, first: u64, count: u64) -> Vec<PageState> {
         (first..first + count)

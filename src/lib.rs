@@ -8,16 +8,21 @@
 //!
 //! This crate is a facade over the workspace:
 //!
-//! * [`ir`] — a miniature class-based object language (the Java stand-in);
+//! * [`ir`] — a miniature class-based object language (the Java stand-in),
+//!   including the one operator table both interpreters evaluate through;
 //! * [`analysis`] — reachability/points-to analysis with saturation;
 //! * [`compiler`] — inliner, compilation units, instrumentation,
 //!   Ball–Larus path profiling;
 //! * [`heap`] — build-time initializer execution and heap snapshotting;
 //! * [`image`] — binary layout (`.text` / `.svm_heap`, 4 KiB pages);
 //! * [`profiler`] — per-thread trace buffers and the two dump modes;
-//! * [`vm`] — a deterministic interpreter with a demand-paging simulator;
-//! * [`order`] — the paper's contribution: the code- and heap-ordering
-//!   strategies and the cross-build object-identity matching;
+//! * [`vm`] — a deterministic interpreter with a demand-paging simulator
+//!   (`Vm::run`; `Vm::run_reference` is the tree-walking oracle tests
+//!   compare it against);
+//! * [`order`] — the paper's contribution: the single first-occurrence
+//!   trace-replay pass, the ordering profiles and their CSV format, the
+//!   code- and heap-ordering strategies and the cross-build
+//!   object-identity matching;
 //! * [`core`] — the end-to-end pipeline of the paper's Fig. 1;
 //! * [`workloads`] — the evaluation programs: 14 AWFY benchmarks and three
 //!   microservice frameworks.

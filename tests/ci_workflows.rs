@@ -1,16 +1,19 @@
-//! CI workflow hygiene. The root package has no binary targets, so a
-//! workflow step spelled `cargo run --bin nimage` fails with "no bin target
-//! named `nimage` in default-run packages" — which is how the nightly
-//! 17-workload gate silently stopped running. Every `cargo run … --bin`
-//! line must say which package (or manifest) the binary lives in.
+//! CI workflow hygiene. The root package has no binary targets and is one
+//! of 15 crates, so a workflow step that does not say where to look runs on
+//! the wrong thing: `cargo run --bin nimage` fails with "no bin target named
+//! `nimage` in default-run packages" — which is how the nightly 17-workload
+//! gate silently stopped running — and `cargo clippy` lints the facade
+//! package only. Every `cargo run … --bin` line must say which package (or
+//! manifest) the binary lives in, and every clippy line must say
+//! `--workspace`.
 
 use std::fs;
 use std::path::Path;
 
-#[test]
-fn workflow_cargo_run_lines_name_their_package() {
+/// Every line of every workflow file, as `(file:line, text)`.
+fn workflow_lines() -> Vec<(String, String)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(".github/workflows");
-    let mut checked = 0;
+    let mut lines = vec![];
     for entry in fs::read_dir(&dir).expect("workflow directory exists") {
         let path = entry.expect("readable directory entry").path();
         if path.extension().is_none_or(|e| e != "yml") {
@@ -18,21 +21,46 @@ fn workflow_cargo_run_lines_name_their_package() {
         }
         let text = fs::read_to_string(&path).expect("readable workflow");
         for (n, line) in text.lines().enumerate() {
-            if !(line.contains("cargo run") && line.contains("--bin")) {
-                continue;
-            }
-            checked += 1;
-            let names_package = line
-                .split_whitespace()
-                .any(|w| w == "-p" || w == "--package" || w.starts_with("--manifest-path"));
-            assert!(
-                names_package,
-                "{}:{}: `cargo run --bin` without -p/--manifest-path: {}",
-                path.display(),
-                n + 1,
-                line.trim()
-            );
+            lines.push((
+                format!("{}:{}", path.display(), n + 1),
+                line.trim().to_string(),
+            ));
         }
     }
+    lines
+}
+
+#[test]
+fn workflow_cargo_run_lines_name_their_package() {
+    let mut checked = 0;
+    for (at, line) in workflow_lines() {
+        if !(line.contains("cargo run") && line.contains("--bin")) {
+            continue;
+        }
+        checked += 1;
+        let names_package = line
+            .split_whitespace()
+            .any(|w| w == "-p" || w == "--package" || w.starts_with("--manifest-path"));
+        assert!(
+            names_package,
+            "{at}: `cargo run --bin` without -p/--manifest-path: {line}"
+        );
+    }
     assert!(checked > 0, "found no `cargo run --bin` line to check");
+}
+
+#[test]
+fn workflow_clippy_lines_lint_the_whole_workspace() {
+    let mut checked = 0;
+    for (at, line) in workflow_lines() {
+        if !line.contains("cargo clippy") {
+            continue;
+        }
+        checked += 1;
+        assert!(
+            line.split_whitespace().any(|w| w == "--workspace"),
+            "{at}: `cargo clippy` without --workspace lints the root package only: {line}"
+        );
+    }
+    assert!(checked > 0, "found no `cargo clippy` line to check");
 }
