@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -30,6 +31,8 @@ use nimage_vm::{HeapTemplate, LoweredProgram, RunReport};
 use nimage_analysis::Reachability;
 
 use crate::{LayoutOrders, ProfiledArtifacts};
+
+const FINGERPRINT_SEED: u64 = 0x6e69_6d61_6765; // "nimage"
 
 /// A 128-bit content fingerprint / cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,8 +49,29 @@ impl CacheKey {
         buf.push_str(tag);
         buf.push('\u{1f}');
         let _ = write!(buf, "{value:?}");
-        let (a, b) = murmur3::hash128(buf.as_bytes(), 0x6e69_6d61_6765 /* "nimage" */);
+        let (a, b) = murmur3::hash128(buf.as_bytes(), FINGERPRINT_SEED);
         CacheKey(a, b)
+    }
+
+    /// Fingerprints a value through its `Hash` impl, fed straight into a
+    /// streaming MurmurHash3 ([`murmur3::Hasher128`]) — no intermediate
+    /// rendering, no allocation. For values too large to render: a
+    /// `Program` is megabytes of `Debug` text. The hasher writes every
+    /// integer fixed-width little-endian, so equal values agree across
+    /// processes and hosts.
+    pub fn of_hash<T: Hash + ?Sized>(tag: &str, value: &T) -> CacheKey {
+        CacheKey::of_hash_sized(tag, value).0
+    }
+
+    /// [`CacheKey::of_hash`] plus the number of bytes the value fed the
+    /// hasher (tag included) — the engine's `fingerprint.bytes` counter.
+    pub(crate) fn of_hash_sized<T: Hash + ?Sized>(tag: &str, value: &T) -> (CacheKey, u64) {
+        let mut h = murmur3::Hasher128::with_seed(FINGERPRINT_SEED);
+        h.write(tag.as_bytes());
+        h.write_u8(0x1f);
+        value.hash(&mut h);
+        let (a, b) = h.finish128();
+        (CacheKey(a, b), h.len())
     }
 
     /// Combines a stage tag with the fingerprints of every input that

@@ -44,10 +44,11 @@ use crate::cache::CacheKey;
 use crate::ProfiledArtifacts;
 
 /// Version of the on-disk entry format. Bump whenever the header layout,
-/// any codec, or the semantics of a persisted stage change; old entries
+/// any codec, the semantics of a persisted stage or the derivation of the
+/// keys (v4: the structural program fingerprint) change; old entries
 /// are invisible to the new version (they live under the old `v<N>`
 /// directory) and get removed by `nimage cache clear`.
-pub const DISK_FORMAT_VERSION: u32 = 3;
+pub const DISK_FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"NIMC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -218,7 +219,12 @@ impl DiskStore {
     /// per-stage breakdown. A rejection is also a miss.
     fn record(&self, stage: &str, outcome: Lookup) {
         let mut stages = self.by_stage.lock().unwrap_or_else(|e| e.into_inner());
-        let s = stages.entry(stage.to_string()).or_default();
+        // Every lookup passes through here under the lock: allocate the
+        // stage name only for a stage's first row.
+        let s = match stages.get_mut(stage) {
+            Some(s) => s,
+            None => stages.entry(stage.to_string()).or_default(),
+        };
         match outcome {
             Lookup::Hit => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -241,20 +247,6 @@ impl DiskStore {
         }
     }
 
-    /// Reads and validates the entry file, without touching any counter.
-    /// `Ok(None)` is "no file", `Err(())` is "a file that does not
-    /// validate".
-    fn read_entry(&self, path: &Path) -> Result<Option<Vec<u8>>, ()> {
-        let data = match std::fs::read(path) {
-            Ok(d) => d,
-            Err(_) => return Ok(None),
-        };
-        match validate_entry(&data) {
-            Some(payload) => Ok(Some(payload.to_vec())),
-            None => Err(()),
-        }
-    }
-
     /// Marks `path` as just-accessed by bumping its mtime — the access
     /// clock the LRU sweep of [`DiskStore::gc`] orders evictions by.
     /// Best-effort: a read-only cache still serves hits, it just cannot
@@ -265,26 +257,37 @@ impl DiskStore {
         }
     }
 
+    /// Reads the entry file of `(stage, key)`, validates it and hands the
+    /// payload — borrowed from the file buffer, never copied — to
+    /// `decode`. No file is a miss; a file that does not validate, or a
+    /// payload `decode` refuses, is rejected. A hit refreshes the entry's
+    /// access time.
+    fn lookup<T>(
+        &self,
+        stage: &str,
+        key: CacheKey,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.entry_path(stage, key);
+        let Ok(data) = std::fs::read(&path) else {
+            self.record(stage, Lookup::Miss);
+            return None;
+        };
+        let value = validate_entry(&data).and_then(decode);
+        if value.is_some() {
+            self.record(stage, Lookup::Hit);
+            self.touch(&path);
+        } else {
+            self.record(stage, Lookup::Rejected);
+        }
+        value
+    }
+
     /// Loads and validates the raw payload for `(stage, key)`. Anything
     /// short of a fully valid entry is a miss. A hit refreshes the
     /// entry's access time.
     pub fn load(&self, stage: &str, key: CacheKey) -> Option<Vec<u8>> {
-        let path = self.entry_path(stage, key);
-        match self.read_entry(&path) {
-            Ok(Some(payload)) => {
-                self.record(stage, Lookup::Hit);
-                self.touch(&path);
-                Some(payload)
-            }
-            Ok(None) => {
-                self.record(stage, Lookup::Miss);
-                None
-            }
-            Err(()) => {
-                self.record(stage, Lookup::Rejected);
-                None
-            }
-        }
+        self.lookup(stage, key, |payload| Some(payload.to_vec()))
     }
 
     /// Persists `payload` for `(stage, key)` via a unique temporary file
@@ -323,32 +326,10 @@ impl DiskStore {
     /// that decodes partially (or with trailing garbage) is rejected. A
     /// hit refreshes the entry's access time.
     pub fn get<T: DiskCodec>(&self, stage: &str, key: CacheKey) -> Option<T> {
-        let path = self.entry_path(stage, key);
-        match self.read_entry(&path) {
-            Ok(Some(payload)) => {
-                let mut r = Reader::new(&payload);
-                match T::decode(&mut r) {
-                    Some(v) if r.is_empty() => {
-                        self.record(stage, Lookup::Hit);
-                        self.touch(&path);
-                        Some(v)
-                    }
-                    // The header validated but the payload didn't decode.
-                    _ => {
-                        self.record(stage, Lookup::Rejected);
-                        None
-                    }
-                }
-            }
-            Ok(None) => {
-                self.record(stage, Lookup::Miss);
-                None
-            }
-            Err(()) => {
-                self.record(stage, Lookup::Rejected);
-                None
-            }
-        }
+        self.lookup(stage, key, |payload| {
+            let mut r = Reader::new(payload);
+            T::decode(&mut r).filter(|_| r.is_empty())
+        })
     }
 
     /// Typed store.

@@ -26,7 +26,7 @@
 //! child-duration stack.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, InstrumentConfig};
@@ -215,25 +215,13 @@ impl EngineStats {
 }
 
 /// Per-workload context: the spec plus its content fingerprint, computed
-/// once up front.
+/// once per workload by [`Engine::ctx`].
 struct Ctx<'p, 's> {
     spec: &'s WorkloadSpec<'p>,
     base: CacheKey,
 }
 
 impl<'p, 's> Ctx<'p, 's> {
-    fn new(spec: &'s WorkloadSpec<'p>) -> Ctx<'p, 's> {
-        let parts = [
-            CacheKey::of_debug("program", spec.program),
-            CacheKey::of_debug("options", &spec.opts),
-            CacheKey::of_debug("stop", &spec.stop),
-        ];
-        Ctx {
-            spec,
-            base: CacheKey::for_stage("workload", &parts),
-        }
-    }
-
     fn key(&self, stage: &str) -> CacheKey {
         CacheKey::for_stage(stage, &[self.base])
     }
@@ -409,6 +397,26 @@ impl Engine {
         })
     }
 
+    /// Fingerprints one workload. The program — megabytes of IR — is
+    /// hashed structurally through its `Hash` impl; options and stop
+    /// condition are a few hundred bytes and keep going through `Debug`.
+    fn ctx<'p, 's>(&self, spec: &'s WorkloadSpec<'p>) -> Ctx<'p, 's> {
+        let _s = self
+            .tracer
+            .root_span("fingerprint", || format!("workload={}", spec.name));
+        let (program, bytes) = CacheKey::of_hash_sized("program", spec.program);
+        self.tracer.count("fingerprint.bytes", bytes);
+        let parts = [
+            program,
+            CacheKey::of_debug("options", &spec.opts),
+            CacheKey::of_debug("stop", &spec.stop),
+        ];
+        Ctx {
+            spec,
+            base: CacheKey::for_stage("workload", &parts),
+        }
+    }
+
     /// The configured worker-thread count (`0` = host parallelism).
     fn threads(&self) -> usize {
         if self.opts.n_threads > 0 {
@@ -431,7 +439,11 @@ impl Engine {
         specs: &[WorkloadSpec<'p>],
         strategies: &[Strategy],
     ) -> Result<Vec<MatrixCell>, PipelineError> {
-        let ctxs: Vec<Ctx<'p, '_>> = specs.iter().map(Ctx::new).collect();
+        // One context per row, fingerprinted by the first cell of the row
+        // to run: the workers start on different rows, so the program
+        // hashes of different workloads overlap instead of queueing ahead
+        // of the fan-out.
+        let ctxs: Vec<OnceLock<Ctx<'p, '_>>> = specs.iter().map(|_| OnceLock::new()).collect();
         let jobs: Vec<(usize, usize)> = (0..specs.len())
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
@@ -452,7 +464,8 @@ impl Engine {
             |j| jobs[j].0,
             |j| {
                 let (wi, si) = jobs[j];
-                self.run_job(&ctxs[wi], strategies[si])
+                let ctx = ctxs[wi].get_or_init(|| self.ctx(&specs[wi]));
+                self.run_job(ctx, strategies[si])
             },
         );
 
@@ -500,7 +513,7 @@ impl Engine {
         &self,
         spec: &WorkloadSpec<'_>,
     ) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
-        self.profiled(&Ctx::new(spec))
+        self.profiled(&self.ctx(spec))
     }
 
     /// Builds the fully instrumented image ([`InstrumentConfig::FULL`])
@@ -510,7 +523,7 @@ impl Engine {
     /// # Errors
     /// Propagates pipeline failures.
     pub fn instrumented_parts(&self, spec: &WorkloadSpec<'_>) -> Result<BuildParts, PipelineError> {
-        let ctx = Ctx::new(spec);
+        let ctx = self.ctx(spec);
         let p = ctx.pipeline();
         let front = self.build_front(&ctx, &p, None)?;
         let image = self.default_image(
@@ -538,7 +551,7 @@ impl Engine {
         req: &BuildRequest<'_, '_, '_>,
     ) -> Result<BuildParts, PipelineError> {
         let (spec, artifacts, strategy) = (req.spec, req.artifacts, req.strategy);
-        let ctx = Ctx::new(spec);
+        let ctx = self.ctx(spec);
         let p = ctx.pipeline();
         let front = self.build_front(&ctx, &p, Some(artifacts))?;
         let orders = self.orders_for(&ctx, &p, artifacts, &front, strategy)?;
@@ -628,7 +641,7 @@ impl Engine {
         if !strategy.clustered() {
             return Ok(None);
         }
-        let ctx = Ctx::new(spec);
+        let ctx = self.ctx(spec);
         let p = ctx.pipeline();
         let front = self.build_front(&ctx, &p, Some(artifacts))?;
         self.orders_for(&ctx, &p, artifacts, &front, Some(strategy))
@@ -681,10 +694,11 @@ impl Engine {
         }
     }
 
-    /// The strategy-independent front of one build variant — reach →
-    /// compile → snapshot, each behind the cache and the disk tier. Without
-    /// a profile this is the instrumented build; with one, the
-    /// PGO-optimized build compiled under its call counts.
+    /// The strategy-independent front of one build variant — compile →
+    /// snapshot, each behind the cache and the disk tier; reachability
+    /// (memoized, never persisted) is resolved only by a compile that
+    /// misses both. Without a profile this is the instrumented build; with
+    /// one, the PGO-optimized build compiled under its call counts.
     fn build_front(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -709,12 +723,14 @@ impl Engine {
             ),
         };
         let span_args = || format!("workload={} variant={variant}", ctx.spec.name);
-        let reach = self.reach(ctx, p);
         let Ok(compiled) = self.disk_backed::<_, std::convert::Infallible>(
             &self.cache.compiled,
             "compile",
             compile_key,
             || {
+                // Only a compile that actually runs needs reachability: a
+                // disk hit above never analyzes.
+                let reach = self.reach(ctx, p);
                 let _s = self.tracer.root_span("compile", span_args);
                 Ok(p.compile_stage((*reach).clone(), instr, pgo.map(|a| &a.call_counts)))
             },

@@ -1,5 +1,7 @@
 //! Instructions, terminators and the machine-code size model.
 
+use std::hash::{Hash, Hasher};
+
 use crate::program::SelectorId;
 use crate::types::{BlockId, ClassId, FieldId, Local, MethodId, TypeRef};
 
@@ -152,6 +154,42 @@ pub enum Instr {
     },
 }
 
+/// Hand-written only because `f64` is not `Hash`: a double literal hashes
+/// by bit pattern, so `0.0`/`-0.0` and distinct NaN payloads — different
+/// data-section bytes — hash apart (stricter than the derived `PartialEq`,
+/// which is why `Instr` is not `Eq`). The tags are part of the program
+/// fingerprint, like every field: each variant is destructured in full, so
+/// a new field does not compile until it is hashed too.
+impl Hash for Instr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Instr::ConstInt(dst, v) => (0u8, dst, v).hash(h),
+            Instr::ConstDouble(dst, v) => (1u8, dst, v.to_bits()).hash(h),
+            Instr::ConstBool(dst, v) => (2u8, dst, v).hash(h),
+            Instr::ConstStr(dst, v) => (3u8, dst, v).hash(h),
+            Instr::ConstNull(dst) => (4u8, dst).hash(h),
+            Instr::Move(dst, src) => (5u8, dst, src).hash(h),
+            Instr::Bin(op, dst, a, b) => (6u8, op, dst, a, b).hash(h),
+            Instr::Un(op, dst, a) => (7u8, op, dst, a).hash(h),
+            Instr::New(dst, class) => (8u8, dst, class).hash(h),
+            Instr::NewArray(dst, elem, len) => (9u8, dst, elem, len).hash(h),
+            Instr::GetField(dst, obj, field) => (10u8, dst, obj, field).hash(h),
+            Instr::PutField(obj, field, src) => (11u8, obj, field, src).hash(h),
+            Instr::GetStatic(dst, field) => (12u8, dst, field).hash(h),
+            Instr::PutStatic(field, src) => (13u8, field, src).hash(h),
+            Instr::ArrayGet(dst, arr, idx) => (14u8, dst, arr, idx).hash(h),
+            Instr::ArraySet(arr, idx, src) => (15u8, arr, idx, src).hash(h),
+            Instr::ArrayLen(dst, arr) => (16u8, dst, arr).hash(h),
+            Instr::StrLen(dst, s) => (17u8, dst, s).hash(h),
+            Instr::StrCharAt(dst, s, i) => (18u8, dst, s, i).hash(h),
+            Instr::StrConcat(dst, a, b) => (19u8, dst, a, b).hash(h),
+            Instr::Call { dst, callee, args } => (20u8, dst, callee, args).hash(h),
+            Instr::Intrinsic { dst, op, args } => (21u8, dst, op, args).hash(h),
+            Instr::Spawn { method, args } => (22u8, method, args).hash(h),
+        }
+    }
+}
+
 impl Instr {
     /// Approximate machine-code size of this instruction in bytes.
     ///
@@ -249,7 +287,7 @@ impl Instr {
 }
 
 /// The terminator of a basic block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminator {
     /// Return from the method, optionally with a value.
     Ret(Option<Local>),
@@ -289,7 +327,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Block {
     /// Straight-line instructions.
     pub instrs: Vec<Instr>,

@@ -32,7 +32,7 @@ pub enum MethodKind {
 }
 
 /// A field declaration (static or instance).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Simple field name, unique within the declaring class.
     pub name: String,
@@ -45,7 +45,7 @@ pub struct Field {
 }
 
 /// A class declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Class {
     /// Fully qualified name, e.g. `"awfy.bounce.Ball"`. Unique per program,
     /// which is what makes types identifiable across builds (Sec. 5.1).
@@ -67,7 +67,7 @@ pub struct Class {
 }
 
 /// A method definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Method {
     /// Simple method name.
     pub name: String,
@@ -108,7 +108,7 @@ impl Method {
 
 /// A build-time resource embedded in the image (becomes a `Resource` heap
 /// root, Sec. 5.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Resource {
     /// Resource path, e.g. `"META-INF/services/demo"`.
     pub name: String,
@@ -117,15 +117,20 @@ pub struct Resource {
 }
 
 /// A complete program: the unit compiled into a native image.
-#[derive(Debug, Clone, Default)]
+///
+/// The derived `Hash` is the program's content fingerprint for the
+/// (disk-persisted) artifact cache: it covers every field of every type a
+/// program contains, in declaration order, so two programs hash alike only
+/// if they are built alike.
+#[derive(Debug, Clone, Default, Hash)]
 pub struct Program {
     pub(crate) classes: Vec<Class>,
     pub(crate) fields: Vec<Field>,
     pub(crate) methods: Vec<Method>,
     pub(crate) selectors: Vec<String>,
-    // BTreeMaps, not HashMaps: the derived `Debug` rendering doubles as the
-    // program's content fingerprint for the (disk-persisted) artifact cache,
-    // so its iteration order must be stable across processes.
+    // BTreeMaps, not HashMaps: `Hash` walks them in iteration order, and the
+    // fingerprint must be stable across processes (`HashMap` is not even
+    // `Hash`, for that reason).
     pub(crate) selector_map: BTreeMap<String, SelectorId>,
     pub(crate) class_map: BTreeMap<String, ClassId>,
     /// Program entry point (a static method), if set.

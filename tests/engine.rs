@@ -154,3 +154,49 @@ fn engine_reports_stage_times_for_computed_work() {
         assert!(ns > 0, "stage {required} must have recorded wall-clock");
     }
 }
+
+/// What a second `nimage eval --cache-dir <same>` does: a fresh engine over
+/// a cache directory another engine filled finds every persisted stage
+/// under the same keys (nothing stored, nothing rejected) and — compile
+/// being a disk hit — never runs reachability analysis.
+#[test]
+fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
+    let dir = std::env::temp_dir().join(format!("nimage-warm-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let program = Awfy::Sieve.program_at(&RuntimeScale::small());
+    let spec = WorkloadSpec::new("Sieve", &program, BuildOptions::default(), StopWhen::Exit);
+    let run = || {
+        let engine = Engine::new(EngineOptions {
+            n_threads: 2,
+            disk: Some(nimage_core::DiskCacheOptions::at(&dir)),
+            trace: Default::default(),
+        });
+        let cells = engine
+            .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
+            .unwrap();
+        let rows: Vec<String> = cells.iter().map(|c| render(c.strategy, &c.eval)).collect();
+        let disk = engine.stats().disk.expect("disk tier configured");
+        let spans = nimage_trace::aggregate(&engine.tracer().events());
+        let count = |name: &str| spans.get(name).map_or(0, |a| a.count);
+        (rows, disk, count("analyze"), count("fingerprint"))
+    };
+
+    let (cold_rows, cold, cold_analyze, _) = run();
+    assert!(
+        cold.stores > 0 && cold.hits == 0,
+        "cold run fills the cache"
+    );
+    assert_eq!(cold_analyze, 1, "one workload, one analysis");
+
+    let (warm_rows, warm, warm_analyze, warm_fingerprints) = run();
+    assert_eq!(warm.stores, 0, "a key moved between engines");
+    assert_eq!(warm.rejected, 0);
+    assert_eq!(warm.misses, 0);
+    // Fewer hits than stores: the `profile` hit stands in for the
+    // instrumented build's own entries.
+    assert!(warm.hits > 0 && warm.hits <= cold.stores);
+    assert_eq!(warm_analyze, 0, "a disk-hit compile must not analyze");
+    assert_eq!(warm_fingerprints, 1, "one fingerprint span per workload");
+    assert_eq!(cold_rows, warm_rows);
+    let _ = std::fs::remove_dir_all(&dir);
+}
