@@ -605,9 +605,8 @@ impl StageBench {
     }
 }
 
-/// Times `compile_stage`, `post_process` (trace replay) and the measured
-/// VM runs on one thread and on `n_workers` threads, asserting the merged
-/// results are identical.
+/// Times `compile_stage` and `post_process` (trace replay) on one thread
+/// and on `n_workers` threads, asserting the merged results are identical.
 fn stage_speedups(
     program: &nimage_ir::Program,
     workload: &Workload,
@@ -686,57 +685,6 @@ fn stage_speedups(
         .normalized(),
     );
 
-    // The measured VM runs: one evaluation of this workload runs the
-    // uninstrumented build once per strategy plus the baseline. Serial
-    // reference runs them one after another; the sharded arm fans the
-    // same runs out over `parallel_map`, sharing the pre-lowered program
-    // and the materialized snapshot heap via `Arc` exactly like
-    // `Engine::evaluate_matrix` does across cells.
-    let n_runs = Strategy::all().len();
-    let cn = ps.compile_stage(reach, nimage_compiler::InstrumentConfig::NONE, None);
-    let sn = ps.snapshot_stage(&cn, &serial_opts.heap_optimized)?;
-    let img = ps.layout_stage(&cn, &sn, LayoutOrders::default(), None)?;
-    let template = Arc::new(nimage_vm::HeapTemplate::from_build_heap(sn.heap()));
-    let lowered = Arc::new(nimage_vm::LoweredProgram::build(
-        program,
-        &cn,
-        serial_opts.vm.max_paths,
-    ));
-    let run_one = |p: &Pipeline<'_>| {
-        p.run(
-            RunParts::new(&cn, &sn, &img)
-                .heap(Some(template.clone()))
-                .lowered(Some(lowered.clone())),
-            stop,
-        )
-    };
-    let t = Instant::now();
-    let mut serial_runs = Vec::with_capacity(n_runs);
-    for _ in 0..n_runs {
-        serial_runs.push(run_one(&ps)?);
-    }
-    let run_serial = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let run_workers = nimage_par::workers_for(n_workers, n_runs, nimage_par::cutoff::RUN_MIN_CELLS);
-    let par_runs = nimage_par::parallel_map(run_workers, n_runs, |_| run_one(&pp));
-    let run_parallel = t.elapsed().as_nanos() as u64;
-    let mut runs_identical = true;
-    for (s, p) in serial_runs.iter().zip(&par_runs) {
-        match p {
-            Ok(p) => runs_identical &= format!("{s:?}") == format!("{p:?}"),
-            Err(_) => runs_identical = false,
-        }
-    }
-    out.push(
-        StageBench {
-            name: "run",
-            serial_ns: run_serial,
-            parallel_ns: run_parallel,
-            identical: runs_identical,
-            engaged: run_workers > 1,
-        }
-        .normalized(),
-    );
     Ok(out)
 }
 

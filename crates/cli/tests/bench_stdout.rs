@@ -99,6 +99,9 @@ fn bare_json_flag_keeps_stdout_pure() {
         "versioned report missing: {stdout}"
     );
     assert!(stdout.contains("\"stage_speedups\""));
+    // No `run` row: the engine executes each build once, so there are no
+    // repeat executions left to time in parallel.
+    assert!(!stdout.contains("\"run\": {\"serial_ns\""));
     // Engine counters live in the embedded report only: none of the keys
     // that used to duplicate it at the top level may come back.
     for legacy in [

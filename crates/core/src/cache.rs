@@ -26,7 +26,7 @@ use nimage_compiler::CompiledProgram;
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_order::murmur3;
-use nimage_vm::{HeapTemplate, LoweredProgram, RunReport};
+use nimage_vm::{AccessLog, HeapTemplate, LoweredProgram, RunReport};
 
 use nimage_analysis::Reachability;
 
@@ -216,30 +216,26 @@ pub struct ArtifactCache {
     /// baseline layouts (strategy layouts are unique per evaluation cell
     /// and computed inline there).
     pub images: Memo<BinaryImage>,
-    /// Measured runs (the shared baseline measurements).
-    pub runs: Memo<RunReport>,
+    /// The one execution of each optimized build: the baseline
+    /// measurement plus its access log, from which every strategy cell
+    /// pages its own layout ([`nimage_vm::relayout`]).
+    pub runs: Memo<(RunReport, AccessLog)>,
     /// Materialized snapshot heaps shared by every run of one snapshot.
     pub heap_templates: Memo<HeapTemplate>,
     /// Full profiling-run artifacts (instrumented build + run + replay),
     /// keyed by program + options.
     pub profiles: Memo<ProfiledArtifacts>,
     /// Sharded execution programs, keyed by compile key: one lazy
-    /// container per compiled build, lent (`Arc`) to every VM run of that
+    /// container per compiled build, lent (`Arc`) to the VM run of that
     /// build. Method bodies fault in per CU on first call; known-hot CUs
-    /// are pre-lowered from per-`(compile, cu)` shards persisted under the
-    /// `lower` disk stage.
+    /// are pre-lowered before the optimized build's run starts. Memory
+    /// only: a build whose run is a disk hit is never lowered.
     pub lowered: Memo<LoweredProgram>,
     /// Layout-optimizer plans of the clustered strategies, keyed by
     /// workload + strategy: the candidate search runs once per cell and
     /// its chosen orders (plus predicted fault counts) are reused by
     /// reports and repeat runs.
     pub plans: Memo<LayoutOrders>,
-    /// Completed pre-lowering waves, keyed by compile key: the hot-CU
-    /// wave runs exactly once per compiled build — later cells block on
-    /// the slot until the winner finishes (preserving "every hot CU is
-    /// realized before any optimized run") and then skip it entirely,
-    /// instead of re-deriving the hot set per cell.
-    pub waves: Memo<()>,
 }
 
 impl ArtifactCache {
@@ -256,7 +252,6 @@ impl ArtifactCache {
             profiles: Memo::new("profile"),
             lowered: Memo::new("lower"),
             plans: Memo::new("optimize"),
-            waves: Memo::new("prelower"),
         }
     }
 
@@ -273,7 +268,6 @@ impl ArtifactCache {
             self.profiles.stats(),
             self.lowered.stats(),
             self.plans.stats(),
-            self.waves.stats(),
         ]
     }
 }

@@ -38,17 +38,21 @@ use nimage_compiler::CallCountProfile;
 use nimage_heap::ObjId;
 use nimage_order::{murmur3, CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 use nimage_profiler::{read_trace, write_trace, SessionStats, Trace};
-use nimage_vm::{ExitKind, PageState, ResponsePoint, RtValue, RunReport, SectionFaults};
+use nimage_vm::{
+    AccessLog, ExitKind, PageState, ResponsePoint, RtValue, RunReport, SectionFaults, Touch,
+};
 
 use crate::cache::CacheKey;
 use crate::ProfiledArtifacts;
 
 /// Version of the on-disk entry format. Bump whenever the header layout,
 /// any codec, the semantics of a persisted stage or the derivation of the
-/// keys (v4: the structural program fingerprint) change; old entries
-/// are invisible to the new version (they live under the old `v<N>`
-/// directory) and get removed by `nimage cache clear`.
-pub const DISK_FORMAT_VERSION: u32 = 4;
+/// keys change (v4: the structural program fingerprint; v5: the
+/// `baseline-run` entry carries the run's access log, and the per-CU
+/// `lower` stage is gone); old entries are invisible to the new version
+/// (they live under the old `v<N>` directory) and get removed by
+/// `nimage cache clear`.
+pub const DISK_FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 4] = b"NIMC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -326,9 +330,22 @@ impl DiskStore {
     /// that decodes partially (or with trailing garbage) is rejected. A
     /// hit refreshes the entry's access time.
     pub fn get<T: DiskCodec>(&self, stage: &str, key: CacheKey) -> Option<T> {
+        self.get_checked(stage, key, |_| true)
+    }
+
+    /// [`DiskStore::get`] for values that must also pass `check` — a
+    /// consistency test against state the payload cannot carry (e.g. the
+    /// build a log indexes into). A value that fails it is rejected like
+    /// an undecodable payload.
+    pub fn get_checked<T: DiskCodec>(
+        &self,
+        stage: &str,
+        key: CacheKey,
+        check: impl FnOnce(&T) -> bool,
+    ) -> Option<T> {
         self.lookup(stage, key, |payload| {
             let mut r = Reader::new(payload);
-            T::decode(&mut r).filter(|_| r.is_empty())
+            T::decode(&mut r).filter(|v| r.is_empty() && check(v))
         })
     }
 
@@ -850,6 +867,66 @@ impl DiskCodec for RunReport {
             text_page_states,
             heap_page_states,
         })
+    }
+}
+
+impl DiskCodec for AccessLog {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.touches().len() as u32).to_le_bytes());
+        for t in self.touches() {
+            match *t {
+                Touch::Code { cu, node } => {
+                    out.push(0);
+                    out.extend_from_slice(&cu.to_le_bytes());
+                    out.extend_from_slice(&node.to_le_bytes());
+                }
+                Touch::Object { obj, offset } => {
+                    out.push(1);
+                    out.extend_from_slice(&obj.to_le_bytes());
+                    out.extend_from_slice(&offset.to_le_bytes());
+                }
+                Touch::Native { page } => {
+                    out.push(2);
+                    out.extend_from_slice(&page.to_le_bytes());
+                }
+            }
+        }
+        encode_option(out, &self.respond_at(), |at, out| {
+            out.extend_from_slice(&(*at as u64).to_le_bytes());
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.u32()? as usize;
+        let mut touches = Vec::with_capacity(cap_alloc(n, r, 5));
+        for _ in 0..n {
+            touches.push(match r.u8()? {
+                0 => Touch::Code {
+                    cu: r.u32()?,
+                    node: r.u32()?,
+                },
+                1 => Touch::Object {
+                    obj: r.u32()?,
+                    offset: r.u64()?,
+                },
+                2 => Touch::Native { page: r.u32()? },
+                _ => return None,
+            });
+        }
+        let respond_at = decode_option(r, |r| usize::try_from(r.u64()?).ok())?;
+        AccessLog::from_parts(touches, respond_at)
+    }
+}
+
+/// The `baseline-run` entry: one execution's report and its access log.
+impl DiskCodec for (RunReport, AccessLog) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some((RunReport::decode(r)?, AccessLog::decode(r)?))
     }
 }
 

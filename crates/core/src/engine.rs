@@ -12,7 +12,12 @@
 //!    strategy ID maps, the materialized snapshot heap, the baseline
 //!    layout and the baseline measurement are each computed exactly once
 //!    per workload and shared by all strategies,
-//! 3. **fans the independent cells out** over a scoped thread pool with a
+//! 3. **executes each optimized build once**: the baseline run also
+//!    records its first-touch [`AccessLog`], and every strategy cell pages
+//!    its own layout from that log ([`Pipeline::relayout`]) instead of
+//!    interpreting the same build again — exact, because a layout moves
+//!    bytes but never changes what executes (`nimage_vm::access`),
+//! 4. **fans the independent cells out** over a scoped thread pool with a
 //!    work-stealing job queue, returning results in deterministic
 //!    row-major (workload-major) order regardless of scheduling.
 //!
@@ -35,7 +40,7 @@ use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::HeapStrategy;
 use nimage_trace::{StageAgg, Tracer};
-use nimage_vm::{HeapTemplate, LoweredProgram, LoweredShard, RunReport, StopWhen};
+use nimage_vm::{AccessLog, HeapTemplate, LoweredProgram, RunReport, StopWhen};
 
 use std::collections::BTreeMap;
 
@@ -241,12 +246,11 @@ struct BuildFront {
 }
 
 /// The baseline half of one workload's evaluation, every part shared
-/// behind the cache.
+/// behind the cache: the optimized build and its one execution (report
+/// and access log).
 struct BaselineParts {
     front: BuildFront,
-    template: Arc<HeapTemplate>,
-    lowered: Arc<LoweredProgram>,
-    run: Arc<RunReport>,
+    run: Arc<(RunReport, AccessLog)>,
 }
 
 /// The shareable parts of one build, each behind the engine's cache (the
@@ -376,9 +380,26 @@ impl Engine {
     where
         T: DiskCodec,
     {
+        self.disk_backed_checked(memo, stage, key, |_| true, f)
+    }
+
+    /// [`Engine::disk_backed`] whose disk entries must also pass `check`
+    /// against the build they were loaded for; one that fails is rejected
+    /// and recomputed.
+    fn disk_backed_checked<T, E>(
+        &self,
+        memo: &Memo<T>,
+        stage: &'static str,
+        key: CacheKey,
+        check: impl FnOnce(&T) -> bool,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: DiskCodec,
+    {
         memo.get_or_try(key, || {
             if let Some(d) = &self.disk {
-                if let Some(v) = d.get::<T>(stage, key) {
+                if let Some(v) = d.get_checked::<T>(stage, key, check) {
                     // Root instant: which caller performs the (exactly
                     // once per key) disk probe is scheduling-dependent,
                     // but the probe's outcome is not.
@@ -788,9 +809,7 @@ impl Engine {
     }
 
     /// The sharded execution program of one compile: one lazy container
-    /// per compile key, shared (`Arc`) by every VM run of that build —
-    /// matrix cells on different worker threads dispatch over the same
-    /// instruction arrays, faulting per-CU shards in exactly once.
+    /// per compile key, lent (`Arc`) to the run of that build.
     ///
     /// Constructing the container builds only the cheap global tables;
     /// method bodies are lowered per CU on first call, or ahead of time by
@@ -813,75 +832,45 @@ impl Engine {
 
     /// The pre-lowering wave: realizes the shards of every CU the profile
     /// marks hot (its CU-order profile lists first-entry order) before the
-    /// optimized runs start, fanning out under
-    /// [`nimage_par::cutoff::PRELOWER_MIN_CUS`]. Each shard is persisted
-    /// per `(compile, cu)` under the `lower` disk stage, so a warm engine
-    /// installs the decoded bodies instead of re-lowering; a shard that
-    /// fails validation against this build falls back to lowering locally.
+    /// optimized build's run starts, fanning out under
+    /// [`nimage_par::cutoff::PRELOWER_MIN_CUS`]. Called only from inside
+    /// the computation of that run, so it runs at most once per build, and
+    /// its shards stay in memory: a run that is a disk hit lowers nothing.
     fn prelower_hot(
         &self,
         ctx: &Ctx<'_, '_>,
-        compile_key: CacheKey,
         compiled: &CompiledProgram,
         lowered: &LoweredProgram,
         artifacts: &ProfiledArtifacts,
     ) {
-        // Exactly once per compiled build: every cell calls in (its runs
-        // must not start before the hot set is realized — `get_or`
-        // blocks until the winning wave finishes), but only the first
-        // derives the hot set and fans out. Also makes the wave a single
-        // deterministic `lower` span instead of one racy span per cell.
-        self.cache
-            .waves
-            .get_or(CacheKey::for_stage("prelower", &[compile_key]), || {
-                let _s = self
-                    .tracer
-                    .root_span("lower", || format!("workload={} wave=hot", ctx.spec.name));
-                let sig_to_cu: HashMap<String, nimage_compiler::CuId> = compiled
-                    .cus
-                    .iter()
-                    .map(|cu| (ctx.spec.program.method_signature(cu.root), cu.id))
-                    .collect();
-                // Profile order, already-realized shards skipped.
-                let todo: Vec<nimage_compiler::CuId> = artifacts
-                    .cu_profile
-                    .sigs
-                    .iter()
-                    .filter_map(|sig| sig_to_cu.get(sig).copied())
-                    .filter(|&cu| !lowered.is_cu_lowered(cu))
-                    .collect();
-                if todo.is_empty() {
-                    return;
-                }
-                self.tracer.count("lower.prelowered_cus", todo.len() as u64);
-                let workers = nimage_par::workers_for(
-                    self.threads(),
-                    todo.len(),
-                    nimage_par::cutoff::PRELOWER_MIN_CUS,
-                );
-                nimage_par::parallel_map(workers, todo.len(), |i| {
-                    let cu = todo[i];
-                    let key = CacheKey::for_stage(
-                        "lower",
-                        &[compile_key, CacheKey::of_debug("cu", &cu.index())],
-                    );
-                    if let Some(d) = &self.disk {
-                        if let Some(shard) = d.get::<LoweredShard>("lower", key) {
-                            if lowered.install_shard(compiled, &shard) {
-                                self.tracer
-                                    .root_instant("disk-hit", || "stage=lower".to_string());
-                                return;
-                            }
-                        }
-                    }
-                    let shard = lowered.extract_shard(ctx.spec.program, compiled, cu);
-                    if let Some(d) = &self.disk {
-                        d.put("lower", key, &shard);
-                        self.tracer
-                            .root_instant("disk-store", || "stage=lower".to_string());
-                    }
-                });
-            });
+        let _s = self
+            .tracer
+            .root_span("lower", || format!("workload={} wave=hot", ctx.spec.name));
+        let sig_to_cu: HashMap<String, nimage_compiler::CuId> = compiled
+            .cus
+            .iter()
+            .map(|cu| (ctx.spec.program.method_signature(cu.root), cu.id))
+            .collect();
+        // Profile order, already-realized shards skipped.
+        let todo: Vec<nimage_compiler::CuId> = artifacts
+            .cu_profile
+            .sigs
+            .iter()
+            .filter_map(|sig| sig_to_cu.get(sig).copied())
+            .filter(|&cu| !lowered.is_cu_lowered(cu))
+            .collect();
+        if todo.is_empty() {
+            return;
+        }
+        self.tracer.count("lower.prelowered_cus", todo.len() as u64);
+        let workers = nimage_par::workers_for(
+            self.threads(),
+            todo.len(),
+            nimage_par::cutoff::PRELOWER_MIN_CUS,
+        );
+        nimage_par::parallel_map(workers, todo.len(), |i| {
+            lowered.prelower_cu(ctx.spec.program, compiled, todo[i]);
+        });
     }
 
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
@@ -911,6 +900,7 @@ impl Engine {
                 let _s = self.tracer.span_with("run", || {
                     format!("workload={} variant=instrumented", ctx.spec.name)
                 });
+                self.tracer.count("vm.executions", 1);
                 p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
                         .heap(Some(template))
@@ -928,8 +918,11 @@ impl Engine {
         })
     }
 
-    /// The strategy-independent optimized-build artifacts, each computed
-    /// once per workload and shared by every strategy cell.
+    /// The optimized build and its one execution, computed once per
+    /// workload and shared by every strategy cell. The execution — default
+    /// layout, heap template, lowered program, pre-lowering wave — happens
+    /// only when the run is neither in memory nor on disk; a disk entry
+    /// whose log does not fit the build is rejected and recomputed.
     fn baseline_parts(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -937,38 +930,37 @@ impl Engine {
     ) -> Result<BaselineParts, PipelineError> {
         let p = ctx.pipeline();
         let front = self.build_front(ctx, &p, Some(artifacts))?;
-        let template =
-            self.template_for(ctx, ctx.key("heap-template:optimized"), "optimized", &front);
-        let image = self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
-        let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
-        self.prelower_hot(ctx, front.compile_key, &front.compiled, &lowered, artifacts);
-        let run = self.disk_backed(
+        let run = self.disk_backed_checked(
             &self.cache.runs,
             "baseline-run",
             ctx.key("run:baseline"),
+            |(report, log)| log.fits(report, &front.compiled, &front.snapshot, &p.options().image),
             || {
+                let template =
+                    self.template_for(ctx, ctx.key("heap-template:optimized"), "optimized", &front);
+                let image =
+                    self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
+                let lowered =
+                    self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
+                self.prelower_hot(ctx, &front.compiled, &lowered, artifacts);
                 let _s = self.tracer.root_span("run", || {
                     format!("workload={} variant=baseline", ctx.spec.name)
                 });
-                p.run(
+                self.tracer.count("vm.executions", 1);
+                p.run_logged(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .heap(Some(template.clone()))
-                        .lowered(Some(lowered.clone()))
+                        .heap(Some(template))
+                        .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
                     ctx.spec.stop,
                 )
             },
         )?;
-        Ok(BaselineParts {
-            front,
-            template,
-            lowered,
-            run,
-        })
+        Ok(BaselineParts { front, run })
     }
 
-    /// One strategy cell: order + layout + run against the shared
-    /// baseline.
+    /// One strategy cell: order + layout, then the baseline run's access
+    /// log paged against the strategy's image — no execution.
     fn evaluate_cell(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -994,17 +986,12 @@ impl Engine {
             let _s = self.tracer.span_with("run", || {
                 format!("workload={} strategy={}", ctx.spec.name, strategy.name())
             });
-            p.run(
-                RunParts::new(&front.compiled, &front.snapshot, &image)
-                    .heap(Some(parts.template.clone()))
-                    .lowered(Some(parts.lowered.clone()))
-                    .tracer(self.vm_tracer()),
-                ctx.spec.stop,
-            )?
+            self.tracer.count("vm.relayouts", 1);
+            p.relayout(&parts.run, &front.compiled, &image, &self.vm_tracer())?
         };
         Ok(Evaluation {
             strategy,
-            baseline: (*parts.run).clone(),
+            baseline: parts.run.0.clone(),
             optimized,
         })
     }

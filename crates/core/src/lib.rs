@@ -77,7 +77,8 @@ use nimage_order::{
 pub use nimage_par::Parallelism;
 use nimage_verify::{errors_of, irlint, pipeline as checks, Diagnostic};
 use nimage_vm::{
-    CostModel, HeapTemplate, LoweredProgram, RunReport, StopWhen, VmBuilder, VmConfig, VmError,
+    AccessLog, CostModel, HeapTemplate, LoweredProgram, RunReport, StopWhen, VmBuilder, VmConfig,
+    VmError,
 };
 
 /// An ordering strategy of the paper (Sec. 4, Sec. 5, and the combined
@@ -680,13 +681,19 @@ impl<'p> Pipeline<'p> {
     /// # Errors
     /// Propagates VM errors.
     pub fn run(&self, parts: RunParts<'_>, stop: StopWhen) -> Result<RunReport, PipelineError> {
-        // Reject an invalid paging config as a pipeline error before the
-        // simulator's constructor would panic on it.
-        self.opts.vm.paging.validate().map_err(|e| {
-            PipelineError::Vm(VmError::Config {
-                detail: e.to_string(),
-            })
-        })?;
+        self.run_logged(parts, stop).map(|(report, _)| report)
+    }
+
+    /// [`Pipeline::run`], also returning the run's [`AccessLog`], which
+    /// [`Pipeline::relayout`] pages against other images of the build.
+    ///
+    /// # Errors
+    /// Propagates VM errors.
+    pub fn run_logged(
+        &self,
+        parts: RunParts<'_>,
+        stop: StopWhen,
+    ) -> Result<(RunReport, AccessLog), PipelineError> {
         let vm = VmBuilder::new(
             self.program,
             parts.compiled,
@@ -698,7 +705,31 @@ impl<'p> Pipeline<'p> {
         .lowered(parts.lowered)
         .tracer(parts.tracer)
         .build();
-        Ok(vm.run(stop)?)
+        Ok(vm.run_logged(stop)?)
+    }
+
+    /// The report [`Pipeline::run`] would return on `image`, from one
+    /// logged run of the same build on another image
+    /// ([`nimage_vm::relayout`]: the execution is reused, only the paging
+    /// is redone). `log` must fit the build ([`AccessLog::fits`]).
+    ///
+    /// # Errors
+    /// Fails on an invalid paging configuration.
+    pub fn relayout(
+        &self,
+        (report, log): &(RunReport, AccessLog),
+        compiled: &CompiledProgram,
+        image: &BinaryImage,
+        tracer: &Tracer,
+    ) -> Result<RunReport, PipelineError> {
+        Ok(nimage_vm::relayout(
+            report,
+            log,
+            compiled,
+            image,
+            &self.opts.vm.paging,
+            tracer,
+        )?)
     }
 
     /// Performs the full profiling build + run + post-processing (steps 1–3
@@ -728,9 +759,9 @@ impl<'p> Pipeline<'p> {
         report: RunReport,
         ids_for: &mut dyn FnMut(HeapStrategy) -> Arc<HashMap<ObjId, u64>>,
     ) -> Result<ProfiledArtifacts, PipelineError> {
-        let trace = report.trace.clone().ok_or(PipelineError::NoTrace)?;
+        let trace = report.trace.as_ref().ok_or(PipelineError::NoTrace)?;
         if self.opts.verify {
-            let errors = errors_of(&checks::check_trace(&trace));
+            let errors = errors_of(&checks::check_trace(trace));
             if !errors.is_empty() {
                 return Err(PipelineError::Verify(errors));
             }
@@ -747,7 +778,7 @@ impl<'p> Pipeline<'p> {
         let first_ids = ids_for(heap_strategies[0]);
         let summary = replay_first_access(
             self.program,
-            &trace,
+            trace,
             &first_ids,
             self.opts.vm.max_paths,
             self.opts.threads.effective(),

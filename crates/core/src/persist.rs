@@ -723,12 +723,12 @@ impl DiskCodec for LayoutOrders {
 }
 
 // --- LoweredShard ----------------------------------------------------------
-// The per-(compile, cu) unit of the `lower` disk stage. Locals travel as
-// u32 (the reader has no u16 primitive); operator enums as one tag byte in
-// declaration order. Decode validates tags and value ranges totally —
-// container-relative bounds (locals vs. n_locals, string indices, jump
-// targets, CU coverage) are re-checked by `LoweredProgram::install_shard`,
-// which treats a mismatching shard as a miss.
+// One CU's lowering. No cache stage persists it (shards are realized in
+// memory by the one run of each build); the codec stays for the benchmark's
+// typed round trip. Locals travel as u32 (the reader has no u16
+// primitive); operator enums as one tag byte in declaration order. Decode
+// validates tags and value ranges totally; it does not check bounds
+// relative to a build (locals vs. n_locals, string indices, jump targets).
 
 fn put_local(out: &mut Vec<u8>, l: Local) {
     put_u32(out, u32::from(l.0));
@@ -1218,41 +1218,26 @@ mod tests {
     }
 
     #[test]
-    fn lowered_shards_roundtrip_and_install() {
+    fn lowered_shards_roundtrip() {
         let program = tiny_program();
         let pipeline = Pipeline::new(&program, BuildOptions::default());
         let reach = pipeline.analyze_stage();
         // FULL instrumentation so the shard also carries path tables.
         let compiled = pipeline.compile_stage(reach, InstrumentConfig::FULL, None);
         let source = nimage_vm::LoweredProgram::new(&program, &compiled, 1 << 16);
-        let target = nimage_vm::LoweredProgram::new(&program, &compiled, 1 << 16);
         for cu in &compiled.cus {
             let shard = source.extract_shard(&program, &compiled, cu.id);
+            assert!(!shard.paths.is_empty());
             let mut bytes = vec![];
             shard.encode(&mut bytes);
-            let decoded = LoweredShard::decode(&mut Reader::new(&bytes)).expect("shard roundtrips");
+            let mut r = Reader::new(&bytes);
+            let decoded = LoweredShard::decode(&mut r).expect("shard roundtrips");
+            assert!(r.is_empty());
             assert_eq!(format!("{shard:?}"), format!("{decoded:?}"));
-            assert!(target.install_shard(&compiled, &decoded));
-            assert!(target.is_cu_lowered(cu.id));
+            // Every byte is load-bearing: a strict prefix never decodes.
+            assert!(LoweredShard::decode(&mut Reader::new(&bytes[..bytes.len() - 1])).is_none());
         }
-        // Installed bodies are bit-identical to locally lowered ones.
-        for cu in &compiled.cus {
-            for node in &compiled.cu(cu.id).nodes {
-                assert_eq!(
-                    format!("{:?}", source.method(node.method)),
-                    format!("{:?}", target.method(node.method)),
-                );
-            }
-        }
-        assert_eq!(target.shards_lowered_lazy(), 0);
-        assert_eq!(target.shards_lowered_eager(), compiled.cus.len() as u64);
-        // A shard that does not cover its CU's inline tree is rejected.
-        let mut truncated = source.extract_shard(&program, &compiled, compiled.cus[0].id);
-        truncated.methods.clear();
-        truncated.paths.clear();
-        let fresh = nimage_vm::LoweredProgram::new(&program, &compiled, 1 << 16);
-        assert!(!fresh.install_shard(&compiled, &truncated));
-        assert!(!fresh.is_cu_lowered(compiled.cus[0].id));
+        assert_eq!(source.shards_lowered_eager(), compiled.cus.len() as u64);
     }
 
     #[test]

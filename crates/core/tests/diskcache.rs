@@ -7,13 +7,14 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
+use nimage_compiler::InstrumentConfig;
 use nimage_core::{
     BuildOptions, CacheKey, DiskCacheOptions, DiskCodec, DiskStore, Engine, EngineOptions,
-    Pipeline, Strategy, WorkloadSpec,
+    Pipeline, RunParts, Strategy, WorkloadSpec,
 };
 use nimage_heap::ObjId;
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
-use nimage_vm::StopWhen;
+use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
 
 /// A fresh per-test cache root under the system temp dir.
 fn cache_root(tag: &str) -> PathBuf {
@@ -97,41 +98,50 @@ fn typed_roundtrip_hits_on_second_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn truncated_and_corrupt_entries_are_misses_never_errors() {
-    let dir = cache_root("corrupt");
+/// Damages the entry of `value` under `(stage, key)` every way a disk can
+/// (truncation, a flipped payload byte, wrong magic, an undecodable
+/// payload, trailing garbage) and checks each load is a rejected miss —
+/// and that the pristine bytes still load afterwards.
+fn damaged_entries_are_misses<T: DiskCodec>(tag: &str, stage: &str, value: &T) {
+    let dir = cache_root(tag);
     let store = DiskStore::open(&DiskCacheOptions::at(&dir));
-    let key = CacheKey::of_debug("test", &"corrupt");
-    store.put("assign-ids", key, &sample_map());
+    let key = CacheKey::of_debug("test", &tag);
+    store.put(stage, key, value);
     let path = only_entry(store.root());
     let pristine = std::fs::read(&path).unwrap();
+    // Loads compare by canonical encoding (the codecs sort map entries).
+    let encoded = |v: &T| {
+        let mut out = Vec::new();
+        v.encode(&mut out);
+        out
+    };
+    let load = || store.get::<T>(stage, key).map(|v| encoded(&v));
 
     // Truncated file (header survives, payload cut short).
     std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-    assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
+    assert_eq!(load(), None);
 
     // Flipped payload byte: checksum mismatch.
     let mut flipped = pristine.clone();
     *flipped.last_mut().unwrap() ^= 0xff;
     std::fs::write(&path, &flipped).unwrap();
-    assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
+    assert_eq!(load(), None);
 
     // Wrong magic.
     let mut bad_magic = pristine.clone();
     bad_magic[0] = b'X';
     std::fs::write(&path, &bad_magic).unwrap();
-    assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
+    assert_eq!(load(), None);
 
     // A valid header over an undecodable payload (three stray bytes).
-    store.store("assign-ids", key, &[0xff, 0xff, 0xff]);
-    assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
+    store.store(stage, key, &[0xff, 0xff, 0xff]);
+    assert_eq!(load(), None);
 
     // A valid encoding followed by trailing garbage must not half-decode.
-    let mut payload = Vec::new();
-    sample_map().encode(&mut payload);
+    let mut payload = encoded(value);
     payload.push(0);
-    store.store("assign-ids", key, &payload);
-    assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
+    store.store(stage, key, &payload);
+    assert_eq!(load(), None);
 
     let s = store.stats();
     assert_eq!(s.hits, 0);
@@ -140,11 +150,23 @@ fn truncated_and_corrupt_entries_are_misses_never_errors() {
 
     // The pristine bytes still load: nothing above poisoned the store.
     std::fs::write(&path, &pristine).unwrap();
-    assert_eq!(
-        store.get::<HashMap<ObjId, u64>>("assign-ids", key),
-        Some(sample_map())
-    );
+    assert_eq!(load(), Some(encoded(value)));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_and_corrupt_entries_are_misses_never_errors() {
+    damaged_entries_are_misses("corrupt", "assign-ids", &sample_map());
+    let program = program();
+    let pipeline = Pipeline::new(&program, BuildOptions::default());
+    let built = pipeline.build_instrumented(InstrumentConfig::NONE).unwrap();
+    let run: (RunReport, AccessLog) = pipeline
+        .run_logged(
+            RunParts::new(&built.compiled, &built.snapshot, &built.image),
+            StopWhen::Exit,
+        )
+        .unwrap();
+    damaged_entries_are_misses("corrupt-run", "baseline-run", &run);
 }
 
 #[test]
@@ -592,5 +614,56 @@ fn gcd_then_warm_run_reproduces_cold_results() {
         assert_eq!(e1.optimized.ops, e2.optimized.ops);
         assert_eq!(e1.optimized.entry_return, e2.optimized.entry_return);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `baseline-run` entry that is intact on disk but whose access log does
+/// not fit the build (here: a CU index past the end) is rejected when
+/// loaded and the run is recomputed — never handed to the relayout, which
+/// indexes the build without checks.
+#[test]
+fn a_logged_run_that_does_not_fit_the_build_is_recomputed() {
+    let dir = cache_root("badlog");
+    let program = program();
+    let strategies = [Strategy::Cu, Strategy::HeapPath];
+    let evaluate = || {
+        let engine = Engine::new(EngineOptions {
+            n_threads: 1,
+            disk: Some(DiskCacheOptions::at(&dir)),
+            trace: Default::default(),
+        });
+        let spec = WorkloadSpec::new("t", &program, BuildOptions::default(), StopWhen::Exit);
+        let cells = engine
+            .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
+            .unwrap();
+        let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
+        let run = engine.stats().disk_stages.unwrap()["baseline-run"];
+        (rows, run)
+    };
+    let (cold_rows, _) = evaluate();
+
+    // Rewrite the persisted run with a log touching a CU the build does
+    // not have, under a valid header and checksum.
+    let store = DiskStore::open(&DiskCacheOptions::at(&dir));
+    let path = only_entry(&store.root().join("baseline-run"));
+    let hex = path.file_stem().unwrap().to_str().unwrap().to_string();
+    let key = CacheKey(
+        u64::from_str_radix(&hex[..16], 16).unwrap(),
+        u64::from_str_radix(&hex[16..], 16).unwrap(),
+    );
+    let (report, log) = store
+        .get::<(RunReport, AccessLog)>("baseline-run", key)
+        .expect("the cold run persisted its run");
+    let mut touches = log.touches().to_vec();
+    touches.push(Touch::Code {
+        cu: u32::MAX,
+        node: 0,
+    });
+    let bad = AccessLog::from_parts(touches, log.respond_at()).unwrap();
+    store.put("baseline-run", key, &(report, bad));
+
+    let (warm_rows, run) = evaluate();
+    assert_eq!((run.rejected, run.stores), (1, 1), "{run:?}");
+    assert_eq!(cold_rows, warm_rows);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,16 +1,21 @@
-//! Property tests for the fine-grained disk codecs: the compiled program
-//! and the heap snapshot must round-trip bit-exactly through their
-//! `DiskCodec` encodings for any pipeline-producible artifact, and the
-//! decoders must be total — arbitrary or truncated bytes are rejected,
-//! never a panic or an oversized allocation.
+//! Property tests for the fine-grained disk codecs: the compiled program,
+//! the heap snapshot and the `baseline-run` entry (a run report plus its
+//! access log) must round-trip bit-exactly through their `DiskCodec`
+//! encodings for any pipeline-producible artifact, and the decoders must
+//! be total — arbitrary or truncated bytes are rejected, never a panic or
+//! an oversized allocation.
 
 use proptest::prelude::*;
 
 use nimage_compiler::{CompiledProgram, InstrumentConfig};
 use nimage_core::diskcache::Reader;
-use nimage_core::{BuildOptions, DiskCodec, Pipeline, ProfiledArtifacts};
+use nimage_core::{BuildOptions, DiskCodec, Pipeline, ProfiledArtifacts, RunParts};
 use nimage_heap::HeapSnapshot;
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
+use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
+
+/// The `baseline-run` disk entry.
+type LoggedRun = (RunReport, AccessLog);
 
 /// A small synthetic program family parameterized enough to vary CU
 /// counts, inline trees, array contents and interned strings.
@@ -157,6 +162,56 @@ proptest! {
     }
 
     #[test]
+    fn logged_run_roundtrips(
+        n_helpers in 1usize..4,
+        arr_len in 1u32..48,
+        bits in 0u8..8,
+    ) {
+        let program = program(n_helpers, arr_len);
+        let pipeline = Pipeline::new(&program, BuildOptions::default());
+        let built = pipeline.build_instrumented(instrument(bits)).expect("builds");
+        let run: LoggedRun = pipeline
+            .run_logged(
+                RunParts::new(&built.compiled, &built.snapshot, &built.image),
+                StopWhen::Exit,
+            )
+            .expect("runs");
+        prop_assert!(!run.1.touches().is_empty());
+
+        let mut buf = Vec::new();
+        run.encode(&mut buf);
+        let mut r = Reader::new(&buf);
+        let decoded = LoggedRun::decode(&mut r).expect("round-trip decodes");
+        prop_assert!(r.is_empty(), "decode must consume the whole payload");
+        prop_assert_eq!(format!("{:?}", decoded.0), format!("{:?}", run.0));
+        prop_assert!(decoded.1 == run.1, "the log changed in the round trip");
+        prop_assert!(LoggedRun::decode(&mut Reader::new(&buf[..buf.len() - 1])).is_none());
+    }
+
+    #[test]
+    fn access_logs_roundtrip(
+        raw in proptest::collection::vec((0u8..3, any::<u32>(), any::<u64>()), 0..64),
+        respond in 0usize..80,
+    ) {
+        let touches: Vec<Touch> = raw
+            .iter()
+            .map(|&(kind, a, b)| match kind {
+                0 => Touch::Code { cu: a, node: b as u32 },
+                1 => Touch::Object { obj: a, offset: b },
+                _ => Touch::Native { page: a },
+            })
+            .collect();
+        let n = touches.len();
+        let log = AccessLog::from_parts(touches, (respond <= n).then_some(respond))
+            .expect("response position within the log");
+        let mut buf = Vec::new();
+        log.encode(&mut buf);
+        let mut r = Reader::new(&buf);
+        prop_assert!(AccessLog::decode(&mut r) == Some(log));
+        prop_assert!(r.is_empty());
+    }
+
+    #[test]
     fn decoders_are_total_over_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
@@ -165,7 +220,23 @@ proptest! {
         let _ = CompiledProgram::decode(&mut Reader::new(&bytes));
         let _ = HeapSnapshot::decode(&mut Reader::new(&bytes));
         let _ = ProfiledArtifacts::decode(&mut Reader::new(&bytes));
+        let _ = LoggedRun::decode(&mut Reader::new(&bytes));
+        let _ = AccessLog::decode(&mut Reader::new(&bytes));
     }
+}
+
+/// A response position past the end of the log does not decode.
+#[test]
+fn access_log_response_must_lie_within_the_log() {
+    let mut buf = Vec::new();
+    AccessLog::from_parts(vec![Touch::Native { page: 3 }], Some(1))
+        .unwrap()
+        .encode(&mut buf);
+    assert!(AccessLog::decode(&mut Reader::new(&buf)).is_some());
+    // The trailing u64 is the response position: 1 → 2.
+    let at = buf.len() - 8;
+    buf[at] = 2;
+    assert!(AccessLog::decode(&mut Reader::new(&buf)).is_none());
 }
 
 /// The regression the clamp exists for: a length prefix claiming ~4 Gi
@@ -177,4 +248,5 @@ fn huge_length_prefixes_fail_fast() {
     assert!(CompiledProgram::decode(&mut Reader::new(&bytes)).is_none());
     assert!(HeapSnapshot::decode(&mut Reader::new(&bytes)).is_none());
     assert!(ProfiledArtifacts::decode(&mut Reader::new(&bytes)).is_none());
+    assert!(AccessLog::decode(&mut Reader::new(&bytes)).is_none());
 }

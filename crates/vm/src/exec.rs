@@ -1,12 +1,13 @@
-//! The interpreter VM: executes a compiled image under the paging simulator
-//! with optional profiling instrumentation.
+//! The interpreter VM: executes a compiled image with optional profiling
+//! instrumentation, logging its first touches for the paging replay.
 //!
 //! Execution is fully deterministic: threads are scheduled round-robin with
 //! a fixed quantum, allocation order is program order, and every source of
 //! time is an operation counter. Page faults arise exactly where a real
 //! memory-mapped binary would fault: on first execution of a compilation
 //! unit's bytes in `.text`, and on first access to a snapshot object's bytes
-//! in `.svm_heap`.
+//! in `.svm_heap` — computed after the run by paging its
+//! [`AccessLog`] against the image ([`crate::access`]).
 
 use std::sync::Arc;
 
@@ -20,9 +21,10 @@ use nimage_ir::{
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
 
+use crate::access::{tail_pages, AccessLog, FirstTouches};
 use crate::heap_rt::{RtHeap, RtObject, RtValue};
 use crate::lower::{JumpEdge, LoweredCallee, LoweredInstr, LoweredProgram};
-use crate::paging::{PagingConfig, PagingSim};
+use crate::paging::{PagingConfig, PagingConfigError, SectionFaults};
 use crate::report::{ExitKind, ResponsePoint, RunReport};
 
 /// Probe cost model: extra interpreter operations charged per
@@ -163,6 +165,14 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
+impl From<PagingConfigError> for VmError {
+    fn from(e: PagingConfigError) -> Self {
+        VmError::Config {
+            detail: e.to_string(),
+        }
+    }
+}
+
 struct Frame {
     method: MethodId,
     cu: CuId,
@@ -192,7 +202,8 @@ pub struct Vm<'a> {
     snapshot: &'a HeapSnapshot,
     image: &'a BinaryImage,
     config: VmConfig,
-    paging: PagingSim,
+    /// First touches of this run, paged against the image at exit.
+    touches: FirstTouches,
     heap: RtHeap,
     session: Option<TraceSession>,
     /// The pre-lowered program [`Vm::run`] dispatches over (`None` until
@@ -217,7 +228,6 @@ pub struct Vm<'a> {
     call_counts: Vec<u64>,
     first_response: Option<ResponsePoint>,
     entry_return: Option<RtValue>,
-    native_seen: std::collections::HashSet<u32>,
     native_touch_pages: Vec<u32>,
     /// Object-relative touched-byte spans per snapshot object, recorded on
     /// heap-traced runs (keyed by raw snapshot object index). Canonicalized
@@ -288,7 +298,7 @@ impl<'a> VmBuilder<'a> {
 
     /// Records page-fault and shard-fault instants into `trace`. The
     /// default is [`Tracer::disabled`] — zero events, one branch per
-    /// fault. Tracing never changes results: the paging simulator runs
+    /// fault. Tracing never changes results: the paging replay runs
     /// identically either way, and the report is assembled from the same
     /// state (pinned by `core/tests/trace_neutral.rs`).
     #[must_use]
@@ -325,7 +335,7 @@ impl<'a> VmBuilder<'a> {
         };
         let n_methods = program.methods().len();
         Vm {
-            paging: PagingSim::new(image, config.paging.clone()),
+            touches: FirstTouches::new(compiled, snapshot, &image.options),
             heap,
             program,
             compiled,
@@ -343,7 +353,6 @@ impl<'a> VmBuilder<'a> {
             call_counts: vec![0; n_methods],
             first_response: None,
             entry_return: None,
-            native_seen: std::collections::HashSet::new(),
             native_touch_pages: Vec::new(),
             heap_touch_spans: std::collections::HashMap::new(),
             probe_scale,
@@ -394,31 +403,6 @@ impl<'a> Vm<'a> {
         self.path_tables[i].as_deref().expect("just filled")
     }
 
-    /// Records `n` major-fault instants against `section` (no-op — one
-    /// branch — when the tracer is disabled; faults are rare next to ops,
-    /// so the enabled path never shows up on the run either).
-    #[inline]
-    fn fault_instants(&self, section: &'static str, n: u64) {
-        if n == 0 || !self.trace.is_enabled() {
-            return;
-        }
-        for _ in 0..n {
-            self.trace
-                .instant("page-fault", || format!("section={section}"));
-        }
-    }
-
-    /// Touches the code bytes of an inline node.
-    fn touch_code(&mut self, cu: CuId, node: u32) {
-        let cu_ref = self.compiled.cu(cu);
-        let n = &cu_ref.nodes[node as usize];
-        let off = self.image.cu_offset(cu) + u64::from(n.offset);
-        let faults = self
-            .paging
-            .touch_range(self.image, off, u64::from(n.size.max(1)));
-        self.fault_instants(".text", faults);
-    }
-
     /// Runtime error helper.
     fn err_sig(&self, m: MethodId) -> String {
         self.program.method_signature(m)
@@ -434,7 +418,7 @@ impl<'a> Vm<'a> {
         args: Vec<RtValue>,
         ret_slot: Option<Local>,
     ) {
-        self.touch_code(cu, node);
+        self.touches.code(cu, node);
         self.call_counts[method.index()] += 1;
         if self.compiled.instrumentation.trace_methods {
             let sig = self.sig_idx(method);
@@ -578,42 +562,52 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Touches bytes of the native tail: records the logical first-touch
-    /// order (the profile of the native-reordering extension) and routes the
-    /// access through the tail's page permutation, if one was applied.
-    fn touch_native(&mut self, logical_offset: u64) {
+    /// Touches logical page `page` of the native tail (below its page
+    /// count): logged for paging, and recorded in the logical first-touch
+    /// order (the profile of the native-reordering extension) when the page
+    /// lies inside the tail.
+    fn touch_native(&mut self, page: u64) {
         let ps = self.image.options.page_size;
-        if logical_offset >= self.image.native_start && logical_offset < self.image.text.size {
-            let page = ((logical_offset - self.image.native_start) / ps) as u32;
-            if self.native_seen.insert(page) {
-                self.native_touch_pages.push(page);
-            }
+        if self.touches.native(page as u32) && page * ps < self.image.options.native_tail {
+            self.native_touch_pages.push(page as u32);
         }
-        let mapped = self.image.map_native_offset(logical_offset);
-        if self.paging.touch(self.image, mapped) {
-            self.fault_instants(".text", 1);
+    }
+
+    /// The native-tail page an intrinsic's code lands on: each intrinsic
+    /// has its own (scattered) page of the statically linked libraries,
+    /// like libm entry points do.
+    fn intrinsic_page(&self, op: Intrinsic) -> u64 {
+        (op as u64 + 2) * 131 % tail_pages(&self.image.options)
+    }
+
+    /// Records the first `respond`: the counters now, the faults once the
+    /// log is paged.
+    fn note_response(&mut self) {
+        if self.first_response.is_none() {
+            self.first_response = Some(ResponsePoint {
+                ops: self.ops,
+                probe_ops: self.probe_ops,
+                faults: SectionFaults::default(),
+            });
+            self.touches.respond();
         }
     }
 
     /// Touches the `.svm_heap` bytes of an image object access.
     fn touch_object(&mut self, r: u32, byte_offset: u64) {
-        if let Some(obj) = self.heap.as_obj_id(r) {
-            if let Some(off) = self.image.object_offset(obj) {
-                if self.paging.touch(self.image, off + byte_offset) {
-                    self.fault_instants(".svm_heap", 1);
+        let Some(obj) = self.heap.as_obj_id(r) else {
+            return;
+        };
+        if self.touches.object(obj, byte_offset) && self.trace_heap() {
+            // Grow the last span when accesses walk forward (the common
+            // field/array scan); anything else opens a new span and is
+            // merged at report time.
+            let spans = self.heap_touch_spans.entry(obj.0).or_default();
+            match spans.last_mut() {
+                Some(s) if byte_offset >= s.0 && byte_offset <= s.1 => {
+                    s.1 = s.1.max(byte_offset + 1);
                 }
-                if self.trace_heap() {
-                    // Grow the last span when accesses walk forward (the
-                    // common field/array scan); anything else opens a new
-                    // span and is merged at report time.
-                    let spans = self.heap_touch_spans.entry(obj.0).or_default();
-                    match spans.last_mut() {
-                        Some(s) if byte_offset >= s.0 && byte_offset <= s.1 => {
-                            s.1 = s.1.max(byte_offset + 1);
-                        }
-                        _ => spans.push((byte_offset, byte_offset + 1)),
-                    }
-                }
+                _ => spans.push((byte_offset, byte_offset + 1)),
             }
         }
     }
@@ -637,11 +631,25 @@ impl<'a> Vm<'a> {
     /// over flat, pre-decoded instruction arrays (see [`crate::lower`]).
     ///
     /// # Errors
-    /// Returns a [`VmError`] if the program performs an illegal operation.
+    /// Returns a [`VmError`] if the program performs an illegal operation
+    /// or the paging configuration is invalid.
     ///
     /// # Panics
     /// Panics if the program has no entry point.
-    pub fn run(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
+    pub fn run(self, stop: StopWhen) -> Result<RunReport, VmError> {
+        self.run_logged(stop).map(|(report, _)| report)
+    }
+
+    /// [`Vm::run`], also returning the run's [`AccessLog`]: with it,
+    /// [`crate::relayout`] produces this build's report on any other image
+    /// without executing again.
+    ///
+    /// # Errors
+    /// As [`Vm::run`].
+    ///
+    /// # Panics
+    /// Panics if the program has no entry point.
+    pub fn run_logged(mut self, stop: StopWhen) -> Result<(RunReport, AccessLog), VmError> {
         let lp = self.lowered.take().unwrap_or_else(|| {
             // Standalone runs get the lazy sharded container; shards
             // fault in per CU as execution first enters them.
@@ -664,28 +672,28 @@ impl<'a> Vm<'a> {
     /// has no other caller; nothing in a configuration selects it.
     ///
     /// # Errors
-    /// Returns a [`VmError`] if the program performs an illegal operation.
+    /// As [`Vm::run`].
     ///
     /// # Panics
     /// Panics if the program has no entry point.
     pub fn run_reference(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
         self.lowered = None;
-        self.execute(stop)
+        self.execute(stop).map(|(report, _)| report)
     }
 
     /// The scheduler loop shared by both engines: steps lowered code iff
-    /// `self.lowered` is set.
-    fn execute(mut self, stop: StopWhen) -> Result<RunReport, VmError> {
+    /// `self.lowered` is set, then pages the run's log against the image.
+    fn execute(mut self, stop: StopWhen) -> Result<(RunReport, AccessLog), VmError> {
+        self.config.paging.validate()?;
         let entry = self.program.entry.expect("program has an entry point");
 
         // Native runtime startup: the dynamic loader, libc init and VM
         // runtime touch entry points scattered across the statically linked
         // libraries before main (relocations, TLS setup, locale tables…).
-        let ps = self.image.options.page_size;
-        let tail_pages = (self.image.options.native_tail / ps).max(1);
+        let tail = tail_pages(&self.image.options);
         for p in 0..self.config.startup_native_pages {
-            let page = if p == 0 { 0 } else { (p * 53 + 7) % tail_pages };
-            self.touch_native(self.image.native_start + page * ps);
+            let page = if p == 0 { 0 } else { (p * 53 + 7) % tail };
+            self.touch_native(page);
         }
 
         // Main thread.
@@ -763,15 +771,6 @@ impl<'a> Vm<'a> {
             ExitKind::Exited
         };
 
-        let text_first = self.image.text.offset / self.image.options.page_size;
-        let text_pages = self.image.text_pages();
-        let heap_first = self.image.svm_heap.offset / self.image.options.page_size;
-        let heap_pages = self
-            .image
-            .svm_heap
-            .size
-            .div_ceil(self.image.options.page_size);
-
         let mut heap_touch_spans: Vec<(u32, Vec<(u64, u64)>)> = self
             .heap_touch_spans
             .iter()
@@ -781,21 +780,30 @@ impl<'a> Vm<'a> {
 
         let session_stats = self.session.as_ref().map(|s| s.stats());
         let trace = self.session.take().map(|s| s.into_trace());
-        Ok(RunReport {
+        let mut report = RunReport {
             heap_touch_spans,
             ops: self.ops,
             probe_ops: self.probe_ops,
             native_touch_pages: self.native_touch_pages,
-            faults: self.paging.faults(),
+            faults: SectionFaults::default(),
             first_response: self.first_response,
             call_counts,
             trace,
             session_stats,
             exit,
             entry_return: self.entry_return,
-            text_page_states: self.paging.page_states(text_first, text_pages),
-            heap_page_states: self.paging.page_states(heap_first, heap_pages),
-        })
+            text_page_states: vec![],
+            heap_page_states: vec![],
+        };
+        let log = self.touches.into_log();
+        log.page_into(
+            &mut report,
+            self.compiled,
+            self.image,
+            &self.config.paging,
+            &self.trace,
+        );
+        Ok((report, log))
     }
 
     /// Executes one instruction or terminator on thread `t`.
@@ -1071,17 +1079,10 @@ impl<'a> Vm<'a> {
                 return Ok(());
             }
             LoweredInstr::Intrinsic { dst, op, args } => {
-                let ps = self.image.options.page_size;
-                let tail_pages = (self.image.options.native_tail / ps).max(1);
-                let page = (*op as u64 + 2) * 131 % tail_pages;
-                self.touch_native(self.image.native_start + page * ps);
+                self.touch_native(self.intrinsic_page(*op));
                 let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
-                if *op == Intrinsic::Respond && self.first_response.is_none() {
-                    self.first_response = Some(ResponsePoint {
-                        ops: self.ops,
-                        probe_ops: self.probe_ops,
-                        faults: self.paging.faults(),
-                    });
+                if *op == Intrinsic::Respond {
+                    self.note_response();
                 }
                 let v = eval_intrinsic(*op, &argv);
                 if let Some(d) = dst {
@@ -1456,20 +1457,11 @@ impl<'a> Vm<'a> {
                 }
             }
             Instr::Intrinsic { dst, op, args } => {
-                // Intrinsics execute native code at the end of .text; each
-                // lands on its own (scattered) page of the statically
-                // linked libraries, like libm entry points do.
-                let ps = self.image.options.page_size;
-                let tail_pages = (self.image.options.native_tail / ps).max(1);
-                let page = (*op as u64 + 2) * 131 % tail_pages;
-                self.touch_native(self.image.native_start + page * ps);
+                // Intrinsics execute native code at the end of .text.
+                self.touch_native(self.intrinsic_page(*op));
                 let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
-                if *op == Intrinsic::Respond && self.first_response.is_none() {
-                    self.first_response = Some(ResponsePoint {
-                        ops: self.ops,
-                        probe_ops: self.probe_ops,
-                        faults: self.paging.faults(),
-                    });
+                if *op == Intrinsic::Respond {
+                    self.note_response();
                 }
                 let v = eval_intrinsic(*op, &argv);
                 if let Some(d) = dst {

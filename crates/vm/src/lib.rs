@@ -6,6 +6,11 @@
 //! and `.svm_heap` sections exactly the way the paper measures them with
 //! `perf` (Sec. 7.1).
 //!
+//! Execution and paging are separate: a run logs the first touch of every
+//! layout-independent key ([`AccessLog`]) and the simulator pages that log
+//! against an image afterwards, so one execution of a build yields its
+//! report on every layout of it ([`relayout`]; see [`access`]).
+//!
 //! The VM also hosts the *runtime side* of the tracing profiler (Sec. 6.1):
 //! when the image was compiled with instrumentation, the interpreter emits
 //! CU-entry records, method-entry records and Ball–Larus path records (with
@@ -20,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 mod exec;
 mod faultmap;
 mod heap_rt;
@@ -27,6 +33,7 @@ pub mod lower;
 mod paging;
 mod report;
 
+pub use access::{relayout, AccessLog, Touch};
 pub use exec::{ProbeCosts, StopWhen, Vm, VmBuilder, VmConfig, VmError};
 pub use faultmap::{render_ascii, summarize, touched_extent, PageMapSummary};
 pub use heap_rt::{HeapTemplate, RtHeap, RtObject, RtValue};

@@ -30,9 +30,11 @@
 //! realized on first call into the CU ([`LoweredProgram::ensure_cu`], the
 //! interpreter's fault-in path) or ahead of time for CUs the profile says
 //! are hot ([`LoweredProgram::prelower_cu`], the engine's parallel
-//! pre-lowering wave). A shard can also be installed from a disk-cached
-//! [`LoweredShard`] ([`LoweredProgram::install_shard`]), so warm runs skip
-//! the lowering work entirely.
+//! pre-lowering wave). Shards live in memory only: the engine executes
+//! each build once and pages every layout from that run's access log, so
+//! a warm engine whose runs are disk hits lowers nothing at all. A
+//! realized shard can still be extracted as a serializable
+//! [`LoweredShard`] ([`LoweredProgram::extract_shard`]).
 //!
 //! The string table is frozen eagerly by a pre-scan that replays the exact
 //! interning traversal whole-program lowering used (methods in index order,
@@ -42,10 +44,9 @@
 //! bit-identical between lazy, pre-lowered and whole-program lowering.
 //!
 //! A `LoweredProgram` is shared across runs behind an `Arc`: the evaluation
-//! engine creates one container per compiled build and every (strategy,
-//! workload) cell of the matrix executes against the same copy, faulting
-//! shards in exactly once (`OnceLock` guards make realization idempotent
-//! and race-free). Results are bit-identical to the tree-walking path by
+//! engine creates one container per compiled build, and concurrent runs
+//! against the same copy fault shards in exactly once (`OnceLock` guards
+//! make realization idempotent and race-free). Results are bit-identical to the tree-walking path by
 //! construction — the lowered tables are pure reindexings of the structures
 //! the reference interpreter consults lazily.
 
@@ -283,8 +284,9 @@ pub struct LoweredMethod {
 
 /// The serializable lowering of one compilation unit: the flattened bodies
 /// (and, for heap-tracing builds, path tables) of every method in the CU's
-/// inline tree, sorted by method index. This is the unit the engine
-/// persists under the `lower` disk stage, keyed per `(compile, cu)`.
+/// inline tree, sorted by method index. It has a disk codec
+/// (`nimage_core`'s `DiskCodec`) but no cache stage: shards are realized in
+/// memory by the runs that need them.
 #[derive(Debug, Clone)]
 pub struct LoweredShard {
     /// The compilation unit this shard lowers.
@@ -332,8 +334,8 @@ pub struct LoweredProgram {
     max_paths: u64,
     /// Shards realized by the interpreter's fault-in path.
     lazy_shards: AtomicU64,
-    /// Shards realized ahead of execution (pre-lowering wave, disk
-    /// install, or whole-program [`LoweredProgram::build`]).
+    /// Shards realized ahead of execution (pre-lowering wave, shard
+    /// extraction, or whole-program [`LoweredProgram::build`]).
     eager_shards: AtomicU64,
 }
 
@@ -513,38 +515,8 @@ impl LoweredProgram {
         self.fault_cu(program, compiled, cu, &self.eager_shards)
     }
 
-    /// Installs a disk-decoded shard, validating every index the
-    /// interpreter would otherwise panic on (method/string/local/jump
-    /// bounds, full coverage of the CU's inline tree). Returns `false` —
-    /// treat as a cache miss and re-lower — when the shard is inconsistent
-    /// with this build. Counted as an eagerly lowered shard when it
-    /// realized the CU.
-    pub fn install_shard(&self, compiled: &CompiledProgram, shard: &LoweredShard) -> bool {
-        if !self.validate_shard(compiled, shard) {
-            return false;
-        }
-        let slot = &self.cus[shard.cu as usize];
-        if slot.get().is_some() {
-            return true;
-        }
-        let mut fresh = false;
-        slot.get_or_init(|| {
-            for (mi, m) in &shard.methods {
-                let _ = self.methods[*mi as usize].set(m.clone());
-            }
-            for (mi, p) in &shard.paths {
-                let _ = self.paths[*mi as usize].set(p.clone());
-            }
-            fresh = true;
-        });
-        if fresh {
-            self.eager_shards.fetch_add(1, Ordering::Relaxed);
-        }
-        true
-    }
-
     /// Extracts the serializable shard of `cu`, realizing it first if
-    /// needed (counted eager — this is the engine's write-back path).
+    /// needed (counted eager).
     pub fn extract_shard(
         &self,
         program: &Program,
@@ -576,100 +548,6 @@ impl LoweredProgram {
         }
     }
 
-    /// Full consistency check of a decoded shard against this build: CU in
-    /// range, methods strictly sorted, covering the CU's whole inline tree,
-    /// every local/string/jump index in bounds, and path tables present for
-    /// exactly the tracing configuration of this build.
-    fn validate_shard(&self, compiled: &CompiledProgram, shard: &LoweredShard) -> bool {
-        if shard.cu as usize >= self.cus.len() {
-            return false;
-        }
-        let sorted = |v: &[u32]| v.windows(2).all(|w| w[0] < w[1]);
-        if !sorted(&shard.methods.iter().map(|(mi, _)| *mi).collect::<Vec<_>>())
-            || !sorted(&shard.paths.iter().map(|(mi, _)| *mi).collect::<Vec<_>>())
-        {
-            return false;
-        }
-        if shard
-            .methods
-            .iter()
-            .any(|(mi, _)| *mi as usize >= self.methods.len())
-            || shard
-                .paths
-                .iter()
-                .any(|(mi, _)| *mi as usize >= self.paths.len())
-        {
-            return false;
-        }
-        // The shard must lower the CU's entire inline tree — a frame can
-        // enter any node method once the shard guard is set.
-        let mut mids: Vec<u32> = compiled
-            .cu(CuId(shard.cu))
-            .nodes
-            .iter()
-            .map(|n| n.method.0)
-            .collect();
-        mids.sort_unstable();
-        mids.dedup();
-        let have: Vec<u32> = shard.methods.iter().map(|(mi, _)| *mi).collect();
-        if have != mids {
-            return false;
-        }
-        let want_paths: Vec<u32> = if self.trace_heap { mids } else { vec![] };
-        let have_paths: Vec<u32> = shard.paths.iter().map(|(mi, _)| *mi).collect();
-        if have_paths != want_paths {
-            return false;
-        }
-        shard.methods.iter().all(|(_, m)| self.validate_method(m))
-    }
-
-    /// Bounds-checks one decoded method body against the container's
-    /// tables (the interpreter indexes without checks on these paths).
-    fn validate_method(&self, m: &LoweredMethod) -> bool {
-        let n_code = m.code.len() as u32;
-        let n_blocks = m.block_start.len() as u32;
-        let local = |l: &Local| u32::from(l.0) < u32::from(m.n_locals);
-        let opt_local = |l: &Option<Local>| l.as_ref().is_none_or(local);
-        let edge = |e: &JumpEdge| e.pc < n_code && e.block < n_blocks;
-        if m.block_start.iter().any(|&pc| pc > n_code) {
-            return false;
-        }
-        m.code.iter().all(|ins| match ins {
-            LoweredInstr::ConstInt(d, _)
-            | LoweredInstr::ConstDouble(d, _)
-            | LoweredInstr::ConstBool(d, _)
-            | LoweredInstr::ConstNull(d) => local(d),
-            LoweredInstr::ConstStr(d, s) => local(d) && (*s as usize) < self.strings.len(),
-            LoweredInstr::Move(d, s)
-            | LoweredInstr::Un(_, d, s)
-            | LoweredInstr::ArrayLen(d, s)
-            | LoweredInstr::StrLen(d, s) => local(d) && local(s),
-            LoweredInstr::Bin(_, d, a, b)
-            | LoweredInstr::ArrayGet(d, a, b)
-            | LoweredInstr::ArraySet(d, a, b)
-            | LoweredInstr::StrCharAt(d, a, b)
-            | LoweredInstr::StrConcat(d, a, b) => local(d) && local(a) && local(b),
-            LoweredInstr::New(d, c) => local(d) && c.index() < self.field_defaults.len(),
-            LoweredInstr::NewArray(d, _, l) => local(d) && local(l),
-            LoweredInstr::GetField(d, o, _) => local(d) && local(o),
-            LoweredInstr::PutField(o, _, s) => local(o) && local(s),
-            LoweredInstr::GetStatic(d, _) => local(d),
-            LoweredInstr::PutStatic(_, s) => local(s),
-            LoweredInstr::Call { dst, args, .. } => opt_local(dst) && args.iter().all(local),
-            LoweredInstr::Intrinsic { dst, args, .. } => opt_local(dst) && args.iter().all(local),
-            LoweredInstr::Spawn { method, args } => {
-                method.index() < self.methods.len() && args.iter().all(local)
-            }
-            LoweredInstr::Ret(v) => opt_local(v),
-            LoweredInstr::Jump(e) => edge(e),
-            LoweredInstr::Br {
-                cond,
-                then_e,
-                else_e,
-            } => local(cond) && edge(then_e) && edge(else_e),
-        })
-    }
-
     /// Number of compilation units (= number of shards).
     pub fn n_cus(&self) -> usize {
         self.cus.len()
@@ -685,8 +563,8 @@ impl LoweredProgram {
         self.lazy_shards.load(Ordering::Relaxed)
     }
 
-    /// Shards realized ahead of execution (pre-lowering wave, disk
-    /// install, whole-program build) so far.
+    /// Shards realized ahead of execution (pre-lowering wave, shard
+    /// extraction, whole-program build) so far.
     pub fn shards_lowered_eager(&self) -> u64 {
         self.eager_shards.load(Ordering::Relaxed)
     }

@@ -203,6 +203,70 @@ fn snapshot_accesses_fault_heap_pages() {
     );
 }
 
+/// The access log against page arithmetic done by hand: a snapshot array
+/// scanned twice logs each element's first touch exactly once, and with
+/// no fault-around every page those elements span faults exactly once.
+#[test]
+fn array_scans_log_each_element_once_and_fault_each_page_once() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.add_class("t.Data", None);
+    let fld = pb.add_static_field(c, "BIG", TypeRef::array_of(TypeRef::Int));
+    let cl = pb.declare_clinit(c);
+    let mut f = pb.body(cl);
+    let n = f.iconst(3000);
+    let arr = f.new_array(TypeRef::Int, n);
+    f.put_static(fld, arr);
+    f.ret(None);
+    pb.finish_body(cl, f);
+    let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
+    let mut f = pb.body(main);
+    let arr = f.get_static(fld);
+    let acc = f.iconst(0);
+    for _ in 0..2 {
+        let from = f.iconst(0);
+        let to = f.iconst(3000);
+        f.for_range(from, to, |f, i| {
+            let v = f.array_get(arr, i);
+            let s = f.add(acc, v);
+            f.assign(acc, s);
+        });
+    }
+    f.ret(Some(acc));
+    pb.finish_body(main, f);
+    pb.set_entry(main);
+    let p = pb.build().unwrap();
+
+    let (cp, snap, img) = build(&p, InstrumentConfig::NONE);
+    let cfg = VmConfig {
+        paging: nimage_vm::PagingConfig {
+            fault_around_pages: 1,
+        },
+        ..VmConfig::default()
+    };
+    let (r, log) = Vm::new(&p, &cp, &snap, &img, cfg)
+        .run_logged(StopWhen::Exit)
+        .unwrap();
+    let Some((_, nimage_heap::HValue::Ref(big))) = snap.heap().statics().next() else {
+        panic!("the initializer stored the array");
+    };
+    let offsets: Vec<u64> = log
+        .touches()
+        .iter()
+        .filter_map(|t| match *t {
+            nimage_vm::Touch::Object { obj, offset } if obj == big.0 => Some(offset),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<u64> = (0..3000).map(|i| 24 + 8 * i).collect();
+    assert_eq!(offsets, expected, "one logged touch per element, in order");
+
+    let base = img.object_offset(big).unwrap();
+    let ps = img.options.page_size;
+    let mut pages: Vec<u64> = expected.iter().map(|o| (base + o) / ps).collect();
+    pages.dedup();
+    assert_eq!(r.faults.svm_heap, pages.len() as u64);
+}
+
 #[test]
 fn runtime_allocations_do_not_fault_heap_pages() {
     let mut pb = ProgramBuilder::new();

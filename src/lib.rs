@@ -18,7 +18,9 @@
 //! * [`profiler`] — per-thread trace buffers and the two dump modes;
 //! * [`vm`] — a deterministic interpreter with a demand-paging simulator
 //!   (`Vm::run`; `Vm::run_reference` is the tree-walking oracle tests
-//!   compare it against);
+//!   compare it against), which pages a run's first-touch access log
+//!   after the run — so `vm::relayout` gives one run's report on any
+//!   other layout of the same build;
 //! * [`order`] — the paper's contribution: the single first-occurrence
 //!   trace-replay pass, the ordering profiles and their CSV format, the
 //!   code- and heap-ordering strategies and the cross-build

@@ -64,3 +64,35 @@ fn workflow_clippy_lines_lint_the_whole_workspace() {
     }
     assert!(checked > 0, "found no `cargo clippy` line to check");
 }
+
+/// The warm-cache job gates on what a warm engine does: interpret nothing
+/// and lower nothing, since each build executes once and that run is a
+/// disk hit. It must not gate on the retired per-CU `lower` disk stage, nor
+/// on a `run` row of `nimage bench`'s `stage_speedups` (which timed repeat
+/// executions the engine no longer makes) — and the report schema must not
+/// require that row.
+#[test]
+fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("readable ci.yml");
+    for gate in [
+        "counters.get('vm.executions', 0) == 0",
+        "shards['lazy'] == 0 and shards['eager'] == 0",
+        "'lower' not in stages",
+    ] {
+        assert!(ci.contains(gate), "ci.yml lost the warm gate `{gate}`");
+    }
+    for retired in [
+        "stages.get('lower'",
+        "shards['cus']",
+        "'run' in warm['stage_speedups']",
+    ] {
+        assert!(!ci.contains(retired), "ci.yml still gates on `{retired}`");
+    }
+    let schema =
+        fs::read_to_string(root.join("ci/report_schema.json")).expect("readable report schema");
+    assert!(
+        schema.contains(r#""required": ["compile", "replay"]"#),
+        "stage_speedups must require exactly compile and replay"
+    );
+}

@@ -125,6 +125,12 @@ fn engine_computes_shared_artifacts_once_per_workload() {
     // Instrumented + optimized compile and snapshot: two misses each.
     assert_eq!(by_name("compile").misses, 2);
     assert_eq!(by_name("snapshot").misses, 2);
+    // Two interpretations — the profiling run and the optimized build's
+    // one run — and every strategy cell pages that run's log instead.
+    let counters = engine.tracer().metrics().counters;
+    let counter = |key: &str| counters.get(key).copied().unwrap_or(0);
+    assert_eq!(counter("vm.executions"), 2);
+    assert_eq!(counter("vm.relayouts"), strategies.len() as u64);
 
     // A second pass over the same workload is answered from the cache:
     // no stage misses again.
@@ -158,7 +164,8 @@ fn engine_reports_stage_times_for_computed_work() {
 /// What a second `nimage eval --cache-dir <same>` does: a fresh engine over
 /// a cache directory another engine filled finds every persisted stage
 /// under the same keys (nothing stored, nothing rejected) and — compile
-/// being a disk hit — never runs reachability analysis.
+/// being a disk hit — never runs reachability analysis; with both runs
+/// disk hits, it never interprets or lowers anything either.
 #[test]
 fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
     let dir = std::env::temp_dir().join(format!("nimage-warm-engine-{}", std::process::id()));
@@ -175,20 +182,35 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
             .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
             .unwrap();
         let rows: Vec<String> = cells.iter().map(|c| render(c.strategy, &c.eval)).collect();
-        let disk = engine.stats().disk.expect("disk tier configured");
+        let stats = engine.stats();
         let spans = nimage_trace::aggregate(&engine.tracer().events());
         let count = |name: &str| spans.get(name).map_or(0, |a| a.count);
-        (rows, disk, count("analyze"), count("fingerprint"))
+        let executions = engine
+            .tracer()
+            .metrics()
+            .counters
+            .get("vm.executions")
+            .copied()
+            .unwrap_or(0);
+        let warm_work = (executions, stats.lowered_shards, stats.disk_stages);
+        let disk = stats.disk.expect("disk tier configured");
+        (
+            rows,
+            disk,
+            count("analyze"),
+            count("fingerprint"),
+            warm_work,
+        )
     };
 
-    let (cold_rows, cold, cold_analyze, _) = run();
+    let (cold_rows, cold, cold_analyze, _, _) = run();
     assert!(
         cold.stores > 0 && cold.hits == 0,
         "cold run fills the cache"
     );
     assert_eq!(cold_analyze, 1, "one workload, one analysis");
 
-    let (warm_rows, warm, warm_analyze, warm_fingerprints) = run();
+    let (warm_rows, warm, warm_analyze, warm_fingerprints, (executions, shards, stages)) = run();
     assert_eq!(warm.stores, 0, "a key moved between engines");
     assert_eq!(warm.rejected, 0);
     assert_eq!(warm.misses, 0);
@@ -197,6 +219,12 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
     assert!(warm.hits > 0 && warm.hits <= cold.stores);
     assert_eq!(warm_analyze, 0, "a disk-hit compile must not analyze");
     assert_eq!(warm_fingerprints, 1, "one fingerprint span per workload");
+    // Both runs are disk hits: nothing is interpreted, nothing lowered,
+    // and no per-CU lowering is persisted or looked up.
+    assert_eq!(executions, 0, "a warm engine executed the VM");
+    assert_eq!((shards.lazy, shards.eager), (0, 0), "{shards:?}");
+    let stages = stages.expect("disk tier configured");
+    assert!(!stages.contains_key("lower"), "{stages:?}");
     assert_eq!(cold_rows, warm_rows);
     let _ = std::fs::remove_dir_all(&dir);
 }
