@@ -32,14 +32,17 @@ pub enum InclusionReason {
 }
 
 impl InclusionReason {
-    /// The string form hashed by the *heap path* strategy (Algorithm 3).
-    pub fn label(&self) -> String {
+    /// The string form hashed by the *heap path* strategy (Algorithm 3),
+    /// as a fixed prefix and the reason's own text (empty for the unit
+    /// reasons): `StaticField:` + signature, `DataSection` + `""`. The label
+    /// is the two concatenated; the hash streams them without building it.
+    pub fn label(&self) -> (&'static str, &str) {
         match self {
-            InclusionReason::StaticField(sig) => format!("StaticField:{sig}"),
-            InclusionReason::MethodConstant(sig) => format!("MethodConstant:{sig}"),
-            InclusionReason::InternedString => "InternedString".to_string(),
-            InclusionReason::DataSection => "DataSection".to_string(),
-            InclusionReason::Resource(name) => format!("Resource:{name}"),
+            InclusionReason::StaticField(sig) => ("StaticField:", sig),
+            InclusionReason::MethodConstant(sig) => ("MethodConstant:", sig),
+            InclusionReason::InternedString => ("InternedString", ""),
+            InclusionReason::DataSection => ("DataSection", ""),
+            InclusionReason::Resource(name) => ("Resource:", name),
         }
     }
 }

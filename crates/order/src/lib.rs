@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod analyses;
-mod entity;
 pub mod murmur3;
 mod optimize;
 mod ordering;

@@ -31,6 +31,10 @@
 //! the clustering finds slack the optimizer *degenerates to first-touch
 //! order exactly* (see DESIGN.md §12).
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use nimage_compiler::CuId;
 use nimage_heap::ObjId;
 
@@ -166,11 +170,12 @@ fn identity_native_order(tail_pages: u64) -> Vec<u32> {
 
 /// The hot/cold-split native-tail permutation: touched pages move to the
 /// front of the tail in first-touch order, untouched pages follow in their
-/// original order. Returns the position array `pos[logical] = physical`.
-fn packed_native_order(native_pages: &[u32], tail_pages: u64) -> Vec<u32> {
+/// original order. `hot` is [`hot_native_pages`]' output. Returns the
+/// position array `pos[logical] = physical`.
+fn packed_native_order(hot: &[u32], tail_pages: u64) -> Vec<u32> {
     let mut pos = vec![u32::MAX; tail_pages as usize];
     let mut next = 0u32;
-    for p in hot_native_pages(native_pages, tail_pages) {
+    for &p in hot {
         pos[p as usize] = next;
         next += 1;
     }
@@ -181,14 +186,6 @@ fn packed_native_order(native_pages: &[u32], tail_pages: u64) -> Vec<u32> {
         }
     }
     pos
-}
-
-/// One fully specified candidate placement.
-#[derive(Debug, Clone)]
-struct Candidate {
-    cu_order: Vec<CuId>,
-    native_order: Vec<u32>,
-    object_order: Option<Vec<ObjId>>,
 }
 
 /// A page-interval set that counts distinct fault-around windows: the
@@ -238,171 +235,212 @@ impl WindowSet {
     }
 }
 
-/// Scores one candidate placement: a byte-exact replica of
-/// `BinaryImage::build`'s cursor arithmetic plus the simulator's
-/// window-counting rule. Hot CUs are costed under the *full-extent* touch
-/// model (every hot CU touches all of its bytes; cold entities touch
-/// none); hot heap objects use their measured touched-byte spans when the
-/// profiling run recorded them (`HeapInput::spans`), falling back to full
-/// extent per unmeasured object.
-///
-/// The full-extent model is an upper bound on the real run's touched byte
-/// set — the VM touches inline nodes and object fields individually — but
-/// it is the *same* upper bound for every candidate, and the native-tail
-/// part is page-exact (startup touches whole pages), so the comparison is
-/// meaningful and the native savings are exact. Measured heap spans
-/// tighten that bound to the bytes startup actually read or wrote, which
-/// lets the heap half stop charging for the cold interiors of large
-/// arrays. See DESIGN.md §12 for when the model's remaining slack makes
-/// the optimizer fall back to first-touch order.
-fn predict(
-    candidate: &Candidate,
-    code: &CodeInput<'_>,
-    heap: Option<&HeapInput<'_>>,
-    params: &CostParams,
-) -> PredictedFaults {
-    let ps = params.page_size;
-    let mut hot_cu = vec![false; code.sizes.len()];
-    for &cu in &code.first_touch[..code.hot] {
-        hot_cu[cu.index()] = true;
-    }
+/// The candidate-independent half of the cost model, computed once per
+/// [`optimize_layout`] call: which CUs, objects and native pages startup
+/// touches.
+struct Scorer<'a> {
+    code: &'a CodeInput<'a>,
+    heap: Option<&'a HeapInput<'a>>,
+    params: &'a CostParams,
+    hot_cu: Vec<bool>,
+    hot_obj: Vec<bool>,
+    /// [`hot_native_pages`] of `code.native_pages`.
+    hot_native: Vec<u32>,
+}
 
-    let mut text = WindowSet::new(params.fault_around_pages);
-    let mut cursor = 0u64;
-    for &cu in &candidate.cu_order {
-        cursor = align_up(cursor, params.cu_align);
-        let size = code.sizes[cu.index()];
-        if hot_cu[cu.index()] {
-            text.touch_bytes(cursor, cursor + size, ps);
+impl<'a> Scorer<'a> {
+    fn new(
+        code: &'a CodeInput<'a>,
+        heap: Option<&'a HeapInput<'a>>,
+        params: &'a CostParams,
+    ) -> Scorer<'a> {
+        let mut hot_cu = vec![false; code.sizes.len()];
+        for &cu in &code.first_touch[..code.hot] {
+            hot_cu[cu.index()] = true;
         }
-        cursor += size;
-    }
-    let native_start = align_up(cursor, ps);
-    let tail_page0 = native_start / ps;
-    for p in hot_native_pages(code.native_pages, params.tail_pages()) {
-        let phys = u64::from(candidate.native_order[p as usize]);
-        let page_off = (tail_page0 + phys) * ps;
-        text.touch_bytes(page_off, page_off + ps, ps);
-    }
-    let text_end = native_start + params.native_tail;
-
-    let mut heap_faults = 0u64;
-    if let Some(h) = heap {
-        let order = candidate
-            .object_order
-            .as_deref()
-            .expect("heap input requires a candidate object order");
-        let mut hot_obj = vec![false; h.sizes.len()];
-        for &o in &h.first_touch[..h.hot] {
+        let mut hot_obj = vec![false; heap.map_or(0, |h| h.sizes.len())];
+        for &o in heap.map_or(&[][..], |h| &h.first_touch[..h.hot]) {
             hot_obj[o.index()] = true;
         }
-        let mut heap_set = WindowSet::new(params.fault_around_pages);
-        let heap_start = align_up(text_end, ps);
-        let mut cursor = heap_start;
-        for &obj in order {
-            cursor = align_up(cursor, params.obj_align);
-            let size = h.sizes[obj.index()];
-            if hot_obj[obj.index()] {
-                let spans = h.spans.get(obj.index()).map_or(&[][..], Vec::as_slice);
-                if spans.is_empty() {
-                    heap_set.touch_bytes(cursor, cursor + size, ps);
-                } else {
-                    // Spans are object-relative; clamp to the object's
-                    // extent in *this* build (the measurement came from
-                    // the instrumented build, whose object may be larger).
-                    for &(s, e) in spans {
-                        let e = e.min(size);
-                        if s < e {
-                            heap_set.touch_bytes(cursor + s, cursor + e, ps);
-                        }
-                    }
-                }
+        Scorer {
+            code,
+            heap,
+            params,
+            hot_cu,
+            hot_obj,
+            hot_native: hot_native_pages(code.native_pages, params.tail_pages()),
+        }
+    }
+
+    /// Scores one candidate placement: a byte-exact replica of
+    /// `BinaryImage::build`'s cursor arithmetic plus the simulator's
+    /// window-counting rule. Hot CUs are costed under the *full-extent*
+    /// touch model (every hot CU touches all of its bytes; cold entities
+    /// touch none); hot heap objects use their measured touched-byte spans
+    /// when the profiling run recorded them (`HeapInput::spans`), falling
+    /// back to full extent per unmeasured object.
+    ///
+    /// The full-extent model is an upper bound on the real run's touched
+    /// byte set — the VM touches inline nodes and object fields
+    /// individually — but it is the *same* upper bound for every candidate,
+    /// and the native-tail part is page-exact (startup touches whole
+    /// pages), so the comparison is meaningful and the native savings are
+    /// exact. Measured heap spans tighten that bound to the bytes startup
+    /// actually read or wrote, which lets the heap half stop charging for
+    /// the cold interiors of large arrays. See DESIGN.md §12 for when the
+    /// model's remaining slack makes the optimizer fall back to first-touch
+    /// order.
+    fn predict(
+        &self,
+        cu_order: &[CuId],
+        native_order: &[u32],
+        object_order: Option<&[ObjId]>,
+    ) -> PredictedFaults {
+        let (code, params) = (self.code, self.params);
+        let ps = params.page_size;
+        let mut text = WindowSet::new(params.fault_around_pages);
+        let mut cursor = 0u64;
+        for &cu in cu_order {
+            cursor = align_up(cursor, params.cu_align);
+            let size = code.sizes[cu.index()];
+            if self.hot_cu[cu.index()] {
+                text.touch_bytes(cursor, cursor + size, ps);
             }
             cursor += size;
         }
-        heap_faults = heap_set.count();
-    }
+        let native_start = align_up(cursor, ps);
+        let tail_page0 = native_start / ps;
+        for &p in &self.hot_native {
+            let phys = u64::from(native_order[p as usize]);
+            let page_off = (tail_page0 + phys) * ps;
+            text.touch_bytes(page_off, page_off + ps, ps);
+        }
+        let text_end = native_start + params.native_tail;
 
-    PredictedFaults {
-        text: text.count(),
-        heap: heap_faults,
+        let mut heap_faults = 0u64;
+        if let Some(h) = self.heap {
+            let order = object_order.expect("heap input requires a candidate object order");
+            let mut heap_set = WindowSet::new(params.fault_around_pages);
+            let mut cursor = align_up(text_end, ps);
+            for &obj in order {
+                cursor = align_up(cursor, params.obj_align);
+                let size = h.sizes[obj.index()];
+                if self.hot_obj[obj.index()] {
+                    let spans = h.spans.get(obj.index()).map_or(&[][..], Vec::as_slice);
+                    if spans.is_empty() {
+                        heap_set.touch_bytes(cursor, cursor + size, ps);
+                    } else {
+                        // Spans are object-relative; clamp to the object's
+                        // extent in *this* build (the measurement came from
+                        // the instrumented build, whose object may be
+                        // larger).
+                        for &(s, e) in spans {
+                            let e = e.min(size);
+                            if s < e {
+                                heap_set.touch_bytes(cursor + s, cursor + e, ps);
+                            }
+                        }
+                    }
+                }
+                cursor += size;
+            }
+            heap_faults = heap_set.count();
+        }
+
+        PredictedFaults {
+            text: text.count(),
+            heap: heap_faults,
+        }
     }
 }
 
-/// Weighted co-access graph over the hot first-touch sequence: two hot
-/// entities are *startup-window neighbors* when their first accesses fall
-/// within one fault-around window's worth of bytes of each other (measured
-/// along the first-touch layout), and the edge weight grows the closer
-/// they are.
-fn co_access_edges(hot_sizes: &[u64], window_bytes: u64) -> Vec<(u64, usize, usize)> {
+/// No successor: the entity is its chain's tail.
+const NONE: usize = usize::MAX;
+
+/// The smallest current chain head `>= k` (`n` when there is none).
+/// `heads[h] == h` exactly for heads; every other entry links towards
+/// a larger index and is shortened as it is followed (path halving).
+fn next_head(heads: &mut [usize], mut k: usize) -> usize {
+    while heads[k] != k {
+        heads[k] = heads[heads[k]];
+        k = heads[k];
+    }
+    k
+}
+
+/// Ext-TSP-style chain clustering (greedy Pettis–Hansen merge) over the
+/// co-access graph of the hot first-touch sequence.
+///
+/// Two hot entities `i < j` are *startup-window neighbors* when the bytes
+/// between them along the first-touch layout, `dist(i, j)`, are fewer than
+/// one fault-around window; the closer, the heavier the edge. Entities
+/// start as singleton chains; edges are taken by descending weight —
+/// ascending `(dist, i, j)` — and merge two chains end-to-end when the
+/// edge runs from the tail of one to the head of the other and the merged
+/// chain still fits one window. Every merge appends a chain that starts
+/// after the other one's tail, so each chain runs in increasing first-touch
+/// rank (a merge can never close a cycle), and chains are emitted by their
+/// heads — their earliest members — so clustering never moves an entity
+/// far from its startup position.
+///
+/// The edges are never materialised: the graph is nearly complete when the
+/// whole hot set spans a window or two. A merge only ever *removes* a tail
+/// (`i`) and a head (`j`) and never creates one, so an edge whose `i` is no
+/// longer a tail or whose `j` is no longer a head is rejected whenever it
+/// comes up and can be skipped unseen. Each tail keeps one cursor — its
+/// next edge to a current head, in `j` order, which for a fixed `i` is also
+/// `dist` order — in a min-heap keyed `(dist, i, j)`, so the heap yields
+/// exactly the surviving edges of the sorted list, in its order.
+fn cluster_hot(hot_sizes: &[u64], window_bytes: u64) -> Vec<usize> {
     let n = hot_sizes.len();
     // Prefix byte positions along the first-touch sequence.
     let mut pos = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
     pos.push(0u64);
     for &s in hot_sizes {
-        acc += s;
-        pos.push(acc);
+        pos.push(pos[pos.len() - 1] + s);
     }
-    let mut edges = vec![];
-    for i in 0..n {
-        for j in i + 1..n {
-            let dist = pos[j] - pos[i + 1];
-            if dist >= window_bytes {
-                break;
-            }
-            // Closer first accesses weigh more; +1 keeps every
-            // window-neighbor edge above zero.
-            edges.push((window_bytes - dist, i, j));
-        }
-    }
-    edges
-}
+    let cursor = |i: usize, j: usize| {
+        let dist = pos[j] - pos[i + 1];
+        (j < n && dist < window_bytes).then_some(Reverse((dist, i, j)))
+    };
 
-/// Ext-TSP-style chain clustering (greedy Pettis–Hansen merge): entities
-/// start as singleton chains; edges are taken by descending weight (ties:
-/// lower endpoint indices first) and merge two chains end-to-end when the
-/// edge connects the tail of one to the head of the other and the merged
-/// chain still fits one fault-around window. Chains are then emitted by
-/// the earliest first-touch rank of their members, so clustering never
-/// moves an entity far from its startup position.
-fn cluster_hot(hot_sizes: &[u64], window_bytes: u64) -> Vec<usize> {
-    let n = hot_sizes.len();
-    if n <= 2 {
-        return (0..n).collect();
-    }
-    let mut edges = co_access_edges(hot_sizes, window_bytes);
-    edges.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-
-    // Chain bookkeeping: each entity points at its chain id; chains keep
-    // member lists, byte sizes, head and tail.
-    let mut chain_of: Vec<usize> = (0..n).collect();
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut bytes: Vec<u64> = hot_sizes.to_vec();
-    for (_, a, b) in edges {
-        let (ca, cb) = (chain_of[a], chain_of[b]);
-        if ca == cb || bytes[ca] + bytes[cb] > window_bytes {
+    // Chain bookkeeping: `succ` links each member to the next; `end` maps a
+    // head to its tail and a tail to its head; a chain's bytes sit at its
+    // head.
+    let mut succ = vec![NONE; n];
+    let mut end: Vec<usize> = (0..n).collect();
+    let mut bytes = hot_sizes.to_vec();
+    let mut heads: Vec<usize> = (0..=n).collect();
+    let mut cursors: BinaryHeap<_> = (0..n.saturating_sub(1))
+        .filter_map(|i| cursor(i, i + 1))
+        .collect();
+    while let Some(Reverse((_, i, j))) = cursors.pop() {
+        if heads[j] != j {
+            // `j` was merged behind another chain since this cursor was
+            // set: move on to the next current head.
+            cursors.extend(cursor(i, next_head(&mut heads, j)));
             continue;
         }
-        // Merge only tail(ca) → head(cb): preserves intra-chain first-touch
-        // direction, which keeps the emitted order close to startup order.
-        if *members[ca].last().unwrap() != a || *members[cb].first().unwrap() != b {
-            continue;
+        let head = end[i];
+        if bytes[head] + bytes[j] <= window_bytes {
+            // `i` stops being a tail, so its cursor ends here.
+            let tail = end[j];
+            succ[i] = j;
+            end[head] = tail;
+            end[tail] = head;
+            bytes[head] += bytes[j];
+            heads[j] = j + 1;
+        } else {
+            cursors.extend(cursor(i, next_head(&mut heads, j + 1)));
         }
-        let moved = std::mem::take(&mut members[cb]);
-        for &m in &moved {
-            chain_of[m] = ca;
-        }
-        members[ca].extend(moved);
-        bytes[ca] += bytes[cb];
-        bytes[cb] = 0;
     }
 
-    let mut chains: Vec<Vec<usize>> = members.into_iter().filter(|m| !m.is_empty()).collect();
-    // Emit by earliest first-touch rank of any member (head is not
-    // necessarily the minimum when merges chained).
-    chains.sort_by_key(|m| *m.iter().min().unwrap());
-    chains.into_iter().flatten().collect()
+    let members =
+        |h: usize| std::iter::successors(Some(h), |&m| Some(succ[m]).filter(|&s| s != NONE));
+    (0..n)
+        .filter(|&h| heads[h] == h)
+        .flat_map(members)
+        .collect()
 }
 
 /// Page-boundary-aware packing: walks the hot prefix in order and, when
@@ -456,81 +494,46 @@ fn pack_page_boundaries<T: Copy>(
     out
 }
 
-/// Builds the candidate CU orders for the code section. Candidate 0 is
-/// always plain first-touch with the identity native permutation.
-fn code_candidates(code: &CodeInput<'_>, params: &CostParams) -> Vec<Candidate> {
-    let tail = params.tail_pages();
-    let identity = identity_native_order(tail);
-    let packed_native = packed_native_order(code.native_pages, tail);
-    let hot = &code.first_touch[..code.hot];
-    let cold = &code.first_touch[code.hot..];
-    let size_of = |cu: CuId| code.sizes[cu.index()];
-
-    let mut candidates = vec![
-        // 0: the paper's ordering, untouched.
-        Candidate {
-            cu_order: code.first_touch.to_vec(),
-            native_order: identity,
-            object_order: None,
-        },
-        // 1: first-touch + native-tail hot/cold split.
-        Candidate {
-            cu_order: code.first_touch.to_vec(),
-            native_order: packed_native.clone(),
-            object_order: None,
-        },
-    ];
-
-    // 2: window-clustered hot prefix + native split.
-    let hot_sizes: Vec<u64> = hot.iter().map(|&cu| size_of(cu)).collect();
-    let perm = cluster_hot(&hot_sizes, params.window_bytes());
-    let clustered: Vec<CuId> = perm.iter().map(|&i| hot[i]).collect();
-    let clustered_order: Vec<CuId> = clustered.iter().chain(cold.iter()).copied().collect();
-    candidates.push(Candidate {
-        cu_order: clustered_order,
-        native_order: packed_native.clone(),
-        object_order: None,
-    });
-
-    // 3: clustered + page-boundary packing with cold fillers.
-    let packed = pack_page_boundaries(&clustered, cold, size_of, params.cu_align, params.page_size);
-    candidates.push(Candidate {
-        cu_order: packed,
-        native_order: packed_native,
-        object_order: None,
-    });
-
-    candidates
+/// The three orders of one section the candidates draw on: plain
+/// first-touch (borrowed), the window-clustered hot prefix followed by the
+/// cold rest, and the clustered prefix page-boundary-packed with cold
+/// fillers.
+fn section_orders<'a, T: Copy>(
+    first_touch: &'a [T],
+    hot: usize,
+    size_of: impl Fn(T) -> u64,
+    align: u64,
+    params: &CostParams,
+) -> [Cow<'a, [T]>; 3] {
+    let (hot, cold) = first_touch.split_at(hot);
+    let hot_sizes: Vec<u64> = hot.iter().map(|&e| size_of(e)).collect();
+    let clustered: Vec<T> = cluster_hot(&hot_sizes, params.window_bytes())
+        .into_iter()
+        .map(|i| hot[i])
+        .collect();
+    let packed = pack_page_boundaries(&clustered, cold, size_of, align, params.page_size);
+    let clustered_order = clustered.iter().chain(cold).copied().collect();
+    [
+        Cow::Borrowed(first_touch),
+        Cow::Owned(clustered_order),
+        Cow::Owned(packed),
+    ]
 }
 
-/// Builds the candidate object orders for the heap section (no native
-/// component). Candidate 0 is plain first-touch.
-fn heap_candidates(heap: &HeapInput<'_>, params: &CostParams) -> Vec<Vec<ObjId>> {
-    let hot = &heap.first_touch[..heap.hot];
-    let cold = &heap.first_touch[heap.hot..];
-    let size_of = |o: ObjId| heap.sizes[o.index()];
-
-    let hot_sizes: Vec<u64> = hot.iter().map(|&o| size_of(o)).collect();
-    let perm = cluster_hot(&hot_sizes, params.window_bytes());
-    let clustered: Vec<ObjId> = perm.iter().map(|&i| hot[i]).collect();
-    let clustered_order: Vec<ObjId> = clustered.iter().chain(cold.iter()).copied().collect();
-    let packed = pack_page_boundaries(
-        &clustered,
-        cold,
-        size_of,
-        params.obj_align,
-        params.page_size,
-    );
-
-    vec![heap.first_touch.to_vec(), clustered_order, packed]
-}
+/// The code candidates as `(CU order, native order)` indices into
+/// [`section_orders`]' three CU orders and `[identity, hot/cold split]`:
+/// 0 is the paper's ordering, untouched; 1 adds the native-tail hot/cold
+/// split; 2 clusters the hot prefix; 3 also packs page boundaries.
+const CODE_CANDIDATES: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 1), (2, 1)];
 
 /// Optimizes the placement of CUs (and objects, when `heap` is given)
 /// against the fault-cost model: generates the deterministic candidate
-/// set, scores every candidate with [`predict_faults`]'s model, and keeps
-/// the argmin — ties broken toward the lowest candidate index, so the plan
-/// degenerates to plain first-touch order (plus, always, the native-tail
-/// hot/cold split when it helps) whenever clustering finds no slack.
+/// set — every code candidate paired with every heap order — scores each
+/// with [`predict_faults`]' model, and keeps the argmin, ties broken toward
+/// the lowest candidate index, so the plan degenerates to plain
+/// first-touch order (plus, always, the native-tail hot/cold split when it
+/// helps) whenever clustering finds no slack. Candidates are scored by
+/// reference; only the chosen one is copied into the plan.
 pub fn optimize_layout(
     code: &CodeInput<'_>,
     heap: Option<&HeapInput<'_>>,
@@ -540,51 +543,66 @@ pub fn optimize_layout(
         params.fault_around_pages.is_power_of_two(),
         "fault_around_pages must be a power of two"
     );
-    let code_cands = code_candidates(code, params);
-    let heap_cands = heap.map(|h| heap_candidates(h, params));
+    let scorer = Scorer::new(code, heap, params);
+    let cu_orders = section_orders(
+        code.first_touch,
+        code.hot,
+        |cu: CuId| code.sizes[cu.index()],
+        params.cu_align,
+        params,
+    );
+    let tail = params.tail_pages();
+    let native_orders = [
+        identity_native_order(tail),
+        packed_native_order(&scorer.hot_native, tail),
+    ];
+    let object_orders = heap.map(|h| {
+        section_orders(
+            h.first_touch,
+            h.hot,
+            |o: ObjId| h.sizes[o.index()],
+            params.obj_align,
+            params,
+        )
+    });
+    let object_choices: Vec<Option<&[ObjId]>> = match &object_orders {
+        None => vec![None],
+        Some(orders) => orders.iter().map(|o| Some(&o[..])).collect(),
+    };
 
-    // Cross product of code × heap candidates (heap absent: code only).
-    let mut cands: Vec<Candidate> = vec![];
-    for c in &code_cands {
-        match &heap_cands {
-            None => cands.push(c.clone()),
-            Some(hs) => {
-                for h in hs {
-                    let mut cc = c.clone();
-                    cc.object_order = Some(h.clone());
-                    cands.push(cc);
-                }
-            }
+    let mut scored = CODE_CANDIDATES
+        .iter()
+        .flat_map(|&(c, n)| object_choices.iter().map(move |&o| (c, n, o)))
+        .map(|(c, n, o)| {
+            (
+                scorer.predict(&cu_orders[c], &native_orders[n], o),
+                (c, n, o),
+            )
+        });
+    let first = scored.next().expect("candidate set is never empty");
+    let first_touch_faults = first.0;
+    let (predicted_faults, (c, n, o)) = scored.fold(first, |best, next| {
+        if next.0.total() < best.0.total() {
+            next
+        } else {
+            best
         }
-    }
-
-    let scores: Vec<PredictedFaults> = cands
-        .iter()
-        .map(|c| predict(c, code, heap, params))
-        .collect();
-
-    let first_touch_faults = scores[0];
-    let best = scores
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, s)| (s.total(), i))
-        .map(|(i, _)| i)
-        .expect("candidate set is never empty");
-    let chosen = cands.swap_remove(best);
+    });
 
     OrderPlan {
-        cu_order: chosen.cu_order,
-        object_order: chosen.object_order,
-        native_order: chosen.native_order,
+        cu_order: cu_orders[c].to_vec(),
+        object_order: o.map(<[ObjId]>::to_vec),
+        native_order: native_orders[n].clone(),
         first_touch_faults,
-        predicted_faults: scores[best],
+        predicted_faults,
     }
 }
 
 /// Predicts the major-fault counts of one placement under the cost model —
 /// the same scoring [`optimize_layout`] uses for its candidates, exposed
-/// for reporting: the caller passes any CU/object orders (e.g. a strategy's first-touch orders) and gets the
-/// per-section predicted fault counts of that placement.
+/// for reporting: the caller passes any CU/object orders (e.g. a
+/// strategy's first-touch orders) and gets the per-section predicted fault
+/// counts of that placement.
 pub fn predict_faults(
     code: &CodeInput<'_>,
     heap: Option<&HeapInput<'_>>,
@@ -593,20 +611,99 @@ pub fn predict_faults(
     native_order: Option<&[u32]>,
     params: &CostParams,
 ) -> PredictedFaults {
-    let candidate = Candidate {
-        cu_order: cu_order.to_vec(),
-        native_order: native_order.map_or_else(
-            || identity_native_order(params.tail_pages()),
-            <[u32]>::to_vec,
-        ),
-        object_order: object_order.map(<[ObjId]>::to_vec),
+    let identity;
+    let native_order = match native_order {
+        Some(order) => order,
+        None => {
+            identity = identity_native_order(params.tail_pages());
+            &identity
+        }
     };
-    predict(&candidate, code, heap, params)
+    Scorer::new(code, heap, params).predict(cu_order, native_order, object_order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The rule [`cluster_hot`] implements, written the direct way: every
+    /// window-neighbor edge materialised with its weight, sorted by
+    /// descending weight (ties: lower endpoints first), then merged
+    /// tail → head under the window cap.
+    fn cluster_hot_spec(sizes: &[u64], window: u64) -> Vec<usize> {
+        let n = sizes.len();
+        let mut pos = vec![0u64];
+        for &s in sizes {
+            pos.push(pos[pos.len() - 1] + s);
+        }
+        let mut edges = vec![];
+        for i in 0..n {
+            for j in i + 1..n {
+                let dist = pos[j] - pos[i + 1];
+                if dist >= window {
+                    break;
+                }
+                edges.push((window - dist, i, j));
+            }
+        }
+        edges.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut chain_of: Vec<usize> = (0..n).collect();
+        let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        for (_, a, b) in edges {
+            let (ca, cb) = (chain_of[a], chain_of[b]);
+            let bytes = |c: usize| members[c].iter().map(|&m| sizes[m]).sum::<u64>();
+            if ca == cb
+                || members[ca].last() != Some(&a)
+                || members[cb].first() != Some(&b)
+                || bytes(ca) + bytes(cb) > window
+            {
+                continue;
+            }
+            let moved = std::mem::take(&mut members[cb]);
+            for &m in &moved {
+                chain_of[m] = ca;
+            }
+            members[ca].extend(moved);
+        }
+        let mut chains: Vec<Vec<usize>> = members.into_iter().filter(|m| !m.is_empty()).collect();
+        chains.sort_by_key(|m| *m.iter().min().unwrap());
+        chains.concat()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lazy merge is exactly the materialised one: runs of equal
+        /// sizes — zero, tiny, larger than any window, whole fractions of
+        /// one — give long stretches of tied distances, rejected caps and
+        /// chains that fill a window to the byte.
+        #[test]
+        fn lazy_merge_equals_the_sorted_edge_list(
+            runs in proptest::collection::vec(
+                (
+                    prop_oneof![
+                        Just(0u64),
+                        1u64..16,
+                        1u64..5000,
+                        1u64..100_000,
+                        // Whole fractions of a window: chains that fill
+                        // one exactly.
+                        prop_oneof![Just(125u64), Just(512), Just(4096)],
+                    ],
+                    1usize..24,
+                ),
+                0..16,
+            ),
+            window in prop_oneof![Just(1000u64), Just(4096), Just(65536)],
+        ) {
+            let sizes: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(size, len)| std::iter::repeat_n(size, len))
+                .collect();
+            prop_assert_eq!(cluster_hot(&sizes, window), cluster_hot_spec(&sizes, window));
+        }
+    }
 
     fn params() -> CostParams {
         CostParams {
@@ -634,7 +731,7 @@ mod tests {
 
     #[test]
     fn native_split_packs_hot_pages_to_front() {
-        let order = packed_native_order(&[5, 2, 7, 2, 900], 192);
+        let order = packed_native_order(&hot_native_pages(&[5, 2, 7, 2, 900], 192), 192);
         assert_eq!(order[5], 0);
         assert_eq!(order[2], 1);
         assert_eq!(order[7], 2);

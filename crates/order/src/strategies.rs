@@ -1,12 +1,22 @@
 //! The three heap-ordering identity strategies of Sec. 5.
+//!
+//! Every hashed identity is MurmurHash3 over a byte encoding of the
+//! object. The encodings are written piece by piece — a borrowed type
+//! name, a field signature as owner, `"."` and name, a payload — straight
+//! into a [`Hasher128`] stream, which yields the digest of the
+//! concatenation; no encoding is ever assembled whole in a buffer or a
+//! `String`.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::Hasher;
 
-use nimage_heap::{HObjectKind, HeapSnapshot, InclusionReason, ObjId, ParentLink};
-use nimage_ir::Program;
+use nimage_heap::{
+    BuildHeap, HObject, HObjectKind, HValue, HeapSnapshot, InclusionReason, ObjId, ParentLink,
+};
+use nimage_ir::{ClassId, Program, TypeRef};
 
-use crate::entity::Entity;
-use crate::murmur3;
+use crate::murmur3::Hasher128;
 
 /// Which 64-bit object-identity scheme to use (Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,16 +71,18 @@ pub fn assign_ids(
 ) -> HashMap<ObjId, u64> {
     match strategy {
         HeapStrategy::IncrementalId => incremental_ids(program, snapshot),
-        HeapStrategy::StructuralHash { max_depth } => snapshot
-            .entries()
-            .iter()
-            .map(|e| {
-                (
-                    e.obj,
-                    structural_hash(&Entity::of_object(program, snapshot, e.obj), max_depth),
-                )
-            })
-            .collect(),
+        HeapStrategy::StructuralHash { max_depth } => {
+            let encoder = Encoder::new(program, snapshot.heap(), max_depth);
+            snapshot
+                .entries()
+                .iter()
+                .map(|e| {
+                    let mut h = Hasher128::with_seed(0);
+                    encoder.encode(&mut h, HValue::Ref(e.obj), 0);
+                    (e.obj, h.finish())
+                })
+                .collect()
+        }
         HeapStrategy::HeapPath => snapshot
             .entries()
             .iter()
@@ -91,18 +103,18 @@ fn salted_heap_path_ids(program: &Program, snapshot: &HeapSnapshot) -> HashMap<O
     let mut ids = HashMap::new();
     for e in snapshot.entries() {
         let base = heap_path_hash(program, snapshot, e.obj);
-        let type_name = snapshot.heap().get(e.obj).type_name(program);
-        let type_id = murmur3::hash64(type_name.as_bytes());
+        let obj = snapshot.heap().get(e.obj);
+        let type_id = type_name_hash(program, obj);
         let n = occurrence.entry((type_id, base)).or_insert(0);
         *n += 1;
         let id = if *n == 1 {
             base
         } else {
-            let mut bytes = Vec::with_capacity(12 + type_name.len());
-            bytes.extend_from_slice(&base.to_le_bytes());
-            bytes.extend_from_slice(type_name.as_bytes());
-            bytes.extend_from_slice(&n.to_le_bytes());
-            murmur3::hash64(&bytes)
+            let mut h = Hasher128::with_seed(0);
+            h.write_u64(base);
+            write_object_type(&mut h, program, obj);
+            h.write_u32(*n);
+            h.finish()
         };
         ids.insert(e.obj, id);
     }
@@ -118,8 +130,7 @@ fn incremental_ids(program: &Program, snapshot: &HeapSnapshot) -> HashMap<ObjId,
     let mut counters: HashMap<u64, u32> = HashMap::new();
     let mut ids = HashMap::new();
     for e in snapshot.entries() {
-        let type_name = snapshot.heap().get(e.obj).type_name(program);
-        let type_id = murmur3::hash64(type_name.as_bytes()) & 0xffff_ffff;
+        let type_id = type_name_hash(program, snapshot.heap().get(e.obj)) & 0xffff_ffff;
         let counter = counters.entry(type_id).or_insert(0);
         *counter += 1;
         ids.insert(e.obj, (type_id << 32) | u64::from(*counter));
@@ -144,44 +155,141 @@ pub fn assign_global_incremental_ids(
         .collect()
 }
 
-/// Algorithm 2: the structural hash.
-pub(crate) fn structural_hash(entity: &Entity<'_>, max_depth: u32) -> u64 {
-    let mut bytes = Vec::with_capacity(64);
-    encode_to_bytes(entity, 0, max_depth, &mut bytes);
-    murmur3::hash64(&bytes)
+/// Writes the fully qualified name of `ty` (`Program::type_name`): array
+/// types as the element's name, then `"[]"`.
+fn write_type_name(h: &mut Hasher128, program: &Program, ty: &TypeRef) {
+    match ty {
+        TypeRef::Bool => h.write(b"bool"),
+        TypeRef::Int => h.write(b"int"),
+        TypeRef::Double => h.write(b"double"),
+        TypeRef::Str => h.write(b"String"),
+        TypeRef::Object(c) => h.write(program.class(*c).name.as_bytes()),
+        TypeRef::Array(elem) => {
+            write_type_name(h, program, elem);
+            h.write(b"[]");
+        }
+    }
 }
 
-/// Algorithm 2's `encodeToBytes`: encodes the value wrapped by `entity`
-/// into `out`, recursing up to `max_depth` through references.
-fn encode_to_bytes(entity: &Entity<'_>, depth: u32, max_depth: u32, out: &mut Vec<u8>) {
-    if entity.is_null() {
-        out.push(0);
-        return;
+/// Writes the dynamic type name of `obj` (`HObject::type_name`).
+fn write_object_type(h: &mut Hasher128, program: &Program, obj: &HObject) {
+    match &obj.kind {
+        HObjectKind::Instance { class, .. } => h.write(program.class(*class).name.as_bytes()),
+        HObjectKind::Array { elem, .. } => {
+            write_type_name(h, program, elem);
+            h.write(b"[]");
+        }
+        HObjectKind::Str(_) => h.write(b"String"),
+        HObjectKind::Boxed(_) => h.write(b"BoxedDouble"),
+        HObjectKind::Blob { .. } => h.write(b"Resource"),
     }
-    out.extend_from_slice(entity.type_name().as_bytes());
-    let should_recurse = depth < max_depth;
-    if entity.is_primitive() || entity.is_string() {
-        entity.append_scalar_bytes(out);
-    } else if entity.is_object_instance() {
-        for (static_type, field) in entity.fields() {
-            if should_recurse || field.is_primitive() || field.is_string() {
-                out.extend_from_slice(static_type.as_bytes());
-                encode_to_bytes(&field, depth + 1, max_depth, out);
+}
+
+/// MurmurHash3 of `obj`'s dynamic type name: the type half of the
+/// incremental and salted identities.
+fn type_name_hash(program: &Program, obj: &HObject) -> u64 {
+    let mut h = Hasher128::with_seed(0);
+    write_object_type(&mut h, program, obj);
+    h.finish()
+}
+
+/// Algorithm 2's `encodeToBytes`, streamed: the structural hash of an
+/// object is the digest of everything [`Encoder::encode`] writes for it
+/// at depth 0.
+struct Encoder<'a> {
+    program: &'a Program,
+    heap: &'a BuildHeap,
+    max_depth: u32,
+    /// Declared field types in layout order
+    /// (`Program::all_instance_fields`), per class, built on first use.
+    layouts: Vec<OnceCell<Vec<&'a TypeRef>>>,
+}
+
+impl<'a> Encoder<'a> {
+    fn new(program: &'a Program, heap: &'a BuildHeap, max_depth: u32) -> Self {
+        Encoder {
+            program,
+            heap,
+            max_depth,
+            layouts: (0..program.classes().len())
+                .map(|_| OnceCell::new())
+                .collect(),
+        }
+    }
+
+    fn layout(&self, class: ClassId) -> &[&'a TypeRef] {
+        self.layouts[class.index()].get_or_init(|| {
+            let program = self.program;
+            program
+                .all_instance_fields(class)
+                .into_iter()
+                .map(|f| &program.field(f).ty)
+                .collect()
+        })
+    }
+
+    /// Encodes `value` — null as one zero byte; otherwise its dynamic type
+    /// name, then primitive and string payloads, instance fields (each
+    /// preceded by its declared type name) or array element type, length
+    /// and indexed elements — recursing through references while `depth <
+    /// max_depth`. Scalar fields and scalar-typed array elements are
+    /// encoded at every depth.
+    fn encode(&self, h: &mut Hasher128, value: HValue, depth: u32) {
+        let obj = match value {
+            HValue::Null => return h.write_u8(0),
+            HValue::Bool(b) => {
+                h.write(b"bool");
+                return h.write_u8(u8::from(b));
+            }
+            HValue::Int(i) => {
+                h.write(b"int");
+                return h.write_i64(i);
+            }
+            HValue::Double(d) => {
+                h.write(b"double");
+                return h.write_u64(d.to_bits());
+            }
+            HValue::Ref(o) => self.heap.get(o),
+        };
+        write_object_type(h, self.program, obj);
+        let recurse = depth < self.max_depth;
+        match &obj.kind {
+            HObjectKind::Instance { class, fields } => {
+                for (ty, &field) in self.layout(*class).iter().zip(fields) {
+                    if recurse || self.is_scalar(field) {
+                        write_type_name(h, self.program, ty);
+                        self.encode(h, field, depth + 1);
+                    }
+                }
+            }
+            HObjectKind::Array { elem, elems } => {
+                write_type_name(h, self.program, elem);
+                h.write_u64(elems.len() as u64);
+                if recurse || elem.is_primitive() || matches!(elem, TypeRef::Str) {
+                    for (k, &e) in elems.iter().enumerate() {
+                        h.write_u64(k as u64);
+                        self.encode(h, e, depth + 1);
+                    }
+                }
+            }
+            HObjectKind::Str(s) => h.write(s.as_bytes()),
+            // Boxed constants and resource blobs hash by payload.
+            HObjectKind::Boxed(d) => h.write_u64(d.to_bits()),
+            HObjectKind::Blob { name, size } => {
+                h.write(name.as_bytes());
+                h.write_u32(*size);
             }
         }
-    } else if entity.is_array() {
-        let (elem_type, elems) = entity.array_parts().expect("checked is_array");
-        out.extend_from_slice(elem_type.as_bytes());
-        out.extend_from_slice(&(elems.len() as u64).to_le_bytes());
-        if should_recurse || entity.element_type_is_scalar() {
-            for (k, elem) in elems.iter().enumerate() {
-                out.extend_from_slice(&(k as u64).to_le_bytes());
-                encode_to_bytes(elem, depth + 1, max_depth, out);
-            }
+    }
+
+    /// A primitive (not null) or a reference to a string: encoded even
+    /// past the depth bound.
+    fn is_scalar(&self, value: HValue) -> bool {
+        match value {
+            HValue::Null => false,
+            HValue::Ref(o) => matches!(self.heap.get(o).kind, HObjectKind::Str(_)),
+            _ => true,
         }
-    } else {
-        // Boxed constants and resource blobs hash by payload.
-        entity.append_scalar_bytes(out);
     }
 }
 
@@ -190,49 +298,45 @@ fn encode_to_bytes(entity: &Entity<'_>, depth: u32, max_depth: u32, out: &mut Ve
 /// indices, and the root's heap-inclusion reason. Interned-string roots
 /// hash their content instead (the path would be identical for all of
 /// them).
-pub(crate) fn heap_path_hash(program: &Program, snapshot: &HeapSnapshot, obj: ObjId) -> u64 {
+fn heap_path_hash(program: &Program, snapshot: &HeapSnapshot, obj: ObjId) -> u64 {
     let Some(entry) = snapshot.entry(obj) else {
         return 0;
     };
-    let mut bytes: Vec<u8> = vec![];
-    let is_interned_root = matches!(entry.root, Some(InclusionReason::InternedString));
-    if is_interned_root {
+    let mut h = Hasher128::with_seed(0);
+    if matches!(entry.root, Some(InclusionReason::InternedString)) {
         if let HObjectKind::Str(s) = &snapshot.heap().get(obj).kind {
-            bytes.extend_from_slice(s.as_bytes());
+            h.write(s.as_bytes());
         }
-    } else {
-        let mut current = entry;
-        loop {
-            bytes.extend_from_slice(
-                snapshot
-                    .heap()
-                    .get(current.obj)
-                    .type_name(program)
-                    .as_bytes(),
-            );
-            match (&current.root, current.parent) {
-                (Some(reason), _) => {
-                    bytes.extend_from_slice(reason.label().as_bytes());
-                    break;
-                }
-                (None, Some((parent, link))) => {
-                    match link {
-                        ParentLink::Index(i) => bytes.extend_from_slice(&i.to_le_bytes()),
-                        ParentLink::Field(fid) => {
-                            // Field descriptor: signature plus declared type.
-                            bytes.extend_from_slice(program.field_signature(fid).as_bytes());
-                            bytes.extend_from_slice(
-                                program.type_name(&program.field(fid).ty).as_bytes(),
-                            );
-                        }
-                    }
-                    current = snapshot.entry(parent).expect("parents are in snapshot");
-                }
-                (None, None) => break, // defensive: orphan entry
+        return h.finish();
+    }
+    let mut current = entry;
+    loop {
+        write_object_type(&mut h, program, snapshot.heap().get(current.obj));
+        match (&current.root, current.parent) {
+            (Some(reason), _) => {
+                let (prefix, text) = reason.label();
+                h.write(prefix.as_bytes());
+                h.write(text.as_bytes());
+                break;
             }
+            (None, Some((parent, link))) => {
+                match link {
+                    ParentLink::Index(i) => h.write_u32(i),
+                    ParentLink::Field(fid) => {
+                        // Field descriptor: signature plus declared type.
+                        let field = program.field(fid);
+                        h.write(program.class(field.owner).name.as_bytes());
+                        h.write(b".");
+                        h.write(field.name.as_bytes());
+                        write_type_name(&mut h, program, &field.ty);
+                    }
+                }
+                current = snapshot.entry(parent).expect("parents are in snapshot");
+            }
+            (None, None) => break, // defensive: orphan entry
         }
     }
-    murmur3::hash64(&bytes)
+    h.finish()
 }
 
 #[cfg(test)]
@@ -336,6 +440,33 @@ mod tests {
         assert_ne!(node_ids[0], node_ids[1]);
     }
 
+    /// The streamed encoding is Algorithm 2's byte string: both `s.Node`s'
+    /// ids equal `hash64` of their encodings written out by hand.
+    #[test]
+    fn structural_hash_is_murmur_of_the_algorithm_2_bytes() {
+        let (p, snap) = sample();
+        let ids = assign_ids(&p, &snap, HeapStrategy::structural_default());
+        let mut node_ids: Vec<u64> = snap
+            .entries()
+            .iter()
+            .filter(|e| snap.heap().get(e.obj).type_name(&p) == "s.Node")
+            .map(|e| ids[&e.obj])
+            .collect();
+        node_ids.sort_unstable();
+
+        let int = |v: i64| [&b"int"[..], &b"int"[..], &v.to_le_bytes()].concat();
+        // Node(val=2, next=null) at depth 1: `next` is null, `val` scalar.
+        let tail_fields = [&b"s.Node"[..], &[0], &int(2)].concat();
+        // The tail node on its own: its type, then its fields.
+        let tail = [&b"s.Node"[..], &tail_fields].concat();
+        // The head node: its type; `next` as declared type + the tail's
+        // encoding one level down; `val`.
+        let head = [&b"s.Node"[..], b"s.Node", b"s.Node", &tail_fields, &int(1)].concat();
+        let mut want = vec![crate::murmur3::hash64(&head), crate::murmur3::hash64(&tail)];
+        want.sort_unstable();
+        assert_eq!(node_ids, want);
+    }
+
     #[test]
     fn structural_hash_depth_zero_merges_structurally_similar() {
         let (p, snap) = sample();
@@ -371,7 +502,7 @@ mod tests {
             .iter()
             .find(|e| matches!(e.root, Some(InclusionReason::InternedString)))
             .expect("interned string root");
-        assert_eq!(ids[&s_entry.obj], murmur3::hash64(b"greeting"));
+        assert_eq!(ids[&s_entry.obj], crate::murmur3::hash64(b"greeting"));
     }
 
     /// The whole point of hashing strategies: identities survive a rebuild
