@@ -13,9 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_bench::profile_program;
 use nimage_core::Strategy;
+use nimage_image::optimize::{optimize_layout, CodeInput, HeapInput};
 use nimage_order::{
-    assign_ids, optimize_layout, order_cus_split, order_objects_split_spans, CodeGranularity,
-    CodeInput, CostParams, HeapInput, HeapStrategy,
+    assign_ids, order_cus_split, order_objects_split_spans, CodeGranularity, HeapStrategy,
 };
 use nimage_profiler::DumpMode;
 use nimage_vm::StopWhen;
@@ -85,23 +85,17 @@ fn bench_order(c: &mut Criterion) {
         sizes: &obj_sizes,
         spans: &spans,
     };
-    let params = CostParams {
-        page_size: opts.image.page_size,
-        fault_around_pages: opts.vm.paging.fault_around_pages,
-        cu_align: opts.image.cu_align,
-        obj_align: opts.image.obj_align,
-        native_tail: opts.image.native_tail,
-    };
+    let (image, window) = (&opts.image, opts.vm.paging.fault_around_pages);
     println!(
         "optimize_layout inputs: {} CUs ({cu_hot} hot), {} objects ({obj_hot} hot)",
         cu_first_touch.len(),
         obj_first_touch.len()
     );
     c.bench_function("optimize_layout/cu+heap-path", |b| {
-        b.iter(|| optimize_layout(std::hint::black_box(&code), Some(&heap), &params))
+        b.iter(|| optimize_layout(std::hint::black_box(&code), Some(&heap), image, window))
     });
     c.bench_function("optimize_layout/cu", |b| {
-        b.iter(|| optimize_layout(std::hint::black_box(&code), None, &params))
+        b.iter(|| optimize_layout(std::hint::black_box(&code), None, image, window))
     });
 }
 

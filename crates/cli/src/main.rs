@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use nimage_core::{
     load_profiles, save_profiles, BuildOptions, BuildRequest, DiskCacheOptions, DiskStore, Engine,
-    EngineOptions, EvalInputs, EvalRequest, Evaluation, LayoutOrders, Parallelism, Pipeline,
-    Report, RunParts, Strategy, TraceOptions, WorkloadSpec, DISK_FORMAT_VERSION,
+    EngineOptions, EvalInputs, EvalRequest, Evaluation, Parallelism, Pipeline, Report, Strategy,
+    TraceOptions, WorkloadSpec, DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
 use nimage_trace::metrics::json_string;
@@ -412,17 +412,6 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let stats = engine.stats();
     let speedup = serial_ns as f64 / engine_ns.max(1) as f64;
 
-    // Tentpole measurement: each parallel stage timed on one thread vs
-    // the requested worker count, with bit-identity checked on the merged
-    // artifacts.
-    let n_workers = Parallelism::threads(threads_of(parsed)?).effective();
-    eprintln!(
-        "benchmarking {} (per-stage, 1 vs {n_workers} threads) …",
-        workload.name()
-    );
-    let stages = stage_speedups(&program, &workload, stop, n_workers)?;
-    let stages_identical = stages.iter().all(|s| s.identical);
-
     // ROADMAP follow-up: does per-type salting of heap-path identities pay
     // off? Quantified as the fraction of optimized-build objects whose id
     // matches the instrumented build unambiguously.
@@ -477,18 +466,6 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     for (name, ns) in stats.stages.iter() {
         eprintln!("    {name:<9} {:>10.1} ms", ns as f64 / 1e6);
     }
-    eprintln!("  stage speedups (1 → {n_workers} threads):");
-    for s in &stages {
-        eprintln!(
-            "    {:<9} {:>8.1} ms → {:>8.1} ms  ({:.2}x, {}{})",
-            s.name,
-            s.serial_ns as f64 / 1e6,
-            s.parallel_ns as f64 / 1e6,
-            s.speedup(),
-            if s.identical { "identical" } else { "DIFFER" },
-            if s.engaged { "" } else { ", serial cutoff" }
-        );
-    }
     eprintln!("  matched-object ratio (instrumented → optimized):");
     for (name, r) in &ratios {
         eprintln!("    {name:<17} {r:.4}");
@@ -519,11 +496,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     }
     eprintln!(
         "  results         : {}",
-        if results_match && stages_identical {
-            "identical"
-        } else {
-            "DIFFER"
-        }
+        if results_match { "identical" } else { "DIFFER" }
     );
 
     // Snapshot the versioned report last, so the span tree and counters
@@ -537,7 +510,6 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             serial_ns,
             engine_ns,
             results_match,
-            &stages,
             &ratios,
             baseline_faults,
             &fault_rows,
@@ -560,9 +532,6 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     if !results_match {
         return Err("engine results differ from the serial loop".into());
     }
-    if !stages_identical {
-        return Err("a parallel stage differs from its serial run".into());
-    }
     Ok(())
 }
 
@@ -573,119 +542,6 @@ struct FaultRow {
     text: u64,
     heap: u64,
     predicted: Option<nimage_core::LayoutPrediction>,
-}
-
-/// One row of the per-stage serial-vs-parallel comparison.
-struct StageBench {
-    name: &'static str,
-    serial_ns: u64,
-    parallel_ns: u64,
-    /// Whether the parallel artifact is bit-identical to the serial one.
-    identical: bool,
-    /// Whether the stage's fan-out actually engaged at the measured
-    /// thread count — its work size reached the stage's
-    /// `nimage_par::cutoff` threshold. Below the cutoff the "parallel"
-    /// configuration takes the serial code path by construction, so the
-    /// row reports `serial_ns` for both arms (speedup exactly 1.0)
-    /// instead of re-measuring the identical code and reporting noise.
-    engaged: bool,
-}
-
-impl StageBench {
-    fn speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_ns.max(1) as f64
-    }
-
-    /// Collapses a non-engaged row to speedup 1.0 (see [`StageBench::engaged`]).
-    fn normalized(mut self) -> StageBench {
-        if !self.engaged {
-            self.parallel_ns = self.serial_ns;
-        }
-        self
-    }
-}
-
-/// Times `compile_stage` and `post_process` (trace replay) on one thread
-/// and on `n_workers` threads, asserting the merged results are identical.
-fn stage_speedups(
-    program: &nimage_ir::Program,
-    workload: &Workload,
-    stop: nimage_vm::StopWhen,
-    n_workers: usize,
-) -> Result<Vec<StageBench>, Box<dyn std::error::Error>> {
-    use std::sync::Arc;
-
-    let mut serial_opts = pipeline_for(workload);
-    serial_opts.verify = false;
-    let mut par_opts = serial_opts.clone();
-    par_opts.threads = Parallelism::threads(n_workers);
-    let ps = Pipeline::new(program, serial_opts.clone());
-    let pp = Pipeline::new(program, par_opts);
-    let instr = nimage_compiler::InstrumentConfig::FULL;
-    let mut out = Vec::new();
-
-    let reach = ps.analyze_stage();
-    // A stage is "engaged" when the parallel arm actually ran with more
-    // than one worker: cutoff-gated on the work size and capped at the
-    // host's parallelism, exactly as `workers_for` resolves it inside
-    // the stage.
-    let engaged =
-        |work: usize, min_work: usize| nimage_par::workers_for(n_workers, work, min_work) > 1;
-    let compile_engaged = engaged(
-        nimage_compiler::initial_roots(program, &reach).len(),
-        nimage_par::cutoff::COMPILE_MIN_ROOTS,
-    );
-    let t = Instant::now();
-    let cs = ps.compile_stage(reach.clone(), instr, None);
-    let compile_serial = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let cp = pp.compile_stage(reach.clone(), instr, None);
-    let compile_parallel = t.elapsed().as_nanos() as u64;
-    out.push(
-        StageBench {
-            name: "compile",
-            serial_ns: compile_serial,
-            parallel_ns: compile_parallel,
-            identical: format!("{:?}", cs.cus) == format!("{:?}", cp.cus),
-            engaged: compile_engaged,
-        }
-        .normalized(),
-    );
-
-    let ss = ps.snapshot_stage(&cs, &serial_opts.heap_instrumented)?;
-
-    // Replay needs a trace: build and run the instrumented image once,
-    // then post-process the same report serially and in parallel.
-    let image = ps.layout_stage(&cs, &ss, LayoutOrders::default(), None)?;
-    let report = ps.run(RunParts::new(&cs, &ss, &image), stop)?;
-    let trace_records: usize = report
-        .trace
-        .as_ref()
-        .map_or(0, |t| t.threads.iter().map(Vec::len).sum());
-    let t = Instant::now();
-    let a = ps.post_process(report.clone(), &mut |hs| {
-        Arc::new(nimage_order::assign_ids(program, &ss, hs))
-    })?;
-    let replay_serial = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let b = pp.post_process(report, &mut |hs| {
-        Arc::new(nimage_order::assign_ids(program, &ss, hs))
-    })?;
-    let replay_parallel = t.elapsed().as_nanos() as u64;
-    out.push(
-        StageBench {
-            name: "replay",
-            serial_ns: replay_serial,
-            parallel_ns: replay_parallel,
-            identical: a.cu_profile == b.cu_profile
-                && a.method_profile == b.method_profile
-                && a.heap_profiles == b.heap_profiles,
-            engaged: engaged(trace_records, nimage_par::cutoff::REPLAY_MIN_RECORDS),
-        }
-        .normalized(),
-    );
-
-    Ok(out)
 }
 
 /// Computes the matched-object ratio between the instrumented and the
@@ -727,7 +583,6 @@ fn bench_json(
     serial_ns: u64,
     engine_ns: u64,
     results_match: bool,
-    stage_benches: &[StageBench],
     matched_ratios: &[(&'static str, f64)],
     baseline_faults: (u64, u64),
     fault_rows: &[FaultRow],
@@ -743,23 +598,6 @@ fn bench_json(
         serial_ns as f64 / engine_ns.max(1) as f64
     ));
     out.push_str(&format!("  \"results_match\": {results_match},\n"));
-    out.push_str("  \"stage_speedups\": {\n");
-    let rows: Vec<String> = stage_benches
-        .iter()
-        .map(|s| {
-            format!(
-                "    \"{}\": {{\"serial_ns\": {}, \"parallel_ns\": {}, \"speedup\": {:.4}, \"identical\": {}, \"engaged\": {}}}",
-                s.name,
-                s.serial_ns,
-                s.parallel_ns,
-                s.speedup(),
-                s.identical,
-                s.engaged
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  },\n");
     out.push_str("  \"faults\": {\n");
     out.push_str(&format!(
         "    \"baseline\": {{\"text\": {}, \"heap\": {}, \"total\": {}}},\n",

@@ -98,10 +98,9 @@ fn bare_json_flag_keeps_stdout_pure() {
         stdout.contains("\"report\": {\"report_version\":1"),
         "versioned report missing: {stdout}"
     );
-    assert!(stdout.contains("\"stage_speedups\""));
-    // No `run` row: the engine executes each build once, so there are no
-    // repeat executions left to time in parallel.
-    assert!(!stdout.contains("\"run\": {\"serial_ns\""));
+    // No per-stage serial-vs-parallel rows: below the fan-out cutoffs
+    // both arms ran the same serial code, so they measured nothing.
+    assert!(!stdout.contains("\"stage_speedups\""));
     // Engine counters live in the embedded report only: none of the keys
     // that used to duplicate it at the top level may come back.
     for legacy in [

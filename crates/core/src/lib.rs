@@ -66,13 +66,14 @@ use nimage_compiler::{
     compile_with_threads, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig,
 };
 use nimage_heap::{snapshot, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
+pub use nimage_image::optimize::PredictedFaults;
+use nimage_image::optimize::{optimize_layout, split_native_tail, CodeInput, HeapInput};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
-pub use nimage_order::PredictedFaults;
 use nimage_order::{
-    assign_ids, optimize_layout, order_cus, order_cus_split, order_objects,
-    order_objects_split_spans, replay_first_access, CodeGranularity, CodeInput, CodeOrderProfile,
-    CostParams, HeapInput, HeapOrderProfile, HeapStrategy, ReplayError,
+    assign_ids, order_cus, order_cus_split, order_objects, order_objects_split_spans,
+    replay_first_access, CodeGranularity, CodeOrderProfile, HeapOrderProfile, HeapStrategy,
+    ReplayError,
 };
 pub use nimage_par::Parallelism;
 use nimage_verify::{errors_of, irlint, pipeline as checks, Diagnostic};
@@ -99,7 +100,7 @@ pub enum Strategy {
     /// code ordering plus *heap path* object ordering.
     CuPlusHeapPath,
     /// Beyond the paper: *cu* first-touch ordering refined by the
-    /// fault-cost-aware layout optimizer (`nimage_order::optimize_layout`)
+    /// fault-cost-aware layout optimizer (`nimage_image::optimize`)
     /// — hot/cold splitting of the native tail plus fault-around-window
     /// clustering of the hot CU prefix, chosen by candidate search under
     /// the paging cost model.
@@ -478,27 +479,6 @@ impl From<ReplayError> for PipelineError {
     fn from(e: ReplayError) -> Self {
         PipelineError::Replay(e)
     }
-}
-
-/// Builds the native-tail page permutation from a first-touch profile:
-/// touched pages move to the front of the tail (in touch order), untouched
-/// pages follow in their original order.
-fn native_order(touched: &[u32], n_pages: u32) -> Vec<u32> {
-    let mut position = vec![u32::MAX; n_pages as usize];
-    let mut next = 0u32;
-    for &p in touched {
-        if (p as usize) < position.len() && position[p as usize] == u32::MAX {
-            position[p as usize] = next;
-            next += 1;
-        }
-    }
-    for slot in position.iter_mut() {
-        if *slot == u32::MAX {
-            *slot = next;
-            next += 1;
-        }
-    }
-    position
 }
 
 /// The parts of one VM run, as a builder: the three mandatory build
@@ -944,14 +924,12 @@ impl<'p> Pipeline<'p> {
                 sizes,
                 spans,
             });
-        let params = CostParams {
-            page_size: self.opts.image.page_size,
-            fault_around_pages: self.opts.vm.paging.fault_around_pages,
-            cu_align: self.opts.image.cu_align,
-            obj_align: self.opts.image.obj_align,
-            native_tail: self.opts.image.native_tail,
-        };
-        let plan = optimize_layout(&code, heap.as_ref(), &params);
+        let plan = optimize_layout(
+            &code,
+            heap.as_ref(),
+            &self.opts.image,
+            self.opts.vm.paging.fault_around_pages,
+        );
         LayoutOrders {
             cu_order: Some(plan.cu_order),
             object_order: plan.object_order,
@@ -995,7 +973,7 @@ impl<'p> Pipeline<'p> {
             image.set_native_page_order(order);
         } else if self.opts.reorder_native {
             if let Some(pages) = native_profile {
-                image.set_native_page_order(native_order(pages, image.native_pages() as u32));
+                image.set_native_page_order(split_native_tail(pages, image.native_pages()));
             }
         }
         self.verify_built(compiled, snap, &image)?;
@@ -1242,38 +1220,5 @@ mod tests {
         assert!(e.to_string().contains("no trace"));
         let e = PipelineError::Clinit(ClinitError::BudgetExhausted);
         assert!(e.to_string().contains("build-time"));
-    }
-}
-
-#[cfg(test)]
-mod native_order_tests {
-    use super::native_order;
-
-    #[test]
-    fn touched_pages_move_to_front_in_touch_order() {
-        let order = native_order(&[5, 2, 7], 10);
-        // position[5]=0, position[2]=1, position[7]=2, rest in old order.
-        assert_eq!(order[5], 0);
-        assert_eq!(order[2], 1);
-        assert_eq!(order[7], 2);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>(), "permutation");
-    }
-
-    #[test]
-    fn duplicate_and_out_of_range_touches_are_ignored() {
-        let order = native_order(&[1, 1, 99, 0], 4);
-        assert_eq!(order[1], 0);
-        assert_eq!(order[0], 1);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_profile_is_identity_like() {
-        let order = native_order(&[], 4);
-        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 }

@@ -31,14 +31,14 @@ use nimage_heap::{
     SnapEntry,
 };
 use nimage_ir::{BinOp, ClassId, FieldId, Intrinsic, Local, MethodId, SelectorId, TypeRef, UnOp};
-use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy, PredictedFaults};
+use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 use nimage_vm::lower::{
     JumpEdge, LoweredCallee, LoweredInstr, LoweredMethod, LoweredPaths, PathEdge,
 };
 use nimage_vm::LoweredShard;
 
 use crate::diskcache::{cap_alloc, decode_option, encode_option, put_string, DiskCodec, Reader};
-use crate::{LayoutOrders, LayoutPrediction, ProfiledArtifacts};
+use crate::{LayoutOrders, LayoutPrediction, PredictedFaults, ProfiledArtifacts};
 
 fn heap_file_name(strategy: HeapStrategy) -> &'static str {
     match strategy {

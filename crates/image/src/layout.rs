@@ -31,6 +31,60 @@ impl Default for ImageOptions {
     }
 }
 
+impl ImageOptions {
+    /// Number of pages in the native tail.
+    pub fn native_pages(&self) -> u64 {
+        self.native_tail / self.page_size
+    }
+
+    /// Where the native tail starts when the last CU ends at `cu_end`: the
+    /// next page boundary, because the linker places the statically linked
+    /// libraries in their own page-aligned region.
+    pub(crate) fn native_start(&self, cu_end: u64) -> u64 {
+        align_up(cu_end, self.page_size)
+    }
+
+    /// Where `.svm_heap` starts: the first page boundary after the native
+    /// tail that begins at `native_start`.
+    pub(crate) fn heap_start(&self, native_start: u64) -> u64 {
+        align_up(native_start + self.native_tail, self.page_size)
+    }
+}
+
+/// The placement rule of both sections: entities go one after another,
+/// each at the next multiple of the section's alignment. The image builder
+/// and the layout optimizer's fault predictor both place bytes through it,
+/// so a predicted layout is the built one by construction.
+#[derive(Debug)]
+pub(crate) struct LayoutCursor {
+    end: u64,
+    align: u64,
+}
+
+impl LayoutCursor {
+    /// A cursor at `start` placing at multiples of `align` (a power of two).
+    pub(crate) fn new(start: u64, align: u64) -> LayoutCursor {
+        LayoutCursor { end: start, align }
+    }
+
+    /// The offset the next entity would be placed at.
+    pub(crate) fn next(&self) -> u64 {
+        align_up(self.end, self.align)
+    }
+
+    /// Places an entity of `size` bytes and returns its offset.
+    pub(crate) fn place(&mut self, size: u64) -> u64 {
+        let at = self.next();
+        self.end = at + size;
+        at
+    }
+
+    /// The end of the last placed entity.
+    pub(crate) fn end(&self) -> u64 {
+        self.end
+    }
+}
+
 /// Which section an offset belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SectionKind {
@@ -93,7 +147,7 @@ pub struct BinaryImage {
     native_page_order: Option<Vec<u32>>,
 }
 
-fn align_up(v: u64, a: u64) -> u64 {
+pub(crate) fn align_up(v: u64, a: u64) -> u64 {
     debug_assert!(a.is_power_of_two());
     (v + a - 1) & !(a - 1)
 }
@@ -137,39 +191,33 @@ impl BinaryImage {
         );
 
         let mut cu_offsets = vec![NO_OFFSET; compiled.cus.len()];
-        let mut cursor = 0u64;
+        let mut cursor = LayoutCursor::new(0, options.cu_align);
         for &cu in &cu_order {
-            cursor = align_up(cursor, options.cu_align);
-            cu_offsets[cu.index()] = cursor;
-            cursor += u64::from(compiled.cu(cu).size);
+            cu_offsets[cu.index()] = cursor.place(u64::from(compiled.cu(cu).size));
         }
-        // The native tail starts page-aligned: the linker places the
-        // statically linked libraries in their own page-aligned region.
-        let native_start = align_up(cursor, options.page_size);
+        let native_start = options.native_start(cursor.end());
         let text = SectionSpan {
             offset: 0,
             size: native_start + options.native_tail,
         };
 
-        let heap_start = align_up(text.end(), options.page_size);
+        let heap_start = options.heap_start(native_start);
         let n_objs = object_order
             .iter()
             .map(|o| o.index() + 1)
             .max()
             .unwrap_or(0);
         let mut object_offsets = vec![NO_OFFSET; n_objs];
-        let mut cursor = heap_start;
+        let mut cursor = LayoutCursor::new(heap_start, options.obj_align);
         for &obj in &object_order {
-            cursor = align_up(cursor, options.obj_align);
-            object_offsets[obj.index()] = cursor;
             let entry = snapshot
                 .entry(obj)
                 .unwrap_or_else(|| panic!("object {obj} not in snapshot"));
-            cursor += u64::from(entry.size);
+            object_offsets[obj.index()] = cursor.place(u64::from(entry.size));
         }
         let svm_heap = SectionSpan {
             offset: heap_start,
-            size: cursor - heap_start,
+            size: cursor.end() - heap_start,
         };
 
         // Construction-site mirror of the invariants nimage-verify's layout
@@ -204,9 +252,9 @@ impl BinaryImage {
         }
     }
 
-    /// Number of pages in the native tail.
+    /// Number of pages in the native tail ([`ImageOptions::native_pages`]).
     pub fn native_pages(&self) -> u64 {
-        self.options.native_tail / self.options.page_size
+        self.options.native_pages()
     }
 
     /// Applies a permutation to the native tail's pages — the paper's

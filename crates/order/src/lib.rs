@@ -21,17 +21,16 @@
 //!   are matched by re-computing the strategy's 64-bit IDs on the new
 //!   build's snapshot and aligning them with the profile's IDs — the
 //!   cross-build object-identity matching that Sec. 5 is about.
-//! * [`optimize_layout`] — beyond the paper: candidate search under the
-//!   demand-paging cost model (hot/cold splitting of the native tail,
-//!   fault-around-window clustering, page-boundary packing), anchored by
-//!   first-touch order as candidate 0 so it never predicts worse than the
-//!   paper's ordering.
+//!
+//! [`order_cus_split`] / [`order_objects_split_spans`] hand the same
+//! first-touch orders, split into hot prefix and cold rest, to the layout
+//! optimizer, which lives in `nimage_image::optimize` next to the layout
+//! arithmetic its fault predictor shares.
 
 #![warn(missing_docs)]
 
 mod analyses;
 pub mod murmur3;
-mod optimize;
 mod ordering;
 mod quality;
 mod strategies;
@@ -39,9 +38,6 @@ mod strategies;
 pub use analyses::{
     replay_first_access, CodeOrderProfile, HeapOrderProfile, ObjectSpans, ReplayError,
     ReplaySummary,
-};
-pub use optimize::{
-    optimize_layout, predict_faults, CodeInput, CostParams, HeapInput, OrderPlan, PredictedFaults,
 };
 pub use ordering::{
     match_rate, order_cus, order_cus_split, order_objects, order_objects_split_spans,

@@ -212,7 +212,7 @@ pub fn relayout(
 /// touch lands on a logical page below this (at least one, so a layout
 /// without a tail still has a page to touch).
 pub(crate) fn tail_pages(options: &ImageOptions) -> u64 {
-    (options.native_tail / options.page_size).max(1)
+    options.native_pages().max(1)
 }
 
 /// Dense test-and-set bitset.

@@ -68,9 +68,10 @@ fn workflow_clippy_lines_lint_the_whole_workspace() {
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit. It must not gate on the retired per-CU `lower` disk stage, nor
-/// on a `run` row of `nimage bench`'s `stage_speedups` (which timed repeat
-/// executions the engine no longer makes) — and the report schema must not
-/// require that row.
+/// on `nimage bench`'s retired per-stage serial-vs-parallel rows
+/// (`stage_speedups`: below the fan-out cutoffs both arms ran the same
+/// serial code, so the `>= 1.0` gate could not fail) — and the report
+/// schema must not describe them.
 #[test]
 fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -82,17 +83,13 @@ fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
     ] {
         assert!(ci.contains(gate), "ci.yml lost the warm gate `{gate}`");
     }
-    for retired in [
-        "stages.get('lower'",
-        "shards['cus']",
-        "'run' in warm['stage_speedups']",
-    ] {
+    for retired in ["stages.get('lower'", "shards['cus']", "stage_speedups"] {
         assert!(!ci.contains(retired), "ci.yml still gates on `{retired}`");
     }
     let schema =
         fs::read_to_string(root.join("ci/report_schema.json")).expect("readable report schema");
     assert!(
-        schema.contains(r#""required": ["compile", "replay"]"#),
-        "stage_speedups must require exactly compile and replay"
+        !schema.contains("stage_speedups"),
+        "the report schema still describes stage_speedups"
     );
 }
