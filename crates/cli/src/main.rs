@@ -1140,10 +1140,9 @@ fn lint_workload(
         let prof_det = nimage_verify::audit_profiling_determinism(&audit_program, workload.stop());
         if text {
             println!(
-                "profiling audit    : trace {}, profiles {}, parallel replay {}",
+                "profiling audit    : trace {}, profiles {}",
                 verdict(prof_det.trace_identical),
-                verdict(prof_det.profiles_identical),
-                verdict(prof_det.parallel_replay_identical)
+                verdict(prof_det.profiles_identical)
             );
         }
         diags.extend(prof_det.diagnostics);

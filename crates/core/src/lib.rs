@@ -217,8 +217,8 @@ pub struct BuildOptions {
     /// [`PipelineError::Verify`].
     pub verify: bool,
     /// Intra-stage worker-thread count for the parallel stages (compile
-    /// waves, chunked trace post-processing). Every parallel path merges
-    /// in a thread-count-independent order, so the produced artifacts are
+    /// waves). Every parallel path merges in a thread-count-independent
+    /// order, so the produced artifacts are
     /// bit-identical to the serial ones — and [`Parallelism`]'s `Debug`
     /// rendering is constant, so the thread count never enters cache
     /// fingerprints.
@@ -749,20 +749,13 @@ impl<'p> Pipeline<'p> {
 
         let heap_strategies = self.opts.heap_strategies();
 
-        // One replay of the trace (chunk-parallel under
-        // [`BuildOptions::threads`]) yields the raw first-access orders;
-        // every strategy's heap profile is then derived by mapping the raw
-        // object order through that strategy's identity map. All strategies
-        // assign ids to exactly the snapshot's objects, so any strategy's
-        // map serves as the membership filter.
+        // One serial replay of the trace yields the raw first-access
+        // orders; every strategy's heap profile is then derived by mapping
+        // the raw object order through that strategy's identity map. All
+        // strategies assign ids to exactly the snapshot's objects, so any
+        // strategy's map serves as the membership filter.
         let first_ids = ids_for(heap_strategies[0]);
-        let summary = replay_first_access(
-            self.program,
-            trace,
-            &first_ids,
-            self.opts.vm.max_paths,
-            self.opts.threads.effective(),
-        )?;
+        let summary = replay_first_access(self.program, trace, &first_ids, self.opts.vm.max_paths)?;
         // The instrumented run's touched-byte spans, keyed by raw snapshot
         // object index — the same keying as `summary.object_order`, so each
         // identity's first-access entry picks up the bytes startup actually

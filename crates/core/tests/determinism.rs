@@ -5,19 +5,15 @@
 //! guarantee.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use nimage_analysis::CallSite;
 use nimage_compiler::{initial_roots, CompiledProgram, InstrumentConfig};
 use nimage_core::{
-    BuildOptions, EvalInputs, EvalRequest, LayoutOrders, Parallelism, Pipeline, RunParts, Strategy,
-    WorkloadSpec,
+    BuildOptions, EvalInputs, EvalRequest, Parallelism, Pipeline, Strategy, WorkloadSpec,
 };
-use nimage_heap::HeapSnapshot;
 use nimage_ir::{Callee, Instr, MethodId, Program};
-use nimage_order::assign_ids;
 use nimage_par::{cutoff, host_parallelism, workers_for};
-use nimage_vm::{RunReport, StopWhen};
+use nimage_vm::StopWhen;
 use nimage_workloads::{Awfy, RuntimeScale};
 
 fn program() -> nimage_ir::Program {
@@ -46,25 +42,6 @@ fn compile_stage_is_thread_count_invariant() {
             "compile differs at {n} threads"
         );
     }
-}
-
-/// The serial instrumented build and its profiling run — the shared input
-/// of the replay tests below.
-fn instrumented_run(p: &Program) -> (CompiledProgram, HeapSnapshot, RunReport) {
-    let o = opts(1);
-    let serial = Pipeline::new(p, o.clone());
-    let reach = serial.analyze_stage();
-    let compiled = serial.compile_stage(reach, InstrumentConfig::FULL, None);
-    let snap = serial
-        .snapshot_stage(&compiled, &o.heap_instrumented)
-        .unwrap();
-    let image = serial
-        .layout_stage(&compiled, &snap, LayoutOrders::default(), None)
-        .unwrap();
-    let report = serial
-        .run(RunParts::new(&compiled, &snap, &image), StopWhen::Exit)
-        .unwrap();
-    (compiled, snap, report)
 }
 
 /// Sizes of the compile worklist's waves, reconstructed from the compiled
@@ -123,7 +100,9 @@ fn live_cutoffs() {
     let crosses =
         |work: usize, min_work: usize| host_parallelism() < 2 || workers_for(2, work, min_work) > 1;
     let p = program();
-    let (compiled, _, report) = instrumented_run(&p);
+    let serial = Pipeline::new(&p, opts(1));
+    let reach = serial.analyze_stage();
+    let compiled = serial.compile_stage(reach, InstrumentConfig::FULL, None);
 
     // compile_stage_is_thread_count_invariant: some wave must fan out.
     let waves = compile_wave_sizes(&p, &compiled);
@@ -136,16 +115,6 @@ fn live_cutoffs() {
     assert!(
         crosses(widest, cutoff::COMPILE_MIN_ROOTS),
         "widest compile wave {widest} of {waves:?} is under the cutoff"
-    );
-
-    // trace_replay_is_thread_count_invariant: the trace must be chunked.
-    let records: usize = report
-        .trace
-        .as_ref()
-        .map_or(0, |t| t.threads.iter().map(Vec::len).sum());
-    assert!(
-        crosses(records, cutoff::REPLAY_MIN_RECORDS),
-        "{records} trace records are under the replay cutoff"
     );
 
     // The engine-level identity suites (`lowered_determinism`,
@@ -170,40 +139,6 @@ fn live_cutoffs() {
         crosses(hot_cus, cutoff::PRELOWER_MIN_CUS),
         "{hot_cus} pre-lowered CUs are under the cutoff"
     );
-}
-
-#[test]
-fn trace_replay_is_thread_count_invariant() {
-    let p = program();
-    let serial = Pipeline::new(&p, opts(1));
-    let (_, snap, report) = instrumented_run(&p);
-
-    let base = serial
-        .post_process(report.clone(), &mut |hs| {
-            Arc::new(assign_ids(&p, &snap, hs))
-        })
-        .unwrap();
-    for n in [2, 4, 8] {
-        let par = Pipeline::new(&p, opts(n));
-        let a = par
-            .post_process(report.clone(), &mut |hs| {
-                Arc::new(assign_ids(&p, &snap, hs))
-            })
-            .unwrap();
-        assert_eq!(
-            base.cu_profile, a.cu_profile,
-            "cu order differs at {n} threads"
-        );
-        assert_eq!(
-            base.method_profile, a.method_profile,
-            "method order differs at {n} threads"
-        );
-        assert_eq!(
-            base.heap_profiles, a.heap_profiles,
-            "heap profiles differ at {n} threads"
-        );
-        assert_eq!(base.call_counts, a.call_counts);
-    }
 }
 
 #[test]

@@ -4,21 +4,29 @@
 //! The paper describes a visitor framework that feeds a decoded event
 //! stream to one analysis per ordering. Every ordering analysis is the
 //! same reduction — keep the first occurrence — so here it is one pass:
-//! [`replay_first_access`] decodes the records (Ball–Larus path records
+//! [`replay_first_access`] scans the records (Ball–Larus path records
 //! included) into a strategy-independent [`ReplaySummary`], from which the
 //! [`CodeOrderProfile`]s are read off and each strategy's
 //! [`HeapOrderProfile`] is derived by mapping object identities. The CSV
 //! interchange format between the profiling and the optimizing build is
 //! owned by the two profile types (`to_csv` / `from_csv`).
+//!
+//! The scan is serial and costs one table lookup per record: a path
+//! record's validation needs only the heap-access count of its
+//! `(method, start, path id)` key, a pure function of the key, so each
+//! distinct key is Ball–Larus-decoded once and memoised. Hot loops repeat
+//! the same few paths (the 14 small-scale AWFY traces hold ≈ 166 records
+//! per distinct key), so replay cost scales with distinct paths, not
+//! records.
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use nimage_compiler::{PathNumbering, ProfilingCfg, StaticEvent};
+use nimage_compiler::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent};
 use nimage_heap::ObjId;
 use nimage_ir::{MethodId, Program};
-use nimage_par::parallel_map;
 use nimage_profiler::{Trace, TraceRecord};
 
 /// A code-ordering profile: method/CU-root signatures in first-execution
@@ -145,6 +153,15 @@ pub enum ReplayError {
         /// Heap-access sites on the decoded path.
         expected: usize,
     },
+    /// A record field named something that does not exist: a string index
+    /// past the trace's string table, a start mini-block past the method's
+    /// profiling CFG, or a path id past the start's path count.
+    OutOfRange {
+        /// The field: `"string index"`, `"start"` or `"path id"`.
+        field: &'static str,
+        /// Its value in the record.
+        value: u64,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -159,63 +176,175 @@ impl fmt::Display for ReplayError {
                 f,
                 "path record in {method} stores {stored} ids but path has {expected} sites"
             ),
+            ReplayError::OutOfRange { field, value } => {
+                write!(f, "trace record {field} {value} is out of range")
+            }
         }
     }
 }
 
 impl Error for ReplayError {}
 
-/// Signature → method table for path decoding.
-fn methods_by_signature(program: &Program) -> HashMap<String, MethodId> {
-    (0..program.methods().len())
-        .map(|i| {
-            let mid = MethodId::from(i);
-            (program.method_signature(mid), mid)
+/// Checks a record's string-table index.
+fn string_index(trace: &Trace, idx: u32) -> Result<usize, ReplayError> {
+    let i = idx as usize;
+    if i < trace.strings.len() {
+        Ok(i)
+    } else {
+        Err(ReplayError::OutOfRange {
+            field: "string index",
+            value: idx.into(),
         })
-        .collect()
+    }
 }
 
-/// Decodes [`TraceRecord::Path`] records against the program, building
-/// each method's path-numbering tables on first use.
-struct PathDecoder<'a> {
-    program: &'a Program,
-    by_sig: &'a HashMap<String, MethodId>,
-    max_paths: u64,
-    tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)>,
+/// A fixed-size bitset over a dense index space (string indexes, object
+/// indexes): first-occurrence tests without hashing.
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(len: usize) -> BitSet {
+        BitSet(vec![0; len.div_ceil(64)])
+    }
+
+    /// Sets bit `i` (which must be below the set's length) and returns
+    /// whether it was clear.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.0[i / 64], 1u64 << (i % 64));
+        let was_clear = *word & bit == 0;
+        *word |= bit;
+        was_clear
+    }
+
+    /// Clears bit `i` and returns whether it was set; an index past the
+    /// set's length was never set.
+    fn remove(&mut self, i: usize) -> bool {
+        match self.0.get_mut(i / 64) {
+            Some(word) if *word & (1u64 << (i % 64)) != 0 => {
+                *word &= !(1u64 << (i % 64));
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
-impl<'a> PathDecoder<'a> {
-    fn new(program: &'a Program, by_sig: &'a HashMap<String, MethodId>, max_paths: u64) -> Self {
-        PathDecoder {
-            program,
-            by_sig,
-            max_paths,
-            tables: HashMap::new(),
+/// A multiply–xor hasher for the validation memo's integer keys. The memo
+/// probe is all the validation a repeated path record pays, and SipHash's
+/// per-key work would dominate it. Giving up SipHash's resistance to
+/// crafted collisions is safe here: a key enters the memo only after it
+/// validated against the program, so a trace read from a damaged cache
+/// can fill it with no more than the program's own path keys.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
         }
     }
 
-    /// Validates one path record — the method signature resolves, and the
-    /// decoded path has exactly as many heap-access sites as the record
-    /// stores ids — and yields the objects it accessed in execution order
-    /// (raw id 0, an access outside the heap snapshot, is skipped).
-    fn accessed<'r>(
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; the table indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Validates [`TraceRecord::Path`] records against the program. The
+/// heap-access count of a `(string index, start, path id)` key is a pure
+/// function of the key, so each distinct key is decoded once; every later
+/// record with that key costs one memo probe.
+struct PathValidator<'a> {
+    program: &'a Program,
+    max_paths: u64,
+    /// The method each trace string names, by string index (`None` for a
+    /// string that is no method signature).
+    methods: Vec<Option<MethodId>>,
+    /// Each decoded method's path-numbering tables, built on first use.
+    tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)>,
+    /// `(string index, start, path id)` → heap-access sites on the path.
+    expected: HashMap<(u32, u32, u64), usize, BuildHasherDefault<KeyHasher>>,
+}
+
+impl<'a> PathValidator<'a> {
+    fn new(program: &'a Program, trace: &Trace, max_paths: u64) -> Self {
+        let by_sig: HashMap<String, MethodId> = (0..program.methods().len())
+            .map(|i| {
+                let mid = MethodId::from(i);
+                (program.method_signature(mid), mid)
+            })
+            .collect();
+        PathValidator {
+            program,
+            max_paths,
+            methods: trace
+                .strings
+                .iter()
+                .map(|s| by_sig.get(s).copied())
+                .collect(),
+            tables: HashMap::new(),
+            expected: HashMap::default(),
+        }
+    }
+
+    /// The number of object ids a record with this key must store.
+    fn expected_ids(
         &mut self,
-        sig: &str,
+        trace: &Trace,
+        method: u32,
         start: u32,
         path_id: u64,
-        obj_ids: &'r [u64],
-    ) -> Result<impl Iterator<Item = ObjId> + 'r, ReplayError> {
-        let mid = *self
-            .by_sig
-            .get(sig)
-            .ok_or_else(|| ReplayError::UnknownSignature(sig.to_string()))?;
+    ) -> Result<usize, ReplayError> {
+        let key = (method, start, path_id);
+        if let Some(&n) = self.expected.get(&key) {
+            return Ok(n);
+        }
+        let n = self.decode(trace, method, start, path_id)?;
+        self.expected.insert(key, n);
+        Ok(n)
+    }
+
+    /// Resolves and range-checks a key, then counts the heap-access sites
+    /// on its decoded path.
+    fn decode(
+        &mut self,
+        trace: &Trace,
+        method: u32,
+        start: u32,
+        path_id: u64,
+    ) -> Result<usize, ReplayError> {
+        let sig = string_index(trace, method)?;
+        let mid = self.methods[sig]
+            .ok_or_else(|| ReplayError::UnknownSignature(trace.strings[sig].clone()))?;
         let (cfg, num) = self.tables.entry(mid).or_insert_with(|| {
             let cfg = ProfilingCfg::build(self.program.method(mid));
             let num = PathNumbering::compute(&cfg, self.max_paths);
             (cfg, num)
         });
-        let seq = num.decode(cfg, nimage_compiler::MiniBlockId(start), path_id);
-        let expected: usize = seq
+        if start as usize >= cfg.minis().len() {
+            return Err(ReplayError::OutOfRange {
+                field: "start",
+                value: start.into(),
+            });
+        }
+        let start = MiniBlockId(start);
+        if path_id >= num.num_paths_from(start).max(1) {
+            return Err(ReplayError::OutOfRange {
+                field: "path id",
+                value: path_id,
+            });
+        }
+        Ok(num
+            .decode(cfg, start, path_id)
             .iter()
             .map(|&m| {
                 cfg.mini(m)
@@ -224,18 +353,7 @@ impl<'a> PathDecoder<'a> {
                     .filter(|e| matches!(e, StaticEvent::HeapAccess { .. }))
                     .count()
             })
-            .sum();
-        if expected != obj_ids.len() {
-            return Err(ReplayError::IdCountMismatch {
-                method: sig.to_string(),
-                stored: obj_ids.len(),
-                expected,
-            });
-        }
-        Ok(obj_ids
-            .iter()
-            .filter(|&&raw| raw != 0)
-            .map(|&raw| ObjId((raw - 1) as u32)))
+            .sum())
     }
 }
 
@@ -292,71 +410,19 @@ impl ReplaySummary {
     }
 }
 
-/// First-occurrence collectors of one trace chunk, merged in chunk order.
-#[derive(Debug, Default)]
-struct ChunkSummary {
-    cu: Vec<String>,
-    methods: Vec<String>,
-    objects: Vec<ObjId>,
-}
-
-/// Decodes one contiguous run of records from a single trace thread,
-/// collecting chunk-local first occurrences.
-fn decode_chunk(
-    program: &Program,
-    trace: &Trace,
-    by_sig: &HashMap<String, MethodId>,
-    in_snapshot: &HashMap<ObjId, u64>,
-    max_paths: u64,
-    records: &[TraceRecord],
-) -> Result<ChunkSummary, ReplayError> {
-    let mut out = ChunkSummary::default();
-    let mut cu_seen: HashSet<u32> = HashSet::new();
-    let mut method_seen: HashSet<u32> = HashSet::new();
-    let mut obj_seen: HashSet<ObjId> = HashSet::new();
-    let mut paths = PathDecoder::new(program, by_sig, max_paths);
-    for record in records {
-        match record {
-            TraceRecord::CuEntry { sig } => {
-                if cu_seen.insert(*sig) {
-                    out.cu.push(trace.string(*sig).to_string());
-                }
-            }
-            TraceRecord::MethodEntry { sig } => {
-                if method_seen.insert(*sig) {
-                    out.methods.push(trace.string(*sig).to_string());
-                }
-            }
-            TraceRecord::Path {
-                method,
-                start,
-                path_id,
-                obj_ids,
-            } => {
-                let sig = trace.string(*method);
-                for obj in paths.accessed(sig, *start, *path_id, obj_ids)? {
-                    if in_snapshot.contains_key(&obj) && obj_seen.insert(obj) {
-                        out.objects.push(obj);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Replays a trace into a [`ReplaySummary`], decoding disjoint contiguous
-/// chunks of the record stream in parallel and merging the chunk-local
-/// first-occurrence lists in chunk order.
+/// Replays a trace into a [`ReplaySummary`]: one serial scan of every
+/// thread's records, in thread-creation order, keeping first occurrences.
 ///
-/// The merge `A ++ (B \ A)` is associative and reproduces the serial
-/// first-occurrence order exactly: an element's global first occurrence
-/// lies in the earliest chunk containing it, at that chunk's local first
-/// occurrence. Chunk boundaries therefore do not affect the result, so
-/// any thread count (including 1) produces bit-identical output. Errors
-/// keep serial semantics too: the earliest erroring chunk's first error
-/// *is* the stream's first error, because chunks partition the stream in
-/// order.
+/// The scan costs one table lookup per record. Entry records test a
+/// bitset over the string table. A path record's key is validated once —
+/// the signature resolves, `start` and `path_id` are in range, and the
+/// decoded path has as many heap-access sites as the record stores ids —
+/// and every later record with the same key compares its id count with
+/// the memoised one. Its object ids then test one bitset over the
+/// snapshot's objects, which is cleared at each object's first access.
+/// The scan is serial: at a few ns per record the largest small-scale
+/// trace (≈ 107 k records) replays in under a millisecond, less than
+/// spawning workers and merging their chunks would cost.
 ///
 /// `in_snapshot` gates object accesses (an access to an object outside
 /// the heap snapshot is skipped): only its keys matter, and every
@@ -365,70 +431,65 @@ fn decode_chunk(
 ///
 /// Method order comes from the explicit method-entry records (emitted by
 /// the method-ordering instrumentation); `MethodEntry` static events on
-/// decoded paths are ignored to avoid double counting.
+/// decoded paths are ignored to avoid double counting. First occurrence is
+/// per string index, which is per signature: the profiler interns each
+/// signature once.
 ///
 /// # Errors
-/// Returns [`ReplayError`] if the trace is inconsistent with the program.
+/// Returns [`ReplayError`] at the first record that is inconsistent with
+/// the program or out of range for the trace; a damaged trace never
+/// panics.
 pub fn replay_first_access(
     program: &Program,
     trace: &Trace,
     in_snapshot: &HashMap<ObjId, u64>,
     max_paths: u64,
-    n_threads: usize,
 ) -> Result<ReplaySummary, ReplayError> {
-    let by_sig = methods_by_signature(program);
-
-    // Chunk descriptors: contiguous runs within one thread's records, in
-    // stream order (thread creation order, then record order). A floor on
-    // the chunk size keeps the per-chunk decode-table overhead small.
-    let total: usize = trace.threads.iter().map(Vec::len).sum();
-    // Record decode is a few ns each; small traces don't amortize worker
-    // spawn, so gate the fan-out on the measured record-count cutoff.
-    let n_threads =
-        nimage_par::workers_for(n_threads, total, nimage_par::cutoff::REPLAY_MIN_RECORDS);
-    let workers = n_threads.max(1);
-    let chunk_len = total.div_ceil(workers * 4).max(256);
-    let mut chunks: Vec<(usize, usize, usize)> = vec![];
-    for (ti, t) in trace.threads.iter().enumerate() {
-        let mut start = 0;
-        while start < t.len() {
-            let end = (start + chunk_len).min(t.len());
-            chunks.push((ti, start, end));
-            start = end;
-        }
+    let mut paths = PathValidator::new(program, trace, max_paths);
+    let mut cu_seen = BitSet::new(trace.strings.len());
+    let mut method_seen = BitSet::new(trace.strings.len());
+    let n_objects = in_snapshot.keys().map(|o| o.index() + 1).max().unwrap_or(0);
+    let mut unseen_objects = BitSet::new(n_objects);
+    for obj in in_snapshot.keys() {
+        unseen_objects.insert(obj.index());
     }
 
-    let outs = parallel_map(n_threads, chunks.len(), |ci| {
-        let (ti, start, end) = chunks[ci];
-        decode_chunk(
-            program,
-            trace,
-            &by_sig,
-            in_snapshot,
-            max_paths,
-            &trace.threads[ti][start..end],
-        )
-    });
-
     let mut summary = ReplaySummary::default();
-    let mut cu_seen: HashSet<String> = HashSet::new();
-    let mut method_seen: HashSet<String> = HashSet::new();
-    let mut obj_seen: HashSet<ObjId> = HashSet::new();
-    for out in outs {
-        let chunk = out?;
-        for sig in chunk.cu {
-            if cu_seen.insert(sig.clone()) {
-                summary.cu_order.push(sig);
+    for record in trace.threads.iter().flatten() {
+        match record {
+            TraceRecord::CuEntry { sig } => {
+                let i = string_index(trace, *sig)?;
+                if cu_seen.insert(i) {
+                    summary.cu_order.push(trace.strings[i].clone());
+                }
             }
-        }
-        for sig in chunk.methods {
-            if method_seen.insert(sig.clone()) {
-                summary.method_order.push(sig);
+            TraceRecord::MethodEntry { sig } => {
+                let i = string_index(trace, *sig)?;
+                if method_seen.insert(i) {
+                    summary.method_order.push(trace.strings[i].clone());
+                }
             }
-        }
-        for obj in chunk.objects {
-            if obj_seen.insert(obj) {
-                summary.object_order.push(obj);
+            TraceRecord::Path {
+                method,
+                start,
+                path_id,
+                obj_ids,
+            } => {
+                let expected = paths.expected_ids(trace, *method, *start, *path_id)?;
+                if expected != obj_ids.len() {
+                    return Err(ReplayError::IdCountMismatch {
+                        method: trace.strings[*method as usize].clone(),
+                        stored: obj_ids.len(),
+                        expected,
+                    });
+                }
+                // Raw id 0 is an access outside the heap snapshot.
+                for &raw in obj_ids.iter().filter(|&&raw| raw != 0) {
+                    let obj = ObjId((raw - 1) as u32);
+                    if unseen_objects.remove(obj.index()) {
+                        summary.object_order.push(obj);
+                    }
+                }
             }
         }
     }

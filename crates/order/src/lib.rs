@@ -10,10 +10,13 @@
 //!   (Algorithm 1), *structural hash* (Algorithm 2, bounded by
 //!   `MAX_DEPTH`), and *heap path* (Algorithm 3, hashing the first
 //!   root-to-object path plus the root's inclusion reason).
-//! * [`replay_first_access`] — the post-processing pass: decodes
-//!   per-thread trace records (including Ball–Larus path records) and keeps
-//!   first occurrences, which is all any ordering analysis of Sec. 6.2
-//!   does. The result becomes [`CodeOrderProfile`]s and per-strategy
+//! * [`replay_first_access`] — the post-processing pass: scans per-thread
+//!   trace records (including Ball–Larus path records) and keeps first
+//!   occurrences, which is all any ordering analysis of Sec. 6.2 does. It
+//!   is serial and memoised: each distinct `(method, start, path id)` key
+//!   is decoded once, so its cost follows distinct paths, not records, and
+//!   a fan-out would cost more than the scan. The result becomes
+//!   [`CodeOrderProfile`]s and per-strategy
 //!   [`HeapOrderProfile`]s, the two types that own the CSV interchange
 //!   format (`to_csv` / `from_csv`) between profiling and optimizing builds.
 //! * [`order_cus`] / [`order_objects`] — apply a profile to a (different!)

@@ -99,7 +99,10 @@ impl fmt::Debug for Parallelism {
 ///
 /// Every cutoff here is crossed by some bundled workload (pinned by
 /// `core/tests/determinism.rs::live_cutoffs`); a fan-out no workload
-/// reaches is deleted rather than kept behind a cutoff.
+/// reaches is deleted rather than kept behind a cutoff, and so is one
+/// that cannot pay: trace replay has no cutoff because it is a serial
+/// memoised scan whose whole cost (≈ 0.8 ms on the largest small-scale
+/// trace) is below what splitting it could save.
 pub mod cutoff {
     /// Inline-wave compilation: minimum CU roots in a wave before the
     /// wave is fanned out. Building one CU is a whole inlining pass, so
@@ -109,17 +112,6 @@ pub mod cutoff {
     /// roots on the microservices, 1 540–2 280 on Awfy, ~97 at the small
     /// test scale) that cross the cutoff and parallelize.
     pub const COMPILE_MIN_ROOTS: usize = 8;
-
-    /// Trace replay: minimum *records* (not chunks) before chunked
-    /// decode fans out. Decoding is a tight varint loop at a few ns per
-    /// record, so only large traces amortize worker spawn. The
-    /// microservice traces stop at the first response and stay serial
-    /// (3 500 quarkus, 4 949 micronaut, 5 847 spring records); the
-    /// fan-out engages on six Awfy programs at bundled scale (Bounce,
-    /// List, Mandelbrot, Queens, Sieve, Towers: 34 303–111 705 records)
-    /// and on four of them at the small test scale (Bounce 43 651, Queens
-    /// 48 295, List 87 363, Mandelbrot 106 651).
-    pub const REPLAY_MIN_RECORDS: usize = 32_768;
 
     /// Eval-matrix VM runs: minimum (strategy, workload) cells before
     /// runs are sharded. A VM run is milliseconds of work, so two cells

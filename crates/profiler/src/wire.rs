@@ -204,8 +204,11 @@ pub fn read_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
         return Err(TraceDecodeError::BadHeader);
     }
     data.advance(4);
+    // Counts come from the input: reserve only what the remaining bytes
+    // can hold (≥ 4 per string, ≥ 8 per thread), so a forged count is
+    // rejected as truncated before it can over-allocate.
     let n_strings = data.get_u32() as usize;
-    let mut strings = Vec::with_capacity(n_strings);
+    let mut strings = Vec::with_capacity(n_strings.min(data.remaining() / 4));
     for _ in 0..n_strings {
         if data.remaining() < 4 {
             return Err(TraceDecodeError::Truncated);
@@ -224,7 +227,7 @@ pub fn read_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
         return Err(TraceDecodeError::Truncated);
     }
     let n_threads = data.get_u32() as usize;
-    let mut threads = Vec::with_capacity(n_threads);
+    let mut threads = Vec::with_capacity(n_threads.min(data.remaining() / 8));
     for _ in 0..n_threads {
         if data.remaining() < 8 {
             return Err(TraceDecodeError::Truncated);
@@ -312,5 +315,21 @@ mod tests {
     #[test]
     fn trace_file_bad_magic() {
         assert_eq!(read_trace(b"XXXX0000"), Err(TraceDecodeError::BadHeader));
+    }
+
+    #[test]
+    fn forged_counts_are_truncated_not_allocated() {
+        // u32::MAX strings in an 8-byte file.
+        let mut b = BytesMut::new();
+        b.put_slice(FILE_MAGIC);
+        b.put_u32(u32::MAX);
+        assert_eq!(read_trace(&b), Err(TraceDecodeError::Truncated));
+        // No strings, then u32::MAX threads and one empty thread body.
+        let mut b = BytesMut::new();
+        b.put_slice(FILE_MAGIC);
+        b.put_u32(0);
+        b.put_u32(u32::MAX);
+        b.put_u64(0);
+        assert_eq!(read_trace(&b), Err(TraceDecodeError::Truncated));
     }
 }

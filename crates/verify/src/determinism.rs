@@ -13,8 +13,7 @@
 //! *profiling* build (steps 1–3 of the paper's Fig. 1): instrumented
 //! compile, VM run, and trace replay each execute twice around allocator
 //! perturbation, requiring byte-identical trace files and identical
-//! ordering profiles — and the replay additionally runs chunk-parallel,
-//! which must merge to the serial result.
+//! ordering profiles.
 
 use std::collections::HashMap;
 
@@ -197,9 +196,6 @@ pub struct ProfilingDeterminismReport {
     pub trace_identical: bool,
     /// Replayed ordering profiles (CU, method, heap) are identical.
     pub profiles_identical: bool,
-    /// The chunk-parallel replay merged to the serial replay's profiles
-    /// (checked within each run).
-    pub parallel_replay_identical: bool,
     /// One error per differing artifact; empty when deterministic.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -217,14 +213,11 @@ struct ProfilingArtifacts {
     /// `cu_order.csv` ++ `method_order.csv` ++ heap ids, one artifact per
     /// line, exactly what the post-processing framework would persist.
     profile_csv: String,
-    parallel_matches_serial: bool,
 }
 
 /// Runs the profiling build (instrumented compile → VM run → trace
 /// replay) twice under allocator perturbation and diffs trace bytes and
-/// ordering profiles. The replay runs both serially and chunk-parallel
-/// on four workers; a merge that depends on chunk interleaving fails the
-/// audit even if it is stable across the two runs.
+/// ordering profiles.
 ///
 /// `stop` must match the workload class: server-style programs park in
 /// an accept loop and never exit, so auditing them under
@@ -244,7 +237,6 @@ pub fn audit_profiling_determinism(
             return ProfilingDeterminismReport {
                 trace_identical: false,
                 profiles_identical: false,
-                parallel_replay_identical: false,
                 diagnostics: vec![Diagnostic::error(
                     "determinism::run-failed",
                     "profiling build",
@@ -281,18 +273,9 @@ pub fn audit_profiling_determinism(
             ),
         ));
     }
-    let parallel_replay_identical = a.parallel_matches_serial && b.parallel_matches_serial;
-    if !parallel_replay_identical {
-        diagnostics.push(Diagnostic::error(
-            "determinism::parallel-replay",
-            "trace replay",
-            "chunk-parallel replay does not merge to the serial replay's profiles".to_string(),
-        ));
-    }
     ProfilingDeterminismReport {
         trace_identical,
         profiles_identical,
-        parallel_replay_identical,
         diagnostics,
     }
 }
@@ -319,28 +302,22 @@ fn profiling_run_once(program: &Program, stop: StopWhen) -> Result<ProfilingArti
     let trace_bytes = write_trace(&trace).to_vec();
 
     let ids = assign_ids(program, &snap, HeapStrategy::HeapPath);
-    let serial = replay_first_access(program, &trace, &ids, cfg.max_paths, 1)
-        .map_err(|e| format!("serial replay failed: {e:?}"))?;
-    let parallel = replay_first_access(program, &trace, &ids, cfg.max_paths, 4)
-        .map_err(|e| format!("parallel replay failed: {e:?}"))?;
-    let parallel_matches_serial = serial.cu_order == parallel.cu_order
-        && serial.method_order == parallel.method_order
-        && serial.object_order == parallel.object_order;
+    let summary = replay_first_access(program, &trace, &ids, cfg.max_paths)
+        .map_err(|e| format!("replay failed: {e:?}"))?;
 
     let mut profile_csv = String::from("artifact,value\n");
-    for sig in &serial.cu_order {
+    for sig in &summary.cu_order {
         profile_csv.push_str(&format!("cu,{sig}\n"));
     }
-    for sig in &serial.method_order {
+    for sig in &summary.method_order {
         profile_csv.push_str(&format!("method,{sig}\n"));
     }
-    for id in &serial.heap_profile(&ids).ids {
+    for id in &summary.heap_profile(&ids).ids {
         profile_csv.push_str(&format!("heap,{id:016x}\n"));
     }
     Ok(ProfilingArtifacts {
         trace_bytes,
         profile_csv,
-        parallel_matches_serial,
     })
 }
 

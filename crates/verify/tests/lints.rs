@@ -466,7 +466,6 @@ fn profiling_determinism_audit_passes_on_builder_program() {
     let program = Awfy::Sieve.program_at(&RuntimeScale::small());
     let report = audit_profiling_determinism(&program, nimage_vm::StopWhen::Exit);
     assert!(report.trace_identical);
-    assert!(report.parallel_replay_identical);
     assert!(
         report.is_deterministic(),
         "profiling build must be deterministic: {:?}",
