@@ -11,6 +11,11 @@
 //!   `Arc<LoweredProgram>` + `Arc<HeapTemplate>` built up front and
 //!   shared across iterations, so the measured cost is pure step-loop
 //!   dispatch. This is the configuration the eval matrix runs in.
+//! - `dispatch/instrumented_shared` — the same steady state on the
+//!   `InstrumentConfig::FULL` Bounce build: path profiling, heap tracing
+//!   and probe costs, about two thirds of AWFY interpreter time.
+//! - `dispatch/arith_shared` — the steady state on Mandelbrot-small, a
+//!   loop of arithmetic and branches on locals.
 //! - `lowering/build` — the one-time lowering pass itself.
 
 use std::sync::Arc;
@@ -18,6 +23,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, Parallelism, Pipeline, RunParts};
+use nimage_ir::Program;
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder};
 use nimage_workloads::{Awfy, RuntimeScale};
 
@@ -26,6 +32,35 @@ fn opts() -> BuildOptions {
         threads: Parallelism::threads(1),
         ..BuildOptions::default()
     }
+}
+
+/// Benches runs of `program`'s `instrument` build with the lowered program
+/// and heap template built once and shared, as the engine runs a build.
+fn bench_shared(c: &mut Criterion, id: &str, program: &Program, instrument: InstrumentConfig) {
+    let o = opts();
+    let p = Pipeline::new(program, o.clone());
+    let built = p.build_instrumented(instrument).unwrap();
+    let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
+    let lowered = Arc::new(LoweredProgram::build(
+        program,
+        &built.compiled,
+        o.vm.max_paths,
+    ));
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            p.run(
+                RunParts::new(
+                    std::hint::black_box(&built.compiled),
+                    &built.snapshot,
+                    &built.image,
+                )
+                .heap(Some(template.clone()))
+                .lowered(Some(lowered.clone())),
+                StopWhen::Exit,
+            )
+            .unwrap()
+        })
+    });
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -52,27 +87,25 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 
     // Steady state: lowering and heap materialization amortized away.
-    let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
-    let lowered = Arc::new(LoweredProgram::build(
+    bench_shared(
+        c,
+        "dispatch/lowered_shared",
         &program,
-        &built.compiled,
-        o.vm.max_paths,
-    ));
-    c.bench_function("dispatch/lowered_shared", |b| {
-        b.iter(|| {
-            p.run(
-                RunParts::new(
-                    std::hint::black_box(&built.compiled),
-                    &built.snapshot,
-                    &built.image,
-                )
-                .heap(Some(template.clone()))
-                .lowered(Some(lowered.clone())),
-                StopWhen::Exit,
-            )
-            .unwrap()
-        })
-    });
+        InstrumentConfig::NONE,
+    );
+    bench_shared(
+        c,
+        "dispatch/instrumented_shared",
+        &program,
+        InstrumentConfig::FULL,
+    );
+    let mandelbrot = Awfy::Mandelbrot.program_at(&RuntimeScale::small());
+    bench_shared(
+        c,
+        "dispatch/arith_shared",
+        &mandelbrot,
+        InstrumentConfig::NONE,
+    );
 }
 
 fn bench_lowering(c: &mut Criterion) {

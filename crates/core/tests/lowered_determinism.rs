@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, BuiltImage, Parallelism, Pipeline, RunParts, Strategy};
-use nimage_ir::Program;
+use nimage_ir::{BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef};
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
@@ -143,6 +143,165 @@ fn pgo_reordered_image_matches_between_engines() {
             reference, lowered,
             "optimized run ({strategy:?}) differs between engines"
         );
+    }
+}
+
+/// The lowered engine runs a quantum as fast-path runs broken by slow ops,
+/// with the op budget bounding each run. Budgets just below, at and above
+/// the quantum (64) and its multiples stop both engines at the same op,
+/// mid-run or at a run boundary.
+#[test]
+fn op_budgets_across_quantum_boundaries_stop_both_engines_alike() {
+    let bounce = Awfy::Bounce.program_at(&RuntimeScale::small());
+    let micronaut = Microservice::Micronaut.program();
+    let o = opts(1);
+    for (program, instrument, stop) in [
+        (&bounce, InstrumentConfig::FULL, StopWhen::Exit),
+        (&bounce, InstrumentConfig::NONE, StopWhen::Exit),
+        (&micronaut, InstrumentConfig::FULL, StopWhen::Exit),
+    ] {
+        let built = Pipeline::new(program, o.clone())
+            .build_instrumented(instrument)
+            .unwrap();
+        for max_ops in [1, 63, 64, 65, 129, 10_007] {
+            let vm = VmConfig {
+                max_ops,
+                ..o.vm.clone()
+            };
+            let (reference, lowered) = both_engines(program, &built, &vm, stop);
+            assert!(lowered.contains("exit: OpsBudget"), "{lowered}");
+            assert_eq!(
+                reference, lowered,
+                "max_ops {max_ops} ({instrument:?}) stops the engines apart"
+            );
+        }
+    }
+}
+
+/// The lowered engine hands a callee a locals buffer recycled from a
+/// returned frame; a local the callee reads before writing must still be
+/// null, as on the reference engine, which allocates fresh locals.
+#[test]
+fn recycled_locals_read_as_fresh_ones() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.add_class("t.Stale", None);
+    let fill = pb.declare_static(c, "fill", &[], Some(TypeRef::Int));
+    let peek = pb.declare_static(c, "peek", &[], Some(TypeRef::Int));
+    let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
+    let mut f = pb.body(fill);
+    let a = f.iconst(7);
+    let b = f.iconst(8);
+    let s = f.add(a, b);
+    f.ret(Some(s));
+    pb.finish_body(fill, f);
+    let mut f = pb.body(peek);
+    let unset = f.local();
+    f.ret(Some(unset));
+    pb.finish_body(peek, f);
+    let mut f = pb.body(main);
+    f.call_static(fill, &[], true);
+    let r = f.call_static(peek, &[], true);
+    f.ret(r);
+    pb.finish_body(main, f);
+    pb.set_entry(main);
+    let program = pb.build().unwrap();
+    for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
+        let (reference, lowered) =
+            built_on_both_engines(&program, &opts(1), instrument, StopWhen::Exit);
+        assert!(
+            reference.contains("entry_return: Some(Null)"),
+            "{reference}"
+        );
+        assert_eq!(reference, lowered, "{instrument:?}");
+    }
+}
+
+/// A hot loop of 1 000 iterations over `obj.field`, each adding what
+/// `fail(f, obj, field, i)` computes — which fails at iteration 300.
+fn failing_loop(fail: impl Fn(&mut BodyBuilder, Local, FieldId, Local) -> Local) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.add_class("t.Hot", None);
+    let field = pb.add_instance_field(c, "f", TypeRef::Int);
+    let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
+    let mut f = pb.body(main);
+    let obj = f.new_object(c);
+    let from = f.iconst(0);
+    let to = f.iconst(1_000);
+    let acc = f.iconst(0);
+    f.for_range(from, to, |f, i| {
+        let v = f.get_field(obj, field);
+        let s = f.add(v, i);
+        f.put_field(obj, field, s);
+        let x = fail(f, obj, field, i);
+        let s = f.add(acc, x);
+        f.assign(acc, s);
+    });
+    f.ret(Some(acc));
+    pb.finish_body(main, f);
+    pb.set_entry(main);
+    pb.build().unwrap()
+}
+
+/// A runtime error inside a hot loop — where the lowered engine runs on
+/// its fast path — is the same error, raised at the same op, on both
+/// engines.
+#[test]
+fn errors_in_a_hot_loop_match_between_engines() {
+    let divide_by_zero = failing_loop(|f, _, _, i| {
+        let k = f.iconst(300);
+        let d = f.sub(k, i);
+        let hundred = f.iconst(100);
+        f.div(hundred, d)
+    });
+    let read_null = failing_loop(|f, obj, field, i| {
+        let k = f.iconst(300);
+        let hit = f.eq(i, k);
+        let target = f.copy(obj);
+        f.if_then(hit, |f| {
+            let null = f.null();
+            f.assign(target, null);
+        });
+        f.get_field(target, field)
+    });
+    let read_past_end = failing_loop(|f, _, _, i| {
+        let len = f.iconst(300);
+        let arr = f.new_array(TypeRef::Int, len);
+        f.array_get(arr, i)
+    });
+    let write_below_zero = failing_loop(|f, _, _, i| {
+        let len = f.iconst(300);
+        let arr = f.new_array(TypeRef::Int, len);
+        let k = f.iconst(299);
+        let at = f.sub(k, i);
+        f.array_set(arr, at, i);
+        f.array_get(arr, at)
+    });
+    let o = opts(1);
+    for (program, what) in [
+        (&divide_by_zero, "DivisionByZero"),
+        (&read_null, "NullDeref"),
+        (&read_past_end, "IndexOutOfBounds"),
+        (&write_below_zero, "IndexOutOfBounds"),
+    ] {
+        for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
+            let built = Pipeline::new(program, o.clone())
+                .build_instrumented(instrument)
+                .unwrap();
+            let vm = || {
+                VmBuilder::new(
+                    program,
+                    &built.compiled,
+                    &built.snapshot,
+                    &built.image,
+                    o.vm.clone(),
+                )
+                .build()
+            };
+            let reference = vm().run_reference(StopWhen::Exit).unwrap_err();
+            let lowered = vm().run(StopWhen::Exit).unwrap_err();
+            assert!(format!("{lowered:?}").starts_with(what), "{lowered:?}");
+            assert_eq!(reference, lowered, "{what} ({instrument:?})");
+        }
     }
 }
 

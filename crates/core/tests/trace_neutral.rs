@@ -4,7 +4,8 @@
 //! record the same logical span tree.
 
 use nimage_core::{
-    BuildOptions, DiskCacheOptions, Engine, EngineOptions, Strategy, TraceOptions, WorkloadSpec,
+    BuildOptions, DiskCacheOptions, Engine, EngineOptions, EvalRequest, Strategy, TraceOptions,
+    WorkloadSpec,
 };
 use nimage_trace::{canonical_shape, logical_roots};
 use nimage_vm::StopWhen;
@@ -52,6 +53,42 @@ fn vm_events_are_bit_neutral_on_a_microservice() {
     let off = evaluate(&engine(2, false, None), &program, StopWhen::FirstResponse);
     let on = evaluate(&engine(2, true, None), &program, StopWhen::FirstResponse);
     assert_eq!(off, on, "vm_events changed a microservice evaluation");
+}
+
+/// An event ring too small for the evaluation overflows: the report counts
+/// the dropped events, and the results stay an untraced engine's. So a
+/// report's `dropped == 0` is a real check, not one that cannot fail.
+#[test]
+fn an_overflowing_event_ring_reports_drops_and_changes_no_result() {
+    let program = Awfy::Sieve.program_at(&RuntimeScale::small());
+    let tiny = Engine::new(EngineOptions {
+        n_threads: 1,
+        disk: None,
+        trace: TraceOptions {
+            vm_events: true,
+            capacity: 8,
+        },
+    });
+    let spec = WorkloadSpec::new("wl", &program, BuildOptions::default(), StopWhen::Exit);
+    let outcome = tiny
+        .evaluate(
+            &EvalRequest::new()
+                .workload(spec)
+                .strategies(Strategy::all()),
+        )
+        .expect("evaluation succeeds");
+    assert!(
+        outcome.report.trace.dropped > 0,
+        "an 8-event ring held a whole evaluation: {:?}",
+        outcome.report.trace
+    );
+    let traced: Vec<String> = outcome
+        .cells
+        .iter()
+        .map(|c| format!("{} {:?} {:?}", c.workload, c.strategy, c.eval))
+        .collect();
+    let untraced = evaluate(&engine(1, false, None), &program, StopWhen::Exit);
+    assert_eq!(untraced, traced, "an overflowing ring changed results");
 }
 
 /// Trace options never enter cache fingerprints: a traced engine must get

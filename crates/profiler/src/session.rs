@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use bytes::BytesMut;
 
-use crate::wire::{decode_records, Trace, TraceRecord};
+use crate::wire::{decode_records, encode_path, path_encoded_len, Trace, TraceRecord};
 
 /// How thread-local buffers reach the durable trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ struct ThreadState {
 /// let sig = session.intern("app.Main.main(0)");
 /// let thread = session.start_thread();
 /// session.record_cu_entry(thread, sig);
-/// session.record_path(thread, sig, 0, 3, vec![7, 0]);
+/// session.record_path(thread, sig, 0, 3, &[7, 0]);
 /// session.end_thread(thread);
 /// let trace = session.into_trace();
 /// assert_eq!(trace.threads[0].len(), 2);
@@ -128,12 +128,12 @@ impl TraceSession {
         self.stats
     }
 
-    fn write(&mut self, th: ThreadHandle, record: &TraceRecord) {
+    /// Stores one record of `len` encoded bytes, which `encode` appends.
+    fn write(&mut self, th: ThreadHandle, len: usize, encode: impl FnOnce(&mut BytesMut)) {
         let cap = self.buffer_capacity;
         let mode = self.mode;
         let t = &mut self.threads[th.0];
         assert!(!t.terminated, "record on terminated thread");
-        let len = record.encoded_len();
         match mode {
             DumpMode::OnFull => {
                 if t.staging.len() + len > cap {
@@ -143,7 +143,7 @@ impl TraceSession {
                     t.staged_records = 0;
                     self.stats.flushes += 1;
                 }
-                record.encode(&mut t.staging);
+                encode(&mut t.staging);
                 t.staged_records += 1;
             }
             DumpMode::MemoryMapped => {
@@ -152,44 +152,43 @@ impl TraceSession {
                     t.segment_used = 0;
                     self.stats.remaps += 1;
                 }
-                record.encode(&mut t.file);
+                encode(&mut t.file);
                 t.segment_used += len;
             }
         }
     }
 
+    fn write_record(&mut self, th: ThreadHandle, record: &TraceRecord) {
+        self.write(th, record.encoded_len(), |out| record.encode(out));
+    }
+
     /// Records a CU-entry event.
     pub fn record_cu_entry(&mut self, th: ThreadHandle, sig: u32) {
-        self.write(th, &TraceRecord::CuEntry { sig });
+        self.write_record(th, &TraceRecord::CuEntry { sig });
         self.stats.cu_records += 1;
     }
 
     /// Records a method-entry event.
     pub fn record_method_entry(&mut self, th: ThreadHandle, sig: u32) {
-        self.write(th, &TraceRecord::MethodEntry { sig });
+        self.write_record(th, &TraceRecord::MethodEntry { sig });
         self.stats.method_records += 1;
     }
 
-    /// Records an executed path with its observed object identifiers.
+    /// Records an executed path with its observed object identifiers,
+    /// encoded straight from the caller's buffer (which it may reuse).
     pub fn record_path(
         &mut self,
         th: ThreadHandle,
         method: u32,
         start: u32,
         path_id: u64,
-        obj_ids: Vec<u64>,
+        obj_ids: &[u64],
     ) {
         self.stats.obj_ids += obj_ids.len() as u64;
         self.stats.path_records += 1;
-        self.write(
-            th,
-            &TraceRecord::Path {
-                method,
-                start,
-                path_id,
-                obj_ids,
-            },
-        );
+        self.write(th, path_encoded_len(obj_ids.len()), |out| {
+            encode_path(out, method, start, path_id, obj_ids)
+        });
     }
 
     /// Normal thread termination: flushes the staging buffer.
@@ -256,7 +255,7 @@ mod tests {
         let th = s.start_thread();
         for i in 0..10 {
             let (_, start, id, objs) = path(i);
-            s.record_path(th, m, start, id, objs);
+            s.record_path(th, m, start, id, &objs);
         }
         assert!(s.stats().flushes > 0, "small buffer must flush");
         s.end_thread(th);
@@ -278,7 +277,7 @@ mod tests {
         let th = s.start_thread();
         for i in 0..5 {
             let (_, start, id, objs) = path(i);
-            s.record_path(th, m, start, id, objs);
+            s.record_path(th, m, start, id, &objs);
         }
         s.kill();
         assert_eq!(s.stats().lost_records, 5);
@@ -293,7 +292,7 @@ mod tests {
         let th = s.start_thread();
         for i in 0..50 {
             let (_, start, id, objs) = path(i);
-            s.record_path(th, m, start, id, objs);
+            s.record_path(th, m, start, id, &objs);
         }
         s.kill();
         assert_eq!(s.stats().lost_records, 0);
@@ -336,7 +335,7 @@ mod tests {
         let m = s.intern("m");
         let th = s.start_thread();
         s.record_cu_entry(th, m);
-        s.record_path(th, m, 0, 1, vec![5, 6, 7]);
+        s.record_path(th, m, 0, 1, &[5, 6, 7]);
         let st = s.stats();
         assert_eq!(st.cu_records, 1);
         assert_eq!(st.path_records, 1);

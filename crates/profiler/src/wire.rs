@@ -44,7 +44,7 @@ impl TraceRecord {
     pub fn encoded_len(&self) -> usize {
         match self {
             TraceRecord::CuEntry { .. } | TraceRecord::MethodEntry { .. } => 1 + 4,
-            TraceRecord::Path { obj_ids, .. } => 1 + 4 + 4 + 8 + 4 + 8 * obj_ids.len(),
+            TraceRecord::Path { obj_ids, .. } => path_encoded_len(obj_ids.len()),
         }
     }
 
@@ -64,17 +64,32 @@ impl TraceRecord {
                 start,
                 path_id,
                 obj_ids,
-            } => {
-                out.put_u8(TAG_PATH);
-                out.put_u32(*method);
-                out.put_u32(*start);
-                out.put_u64(*path_id);
-                out.put_u32(obj_ids.len() as u32);
-                for &o in obj_ids {
-                    out.put_u64(o);
-                }
-            }
+            } => encode_path(out, *method, *start, *path_id, obj_ids),
         }
+    }
+}
+
+/// Encoded size of a path record carrying `n_ids` object identifiers.
+pub(crate) fn path_encoded_len(n_ids: usize) -> usize {
+    1 + 4 + 4 + 8 + 4 + 8 * n_ids
+}
+
+/// Appends the encoding of a [`TraceRecord::Path`] from borrowed parts, so
+/// a recorder need not own its identifiers.
+pub(crate) fn encode_path(
+    out: &mut BytesMut,
+    method: u32,
+    start: u32,
+    path_id: u64,
+    obj_ids: &[u64],
+) {
+    out.put_u8(TAG_PATH);
+    out.put_u32(method);
+    out.put_u32(start);
+    out.put_u64(path_id);
+    out.put_u32(obj_ids.len() as u32);
+    for &o in obj_ids {
+        out.put_u64(o);
     }
 }
 

@@ -250,6 +250,8 @@ const NOT_IN_IMAGE: ObjSlot = ObjSlot {
 /// The interpreter's recorder: deduplicates touches per key with dense
 /// bitsets (one bit per `(CU, node)`, per byte offset of every snapshot
 /// object, per native-tail page) and appends each first touch to the log.
+/// On heap-traced builds it also records every object access's touched
+/// byte (`RunReport::heap_touch_spans`).
 pub(crate) struct FirstTouches {
     log: AccessLog,
     /// First node bit of each CU, by CU index.
@@ -259,7 +261,16 @@ pub(crate) struct FirstTouches {
     slots: Vec<ObjSlot>,
     objects: Bits,
     native: Bits,
+    /// Per build-heap object index on heap-traced builds (empty
+    /// otherwise): `0` before the object's first access, else `i + 1` for
+    /// its span list `spans[i]`.
+    span_of: Vec<u32>,
+    /// In first-access order.
+    spans: ObjectSpans,
 }
+
+/// `(snapshot object, touched-byte spans)` pairs.
+pub(crate) type ObjectSpans = Vec<(u32, Vec<(u64, u64)>)>;
 
 impl FirstTouches {
     pub(crate) fn new(
@@ -301,6 +312,12 @@ impl FirstTouches {
             slots,
             objects: Bits::new(bytes),
             native: Bits::new(tail_pages(options)),
+            span_of: if compiled.instrumentation.trace_heap {
+                vec![0; heap.len()]
+            } else {
+                vec![]
+            },
+            spans: vec![],
         }
     }
 
@@ -327,7 +344,26 @@ impl FirstTouches {
         if offset >= slot.extent || self.objects.first(slot.base + offset) {
             self.log.touches.push(Touch::Object { obj: obj.0, offset });
         }
+        if !self.span_of.is_empty() {
+            self.span(obj.index(), offset);
+        }
         true
+    }
+
+    /// Adds byte `offset` to object `obj`'s spans: the last span grows when
+    /// accesses walk forward (the common field/array scan); anything else
+    /// opens a new span, merged at report time.
+    fn span(&mut self, obj: usize, offset: u64) {
+        let at = &mut self.span_of[obj];
+        if *at == 0 {
+            self.spans.push((obj as u32, vec![]));
+            *at = self.spans.len() as u32;
+        }
+        let spans = &mut self.spans[*at as usize - 1].1;
+        match spans.last_mut() {
+            Some(s) if offset >= s.0 && offset <= s.1 => s.1 = s.1.max(offset + 1),
+            _ => spans.push((offset, offset + 1)),
+        }
     }
 
     /// A touch of logical native-tail page `page` (always below the tail's
@@ -347,7 +383,30 @@ impl FirstTouches {
         self.log.respond_at = Some(self.log.touches.len());
     }
 
-    pub(crate) fn into_log(self) -> AccessLog {
-        self.log
+    /// The log, and the touched-byte spans per snapshot object: sorted by
+    /// object, each list sorted and merged.
+    pub(crate) fn finish(self) -> (AccessLog, ObjectSpans) {
+        let mut spans: ObjectSpans = self
+            .spans
+            .into_iter()
+            .map(|(obj, s)| (obj, merge_spans(s)))
+            .collect();
+        spans.sort_unstable_by_key(|&(obj, _)| obj);
+        (self.log, spans)
     }
+}
+
+/// Canonicalizes a recorded span list: sorted by start, overlapping or
+/// adjacent spans merged. The recording fast path only extends the last
+/// span, so revisits out of order leave duplicates this pass removes.
+fn merge_spans(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    spans.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (s, e) in spans {
+        match out.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
 }

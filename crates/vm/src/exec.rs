@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, PathNumbering, ProfilingCfg};
-use nimage_heap::HeapSnapshot;
+use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
     eval_bin, eval_intrinsic, eval_un, BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program,
@@ -199,7 +199,6 @@ struct ThreadCtx {
 pub struct Vm<'a> {
     program: &'a Program,
     compiled: &'a CompiledProgram,
-    snapshot: &'a HeapSnapshot,
     image: &'a BinaryImage,
     config: VmConfig,
     /// First touches of this run, paged against the image at exit.
@@ -229,10 +228,11 @@ pub struct Vm<'a> {
     first_response: Option<ResponsePoint>,
     entry_return: Option<RtValue>,
     native_touch_pages: Vec<u32>,
-    /// Object-relative touched-byte spans per snapshot object, recorded on
-    /// heap-traced runs (keyed by raw snapshot object index). Canonicalized
-    /// — sorted, merged — into `RunReport::heap_touch_spans` at exit.
-    heap_touch_spans: std::collections::HashMap<u32, Vec<(u64, u64)>>,
+    /// Buffers of frames the lowered engine returned from, reused by its
+    /// next calls: once the stack has been this deep, a call allocates
+    /// nothing.
+    spare_locals: Vec<Vec<RtValue>>,
+    spare_pending: Vec<Vec<u64>>,
     /// Extra cost factor for memory-mapped (mode 2) trace writes: every
     /// record is made durable immediately instead of staged in a local
     /// buffer, which the paper's Sec. 7.4 shows costs roughly twice as
@@ -339,7 +339,6 @@ impl<'a> VmBuilder<'a> {
             heap,
             program,
             compiled,
-            snapshot,
             image,
             config,
             session,
@@ -354,7 +353,8 @@ impl<'a> VmBuilder<'a> {
             first_response: None,
             entry_return: None,
             native_touch_pages: Vec::new(),
-            heap_touch_spans: std::collections::HashMap::new(),
+            spare_locals: Vec::new(),
+            spare_pending: Vec::new(),
             probe_scale,
             trace,
         }
@@ -408,14 +408,47 @@ impl<'a> Vm<'a> {
         self.program.method_signature(m)
     }
 
-    /// Pushes a new frame for `method` executing inside `(cu, node)`.
+    /// A new locals buffer for a frame of `method`: `args`, then nulls.
+    /// The reference interpreter's; the lowered engine recycles buffers
+    /// ([`Vm::callee_locals`]).
+    fn fresh_locals(&self, method: MethodId, args: &[RtValue]) -> Vec<RtValue> {
+        let mut locals = vec![RtValue::Null; self.program.method(method).n_locals as usize];
+        locals[..args.len()].copy_from_slice(args);
+        locals
+    }
+
+    /// The locals of a lowered call from thread `t`'s top frame to
+    /// `method`: a buffer recycled from a returned frame when one is spare,
+    /// with the arguments copied straight from the caller's locals.
+    fn callee_locals(&mut self, t: usize, method: MethodId, args: &[Local]) -> Vec<RtValue> {
+        let n = self.program.method(method).n_locals as usize;
+        let mut locals = self.spare_locals.pop().unwrap_or_default();
+        locals.clear();
+        locals.resize(n, RtValue::Null);
+        let caller = &self.threads[t].frames.last().expect("frame").locals;
+        for (slot, a) in locals[..args.len()].iter_mut().zip(args) {
+            *slot = caller[a.index()];
+        }
+        locals
+    }
+
+    /// Returns a popped frame's buffers for reuse.
+    fn recycle(&mut self, frame: Frame) {
+        let mut pending = frame.pending;
+        pending.clear();
+        self.spare_pending.push(pending);
+        self.spare_locals.push(frame.locals);
+    }
+
+    /// Pushes a new frame for `method` executing inside `(cu, node)`, with
+    /// its locals (arguments first) already filled.
     fn push_frame(
         &mut self,
         thread: usize,
         method: MethodId,
         cu: CuId,
         node: u32,
-        args: Vec<RtValue>,
+        locals: Vec<RtValue>,
         ret_slot: Option<Local>,
     ) {
         self.touches.code(cu, node);
@@ -429,9 +462,7 @@ impl<'a> Vm<'a> {
                 .record_method_entry(th, sig);
             self.probe_ops += self.config.probe_costs.method_entry * self.probe_scale;
         }
-        let m = self.program.method(method);
-        let mut locals = vec![RtValue::Null; m.n_locals as usize];
-        locals[..args.len()].copy_from_slice(&args);
+        let pending = self.spare_pending.pop().unwrap_or_default();
         // The entry mini-block is the head of block 0, which ProfilingCfg
         // numbers 0 unconditionally.
         let mini = 0;
@@ -446,7 +477,7 @@ impl<'a> Vm<'a> {
             mini,
             path_start: mini,
             path_acc: 0,
-            pending: vec![],
+            pending,
         });
     }
 
@@ -455,7 +486,7 @@ impl<'a> Vm<'a> {
         &mut self,
         thread: usize,
         method: MethodId,
-        args: Vec<RtValue>,
+        locals: Vec<RtValue>,
         ret_slot: Option<Local>,
     ) -> Result<(), VmError> {
         let cu = match &self.lowered {
@@ -485,7 +516,7 @@ impl<'a> Vm<'a> {
                 .record_cu_entry(th, sig);
             self.probe_ops += self.config.probe_costs.cu_entry * self.probe_scale;
         }
-        self.push_frame(thread, method, cu, 0, args, ret_slot);
+        self.push_frame(thread, method, cu, 0, locals, ret_slot);
         Ok(())
     }
 
@@ -493,23 +524,25 @@ impl<'a> Vm<'a> {
         if !self.trace_heap() {
             return;
         }
-        let frame = self.threads[thread]
+        let method = self.threads[thread]
             .frames
-            .last_mut()
-            .expect("flush with live frame");
-        let method = frame.method;
-        let start = frame.path_start;
-        let acc = frame.path_acc;
-        let pending = std::mem::take(&mut frame.pending);
-        let th = self.threads[thread].handle.expect("traced thread");
+            .last()
+            .expect("flush with live frame")
+            .method;
         let sig = self.sig_idx(method);
+        let th = self.threads[thread].handle.expect("traced thread");
+        let frame = self.threads[thread].frames.last_mut().expect("frame");
         self.probe_ops += (self.config.probe_costs.path_flush
-            + self.config.probe_costs.obj_id * pending.len() as u64)
+            + self.config.probe_costs.obj_id * frame.pending.len() as u64)
             * self.probe_scale;
-        self.session
-            .as_mut()
-            .expect("session")
-            .record_path(th, sig, start, acc, pending);
+        self.session.as_mut().expect("session").record_path(
+            th,
+            sig,
+            frame.path_start,
+            frame.path_acc,
+            &frame.pending,
+        );
+        frame.pending.clear();
     }
 
     /// Advances Ball–Larus state across the intra-block cut edge after a
@@ -553,15 +586,6 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// The 64-bit profile identifier traced for an object access (0 when the
-    /// accessed object is not part of the heap snapshot).
-    fn trace_id_of(&self, r: u32) -> u64 {
-        match self.heap.as_obj_id(r) {
-            Some(obj) if self.snapshot.index_of(obj).is_some() => u64::from(r) + 1,
-            _ => 0,
-        }
-    }
-
     /// Touches logical page `page` of the native tail (below its page
     /// count): logged for paging, and recorded in the logical first-touch
     /// order (the profile of the native-reordering extension) when the page
@@ -593,30 +617,17 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Touches the `.svm_heap` bytes of an image object access.
-    fn touch_object(&mut self, r: u32, byte_offset: u64) {
-        let Some(obj) = self.heap.as_obj_id(r) else {
-            return;
-        };
-        if self.touches.object(obj, byte_offset) && self.trace_heap() {
-            // Grow the last span when accesses walk forward (the common
-            // field/array scan); anything else opens a new span and is
-            // merged at report time.
-            let spans = self.heap_touch_spans.entry(obj.0).or_default();
-            match spans.last_mut() {
-                Some(s) if byte_offset >= s.0 && byte_offset <= s.1 => {
-                    s.1 = s.1.max(byte_offset + 1);
-                }
-                _ => spans.push((byte_offset, byte_offset + 1)),
-            }
-        }
+    /// Touches the `.svm_heap` bytes of an object access; `true` when the
+    /// object is in the image.
+    fn touch_object(&mut self, r: u32, byte_offset: u64) -> bool {
+        touch_heap(&self.heap, &mut self.touches, r, byte_offset)
     }
 
     /// Records a traced heap access (paging + pending trace id + probe cost).
     fn heap_access(&mut self, thread: usize, r: u32, byte_offset: u64) {
-        self.touch_object(r, byte_offset);
+        let in_image = self.touch_object(r, byte_offset);
         if self.trace_heap() {
-            let id = self.trace_id_of(r);
+            let id = trace_id(r, in_image);
             self.probe_ops += self.config.probe_costs.obj_id * self.probe_scale;
             self.threads[thread]
                 .frames
@@ -705,10 +716,10 @@ impl<'a> Vm<'a> {
         if let Some(s) = self.session.as_mut() {
             self.threads[0].handle = Some(s.start_thread());
         }
-        self.enter_cu(0, entry, vec![], None)?;
+        let locals = self.fresh_locals(entry, &[]);
+        self.enter_cu(0, entry, locals, None)?;
 
-        let quantum = self.config.quantum;
-        // Clone the Arc out of `self` so the lowered step can borrow
+        // Clone the Arc out of `self` so the lowered engine can borrow
         // instruction references without aliasing `&mut self`.
         let lowered = self.lowered.clone();
         let mut killed = false;
@@ -719,23 +730,14 @@ impl<'a> Vm<'a> {
                     continue;
                 }
                 any_live = true;
-                for _ in 0..quantum {
-                    if self.threads[t].frames.is_empty() {
-                        if let (Some(s), Some(h)) = (self.session.as_mut(), self.threads[t].handle)
-                        {
-                            s.end_thread(h);
-                        }
-                        self.threads[t].done = true;
-                        break;
-                    }
-                    if self.ops >= self.config.max_ops {
-                        break 'sched;
-                    }
-                    match &lowered {
-                        Some(lp) => self.step_lowered(lp, t)?,
-                        None => self.step(t)?,
-                    }
-                    if stop == StopWhen::FirstResponse && self.first_response.is_some() {
+                let end = match &lowered {
+                    Some(lp) => self.run_quantum(lp, t, stop)?,
+                    None => self.step_quantum(t, stop)?,
+                };
+                match end {
+                    QuantumEnd::Yield => {}
+                    QuantumEnd::Budget => break 'sched,
+                    QuantumEnd::Killed => {
                         killed = true;
                         break 'sched;
                     }
@@ -771,13 +773,7 @@ impl<'a> Vm<'a> {
             ExitKind::Exited
         };
 
-        let mut heap_touch_spans: Vec<(u32, Vec<(u64, u64)>)> = self
-            .heap_touch_spans
-            .iter()
-            .map(|(&obj, spans)| (obj, merge_spans(spans)))
-            .collect();
-        heap_touch_spans.sort_unstable_by_key(|&(obj, _)| obj);
-
+        let (log, heap_touch_spans) = self.touches.finish();
         let session_stats = self.session.as_ref().map(|s| s.stats());
         let trace = self.session.take().map(|s| s.into_trace());
         let mut report = RunReport {
@@ -795,7 +791,6 @@ impl<'a> Vm<'a> {
             text_page_states: vec![],
             heap_page_states: vec![],
         };
-        let log = self.touches.into_log();
         log.page_into(
             &mut report,
             self.compiled,
@@ -804,6 +799,243 @@ impl<'a> Vm<'a> {
             &self.trace,
         );
         Ok((report, log))
+    }
+
+    /// Marks thread `t` done, ending its trace thread, once its last frame
+    /// has returned; `true` when it has.
+    fn end_if_finished(&mut self, t: usize) -> bool {
+        if !self.threads[t].frames.is_empty() {
+            return false;
+        }
+        if let (Some(s), Some(h)) = (self.session.as_mut(), self.threads[t].handle) {
+            s.end_thread(h);
+        }
+        self.threads[t].done = true;
+        true
+    }
+
+    /// One scheduling quantum of thread `t` on the reference interpreter.
+    /// Before each op: thread end, then the op budget; after it: the first
+    /// response.
+    fn step_quantum(&mut self, t: usize, stop: StopWhen) -> Result<QuantumEnd, VmError> {
+        for _ in 0..self.config.quantum {
+            if self.end_if_finished(t) {
+                return Ok(QuantumEnd::Yield);
+            }
+            if self.ops >= self.config.max_ops {
+                return Ok(QuantumEnd::Budget);
+            }
+            self.step(t)?;
+            if stop == StopWhen::FirstResponse && self.first_response.is_some() {
+                return Ok(QuantumEnd::Killed);
+            }
+        }
+        Ok(QuantumEnd::Yield)
+    }
+
+    /// One scheduling quantum of thread `t` on the lowered engine, with
+    /// exactly [`Vm::step_quantum`]'s checks per op. Runs of fast ops go
+    /// through [`Vm::run_fast`]; those can neither end the thread nor
+    /// respond, so only the quantum and the op budget bound a run. Every
+    /// other op is one [`Vm::step_lowered`].
+    fn run_quantum(
+        &mut self,
+        lp: &LoweredProgram,
+        t: usize,
+        stop: StopWhen,
+    ) -> Result<QuantumEnd, VmError> {
+        let mut left = u64::from(self.config.quantum);
+        while left > 0 {
+            if self.end_if_finished(t) {
+                return Ok(QuantumEnd::Yield);
+            }
+            if self.ops >= self.config.max_ops {
+                return Ok(QuantumEnd::Budget);
+            }
+            let budget = left.min(self.config.max_ops - self.ops);
+            let (ran, end) = self.run_fast(lp, t, budget)?;
+            left -= ran;
+            if end == FastEnd::Slow {
+                // The checks above still hold for this op.
+                self.step_lowered(lp, t)?;
+                left -= 1;
+                if stop == StopWhen::FirstResponse && self.first_response.is_some() {
+                    return Ok(QuantumEnd::Killed);
+                }
+            }
+        }
+        Ok(QuantumEnd::Yield)
+    }
+
+    /// Runs up to `budget` ops of thread `t`'s top frame with the frame,
+    /// its code and its path table held in locals. This is the lowered
+    /// engine's only implementation of the constants, `Move`, `Bin`,
+    /// `Un`, `Jump`, `Br`, `GetField`, `PutField`, `ArrayGet` and
+    /// `ArraySet`, errors included. Stops after a cut Ball–Larus edge,
+    /// whose path it flushes, and before any other op, which is
+    /// [`Vm::step_lowered`]'s. Returns the number of ops run.
+    fn run_fast(
+        &mut self,
+        lp: &LoweredProgram,
+        t: usize,
+        budget: u64,
+    ) -> Result<(u64, FastEnd), VmError> {
+        let trace_heap = self.trace_heap();
+        let obj_cost = self.config.probe_costs.obj_id * self.probe_scale;
+        let program = self.program;
+        let Frame {
+            method,
+            locals,
+            ip,
+            mini,
+            path_acc,
+            pending,
+            ..
+        } = self.threads[t].frames.last_mut().expect("live frame");
+        let method = *method;
+        let code = &lp.method(method).code[..];
+        let paths = trace_heap.then(|| {
+            lp.paths(method)
+                .expect("path tables built for traced builds")
+        });
+        let locals = &mut locals[..];
+        let heap = &mut self.heap;
+        let touches = &mut self.touches;
+        let mismatch = |detail: String| VmError::TypeMismatch {
+            method: program.method_signature(method),
+            detail,
+        };
+        let out_of_bounds = || VmError::IndexOutOfBounds {
+            method: program.method_signature(method),
+        };
+        let mut pc = *ip;
+        let mut n = 0;
+        let mut probe = 0;
+        let mut end = FastEnd::Ran;
+        let mut cut_to = None;
+        // A heap access: its first touch and, on heap-traced builds, the
+        // object's trace id and probe cost (`Vm::heap_access`).
+        macro_rules! access {
+            ($r:expr, $offset:expr) => {{
+                let in_image = touch_heap(heap, touches, $r, $offset);
+                if trace_heap {
+                    probe += obj_cost;
+                    pending.push(trace_id($r, in_image));
+                }
+            }};
+        }
+        // Takes a control-flow edge; a cut one ends the run.
+        macro_rules! edge {
+            ($e:expr) => {{
+                let e: &JumpEdge = $e;
+                pc = e.pc as usize;
+                n += 1;
+                if let Some(p) = paths {
+                    let head = p.block_head[e.block as usize];
+                    let pe = p.edge(*mini, e.block);
+                    if pe.cut {
+                        cut_to = Some(head);
+                        break;
+                    }
+                    *path_acc += pe.inc;
+                    *mini = head;
+                }
+                continue;
+            }};
+        }
+        while n < budget {
+            match &code[pc] {
+                LoweredInstr::ConstInt(d, v) => locals[d.index()] = RtValue::Int(*v),
+                LoweredInstr::ConstDouble(d, v) => locals[d.index()] = RtValue::Double(*v),
+                LoweredInstr::ConstBool(d, v) => locals[d.index()] = RtValue::Bool(*v),
+                LoweredInstr::ConstNull(d) => locals[d.index()] = RtValue::Null,
+                LoweredInstr::Move(d, s) => locals[d.index()] = locals[s.index()],
+                LoweredInstr::Bin(op, d, a, b) => {
+                    let (va, vb) = (locals[a.index()], locals[b.index()]);
+                    locals[d.index()] = eval_bin(*op, va, vb).ok_or_else(|| match op {
+                        BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
+                            method: program.method_signature(method),
+                        },
+                        _ => mismatch(format!("{op:?} on {va:?}, {vb:?}")),
+                    })?;
+                }
+                LoweredInstr::Un(op, d, a) => {
+                    let va = locals[a.index()];
+                    locals[d.index()] =
+                        eval_un(*op, va).ok_or_else(|| mismatch(format!("{op:?} on {va:?}")))?;
+                }
+                LoweredInstr::Jump(e) => edge!(e),
+                LoweredInstr::Br {
+                    cond,
+                    then_e,
+                    else_e,
+                } => match locals[cond.index()] {
+                    RtValue::Bool(c) => edge!(if c { then_e } else { else_e }),
+                    other => return Err(mismatch(format!("branch on {other:?}"))),
+                },
+                LoweredInstr::GetField(d, obj, fid) => {
+                    let r = ref_of(program, method, locals[obj.index()])?;
+                    let (slot, v) = field_slot(program, lp, heap, r, *fid, method)?;
+                    access!(r, 16 + 8 * slot as u64);
+                    locals[d.index()] = v;
+                }
+                LoweredInstr::PutField(obj, fid, src) => {
+                    let r = ref_of(program, method, locals[obj.index()])?;
+                    let slot = field_slot(program, lp, heap, r, *fid, method)?.0;
+                    access!(r, 16 + 8 * slot as u64);
+                    match heap.get_mut(r) {
+                        RtObject::Instance { fields, .. } => fields[slot] = locals[src.index()],
+                        _ => unreachable!("field_slot checked"),
+                    }
+                }
+                LoweredInstr::ArrayGet(d, arr, idx) => {
+                    let r = ref_of(program, method, locals[arr.index()])?;
+                    let i = int_of(program, method, locals[idx.index()])?;
+                    let v = match heap.get(r) {
+                        RtObject::Array { elems, .. } => *usize::try_from(i)
+                            .ok()
+                            .and_then(|i| elems.get(i))
+                            .ok_or_else(out_of_bounds)?,
+                        other => return Err(mismatch(format!("array access on {other:?}"))),
+                    };
+                    access!(r, 24 + 8 * i as u64);
+                    locals[d.index()] = v;
+                }
+                LoweredInstr::ArraySet(arr, idx, src) => {
+                    let r = ref_of(program, method, locals[arr.index()])?;
+                    let i = int_of(program, method, locals[idx.index()])?;
+                    let at = match heap.get(r) {
+                        RtObject::Array { elems, .. } => usize::try_from(i)
+                            .ok()
+                            .filter(|&i| i < elems.len())
+                            .ok_or_else(out_of_bounds)?,
+                        other => return Err(mismatch(format!("array access on {other:?}"))),
+                    };
+                    access!(r, 24 + 8 * at as u64);
+                    match heap.get_mut(r) {
+                        RtObject::Array { elems, .. } => elems[at] = locals[src.index()],
+                        _ => unreachable!("checked above"),
+                    }
+                }
+                _ => {
+                    end = FastEnd::Slow;
+                    break;
+                }
+            }
+            pc += 1;
+            n += 1;
+        }
+        *ip = pc;
+        self.ops += n;
+        self.probe_ops += probe;
+        if let Some(head) = cut_to {
+            self.flush_path(t);
+            let frame = self.threads[t].frames.last_mut().expect("frame");
+            frame.mini = head;
+            frame.path_start = head;
+            frame.path_acc = 0;
+        }
+        Ok((n, end))
     }
 
     /// Executes one instruction or terminator on thread `t`.
@@ -835,11 +1067,10 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Executes one lowered instruction on thread `t`: a single index into
-    /// the method's flat code array and a `match` on a reference — no
-    /// clone, no per-step allocation. `lp` is borrowed from the `Arc`
-    /// clone held by [`Vm::run`], so instruction references never alias
-    /// `&mut self`.
+    /// Executes one lowered instruction on thread `t`: the slow path of
+    /// [`Vm::run_quantum`], taking every op [`Vm::run_fast`] stops before.
+    /// `lp` is borrowed from the `Arc` clone held by [`Vm::run`], so
+    /// instruction references never alias `&mut self`.
     fn step_lowered(&mut self, lp: &LoweredProgram, t: usize) -> Result<(), VmError> {
         self.ops += 1;
         let (method, pc) = {
@@ -847,10 +1078,19 @@ impl<'a> Vm<'a> {
             (f.method, f.ip)
         };
         match &lp.method(method).code[pc] {
-            LoweredInstr::ConstInt(d, v) => self.set_local(t, *d, RtValue::Int(*v)),
-            LoweredInstr::ConstDouble(d, v) => self.set_local(t, *d, RtValue::Double(*v)),
-            LoweredInstr::ConstBool(d, v) => self.set_local(t, *d, RtValue::Bool(*v)),
-            LoweredInstr::ConstNull(d) => self.set_local(t, *d, RtValue::Null),
+            LoweredInstr::ConstInt(..)
+            | LoweredInstr::ConstDouble(..)
+            | LoweredInstr::ConstBool(..)
+            | LoweredInstr::ConstNull(..)
+            | LoweredInstr::Move(..)
+            | LoweredInstr::Bin(..)
+            | LoweredInstr::Un(..)
+            | LoweredInstr::GetField(..)
+            | LoweredInstr::PutField(..)
+            | LoweredInstr::ArrayGet(..)
+            | LoweredInstr::ArraySet(..)
+            | LoweredInstr::Jump(..)
+            | LoweredInstr::Br { .. } => unreachable!("run by Vm::run_fast"),
             LoweredInstr::ConstStr(d, sidx) => {
                 let cached = self.str_refs[*sidx as usize];
                 let r = if cached != u32::MAX {
@@ -862,32 +1102,6 @@ impl<'a> Vm<'a> {
                 };
                 self.touch_object(r, 0);
                 self.set_local(t, *d, RtValue::Ref(r));
-            }
-            LoweredInstr::Move(d, s) => {
-                let v = self.local(t, *s);
-                self.set_local(t, *d, v);
-            }
-            LoweredInstr::Bin(op, d, a, b) => {
-                let va = self.local(t, *a);
-                let vb = self.local(t, *b);
-                let r = eval_bin(*op, va, vb).ok_or_else(|| match op {
-                    BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
-                        method: self.err_sig(method),
-                    },
-                    _ => VmError::TypeMismatch {
-                        method: self.err_sig(method),
-                        detail: format!("{op:?} on {va:?}, {vb:?}"),
-                    },
-                })?;
-                self.set_local(t, *d, r);
-            }
-            LoweredInstr::Un(op, d, a) => {
-                let va = self.local(t, *a);
-                let r = eval_un(*op, va).ok_or_else(|| VmError::TypeMismatch {
-                    method: self.err_sig(method),
-                    detail: format!("{op:?} on {va:?}"),
-                })?;
-                self.set_local(t, *d, r);
             }
             LoweredInstr::New(d, c) => {
                 let fields = lp.field_defaults(*c).to_vec();
@@ -907,22 +1121,6 @@ impl<'a> Vm<'a> {
                 });
                 self.set_local(t, *d, RtValue::Ref(r));
             }
-            LoweredInstr::GetField(d, obj, fid) => {
-                let r = self.as_ref_val(t, *obj, method)?;
-                let (slot, v) = self.field_slot_lowered(lp, r, *fid, method)?;
-                self.heap_access(t, r, 16 + 8 * slot as u64);
-                self.set_local(t, *d, v);
-            }
-            LoweredInstr::PutField(obj, fid, src) => {
-                let r = self.as_ref_val(t, *obj, method)?;
-                let v = self.local(t, *src);
-                let slot = self.field_slot_lowered(lp, r, *fid, method)?.0;
-                self.heap_access(t, r, 16 + 8 * slot as u64);
-                match self.heap.get_mut(r) {
-                    RtObject::Instance { fields, .. } => fields[slot] = v,
-                    _ => unreachable!("field_slot validated"),
-                }
-            }
             LoweredInstr::GetStatic(d, fid) => {
                 let v = self.heap.static_value(self.program, *fid);
                 self.set_local(t, *d, v);
@@ -930,50 +1128,6 @@ impl<'a> Vm<'a> {
             LoweredInstr::PutStatic(fid, src) => {
                 let v = self.local(t, *src);
                 self.heap.set_static(*fid, v);
-            }
-            LoweredInstr::ArrayGet(d, arr, idx) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let i = self.as_int(t, *idx, method)?;
-                let v = match self.heap.get(r) {
-                    RtObject::Array { elems, .. } => *elems
-                        .get(usize::try_from(i).map_err(|_| VmError::IndexOutOfBounds {
-                            method: self.err_sig(method),
-                        })?)
-                        .ok_or_else(|| VmError::IndexOutOfBounds {
-                            method: self.err_sig(method),
-                        })?,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("array access on {other:?}"),
-                        })
-                    }
-                };
-                self.heap_access(t, r, 24 + 8 * i as u64);
-                self.set_local(t, *d, v);
-            }
-            LoweredInstr::ArraySet(arr, idx, src) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let i = self.as_int(t, *idx, method)?;
-                let v = self.local(t, *src);
-                self.heap_access(t, r, 24 + 8 * i.max(0) as u64);
-                let program = self.program;
-                match self.heap.get_mut(r) {
-                    RtObject::Array { elems, .. } => {
-                        let len = elems.len();
-                        *elems
-                            .get_mut(usize::try_from(i).unwrap_or(len))
-                            .ok_or_else(|| VmError::IndexOutOfBounds {
-                                method: program.method_signature(method),
-                            })? = v;
-                    }
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: program.method_signature(method),
-                            detail: format!("array access on {other:?}"),
-                        })
-                    }
-                }
             }
             LoweredInstr::ArrayLen(d, arr) => {
                 let r = self.as_ref_val(t, *arr, method)?;
@@ -1025,12 +1179,11 @@ impl<'a> Vm<'a> {
                 site_instr,
             } => {
                 self.ops += 1; // calls cost an extra op
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
                 let target_m = match target {
                     LoweredCallee::Static(m2) => *m2,
                     LoweredCallee::Virtual(sel) => {
-                        let recv = match argv.first() {
-                            Some(RtValue::Ref(r)) => *r,
+                        let recv = match args.first().map(|&l| self.local(t, l)) {
+                            Some(RtValue::Ref(r)) => r,
                             _ => {
                                 return Err(VmError::NullDeref {
                                     method: self.err_sig(method),
@@ -1053,6 +1206,7 @@ impl<'a> Vm<'a> {
                             })?
                     }
                 };
+                let locals = self.callee_locals(t, target_m, args);
                 // End the caller's current path at the call boundary.
                 self.path_after_call(t);
                 // Advance the caller past the call before pushing the callee.
@@ -1073,8 +1227,8 @@ impl<'a> Vm<'a> {
                     .child_at(site)
                     .filter(|&c| self.compiled.cu(cu).nodes[c as usize].method == target_m);
                 match child {
-                    Some(c) => self.push_frame(t, target_m, cu, c, argv, *dst),
-                    None => self.enter_cu(t, target_m, argv, *dst)?,
+                    Some(c) => self.push_frame(t, target_m, cu, c, locals, *dst),
+                    None => self.enter_cu(t, target_m, locals, *dst)?,
                 }
                 return Ok(());
             }
@@ -1090,7 +1244,7 @@ impl<'a> Vm<'a> {
                 }
             }
             LoweredInstr::Spawn { method: m2, args } => {
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
+                let locals = self.callee_locals(t, *m2, args);
                 self.threads.push(ThreadCtx {
                     frames: vec![],
                     handle: None,
@@ -1100,7 +1254,7 @@ impl<'a> Vm<'a> {
                 if let Some(s) = self.session.as_mut() {
                     self.threads[nt].handle = Some(s.start_thread());
                 }
-                self.enter_cu(nt, *m2, argv, None)?;
+                self.enter_cu(nt, *m2, locals, None)?;
             }
             LoweredInstr::Ret(v) => {
                 self.flush_path(t);
@@ -1113,30 +1267,7 @@ impl<'a> Vm<'a> {
                 } else if t == 0 && self.entry_return.is_none() {
                     self.entry_return = value;
                 }
-                return Ok(());
-            }
-            LoweredInstr::Jump(e) => {
-                self.path_block_edge_lowered(lp, t, e);
-                self.threads[t].frames.last_mut().expect("frame").ip = e.pc as usize;
-                return Ok(());
-            }
-            LoweredInstr::Br {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                let c = match self.local(t, *cond) {
-                    RtValue::Bool(b) => b,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("branch on {other:?}"),
-                        })
-                    }
-                };
-                let e = if c { then_e } else { else_e };
-                self.path_block_edge_lowered(lp, t, e);
-                self.threads[t].frames.last_mut().expect("frame").ip = e.pc as usize;
+                self.recycle(frame);
                 return Ok(());
             }
         }
@@ -1145,63 +1276,6 @@ impl<'a> Vm<'a> {
         // thread `t`, so the top frame is still the executing one.
         self.threads[t].frames.last_mut().expect("frame").ip += 1;
         Ok(())
-    }
-
-    /// Ball–Larus block transition on the lowered path: the same cut /
-    /// increment decision as [`Vm::path_block_edge`], read from the dense
-    /// pre-lowered edge table instead of the lazy `HashMap`s.
-    fn path_block_edge_lowered(&mut self, lp: &LoweredProgram, t: usize, edge: &JumpEdge) {
-        if !self.trace_heap() {
-            return;
-        }
-        let (method, from_mini) = {
-            let f = self.threads[t].frames.last().expect("frame");
-            (f.method, f.mini)
-        };
-        let p = lp
-            .paths(method)
-            .expect("path tables built for traced builds");
-        let head = p.block_head[edge.block as usize];
-        let e = p.edge(from_mini, edge.block);
-        if e.cut {
-            self.flush_path(t);
-            let frame = self.threads[t].frames.last_mut().expect("frame");
-            frame.mini = head;
-            frame.path_start = head;
-            frame.path_acc = 0;
-        } else {
-            let frame = self.threads[t].frames.last_mut().expect("frame");
-            frame.path_acc += e.inc;
-            frame.mini = head;
-        }
-    }
-
-    /// Field-slot lookup through the pre-lowered `class × field` table;
-    /// error messages match [`Vm::field_slot`] byte for byte.
-    fn field_slot_lowered(
-        &self,
-        lp: &LoweredProgram,
-        r: u32,
-        fid: nimage_ir::FieldId,
-        method: MethodId,
-    ) -> Result<(usize, RtValue), VmError> {
-        match self.heap.get(r) {
-            RtObject::Instance { class, fields } => match lp.field_slot(*class, fid) {
-                Some(slot) => Ok((slot, fields[slot])),
-                None => Err(VmError::TypeMismatch {
-                    method: self.err_sig(method),
-                    detail: format!(
-                        "field {} not on {}",
-                        self.program.field_signature(fid),
-                        self.program.class(*class).name
-                    ),
-                }),
-            },
-            other => Err(VmError::TypeMismatch {
-                method: self.err_sig(method),
-                detail: format!("field access on {other:?}"),
-            }),
-        }
     }
 
     fn local(&self, t: usize, l: Local) -> RtValue {
@@ -1213,26 +1287,11 @@ impl<'a> Vm<'a> {
     }
 
     fn as_ref_val(&self, t: usize, l: Local, m: MethodId) -> Result<u32, VmError> {
-        match self.local(t, l) {
-            RtValue::Ref(r) => Ok(r),
-            RtValue::Null => Err(VmError::NullDeref {
-                method: self.err_sig(m),
-            }),
-            other => Err(VmError::TypeMismatch {
-                method: self.err_sig(m),
-                detail: format!("expected reference, got {other:?}"),
-            }),
-        }
+        ref_of(self.program, m, self.local(t, l))
     }
 
     fn as_int(&self, t: usize, l: Local, m: MethodId) -> Result<i64, VmError> {
-        match self.local(t, l) {
-            RtValue::Int(i) => Ok(i),
-            other => Err(VmError::TypeMismatch {
-                method: self.err_sig(m),
-                detail: format!("expected int, got {other:?}"),
-            }),
-        }
+        int_of(self.program, m, self.local(t, l))
     }
 
     fn exec_instr(&mut self, t: usize, method: MethodId, ins: &Instr) -> Result<(), VmError> {
@@ -1451,9 +1510,10 @@ impl<'a> Vm<'a> {
                 let child = self.compiled.cu(cu).nodes[node as usize]
                     .child_at(site)
                     .filter(|&c| self.compiled.cu(cu).nodes[c as usize].method == target);
+                let locals = self.fresh_locals(target, &argv);
                 match child {
-                    Some(c) => self.push_frame(t, target, cu, c, argv, *dst),
-                    None => self.enter_cu(t, target, argv, *dst)?,
+                    Some(c) => self.push_frame(t, target, cu, c, locals, *dst),
+                    None => self.enter_cu(t, target, locals, *dst)?,
                 }
             }
             Instr::Intrinsic { dst, op, args } => {
@@ -1479,7 +1539,8 @@ impl<'a> Vm<'a> {
                 if let Some(s) = self.session.as_mut() {
                     self.threads[nt].handle = Some(s.start_thread());
                 }
-                self.enter_cu(nt, *m2, argv, None)?;
+                let locals = self.fresh_locals(*m2, &argv);
+                self.enter_cu(nt, *m2, locals, None)?;
             }
         }
         Ok(())
@@ -1584,20 +1645,99 @@ impl<'a> Vm<'a> {
     }
 }
 
-/// Canonicalizes a recorded span list: sorted by start, overlapping or
-/// adjacent spans merged. The recording fast path only extends the last
-/// span, so revisits out of order leave duplicates this pass removes.
-fn merge_spans(spans: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut v = spans.to_vec();
-    v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for (s, e) in v {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
+/// What ended a thread's scheduling quantum.
+enum QuantumEnd {
+    /// The quantum ran out or the thread finished: on to the next thread.
+    Yield,
+    /// The op budget is spent.
+    Budget,
+    /// The first response arrived under [`StopWhen::FirstResponse`].
+    Killed,
+}
+
+/// Where [`Vm::run_fast`] stopped.
+#[derive(PartialEq, Eq)]
+enum FastEnd {
+    /// After its budget, or after a cut Ball–Larus edge.
+    Ran,
+    /// Before an op that [`Vm::step_lowered`] runs.
+    Slow,
+}
+
+/// `v` as an object reference, or the error an op of `method` raises.
+#[inline]
+fn ref_of(program: &Program, method: MethodId, v: RtValue) -> Result<u32, VmError> {
+    match v {
+        RtValue::Ref(r) => Ok(r),
+        RtValue::Null => Err(VmError::NullDeref {
+            method: program.method_signature(method),
+        }),
+        other => Err(VmError::TypeMismatch {
+            method: program.method_signature(method),
+            detail: format!("expected reference, got {other:?}"),
+        }),
     }
-    out
+}
+
+/// `v` as an int, or the error an op of `method` raises.
+#[inline]
+fn int_of(program: &Program, method: MethodId, v: RtValue) -> Result<i64, VmError> {
+    match v {
+        RtValue::Int(i) => Ok(i),
+        other => Err(VmError::TypeMismatch {
+            method: program.method_signature(method),
+            detail: format!("expected int, got {other:?}"),
+        }),
+    }
+}
+
+/// The slot and value of field `fid` of object `r`, through the
+/// pre-lowered `class × field` table; error messages match
+/// [`Vm::field_slot`] byte for byte.
+#[inline]
+fn field_slot(
+    program: &Program,
+    lp: &LoweredProgram,
+    heap: &RtHeap,
+    r: u32,
+    fid: nimage_ir::FieldId,
+    method: MethodId,
+) -> Result<(usize, RtValue), VmError> {
+    match heap.get(r) {
+        RtObject::Instance { class, fields } => match lp.field_slot(*class, fid) {
+            Some(slot) => Ok((slot, fields[slot])),
+            None => Err(VmError::TypeMismatch {
+                method: program.method_signature(method),
+                detail: format!(
+                    "field {} not on {}",
+                    program.field_signature(fid),
+                    program.class(*class).name
+                ),
+            }),
+        },
+        other => Err(VmError::TypeMismatch {
+            method: program.method_signature(method),
+            detail: format!("field access on {other:?}"),
+        }),
+    }
+}
+
+/// Touches the `.svm_heap` bytes of an access to heap object `r`; `true`
+/// when the object is in the image.
+#[inline]
+fn touch_heap(heap: &RtHeap, touches: &mut FirstTouches, r: u32, byte_offset: u64) -> bool {
+    heap.is_image_object(r) && touches.object(ObjId(r), byte_offset)
+}
+
+/// The 64-bit profile identifier traced for an access to heap object `r`
+/// (0 when the object is not part of the heap snapshot).
+#[inline]
+fn trace_id(r: u32, in_image: bool) -> u64 {
+    if in_image {
+        u64::from(r) + 1
+    } else {
+        0
+    }
 }
 
 #[cfg(test)]

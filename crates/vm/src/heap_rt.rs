@@ -122,8 +122,23 @@ fn convert_value(v: HValue) -> RtValue {
 #[derive(Debug)]
 pub struct HeapTemplate {
     objects: Vec<RtObject>,
-    statics: HashMap<FieldId, RtValue>,
+    /// Build-time static-field values, dense by field index.
+    statics: Vec<Option<RtValue>>,
     interned: HashMap<String, u32>,
+}
+
+/// Writes a static field into a dense table, growing it as needed.
+fn set_dense(statics: &mut Vec<Option<RtValue>>, field: FieldId, value: RtValue) {
+    let i = field.index();
+    if i >= statics.len() {
+        statics.resize(i + 1, None);
+    }
+    statics[i] = Some(value);
+}
+
+/// Reads a static field from a dense table (`None`: never written).
+fn get_dense(statics: &[Option<RtValue>], field: FieldId) -> Option<RtValue> {
+    statics.get(field.index()).copied().flatten()
 }
 
 impl HeapTemplate {
@@ -157,7 +172,10 @@ impl HeapTemplate {
             };
             objects.push(rt);
         }
-        let statics = heap.statics().map(|(f, v)| (f, convert_value(v))).collect();
+        let mut statics = vec![];
+        for (f, v) in heap.statics() {
+            set_dense(&mut statics, f, convert_value(v));
+        }
         HeapTemplate {
             objects,
             statics,
@@ -182,12 +200,16 @@ impl HeapTemplate {
 #[derive(Debug, Clone)]
 pub struct RtHeap {
     base: Arc<HeapTemplate>,
-    /// Copy-on-write overlay for mutated snapshot objects.
-    overlay: HashMap<u32, RtObject>,
+    /// Copy-on-write overlay, dense by snapshot object: `0` reads the
+    /// template, `i + 1` reads this run's copy `copies[i]`.
+    overlay: Vec<u32>,
+    /// This run's copies of mutated snapshot objects.
+    copies: Vec<RtObject>,
     /// Objects allocated at run time; reference `snapshot_len + i`.
     dynamic: Vec<RtObject>,
-    /// Static-field writes of this run; reads fall back to the template.
-    statics: HashMap<FieldId, RtValue>,
+    /// Static-field writes of this run, dense by field index; reads fall
+    /// back to the template.
+    statics: Vec<Option<RtValue>>,
     /// Strings interned at run time (build-time literals live in the
     /// template and resolve to image objects).
     interned: HashMap<String, u32>,
@@ -205,10 +227,11 @@ impl RtHeap {
     pub fn from_template(base: Arc<HeapTemplate>) -> RtHeap {
         RtHeap {
             snapshot_len: base.objects.len() as u32,
+            overlay: vec![0; base.objects.len()],
             base,
-            overlay: HashMap::new(),
+            copies: Vec::new(),
             dynamic: Vec::new(),
-            statics: HashMap::new(),
+            statics: Vec::new(),
             interned: HashMap::new(),
         }
     }
@@ -223,20 +246,16 @@ impl RtHeap {
         r < self.snapshot_len
     }
 
-    /// The build-time id of an image object reference.
-    pub fn as_obj_id(&self, r: u32) -> Option<ObjId> {
-        self.is_image_object(r).then_some(ObjId(r))
-    }
-
     /// Immutable object access.
     ///
     /// # Panics
     /// Panics if `r` is out of range.
     pub fn get(&self, r: u32) -> &RtObject {
         if r < self.snapshot_len {
-            self.overlay
-                .get(&r)
-                .unwrap_or(&self.base.objects[r as usize])
+            match self.overlay[r as usize] {
+                0 => &self.base.objects[r as usize],
+                copy => &self.copies[copy as usize - 1],
+            }
         } else {
             &self.dynamic[(r - self.snapshot_len) as usize]
         }
@@ -249,9 +268,12 @@ impl RtHeap {
     /// Panics if `r` is out of range.
     pub fn get_mut(&mut self, r: u32) -> &mut RtObject {
         if r < self.snapshot_len {
-            self.overlay
-                .entry(r)
-                .or_insert_with(|| self.base.objects[r as usize].clone())
+            let copy = &mut self.overlay[r as usize];
+            if *copy == 0 {
+                self.copies.push(self.base.objects[r as usize].clone());
+                *copy = self.copies.len() as u32;
+            }
+            &mut self.copies[*copy as usize - 1]
         } else {
             &mut self.dynamic[(r - self.snapshot_len) as usize]
         }
@@ -291,16 +313,14 @@ impl RtHeap {
 
     /// Reads a static field.
     pub fn static_value(&self, program: &Program, field: FieldId) -> RtValue {
-        self.statics
-            .get(&field)
-            .or_else(|| self.base.statics.get(&field))
-            .copied()
+        get_dense(&self.statics, field)
+            .or_else(|| get_dense(&self.base.statics, field))
             .unwrap_or_else(|| RtValue::default_for(&program.field(field).ty))
     }
 
     /// Writes a static field.
     pub fn set_static(&mut self, field: FieldId, value: RtValue) {
-        self.statics.insert(field, value);
+        set_dense(&mut self.statics, field, value);
     }
 
     /// Total number of live objects (image + dynamic).
@@ -335,7 +355,6 @@ mod tests {
         let mut rt = RtHeap::from_build_heap(&bh);
         let r = rt.alloc(RtObject::Str("dyn".into()));
         assert!(!rt.is_image_object(r));
-        assert_eq!(rt.as_obj_id(r), None);
     }
 
     #[test]

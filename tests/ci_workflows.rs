@@ -65,6 +65,19 @@ fn workflow_clippy_lines_lint_the_whole_workspace() {
     assert!(checked > 0, "found no `cargo clippy` line to check");
 }
 
+/// CI runs the interpreter-dispatch bench once, so its steady-state runs
+/// (regular, instrumented, arithmetic) keep compiling and keep executing.
+#[test]
+fn ci_runs_the_dispatch_bench() {
+    let step = "cargo bench -p nimage-bench --bench crit_dispatch -- --test";
+    assert!(
+        workflow_lines()
+            .iter()
+            .any(|(at, line)| at.contains("ci.yml") && line == &format!("run: {step}")),
+        "ci.yml lost the `{step}` step"
+    );
+}
+
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit. It must not gate on the retired per-CU `lower` disk stage, nor
