@@ -823,14 +823,14 @@ fn accessed_objects(
     trace: &nimage_profiler::Trace,
 ) -> std::collections::HashSet<nimage_heap::ObjId> {
     let mut accessed = std::collections::HashSet::new();
-    for t in &trace.threads {
-        for rec in t {
-            if let nimage_profiler::TraceRecord::Path { obj_ids, .. } = rec {
-                for &id in obj_ids {
-                    if id != 0 {
-                        accessed.insert(nimage_heap::ObjId((id - 1) as u32));
-                    }
-                }
+    for rec in trace
+        .threads
+        .iter()
+        .flat_map(nimage_profiler::ThreadTrace::records)
+    {
+        if let nimage_profiler::Record::Path { obj_ids, .. } = rec {
+            for id in obj_ids.filter(|&id| id != 0) {
+                accessed.insert(nimage_heap::ObjId((id - 1) as u32));
             }
         }
     }

@@ -27,7 +27,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use nimage_compiler::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent};
 use nimage_heap::ObjId;
 use nimage_ir::{MethodId, Program};
-use nimage_profiler::{Trace, TraceRecord};
+use nimage_profiler::{Record, ThreadTrace, Trace};
 
 /// A code-ordering profile: method/CU-root signatures in first-execution
 /// order (the CSV consumed by the optimizing build).
@@ -259,7 +259,7 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Validates [`TraceRecord::Path`] records against the program. The
+/// Validates [`Record::Path`] records against the program. The
 /// heap-access count of a `(string index, start, path id)` key is a pure
 /// function of the key, so each distinct key is decoded once; every later
 /// record with that key costs one memo probe.
@@ -455,36 +455,36 @@ pub fn replay_first_access(
     }
 
     let mut summary = ReplaySummary::default();
-    for record in trace.threads.iter().flatten() {
+    for record in trace.threads.iter().flat_map(ThreadTrace::records) {
         match record {
-            TraceRecord::CuEntry { sig } => {
-                let i = string_index(trace, *sig)?;
+            Record::CuEntry { sig } => {
+                let i = string_index(trace, sig)?;
                 if cu_seen.insert(i) {
                     summary.cu_order.push(trace.strings[i].clone());
                 }
             }
-            TraceRecord::MethodEntry { sig } => {
-                let i = string_index(trace, *sig)?;
+            Record::MethodEntry { sig } => {
+                let i = string_index(trace, sig)?;
                 if method_seen.insert(i) {
                     summary.method_order.push(trace.strings[i].clone());
                 }
             }
-            TraceRecord::Path {
+            Record::Path {
                 method,
                 start,
                 path_id,
                 obj_ids,
             } => {
-                let expected = paths.expected_ids(trace, *method, *start, *path_id)?;
+                let expected = paths.expected_ids(trace, method, start, path_id)?;
                 if expected != obj_ids.len() {
                     return Err(ReplayError::IdCountMismatch {
-                        method: trace.strings[*method as usize].clone(),
+                        method: trace.strings[method as usize].clone(),
                         stored: obj_ids.len(),
                         expected,
                     });
                 }
                 // Raw id 0 is an access outside the heap snapshot.
-                for &raw in obj_ids.iter().filter(|&&raw| raw != 0) {
+                for raw in obj_ids.filter(|&raw| raw != 0) {
                     let obj = ObjId((raw - 1) as u32);
                     if unseen_objects.remove(obj.index()) {
                         summary.object_order.push(obj);

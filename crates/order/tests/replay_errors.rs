@@ -11,7 +11,7 @@ use nimage_heap::{snapshot, HeapBuildConfig, ObjId};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
 use nimage_order::{assign_ids, replay_first_access, HeapStrategy, ReplayError, ReplaySummary};
-use nimage_profiler::{Trace, TraceRecord};
+use nimage_profiler::{ThreadTrace, Trace, TraceRecord};
 use nimage_vm::{StopWhen, Vm, VmConfig};
 use nimage_workloads::{Awfy, RuntimeScale};
 
@@ -61,13 +61,18 @@ fn replay(trace: &Trace) -> Result<ReplaySummary, ReplayError> {
 /// that stores at least one object id.
 fn damaged(damage: impl FnOnce(&mut Vec<String>, &mut TraceRecord)) -> Trace {
     let mut trace = fixture().trace.clone();
-    let record = trace
+    let mut threads: Vec<Vec<TraceRecord>> = trace
         .threads
+        .iter()
+        .map(|t| t.records().map(TraceRecord::from).collect())
+        .collect();
+    let record = threads
         .iter_mut()
         .flatten()
         .find(|r| matches!(r, TraceRecord::Path { obj_ids, .. } if !obj_ids.is_empty()))
         .expect("the trace has a path record with object ids");
     damage(&mut trace.strings, record);
+    trace.threads = threads.into_iter().map(ThreadTrace::from_records).collect();
     trace
 }
 
@@ -152,7 +157,10 @@ fn out_of_range_fields_are_errors_not_panics() {
 
     // Entry records index the string table too.
     let mut trace = fixture().trace.clone();
-    trace.threads[0].insert(0, TraceRecord::CuEntry { sig: n_strings });
+    let entry = TraceRecord::CuEntry { sig: n_strings };
+    trace.threads[0] = ThreadTrace::from_records(
+        std::iter::once(entry).chain(trace.threads[0].records().map(TraceRecord::from)),
+    );
     assert_eq!(
         replay(&trace),
         Err(ReplayError::OutOfRange {

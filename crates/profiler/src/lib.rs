@@ -24,6 +24,12 @@
 //!
 //! Method signatures are interned in a per-session string table so that
 //! records are compact and signature strings appear once per trace file.
+//!
+//! Records stay encoded after the run. A [`Trace`] holds each thread as a
+//! [`ThreadTrace`]: the bytes the trace file stores for that thread, moved
+//! out of the session without decoding, or checked in one scan by
+//! [`read_trace`]. [`ThreadTrace::records`] reads them in place as
+//! [`Record`]s and cannot fail; [`write_trace`] copies them verbatim.
 
 #![warn(missing_docs)]
 
@@ -31,4 +37,7 @@ mod session;
 mod wire;
 
 pub use session::{DumpMode, SessionStats, ThreadHandle, TraceSession};
-pub use wire::{read_trace, write_trace, Trace, TraceDecodeError, TraceRecord};
+pub use wire::{
+    read_trace, write_trace, ObjIds, Record, Records, ThreadTrace, Trace, TraceDecodeError,
+    TraceRecord,
+};

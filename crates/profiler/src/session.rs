@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 
-use crate::wire::{decode_records, encode_path, path_encoded_len, Trace, TraceRecord};
+use crate::wire::{entry_record, path_header, ThreadTrace, Trace, TAG_CU, TAG_METHOD};
 
 /// How thread-local buffers reach the durable trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +49,11 @@ pub struct SessionStats {
 struct ThreadState {
     /// Staging buffer (mode 1) — encoded records not yet durable.
     staging: BytesMut,
-    staged_records: u64,
+    staged_records: usize,
     /// Durable trace-file bytes.
     file: BytesMut,
+    /// Records in `file`.
+    file_records: usize,
     /// Bytes used in the current mmap segment (mode 2).
     segment_used: usize,
     terminated: bool,
@@ -60,7 +62,7 @@ struct ThreadState {
 /// A live trace-collection session (one per instrumented process run).
 ///
 /// ```
-/// use nimage_profiler::{TraceSession, DumpMode, TraceRecord};
+/// use nimage_profiler::{TraceSession, DumpMode, Record};
 ///
 /// let mut session = TraceSession::new(DumpMode::OnFull, 4096);
 /// let sig = session.intern("app.Main.main(0)");
@@ -70,7 +72,12 @@ struct ThreadState {
 /// session.end_thread(thread);
 /// let trace = session.into_trace();
 /// assert_eq!(trace.threads[0].len(), 2);
-/// assert!(matches!(trace.threads[0][0], TraceRecord::CuEntry { .. }));
+/// let mut records = trace.threads[0].records();
+/// assert_eq!(records.next(), Some(Record::CuEntry { sig }));
+/// let Some(Record::Path { path_id, obj_ids, .. }) = records.next() else {
+///     panic!("second record is a path");
+/// };
+/// assert_eq!((path_id, obj_ids.collect::<Vec<_>>()), (3, vec![7, 0]));
 /// ```
 #[derive(Debug)]
 pub struct TraceSession {
@@ -117,6 +124,7 @@ impl TraceSession {
             staging: BytesMut::new(),
             staged_records: 0,
             file: BytesMut::new(),
+            file_records: 0,
             segment_used: 0,
             terminated: false,
         });
@@ -128,23 +136,25 @@ impl TraceSession {
         self.stats
     }
 
-    /// Stores one record of `len` encoded bytes, which `encode` appends.
-    fn write(&mut self, th: ThreadHandle, len: usize, encode: impl FnOnce(&mut BytesMut)) {
+    /// Stores one record: its encoded `header`, then `obj_ids`.
+    fn write(&mut self, th: ThreadHandle, header: &[u8], obj_ids: &[u64]) {
+        let len = header.len() + 8 * obj_ids.len();
         let cap = self.buffer_capacity;
         let mode = self.mode;
         let t = &mut self.threads[th.0];
         assert!(!t.terminated, "record on terminated thread");
-        match mode {
+        let out = match mode {
             DumpMode::OnFull => {
                 if t.staging.len() + len > cap {
                     // Flush before storing a record that would not fit.
                     t.file.extend_from_slice(&t.staging);
+                    t.file_records += t.staged_records;
                     t.staging.clear();
                     t.staged_records = 0;
                     self.stats.flushes += 1;
                 }
-                encode(&mut t.staging);
                 t.staged_records += 1;
+                &mut t.staging
             }
             DumpMode::MemoryMapped => {
                 if t.segment_used + len > cap {
@@ -152,25 +162,26 @@ impl TraceSession {
                     t.segment_used = 0;
                     self.stats.remaps += 1;
                 }
-                encode(&mut t.file);
                 t.segment_used += len;
+                t.file_records += 1;
+                &mut t.file
             }
+        };
+        out.extend_from_slice(header);
+        for &o in obj_ids {
+            out.put_u64(o);
         }
-    }
-
-    fn write_record(&mut self, th: ThreadHandle, record: &TraceRecord) {
-        self.write(th, record.encoded_len(), |out| record.encode(out));
     }
 
     /// Records a CU-entry event.
     pub fn record_cu_entry(&mut self, th: ThreadHandle, sig: u32) {
-        self.write_record(th, &TraceRecord::CuEntry { sig });
+        self.write(th, &entry_record(TAG_CU, sig), &[]);
         self.stats.cu_records += 1;
     }
 
     /// Records a method-entry event.
     pub fn record_method_entry(&mut self, th: ThreadHandle, sig: u32) {
-        self.write_record(th, &TraceRecord::MethodEntry { sig });
+        self.write(th, &entry_record(TAG_METHOD, sig), &[]);
         self.stats.method_records += 1;
     }
 
@@ -186,9 +197,8 @@ impl TraceSession {
     ) {
         self.stats.obj_ids += obj_ids.len() as u64;
         self.stats.path_records += 1;
-        self.write(th, path_encoded_len(obj_ids.len()), |out| {
-            encode_path(out, method, start, path_id, obj_ids)
-        });
+        let header = path_header(method, start, path_id, obj_ids.len());
+        self.write(th, &header, obj_ids);
     }
 
     /// Normal thread termination: flushes the staging buffer.
@@ -196,6 +206,7 @@ impl TraceSession {
         let t = &mut self.threads[th.0];
         if !t.staging.is_empty() {
             t.file.extend_from_slice(&t.staging);
+            t.file_records += t.staged_records;
             t.staging.clear();
             t.staged_records = 0;
             self.stats.flushes += 1;
@@ -209,7 +220,7 @@ impl TraceSession {
     pub fn kill(&mut self) {
         for t in &mut self.threads {
             if !t.terminated {
-                self.stats.lost_records += t.staged_records;
+                self.stats.lost_records += t.staged_records as u64;
                 t.staging.clear();
                 t.staged_records = 0;
                 t.terminated = true;
@@ -217,7 +228,8 @@ impl TraceSession {
         }
     }
 
-    /// Finishes the session and decodes the durable trace.
+    /// Finishes the session and hands over each thread's durable bytes
+    /// as they are, without decoding them.
     ///
     /// # Panics
     /// Panics if any thread is still live (call [`Self::end_thread`] or
@@ -231,7 +243,7 @@ impl TraceSession {
         let threads = self
             .threads
             .into_iter()
-            .map(|t| decode_records(&t.file).expect("self-encoded records decode"))
+            .map(|t| ThreadTrace::from_recorded(t.file.freeze(), t.file_records))
             .collect();
         Trace {
             strings: self.strings,
@@ -243,6 +255,7 @@ impl TraceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Record;
 
     fn path(i: u64) -> (u32, u32, u64, Vec<u64>) {
         (0, 0, i, vec![i, i + 1])
@@ -261,9 +274,9 @@ mod tests {
         s.end_thread(th);
         let trace = s.into_trace();
         let ids: Vec<u64> = trace.threads[0]
-            .iter()
+            .records()
             .map(|r| match r {
-                TraceRecord::Path { path_id, .. } => *path_id,
+                Record::Path { path_id, .. } => path_id,
                 _ => panic!(),
             })
             .collect();

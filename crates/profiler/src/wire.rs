@@ -1,11 +1,18 @@
 //! Binary record encoding and the on-disk trace format.
+//!
+//! A thread's records stay encoded from the recorder to the reader:
+//! [`ThreadTrace`] holds exactly the bytes the trace file stores for one
+//! thread, plus its record count. Each constructor either writes those
+//! bytes itself or checks them once, so iterating them cannot fail and
+//! [`write_trace`] copies them verbatim.
 
 use std::error::Error;
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// One decoded trace record.
+/// One owned trace record, for building a [`ThreadTrace`] record by record
+/// with [`ThreadTrace::from_records`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// A compilation-unit entry; `sig` indexes the session string table and
@@ -35,63 +42,272 @@ pub enum TraceRecord {
     },
 }
 
-const TAG_CU: u8 = 1;
+pub(crate) const TAG_CU: u8 = 1;
 const TAG_PATH: u8 = 2;
-const TAG_METHOD: u8 = 3;
+pub(crate) const TAG_METHOD: u8 = 3;
+
+/// Encoded size of a CU- or method-entry record: tag, signature.
+const ENTRY_LEN: usize = 1 + 4;
+/// Encoded size of a path record's header: tag, method, start, path id,
+/// id count. The object ids follow, 8 bytes each.
+const PATH_HEADER_LEN: usize = 1 + 4 + 4 + 8 + 4;
+
+/// The encoding of a CU- or method-entry record.
+pub(crate) fn entry_record(tag: u8, sig: u32) -> [u8; ENTRY_LEN] {
+    let mut r = [tag; ENTRY_LEN];
+    r[1..].copy_from_slice(&sig.to_be_bytes());
+    r
+}
+
+/// The encoding of a path record's header for `n_ids` object ids.
+pub(crate) fn path_header(
+    method: u32,
+    start: u32,
+    path_id: u64,
+    n_ids: usize,
+) -> [u8; PATH_HEADER_LEN] {
+    let mut h = [TAG_PATH; PATH_HEADER_LEN];
+    h[1..5].copy_from_slice(&method.to_be_bytes());
+    h[5..9].copy_from_slice(&start.to_be_bytes());
+    h[9..17].copy_from_slice(&path_id.to_be_bytes());
+    h[17..].copy_from_slice(&(n_ids as u32).to_be_bytes());
+    h
+}
 
 impl TraceRecord {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            TraceRecord::CuEntry { .. } | TraceRecord::MethodEntry { .. } => 1 + 4,
-            TraceRecord::Path { obj_ids, .. } => path_encoded_len(obj_ids.len()),
+            TraceRecord::CuEntry { .. } | TraceRecord::MethodEntry { .. } => ENTRY_LEN,
+            TraceRecord::Path { obj_ids, .. } => PATH_HEADER_LEN + 8 * obj_ids.len(),
         }
     }
 
-    /// Appends the binary encoding to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
+    fn encode(&self, out: &mut BytesMut) {
         match self {
-            TraceRecord::CuEntry { sig } => {
-                out.put_u8(TAG_CU);
-                out.put_u32(*sig);
-            }
-            TraceRecord::MethodEntry { sig } => {
-                out.put_u8(TAG_METHOD);
-                out.put_u32(*sig);
-            }
+            TraceRecord::CuEntry { sig } => out.put_slice(&entry_record(TAG_CU, *sig)),
+            TraceRecord::MethodEntry { sig } => out.put_slice(&entry_record(TAG_METHOD, *sig)),
             TraceRecord::Path {
                 method,
                 start,
                 path_id,
                 obj_ids,
-            } => encode_path(out, *method, *start, *path_id, obj_ids),
+            } => {
+                out.put_slice(&path_header(*method, *start, *path_id, obj_ids.len()));
+                for &o in obj_ids {
+                    out.put_u64(o);
+                }
+            }
         }
     }
 }
 
-/// Encoded size of a path record carrying `n_ids` object identifiers.
-pub(crate) fn path_encoded_len(n_ids: usize) -> usize {
-    1 + 4 + 4 + 8 + 4 + 8 * n_ids
-}
-
-/// Appends the encoding of a [`TraceRecord::Path`] from borrowed parts, so
-/// a recorder need not own its identifiers.
-pub(crate) fn encode_path(
-    out: &mut BytesMut,
-    method: u32,
-    start: u32,
-    path_id: u64,
-    obj_ids: &[u64],
-) {
-    out.put_u8(TAG_PATH);
-    out.put_u32(method);
-    out.put_u32(start);
-    out.put_u64(path_id);
-    out.put_u32(obj_ids.len() as u32);
-    for &o in obj_ids {
-        out.put_u64(o);
+impl From<Record<'_>> for TraceRecord {
+    fn from(r: Record<'_>) -> Self {
+        match r {
+            Record::CuEntry { sig } => TraceRecord::CuEntry { sig },
+            Record::MethodEntry { sig } => TraceRecord::MethodEntry { sig },
+            Record::Path {
+                method,
+                start,
+                path_id,
+                obj_ids,
+            } => TraceRecord::Path {
+                method,
+                start,
+                path_id,
+                obj_ids: obj_ids.collect(),
+            },
+        }
     }
 }
+
+/// One trace record, borrowed from a [`ThreadTrace`]'s encoded bytes. The
+/// fields mean what they mean in [`TraceRecord`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Record<'a> {
+    /// A compilation-unit entry.
+    CuEntry {
+        /// String-table index of the root-method signature.
+        sig: u32,
+    },
+    /// A method-entry event.
+    MethodEntry {
+        /// String-table index of the method signature.
+        sig: u32,
+    },
+    /// An executed Ball–Larus path.
+    Path {
+        /// String-table index of the method signature.
+        method: u32,
+        /// Start mini-block of the path.
+        start: u32,
+        /// Ball–Larus path id.
+        path_id: u64,
+        /// Object identifiers, read from the encoded bytes.
+        obj_ids: ObjIds<'a>,
+    },
+}
+
+/// The object identifiers of a path record: an exact-size iterator over
+/// their encoding, 8 big-endian bytes each.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ObjIds<'a>(&'a [u8]);
+
+impl Iterator for ObjIds<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let (id, rest) = self.0.split_first_chunk::<8>()?;
+        self.0 = rest;
+        Some(u64::from_be_bytes(*id))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.len() / 8;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for ObjIds<'_> {}
+
+impl fmt::Debug for ObjIds<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+/// One thread's records, held as the trace file stores them. Well-formed
+/// by construction: the recorder writes the bytes, [`read_trace`] checks
+/// them in one scan, and [`ThreadTrace::from_records`] encodes owned
+/// records. So [`ThreadTrace::records`] never fails.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ThreadTrace {
+    bytes: Bytes,
+    len: usize,
+}
+
+impl ThreadTrace {
+    /// Encodes owned records (forged traces in tests, for instance).
+    pub fn from_records(records: impl IntoIterator<Item = TraceRecord>) -> Self {
+        let mut bytes = BytesMut::new();
+        let mut len = 0;
+        for r in records {
+            r.encode(&mut bytes);
+            len += 1;
+        }
+        ThreadTrace {
+            bytes: bytes.freeze(),
+            len,
+        }
+    }
+
+    /// Takes `len` records the recorder encoded into `bytes`.
+    pub(crate) fn from_recorded(bytes: Bytes, len: usize) -> Self {
+        debug_assert_eq!(scan(&bytes), Ok(len), "recorder wrote malformed records");
+        ThreadTrace { bytes, len }
+    }
+
+    /// Checks one thread body in a single scan and keeps a copy of it.
+    fn decode(body: &[u8]) -> Result<Self, TraceDecodeError> {
+        let len = scan(body)?;
+        Ok(ThreadTrace {
+            bytes: Bytes::from(body.to_vec()),
+            len,
+        })
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the thread recorded nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records in order, borrowed from the encoded bytes.
+    #[inline]
+    pub fn records(&self) -> Records<'_> {
+        Records {
+            body: &self.bytes,
+            left: self.len,
+        }
+    }
+}
+
+/// Counts the records of a thread body, checking every tag and length.
+fn scan(mut body: &[u8]) -> Result<usize, TraceDecodeError> {
+    let mut n = 0;
+    while let Some(&tag) = body.first() {
+        let len = match tag {
+            TAG_CU | TAG_METHOD => ENTRY_LEN,
+            TAG_PATH => {
+                if body.len() < PATH_HEADER_LEN {
+                    return Err(TraceDecodeError::Truncated);
+                }
+                let n_ids = u32::from_be_bytes([body[17], body[18], body[19], body[20]]) as usize;
+                n_ids
+                    .checked_mul(8)
+                    .and_then(|ids| ids.checked_add(PATH_HEADER_LEN))
+                    .ok_or(TraceDecodeError::Truncated)?
+            }
+            t => return Err(TraceDecodeError::BadTag(t)),
+        };
+        body = body.get(len..).ok_or(TraceDecodeError::Truncated)?;
+        n += 1;
+    }
+    Ok(n)
+}
+
+/// Iterator over a [`ThreadTrace`]'s records.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    body: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Record<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Record<'a>> {
+        // The bytes are well-formed, so no `?` below but the first ends
+        // the iteration.
+        let (&tag, rest) = self.body.split_first()?;
+        self.left -= 1;
+        if tag != TAG_PATH {
+            let (sig, rest) = rest.split_first_chunk::<4>()?;
+            self.body = rest;
+            let sig = u32::from_be_bytes(*sig);
+            return Some(if tag == TAG_CU {
+                Record::CuEntry { sig }
+            } else {
+                Record::MethodEntry { sig }
+            });
+        }
+        let (h, rest) = rest.split_first_chunk::<{ PATH_HEADER_LEN - 1 }>()?;
+        let n_ids = u32::from_be_bytes([h[16], h[17], h[18], h[19]]) as usize;
+        let (ids, rest) = rest.split_at_checked(8 * n_ids)?;
+        self.body = rest;
+        Some(Record::Path {
+            method: u32::from_be_bytes([h[0], h[1], h[2], h[3]]),
+            start: u32::from_be_bytes([h[4], h[5], h[6], h[7]]),
+            path_id: u64::from_be_bytes([h[8], h[9], h[10], h[11], h[12], h[13], h[14], h[15]]),
+            obj_ids: ObjIds(ids),
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
 
 /// Error decoding a trace stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,68 +332,15 @@ impl fmt::Display for TraceDecodeError {
 
 impl Error for TraceDecodeError {}
 
-/// Decodes a stream of records from raw bytes.
-///
-/// # Errors
-/// Returns [`TraceDecodeError`] on malformed input.
-pub fn decode_records(mut data: &[u8]) -> Result<Vec<TraceRecord>, TraceDecodeError> {
-    let mut out = vec![];
-    while data.has_remaining() {
-        let tag = data.get_u8();
-        match tag {
-            TAG_CU => {
-                if data.remaining() < 4 {
-                    return Err(TraceDecodeError::Truncated);
-                }
-                out.push(TraceRecord::CuEntry {
-                    sig: data.get_u32(),
-                });
-            }
-            TAG_METHOD => {
-                if data.remaining() < 4 {
-                    return Err(TraceDecodeError::Truncated);
-                }
-                out.push(TraceRecord::MethodEntry {
-                    sig: data.get_u32(),
-                });
-            }
-            TAG_PATH => {
-                if data.remaining() < 20 {
-                    return Err(TraceDecodeError::Truncated);
-                }
-                let method = data.get_u32();
-                let start = data.get_u32();
-                let path_id = data.get_u64();
-                let n = data.get_u32() as usize;
-                if data.remaining() < 8 * n {
-                    return Err(TraceDecodeError::Truncated);
-                }
-                let mut obj_ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    obj_ids.push(data.get_u64());
-                }
-                out.push(TraceRecord::Path {
-                    method,
-                    start,
-                    path_id,
-                    obj_ids,
-                });
-            }
-            t => return Err(TraceDecodeError::BadTag(t)),
-        }
-    }
-    Ok(out)
-}
-
-/// A fully decoded trace: the session string table plus each thread's record
-/// sequence, in thread-creation order (Sec. 7.1 concatenates per-thread
-/// orderings in creation order).
+/// A trace: the session string table plus each thread's records, in
+/// thread-creation order (Sec. 7.1 concatenates per-thread orderings in
+/// creation order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Interned strings (method signatures).
     pub strings: Vec<String>,
     /// Per-thread record streams in thread creation order.
-    pub threads: Vec<Vec<TraceRecord>>,
+    pub threads: Vec<ThreadTrace>,
 }
 
 impl Trace {
@@ -189,9 +352,12 @@ impl Trace {
 
 const FILE_MAGIC: &[u8; 4] = b"NTRC";
 
-/// Serializes a trace (string table + per-thread streams) to bytes.
+/// Serializes a trace (string table + per-thread streams) to bytes. Thread
+/// bodies are copied verbatim.
 pub fn write_trace(trace: &Trace) -> Bytes {
-    let mut b = BytesMut::new();
+    let strings: usize = trace.strings.iter().map(|s| 4 + s.len()).sum();
+    let bodies: usize = trace.threads.iter().map(|t| 8 + t.bytes.len()).sum();
+    let mut b = BytesMut::with_capacity(FILE_MAGIC.len() + 4 + strings + 4 + bodies);
     b.put_slice(FILE_MAGIC);
     b.put_u32(trace.strings.len() as u32);
     for s in &trace.strings {
@@ -200,17 +366,14 @@ pub fn write_trace(trace: &Trace) -> Bytes {
     }
     b.put_u32(trace.threads.len() as u32);
     for t in &trace.threads {
-        let mut body = BytesMut::new();
-        for r in t {
-            r.encode(&mut body);
-        }
-        b.put_u64(body.len() as u64);
-        b.put_slice(&body);
+        b.put_u64(t.bytes.len() as u64);
+        b.put_slice(&t.bytes);
     }
     b.freeze()
 }
 
-/// Parses the format produced by [`write_trace`].
+/// Parses the format produced by [`write_trace`], checking each thread
+/// body in one scan.
 ///
 /// # Errors
 /// Returns [`TraceDecodeError`] on malformed input.
@@ -219,11 +382,11 @@ pub fn read_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
         return Err(TraceDecodeError::BadHeader);
     }
     data.advance(4);
-    // Counts come from the input: reserve only what the remaining bytes
-    // can hold (≥ 4 per string, ≥ 8 per thread), so a forged count is
-    // rejected as truncated before it can over-allocate.
+    // Counts come from the input: reserve no more slots than the remaining
+    // bytes could fill, so a forged count can make no allocation larger
+    // than the input before it is rejected as truncated.
     let n_strings = data.get_u32() as usize;
-    let mut strings = Vec::with_capacity(n_strings.min(data.remaining() / 4));
+    let mut strings = Vec::with_capacity(n_strings.min(data.remaining() / size_of::<String>()));
     for _ in 0..n_strings {
         if data.remaining() < 4 {
             return Err(TraceDecodeError::Truncated);
@@ -242,17 +405,19 @@ pub fn read_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
         return Err(TraceDecodeError::Truncated);
     }
     let n_threads = data.get_u32() as usize;
-    let mut threads = Vec::with_capacity(n_threads.min(data.remaining() / 8));
+    let mut threads =
+        Vec::with_capacity(n_threads.min(data.remaining() / size_of::<ThreadTrace>()));
     for _ in 0..n_threads {
         if data.remaining() < 8 {
             return Err(TraceDecodeError::Truncated);
         }
-        let len = data.get_u64() as usize;
-        if data.remaining() < len {
+        let len = data.get_u64();
+        if (data.remaining() as u64) < len {
             return Err(TraceDecodeError::Truncated);
         }
-        threads.push(decode_records(&data[..len])?);
-        data.advance(len);
+        let (body, rest) = data.split_at(len as usize);
+        threads.push(ThreadTrace::decode(body)?);
+        data = rest;
     }
     Ok(Trace { strings, threads })
 }
@@ -280,14 +445,29 @@ mod tests {
         ]
     }
 
+    fn owned(t: &ThreadTrace) -> Vec<TraceRecord> {
+        t.records().map(TraceRecord::from).collect()
+    }
+
     #[test]
     fn record_roundtrip() {
         let records = sample_records();
-        let mut buf = BytesMut::new();
-        for r in &records {
-            r.encode(&mut buf);
-        }
-        assert_eq!(decode_records(&buf).unwrap(), records);
+        let thread = ThreadTrace::from_records(records.clone());
+        assert_eq!(thread.len(), records.len());
+        assert_eq!(thread.records().len(), records.len());
+        assert_eq!(owned(&thread), records);
+        assert_eq!(ThreadTrace::decode(&thread.bytes), Ok(thread));
+    }
+
+    #[test]
+    fn obj_ids_are_exact_size() {
+        let thread = ThreadTrace::from_records(sample_records());
+        let Some(Record::Path { obj_ids, .. }) = thread.records().nth(2) else {
+            panic!("third record is a path");
+        };
+        assert_eq!(obj_ids.len(), 3);
+        assert_eq!(obj_ids.clone().skip(1).len(), 2);
+        assert_eq!(obj_ids.collect::<Vec<_>>(), [7, 0, 9]);
     }
 
     #[test]
@@ -301,27 +481,42 @@ mod tests {
 
     #[test]
     fn truncated_record_is_detected() {
-        let mut buf = BytesMut::new();
-        sample_records()[1].encode(&mut buf);
-        for cut in 1..buf.len() {
-            assert_eq!(
-                decode_records(&buf[..cut]),
-                Err(TraceDecodeError::Truncated),
-                "cut at {cut}"
-            );
+        for r in sample_records() {
+            let mut buf = BytesMut::new();
+            r.encode(&mut buf);
+            for cut in 1..buf.len() {
+                assert_eq!(
+                    ThreadTrace::decode(&buf[..cut]),
+                    Err(TraceDecodeError::Truncated),
+                    "{r:?} cut at {cut}"
+                );
+            }
         }
     }
 
     #[test]
     fn bad_tag_is_detected() {
-        assert_eq!(decode_records(&[99]), Err(TraceDecodeError::BadTag(99)));
+        assert_eq!(
+            ThreadTrace::decode(&[99]),
+            Err(TraceDecodeError::BadTag(99))
+        );
+    }
+
+    #[test]
+    fn forged_id_count_is_truncated_not_allocated() {
+        let mut body = path_header(0, 0, 0, u32::MAX as usize).to_vec();
+        body.extend_from_slice(&[0; 16]);
+        assert_eq!(ThreadTrace::decode(&body), Err(TraceDecodeError::Truncated));
     }
 
     #[test]
     fn trace_file_roundtrip() {
         let trace = Trace {
             strings: vec!["a.B.c(0)".into(), "d.E.f(2)".into()],
-            threads: vec![sample_records(), vec![]],
+            threads: vec![
+                ThreadTrace::from_records(sample_records()),
+                ThreadTrace::default(),
+            ],
         };
         let bytes = write_trace(&trace);
         assert_eq!(read_trace(&bytes).unwrap(), trace);

@@ -9,7 +9,7 @@ use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::{CodeOrderProfile, HeapOrderProfile};
-use nimage_profiler::{Trace, TraceRecord};
+use nimage_profiler::{Record, Trace};
 
 use crate::Diagnostic;
 
@@ -246,21 +246,21 @@ fn check_placements(
 pub fn check_trace(trace: &Trace) -> Vec<Diagnostic> {
     let mut out = vec![];
     let n = trace.strings.len() as u32;
-    for (t, records) in trace.threads.iter().enumerate() {
+    for (t, thread) in trace.threads.iter().enumerate() {
         let entity = format!("thread {t}");
         let mut cu_entered: BTreeSet<u32> = BTreeSet::new();
         let mut warned: BTreeSet<u32> = BTreeSet::new();
-        let has_cu_entry: BTreeSet<u32> = records
-            .iter()
+        let has_cu_entry: BTreeSet<u32> = thread
+            .records()
             .filter_map(|r| match r {
-                TraceRecord::CuEntry { sig } => Some(*sig),
+                Record::CuEntry { sig } => Some(sig),
                 _ => None,
             })
             .collect();
-        for (i, r) in records.iter().enumerate() {
+        for (i, r) in thread.records().enumerate() {
             let sig = match r {
-                TraceRecord::CuEntry { sig } | TraceRecord::MethodEntry { sig } => *sig,
-                TraceRecord::Path { method, .. } => *method,
+                Record::CuEntry { sig } | Record::MethodEntry { sig } => sig,
+                Record::Path { method, .. } => method,
             };
             if sig >= n {
                 out.push(Diagnostic::error(
@@ -271,25 +271,25 @@ pub fn check_trace(trace: &Trace) -> Vec<Diagnostic> {
                 continue;
             }
             match r {
-                TraceRecord::CuEntry { sig } => {
-                    cu_entered.insert(*sig);
+                Record::CuEntry { sig } => {
+                    cu_entered.insert(sig);
                 }
-                TraceRecord::Path { method, .. } => {
-                    if has_cu_entry.contains(method)
-                        && !cu_entered.contains(method)
-                        && warned.insert(*method)
+                Record::Path { method, .. } => {
+                    if has_cu_entry.contains(&method)
+                        && !cu_entered.contains(&method)
+                        && warned.insert(method)
                     {
                         out.push(Diagnostic::warning(
                             "profile::order",
                             &entity,
                             format!(
                                 "path event for {} at record {i} precedes its CU entry",
-                                trace.string(*method),
+                                trace.string(method),
                             ),
                         ));
                     }
                 }
-                TraceRecord::MethodEntry { .. } => {}
+                Record::MethodEntry { .. } => {}
             }
         }
     }

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use nimage_compiler::CompiledProgram;
 use nimage_ir::Program;
-use nimage_profiler::{Trace, TraceRecord};
+use nimage_profiler::{Record, Trace};
 
 use crate::Diagnostic;
 
@@ -45,10 +45,10 @@ pub fn check_reachability(
     let mut entered_methods: BTreeSet<&str> = BTreeSet::new();
     let mut entered_cus: BTreeSet<&str> = BTreeSet::new();
     for (ti, thread) in trace.threads.iter().enumerate() {
-        for rec in thread {
+        for rec in thread.records() {
             match rec {
-                TraceRecord::CuEntry { sig } => {
-                    let s = trace.string(*sig);
+                Record::CuEntry { sig } => {
+                    let s = trace.string(sig);
                     entered_cus.insert(s);
                     if !cu_roots.contains(s) {
                         out.push(Diagnostic::error(
@@ -58,11 +58,11 @@ pub fn check_reachability(
                         ));
                     }
                 }
-                TraceRecord::MethodEntry { sig } => {
-                    entered_methods.insert(trace.string(*sig));
+                Record::MethodEntry { sig } => {
+                    entered_methods.insert(trace.string(sig));
                 }
-                TraceRecord::Path { method, .. } => {
-                    entered_methods.insert(trace.string(*method));
+                Record::Path { method, .. } => {
+                    entered_methods.insert(trace.string(method));
                 }
             }
         }

@@ -12,7 +12,7 @@ use nimage_heap::{
     ObjId, StepBudget,
 };
 use nimage_ir::{Intrinsic, MethodId, Program, ProgramBuilder, TypeRef};
-use nimage_profiler::{Trace, TraceRecord};
+use nimage_profiler::{ThreadTrace, Trace, TraceRecord};
 use nimage_verify::{
     pea::check_pea_soundness,
     purity::{check_clinit_purity, check_effect_log, effect_summaries},
@@ -357,10 +357,10 @@ fn trace_escape_and_unknown_cu_are_errors() {
             "ghost.Phantom.run()".to_string(),
             "ghost.Phantom.cu()".to_string(),
         ],
-        threads: vec![vec![
+        threads: vec![ThreadTrace::from_records([
             TraceRecord::MethodEntry { sig: 0 },
             TraceRecord::CuEntry { sig: 1 },
-        ]],
+        ])],
     };
     let diags = check_reachability(&p, &cp, &trace);
     let got = codes(&diags);
@@ -407,7 +407,7 @@ fn cold_cus_are_reported_once_as_layout_waste() {
     // Enter exactly one CU; the rest are cold.
     let trace = Trace {
         strings: vec![roots[0].clone()],
-        threads: vec![vec![TraceRecord::CuEntry { sig: 0 }]],
+        threads: vec![ThreadTrace::from_records([TraceRecord::CuEntry { sig: 0 }])],
     };
     let diags = check_reachability(&p, &cp, &trace);
     let cold: Vec<_> = diags
@@ -434,10 +434,10 @@ fn consistent_trace_is_clean() {
     assert!(roots.contains(&main_sig));
     let trace = Trace {
         strings: vec![main_sig],
-        threads: vec![vec![
+        threads: vec![ThreadTrace::from_records([
             TraceRecord::CuEntry { sig: 0 },
             TraceRecord::MethodEntry { sig: 0 },
-        ]],
+        ])],
     };
     let diags = check_reachability(&p, &cp, &trace);
     let errors: Vec<_> = diags
@@ -445,4 +445,86 @@ fn consistent_trace_is_clean() {
         .filter(|d| d.severity == Severity::Error)
         .collect();
     assert!(errors.is_empty(), "{errors:?}");
+}
+
+/// A forged two-thread trace over [`two_cu_parts`]: thread 0 has a path
+/// record before its CU entry (record 1), an unreachable method, an
+/// out-of-range string index at record 3 (when `bad_index`), and a CU
+/// entry for a signature that is no CU root; thread 1 has its own
+/// path-before-CU-entry at record 0.
+fn forged_lint_trace(p: &Program, bad_index: bool) -> Trace {
+    let main = p.entry.expect("entry");
+    let helper = (0..p.methods().len())
+        .map(MethodId::from)
+        .find(|&m| m != main && p.method_signature(m).contains("helper"))
+        .expect("helper");
+    let path = |method: u32, obj_ids: Vec<u64>| TraceRecord::Path {
+        method,
+        start: 0,
+        path_id: 0,
+        obj_ids,
+    };
+    let mut t0 = vec![
+        TraceRecord::CuEntry { sig: 0 },
+        path(1, vec![]),
+        TraceRecord::MethodEntry { sig: 2 },
+        TraceRecord::CuEntry { sig: 9 },
+        TraceRecord::CuEntry { sig: 1 },
+        path(1, vec![1, 0, 2]),
+        TraceRecord::CuEntry { sig: 3 },
+    ];
+    if !bad_index {
+        t0.remove(3);
+    }
+    let t1 = vec![
+        path(0, vec![5]),
+        TraceRecord::CuEntry { sig: 0 },
+        path(0, vec![]),
+    ];
+    Trace {
+        strings: vec![
+            p.method_signature(main),
+            p.method_signature(helper),
+            "ghost.Phantom.run()".to_string(),
+            "ghost.Phantom.cu()".to_string(),
+        ],
+        threads: vec![ThreadTrace::from_records(t0), ThreadTrace::from_records(t1)],
+    }
+}
+
+fn rendered(diags: &[Diagnostic]) -> Vec<String> {
+    diags
+        .iter()
+        .map(|d| format!("{:?} {} [{}] {}", d.severity, d.code, d.entity, d.message))
+        .collect()
+}
+
+/// `check_trace` and `check_reachability` on a forged trace: codes,
+/// entities, messages and `record {i}` numbering are pinned. (The
+/// reachability check resolves every string, so it gets the trace without
+/// the out-of-range index.)
+#[test]
+fn trace_lint_output_is_pinned() {
+    let (p, cp) = two_cu_parts();
+    let trace_diags = nimage_verify::pipeline::check_trace(&forged_lint_trace(&p, true));
+    let reach_diags = check_reachability(&p, &cp, &forged_lint_trace(&p, false));
+    assert_eq!(
+        rendered(&trace_diags),
+        [
+            "Warning profile::order [thread 0] path event for r.Main.helper(0) at record 1 \
+             precedes its CU entry",
+            "Error profile::string-index [thread 0] record 3 references string 9, table has 4",
+            "Warning profile::order [thread 1] path event for r.Main.main(0) at record 0 \
+             precedes its CU entry",
+        ]
+    );
+    assert_eq!(
+        rendered(&reach_diags),
+        [
+            "Error reach::unknown-cu [ghost.Phantom.cu()] thread 0 entered a CU that is not a \
+             root of this build",
+            "Error reach::trace-escape [ghost.Phantom.run()] method was entered at run time but \
+             is not in the compiled reachable set; the reachability analysis under-approximated",
+        ]
+    );
 }

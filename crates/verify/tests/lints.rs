@@ -366,10 +366,10 @@ fn acceptance_seeded_bad_program_and_overlap_both_fire() {
 
 #[test]
 fn trace_checks_string_indices_and_event_order() {
-    use nimage_profiler::{Trace, TraceRecord};
+    use nimage_profiler::{ThreadTrace, Trace, TraceRecord};
     let trace = Trace {
         strings: vec!["a.M.run(0)".to_string()],
-        threads: vec![vec![
+        threads: vec![ThreadTrace::from_records([
             TraceRecord::Path {
                 method: 0,
                 start: 0,
@@ -378,7 +378,7 @@ fn trace_checks_string_indices_and_event_order() {
             },
             TraceRecord::CuEntry { sig: 0 },
             TraceRecord::CuEntry { sig: 7 }, // out of range
-        ]],
+        ])],
     };
     let diags = check_trace(&trace);
     assert!(

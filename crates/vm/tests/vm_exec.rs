@@ -6,7 +6,7 @@ use nimage_compiler::{compile, CompiledProgram, InlineConfig, InstrumentConfig};
 use nimage_heap::{snapshot, HeapBuildConfig, HeapSnapshot};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
-use nimage_profiler::TraceRecord;
+use nimage_profiler::Record;
 use nimage_vm::{ExitKind, RtValue, StopWhen, Vm, VmConfig};
 
 fn build(
@@ -302,16 +302,16 @@ fn instrumented_run_collects_trace_and_counts() {
     assert_eq!(trace.threads.len(), 1);
     let records = &trace.threads[0];
     let methods = records
-        .iter()
-        .filter(|r| matches!(r, TraceRecord::MethodEntry { .. }))
+        .records()
+        .filter(|r| matches!(r, Record::MethodEntry { .. }))
         .count();
     let cus = records
-        .iter()
-        .filter(|r| matches!(r, TraceRecord::CuEntry { .. }))
+        .records()
+        .filter(|r| matches!(r, Record::CuEntry { .. }))
         .count();
     let paths = records
-        .iter()
-        .filter(|r| matches!(r, TraceRecord::Path { .. }))
+        .records()
+        .filter(|r| matches!(r, Record::Path { .. }))
         .count();
     assert!(methods > 0 && cus > 0 && paths > 0);
     // fib(10) performs 177 fib calls plus main.
@@ -483,18 +483,18 @@ fn path_records_carry_one_id_per_heap_access() {
     );
     let trace = r.trace.unwrap();
     let total_ids: usize = trace.threads[0]
-        .iter()
+        .records()
         .filter_map(|r| match r {
-            TraceRecord::Path { obj_ids, .. } => Some(obj_ids.len()),
+            Record::Path { obj_ids, .. } => Some(obj_ids.len()),
             _ => None,
         })
         .sum();
     assert_eq!(total_ids, 10, "one traced id per executed array access");
     // All ids refer to the snapshot array (non-zero).
     let nonzero: usize = trace.threads[0]
-        .iter()
+        .records()
         .filter_map(|r| match r {
-            TraceRecord::Path { obj_ids, .. } => Some(obj_ids.iter().filter(|&&i| i != 0).count()),
+            Record::Path { obj_ids, .. } => Some(obj_ids.filter(|&i| i != 0).count()),
             _ => None,
         })
         .sum();

@@ -97,15 +97,13 @@ fn awfy_touches_only_a_small_fraction_of_snapshot_objects() {
         .unwrap();
     let trace = r.trace.unwrap();
     let mut touched = std::collections::HashSet::new();
-    for t in &trace.threads {
-        for rec in t {
-            if let nimage_profiler::TraceRecord::Path { obj_ids, .. } = rec {
-                for &id in obj_ids {
-                    if id != 0 {
-                        touched.insert(id);
-                    }
-                }
-            }
+    for rec in trace
+        .threads
+        .iter()
+        .flat_map(nimage_profiler::ThreadTrace::records)
+    {
+        if let nimage_profiler::Record::Path { obj_ids, .. } = rec {
+            touched.extend(obj_ids.filter(|&id| id != 0));
         }
     }
     let frac = touched.len() as f64 / snap.entries().len() as f64;

@@ -65,17 +65,27 @@ fn workflow_clippy_lines_lint_the_whole_workspace() {
     assert!(checked > 0, "found no `cargo clippy` line to check");
 }
 
+/// Whether `ci.yml` has a step that runs exactly `step`.
+fn ci_runs(step: &str) -> bool {
+    workflow_lines()
+        .iter()
+        .any(|(at, line)| at.contains("ci.yml") && line == &format!("run: {step}"))
+}
+
 /// CI runs the interpreter-dispatch bench once, so its steady-state runs
 /// (regular, instrumented, arithmetic) keep compiling and keep executing.
 #[test]
 fn ci_runs_the_dispatch_bench() {
     let step = "cargo bench -p nimage-bench --bench crit_dispatch -- --test";
-    assert!(
-        workflow_lines()
-            .iter()
-            .any(|(at, line)| at.contains("ci.yml") && line == &format!("run: {step}")),
-        "ci.yml lost the `{step}` step"
-    );
+    assert!(ci_runs(step), "ci.yml lost the `{step}` step");
+}
+
+/// CI runs the trace bench once, so trace replay and trace-file decode
+/// keep compiling and keep executing.
+#[test]
+fn ci_runs_the_replay_bench() {
+    let step = "cargo bench -p nimage-bench --bench crit_replay -- --test";
+    assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
 /// The warm-cache job gates on what a warm engine does: interpret nothing
