@@ -22,22 +22,15 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, Parallelism, Pipeline, RunParts};
+use nimage_core::{BuildOptions, Pipeline, RunParts};
 use nimage_ir::Program;
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder};
 use nimage_workloads::{Awfy, RuntimeScale};
 
-fn opts() -> BuildOptions {
-    BuildOptions {
-        threads: Parallelism::threads(1),
-        ..BuildOptions::default()
-    }
-}
-
 /// Benches runs of `program`'s `instrument` build with the lowered program
 /// and heap template built once and shared, as the engine runs a build.
 fn bench_shared(c: &mut Criterion, id: &str, program: &Program, instrument: InstrumentConfig) {
-    let o = opts();
+    let o = BuildOptions::default();
     let p = Pipeline::new(program, o.clone());
     let built = p.build_instrumented(instrument).unwrap();
     let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
@@ -65,7 +58,7 @@ fn bench_shared(c: &mut Criterion, id: &str, program: &Program, instrument: Inst
 
 fn bench_dispatch(c: &mut Criterion) {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let o = opts();
+    let o = BuildOptions::default();
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     let vm = || {
@@ -110,7 +103,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 fn bench_lowering(c: &mut Criterion) {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let o = opts();
+    let o = BuildOptions::default();
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     c.bench_function("lowering/build", |b| {

@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use nimage_core::{
     load_profiles, save_profiles, BuildOptions, BuildRequest, DiskCacheOptions, DiskStore, Engine,
-    EngineOptions, EvalInputs, EvalRequest, Evaluation, Parallelism, Pipeline, Report, Strategy,
-    TraceOptions, WorkloadSpec, DISK_FORMAT_VERSION,
+    EngineOptions, EvalInputs, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions,
+    WorkloadSpec, DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
 use nimage_trace::metrics::json_string;
@@ -90,8 +90,8 @@ checkers inside the pipeline (default: on in debug builds, off in release).
 $XDG_CACHE_HOME/nimage (else ~/.cache/nimage); --cache-dir DIR relocates
 it, --no-disk-cache disables it. --max-bytes N / --max-entries N cap the
 cache: the engine sweeps it opportunistically after storing new entries,
-and `cache gc` sweeps on demand. --threads N sets the worker count
-(0 = auto); `run` uses it for intra-stage parallelism. --salted-heap-ids
+and `cache gc` sweeps on demand. --threads N sets the engine's worker
+count (0 = auto); every stage inside a cell runs serially. --salted-heap-ids
 enables per-type salting of heap-path identities (`run`/`eval`).
 ";
 
@@ -297,7 +297,6 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut opts = pipeline_for(&workload);
     opts.verify = verify_flag(parsed);
     opts.salted_heap_ids = parsed.has_flag("salted-heap-ids");
-    opts.threads = Parallelism::threads(threads_of(parsed)?);
     let pipeline = Pipeline::new(&program, opts);
     let built = match strategy {
         Some(_) => {

@@ -20,7 +20,6 @@ use std::collections::{HashMap, HashSet};
 
 use nimage_analysis::{CallSite, Reachability};
 use nimage_ir::{Callee, Instr, MethodId, Program};
-use nimage_par::parallel_map;
 
 use crate::cu::{CompilationUnit, CompiledProgram, CuId, InlineNode};
 use crate::instrument::{instrumented_method_size, InstrumentConfig, CU_PROBE_BYTES};
@@ -58,6 +57,15 @@ impl Default for InlineConfig {
 ///
 /// `profile` is `None` for the regular and instrumented builds and
 /// `Some(..)` for the profile-guided optimized build.
+///
+/// CUs are built wave by wave over a root worklist. The first wave holds
+/// the mandatory roots: the entry point, spawn targets and every target of
+/// a polymorphic virtual call (those are reached through the vtable and
+/// can never be fully inlined away). Every call a CU does not inline roots
+/// a CU of the next wave. [`build_cu`] is a pure function of the program,
+/// analysis results and its root, so the final signature-ordered merge
+/// (the paper's alphabetical default `.text` order) renumbers CUs into a
+/// total order that does not depend on worklist order.
 pub fn compile(
     program: &Program,
     reachability: Reachability,
@@ -65,60 +73,45 @@ pub fn compile(
     instr_cfg: InstrumentConfig,
     profile: Option<&CallCountProfile>,
 ) -> CompiledProgram {
-    compile_with_threads(program, reachability, inline_cfg, instr_cfg, profile, 1)
-}
-
-/// [`compile`] with intra-stage parallelism: compilation units are built
-/// concurrently, wave by wave over the root worklist.
-///
-/// CUs are independently compilable — [`build_cu`] is a pure function of
-/// the program, analysis results and its root — so the root closure is
-/// the same set no matter which order roots are processed in, and the
-/// final signature-ordered merge (the paper's alphabetical default
-/// `.text` order) renumbers CUs into a total order that does not depend
-/// on scheduling. The output is bit-identical to `n_threads == 1`.
-pub fn compile_with_threads(
-    program: &Program,
-    reachability: Reachability,
-    inline_cfg: &InlineConfig,
-    instr_cfg: InstrumentConfig,
-    profile: Option<&CallCountProfile>,
-    n_threads: usize,
-) -> CompiledProgram {
     let mut root_seen: HashSet<MethodId> = HashSet::new();
-    let mut frontier = initial_roots_impl(program, &reachability, &mut root_seen);
-
+    let mut frontier: Vec<MethodId> = vec![];
     let push_root = |m: MethodId, frontier: &mut Vec<MethodId>, seen: &mut HashSet<MethodId>| {
         if seen.insert(m) {
             frontier.push(m);
         }
     };
+    if let Some(e) = program.entry {
+        push_root(e, &mut frontier, &mut root_seen);
+    }
+    for &m in &reachability.methods {
+        for b in &program.method(m).blocks {
+            for i in &b.instrs {
+                if let Instr::Spawn { method, .. } = i {
+                    push_root(*method, &mut frontier, &mut root_seen);
+                }
+            }
+        }
+    }
+    for targets in reachability.virtual_targets.values() {
+        if targets.len() != 1 {
+            for &t in targets {
+                push_root(t, &mut frontier, &mut root_seen);
+            }
+        }
+    }
 
-    // Build CUs wave by wave; every call that is not inlined makes its
-    // target a root of the next wave. Within a wave the CUs are
-    // independent and fan out over the worker pool.
     let mut built: Vec<CompilationUnit> = vec![];
     while !frontier.is_empty() {
-        // Small waves (every workload's first and tail waves) don't
-        // amortize the fan-out; fall back to the serial path below the
-        // measured cutoff.
-        let workers = nimage_par::workers_for(
-            n_threads,
-            frontier.len(),
-            nimage_par::cutoff::COMPILE_MIN_ROOTS,
-        );
-        let wave = parallel_map(workers, frontier.len(), |i| {
-            build_cu(
+        let mut next: Vec<MethodId> = vec![];
+        for &root in &frontier {
+            let (cu, not_inlined) = build_cu(
                 program,
                 &reachability,
                 inline_cfg,
                 &instr_cfg,
                 profile,
-                frontier[i],
-            )
-        });
-        let mut next: Vec<MethodId> = vec![];
-        for (cu, not_inlined) in wave {
+                root,
+            );
             for m in not_inlined {
                 push_root(m, &mut next, &mut root_seen);
             }
@@ -128,8 +121,8 @@ pub fn compile_with_threads(
     }
 
     // Default .text order: alphabetical by root signature (Sec. 2). The
-    // root id tiebreak makes the order total, so serial and parallel
-    // builds agree even if two roots shared a signature.
+    // root id tiebreak makes the order total even if two roots shared a
+    // signature.
     built.sort_by_key(|cu| (program.method_signature(cu.root), cu.root));
     let mut root_to_cu = HashMap::new();
     for (i, cu) in built.iter_mut().enumerate() {
@@ -143,51 +136,6 @@ pub fn compile_with_threads(
         instrumentation: instr_cfg,
         reachability,
     }
-}
-
-/// The mandatory first-wave CU roots: the entry point, spawn targets and
-/// every target of a polymorphic virtual call (those are reached through
-/// the vtable and can never be fully inlined away). This is the first
-/// wave of [`compile_with_threads`]'s worklist — a handful of roots on
-/// the bundled workloads, where the wide waves come later. `nimage
-/// bench` reports the compile fan-out as engaged only when this wave
-/// crosses `nimage_par::cutoff::COMPILE_MIN_ROOTS`, which under-reports:
-/// a later wave may cross it when this one does not.
-pub fn initial_roots(program: &Program, reachability: &Reachability) -> Vec<MethodId> {
-    initial_roots_impl(program, reachability, &mut HashSet::new())
-}
-
-fn initial_roots_impl(
-    program: &Program,
-    reachability: &Reachability,
-    root_seen: &mut HashSet<MethodId>,
-) -> Vec<MethodId> {
-    let mut frontier: Vec<MethodId> = vec![];
-    let mut push_root = |m: MethodId, frontier: &mut Vec<MethodId>| {
-        if root_seen.insert(m) {
-            frontier.push(m);
-        }
-    };
-    if let Some(e) = program.entry {
-        push_root(e, &mut frontier);
-    }
-    for &m in &reachability.methods {
-        for b in &program.method(m).blocks {
-            for i in &b.instrs {
-                if let Instr::Spawn { method, .. } = i {
-                    push_root(*method, &mut frontier);
-                }
-            }
-        }
-    }
-    for targets in reachability.virtual_targets.values() {
-        if targets.len() != 1 {
-            for &t in targets {
-                push_root(t, &mut frontier);
-            }
-        }
-    }
-    frontier
 }
 
 /// The single analysis-time target of a call site, if the call is direct

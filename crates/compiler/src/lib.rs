@@ -22,7 +22,7 @@ mod path;
 mod pgo;
 
 pub use cu::{CompilationUnit, CompiledProgram, CuId, InlineNode};
-pub use inline::{compile, compile_with_threads, initial_roots, InlineConfig};
+pub use inline::{compile, InlineConfig};
 pub use instrument::{instrumented_method_size, InstrumentConfig};
 pub use path::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent};
 pub use pgo::CallCountProfile;

@@ -227,9 +227,8 @@ pub struct ArtifactCache {
     pub profiles: Memo<ProfiledArtifacts>,
     /// Sharded execution programs, keyed by compile key: one lazy
     /// container per compiled build, lent (`Arc`) to the VM run of that
-    /// build. Method bodies fault in per CU on first call; known-hot CUs
-    /// are pre-lowered before the optimized build's run starts. Memory
-    /// only: a build whose run is a disk hit is never lowered.
+    /// build. Method bodies fault in per CU on first call. Memory only: a
+    /// build whose run is a disk hit is never lowered.
     pub lowered: Memo<LoweredProgram>,
     /// Layout-optimizer plans of the clustered strategies, keyed by
     /// workload + strategy: the candidate search runs once per cell and

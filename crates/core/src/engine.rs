@@ -194,9 +194,10 @@ pub struct EngineStats {
 /// How many lowering shards the engine's cached containers realized, and
 /// by which path. `lazy` counts shards faulted in by the interpreter on
 /// first call into a CU; `eager` counts shards realized ahead of execution
-/// (the hot-CU pre-lowering wave, disk installs, whole-program builds);
-/// `cus` is the total shard count, so `cus - lazy - eager` shards were
-/// never lowered at all.
+/// (shard extraction, whole-program builds). The engine lowers only on
+/// demand, so from the engine `eager` is always 0; the field stays because
+/// the repo benchmark reads it. `cus` is the total shard count, so
+/// `cus - lazy - eager` shards were never lowered at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shards realized by the interpreter's fault-in path.
@@ -469,8 +470,8 @@ impl Engine {
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
         // Capped at the host's parallelism (workers beyond it only
-        // contend) and gated on the cell-count cutoff like every other
-        // parallel stage.
+        // contend) and gated on the cell-count cutoff. This is the
+        // pipeline's only fan-out: every stage inside a cell is serial.
         let workers = nimage_par::workers_for(
             self.threads(),
             jobs.len(),
@@ -812,8 +813,7 @@ impl Engine {
     /// per compile key, lent (`Arc`) to the run of that build.
     ///
     /// Constructing the container builds only the cheap global tables;
-    /// method bodies are lowered per CU on first call, or ahead of time by
-    /// [`Engine::prelower_hot`].
+    /// method bodies are lowered per CU on first call, inside the run.
     fn lowered_for(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -828,49 +828,6 @@ impl Engine {
             });
             LoweredProgram::new(ctx.spec.program, compiled, ctx.spec.opts.vm.max_paths)
         })
-    }
-
-    /// The pre-lowering wave: realizes the shards of every CU the profile
-    /// marks hot (its CU-order profile lists first-entry order) before the
-    /// optimized build's run starts, fanning out under
-    /// [`nimage_par::cutoff::PRELOWER_MIN_CUS`]. Called only from inside
-    /// the computation of that run, so it runs at most once per build, and
-    /// its shards stay in memory: a run that is a disk hit lowers nothing.
-    fn prelower_hot(
-        &self,
-        ctx: &Ctx<'_, '_>,
-        compiled: &CompiledProgram,
-        lowered: &LoweredProgram,
-        artifacts: &ProfiledArtifacts,
-    ) {
-        let _s = self
-            .tracer
-            .root_span("lower", || format!("workload={} wave=hot", ctx.spec.name));
-        let sig_to_cu: HashMap<String, nimage_compiler::CuId> = compiled
-            .cus
-            .iter()
-            .map(|cu| (ctx.spec.program.method_signature(cu.root), cu.id))
-            .collect();
-        // Profile order, already-realized shards skipped.
-        let todo: Vec<nimage_compiler::CuId> = artifacts
-            .cu_profile
-            .sigs
-            .iter()
-            .filter_map(|sig| sig_to_cu.get(sig).copied())
-            .filter(|&cu| !lowered.is_cu_lowered(cu))
-            .collect();
-        if todo.is_empty() {
-            return;
-        }
-        self.tracer.count("lower.prelowered_cus", todo.len() as u64);
-        let workers = nimage_par::workers_for(
-            self.threads(),
-            todo.len(),
-            nimage_par::cutoff::PRELOWER_MIN_CUS,
-        );
-        nimage_par::parallel_map(workers, todo.len(), |i| {
-            lowered.prelower_cu(ctx.spec.program, compiled, todo[i]);
-        });
     }
 
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
@@ -920,9 +877,9 @@ impl Engine {
 
     /// The optimized build and its one execution, computed once per
     /// workload and shared by every strategy cell. The execution — default
-    /// layout, heap template, lowered program, pre-lowering wave — happens
-    /// only when the run is neither in memory nor on disk; a disk entry
-    /// whose log does not fit the build is rejected and recomputed.
+    /// layout, heap template, lowered program — happens only when the run
+    /// is neither in memory nor on disk; a disk entry whose log does not
+    /// fit the build is rejected and recomputed.
     fn baseline_parts(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -942,7 +899,6 @@ impl Engine {
                     self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
                 let lowered =
                     self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
-                self.prelower_hot(ctx, &front.compiled, &lowered, artifacts);
                 let _s = self.tracer.root_span("run", || {
                     format!("workload={} variant=baseline", ctx.spec.name)
                 });

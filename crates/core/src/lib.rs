@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use nimage_analysis::{analyze, AnalysisConfig, Reachability};
 use nimage_compiler::{
-    compile_with_threads, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig,
+    compile, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig,
 };
 use nimage_heap::{snapshot, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
 pub use nimage_image::optimize::PredictedFaults;
@@ -216,12 +216,11 @@ pub struct BuildOptions {
     /// error-severity finding aborts the pipeline with
     /// [`PipelineError::Verify`].
     pub verify: bool,
-    /// Intra-stage worker-thread count for the parallel stages (compile
-    /// waves). Every parallel path merges in a thread-count-independent
-    /// order, so the produced artifacts are
-    /// bit-identical to the serial ones — and [`Parallelism`]'s `Debug`
-    /// rendering is constant, so the thread count never enters cache
-    /// fingerprints.
+    /// Read by nothing: every pipeline stage is serial, and the only
+    /// parallelism is the engine's cell scheduler
+    /// ([`EngineOptions::n_threads`]). Kept because the repo benchmark
+    /// still sets it. [`Parallelism`]'s `Debug` rendering is constant, so
+    /// the field never enters cache fingerprints.
     pub threads: Parallelism,
     /// Upgrade the *heap path* identity scheme to its per-type salted
     /// variant ([`HeapStrategy::HeapPathSalted`]), which disambiguates
@@ -592,24 +591,14 @@ impl<'p> Pipeline<'p> {
         analyze(self.program, &self.opts.analysis)
     }
 
-    /// Stage: compilation (inlining, instrumentation, PGO). Builds CUs in
-    /// parallel waves under [`BuildOptions::threads`]; the merged result is
-    /// bit-identical to the serial build (CUs are renumbered in signature
-    /// order regardless of completion order).
+    /// Stage: compilation (inlining, instrumentation, PGO).
     pub fn compile_stage(
         &self,
         reach: Reachability,
         instr: InstrumentConfig,
         profile: Option<&CallCountProfile>,
     ) -> CompiledProgram {
-        compile_with_threads(
-            self.program,
-            reach,
-            &self.opts.inline,
-            instr,
-            profile,
-            self.opts.threads.effective(),
-        )
+        compile(self.program, reach, &self.opts.inline, instr, profile)
     }
 
     /// Stage: build-time initializer execution + heap snapshot under the

@@ -9,17 +9,10 @@
 use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, BuiltImage, Parallelism, Pipeline, RunParts, Strategy};
+use nimage_core::{BuildOptions, BuiltImage, Pipeline, RunParts, Strategy};
 use nimage_ir::{BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef};
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
-
-fn opts(threads: usize) -> BuildOptions {
-    BuildOptions {
-        threads: Parallelism::threads(threads),
-        ..BuildOptions::default()
-    }
-}
 
 /// Runs one built image on both engines and returns the two reports'
 /// `Debug` renderings, `(reference, lowered)`.
@@ -69,8 +62,12 @@ fn lowered_matches_reference_on_all_awfy_workloads() {
             (InstrumentConfig::FULL, "instrumented"),
             (InstrumentConfig::NONE, "regular"),
         ] {
-            let (reference, lowered) =
-                built_on_both_engines(&program, &opts(1), instrument, StopWhen::Exit);
+            let (reference, lowered) = built_on_both_engines(
+                &program,
+                &BuildOptions::default(),
+                instrument,
+                StopWhen::Exit,
+            );
             assert_eq!(
                 reference, lowered,
                 "{what} run of {wl:?} differs between engines"
@@ -90,7 +87,7 @@ fn lowered_matches_reference_on_all_microservices() {
             (StopWhen::FirstResponse, None),
             (StopWhen::Exit, Some(2_000_000)),
         ] {
-            let mut o = opts(1);
+            let mut o = BuildOptions::default();
             if let Some(cap) = max_ops {
                 o.vm.max_ops = cap;
             }
@@ -104,28 +101,6 @@ fn lowered_matches_reference_on_all_microservices() {
     }
 }
 
-/// Fault counts, trace and profiles must agree between the engines across
-/// every worker-thread count: the build stages fan out differently but the
-/// VM result may not move.
-#[test]
-fn engine_matrix_is_identical_across_thread_counts() {
-    let program = Microservice::Micronaut.program();
-    let stop = StopWhen::FirstResponse;
-    let (ref_dbg, _) = built_on_both_engines(&program, &opts(1), InstrumentConfig::FULL, stop);
-    for threads in [1, 2, 4, 8] {
-        let (reference, lowered) =
-            built_on_both_engines(&program, &opts(threads), InstrumentConfig::FULL, stop);
-        assert_eq!(
-            ref_dbg, reference,
-            "reference-engine report differs at {threads} threads"
-        );
-        assert_eq!(
-            ref_dbg, lowered,
-            "lowered-engine report differs at {threads} threads"
-        );
-    }
-}
-
 /// The optimizing half agrees between the engines too: the PGO-compiled
 /// Bounce build (profile-driven inlining changes the CUs) under the default
 /// layout and reordered by `cu+heap path` — the build variants none of the
@@ -133,7 +108,7 @@ fn engine_matrix_is_identical_across_thread_counts() {
 #[test]
 fn pgo_reordered_image_matches_between_engines() {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
-    let o = opts(1);
+    let o = BuildOptions::default();
     let p = Pipeline::new(&program, o.clone());
     let artifacts = p.profiling_run(StopWhen::Exit).unwrap();
     for strategy in [None, Some(Strategy::CuPlusHeapPath)] {
@@ -154,7 +129,7 @@ fn pgo_reordered_image_matches_between_engines() {
 fn op_budgets_across_quantum_boundaries_stop_both_engines_alike() {
     let bounce = Awfy::Bounce.program_at(&RuntimeScale::small());
     let micronaut = Microservice::Micronaut.program();
-    let o = opts(1);
+    let o = BuildOptions::default();
     for (program, instrument, stop) in [
         (&bounce, InstrumentConfig::FULL, StopWhen::Exit),
         (&bounce, InstrumentConfig::NONE, StopWhen::Exit),
@@ -206,8 +181,12 @@ fn recycled_locals_read_as_fresh_ones() {
     pb.set_entry(main);
     let program = pb.build().unwrap();
     for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
-        let (reference, lowered) =
-            built_on_both_engines(&program, &opts(1), instrument, StopWhen::Exit);
+        let (reference, lowered) = built_on_both_engines(
+            &program,
+            &BuildOptions::default(),
+            instrument,
+            StopWhen::Exit,
+        );
         assert!(
             reference.contains("entry_return: Some(Null)"),
             "{reference}"
@@ -276,7 +255,7 @@ fn errors_in_a_hot_loop_match_between_engines() {
         f.array_set(arr, at, i);
         f.array_get(arr, at)
     });
-    let o = opts(1);
+    let o = BuildOptions::default();
     for (program, what) in [
         (&divide_by_zero, "DivisionByZero"),
         (&read_null, "NullDeref"),
@@ -311,7 +290,7 @@ fn errors_in_a_hot_loop_match_between_engines() {
 #[test]
 fn shared_lowered_program_runs_are_isolated() {
     let program = Microservice::Micronaut.program();
-    let o = opts(1);
+    let o = BuildOptions::default();
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
     let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
@@ -330,7 +309,7 @@ fn shared_lowered_program_runs_are_isolated() {
         .unwrap()
     };
     let reference = format!("{:?}", run_one());
-    let reports = nimage_par::parallel_map(4, 6, |_| format!("{:?}", run_one()));
+    let reports = nimage_par::parallel_map_seeded(4, 6, |j| j, |_| format!("{:?}", run_one()));
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(&reference, r, "sharded run {i} differs from serial");
     }

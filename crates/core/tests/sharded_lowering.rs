@@ -9,17 +9,10 @@
 use std::sync::Arc;
 
 use nimage_compiler::{CuId, InstrumentConfig};
-use nimage_core::{BuildOptions, Parallelism, Pipeline, RunParts};
+use nimage_core::{BuildOptions, Pipeline, RunParts};
 use nimage_ir::Program;
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
-
-fn opts(threads: usize) -> BuildOptions {
-    BuildOptions {
-        threads: Parallelism::threads(threads),
-        ..BuildOptions::default()
-    }
-}
 
 /// Builds once, then runs the image twice over shared parts: once with a
 /// fresh lazy container and once with the whole-program eager lowering.
@@ -64,7 +57,12 @@ fn lazy_matches_eager_on_all_awfy_workloads() {
     for wl in Awfy::all() {
         let program = wl.program_at(&scale);
         for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
-            let (lazy, eager, _) = lazy_vs_eager(&program, &opts(1), instrument, StopWhen::Exit);
+            let (lazy, eager, _) = lazy_vs_eager(
+                &program,
+                &BuildOptions::default(),
+                instrument,
+                StopWhen::Exit,
+            );
             assert_eq!(lazy, eager, "{wl:?} ({instrument:?}) differs lazy vs eager");
         }
     }
@@ -75,27 +73,14 @@ fn lazy_matches_eager_on_all_microservices() {
     for wl in Microservice::all() {
         let program = wl.program();
         for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
-            let (lazy, eager, _) =
-                lazy_vs_eager(&program, &opts(1), instrument, StopWhen::FirstResponse);
+            let (lazy, eager, _) = lazy_vs_eager(
+                &program,
+                &BuildOptions::default(),
+                instrument,
+                StopWhen::FirstResponse,
+            );
             assert_eq!(lazy, eager, "{wl:?} ({instrument:?}) differs lazy vs eager");
         }
-    }
-}
-
-/// The worker-thread count fans the build stages out differently, but
-/// neither the compiled output nor the report of a lazily sharded run may
-/// move with it — and the lazy report must equal the eager one at every
-/// count.
-#[test]
-fn lazy_matches_eager_across_thread_counts() {
-    let program = Microservice::Micronaut.program();
-    let stop = StopWhen::FirstResponse;
-    let (reference, _, _) = lazy_vs_eager(&program, &opts(1), InstrumentConfig::FULL, stop);
-    for threads in [1, 2, 4, 8] {
-        let (lazy, eager, _) =
-            lazy_vs_eager(&program, &opts(threads), InstrumentConfig::FULL, stop);
-        assert_eq!(reference, lazy, "lazy report moved at {threads} threads");
-        assert_eq!(reference, eager, "eager report moved at {threads} threads");
     }
 }
 
@@ -108,7 +93,7 @@ fn untouched_cus_are_never_lowered() {
     let program = Microservice::Micronaut.program();
     let (_, _, lazy) = lazy_vs_eager(
         &program,
-        &opts(1),
+        &BuildOptions::default(),
         InstrumentConfig::NONE,
         StopWhen::FirstResponse,
     );

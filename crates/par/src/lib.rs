@@ -1,20 +1,20 @@
-//! Intra-stage parallelism primitives shared by the pipeline stages and
-//! the evaluation engine.
+//! The parallelism primitives of the evaluation engine's cell scheduler.
 //!
-//! Every parallel stage in the pipeline follows the same discipline:
-//! **fan out over independent jobs, then merge in a deterministic order
-//! that does not depend on execution interleaving**. This crate provides
-//! the one building block:
+//! The pipeline has exactly one level of parallelism: the engine fans the
+//! independent `(workload, strategy)` cells of an evaluation matrix out
+//! over its workers, and every stage inside a cell runs serially. That
+//! fan-out follows one discipline: **fan out over independent jobs, then
+//! merge in a deterministic order that does not depend on execution
+//! interleaving**. This crate provides the building block:
 //!
-//! - [`parallel_map`] (and [`parallel_map_seeded`], which also lets the
-//!   caller pick each job's home worker) — an index-ordered parallel map
-//!   over a work-stealing queue (each worker owns a deque seeded with its
-//!   share of the jobs, pops locally from the front and steals from other
-//!   workers' backs when its own runs dry): results come back in job-index
-//!   order regardless of which worker ran which job, so callers get
-//!   scheduling-independent output for free.
+//! - [`parallel_map_seeded`] — an index-ordered parallel map over a
+//!   work-stealing queue (each worker owns a deque seeded with the jobs
+//!   the caller homes on it, pops locally from the front and steals from
+//!   other workers' backs when its own runs dry): results come back in
+//!   job-index order regardless of which worker ran which job, so callers
+//!   get scheduling-independent output for free.
 //!
-//! [`Parallelism`] carries the thread-count knob through configuration
+//! [`Parallelism`] carries a thread-count knob through configuration
 //! structs whose derived `Debug` rendering doubles as a cache
 //! fingerprint: its `Debug` output is a constant, because the thread
 //! count must never change *what* is computed, only *how fast*.
@@ -23,15 +23,13 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
-/// A thread-count knob for intra-stage parallelism.
+/// A thread-count knob, carried by `nimage_core::BuildOptions::threads`.
 ///
-/// `0` means "auto": use the machine's available parallelism. The
-/// `Debug` rendering is intentionally a constant so that embedding a
-/// `Parallelism` in a fingerprinted options struct (for example
-/// `nimage_core::BuildOptions`, whose `Debug` output feeds the content
-/// keys of the artifact cache) does not perturb cache keys: artifacts
-/// built with different thread counts are bit-identical and must share
-/// cache entries — in memory and on disk.
+/// No pipeline stage reads it: the engine's cell scheduler is the only
+/// fan-out, and takes its worker count from `EngineOptions::n_threads`.
+/// The `Debug` rendering is a constant so that embedding a `Parallelism`
+/// in a fingerprinted options struct (whose `Debug` output feeds the
+/// content keys of the artifact cache) does not perturb cache keys.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(usize);
 
@@ -41,30 +39,14 @@ impl Parallelism {
         Parallelism(1)
     }
 
-    /// Use the machine's available parallelism.
-    pub const fn auto() -> Parallelism {
-        Parallelism(0)
-    }
-
-    /// An explicit thread count; `0` behaves like [`Parallelism::auto`].
+    /// An explicit thread count.
     pub const fn threads(n: usize) -> Parallelism {
         Parallelism(n)
     }
 
-    /// The raw knob value (`0` = auto).
+    /// The raw knob value.
     pub const fn raw(self) -> usize {
         self.0
-    }
-
-    /// Resolves the knob to a concrete worker count (at least 1).
-    pub fn effective(self) -> usize {
-        if self.0 > 0 {
-            self.0
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
     }
 }
 
@@ -82,51 +64,29 @@ impl fmt::Debug for Parallelism {
     }
 }
 
-/// Measured per-stage work-size cutoffs below which the parallel path
-/// loses to a plain serial loop.
+/// Measured work-size cutoffs below which a fan-out loses to a plain
+/// serial loop.
 ///
-/// Each constant is the smallest work size (in the stage's natural unit)
-/// for which `parallel_map` at 4 threads beat the serial loop on the
-/// bundled workloads (release build, median of 5 warm runs; see
-/// DESIGN.md §11 for the measurement protocol and the per-workload work
-/// sizes quoted below). Below the cutoff the spawn + mutex overhead of
-/// the steal queue dominates the actual work, which is how the 4-thread
-/// bench once *regressed* on the small bundled workloads (compile 0.95×,
-/// replay 0.88×). [`workers_for`] applies them: under the cutoff it
-/// returns 1, making the "parallel" path literally the serial path
-/// (`parallel_map` with one worker is a plain loop), so a sub-1× speedup
-/// is impossible by construction.
+/// [`workers_for`] applies them: under the cutoff it returns 1, making the
+/// "parallel" path literally the serial path (`parallel_map_seeded` with
+/// one worker is a plain loop), so a sub-1× speedup is impossible by
+/// construction.
 ///
 /// Every cutoff here is crossed by some bundled workload (pinned by
 /// `core/tests/determinism.rs::live_cutoffs`); a fan-out no workload
 /// reaches is deleted rather than kept behind a cutoff, and so is one
-/// that cannot pay: trace replay has no cutoff because it is a serial
+/// that cannot pay. Trace replay has no cutoff because it is a serial
 /// memoised scan whose whole cost (≈ 0.8 ms on the largest small-scale
-/// trace) is below what splitting it could save.
+/// trace) is below what splitting it could save. Compilation and shard
+/// pre-lowering have none because they no longer fan out: nested under
+/// the engine's cell scheduler they put up to four threads on two cores,
+/// and making both serial took `awfy_vm`'s `pass_ms` down by about 11 %
+/// (DESIGN.md §11).
 pub mod cutoff {
-    /// Inline-wave compilation: minimum CU roots in a wave before the
-    /// wave is fanned out. Building one CU is a whole inlining pass, so
-    /// the per-job work is large and the cutoff is low. First waves are
-    /// tiny everywhere (2 roots on every microservice, 1–4 on every Awfy
-    /// program) and stay serial; it is the later, wide waves (306–912
-    /// roots on the microservices, 1 540–2 280 on Awfy, ~97 at the small
-    /// test scale) that cross the cutoff and parallelize.
-    pub const COMPILE_MIN_ROOTS: usize = 8;
-
-    /// Eval-matrix VM runs: minimum (strategy, workload) cells before
-    /// runs are sharded. A VM run is milliseconds of work, so two cells
-    /// already amortize a spawn.
+    /// Eval-matrix cells: minimum (strategy, workload) cells before the
+    /// engine shards them over its workers. A cell is milliseconds of
+    /// work, so two cells already amortize a spawn.
     pub const RUN_MIN_CELLS: usize = 2;
-
-    /// Pre-lowering wave: minimum profile-hot CUs before the engine fans
-    /// the per-CU shard lowering out. Lowering one shard is a short flat
-    /// re-encode of a handful of method bodies (tens of µs on the bundled
-    /// workloads). Every bundled hot set crosses the cutoff — 428 / 494 /
-    /// 534 CUs on quarkus / micronaut / spring, 773–1 173 on Awfy, 50–55
-    /// at the small test scale — so on the bundled workloads the wave
-    /// always fans out; the cutoff guards hand-built programs with a
-    /// handful of CUs.
-    pub const PRELOWER_MIN_CUS: usize = 32;
 }
 
 /// The host's available parallelism (cached after the first query;
@@ -140,8 +100,8 @@ pub fn host_parallelism() -> usize {
     })
 }
 
-/// Resolves the worker count for a stage given its work size: `threads`
-/// when `work` is at or above the stage's measured cutoff, else 1 (the
+/// Resolves the worker count for a fan-out given its work size: `threads`
+/// when `work` is at or above the fan-out's measured cutoff, else 1 (the
 /// serial path). See [`cutoff`] for the thresholds and their provenance.
 ///
 /// The result is additionally capped at [`host_parallelism`]: a thread
@@ -199,26 +159,17 @@ impl StealQueue {
 }
 
 /// Runs `f(0..n_jobs)` across up to `threads` workers and returns the
-/// results in job-index order. With `threads <= 1` (or fewer than two
-/// jobs) this degenerates to a plain serial loop, so the serial and
-/// parallel paths share one code path and trivially agree.
+/// results in job-index order. Job `j` is seeded onto worker
+/// `home(j) % n_workers` (in job order), and stealing rebalances from
+/// there. The seeding decides only which jobs tend to run next to each
+/// other — results are still in job-index order and every job still runs
+/// exactly once, whatever `home` returns. With `threads <= 1` (or fewer
+/// than two jobs) this degenerates to a plain serial loop, so the serial
+/// and parallel paths share one code path and trivially agree.
 ///
 /// The output order — and therefore everything a caller derives from it —
 /// is independent of scheduling; determinism of a parallel stage reduces
 /// to the purity of `f`.
-pub fn parallel_map<T, F>(threads: usize, n_jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_seeded(threads, n_jobs, |j| j, f)
-}
-
-/// [`parallel_map`] with the caller choosing where each job starts: job
-/// `j` is seeded onto worker `home(j) % n_workers` (in job order), and
-/// stealing rebalances from there. The seeding decides only which jobs
-/// tend to run next to each other — results are still in job-index order
-/// and every job still runs exactly once, whatever `home` returns.
 pub fn parallel_map_seeded<T, H, F>(threads: usize, n_jobs: usize, home: H, f: F) -> Vec<T>
 where
     T: Send,
@@ -264,9 +215,8 @@ mod tests {
             format!("{:?}", Parallelism::threads(8)),
             "Debug doubles as a cache fingerprint and must not leak the knob"
         );
-        assert_eq!(Parallelism::serial().effective(), 1);
-        assert_eq!(Parallelism::threads(3).effective(), 3);
-        assert!(Parallelism::auto().effective() >= 1);
+        assert_eq!(Parallelism::default().raw(), 1);
+        assert_eq!(Parallelism::threads(3).raw(), 3);
     }
 
     #[test]
@@ -285,14 +235,14 @@ mod tests {
     #[test]
     fn parallel_map_preserves_index_order() {
         for threads in [1, 2, 8] {
-            let out = parallel_map(threads, 100, |i| i * i);
+            let out = parallel_map_seeded(threads, 100, |j| j, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn every_job_runs_exactly_once_in_index_order_under_any_seeding() {
-        // `parallel_map`'s own seeding, then constant, striding, reversed
+        // Identity seeding, then constant, striding, reversed
         // and far-out-of-range homes (reduced modulo the worker count).
         let homes: [fn(usize) -> usize; 5] =
             [|j| j, |_| 0, |j| j / 8, |j| 63 - j, |j| usize::MAX - j];
@@ -311,8 +261,8 @@ mod tests {
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(8, 1, |i| i + 1), vec![1]);
+        assert_eq!(parallel_map_seeded(8, 0, |j| j, |i| i), Vec::<usize>::new());
+        assert_eq!(parallel_map_seeded(8, 1, |j| j, |i| i + 1), vec![1]);
     }
 
     #[test]

@@ -44,11 +44,14 @@ pub fn check_reachability(
 
     let mut entered_methods: BTreeSet<&str> = BTreeSet::new();
     let mut entered_cus: BTreeSet<&str> = BTreeSet::new();
+    // An out-of-range string index is skipped: `check_trace` reports it as
+    // `profile::string-index`.
+    let string = |idx: u32| trace.strings.get(idx as usize).map(String::as_str);
     for (ti, thread) in trace.threads.iter().enumerate() {
         for rec in thread.records() {
             match rec {
                 Record::CuEntry { sig } => {
-                    let s = trace.string(sig);
+                    let Some(s) = string(sig) else { continue };
                     entered_cus.insert(s);
                     if !cu_roots.contains(s) {
                         out.push(Diagnostic::error(
@@ -58,11 +61,8 @@ pub fn check_reachability(
                         ));
                     }
                 }
-                Record::MethodEntry { sig } => {
-                    entered_methods.insert(trace.string(sig));
-                }
-                Record::Path { method, .. } => {
-                    entered_methods.insert(trace.string(method));
+                Record::MethodEntry { sig: idx } | Record::Path { method: idx, .. } => {
+                    entered_methods.extend(string(idx));
                 }
             }
         }

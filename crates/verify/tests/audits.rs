@@ -500,9 +500,7 @@ fn rendered(diags: &[Diagnostic]) -> Vec<String> {
 }
 
 /// `check_trace` and `check_reachability` on a forged trace: codes,
-/// entities, messages and `record {i}` numbering are pinned. (The
-/// reachability check resolves every string, so it gets the trace without
-/// the out-of-range index.)
+/// entities, messages and `record {i}` numbering are pinned.
 #[test]
 fn trace_lint_output_is_pinned() {
     let (p, cp) = two_cu_parts();
@@ -520,6 +518,24 @@ fn trace_lint_output_is_pinned() {
     );
     assert_eq!(
         rendered(&reach_diags),
+        [
+            "Error reach::unknown-cu [ghost.Phantom.cu()] thread 0 entered a CU that is not a \
+             root of this build",
+            "Error reach::trace-escape [ghost.Phantom.run()] method was entered at run time but \
+             is not in the compiled reachable set; the reachability analysis under-approximated",
+        ]
+    );
+}
+
+/// A record whose string index is out of range is `check_trace`'s finding
+/// (`profile::string-index`); `check_reachability` skips it rather than
+/// panicking, and reports the rest of the trace as usual.
+#[test]
+fn reachability_skips_out_of_range_string_indices() {
+    let (p, cp) = two_cu_parts();
+    let diags = check_reachability(&p, &cp, &forged_lint_trace(&p, true));
+    assert_eq!(
+        rendered(&diags),
         [
             "Error reach::unknown-cu [ghost.Phantom.cu()] thread 0 entered a CU that is not a \
              root of this build",

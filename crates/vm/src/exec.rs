@@ -497,7 +497,7 @@ impl<'a> Vm<'a> {
             method: self.err_sig(method),
         })?;
         // Fault the CU's lowering shard in on first entry (no-op once
-        // realized; pre-lowered shards never hit the slow path). The
+        // realized; a whole-program lowering never hits the slow path). The
         // realizing call is unique per CU, so the instant fires exactly
         // once per lazily lowered shard — but on whichever sharing run got
         // there first, hence the *root* (logically detached) event.

@@ -28,11 +28,9 @@
 //! and the frozen string table — see below); the per-method instruction
 //! arrays live in `OnceLock` slots grouped into **per-CU shards** that are
 //! realized on first call into the CU ([`LoweredProgram::ensure_cu`], the
-//! interpreter's fault-in path) or ahead of time for CUs the profile says
-//! are hot ([`LoweredProgram::prelower_cu`], the engine's parallel
-//! pre-lowering wave). Shards live in memory only: the engine executes
-//! each build once and pages every layout from that run's access log, so
-//! a warm engine whose runs are disk hits lowers nothing at all. A
+//! interpreter's fault-in path). Shards live in memory only: the engine
+//! executes each build once and pages every layout from that run's access
+//! log, so a warm engine whose runs are disk hits lowers nothing at all. A
 //! realized shard can still be extracted as a serializable
 //! [`LoweredShard`] ([`LoweredProgram::extract_shard`]).
 //!
@@ -41,7 +39,7 @@
 //! blocks and instructions in order, first occurrence wins). Realization
 //! order therefore can never change a `ConstStr` index, which keeps every
 //! observable — including the trace string table and the run report —
-//! bit-identical between lazy, pre-lowered and whole-program lowering.
+//! bit-identical between lazy and whole-program lowering.
 //!
 //! A `LoweredProgram` is shared across runs behind an `Arc`: the evaluation
 //! engine creates one container per compiled build, and concurrent runs
@@ -334,8 +332,8 @@ pub struct LoweredProgram {
     max_paths: u64,
     /// Shards realized by the interpreter's fault-in path.
     lazy_shards: AtomicU64,
-    /// Shards realized ahead of execution (pre-lowering wave, shard
-    /// extraction, or whole-program [`LoweredProgram::build`]).
+    /// Shards realized ahead of execution (shard extraction, or
+    /// whole-program [`LoweredProgram::build`]).
     eager_shards: AtomicU64,
 }
 
@@ -353,7 +351,7 @@ impl LoweredProgram {
     /// Creates the lazy sharded container: global tables (vtable, field
     /// slots, defaults, root→CU map) and the frozen string table are built
     /// eagerly; no method body is lowered until its CU's shard is faulted
-    /// in or pre-lowered.
+    /// in.
     ///
     /// `max_paths` must match the executing VM's configured Ball–Larus
     /// path limit (the numbering depends on it).
@@ -442,7 +440,7 @@ impl LoweredProgram {
     pub fn build(program: &Program, compiled: &CompiledProgram, max_paths: u64) -> LoweredProgram {
         let lp = LoweredProgram::new(program, compiled, max_paths);
         for cu in &compiled.cus {
-            lp.prelower_cu(program, compiled, cu.id);
+            lp.fault_cu(program, compiled, cu.id, &lp.eager_shards);
         }
         // Whole-program lowering also covered methods outside every CU's
         // inline tree (never executable, but part of the full lowering).
@@ -508,13 +506,6 @@ impl LoweredProgram {
         self.fault_cu(program, compiled, cu, &self.lazy_shards)
     }
 
-    /// Pre-lowers `cu`'s shard ahead of execution (the engine's hot-CU
-    /// wave). Counted as an eagerly lowered shard; `true` when this call
-    /// did the lowering.
-    pub fn prelower_cu(&self, program: &Program, compiled: &CompiledProgram, cu: CuId) -> bool {
-        self.fault_cu(program, compiled, cu, &self.eager_shards)
-    }
-
     /// Extracts the serializable shard of `cu`, realizing it first if
     /// needed (counted eager).
     pub fn extract_shard(
@@ -563,8 +554,8 @@ impl LoweredProgram {
         self.lazy_shards.load(Ordering::Relaxed)
     }
 
-    /// Shards realized ahead of execution (pre-lowering wave, shard
-    /// extraction, whole-program build) so far.
+    /// Shards realized ahead of execution (shard extraction, whole-program
+    /// build) so far.
     pub fn shards_lowered_eager(&self) -> u64 {
         self.eager_shards.load(Ordering::Relaxed)
     }

@@ -116,3 +116,14 @@ fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
         "the report schema still describes stage_speedups"
     );
 }
+
+/// The cold run lowers on demand only: every shard it realizes is faulted
+/// in by the interpreter on first call into its CU (`lazy`), and none is
+/// lowered ahead of execution (`eager`).
+#[test]
+fn cold_gate_checks_that_shards_are_lowered_on_demand() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("readable ci.yml");
+    let gate = "cold_shards['eager'] == 0 and cold_shards['lazy'] > 0";
+    assert!(ci.contains(gate), "ci.yml lost the cold gate `{gate}`");
+}
