@@ -2,7 +2,7 @@
 //! larger windows amortize scattered faults, shrinking (but not erasing)
 //! the benefit of reordering.
 
-use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage_core::{BuildOptions, Pipeline, Strategy};
 use nimage_profiler::DumpMode;
 use nimage_vm::{PagingConfig, StopWhen, VmConfig};
 use nimage_workloads::Awfy;
@@ -27,19 +27,10 @@ fn main() {
         };
         let pipeline = Pipeline::new(&program, opts);
         let artifacts = pipeline.profiling_run(StopWhen::Exit).expect("profile");
-        let base = pipeline
-            .baseline(&artifacts, StopWhen::Exit)
-            .expect("baseline");
         let eval = pipeline
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &base,
-                },
-                Strategy::CuPlusHeapPath,
-                StopWhen::Exit,
-            )
-            .expect("eval");
+            .evaluate(&artifacts, &[Strategy::CuPlusHeapPath], StopWhen::Exit)
+            .expect("eval")
+            .remove(0);
         println!(
             "{:>8} {:>12} {:>12} {:>10.2}",
             window,

@@ -3,7 +3,7 @@
 //! first-touch order. Compares `cu+heap path` with and without the
 //! extension.
 
-use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage_core::{BuildOptions, Pipeline, Strategy};
 use nimage_profiler::DumpMode;
 use nimage_vm::{StopWhen, VmConfig};
 use nimage_workloads::Awfy;
@@ -28,19 +28,10 @@ fn main() {
             };
             let pipeline = Pipeline::new(&program, opts);
             let artifacts = pipeline.profiling_run(StopWhen::Exit).expect("profile");
-            let base = pipeline
-                .baseline(&artifacts, StopWhen::Exit)
-                .expect("baseline");
             let eval = pipeline
-                .evaluate_strategy(
-                    EvalInputs {
-                        artifacts: &artifacts,
-                        baseline: &base,
-                    },
-                    Strategy::CuPlusHeapPath,
-                    StopWhen::Exit,
-                )
-                .expect("eval");
+                .evaluate(&artifacts, &[Strategy::CuPlusHeapPath], StopWhen::Exit)
+                .expect("eval")
+                .remove(0);
             results.push(eval.optimized.faults.total());
         }
         println!(

@@ -13,18 +13,11 @@ fn main() {
     let (pipeline, artifacts) = profile_program(&program, StopWhen::Exit, DumpMode::OnFull);
     let _ = eval_options(DumpMode::OnFull);
 
-    let baseline_img = pipeline
-        .build_optimized(&artifacts, None)
-        .expect("baseline");
-    let baseline = pipeline
-        .run_image(&baseline_img, StopWhen::Exit)
-        .expect("baseline run");
-    let optimized_img = pipeline
-        .build_optimized(&artifacts, Some(Strategy::Cu))
-        .expect("cu build");
-    let optimized = pipeline
-        .run_image(&optimized_img, StopWhen::Exit)
-        .expect("cu run");
+    let eval = pipeline
+        .evaluate(&artifacts, &[Strategy::Cu], StopWhen::Exit)
+        .expect("cu evaluation")
+        .remove(0);
+    let (baseline, optimized) = (eval.baseline, eval.optimized);
 
     println!("\n=== Fig. 6a: .text page map, regular binary (Bounce) ===");
     println!("{}", render_ascii(&baseline.text_page_states, 64));

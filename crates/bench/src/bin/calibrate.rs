@@ -1,6 +1,6 @@
 //! Calibration probe: run the full pipeline on selected workloads and print
 //! the paper-style factors.
-use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage_core::{BuildOptions, Evaluation, Pipeline, Strategy};
 use nimage_profiler::DumpMode;
 use nimage_vm::{CostModel, StopWhen, VmConfig};
 use nimage_workloads::{Awfy, Microservice};
@@ -12,32 +12,18 @@ fn main() {
         let pipe = Pipeline::new(&p, BuildOptions::default());
         let t0 = std::time::Instant::now();
         let artifacts = pipe.profiling_run(StopWhen::Exit).unwrap();
-        let base = pipe.baseline(&artifacts, StopWhen::Exit).unwrap();
+        let evals = pipe
+            .evaluate(&artifacts, &Strategy::all(), StopWhen::Exit)
+            .unwrap();
         print!("{:12}", b.name());
-        for s in Strategy::all() {
-            let e = pipe
-                .evaluate_strategy(
-                    EvalInputs {
-                        artifacts: &artifacts,
-                        baseline: &base,
-                    },
-                    s,
-                    StopWhen::Exit,
-                )
-                .unwrap();
-            print!(
-                " {}={:.2}/{:.2}",
-                s.name(),
-                e.reported_fault_reduction(),
-                e.speedup(&cm)
-            );
-        }
+        print_factors(&evals, &cm);
+        let base = &evals[0].baseline;
         println!(
             "  [{:?} base faults t={} h={} ops={}] {:.1?}",
             (),
-            base.report.faults.text,
-            base.report.faults.svm_heap,
-            base.report.ops,
+            base.faults.text,
+            base.faults.svm_heap,
+            base.ops,
             t0.elapsed()
         );
     }
@@ -53,26 +39,23 @@ fn main() {
         let pipe = Pipeline::new(&p, opts);
         let t0 = std::time::Instant::now();
         let artifacts = pipe.profiling_run(StopWhen::FirstResponse).unwrap();
-        let base = pipe.baseline(&artifacts, StopWhen::FirstResponse).unwrap();
+        let evals = pipe
+            .evaluate(&artifacts, &Strategy::all(), StopWhen::FirstResponse)
+            .unwrap();
         print!("{:12}", m.name());
-        for s in Strategy::all() {
-            let e = pipe
-                .evaluate_strategy(
-                    EvalInputs {
-                        artifacts: &artifacts,
-                        baseline: &base,
-                    },
-                    s,
-                    StopWhen::FirstResponse,
-                )
-                .unwrap();
-            print!(
-                " {}={:.2}/{:.2}",
-                s.name(),
-                e.reported_fault_reduction(),
-                e.speedup(&cm)
-            );
-        }
+        print_factors(&evals, &cm);
         println!(" {:.1?}", t0.elapsed());
+    }
+}
+
+/// Prints each strategy's reported fault reduction and speedup.
+fn print_factors(evals: &[Evaluation], cm: &CostModel) {
+    for e in evals {
+        print!(
+            " {}={:.2}/{:.2}",
+            e.strategy.name(),
+            e.reported_fault_reduction(),
+            e.speedup(cm)
+        );
     }
 }

@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use nimage_core::{
     load_profiles, save_profiles, BuildOptions, BuildRequest, DiskCacheOptions, DiskStore, Engine,
-    EngineOptions, EvalInputs, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions,
-    WorkloadSpec, DISK_FORMAT_VERSION,
+    EngineOptions, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions, WorkloadSpec,
+    DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
 use nimage_trace::metrics::json_string;
@@ -346,29 +346,14 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     opts.verify = parsed.has_flag("verify");
     let stop = workload.stop();
 
-    // Reference: the serial uncached loop — profile once, then every
-    // strategy end to end on one thread, each rebuilding and re-measuring
-    // the baseline (what per-strategy evaluation costs without the shared
-    // artifact cache).
+    // Reference: the serial uncached path — profile once, build and run
+    // the baseline once, then build and run every strategy's image on one
+    // thread, with no artifact cache and one VM execution per image.
     eprintln!("benchmarking {} (serial uncached) …", workload.name());
     let t0 = Instant::now();
     let pipeline = Pipeline::new(&program, opts.clone());
     let artifacts = pipeline.profiling_run(stop)?;
-    let mut serial: Vec<(Strategy, Evaluation)> = Vec::new();
-    for s in strategies {
-        let base = pipeline.baseline(&artifacts, stop)?;
-        serial.push((
-            s,
-            pipeline.evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &base,
-                },
-                s,
-                stop,
-            )?,
-        ));
-    }
+    let serial = pipeline.evaluate(&artifacts, &strategies, stop)?;
     let serial_ns = t0.elapsed().as_nanos() as u64;
 
     // The engine: shared artifact cache + worker threads + disk tier.
@@ -393,15 +378,11 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         .strategies(strategies);
     let outcome = engine.evaluate(&req)?;
     let engine_ns = t1.elapsed().as_nanos() as u64;
-    let rows: Vec<(Strategy, &Evaluation)> = outcome
-        .cells
-        .iter()
-        .map(|c| (c.strategy, &c.eval))
-        .collect();
+    let rows: Vec<&Evaluation> = outcome.cells.iter().map(|c| &c.eval).collect();
 
     let results_match = serial.len() == rows.len()
-        && serial.iter().zip(&rows).all(|((s1, e1), (s2, e2))| {
-            s1 == s2
+        && serial.iter().zip(&rows).all(|(e1, e2)| {
+            e1.strategy == e2.strategy
                 && e1.baseline.faults == e2.baseline.faults
                 && e1.optimized.faults == e2.optimized.faults
                 && e1.baseline.ops == e2.baseline.ops
@@ -422,10 +403,10 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let engine_artifacts = engine.profile_workload(&spec)?;
     let fault_rows: Vec<FaultRow> = rows
         .iter()
-        .map(|(s, e)| {
-            let plan = engine.layout_plan(&spec, &engine_artifacts, *s)?;
+        .map(|e| {
+            let plan = engine.layout_plan(&spec, &engine_artifacts, e.strategy)?;
             Ok(FaultRow {
-                strategy: *s,
+                strategy: e.strategy,
                 text: e.optimized.faults.text,
                 heap: e.optimized.faults.svm_heap,
                 predicted: plan.and_then(|p| p.predicted),
@@ -434,7 +415,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, nimage_core::PipelineError>>()?;
     let baseline_faults = rows
         .first()
-        .map(|(_, e)| (e.baseline.faults.text, e.baseline.faults.svm_heap))
+        .map(|e| (e.baseline.faults.text, e.baseline.faults.svm_heap))
         .unwrap_or((0, 0));
 
     eprintln!("{} × {} strategies:", workload.name(), strategies.len());
@@ -757,11 +738,19 @@ fn cmd_pagemap(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_heapstats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::resolve(parsed.one_positional("workload")?)?;
     let program = workload.program()?;
-    let pipeline = Pipeline::new(&program, pipeline_for(&workload));
+    // One in-memory engine shares the instrumented build between the
+    // profiling run and the snapshot statistics below.
+    let engine = Engine::default();
+    let spec = WorkloadSpec::new(
+        workload.name(),
+        &program,
+        pipeline_for(&workload),
+        workload.stop(),
+    );
     eprintln!("profiling {} …", workload.name());
-    let artifacts = pipeline.profiling_run(workload.stop())?;
-    let built = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
-    let snap = &built.snapshot;
+    let artifacts = engine.profile_workload(&spec)?;
+    let built = engine.instrumented_parts(&spec)?;
+    let snap = &*built.snapshot;
 
     let stats = snap.stats();
     println!(

@@ -47,8 +47,8 @@ use std::collections::BTreeMap;
 use crate::cache::{ArtifactCache, CacheKey, Memo, MemoStats};
 use crate::diskcache::{DiskCacheOptions, DiskCacheStats, DiskCodec, DiskStore};
 use crate::{
-    BuildOptions, Evaluation, LayoutOrders, Pipeline, PipelineError, ProfiledArtifacts, RunParts,
-    Strategy,
+    BuildOptions, BuildParts, Evaluation, LayoutOrders, Pipeline, PipelineError, ProfiledArtifacts,
+    RunParts, Strategy,
 };
 
 /// Cumulative wall-clock spent *computing* each pipeline stage (cache hits
@@ -252,18 +252,6 @@ struct BuildFront {
 struct BaselineParts {
     front: BuildFront,
     run: Arc<(RunReport, AccessLog)>,
-}
-
-/// The shareable parts of one build, each behind the engine's cache (the
-/// cache-aware counterpart of [`crate::BuiltImage`]).
-#[derive(Debug, Clone)]
-pub struct BuildParts {
-    /// The compiled program.
-    pub compiled: Arc<CompiledProgram>,
-    /// The heap snapshot.
-    pub snapshot: Arc<HeapSnapshot>,
-    /// The laid-out binary image.
-    pub image: Arc<BinaryImage>,
 }
 
 /// The parallel evaluation engine. See the module docs.

@@ -21,14 +21,17 @@
 //!    and simulated execution time.
 //!
 //! ```no_run
-//! use nimage_core::{Pipeline, BuildOptions, Strategy};
+//! use nimage_core::{BuildOptions, EvalRequest, Strategy, WorkloadSpec};
 //! use nimage_vm::StopWhen;
 //! # fn program() -> nimage_ir::Program { unimplemented!() }
 //!
 //! # fn main() -> Result<(), nimage_core::PipelineError> {
 //! let program = program();
-//! let pipeline = Pipeline::new(&program, BuildOptions::default());
-//! let eval = pipeline.evaluate(Strategy::CuPlusHeapPath, StopWhen::Exit)?;
+//! let outcome = EvalRequest::new()
+//!     .workload(WorkloadSpec::new("demo", &program, BuildOptions::default(), StopWhen::Exit))
+//!     .strategy(Strategy::CuPlusHeapPath)
+//!     .run()?;
+//! let eval = &outcome.cells[0].eval;
 //! println!("text-fault reduction: {:.2}x", eval.text_fault_reduction());
 //! println!("speedup: {:.2}x", eval.speedup(&nimage_vm::CostModel::ssd()));
 //! # Ok(())
@@ -49,8 +52,8 @@ pub use diskcache::{
     DISK_FORMAT_VERSION,
 };
 pub use engine::{
-    BuildParts, BuildRequest, Engine, EngineOptions, EngineStats, MatrixCell, ShardStats,
-    StageTimes, TraceOptions, WorkloadSpec,
+    BuildRequest, Engine, EngineOptions, EngineStats, MatrixCell, ShardStats, StageTimes,
+    TraceOptions, WorkloadSpec,
 };
 pub use nimage_trace::{MetricsSnapshot, TraceSummary, Tracer};
 pub use persist::{load_profiles, save_profiles, SavedProfiles};
@@ -281,15 +284,17 @@ impl BuildOptions {
     }
 }
 
-/// Everything needed to execute one build.
-#[derive(Debug)]
-pub struct BuiltImage {
+/// Everything needed to execute one build. The parts are shared, so the
+/// engine's cache and the serial [`Pipeline`] builders hand out the same
+/// type.
+#[derive(Debug, Clone)]
+pub struct BuildParts {
     /// The compiled program (CUs).
-    pub compiled: CompiledProgram,
+    pub compiled: Arc<CompiledProgram>,
     /// The heap snapshot.
-    pub snapshot: HeapSnapshot,
+    pub snapshot: Arc<HeapSnapshot>,
     /// The laid-out binary image.
-    pub image: BinaryImage,
+    pub image: Arc<BinaryImage>,
 }
 
 /// The profiles produced by the profiling run (step 3 of Fig. 1).
@@ -413,21 +418,6 @@ impl Evaluation {
     }
 }
 
-/// The strategy-independent half of an evaluation: the PGO-optimized build
-/// with the default layout, and its measured run.
-///
-/// Every strategy of one workload compares against the same baseline, so
-/// callers compute it once (via [`Pipeline::baseline`]) and lend it to each
-/// [`Pipeline::evaluate_strategy`] call instead of paying the optimized
-/// build and baseline measurement once per strategy.
-#[derive(Debug)]
-pub struct Baseline {
-    /// The optimized build with default layout.
-    pub built: BuiltImage,
-    /// Its measured run.
-    pub report: RunReport,
-}
-
 /// A pipeline failure.
 #[derive(Debug)]
 pub enum PipelineError {
@@ -546,18 +536,6 @@ impl<'a> RunParts<'a> {
     }
 }
 
-/// The shared inputs every strategy cell of one workload evaluates
-/// against: the profiles collected once (steps 1–3 of Fig. 1) and the
-/// baseline built and measured once. Borrowed, so one profiling run fans
-/// out to all eight [`Strategy`] evaluations.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalInputs<'a> {
-    /// The profiling run's artifacts.
-    pub artifacts: &'a ProfiledArtifacts,
-    /// The measured PGO-optimized default-layout baseline.
-    pub baseline: &'a Baseline,
-}
-
 /// The end-to-end pipeline for one program.
 #[derive(Debug)]
 pub struct Pipeline<'p> {
@@ -619,14 +597,14 @@ impl<'p> Pipeline<'p> {
     ///
     /// # Errors
     /// Fails if build-time initializers fail.
-    pub fn build_instrumented(&self, instr: InstrumentConfig) -> Result<BuiltImage, PipelineError> {
+    pub fn build_instrumented(&self, instr: InstrumentConfig) -> Result<BuildParts, PipelineError> {
         let compiled = self.compile_with(instr, None);
         let snap = self.snapshot_stage(&compiled, &self.opts.heap_instrumented)?;
         let image = self.layout_stage(&compiled, &snap, LayoutOrders::default(), None)?;
-        Ok(BuiltImage {
-            compiled,
-            snapshot: snap,
-            image,
+        Ok(BuildParts {
+            compiled: Arc::new(compiled),
+            snapshot: Arc::new(snap),
+            image: Arc::new(image),
         })
     }
 
@@ -636,7 +614,7 @@ impl<'p> Pipeline<'p> {
     /// Propagates VM errors.
     pub fn run_image(
         &self,
-        built: &BuiltImage,
+        built: &BuildParts,
         stop: StopWhen,
     ) -> Result<RunReport, PipelineError> {
         self.run(
@@ -781,7 +759,7 @@ impl<'p> Pipeline<'p> {
         &self,
         artifacts: &ProfiledArtifacts,
         strategy: Option<Strategy>,
-    ) -> Result<BuiltImage, PipelineError> {
+    ) -> Result<BuildParts, PipelineError> {
         let compiled = self.compile_with(InstrumentConfig::NONE, Some(&artifacts.call_counts));
         let snap = self.snapshot_stage(&compiled, &self.opts.heap_optimized)?;
         let orders = self.order_stage(artifacts, &compiled, &snap, strategy, None);
@@ -789,10 +767,10 @@ impl<'p> Pipeline<'p> {
             .is_some()
             .then_some(artifacts.native_pages.as_slice());
         let image = self.layout_stage(&compiled, &snap, orders, native)?;
-        Ok(BuiltImage {
-            compiled,
-            snapshot: snap,
-            image,
+        Ok(BuildParts {
+            compiled: Arc::new(compiled),
+            snapshot: Arc::new(snap),
+            image: Arc::new(image),
         })
     }
 
@@ -994,64 +972,36 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    /// Runs the complete experiment for one strategy: profile, build the
-    /// baseline and the reordered optimized image, run both.
+    /// Measures `strategies` against one baseline (step 5 of Fig. 1):
+    /// builds and runs the PGO build with the default layout once, then,
+    /// in order, builds and runs each strategy's image. Each
+    /// [`Evaluation`] carries the baseline's report and its strategy's.
+    ///
+    /// This is the serial path: it re-runs the VM for every image, where
+    /// the engine runs each build once and pages every layout from that
+    /// run's access log ([`Pipeline::relayout`]). The engine is tested
+    /// against it.
     ///
     /// # Errors
     /// Propagates any pipeline stage failure.
     pub fn evaluate(
         &self,
-        strategy: Strategy,
-        stop: StopWhen,
-    ) -> Result<Evaluation, PipelineError> {
-        let artifacts = self.profiling_run(stop)?;
-        let baseline = self.baseline(&artifacts, stop)?;
-        self.evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &baseline,
-            },
-            strategy,
-            stop,
-        )
-    }
-
-    /// Builds and measures the strategy-independent [`Baseline`] (the PGO
-    /// build with default layout) exactly once, for sharing across every
-    /// strategy of the workload via [`Self::evaluate_strategy`].
-    ///
-    /// # Errors
-    /// Propagates any pipeline stage failure.
-    pub fn baseline(
-        &self,
         artifacts: &ProfiledArtifacts,
+        strategies: &[Strategy],
         stop: StopWhen,
-    ) -> Result<Baseline, PipelineError> {
-        let built = self.build_optimized(artifacts, None)?;
-        let report = self.run_image(&built, stop)?;
-        Ok(Baseline { built, report })
-    }
-
-    /// Evaluates one strategy against the shared [`EvalInputs`], reusing
-    /// already-collected profiles and the already-measured baseline (the
-    /// paper profiles once and evaluates every strategy against one
-    /// baseline).
-    ///
-    /// # Errors
-    /// Propagates any pipeline stage failure.
-    pub fn evaluate_strategy(
-        &self,
-        inputs: EvalInputs<'_>,
-        strategy: Strategy,
-        stop: StopWhen,
-    ) -> Result<Evaluation, PipelineError> {
-        let optimized_img = self.build_optimized(inputs.artifacts, Some(strategy))?;
-        let optimized = self.run_image(&optimized_img, stop)?;
-        Ok(Evaluation {
-            strategy,
-            baseline: inputs.baseline.report.clone(),
-            optimized,
-        })
+    ) -> Result<Vec<Evaluation>, PipelineError> {
+        let baseline = self.run_image(&self.build_optimized(artifacts, None)?, stop)?;
+        strategies
+            .iter()
+            .map(|&strategy| {
+                let built = self.build_optimized(artifacts, Some(strategy))?;
+                Ok(Evaluation {
+                    strategy,
+                    baseline: baseline.clone(),
+                    optimized: self.run_image(&built, stop)?,
+                })
+            })
+            .collect()
     }
 
     /// Sec. 7.4: the execution-time overhead factor of one instrumentation

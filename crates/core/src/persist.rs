@@ -1271,17 +1271,10 @@ mod tests {
         save_profiles(&artifacts, &dir).unwrap();
         let loaded = load_profiles(&dir).unwrap();
         let rehydrated = loaded.into_artifacts(artifacts.instrumented_report.clone());
-        let base = pipeline.baseline(&rehydrated, StopWhen::Exit).unwrap();
         let eval = pipeline
-            .evaluate_strategy(
-                crate::EvalInputs {
-                    artifacts: &rehydrated,
-                    baseline: &base,
-                },
-                crate::Strategy::Cu,
-                StopWhen::Exit,
-            )
-            .unwrap();
+            .evaluate(&rehydrated, &[crate::Strategy::Cu], StopWhen::Exit)
+            .unwrap()
+            .remove(0);
         assert_eq!(eval.baseline.entry_return, eval.optimized.entry_return);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -52,7 +52,7 @@ pub struct CellReport {
     pub workload: String,
     /// Strategy display name (column).
     pub strategy: String,
-    /// Baseline `.text` / `.svm_heap` major faults.
+    /// The default-layout baseline's `.text` / `.svm_heap` major faults.
     pub baseline_faults: (u64, u64),
     /// Optimized `.text` / `.svm_heap` major faults.
     pub optimized_faults: (u64, u64),

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage_core::{BuildOptions, Pipeline, Strategy};
 use nimage_profiler::DumpMode;
 use nimage_vm::{StopWhen, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
@@ -30,28 +30,18 @@ fn measure(
 ) -> HashMap<Strategy, u64> {
     let pipeline = Pipeline::new(program, options);
     let artifacts = pipeline.profiling_run(stop).unwrap();
-    let baseline = pipeline.baseline(&artifacts, stop).unwrap();
-    [
+    let strategies = [
         Strategy::Cu,
         Strategy::CuClustered,
         Strategy::CuPlusHeapPath,
         Strategy::CuClusteredPlusHeapPath,
-    ]
-    .into_iter()
-    .map(|s| {
-        let eval = pipeline
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &baseline,
-                },
-                s,
-                stop,
-            )
-            .unwrap();
-        (s, eval.optimized.faults.total())
-    })
-    .collect()
+    ];
+    pipeline
+        .evaluate(&artifacts, &strategies, stop)
+        .unwrap()
+        .into_iter()
+        .map(|eval| (eval.strategy, eval.optimized.faults.total()))
+        .collect()
 }
 
 /// Bounce (AWFY, FaaS model): the exact fault counts the evaluation

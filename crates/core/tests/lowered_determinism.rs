@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, BuiltImage, Pipeline, RunParts, Strategy};
+use nimage_core::{BuildOptions, BuildParts, Pipeline, RunParts, Strategy};
 use nimage_ir::{BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef};
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
@@ -18,7 +18,7 @@ use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 /// `Debug` renderings, `(reference, lowered)`.
 fn both_engines(
     program: &Program,
-    built: &BuiltImage,
+    built: &BuildParts,
     vm: &VmConfig,
     stop: StopWhen,
 ) -> (String, String) {

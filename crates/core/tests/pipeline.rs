@@ -5,7 +5,7 @@
 
 use nimage_compiler::InlineConfig;
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage_core::{BuildOptions, Evaluation, Pipeline, Strategy};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_vm::{CostModel, PagingConfig, StopWhen, VmConfig};
 
@@ -156,34 +156,31 @@ fn profiles_are_populated() {
     assert!(!artifacts.call_counts.is_empty());
 }
 
-#[test]
-fn every_strategy_preserves_semantics_and_reduces_its_fault_metric() {
+/// Profiles the workload once and evaluates `strategies` against one
+/// baseline.
+fn evaluate(strategies: &[Strategy]) -> Vec<Evaluation> {
     let p = workload();
     let pipeline = Pipeline::new(&p, options());
     let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-    for strategy in Strategy::all() {
-        let eval = pipeline
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &base,
-                },
-                strategy,
-                StopWhen::Exit,
-            )
-            .unwrap();
+    pipeline
+        .evaluate(&artifacts, strategies, StopWhen::Exit)
+        .unwrap()
+}
+
+#[test]
+fn every_strategy_preserves_semantics_and_reduces_its_fault_metric() {
+    for eval in evaluate(&Strategy::all()) {
         assert_eq!(
             eval.baseline.entry_return,
             eval.optimized.entry_return,
             "{}: reordering must not change results",
-            strategy.name()
+            eval.strategy.name()
         );
         let r = eval.reported_fault_reduction();
         assert!(
             r >= 1.0,
             "{}: expected no fault increase, factor {r:.3} (base {:?}, opt {:?})",
-            strategy.name(),
+            eval.strategy.name(),
             eval.baseline.faults,
             eval.optimized.faults
         );
@@ -192,54 +189,19 @@ fn every_strategy_preserves_semantics_and_reduces_its_fault_metric() {
 
 #[test]
 fn code_strategies_beat_the_baseline_clearly() {
-    let p = workload();
-    let pipeline = Pipeline::new(&p, options());
-    let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-    let cu = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            Strategy::Cu,
-            StopWhen::Exit,
-        )
-        .unwrap();
+    let evals = evaluate(&[Strategy::Cu, Strategy::Method]);
+    let (cu, method) = (&evals[0], &evals[1]);
     assert!(
         cu.text_fault_reduction() > 1.2,
         "cu ordering should clearly reduce .text faults, got {:.3}",
         cu.text_fault_reduction()
     );
-    let method = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            Strategy::Method,
-            StopWhen::Exit,
-        )
-        .unwrap();
     assert!(method.text_fault_reduction() > 1.0);
 }
 
 #[test]
 fn heap_path_beats_the_baseline_clearly() {
-    let p = workload();
-    let pipeline = Pipeline::new(&p, options());
-    let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-    let hp = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            Strategy::HeapPath,
-            StopWhen::Exit,
-        )
-        .unwrap();
+    let hp = evaluate(&[Strategy::HeapPath]).remove(0);
     assert!(
         hp.heap_fault_reduction() > 1.2,
         "heap-path ordering should clearly reduce .svm_heap faults, got {:.3}",
@@ -249,20 +211,7 @@ fn heap_path_beats_the_baseline_clearly() {
 
 #[test]
 fn combined_strategy_reduces_both_sections() {
-    let p = workload();
-    let pipeline = Pipeline::new(&p, options());
-    let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-    let both = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            Strategy::CuPlusHeapPath,
-            StopWhen::Exit,
-        )
-        .unwrap();
+    let both = evaluate(&[Strategy::CuPlusHeapPath]).remove(0);
     assert!(both.text_fault_reduction() > 1.0);
     assert!(both.heap_fault_reduction() > 1.0);
     assert!(both.speedup(&CostModel::ssd()) > 1.0);
@@ -314,28 +263,14 @@ fn evaluation_is_deterministic() {
     let a2 = pipeline.profiling_run(StopWhen::Exit).unwrap();
     assert_eq!(a1.cu_profile, a2.cu_profile);
     assert_eq!(a1.method_profile, a2.method_profile);
-    let b1 = pipeline.baseline(&a1, StopWhen::Exit).unwrap();
-    let b2 = pipeline.baseline(&a2, StopWhen::Exit).unwrap();
     let e1 = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &a1,
-                baseline: &b1,
-            },
-            Strategy::Cu,
-            StopWhen::Exit,
-        )
-        .unwrap();
+        .evaluate(&a1, &[Strategy::Cu], StopWhen::Exit)
+        .unwrap()
+        .remove(0);
     let e2 = pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &a2,
-                baseline: &b2,
-            },
-            Strategy::Cu,
-            StopWhen::Exit,
-        )
-        .unwrap();
+        .evaluate(&a2, &[Strategy::Cu], StopWhen::Exit)
+        .unwrap()
+        .remove(0);
     assert_eq!(e1.baseline.faults, e2.baseline.faults);
     assert_eq!(e1.optimized.faults, e2.optimized.faults);
 }

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use nimage_compiler::{CuId, InstrumentConfig};
 use nimage_core::{
-    BuildOptions, BuildParts, BuildRequest, BuiltImage, Engine, EngineOptions, Pipeline, RunParts,
-    Strategy, WorkloadSpec,
+    BuildOptions, BuildParts, BuildRequest, Engine, EngineOptions, Pipeline, RunParts, Strategy,
+    WorkloadSpec,
 };
 use nimage_image::BinaryImage;
 use nimage_ir::Program;
@@ -92,7 +92,7 @@ fn relaid_reports_equal_reexecution_on_every_bundled_workload() {
 /// One build and its logged run on the default layout.
 struct Fixture {
     program: Program,
-    built: BuiltImage,
+    built: BuildParts,
     stop: StopWhen,
     logged: (RunReport, AccessLog),
 }

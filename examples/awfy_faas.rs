@@ -10,7 +10,7 @@
 
 use nimage::vm::{CostModel, StopWhen};
 use nimage::workloads::Awfy;
-use nimage::{BuildOptions, EvalInputs, Pipeline, PipelineError, Strategy};
+use nimage::{BuildOptions, Pipeline, PipelineError, Strategy};
 
 fn main() -> Result<(), PipelineError> {
     let wanted = std::env::args().nth(1).unwrap_or_else(|| "Bounce".into());
@@ -51,19 +51,10 @@ fn main() -> Result<(), PipelineError> {
         "\n{:<16} {:>12} {:>12} {:>10} {:>9}",
         "strategy", "base faults", "opt faults", "reduction", "speedup"
     );
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit)?;
-    for strategy in Strategy::all() {
-        let eval = pipeline.evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            strategy,
-            StopWhen::Exit,
-        )?;
+    for eval in pipeline.evaluate(&artifacts, &Strategy::all(), StopWhen::Exit)? {
         println!(
             "{:<16} {:>12} {:>12} {:>9.2}x {:>8.2}x",
-            strategy.name(),
+            eval.strategy.name(),
             eval.baseline.faults.total(),
             eval.optimized.faults.total(),
             eval.reported_fault_reduction(),

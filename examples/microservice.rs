@@ -11,7 +11,7 @@ use nimage::compiler::InstrumentConfig;
 use nimage::profiler::DumpMode;
 use nimage::vm::{CostModel, StopWhen, VmConfig};
 use nimage::workloads::Microservice;
-use nimage::{BuildOptions, EvalInputs, Pipeline, PipelineError, Strategy};
+use nimage::{BuildOptions, Pipeline, PipelineError, Strategy};
 
 fn options(dump_mode: DumpMode) -> BuildOptions {
     BuildOptions {
@@ -65,16 +65,8 @@ fn main() -> Result<(), PipelineError> {
 
     let cm = CostModel::ssd();
     println!("{} helloworld, time to first response:", service.name());
-    let base = pipeline.baseline(&artifacts, StopWhen::FirstResponse)?;
-    for strategy in [Strategy::Cu, Strategy::HeapPath, Strategy::CuPlusHeapPath] {
-        let eval = pipeline.evaluate_strategy(
-            EvalInputs {
-                artifacts: &artifacts,
-                baseline: &base,
-            },
-            strategy,
-            StopWhen::FirstResponse,
-        )?;
+    let strategies = [Strategy::Cu, Strategy::HeapPath, Strategy::CuPlusHeapPath];
+    for eval in pipeline.evaluate(&artifacts, &strategies, StopWhen::FirstResponse)? {
         let base = eval
             .baseline
             .time_to_first_response_ns(&cm)
@@ -85,7 +77,7 @@ fn main() -> Result<(), PipelineError> {
             .expect("optimized responded");
         println!(
             "  {:<14} {:>7.2} ms -> {:>6.2} ms  ({:.2}x, faults {} -> {})",
-            strategy.name(),
+            eval.strategy.name(),
             base / 1e6,
             opt / 1e6,
             eval.speedup(&cm),

@@ -7,7 +7,7 @@
 
 use nimage::ir::{ProgramBuilder, TypeRef};
 use nimage::vm::{CostModel, StopWhen};
-use nimage::{BuildOptions, Pipeline, PipelineError, Strategy};
+use nimage::{BuildOptions, EvalRequest, PipelineError, Strategy, WorkloadSpec};
 
 fn main() -> Result<(), PipelineError> {
     // A program with a cold-but-reachable half and a hot half, plus a heap
@@ -96,10 +96,19 @@ fn main() -> Result<(), PipelineError> {
     pb.set_entry(main);
     let program = pb.build().expect("program validates");
 
-    // The whole paper in four lines: profile once, evaluate the combined
+    // The whole paper in one request: profile once, evaluate the combined
     // cu + heap-path strategy against the default layout.
-    let pipeline = Pipeline::new(&program, BuildOptions::default());
-    let eval = pipeline.evaluate(Strategy::CuPlusHeapPath, StopWhen::Exit)?;
+    let spec = WorkloadSpec::new(
+        "quickstart",
+        &program,
+        BuildOptions::default(),
+        StopWhen::Exit,
+    );
+    let outcome = EvalRequest::new()
+        .workload(spec)
+        .strategy(Strategy::CuPlusHeapPath)
+        .run()?;
+    let eval = &outcome.cells[0].eval;
 
     let cm = CostModel::ssd();
     println!("strategy            : {}", eval.strategy.name());

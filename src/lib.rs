@@ -32,27 +32,34 @@
 //! ## Quickstart
 //!
 //! ```
-//! use nimage::{Pipeline, BuildOptions, Strategy};
+//! use nimage::{BuildOptions, EvalRequest, Strategy, WorkloadSpec};
 //! use nimage::vm::StopWhen;
 //! use nimage::workloads::{Awfy, RuntimeScale};
 //!
 //! # fn main() -> Result<(), nimage::PipelineError> {
 //! let program = Awfy::Sieve.program_at(&RuntimeScale::small());
-//! let pipeline = Pipeline::new(&program, BuildOptions::default());
-//! let eval = pipeline.evaluate(Strategy::CuPlusHeapPath, StopWhen::Exit)?;
-//! assert!(eval.reported_fault_reduction() >= 1.0);
+//! let outcome = EvalRequest::new()
+//!     .workload(WorkloadSpec::new("Sieve", &program, BuildOptions::default(), StopWhen::Exit))
+//!     .strategy(Strategy::CuPlusHeapPath)
+//!     .run()?;
+//! assert!(outcome.cells[0].eval.reported_fault_reduction() >= 1.0);
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 
+// Compiles and runs the README's code blocks, so its library snippet
+// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use nimage_core::{
-    ArtifactCache, Baseline, BuildOptions, BuildRequest, BuiltImage, CacheKey, CellReport, Engine,
-    EngineOptions, EngineStats, EvalInputs, EvalOutcome, EvalRequest, Evaluation, MatrixCell, Memo,
-    MemoStats, MetricsSnapshot, Pipeline, PipelineError, ProfiledArtifacts, Report, RunParts,
-    StageReport, StageTimes, Strategy, TraceOptions, TraceSummary, Tracer, WorkloadSpec,
-    REPORT_VERSION,
+    ArtifactCache, BuildOptions, BuildParts, BuildRequest, CacheKey, CellReport, Engine,
+    EngineOptions, EngineStats, EvalOutcome, EvalRequest, Evaluation, MatrixCell, Memo, MemoStats,
+    MetricsSnapshot, Pipeline, PipelineError, ProfiledArtifacts, Report, RunParts, StageReport,
+    StageTimes, Strategy, TraceOptions, TraceSummary, Tracer, WorkloadSpec, REPORT_VERSION,
 };
 
 /// The miniature object-language IR.

@@ -5,7 +5,7 @@ use nimage::compiler::InstrumentConfig;
 use nimage::profiler::{read_trace, write_trace, DumpMode};
 use nimage::vm::{CostModel, StopWhen, VmConfig};
 use nimage::workloads::{Awfy, Microservice, RuntimeScale};
-use nimage::{BuildOptions, EvalInputs, Pipeline, Strategy};
+use nimage::{BuildOptions, Pipeline, Strategy};
 
 fn options(dump: DumpMode) -> BuildOptions {
     BuildOptions {
@@ -26,30 +26,22 @@ fn awfy_pipeline_small_scale() {
         let program = bench.program_at(&scale);
         let pipeline = Pipeline::new(&program, options(DumpMode::OnFull));
         let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-        let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-        for strategy in Strategy::all() {
-            let eval = pipeline
-                .evaluate_strategy(
-                    EvalInputs {
-                        artifacts: &artifacts,
-                        baseline: &base,
-                    },
-                    strategy,
-                    StopWhen::Exit,
-                )
-                .unwrap();
+        let evals = pipeline
+            .evaluate(&artifacts, &Strategy::all(), StopWhen::Exit)
+            .unwrap();
+        for eval in evals {
             assert_eq!(
                 eval.baseline.entry_return,
                 eval.optimized.entry_return,
                 "{}/{}",
                 bench.name(),
-                strategy.name()
+                eval.strategy.name()
             );
             assert!(
                 eval.reported_fault_reduction() >= 0.99,
                 "{}/{}: regression {:.3}",
                 bench.name(),
-                strategy.name(),
+                eval.strategy.name(),
                 eval.reported_fault_reduction()
             );
         }
@@ -73,19 +65,14 @@ fn microservice_pipeline_small_scale() {
             "{}: mmap mode loses nothing",
             service.name()
         );
-        let base = pipeline
-            .baseline(&artifacts, StopWhen::FirstResponse)
-            .unwrap();
         let eval = pipeline
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &base,
-                },
-                Strategy::CuPlusHeapPath,
+            .evaluate(
+                &artifacts,
+                &[Strategy::CuPlusHeapPath],
                 StopWhen::FirstResponse,
             )
-            .unwrap();
+            .unwrap()
+            .remove(0);
         let cm = CostModel::ssd();
         assert!(
             eval.speedup(&cm) >= 1.0,
@@ -179,26 +166,12 @@ fn full_scale_shape_bounce() {
     let program = Awfy::Bounce.program();
     let pipeline = Pipeline::new(&program, options(DumpMode::OnFull));
     let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-    let get = |s: Strategy| {
-        pipeline
-            .evaluate_strategy(
-                EvalInputs {
-                    artifacts: &artifacts,
-                    baseline: &base,
-                },
-                s,
-                StopWhen::Exit,
-            )
-            .unwrap()
-            .reported_fault_reduction()
-    };
-    let cu = get(Strategy::Cu);
-    let method = get(Strategy::Method);
-    let incr = get(Strategy::IncrementalId);
-    let hash = get(Strategy::StructuralHash);
-    let path = get(Strategy::HeapPath);
-    let both = get(Strategy::CuPlusHeapPath);
+    // The paper's six strategies, in Fig. 2's order.
+    let evals = pipeline
+        .evaluate(&artifacts, &Strategy::all()[..6], StopWhen::Exit)
+        .unwrap();
+    let [cu, method, incr, hash, path, both] =
+        std::array::from_fn(|i| evals[i].reported_fault_reduction());
     // Fig. 2's qualitative claims (artifact appendix B.3.1):
     // code strategies beat heap strategies; cu ≥ method; heap path and
     // structural beat incremental; the combined strategy reduces faults in
@@ -227,32 +200,14 @@ fn native_tail_extension_is_safe_and_effective() {
     let ext_pipeline = Pipeline::new(&program, ext_opts);
     let base_artifacts = base_pipeline.profiling_run(StopWhen::Exit).unwrap();
     let ext_artifacts = ext_pipeline.profiling_run(StopWhen::Exit).unwrap();
-    let base_baseline = base_pipeline
-        .baseline(&base_artifacts, StopWhen::Exit)
-        .unwrap();
-    let ext_baseline = ext_pipeline
-        .baseline(&ext_artifacts, StopWhen::Exit)
-        .unwrap();
     let base = base_pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &base_artifacts,
-                baseline: &base_baseline,
-            },
-            Strategy::CuPlusHeapPath,
-            StopWhen::Exit,
-        )
-        .unwrap();
+        .evaluate(&base_artifacts, &[Strategy::CuPlusHeapPath], StopWhen::Exit)
+        .unwrap()
+        .remove(0);
     let ext = ext_pipeline
-        .evaluate_strategy(
-            EvalInputs {
-                artifacts: &ext_artifacts,
-                baseline: &ext_baseline,
-            },
-            Strategy::CuPlusHeapPath,
-            StopWhen::Exit,
-        )
-        .unwrap();
+        .evaluate(&ext_artifacts, &[Strategy::CuPlusHeapPath], StopWhen::Exit)
+        .unwrap()
+        .remove(0);
     assert_eq!(base.optimized.entry_return, ext.optimized.entry_return);
     assert!(
         ext.optimized.faults.total() <= base.optimized.faults.total(),

@@ -5,7 +5,7 @@
 
 use nimage::vm::StopWhen;
 use nimage::workloads::{Awfy, RuntimeScale};
-use nimage::{BuildOptions, Engine, EngineOptions, EvalInputs, Pipeline, Strategy, WorkloadSpec};
+use nimage::{BuildOptions, Engine, EngineOptions, Pipeline, Strategy, WorkloadSpec};
 
 /// Every observable field of an evaluation, rendered deterministically for
 /// comparison: plain Debug for the value-like fields, and the call-count
@@ -45,24 +45,17 @@ fn parallel_matrix_matches_serial_loop_row_for_row() {
     ];
     let strategies = Strategy::all();
 
-    // The reference: the plain serial loop over uncached Pipeline calls.
+    // The reference: the serial uncached path, which re-runs the VM for
+    // every image.
     let mut expected: Vec<(String, String)> = Vec::new();
     for (name, program) in &programs {
         let pipeline = Pipeline::new(program, BuildOptions::default());
         let artifacts = pipeline.profiling_run(StopWhen::Exit).unwrap();
-        let base = pipeline.baseline(&artifacts, StopWhen::Exit).unwrap();
-        for s in strategies {
-            let eval = pipeline
-                .evaluate_strategy(
-                    EvalInputs {
-                        artifacts: &artifacts,
-                        baseline: &base,
-                    },
-                    s,
-                    StopWhen::Exit,
-                )
-                .unwrap();
-            expected.push((name.to_string(), render(s, &eval)));
+        for eval in pipeline
+            .evaluate(&artifacts, &strategies, StopWhen::Exit)
+            .unwrap()
+        {
+            expected.push((name.to_string(), render(eval.strategy, &eval)));
         }
     }
 
