@@ -399,7 +399,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-strategy measured major faults against the no-reorder baseline,
     // with the layout optimizer's predictions for the clustered
-    // strategies (everything below is a cache hit after the engine run).
+    // strategies (every plan below is a cache hit after the engine run).
     let engine_artifacts = engine.profile_workload(&spec)?;
     let fault_rows: Vec<FaultRow> = rows
         .iter()
@@ -409,7 +409,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
                 strategy: e.strategy,
                 text: e.optimized.faults.text,
                 heap: e.optimized.faults.svm_heap,
-                predicted: plan.and_then(|p| p.predicted),
+                predicted: plan.predicted,
             })
         })
         .collect::<Result<_, nimage_core::PipelineError>>()?;

@@ -230,9 +230,9 @@ pub struct ArtifactCache {
     /// build. Method bodies fault in per CU on first call. Memory only: a
     /// build whose run is a disk hit is never lowered.
     pub lowered: Memo<LoweredProgram>,
-    /// Layout-optimizer plans of the clustered strategies, keyed by
-    /// workload + strategy: the candidate search runs once per cell and
-    /// its chosen orders (plus predicted fault counts) are reused by
+    /// Every strategy's ordering plan, keyed by workload + strategy: the
+    /// orders (plus, for the clustered strategies, the layout optimizer's
+    /// predicted fault counts) are computed once per cell and reused by
     /// reports and repeat runs.
     pub plans: Memo<LayoutOrders>,
 }
@@ -250,7 +250,7 @@ impl ArtifactCache {
             heap_templates: Memo::new("heap-template"),
             profiles: Memo::new("profile"),
             lowered: Memo::new("lower"),
-            plans: Memo::new("optimize"),
+            plans: Memo::new("order"),
         }
     }
 

@@ -49,10 +49,11 @@ use crate::ProfiledArtifacts;
 /// any codec, the semantics of a persisted stage or the derivation of the
 /// keys change (v4: the structural program fingerprint; v5: the
 /// `baseline-run` entry carries the run's access log, and the per-CU
-/// `lower` stage is gone); old entries are invisible to the new version
-/// (they live under the old `v<N>` directory) and get removed by
-/// `nimage cache clear`.
-pub const DISK_FORMAT_VERSION: u32 = 5;
+/// `lower` stage is gone; v6: every strategy's plan lives under the
+/// `order` stage, which replaces `optimize`); old entries are invisible to
+/// the new version (they live under the old `v<N>` directory) and get
+/// removed by `nimage cache clear`.
+pub const DISK_FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 4] = b"NIMC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

@@ -112,8 +112,8 @@ pub struct EngineOptions {
     pub n_threads: usize,
     /// Disk-persistent cache tier. `None` (the default) keeps the cache
     /// purely in-memory; `Some` persists the serializable stages (strategy
-    /// id maps, baseline measurements, profiling artifacts) under the
-    /// given root so later processes start warm.
+    /// id maps and ordering plans, baseline measurements, profiling
+    /// artifacts) under the given root so later processes start warm.
     pub disk: Option<DiskCacheOptions>,
     /// Observability configuration.
     pub trace: TraceOptions,
@@ -560,27 +560,13 @@ impl Engine {
         &self,
         req: &BuildRequest<'_, '_, '_>,
     ) -> Result<BuildParts, PipelineError> {
-        let (spec, artifacts, strategy) = (req.spec, req.artifacts, req.strategy);
-        let ctx = self.ctx(spec);
+        let ctx = self.ctx(req.spec);
         let p = ctx.pipeline();
-        let front = self.build_front(&ctx, &p, Some(artifacts))?;
-        let orders = self.orders_for(&ctx, &p, artifacts, &front, strategy)?;
-        let native = strategy
-            .is_some()
-            .then_some(artifacts.native_pages.as_slice());
-        let image_key = match strategy {
-            None => ctx.key("layout:baseline"),
-            Some(s) => {
-                CacheKey::for_stage("layout", &[ctx.base, CacheKey::of_debug("strategy", &s)])
-            }
+        let front = self.build_front(&ctx, &p, Some(req.artifacts))?;
+        let image = match req.strategy {
+            None => self.default_image(&ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?,
+            Some(s) => Arc::new(self.strategy_image(&ctx, &p, req.artifacts, &front, s)?),
         };
-        let image = self.cache.images.get_or_try(image_key, || {
-            let _s = self.tracer.root_span("layout", || match strategy {
-                None => format!("workload={} variant=baseline", ctx.spec.name),
-                Some(s) => format!("workload={} strategy={}", ctx.spec.name, s.name()),
-            });
-            p.layout_stage(&front.compiled, &front.snapshot, orders, native)
-        })?;
         Ok(BuildParts {
             compiled: front.compiled,
             snapshot: front.snapshot,
@@ -588,57 +574,61 @@ impl Engine {
         })
     }
 
-    /// The ordering-stage output for one workload × strategy. Clustered
-    /// strategies run the layout optimizer's candidate search, which is
-    /// the one ordering stage worth caching: the plan (orders + predicted
-    /// fault counts) is memoized and persisted under the `optimize` disk
-    /// stage, like `lower`'s inputs. Every other strategy replays its
-    /// profile inline, uncached. Either way the strategy's identities of
-    /// the optimized snapshot come from the `assign-ids` cache first.
+    /// The ordering-stage output for one workload × strategy: a plan
+    /// (orders, plus predicted fault counts for the clustered strategies)
+    /// memoized and persisted under the `order` disk stage. A disk plan
+    /// that does not fit the build is rejected and recomputed. The
+    /// strategy's identities of the optimized snapshot are looked up only
+    /// when the plan is computed.
     fn orders_for(
         &self,
         ctx: &Ctx<'_, '_>,
         p: &Pipeline<'_>,
         artifacts: &ProfiledArtifacts,
         front: &BuildFront,
-        strategy: Option<Strategy>,
-    ) -> Result<LayoutOrders, PipelineError> {
-        let (compiled, snapshot) = (&*front.compiled, &*front.snapshot);
-        let ids = strategy
-            .and_then(|s| ctx.spec.opts.heap_strategy_for(s))
-            .map(|hs| self.heap_ids(ctx, front.snapshot_key, snapshot, hs));
-        if let Some(s) = strategy.filter(|s| s.clustered()) {
-            let key =
-                CacheKey::for_stage("optimize", &[ctx.base, CacheKey::of_debug("strategy", &s)]);
-            let plan = self.disk_backed(&self.cache.plans, "optimize", key, || {
-                let _s = self.tracer.root_span("optimize", || {
-                    format!("workload={} strategy={}", ctx.spec.name, s.name())
+        strategy: Strategy,
+    ) -> Arc<LayoutOrders> {
+        let key = CacheKey::for_stage(
+            "order",
+            &[ctx.base, CacheKey::of_debug("strategy", &strategy)],
+        );
+        match self.disk_backed_checked::<_, std::convert::Infallible>(
+            &self.cache.plans,
+            "order",
+            key,
+            |plan| plan.fits(&front.compiled, &front.snapshot, &p.options().image),
+            || {
+                let ids = ctx
+                    .spec
+                    .opts
+                    .heap_strategy_for(strategy)
+                    .map(|hs| self.heap_ids(ctx, front.snapshot_key, &front.snapshot, hs));
+                // The layout optimizer's search keeps its own span name.
+                let span = if strategy.clustered() {
+                    "optimize"
+                } else {
+                    "order"
+                };
+                let _s = self.tracer.root_span(span, || {
+                    format!("workload={} strategy={}", ctx.spec.name, strategy.name())
                 });
-                Ok::<_, PipelineError>(p.order_stage(
+                Ok(p.order_stage(
                     artifacts,
-                    compiled,
-                    snapshot,
-                    strategy,
+                    &front.compiled,
+                    &front.snapshot,
+                    Some(strategy),
                     ids.as_deref(),
                 ))
-            })?;
-            Ok((*plan).clone())
-        } else {
-            // Inline (uncached) ordering: one plain span per call, a
-            // child of whatever cell span is open on this thread.
-            let _s = self.tracer.span_with("order", || match strategy {
-                None => format!("workload={} variant=baseline", ctx.spec.name),
-                Some(s) => format!("workload={} strategy={}", ctx.spec.name, s.name()),
-            });
-            Ok(p.order_stage(artifacts, compiled, snapshot, strategy, ids.as_deref()))
+            },
+        ) {
+            Ok(plan) => plan,
         }
     }
 
-    /// The layout optimizer's plan for one workload × strategy — the
-    /// chosen orders plus the cost model's predicted fault counts —
-    /// computed through the cache (a hit after any evaluation of the same
-    /// cell). Returns `None` for non-clustered strategies, which have no
-    /// plan.
+    /// The ordering plan for one workload × strategy — the chosen orders
+    /// plus, for the clustered strategies, the cost model's predicted
+    /// fault counts — computed through the cache (a hit after any
+    /// evaluation of the same cell).
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -647,15 +637,33 @@ impl Engine {
         spec: &WorkloadSpec<'_>,
         artifacts: &ProfiledArtifacts,
         strategy: Strategy,
-    ) -> Result<Option<LayoutOrders>, PipelineError> {
-        if !strategy.clustered() {
-            return Ok(None);
-        }
+    ) -> Result<LayoutOrders, PipelineError> {
         let ctx = self.ctx(spec);
         let p = ctx.pipeline();
         let front = self.build_front(&ctx, &p, Some(artifacts))?;
-        self.orders_for(&ctx, &p, artifacts, &front, Some(strategy))
-            .map(Some)
+        Ok((*self.orders_for(&ctx, &p, artifacts, &front, strategy)).clone())
+    }
+
+    /// One strategy's image: its cached plan laid out with the profiled
+    /// native pages. Unmemoized — every cell's layout is its own.
+    fn strategy_image(
+        &self,
+        ctx: &Ctx<'_, '_>,
+        p: &Pipeline<'_>,
+        artifacts: &ProfiledArtifacts,
+        front: &BuildFront,
+        strategy: Strategy,
+    ) -> Result<BinaryImage, PipelineError> {
+        let orders = self.orders_for(ctx, p, artifacts, front, strategy);
+        let _s = self.tracer.span_with("layout", || {
+            format!("workload={} strategy={}", ctx.spec.name, strategy.name())
+        });
+        p.layout_stage(
+            &front.compiled,
+            &front.snapshot,
+            (*orders).clone(),
+            Some(artifacts.native_pages.as_slice()),
+        )
     }
 
     fn run_job(&self, ctx: &Ctx<'_, '_>, strategy: Strategy) -> Result<Evaluation, PipelineError> {
@@ -903,8 +911,8 @@ impl Engine {
         Ok(BaselineParts { front, run })
     }
 
-    /// One strategy cell: order + layout, then the baseline run's access
-    /// log paged against the strategy's image — no execution.
+    /// One strategy cell: the strategy's image, then the baseline run's
+    /// access log paged against it — no execution.
     fn evaluate_cell(
         &self,
         ctx: &Ctx<'_, '_>,
@@ -914,18 +922,7 @@ impl Engine {
     ) -> Result<Evaluation, PipelineError> {
         let p = ctx.pipeline();
         let front = &parts.front;
-        let orders = self.orders_for(ctx, &p, artifacts, front, Some(strategy))?;
-        let image = {
-            let _s = self.tracer.span_with("layout", || {
-                format!("workload={} strategy={}", ctx.spec.name, strategy.name())
-            });
-            p.layout_stage(
-                &front.compiled,
-                &front.snapshot,
-                orders,
-                Some(artifacts.native_pages.as_slice()),
-            )?
-        };
+        let image = self.strategy_image(ctx, &p, artifacts, front, strategy)?;
         let optimized = {
             let _s = self.tracer.span_with("run", || {
                 format!("workload={} strategy={}", ctx.spec.name, strategy.name())

@@ -334,6 +334,33 @@ pub struct LayoutOrders {
     pub predicted: Option<LayoutPrediction>,
 }
 
+impl LayoutOrders {
+    /// Whether these orders can lay out the build `(compiled, snapshot)`
+    /// under `options`: each order present covers its whole section —
+    /// every CU, every snapshot object, every native-tail page. With the
+    /// permutation and uniqueness checks of the disk decode, a plan that
+    /// passes this never panics [`BinaryImage::build`] or
+    /// [`BinaryImage::set_native_page_order`].
+    pub fn fits(
+        &self,
+        compiled: &CompiledProgram,
+        snapshot: &HeapSnapshot,
+        options: &ImageOptions,
+    ) -> bool {
+        self.cu_order
+            .as_ref()
+            .is_none_or(|o| o.len() == compiled.cus.len())
+            && self.object_order.as_ref().is_none_or(|o| {
+                o.len() == snapshot.entries().len()
+                    && o.iter().all(|&obj| snapshot.entry(obj).is_some())
+            })
+            && self
+                .native_order
+                .as_ref()
+                .is_none_or(|o| o.len() as u64 == options.native_pages())
+    }
+}
+
 /// Predicted major-fault counts of the layout optimizer's candidate search:
 /// the plain first-touch placement it started from and the placement it
 /// chose. `optimized.total() <= first_touch.total()` by construction

@@ -7,14 +7,16 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
+use nimage_compiler::CuId;
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{
     BuildOptions, CacheKey, DiskCacheOptions, DiskCodec, DiskStore, Engine, EngineOptions,
-    Pipeline, RunParts, Strategy, WorkloadSpec,
+    LayoutOrders, LayoutPrediction, Pipeline, PredictedFaults, RunParts, Strategy, WorkloadSpec,
 };
 use nimage_heap::ObjId;
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
+use nimage_workloads::{Awfy, RuntimeScale};
 
 /// A fresh per-test cache root under the system temp dir.
 fn cache_root(tag: &str) -> PathBuf {
@@ -47,6 +49,15 @@ fn only_entry(root: &Path) -> PathBuf {
     walk(root, &mut found);
     assert_eq!(found.len(), 1, "expected exactly one entry: {found:?}");
     found.pop().unwrap()
+}
+
+/// The cache key an entry file is named after.
+fn key_of(path: &Path) -> CacheKey {
+    let hex = path.file_stem().unwrap().to_str().unwrap();
+    CacheKey(
+        u64::from_str_radix(&hex[..16], 16).unwrap(),
+        u64::from_str_radix(&hex[16..], 16).unwrap(),
+    )
 }
 
 /// Every `.bin` entry under `root`, sorted by path.
@@ -167,6 +178,28 @@ fn truncated_and_corrupt_entries_are_misses_never_errors() {
         )
         .unwrap();
     damaged_entries_are_misses("corrupt-run", "baseline-run", &run);
+
+    let plain = LayoutOrders {
+        cu_order: Some(vec![CuId(2), CuId(0), CuId(1)]),
+        ..LayoutOrders::default()
+    };
+    damaged_entries_are_misses("corrupt-plain-plan", "order", &plain);
+    let heap_only = LayoutOrders {
+        object_order: Some(vec![ObjId(9), ObjId(1), ObjId(4)]),
+        ..LayoutOrders::default()
+    };
+    damaged_entries_are_misses("corrupt-heap-plan", "order", &heap_only);
+    let faults = |text, heap| PredictedFaults { text, heap };
+    let clustered = LayoutOrders {
+        cu_order: plain.cu_order.clone(),
+        object_order: heap_only.object_order.clone(),
+        native_order: Some(vec![1, 0, 3, 2]),
+        predicted: Some(LayoutPrediction {
+            first_touch: faults(12, 9),
+            optimized: faults(10, 7),
+        }),
+    };
+    damaged_entries_are_misses("corrupt-clustered-plan", "order", &clustered);
 }
 
 #[test]
@@ -645,12 +678,7 @@ fn a_logged_run_that_does_not_fit_the_build_is_recomputed() {
     // Rewrite the persisted run with a log touching a CU the build does
     // not have, under a valid header and checksum.
     let store = DiskStore::open(&DiskCacheOptions::at(&dir));
-    let path = only_entry(&store.root().join("baseline-run"));
-    let hex = path.file_stem().unwrap().to_str().unwrap().to_string();
-    let key = CacheKey(
-        u64::from_str_radix(&hex[..16], 16).unwrap(),
-        u64::from_str_radix(&hex[16..], 16).unwrap(),
-    );
+    let key = key_of(&only_entry(&store.root().join("baseline-run")));
     let (report, log) = store
         .get::<(RunReport, AccessLog)>("baseline-run", key)
         .expect("the cold run persisted its run");
@@ -664,6 +692,52 @@ fn a_logged_run_that_does_not_fit_the_build_is_recomputed() {
 
     let (warm_rows, run) = evaluate();
     assert_eq!((run.rejected, run.stores), (1, 1), "{run:?}");
+    assert_eq!(cold_rows, warm_rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every strategy's `order` plan that is intact on disk but does not fit
+/// the build (here: a one-CU code order for a build of many CUs) is
+/// rejected when loaded and the plan is recomputed — never handed to the
+/// layout, which panics on an order that does not cover its section.
+#[test]
+fn a_plan_that_does_not_fit_the_build_is_recomputed() {
+    let dir = cache_root("badplan");
+    let program = Awfy::Sieve.program_at(&RuntimeScale::small());
+    let evaluate = || {
+        let engine = Engine::new(EngineOptions {
+            n_threads: 1,
+            disk: Some(DiskCacheOptions::at(&dir)),
+            trace: Default::default(),
+        });
+        let spec = WorkloadSpec::new("t", &program, BuildOptions::default(), StopWhen::Exit);
+        let cells = engine
+            .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
+            .unwrap();
+        let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
+        let order = engine.stats().disk_stages.unwrap()["order"];
+        (rows, order)
+    };
+    let (cold_rows, _) = evaluate();
+
+    // Rewrite every persisted plan, under a valid header and checksum,
+    // with a code order that covers one CU.
+    let store = DiskStore::open(&DiskCacheOptions::at(&dir));
+    let one_cu = LayoutOrders {
+        cu_order: Some(vec![CuId(0)]),
+        ..LayoutOrders::default()
+    };
+    let mut payload = Vec::new();
+    one_cu.encode(&mut payload);
+    let plans = bin_entries(&store.root().join("order"));
+    assert_eq!(plans.len(), Strategy::all().len());
+    for path in &plans {
+        store.store("order", key_of(path), &payload);
+    }
+
+    let (warm_rows, order) = evaluate();
+    assert_eq!(order.rejected, plans.len() as u64, "{order:?}");
+    assert_eq!(order.stores, plans.len() as u64, "{order:?}");
     assert_eq!(cold_rows, warm_rows);
     std::fs::remove_dir_all(&dir).ok();
 }

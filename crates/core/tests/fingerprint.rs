@@ -88,10 +88,11 @@ fn tiny(s: &Shape) -> Program {
     pb.build().expect("valid program")
 }
 
-/// Pinned since disk format v4, and unchanged by v5 (which changed the
-/// `baseline-run` payload and dropped the `lower` stage, not how keys are
-/// derived). If this fails, the byte sequence `Program`'s `Hash` writes (or
-/// the hasher, seed or tag framing) changed, and every `nimage` disk cache
+/// Pinned since disk format v4, and unchanged by v5 and v6 (which changed
+/// the `baseline-run` payload, dropped the `lower` stage and moved the
+/// plans to the `order` stage, not how the program is fingerprinted). If
+/// this fails, the byte sequence `Program`'s `Hash` writes (or the
+/// hasher, seed or tag framing) changed, and every `nimage` disk cache
 /// in the wild now misses on every key: when the change is intended, bump
 /// `DISK_FORMAT_VERSION` so the dead entries can be told apart and
 /// collected, then update the constant.

@@ -90,11 +90,12 @@ fn ci_runs_the_replay_bench() {
 
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
-/// disk hit. It must not gate on the retired per-CU `lower` disk stage, nor
-/// on `nimage bench`'s retired per-stage serial-vs-parallel rows
-/// (`stage_speedups`: below the fan-out cutoffs both arms ran the same
-/// serial code, so the `>= 1.0` gate could not fail) — and the report
-/// schema must not describe them.
+/// disk hit, and order nothing, since all eight strategy plans are disk
+/// hits and no identity map is looked up. It must not gate on the retired
+/// per-CU `lower` disk stage, nor on `nimage bench`'s retired per-stage
+/// serial-vs-parallel rows (`stage_speedups`: below the fan-out cutoffs
+/// both arms ran the same serial code, so the `>= 1.0` gate could not
+/// fail) — and the report schema must not describe them.
 #[test]
 fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -103,6 +104,8 @@ fn warm_cache_gate_checks_that_nothing_was_executed_or_lowered() {
         "counters.get('vm.executions', 0) == 0",
         "shards['lazy'] == 0 and shards['eager'] == 0",
         "'lower' not in stages",
+        "'assign-ids' not in stages",
+        "stages['order']['hits'] == 8",
     ] {
         assert!(ci.contains(gate), "ci.yml lost the warm gate `{gate}`");
     }

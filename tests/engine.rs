@@ -110,9 +110,11 @@ fn engine_computes_shared_artifacts_once_per_workload() {
     };
     // One workload: the profiling run and the baseline measurement each
     // miss exactly once; the other five strategies hit. The shared layout
-    // memo misses twice — the instrumented and the baseline layout.
+    // memo misses twice — the instrumented and the baseline layout — and
+    // the plan memo once per strategy.
     assert_eq!(by_name("profile").misses, 1);
     assert_eq!(by_name("layout").misses, 2);
+    assert_eq!(by_name("order").misses as usize, strategies.len());
     assert_eq!(by_name("baseline-run").misses, 1);
     assert_eq!(by_name("profile").hits as usize, strategies.len() - 1);
     // Instrumented + optimized compile and snapshot: two misses each.
@@ -158,7 +160,8 @@ fn engine_reports_stage_times_for_computed_work() {
 /// a cache directory another engine filled finds every persisted stage
 /// under the same keys (nothing stored, nothing rejected) and — compile
 /// being a disk hit — never runs reachability analysis; with both runs
-/// disk hits, it never interprets or lowers anything either.
+/// disk hits, it never interprets or lowers anything either, and with
+/// every strategy's plan a disk hit it never orders anything.
 #[test]
 fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
     let dir = std::env::temp_dir().join(format!("nimage-warm-engine-{}", std::process::id()));
@@ -192,18 +195,20 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
             disk,
             count("analyze"),
             count("fingerprint"),
+            count("order") + count("optimize"),
             warm_work,
         )
     };
 
-    let (cold_rows, cold, cold_analyze, _, _) = run();
+    let (cold_rows, cold, cold_analyze, _, _, _) = run();
     assert!(
         cold.stores > 0 && cold.hits == 0,
         "cold run fills the cache"
     );
     assert_eq!(cold_analyze, 1, "one workload, one analysis");
 
-    let (warm_rows, warm, warm_analyze, warm_fingerprints, (executions, shards, stages)) = run();
+    let (warm_rows, warm, warm_analyze, warm_fingerprints, warm_orders, warm_work) = run();
+    let (executions, shards, stages) = warm_work;
     assert_eq!(warm.stores, 0, "a key moved between engines");
     assert_eq!(warm.rejected, 0);
     assert_eq!(warm.misses, 0);
@@ -218,6 +223,10 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
     assert_eq!((shards.lazy, shards.eager), (0, 0), "{shards:?}");
     let stages = stages.expect("disk tier configured");
     assert!(!stages.contains_key("lower"), "{stages:?}");
+    // Every strategy's plan is a disk hit, so no identity map is looked up.
+    assert_eq!(warm_orders, 0, "a warm engine ordered a strategy");
+    assert!(!stages.contains_key("assign-ids"), "{stages:?}");
+    assert_eq!(stages["order"].hits as usize, Strategy::all().len());
     assert_eq!(cold_rows, warm_rows);
     let _ = std::fs::remove_dir_all(&dir);
 }
