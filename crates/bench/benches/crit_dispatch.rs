@@ -15,7 +15,9 @@
 //!   `InstrumentConfig::FULL` Bounce build: path profiling, heap tracing
 //!   and probe costs, about two thirds of AWFY interpreter time.
 //! - `dispatch/arith_shared` — the steady state on Mandelbrot-small, a
-//!   loop of arithmetic and branches on locals.
+//!   loop of `Double` arithmetic and branches on locals.
+//! - `dispatch/int_shared` — the steady state on Queens-small, whose hot
+//!   loops are `Int` arithmetic, comparisons and array reads.
 //! - `lowering/build` — the one-time lowering pass itself.
 
 use std::sync::Arc;
@@ -99,6 +101,8 @@ fn bench_dispatch(c: &mut Criterion) {
         &mandelbrot,
         InstrumentConfig::NONE,
     );
+    let queens = Awfy::Queens.program_at(&RuntimeScale::small());
+    bench_shared(c, "dispatch/int_shared", &queens, InstrumentConfig::NONE);
 }
 
 fn bench_lowering(c: &mut Criterion) {

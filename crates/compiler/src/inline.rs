@@ -100,18 +100,12 @@ pub fn compile(
         }
     }
 
+    let mut facts = MethodFacts::new(program, &instr_cfg, profile);
     let mut built: Vec<CompilationUnit> = vec![];
     while !frontier.is_empty() {
         let mut next: Vec<MethodId> = vec![];
         for &root in &frontier {
-            let (cu, not_inlined) = build_cu(
-                program,
-                &reachability,
-                inline_cfg,
-                &instr_cfg,
-                profile,
-                root,
-            );
+            let (cu, not_inlined) = build_cu(program, &reachability, inline_cfg, &mut facts, root);
             for m in not_inlined {
                 push_root(m, &mut next, &mut root_seen);
             }
@@ -123,7 +117,7 @@ pub fn compile(
     // Default .text order: alphabetical by root signature (Sec. 2). The
     // root id tiebreak makes the order total even if two roots shared a
     // signature.
-    built.sort_by_key(|cu| (program.method_signature(cu.root), cu.root));
+    built.sort_by_cached_key(|cu| (program.method_signature(cu.root), cu.root));
     let mut root_to_cu = HashMap::new();
     for (i, cu) in built.iter_mut().enumerate() {
         cu.id = CuId(i as u32);
@@ -150,19 +144,63 @@ fn direct_target(reach: &Reachability, callee: &Callee, site: CallSite) -> Optio
     }
 }
 
+/// The per-method inputs of the inline decisions, each computed on first
+/// use and kept for the rest of one [`compile`] call: a method's
+/// instrumented size walks all its blocks, and its profiled call count
+/// formats its signature.
+struct MethodFacts<'a> {
+    program: &'a Program,
+    instr: &'a InstrumentConfig,
+    profile: Option<&'a CallCountProfile>,
+    sizes: Vec<Option<u32>>,
+    counts: Vec<Option<u64>>,
+}
+
+impl<'a> MethodFacts<'a> {
+    fn new(
+        program: &'a Program,
+        instr: &'a InstrumentConfig,
+        profile: Option<&'a CallCountProfile>,
+    ) -> Self {
+        let n = program.methods().len();
+        MethodFacts {
+            program,
+            instr,
+            profile,
+            sizes: vec![None; n],
+            counts: vec![None; n],
+        }
+    }
+
+    /// [`instrumented_method_size`] of `m`.
+    fn size(&mut self, m: MethodId) -> u32 {
+        *self.sizes[m.index()]
+            .get_or_insert_with(|| instrumented_method_size(self.program, m, self.instr))
+    }
+
+    /// The profiled call count of `m`; `None` without a profile.
+    fn count(&mut self, m: MethodId) -> Option<u64> {
+        let profile = self.profile?;
+        Some(*self.counts[m.index()].get_or_insert_with(|| profile.count(self.program, m)))
+    }
+}
+
 /// Builds one CU rooted at `root`. Returns the CU and the methods invoked
 /// but not inlined (future roots).
 fn build_cu(
     program: &Program,
     reach: &Reachability,
     cfg: &InlineConfig,
-    instr: &InstrumentConfig,
-    profile: Option<&CallCountProfile>,
+    facts: &mut MethodFacts,
     root: MethodId,
 ) -> (CompilationUnit, Vec<MethodId>) {
     let mut nodes: Vec<InlineNode> = vec![];
     let mut not_inlined: Vec<MethodId> = vec![];
-    let mut cu_size: u32 = if instr.trace_cu { CU_PROBE_BYTES } else { 0 };
+    let mut cu_size: u32 = if facts.instr.trace_cu {
+        CU_PROBE_BYTES
+    } else {
+        0
+    };
 
     // DFS worklist entry: (method, parent node, call site in parent, depth,
     // methods on the inline path for recursion detection).
@@ -183,7 +221,7 @@ fn build_cu(
     }];
 
     while let Some(w) = stack.pop() {
-        let size = instrumented_method_size(program, w.method, instr);
+        let size = facts.size(w.method);
         // Re-check the budget at materialization time: a sibling's subtree
         // may have consumed the budget since the inline decision was made.
         if w.parent.is_some() && cu_size.saturating_add(size) > cfg.cu_budget {
@@ -225,10 +263,9 @@ fn build_cu(
             }
         }
         for &(site, target) in sites.iter().rev() {
-            let callee_size = instrumented_method_size(program, target, instr);
+            let callee_size = facts.size(target);
             let mut threshold = cfg.inline_threshold;
-            if let Some(p) = profile {
-                let count = p.count(program, target);
+            if let Some(count) = facts.count(target) {
                 if count >= cfg.hot_call_count {
                     threshold *= cfg.hot_multiplier;
                 } else if count == 0 {

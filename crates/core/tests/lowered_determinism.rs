@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, BuildParts, Pipeline, RunParts, Strategy};
-use nimage_ir::{BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef};
+use nimage_ir::{BinOp, BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef, UnOp};
 use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
@@ -255,9 +255,27 @@ fn errors_in_a_hot_loop_match_between_engines() {
         f.array_set(arr, at, i);
         f.array_get(arr, at)
     });
+    let remainder_by_zero = failing_loop(|f, _, _, i| {
+        let k = f.iconst(300);
+        let d = f.sub(k, i);
+        let hundred = f.iconst(100);
+        f.rem(hundred, d)
+    });
+    let add_int_to_double = failing_loop(|f, _, _, i| {
+        let k = f.iconst(300);
+        let hit = f.eq(i, k);
+        let x = f.copy(i);
+        f.if_then(hit, |f| {
+            let half = f.dconst(0.5);
+            f.assign(x, half);
+        });
+        f.add(i, x)
+    });
     let o = BuildOptions::default();
     for (program, what) in [
         (&divide_by_zero, "DivisionByZero"),
+        (&remainder_by_zero, "DivisionByZero"),
+        (&add_int_to_double, "TypeMismatch"),
         (&read_null, "NullDeref"),
         (&read_past_end, "IndexOutOfBounds"),
         (&write_below_zero, "IndexOutOfBounds"),
@@ -281,6 +299,100 @@ fn errors_in_a_hot_loop_match_between_engines() {
             assert!(format!("{lowered:?}").starts_with(what), "{lowered:?}");
             assert_eq!(reference, lowered, "{what} ({instrument:?})");
         }
+    }
+}
+
+/// A hot loop whose body runs every operator cell that is not plain
+/// `Int × Int` or `Double × Double` arithmetic, or sits on the edge of one:
+/// Bool logic and equality, reference and null identity, `Double` `Rem` by
+/// zero and NaN comparisons, shift counts of 64 and below zero, and
+/// `DoubleToInt` of NaN and ±∞. Every result is folded into the returned
+/// accumulator, so a cell that differed would show in `entry_return`.
+fn edge_cell_loop() -> Program {
+    use BinOp::*;
+    let mut pb = ProgramBuilder::new();
+    let c = pb.add_class("t.Cells", None);
+    let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
+    let mut f = pb.body(main);
+    let obj = f.new_object(c);
+    let other = f.new_object(c);
+    let null = f.null();
+    let from = f.iconst(0);
+    let to = f.iconst(500);
+    let acc = f.iconst(0);
+    f.for_range(from, to, |f, i| {
+        let two = f.iconst(2);
+        let zero = f.iconst(0);
+        let parity = f.rem(i, two);
+        let even = f.eq(parity, zero);
+        let yes = f.bconst(true);
+        let mut flags = vec![];
+        for op in [And, Or, Xor, Eq, Ne] {
+            flags.push(f.bin(op, even, yes));
+        }
+        let pick = f.copy(obj);
+        f.if_then(even, |f| f.assign(pick, other));
+        for (a, b) in [(pick, obj), (pick, null), (null, pick), (null, null)] {
+            flags.push(f.bin(Eq, a, b));
+            flags.push(f.bin(Ne, a, b));
+        }
+        let x = f.un(UnOp::IntToDouble, i);
+        let zero_d = f.dconst(0.0);
+        let one_d = f.dconst(1.0);
+        let nan = f.bin(Rem, x, zero_d);
+        let inf = f.bin(Div, one_d, zero_d);
+        let minus_inf = f.un(UnOp::Neg, inf);
+        for op in [Lt, Le, Gt, Ge, Eq, Ne] {
+            flags.push(f.bin(op, nan, x));
+            flags.push(f.bin(op, nan, nan));
+        }
+        let sixty_four = f.iconst(64);
+        let below_zero = f.sub(zero, i);
+        let minus_one = f.iconst(-1);
+        let big = f.iconst(i64::MIN + 12_345);
+        let mut ints = vec![];
+        for count in [sixty_four, below_zero, minus_one] {
+            ints.push(f.bin(Shl, i, count));
+            ints.push(f.bin(Shr, big, count));
+        }
+        for v in [nan, inf, minus_inf] {
+            ints.push(f.un(UnOp::DoubleToInt, v));
+        }
+        for (k, flag) in flags.into_iter().enumerate() {
+            f.if_then(flag, |f| {
+                let bit = f.iconst(1 << k);
+                let s = f.bin(Xor, acc, bit);
+                f.assign(acc, s);
+            });
+        }
+        for v in ints {
+            let prime = f.iconst(31);
+            let m = f.mul(acc, prime);
+            let s = f.add(m, v);
+            f.assign(acc, s);
+        }
+    });
+    f.ret(Some(acc));
+    pb.finish_body(main, f);
+    pb.set_entry(main);
+    pb.build().unwrap()
+}
+
+/// Every operator cell off the typed fast paths gives the same result on
+/// both engines, inside a hot loop, on the profiling and the measurement
+/// build.
+#[test]
+fn edge_cells_in_a_hot_loop_match_between_engines() {
+    let program = edge_cell_loop();
+    for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
+        let (reference, lowered) = built_on_both_engines(
+            &program,
+            &BuildOptions::default(),
+            instrument,
+            StopWhen::Exit,
+        );
+        assert!(reference.contains("entry_return: Some(Int("), "{reference}");
+        assert_eq!(reference, lowered, "{instrument:?}");
     }
 }
 

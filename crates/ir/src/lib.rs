@@ -12,8 +12,10 @@
 //! * **methods** built from basic blocks of register-machine instructions
 //!   (allocation, field/array access, calls, string literals, arithmetic),
 //! * **virtual dispatch** through interned selectors,
-//! * one **operator table** ([`eval_bin`] / [`eval_un`] / [`eval_intrinsic`])
-//!   that the build-time and the run-time interpreter both evaluate through,
+//! * one **operator table** ([`eval_bin`] / [`eval_un`] / [`eval_intrinsic`],
+//!   with their `Int` and `Double` cells split out as [`eval_int_bin`],
+//!   [`eval_double_bin`], [`eval_int_un`] and [`eval_double_un`]) that the
+//!   build-time and the run-time interpreters all evaluate through,
 //! * a **code-size model** (every instruction has a machine-code size in
 //!   bytes) that drives the inliner in `nimage-compiler`, and
 //! * build-time metadata: parallel class-initialization groups, resources and
@@ -50,7 +52,10 @@ mod validate;
 
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use cfg::Cfg;
-pub use eval::{eval_bin, eval_intrinsic, eval_un, Scalar};
+pub use eval::{
+    eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
+    Scalar,
+};
 pub use instr::{BinOp, Block, Callee, Instr, Intrinsic, Terminator, UnOp};
 pub use program::{Class, Field, Method, MethodKind, Program, Resource, SelectorId};
 pub use types::{BlockId, ClassId, FieldId, Local, MethodId, TypeRef};

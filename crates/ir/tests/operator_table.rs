@@ -1,10 +1,16 @@
 //! The operator table cell by cell. Build-time initializer execution
 //! (`nimage-heap`) and the VM (`nimage-vm`) both evaluate through
-//! `eval_bin` / `eval_un` / `eval_intrinsic`, so this is the one place the
-//! arithmetic either of them performs is pinned.
+//! `eval_bin` / `eval_un` / `eval_intrinsic` and their typed `Int` /
+//! `Double` cells, so this is the one place the arithmetic either of them
+//! performs is pinned.
+
+use std::cell::Cell;
 
 use nimage_ir::Scalar::{self, *};
-use nimage_ir::{eval_bin, eval_intrinsic, eval_un, BinOp, Intrinsic, UnOp};
+use nimage_ir::{
+    eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
+    BinOp, Intrinsic, UnOp,
+};
 
 const BIN_OPS: [BinOp; 16] = [
     BinOp::Add,
@@ -205,4 +211,87 @@ fn unary_operator_and_intrinsic_values() {
             "{op:?} {x}"
         );
     }
+}
+
+/// Sample ints: zero, signs, shift counts of 64 and past it, the extremes.
+const INTS: [i64; 9] = [0, 1, -1, 7, -7, 64, 65, i64::MIN, i64::MAX];
+/// Sample doubles: both zeros, a fraction, NaN, both infinities, a huge
+/// value that saturates `DoubleToInt`.
+const DOUBLES: [f64; 8] = [
+    0.0,
+    -0.0,
+    2.5,
+    -7.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+];
+
+/// A result with doubles compared bit for bit, so NaN equals NaN and
+/// `-0.0` differs from `0.0`.
+fn bits(v: Option<Scalar>) -> Option<(u8, u64)> {
+    v.map(|v| match v {
+        Null => (0, 0),
+        Bool(x) => (1, u64::from(x)),
+        Int(x) => (2, x as u64),
+        Double(x) => (3, x.to_bits()),
+        Ref(x) => (4, u64::from(x)),
+    })
+}
+
+/// The typed cells are the `Int` / `Double` rows of `eval_bin` and
+/// `eval_un`: the same value, and `None` in exactly the same places (Int
+/// `Div` / `Rem` by zero, the bitwise operators on doubles, ill-typed
+/// unary operands). `put` runs once when there is a value and never
+/// otherwise.
+#[test]
+fn typed_cells_equal_the_generic_table() {
+    let (puts, mut values) = (Cell::new(0), 0);
+    let put = |v: Scalar| {
+        puts.set(puts.get() + 1);
+        v
+    };
+    for op in BIN_OPS {
+        for x in INTS {
+            for y in INTS {
+                let typed = eval_int_bin(op, x, y, put);
+                let generic = eval_bin(op, Int(x), Int(y));
+                values += usize::from(generic.is_some());
+                assert_eq!(bits(typed), bits(generic), "{op:?} on Int {x}, {y}");
+            }
+        }
+        for x in DOUBLES {
+            for y in DOUBLES {
+                let typed = eval_double_bin(op, x, y, put);
+                let generic = eval_bin(op, Double(x), Double(y));
+                values += usize::from(generic.is_some());
+                assert_eq!(bits(typed), bits(generic), "{op:?} on Double {x}, {y}");
+            }
+        }
+    }
+    for op in UN_OPS {
+        for x in INTS {
+            let (typed, generic) = (eval_int_un(op, x, put), eval_un(op, Int(x)));
+            values += usize::from(generic.is_some());
+            assert_eq!(bits(typed), bits(generic), "{op:?} Int {x}");
+        }
+        for x in DOUBLES {
+            let (typed, generic) = (eval_double_un(op, x, put), eval_un(op, Double(x)));
+            values += usize::from(generic.is_some());
+            assert_eq!(bits(typed), bits(generic), "{op:?} Double {x}");
+        }
+    }
+    assert_eq!(puts.get(), values);
+    // The places `None` must appear, spelled out.
+    let put = |v: Scalar| -> Scalar { panic!("no value expected, got {v:?}") };
+    assert_eq!(eval_int_bin(BinOp::Div, 7, 0, put), None);
+    assert_eq!(eval_int_bin(BinOp::Rem, 7, 0, put), None);
+    for op in [BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Shl, BinOp::Shr] {
+        assert_eq!(eval_double_bin(op, 1.0, 2.0, put), None, "{op:?}");
+    }
+    assert_eq!(eval_int_un(UnOp::Not, 1, put), None);
+    assert_eq!(eval_int_un(UnOp::DoubleToInt, 1, put), None);
+    assert_eq!(eval_double_un(UnOp::Not, 1.0, put), None);
+    assert_eq!(eval_double_un(UnOp::IntToDouble, 1.0, put), None);
 }

@@ -15,8 +15,8 @@ use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, PathNumbering, Pr
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
-    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program,
-    Terminator,
+    eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
+    BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program, Terminator, UnOp,
 };
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
@@ -949,20 +949,50 @@ impl<'a> Vm<'a> {
                 LoweredInstr::ConstDouble(d, v) => locals[d.index()] = RtValue::Double(*v),
                 LoweredInstr::ConstBool(d, v) => locals[d.index()] = RtValue::Bool(*v),
                 LoweredInstr::ConstNull(d) => locals[d.index()] = RtValue::Null,
-                LoweredInstr::Move(d, s) => locals[d.index()] = locals[s.index()],
+                // Copies tag and payload apart, as the typed cells below
+                // store them: a 16-byte load of a value stored that way
+                // cannot be forwarded from the two stores and stalls.
+                LoweredInstr::Move(d, s) => {
+                    locals[d.index()] = match locals[s.index()] {
+                        RtValue::Int(x) => RtValue::Int(x),
+                        RtValue::Double(x) => RtValue::Double(x),
+                        RtValue::Bool(x) => RtValue::Bool(x),
+                        v => v,
+                    }
+                }
+                // Operands are read where they lie and their tags matched
+                // here; the typed cells hand the result to `put` in the arm
+                // that computes it, which stores it straight into the
+                // destination. Copying both operands into `eval_bin` and
+                // its `Option` result back out cost a store-forwarding
+                // stall per op. Every other operand pair, and every cell
+                // without a value, takes the generic table and its errors.
                 LoweredInstr::Bin(op, d, a, b) => {
-                    let (va, vb) = (locals[a.index()], locals[b.index()]);
-                    locals[d.index()] = eval_bin(*op, va, vb).ok_or_else(|| match op {
-                        BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
-                            method: program.method_signature(method),
-                        },
-                        _ => mismatch(format!("{op:?} on {va:?}, {vb:?}")),
-                    })?;
+                    let d = d.index();
+                    let done = match (&locals[a.index()], &locals[b.index()]) {
+                        (&RtValue::Int(x), &RtValue::Int(y)) => {
+                            eval_int_bin(*op, x, y, |v| locals[d] = v)
+                        }
+                        (&RtValue::Double(x), &RtValue::Double(y)) => {
+                            eval_double_bin(*op, x, y, |v| locals[d] = v)
+                        }
+                        (&va, &vb) => eval_bin(*op, va, vb).map(|v| locals[d] = v),
+                    };
+                    if done.is_none() {
+                        let (va, vb) = (locals[a.index()], locals[b.index()]);
+                        return Err(bin_error(program, method, *op, va, vb));
+                    }
                 }
                 LoweredInstr::Un(op, d, a) => {
-                    let va = locals[a.index()];
-                    locals[d.index()] =
-                        eval_un(*op, va).ok_or_else(|| mismatch(format!("{op:?} on {va:?}")))?;
+                    let d = d.index();
+                    let done = match locals[a.index()] {
+                        RtValue::Int(x) => eval_int_un(*op, x, |v| locals[d] = v),
+                        RtValue::Double(x) => eval_double_un(*op, x, |v| locals[d] = v),
+                        va => eval_un(*op, va).map(|v| locals[d] = v),
+                    };
+                    if done.is_none() {
+                        return Err(un_error(program, method, *op, locals[a.index()]));
+                    }
                 }
                 LoweredInstr::Jump(e) => edge!(e),
                 LoweredInstr::Br {
@@ -1314,23 +1344,13 @@ impl<'a> Vm<'a> {
             Instr::Bin(op, d, a, b) => {
                 let va = self.local(t, *a);
                 let vb = self.local(t, *b);
-                let r = eval_bin(*op, va, vb).ok_or_else(|| match op {
-                    BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
-                        method: self.err_sig(method),
-                    },
-                    _ => VmError::TypeMismatch {
-                        method: self.err_sig(method),
-                        detail: format!("{op:?} on {va:?}, {vb:?}"),
-                    },
-                })?;
+                let r = eval_bin(*op, va, vb)
+                    .ok_or_else(|| bin_error(self.program, method, *op, va, vb))?;
                 self.set_local(t, *d, r);
             }
             Instr::Un(op, d, a) => {
                 let va = self.local(t, *a);
-                let r = eval_un(*op, va).ok_or_else(|| VmError::TypeMismatch {
-                    method: self.err_sig(method),
-                    detail: format!("{op:?} on {va:?}"),
-                })?;
+                let r = eval_un(*op, va).ok_or_else(|| un_error(self.program, method, *op, va))?;
                 self.set_local(t, *d, r);
             }
             Instr::New(d, c) => {
@@ -1664,6 +1684,31 @@ enum FastEnd {
     Slow,
 }
 
+/// The error `Bin(op)` of `method` raises when the operator table has no
+/// value for `va, vb`. Both engines build it here.
+#[cold]
+fn bin_error(program: &Program, method: MethodId, op: BinOp, va: RtValue, vb: RtValue) -> VmError {
+    match op {
+        BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
+            method: program.method_signature(method),
+        },
+        _ => VmError::TypeMismatch {
+            method: program.method_signature(method),
+            detail: format!("{op:?} on {va:?}, {vb:?}"),
+        },
+    }
+}
+
+/// The error `Un(op)` of `method` raises when the operator table has no
+/// value for `va`. Both engines build it here.
+#[cold]
+fn un_error(program: &Program, method: MethodId, op: UnOp, va: RtValue) -> VmError {
+    VmError::TypeMismatch {
+        method: program.method_signature(method),
+        detail: format!("{op:?} on {va:?}"),
+    }
+}
+
 /// `v` as an object reference, or the error an op of `method` raises.
 #[inline]
 fn ref_of(program: &Program, method: MethodId, v: RtValue) -> Result<u32, VmError> {
@@ -1693,8 +1738,9 @@ fn int_of(program: &Program, method: MethodId, v: RtValue) -> Result<i64, VmErro
 
 /// The slot and value of field `fid` of object `r`, through the
 /// pre-lowered `class × field` table; error messages match
-/// [`Vm::field_slot`] byte for byte.
-#[inline]
+/// [`Vm::field_slot`] byte for byte. Forced inline so the `(slot, value)`
+/// result stays out of memory on [`Vm::run_fast`]'s path.
+#[inline(always)]
 fn field_slot(
     program: &Program,
     lp: &LoweredProgram,
