@@ -37,8 +37,6 @@ const VALUED: &[&str] = &[
     "out",
     "profiles",
     "width",
-    "scale",
-    "window",
     "threads",
     "cache-dir",
     "max-bytes",
@@ -131,6 +129,18 @@ mod tests {
         assert_eq!(p.positional, vec!["Bounce"]);
         assert_eq!(p.option("strategy"), Some("cu"));
         assert!(p.has_flag("all"));
+    }
+
+    /// A key that takes a value swallows the next token, so one that no
+    /// command documents can only eat arguments meant for something else.
+    #[test]
+    fn every_valued_key_is_documented_in_help() {
+        for key in VALUED.iter().chain(OPTIONAL_VALUED) {
+            assert!(
+                crate::HELP.contains(&format!("--{key} ")),
+                "--{key} takes a value but `nimage help` does not mention it"
+            );
+        }
     }
 
     #[test]

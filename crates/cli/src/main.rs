@@ -30,7 +30,7 @@ use nimage_core::{
     DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
-use nimage_trace::metrics::json_string;
+use nimage_trace::JsonWriter;
 use nimage_vm::{render_ascii, summarize, CostModel, VmConfig};
 
 use args::{parse, ArgError, ParsedArgs};
@@ -261,32 +261,25 @@ fn cmd_eval(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             eval.speedup(&cm),
         );
     }
-    let stats = engine.stats();
+    let report = &outcome.report;
     eprintln!(
         "cache: {} hits, {} misses",
-        stats.cache_hits(),
-        stats.cache_misses()
+        report.cache_hits(),
+        report.cache_misses()
     );
-    if let Some(disk) = &stats.disk {
-        eprintln!(
-            "disk cache: {} hits, {} misses, {} stores, {} rejected",
-            disk.hits, disk.misses, disk.stores, disk.rejected
-        );
-        print_disk_stages(&stats);
-    }
+    print_disk(report);
     Ok(())
 }
 
-/// Prints the per-stage disk-cache breakdown (stderr, one line per stage).
-fn print_disk_stages(stats: &nimage_core::EngineStats) {
-    let Some(stages) = &stats.disk_stages else {
+/// Prints the disk-cache totals and their per-stage breakdown (stderr),
+/// when a disk tier is configured.
+fn print_disk(report: &Report) {
+    let (Some(disk), Some(stages)) = (&report.disk, &report.disk_stages) else {
         return;
     };
+    eprintln!("disk cache: {disk}");
     for (name, s) in stages {
-        eprintln!(
-            "  disk {:<10}: {} hits, {} misses, {} stores, {} rejected",
-            name, s.hits, s.misses, s.stores, s.rejected
-        );
+        eprintln!("  disk {name:<10}: {s}");
     }
 }
 
@@ -389,7 +382,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
                 && e1.optimized.ops == e2.optimized.ops
                 && e1.optimized.entry_return == e2.optimized.entry_return
         });
-    let stats = engine.stats();
+    let report = &outcome.report;
     let speedup = serial_ns as f64 / engine_ns.max(1) as f64;
 
     // ROADMAP follow-up: does per-type salting of heap-path identities pay
@@ -426,25 +419,23 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     );
     eprintln!(
         "  cache           : {} hits, {} misses",
-        stats.cache_hits(),
-        stats.cache_misses()
+        report.cache_hits(),
+        report.cache_misses()
     );
-    if let Some(disk) = &stats.disk {
-        eprintln!(
-            "  disk cache      : {} hits, {} misses, {} stores, {} rejected",
-            disk.hits, disk.misses, disk.stores, disk.rejected
-        );
-        if let Some(stages) = &stats.disk_stages {
+    if let Some(disk) = &report.disk {
+        eprintln!("  disk cache      : {disk}");
+        if let Some(stages) = &report.disk_stages {
             for (name, s) in stages {
-                eprintln!(
-                    "    disk {:<9}: {} hits, {} misses, {} stores, {} rejected",
-                    name, s.hits, s.misses, s.stores, s.rejected
-                );
+                eprintln!("    disk {name:<9}: {s}");
             }
         }
     }
-    for (name, ns) in stats.stages.iter() {
-        eprintln!("    {name:<9} {:>10.1} ms", ns as f64 / 1e6);
+    for stage in &report.stages {
+        eprintln!(
+            "    {:<9} {:>10.1} ms",
+            stage.name,
+            stage.exclusive_ns as f64 / 1e6
+        );
     }
     eprintln!("  matched-object ratio (instrumented → optimized):");
     for (name, r) in &ratios {
@@ -484,7 +475,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     // layout plans above).
     if parsed.option("json").is_some() || parsed.has_flag("json") {
         let report = engine.report(&req, &outcome.cells);
-        let json = bench_json(
+        let mut json = bench_json(
             workload.name(),
             strategies.len(),
             serial_ns,
@@ -495,6 +486,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             &fault_rows,
             &report,
         );
+        json.push('\n');
         match parsed.option("json") {
             // `--json FILE` writes the file; bare `--json` or `--json -`
             // prints the report to stdout, which carries nothing else.
@@ -554,8 +546,7 @@ fn matched_ratio_rows(
     Ok(rows)
 }
 
-/// Renders the `nimage bench` report as JSON (no serde in the workspace —
-/// the schema is flat and hand-written).
+/// Renders the `nimage bench` report as JSON.
 #[allow(clippy::too_many_arguments)]
 fn bench_json(
     workload: &str,
@@ -568,63 +559,50 @@ fn bench_json(
     fault_rows: &[FaultRow],
     report: &Report,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"workload\": {},\n", json_string(workload)));
-    out.push_str(&format!("  \"strategies\": {n_strategies},\n"));
-    out.push_str(&format!("  \"serial_uncached_ns\": {serial_ns},\n"));
-    out.push_str(&format!("  \"engine_ns\": {engine_ns},\n"));
-    out.push_str(&format!(
-        "  \"speedup\": {:.4},\n",
-        serial_ns as f64 / engine_ns.max(1) as f64
-    ));
-    out.push_str(&format!("  \"results_match\": {results_match},\n"));
-    out.push_str("  \"faults\": {\n");
-    out.push_str(&format!(
-        "    \"baseline\": {{\"text\": {}, \"heap\": {}, \"total\": {}}},\n",
-        baseline_faults.0,
-        baseline_faults.1,
-        baseline_faults.0 + baseline_faults.1
-    ));
-    out.push_str("    \"strategies\": {\n");
-    let fault_lines: Vec<String> = fault_rows
-        .iter()
-        .map(|row| {
-            let mut line = format!(
-                "      \"{}\": {{\"text\": {}, \"heap\": {}, \"total\": {}",
-                row.strategy.name(),
-                row.text,
-                row.heap,
-                row.text + row.heap
-            );
-            if let Some(p) = row.predicted {
-                line.push_str(&format!(
-                    ", \"predicted\": {{\"text\": {}, \"heap\": {}, \"total\": {}}}, \"first_touch_predicted\": {{\"text\": {}, \"heap\": {}, \"total\": {}}}",
-                    p.optimized.text,
-                    p.optimized.heap,
-                    p.optimized.total(),
-                    p.first_touch.text,
-                    p.first_touch.heap,
-                    p.first_touch.total()
-                ));
+    let faults = |w: &mut JsonWriter, key: &str, text: u64, heap: u64| {
+        w.key(key).object(|w| {
+            w.field("text", text)
+                .field("heap", heap)
+                .field("total", text + heap);
+        });
+    };
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.field("workload", workload)
+            .field("strategies", n_strategies)
+            .field("serial_uncached_ns", serial_ns)
+            .field("engine_ns", engine_ns)
+            .field("speedup", serial_ns as f64 / engine_ns.max(1) as f64)
+            .field("results_match", results_match);
+        w.key("faults").object(|w| {
+            faults(w, "baseline", baseline_faults.0, baseline_faults.1);
+            w.key("strategies").object(|w| {
+                for row in fault_rows {
+                    w.key(row.strategy.name()).object(|w| {
+                        w.field("text", row.text)
+                            .field("heap", row.heap)
+                            .field("total", row.text + row.heap);
+                        if let Some(p) = row.predicted {
+                            let (o, f) = (p.optimized, p.first_touch);
+                            faults(w, "predicted", o.text, o.heap);
+                            faults(w, "first_touch_predicted", f.text, f.heap);
+                        }
+                    });
+                }
+            });
+        });
+        w.key("matched_object_ratio").object(|w| {
+            for (name, r) in matched_ratios {
+                w.field(name, r);
             }
-            line.push('}');
-            line
-        })
-        .collect();
-    out.push_str(&fault_lines.join(",\n"));
-    out.push_str("\n    }\n  },\n");
-    out.push_str("  \"matched_object_ratio\": {");
-    let ratio_rows: Vec<String> = matched_ratios
-        .iter()
-        .map(|(name, r)| format!("\"{name}\": {r:.6}"))
-        .collect();
-    out.push_str(&ratio_rows.join(", "));
-    out.push_str("},\n");
-    // The versioned engine report, verbatim — every engine counter (stage
-    // spans, cache and disk tiers, shards, metrics, trace totals, cells)
-    // lives here and nowhere else in the document.
-    out.push_str(&format!("  \"report\": {}\n}}\n", report.to_json()));
-    out
+        });
+        // The versioned engine report, verbatim — every engine counter
+        // (stage spans, cache and disk tiers, shards, metrics, trace
+        // totals, cells) lives here and nowhere else in the document.
+        w.key("report");
+        report.write_json(w);
+    });
+    w.finish()
 }
 
 fn cmd_profile(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
@@ -704,13 +682,12 @@ fn cmd_inspect(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_pagemap(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let width = match parsed.option("width").map(str::parse::<usize>) {
+        None => 64,
+        Some(Ok(w)) if w > 0 => w,
+        Some(_) => return Err(ArgError("--width must be a positive number".into()).into()),
+    };
     let workload = Workload::resolve(parsed.one_positional("workload")?)?;
-    let width: usize = parsed
-        .option("width")
-        .map(str::parse)
-        .transpose()
-        .map_err(|_| ArgError("--width must be a number".into()))?
-        .unwrap_or(64);
     let strategy = parsed.option("strategy").map(strategy_of).transpose()?;
     let program = workload.program()?;
     let pipeline = Pipeline::new(&program, pipeline_for(&workload));
@@ -883,16 +860,9 @@ fn cmd_lint(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         total_errors += out.errors;
         outcomes.push((workload.name(), out));
     }
-    let stats = engine.stats();
-    if let Some(disk) = &stats.disk {
-        eprintln!(
-            "disk cache: {} hits, {} misses, {} stores, {} rejected",
-            disk.hits, disk.misses, disk.stores, disk.rejected
-        );
-        print_disk_stages(&stats);
-    }
+    print_disk(&engine.report(&EvalRequest::new(), &[]));
     if !text {
-        print!("{}", lint_json(strategy, &outcomes));
+        println!("{}", lint_json(strategy, &outcomes));
     } else if workloads.len() > 1 {
         println!(
             "\nlint --all: {} workload(s), {} error(s)",
@@ -916,61 +886,41 @@ struct LintOutcome {
     diags: Vec<nimage_verify::Diagnostic>,
 }
 
-/// Renders the `nimage lint --format json` report (no serde in the
-/// workspace — hand-written like `bench_json`).
+/// Renders the `nimage lint --format json` report.
 fn lint_json(strategy: Strategy, outcomes: &[(&'static str, LintOutcome)]) -> String {
-    use nimage_verify::Severity;
-    let mut out = String::from("{\n");
-    out.push_str("  \"workloads\": [\n");
-    let blocks: Vec<String> = outcomes
-        .iter()
-        .map(|(name, o)| {
-            let mut b = String::from("    {\n");
-            b.push_str(&format!("      \"workload\": {},\n", json_string(name)));
-            b.push_str(&format!(
-                "      \"strategy\": {},\n",
-                json_string(strategy.name())
-            ));
-            b.push_str(&format!("      \"errors\": {},\n", o.errors));
-            b.push_str(&format!("      \"warnings\": {},\n", o.warnings));
-            b.push_str("      \"timings_us\": {");
-            let ts: Vec<String> = o
-                .timings
-                .iter()
-                .map(|(n, us)| format!("\"{n}\": {us}"))
-                .collect();
-            b.push_str(&ts.join(", "));
-            b.push_str("},\n");
-            b.push_str("      \"diagnostics\": [\n");
-            let ds: Vec<String> = o
-                .diags
-                .iter()
-                .map(|d| {
-                    format!(
-                        "        {{\"severity\": \"{}\", \"code\": {}, \"entity\": {}, \"message\": {}}}",
-                        if d.severity == Severity::Error { "error" } else { "warning" },
-                        json_string(d.code),
-                        json_string(&d.entity),
-                        json_string(&d.message)
-                    )
-                })
-                .collect();
-            b.push_str(&ds.join(",\n"));
-            if !o.diags.is_empty() {
-                b.push('\n');
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("workloads").array(|w| {
+            for (name, o) in outcomes {
+                w.object(|w| {
+                    w.field("workload", name)
+                        .field("strategy", strategy.name())
+                        .field("errors", o.errors)
+                        .field("warnings", o.warnings);
+                    w.key("timings_us").object(|w| {
+                        for (family, us) in &o.timings {
+                            w.field(family, us);
+                        }
+                    });
+                    w.key("diagnostics").array(|w| {
+                        for d in &o.diags {
+                            w.object(|w| {
+                                w.field("severity", d.severity.to_string())
+                                    .field("code", d.code)
+                                    .field("entity", &d.entity)
+                                    .field("message", &d.message);
+                            });
+                        }
+                    });
+                });
             }
-            b.push_str("      ]\n    }");
-            b
-        })
-        .collect();
-    out.push_str(&blocks.join(",\n"));
-    out.push_str("\n  ],\n");
-    let errors: usize = outcomes.iter().map(|(_, o)| o.errors).sum();
-    let warnings: usize = outcomes.iter().map(|(_, o)| o.warnings).sum();
-    out.push_str(&format!("  \"total_errors\": {errors},\n"));
-    out.push_str(&format!("  \"total_warnings\": {warnings}\n"));
-    out.push_str("}\n");
-    out
+        });
+        let errors: usize = outcomes.iter().map(|(_, o)| o.errors).sum();
+        let warnings: usize = outcomes.iter().map(|(_, o)| o.warnings).sum();
+        w.field("total_errors", errors)
+            .field("total_warnings", warnings);
+    });
+    w.finish()
 }
 
 /// Lints one workload end to end; returns the normalized diagnostics and

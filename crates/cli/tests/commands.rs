@@ -97,6 +97,21 @@ fn pagemap_prints_both_sections() {
     );
 }
 
+/// A zero row width is a usage error, reported before any profiling
+/// work, not a panic inside the page-map renderer.
+#[test]
+fn pagemap_rejects_a_zero_width() {
+    let out = Command::new(env!("CARGO_BIN_EXE_nimage"))
+        .args(["pagemap", "quickstart", "--width", "0"])
+        .output()
+        .expect("nimage runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains("--width"), "stderr: {stderr}");
+    assert!(!stderr.contains("profiling"), "no work before the check");
+}
+
 /// `profile` then `optimize` through CSV profiles on disk writes the same
 /// image bytes as building the strategy's image in process from the
 /// profiling run's artifacts.

@@ -125,6 +125,16 @@ pub struct DiskCacheStats {
     pub rejected: u64,
 }
 
+impl fmt::Display for DiskCacheStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} hits, {} misses, {} stores, {} rejected",
+            self.hits, self.misses, self.stores, self.rejected
+        )
+    }
+}
+
 /// What is on disk for one store's format version, with interrupted-write
 /// leftovers accounted separately from real entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,16 +191,7 @@ enum Lookup {
 
 impl fmt::Debug for DiskStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.stats();
-        write!(
-            f,
-            "DiskStore({}: {} hits, {} misses, {} stores, {} rejected)",
-            self.root.display(),
-            s.hits,
-            s.misses,
-            s.stores,
-            s.rejected
-        )
+        write!(f, "DiskStore({}: {})", self.root.display(), self.stats())
     }
 }
 

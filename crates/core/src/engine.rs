@@ -21,8 +21,8 @@
 //!    work-stealing job queue, returning results in deterministic
 //!    row-major (workload-major) order regardless of scheduling.
 //!
-//! Per-stage wall-clock and cache hit counts are recorded in
-//! [`EngineStats`] (surfaced by `nimage bench --json`). Stage times are
+//! Per-stage wall-clock and cache hit counts are read out through
+//! [`crate::Report`] (surfaced by `nimage bench --json`). Stage times are
 //! derived from the span tree the engine's always-on [`Tracer`] records
 //! (DESIGN.md §14): every stage computation runs inside a span, and a
 //! stage's time is the sum of its spans' *exclusive* durations (inclusive
@@ -39,44 +39,28 @@ use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::HeapStrategy;
-use nimage_trace::{StageAgg, Tracer};
+use nimage_trace::Tracer;
 use nimage_vm::{AccessLog, HeapTemplate, LoweredProgram, RunReport, StopWhen};
 
-use std::collections::BTreeMap;
-
-use crate::cache::{ArtifactCache, CacheKey, Memo, MemoStats};
-use crate::diskcache::{DiskCacheOptions, DiskCacheStats, DiskCodec, DiskStore};
+use crate::cache::{ArtifactCache, CacheKey, Memo};
+use crate::diskcache::{DiskCacheOptions, DiskCodec, DiskStore};
 use crate::{
     BuildOptions, BuildParts, Evaluation, LayoutOrders, Pipeline, PipelineError, ProfiledArtifacts,
     RunParts, Strategy,
 };
 
-/// Cumulative wall-clock spent *computing* each pipeline stage (cache hits
-/// cost nothing and add nothing). With several worker threads, stage times
-/// can sum to more than elapsed wall-clock — they measure work, not span.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Nanoseconds per stage, parallel to [`StageTimes::NAMES`].
-    pub ns: [u64; 9],
-}
+/// The pipeline's stages. A [`crate::Report`] lists its per-stage times
+/// (`Report::stages`) in this order.
+#[derive(Debug, Clone, Copy)]
+pub struct StageTimes;
 
 impl StageTimes {
-    /// Stage names, parallel to [`StageTimes::ns`], in pipeline order.
-    /// These are exactly the span names the engine records, so a stage's
-    /// entry here equals the summed exclusive time of its spans.
+    /// Stage names in pipeline order. These are exactly the span names
+    /// the engine records, so a stage's time is the summed exclusive time
+    /// of its spans.
     pub const NAMES: [&'static str; 9] = [
         "analyze", "compile", "snapshot", "lower", "replay", "order", "optimize", "layout", "run",
     ];
-
-    /// `(name, nanoseconds)` pairs in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        Self::NAMES.into_iter().zip(self.ns)
-    }
-
-    /// Total nanoseconds across all stages.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
-    }
 }
 
 /// Observability knobs of one engine (never part of any cache
@@ -173,24 +157,6 @@ pub struct MatrixCell {
     pub eval: Evaluation,
 }
 
-/// Counters of one engine: per-stage wall-clock and per-memo cache
-/// hit/miss counts.
-#[derive(Debug, Clone)]
-pub struct EngineStats {
-    /// Wall-clock spent computing each stage.
-    pub stages: StageTimes,
-    /// Hit/miss counters per cached stage.
-    pub cache: Vec<MemoStats>,
-    /// Disk-tier counters, when a disk cache is configured.
-    pub disk: Option<DiskCacheStats>,
-    /// Disk-tier counters broken down by persisted stage, when a disk
-    /// cache is configured.
-    pub disk_stages: Option<BTreeMap<String, DiskCacheStats>>,
-    /// Lowering-shard counters aggregated over every cached sharded
-    /// container.
-    pub lowered_shards: ShardStats,
-}
-
 /// How many lowering shards the engine's cached containers realized, and
 /// by which path. `lazy` counts shards faulted in by the interpreter on
 /// first call into a CU; `eager` counts shards realized ahead of execution
@@ -206,18 +172,6 @@ pub struct ShardStats {
     pub eager: u64,
     /// Total shards (= CUs) across the cached containers.
     pub cus: u64,
-}
-
-impl EngineStats {
-    /// Total cache hits across all stages.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.iter().map(|s| s.hits).sum()
-    }
-
-    /// Total cache misses across all stages.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.iter().map(|s| s.misses).sum()
-    }
 }
 
 /// Per-workload context: the spec plus its content fingerprint, computed
@@ -278,7 +232,7 @@ impl Engine {
             disk: opts.disk.as_ref().map(DiskStore::open),
             // The engine's own tracer is always on: stage/cell spans are
             // a few hundred events per evaluation and are what
-            // `EngineStats::stages` is derived from. `TraceOptions`
+            // `Report::stages` is derived from. `TraceOptions`
             // gates only the VM-level fault instants (see `vm_tracer`).
             tracer: Tracer::with_capacity(opts.trace.capacity),
             opts,
@@ -321,37 +275,6 @@ impl Engine {
             self.tracer.clone()
         } else {
             Tracer::disabled()
-        }
-    }
-
-    /// Per-stage wall-clock and cache counters accumulated so far. Stage
-    /// times are the summed exclusive durations of this engine's stage
-    /// spans, computed from the physical (per-thread) span nesting.
-    pub fn stats(&self) -> EngineStats {
-        self.stats_from(&nimage_trace::aggregate(&self.tracer.events()))
-    }
-
-    /// [`Engine::stats`] over an already-aggregated span tree, so report
-    /// building aggregates the events once for both views.
-    pub(crate) fn stats_from(&self, agg: &BTreeMap<&'static str, StageAgg>) -> EngineStats {
-        let mut lowered_shards = ShardStats::default();
-        for lp in self.cache.lowered.values() {
-            lowered_shards.lazy += lp.shards_lowered_lazy();
-            lowered_shards.eager += lp.shards_lowered_eager();
-            lowered_shards.cus += lp.n_cus() as u64;
-        }
-        let mut stages = StageTimes::default();
-        for (slot, name) in stages.ns.iter_mut().zip(StageTimes::NAMES) {
-            if let Some(a) = agg.get(name) {
-                *slot = a.exclusive_ns;
-            }
-        }
-        EngineStats {
-            stages,
-            cache: self.cache.stats(),
-            disk: self.disk.as_ref().map(DiskStore::stats),
-            disk_stages: self.disk.as_ref().map(DiskStore::stage_stats),
-            lowered_shards,
         }
     }
 
@@ -944,23 +867,17 @@ mod tests {
     use nimage_trace::Tracer;
 
     #[test]
-    fn stage_times_report_in_pipeline_order() {
-        let tracer = Tracer::new();
+    fn report_stages_list_stage_names_in_pipeline_order() {
+        let engine = Engine::default();
         {
-            let _run = tracer.span("run");
+            let _run = engine.tracer().span("run");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let agg = nimage_trace::aggregate(&tracer.events());
-        let mut t = StageTimes::default();
-        for (i, name) in StageTimes::NAMES.iter().enumerate() {
-            if let Some(a) = agg.get(name) {
-                t.ns[i] = a.exclusive_ns;
-            }
-        }
-        assert!(t.ns[StageTimes::NAMES.iter().position(|n| *n == "run").unwrap()] > 0);
-        assert_eq!(t.total_ns(), t.ns.iter().sum::<u64>());
-        let names: Vec<_> = t.iter().map(|(n, _)| n).collect();
+        let report = engine.report(&crate::EvalRequest::new(), &[]);
+        let names: Vec<_> = report.stages.iter().map(|s| s.name).collect();
         assert_eq!(names, StageTimes::NAMES);
+        let run = report.stages.iter().find(|s| s.name == "run").unwrap();
+        assert!(run.exclusive_ns > 0 && run.count == 1);
     }
 
     #[test]

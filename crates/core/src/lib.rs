@@ -52,8 +52,8 @@ pub use diskcache::{
     DISK_FORMAT_VERSION,
 };
 pub use engine::{
-    BuildRequest, Engine, EngineOptions, EngineStats, MatrixCell, ShardStats, StageTimes,
-    TraceOptions, WorkloadSpec,
+    BuildRequest, Engine, EngineOptions, MatrixCell, ShardStats, StageTimes, TraceOptions,
+    WorkloadSpec,
 };
 pub use nimage_trace::{MetricsSnapshot, TraceSummary, Tracer};
 pub use persist::{load_profiles, save_profiles, SavedProfiles};

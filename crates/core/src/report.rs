@@ -4,24 +4,23 @@
 //! engine: workloads × strategies plus the engine knobs (threads, disk
 //! tier, tracing), replacing the positional argument lists that used to
 //! thread through `evaluate_matrix` call sites. [`Report`] is the single
-//! serializable result type: it subsumes the old ad-hoc combination of
-//! `EngineStats` + `ShardStats` + `StageTimes` + per-stage speedup maps
-//! that `nimage bench --json` assembled by hand, and it carries a
-//! `report_version` field so downstream consumers (the CI schema gate)
-//! can reject incompatible output instead of misparsing it.
+//! serializable result type and the only readout of an engine's
+//! counters (stage times, cache and disk tiers, lowering shards,
+//! metrics, trace totals). It carries a `report_version` field so
+//! downstream consumers (the CI schema gate) can reject incompatible
+//! output instead of misparsing it.
 //!
-//! All JSON here is hand-written — the workspace has no serde — via the
-//! same escaping helpers the metrics exporter uses.
+//! The workspace has no serde: the JSON is rendered through
+//! [`JsonWriter`], the one writer every emitted document shares.
 
 use std::collections::BTreeMap;
 
-use nimage_trace::metrics::{json_f64, json_string};
-use nimage_trace::{MetricsSnapshot, TraceSummary};
+use nimage_trace::{JsonWriter, MetricsSnapshot, TraceSummary};
 use nimage_vm::CostModel;
 
-use crate::diskcache::{DiskCacheOptions, DiskCacheStats};
+use crate::diskcache::{DiskCacheOptions, DiskCacheStats, DiskStore};
 use crate::engine::{
-    Engine, EngineOptions, EngineStats, MatrixCell, ShardStats, TraceOptions, WorkloadSpec,
+    Engine, EngineOptions, MatrixCell, ShardStats, StageTimes, TraceOptions, WorkloadSpec,
 };
 use crate::{MemoStats, PipelineError, Strategy};
 
@@ -33,7 +32,7 @@ pub const REPORT_VERSION: u32 = 1;
 /// One stage's derived timing, from the engine's span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageReport {
-    /// Stage name ([`crate::StageTimes::NAMES`] order).
+    /// Stage name ([`StageTimes::NAMES`] order).
     pub name: &'static str,
     /// Σ exclusive span time: wall-clock attributed to this stage alone,
     /// nested stages subtracted (never double-counts).
@@ -76,7 +75,9 @@ pub struct Report {
     pub threads: usize,
     /// Per-cell outcomes, row-major.
     pub cells: Vec<CellReport>,
-    /// Per-stage derived timings, pipeline order.
+    /// Per-stage derived timings, pipeline order. They count computing
+    /// only (cache hits add nothing), so with several worker threads they
+    /// can sum to more than the elapsed wall-clock.
     pub stages: Vec<StageReport>,
     /// In-memory cache hit/miss counters per stage.
     pub cache: Vec<MemoStats>,
@@ -92,101 +93,112 @@ pub struct Report {
     pub trace: TraceSummary,
 }
 
-fn json_stats(s: &DiskCacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"stores\":{},\"rejected\":{}}}",
-        s.hits, s.misses, s.stores, s.rejected
-    )
+/// Writes one disk tier's counters as an object.
+fn disk_json<'w>(w: &'w mut JsonWriter, s: &DiskCacheStats) -> &'w mut JsonWriter {
+    w.object(|w| {
+        w.field("hits", s.hits)
+            .field("misses", s.misses)
+            .field("stores", s.stores)
+            .field("rejected", s.rejected);
+    })
 }
 
 impl Report {
+    /// Total in-memory cache hits across all stages.
+    pub fn cache_hits(&self) -> u64 {
+        self.cache.iter().map(|s| s.hits).sum()
+    }
+
+    /// Total in-memory cache misses across all stages.
+    pub fn cache_misses(&self) -> u64 {
+        self.cache.iter().map(|s| s.misses).sum()
+    }
+
     /// Renders the report as JSON (schema `report_version` =
     /// [`REPORT_VERSION`], pinned by `ci/report_schema.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!("{{\"report_version\":{}", self.report_version));
-        let names = |v: &[String]| {
-            v.iter()
-                .map(|n| json_string(n))
-                .collect::<Vec<_>>()
-                .join(",")
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes [`Report::to_json`]'s object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let faults = |w: &mut JsonWriter, key: &str, (text, svm_heap): (u64, u64)| {
+            w.key(key).object(|w| {
+                w.field("text", text).field("svm_heap", svm_heap);
+            });
         };
-        out.push_str(&format!(",\"workloads\":[{}]", names(&self.workloads)));
-        out.push_str(&format!(",\"strategies\":[{}]", names(&self.strategies)));
-        out.push_str(&format!(",\"threads\":{}", self.threads));
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"workload\":{},\"strategy\":{},\
-                     \"baseline_faults\":{{\"text\":{},\"svm_heap\":{}}},\
-                     \"optimized_faults\":{{\"text\":{},\"svm_heap\":{}}},\
-                     \"fault_reduction\":{},\"speedup\":{}}}",
-                    json_string(&c.workload),
-                    json_string(&c.strategy),
-                    c.baseline_faults.0,
-                    c.baseline_faults.1,
-                    c.optimized_faults.0,
-                    c.optimized_faults.1,
-                    json_f64(c.fault_reduction),
-                    json_f64(c.speedup),
-                )
-            })
-            .collect();
-        out.push_str(&format!(",\"cells\":[{}]", cells.join(",")));
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":{},\"exclusive_ns\":{},\"inclusive_ns\":{},\"count\":{}}}",
-                    json_string(s.name),
-                    s.exclusive_ns,
-                    s.inclusive_ns,
-                    s.count
-                )
-            })
-            .collect();
-        out.push_str(&format!(",\"stages\":[{}]", stages.join(",")));
-        let cache: Vec<String> = self
-            .cache
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"name\":{},\"hits\":{},\"misses\":{}}}",
-                    json_string(m.name),
-                    m.hits,
-                    m.misses
-                )
-            })
-            .collect();
-        out.push_str(&format!(",\"cache\":[{}]", cache.join(",")));
-        match &self.disk {
-            Some(d) => out.push_str(&format!(",\"disk\":{}", json_stats(d))),
-            None => out.push_str(",\"disk\":null"),
-        }
-        match &self.disk_stages {
-            Some(per) => {
-                let entries: Vec<String> = per
-                    .iter()
-                    .map(|(stage, s)| format!("{}:{}", json_string(stage), json_stats(s)))
-                    .collect();
-                out.push_str(&format!(",\"disk_stages\":{{{}}}", entries.join(",")));
-            }
-            None => out.push_str(",\"disk_stages\":null"),
-        }
-        out.push_str(&format!(
-            ",\"lowered_shards\":{{\"lazy\":{},\"eager\":{},\"cus\":{}}}",
-            self.lowered_shards.lazy, self.lowered_shards.eager, self.lowered_shards.cus
-        ));
-        out.push_str(&format!(",\"metrics\":{}", self.metrics.to_json()));
-        out.push_str(&format!(
-            ",\"trace\":{{\"threads\":{},\"events\":{},\"dropped\":{}}}",
-            self.trace.threads, self.trace.events, self.trace.dropped
-        ));
-        out.push('}');
-        out
+        w.object(|w| {
+            w.field("report_version", self.report_version);
+            w.key("workloads").array(|w| {
+                for n in &self.workloads {
+                    w.value(n);
+                }
+            });
+            w.key("strategies").array(|w| {
+                for n in &self.strategies {
+                    w.value(n);
+                }
+            });
+            w.field("threads", self.threads);
+            w.key("cells").array(|w| {
+                for c in &self.cells {
+                    w.object(|w| {
+                        w.field("workload", &c.workload)
+                            .field("strategy", &c.strategy);
+                        faults(w, "baseline_faults", c.baseline_faults);
+                        faults(w, "optimized_faults", c.optimized_faults);
+                        w.field("fault_reduction", c.fault_reduction)
+                            .field("speedup", c.speedup);
+                    });
+                }
+            });
+            w.key("stages").array(|w| {
+                for s in &self.stages {
+                    w.object(|w| {
+                        w.field("name", s.name)
+                            .field("exclusive_ns", s.exclusive_ns)
+                            .field("inclusive_ns", s.inclusive_ns)
+                            .field("count", s.count);
+                    });
+                }
+            });
+            w.key("cache").array(|w| {
+                for m in &self.cache {
+                    w.object(|w| {
+                        w.field("name", m.name)
+                            .field("hits", m.hits)
+                            .field("misses", m.misses);
+                    });
+                }
+            });
+            match &self.disk {
+                Some(d) => disk_json(w.key("disk"), d),
+                None => w.key("disk").null(),
+            };
+            match &self.disk_stages {
+                Some(per) => w.key("disk_stages").object(|w| {
+                    for (stage, s) in per {
+                        disk_json(w.key(stage), s);
+                    }
+                }),
+                None => w.key("disk_stages").null(),
+            };
+            let shards = &self.lowered_shards;
+            w.key("lowered_shards").object(|w| {
+                w.field("lazy", shards.lazy)
+                    .field("eager", shards.eager)
+                    .field("cus", shards.cus);
+            });
+            w.key("metrics");
+            self.metrics.write_json(w);
+            w.key("trace").object(|w| {
+                w.field("threads", self.trace.threads)
+                    .field("events", self.trace.events)
+                    .field("dropped", self.trace.dropped);
+            });
+        });
     }
 }
 
@@ -315,8 +327,7 @@ impl Engine {
     /// can snapshot a report at any point.
     pub fn report(&self, req: &EvalRequest<'_>, cells: &[MatrixCell]) -> Report {
         let agg = nimage_trace::aggregate(&self.tracer().events());
-        let stats: EngineStats = self.stats_from(&agg);
-        let stages = crate::StageTimes::NAMES
+        let stages = StageTimes::NAMES
             .iter()
             .map(|&name| {
                 let a = agg.get(name).copied().unwrap_or_default();
@@ -328,6 +339,13 @@ impl Engine {
                 }
             })
             .collect();
+        let cache = self.cache().stats();
+        let mut lowered_shards = ShardStats::default();
+        for lp in self.cache().lowered.values() {
+            lowered_shards.lazy += lp.shards_lowered_lazy();
+            lowered_shards.eager += lp.shards_lowered_eager();
+            lowered_shards.cus += lp.n_cus() as u64;
+        }
         let cm = CostModel::ssd();
         let cell_reports = cells
             .iter()
@@ -346,30 +364,21 @@ impl Engine {
         // Fold the engine's structural counters into the metrics
         // snapshot, so one exporter carries everything countable.
         let mut metrics = self.tracer().metrics();
-        for m in &stats.cache {
-            metrics
-                .counters
-                .insert(format!("cache.{}.hits", m.name), m.hits);
-            metrics
-                .counters
-                .insert(format!("cache.{}.misses", m.name), m.misses);
-        }
-        metrics
-            .counters
-            .insert("shards.lazy".to_string(), stats.lowered_shards.lazy);
-        metrics
-            .counters
-            .insert("shards.eager".to_string(), stats.lowered_shards.eager);
-        metrics
-            .counters
-            .insert("shards.cus".to_string(), stats.lowered_shards.cus);
         let trace = self.tracer().summary();
-        metrics
-            .counters
-            .insert("trace.events".to_string(), trace.events);
-        metrics
-            .counters
-            .insert("trace.dropped".to_string(), trace.dropped);
+        let counters = &mut metrics.counters;
+        for m in &cache {
+            counters.insert(format!("cache.{}.hits", m.name), m.hits);
+            counters.insert(format!("cache.{}.misses", m.name), m.misses);
+        }
+        for (key, n) in [
+            ("shards.lazy", lowered_shards.lazy),
+            ("shards.eager", lowered_shards.eager),
+            ("shards.cus", lowered_shards.cus),
+            ("trace.events", trace.events),
+            ("trace.dropped", trace.dropped),
+        ] {
+            counters.insert(key.to_string(), n);
+        }
         Report {
             report_version: REPORT_VERSION,
             workloads: req.specs.iter().map(|s| s.name.clone()).collect(),
@@ -381,10 +390,10 @@ impl Engine {
             threads: self.options().n_threads,
             cells: cell_reports,
             stages,
-            cache: stats.cache,
-            disk: stats.disk,
-            disk_stages: stats.disk_stages,
-            lowered_shards: stats.lowered_shards,
+            cache,
+            disk: self.disk().map(DiskStore::stats),
+            disk_stages: self.disk().map(DiskStore::stage_stats),
+            lowered_shards,
             metrics,
             trace,
         }
@@ -394,40 +403,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_report_renders_versioned_json() {
-        let r = Report {
-            report_version: REPORT_VERSION,
-            workloads: vec!["micronaut\"x".to_string()],
-            strategies: vec!["cu".to_string()],
-            threads: 4,
-            cells: vec![],
-            stages: vec![StageReport {
-                name: "run",
-                exclusive_ns: 5,
-                inclusive_ns: 7,
-                count: 2,
-            }],
-            cache: vec![],
-            disk: None,
-            disk_stages: None,
-            lowered_shards: ShardStats::default(),
-            metrics: MetricsSnapshot::default(),
-            trace: TraceSummary {
-                threads: 1,
-                events: 3,
-                dropped: 0,
-            },
-        };
-        let j = r.to_json();
-        assert!(j.starts_with("{\"report_version\":1"));
-        assert!(j.contains("\"micronaut\\\"x\""), "escaped name: {j}");
-        assert!(j.contains("\"disk\":null"));
-        assert!(j.contains("\"exclusive_ns\":5"));
-        assert!(j.contains("\"trace\":{\"threads\":1,\"events\":3,\"dropped\":0}"));
-        assert!(j.ends_with('}'));
-    }
 
     #[test]
     fn eval_request_builder_accumulates() {

@@ -11,7 +11,8 @@ use nimage_compiler::CuId;
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{
     BuildOptions, CacheKey, DiskCacheOptions, DiskCodec, DiskStore, Engine, EngineOptions,
-    LayoutOrders, LayoutPrediction, Pipeline, PredictedFaults, RunParts, Strategy, WorkloadSpec,
+    EvalRequest, LayoutOrders, LayoutPrediction, Pipeline, PredictedFaults, RunParts, Strategy,
+    WorkloadSpec,
 };
 use nimage_heap::ObjId;
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
@@ -486,7 +487,7 @@ fn engine_without_disk_options_never_touches_disk() {
     engine
         .evaluate_matrix(std::slice::from_ref(&spec), &[Strategy::Cu])
         .expect("evaluation succeeds");
-    assert!(engine.stats().disk.is_none());
+    assert!(engine.report(&EvalRequest::new(), &[]).disk.is_none());
 }
 
 #[test]
@@ -504,7 +505,7 @@ fn second_engine_starts_warm_with_identical_results() {
     let rows_cold = cold
         .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
         .unwrap();
-    let cold_stats = cold.stats().disk.unwrap();
+    let cold_stats = cold.report(&EvalRequest::new(), &[]).disk.unwrap();
     assert_eq!(cold_stats.hits, 0, "first run finds an empty cache");
     assert!(cold_stats.stores > 0, "first run persists artifacts");
 
@@ -519,7 +520,7 @@ fn second_engine_starts_warm_with_identical_results() {
     let rows_warm = warm
         .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
         .unwrap();
-    let warm_stats = warm.stats().disk.unwrap();
+    let warm_stats = warm.report(&EvalRequest::new(), &[]).disk.unwrap();
     assert!(warm_stats.hits > 0, "second run reads persisted artifacts");
     assert_eq!(warm_stats.stores, 0, "nothing new to persist");
 
@@ -562,7 +563,10 @@ fn warm_run_hits_compile_and_snapshot_stages_on_disk() {
     // The finer-grained stages persist individually: the warm run loads
     // the compiled program and the heap snapshot back, not just the
     // profile composite.
-    let stages = warm.stats().disk_stages.expect("disk tier is active");
+    let stages = warm
+        .report(&EvalRequest::new(), &[])
+        .disk_stages
+        .expect("disk tier is active");
     let compile = stages.get("compile").copied().unwrap_or_default();
     let snapshot = stages.get("snapshot").copied().unwrap_or_default();
     assert!(compile.hits > 0, "compile stage hit on disk: {compile:?}");
@@ -589,7 +593,7 @@ fn engine_sweeps_capped_cache_after_storing() {
 
     // The run stored more than two artifacts; the opportunistic sweep
     // after evaluation must have brought the store back under its cap.
-    assert!(engine.stats().disk.unwrap().stores > 2);
+    assert!(engine.report(&EvalRequest::new(), &[]).disk.unwrap().stores > 2);
     let store = DiskStore::open(&DiskCacheOptions::at(&dir));
     let (entries, _) = store.size_on_disk();
     assert!(
@@ -633,7 +637,7 @@ fn gcd_then_warm_run_reproduces_cold_results() {
     let rows_warm = warm
         .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
         .unwrap();
-    let warm_stats = warm.stats().disk.unwrap();
+    let warm_stats = warm.report(&EvalRequest::new(), &[]).disk.unwrap();
     assert!(warm_stats.hits > 0, "surviving entries still hit");
     assert!(warm_stats.stores > 0, "evicted artifacts are re-stored");
 
@@ -670,7 +674,7 @@ fn a_logged_run_that_does_not_fit_the_build_is_recomputed() {
             .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
             .unwrap();
         let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
-        let run = engine.stats().disk_stages.unwrap()["baseline-run"];
+        let run = engine.report(&EvalRequest::new(), &[]).disk_stages.unwrap()["baseline-run"];
         (rows, run)
     };
     let (cold_rows, _) = evaluate();
@@ -715,7 +719,7 @@ fn a_plan_that_does_not_fit_the_build_is_recomputed() {
             .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
             .unwrap();
         let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
-        let order = engine.stats().disk_stages.unwrap()["order"];
+        let order = engine.report(&EvalRequest::new(), &[]).disk_stages.unwrap()["order"];
         (rows, order)
     };
     let (cold_rows, _) = evaluate();

@@ -3,19 +3,33 @@
 //! access log) must round-trip bit-exactly through their `DiskCodec`
 //! encodings for any pipeline-producible artifact, and the decoders must
 //! be total — arbitrary or truncated bytes are rejected, never a panic or
-//! an oversized allocation.
+//! an oversized allocation. Damaged copies of valid entries of every codec
+//! (bit flips, truncations, a splice of two entries) must decode to `None`
+//! or to a value that survives its own re-encoding unchanged.
+//!
+//! Debug builds try fewer sampled positions than release builds.
 
 use proptest::prelude::*;
 
+use std::collections::HashMap;
+
 use nimage_compiler::{CompiledProgram, InstrumentConfig};
 use nimage_core::diskcache::Reader;
-use nimage_core::{BuildOptions, DiskCodec, Pipeline, ProfiledArtifacts, RunParts};
-use nimage_heap::HeapSnapshot;
+use nimage_core::{
+    BuildOptions, DiskCodec, Engine, LayoutOrders, Pipeline, ProfiledArtifacts, RunParts, Strategy,
+    WorkloadSpec,
+};
+use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
-use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
+use nimage_order::{assign_ids, HeapStrategy};
+use nimage_vm::{AccessLog, LoweredProgram, LoweredShard, RunReport, StopWhen, Touch};
+use nimage_workloads::{Awfy, RuntimeScale};
 
 /// The `baseline-run` disk entry.
 type LoggedRun = (RunReport, AccessLog);
+
+/// The `assign-ids` disk entry.
+type HeapIds = HashMap<ObjId, u64>;
 
 /// A small synthetic program family parameterized enough to vary CU
 /// counts, inline trees, array contents and interned strings.
@@ -222,6 +236,9 @@ proptest! {
         let _ = ProfiledArtifacts::decode(&mut Reader::new(&bytes));
         let _ = LoggedRun::decode(&mut Reader::new(&bytes));
         let _ = AccessLog::decode(&mut Reader::new(&bytes));
+        let _ = LayoutOrders::decode(&mut Reader::new(&bytes));
+        let _ = HeapIds::decode(&mut Reader::new(&bytes));
+        let _ = LoweredShard::decode(&mut Reader::new(&bytes));
     }
 }
 
@@ -249,4 +266,141 @@ fn huge_length_prefixes_fail_fast() {
     assert!(HeapSnapshot::decode(&mut Reader::new(&bytes)).is_none());
     assert!(ProfiledArtifacts::decode(&mut Reader::new(&bytes)).is_none());
     assert!(AccessLog::decode(&mut Reader::new(&bytes)).is_none());
+    assert!(HeapIds::decode(&mut Reader::new(&bytes)).is_none());
+    // A plan's first field is an optional CU order: tag 1, then the length.
+    let mut plan = vec![1u8];
+    plan.extend_from_slice(&bytes);
+    assert!(LayoutOrders::decode(&mut Reader::new(&plan)).is_none());
+}
+
+/// Positions sampled evenly across an entry.
+const SAMPLES: usize = if cfg!(debug_assertions) { 16 } else { 96 };
+
+/// Entries up to this size are truncated at every length.
+const SMALL: usize = if cfg!(debug_assertions) { 512 } else { 4096 };
+
+/// Decodes `bytes` as a `T`. A value must re-encode to bytes that decode
+/// and re-encode to the same bytes again; returns whether it decoded.
+fn decodes_stably<T: DiskCodec>(bytes: &[u8]) -> bool {
+    let Some(value) = T::decode(&mut Reader::new(bytes)) else {
+        return false;
+    };
+    let mut once = Vec::new();
+    value.encode(&mut once);
+    let again = T::decode(&mut Reader::new(&once)).unwrap_or_else(|| {
+        panic!(
+            "{}: a decoded value's encoding does not decode",
+            std::any::type_name::<T>()
+        )
+    });
+    let mut twice = Vec::new();
+    again.encode(&mut twice);
+    assert!(
+        once == twice,
+        "{}: a decoded value changed in its round trip",
+        std::any::type_name::<T>()
+    );
+    true
+}
+
+/// One valid disk entry and the checked decode of its codec.
+struct Entry {
+    name: &'static str,
+    bytes: Vec<u8>,
+    decode: fn(&[u8]) -> bool,
+}
+
+fn entry<T: DiskCodec>(value: &T) -> Entry {
+    let mut bytes = Vec::new();
+    value.encode(&mut bytes);
+    let name = std::any::type_name::<T>();
+    assert!(decodes_stably::<T>(&bytes), "{name}: a valid entry decodes");
+    Entry {
+        name,
+        bytes,
+        decode: decodes_stably::<T>,
+    }
+}
+
+/// A valid entry of every `DiskCodec`, from `program`'s builds and runs.
+fn entries(program: &Program) -> Vec<Entry> {
+    let opts = BuildOptions::default();
+    let pipeline = Pipeline::new(program, opts.clone());
+    let compiled = pipeline.compile_stage(pipeline.analyze_stage(), InstrumentConfig::FULL, None);
+    let snapshot = pipeline
+        .snapshot_stage(&compiled, &opts.heap_instrumented)
+        .expect("snapshot builds");
+    let ids = assign_ids(program, &snapshot, HeapStrategy::HeapPath);
+    let built = pipeline
+        .build_instrumented(InstrumentConfig::FULL)
+        .expect("builds");
+    let run: LoggedRun = pipeline
+        .run_logged(
+            RunParts::new(&built.compiled, &built.snapshot, &built.image),
+            StopWhen::Exit,
+        )
+        .expect("runs");
+    let lowered = LoweredProgram::new(program, &compiled, opts.vm.max_paths);
+    let shard = (0..compiled.cus.len() as u32)
+        .map(|cu| lowered.extract_shard(program, &compiled, nimage_compiler::CuId(cu)))
+        .max_by_key(|s| s.methods.len())
+        .expect("a CU");
+    let engine = Engine::default();
+    let spec = WorkloadSpec::new("codecs", program, opts, StopWhen::Exit);
+    let artifacts = engine.profile_workload(&spec).expect("profiles");
+    let plan = engine
+        .layout_plan(&spec, &artifacts, Strategy::CuClusteredPlusHeapPath)
+        .expect("plans");
+    assert!(plan.cu_order.is_some() && plan.object_order.is_some() && plan.predicted.is_some());
+    vec![
+        entry(&compiled),
+        entry(&snapshot),
+        entry(&ids),
+        entry(&run.0.faults),
+        entry(&run.0),
+        entry(&run.1),
+        entry(&run),
+        entry(&*artifacts),
+        entry(&plan),
+        entry(&shard),
+    ]
+}
+
+/// `n` positions spread evenly over `0..len`.
+fn sampled(len: usize, n: usize) -> impl Iterator<Item = usize> {
+    (0..n.min(len)).map(move |i| i * len / n.min(len))
+}
+
+/// Damages `entries` and checks each damaged copy decodes stably or not
+/// at all.
+fn damage(entries: &[Entry]) {
+    for (i, e) in entries.iter().enumerate() {
+        assert!(e.bytes.len() > 8, "{}: entry too small to damage", e.name);
+        for (k, at) in sampled(e.bytes.len(), SAMPLES).enumerate() {
+            let mut bytes = e.bytes.clone();
+            bytes[at] ^= 1 << (k % 8);
+            (e.decode)(&bytes);
+        }
+        let cuts: Vec<usize> = if e.bytes.len() <= SMALL {
+            (0..e.bytes.len()).collect()
+        } else {
+            sampled(e.bytes.len(), SAMPLES).collect()
+        };
+        for cut in cuts {
+            (e.decode)(&e.bytes[..cut]);
+        }
+        // This entry's first half, the next entry's second half.
+        let other = &entries[(i + 1) % entries.len()].bytes;
+        let mut spliced = e.bytes[..e.bytes.len() / 2].to_vec();
+        spliced.extend_from_slice(&other[other.len() / 2..]);
+        (e.decode)(&spliced);
+    }
+}
+
+/// The synthetic program's entries are small enough to truncate at every
+/// length; small-scale Bounce's have realistic sizes and heap-id maps.
+#[test]
+fn mutated_entries_decode_or_reject_without_panicking() {
+    damage(&entries(&program(3, 24)));
+    damage(&entries(&Awfy::Bounce.program_at(&RuntimeScale::small())));
 }

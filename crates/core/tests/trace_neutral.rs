@@ -103,12 +103,18 @@ fn trace_options_do_not_move_cache_fingerprints() {
 
     let cold = engine(2, false, disk());
     let cold_rows = evaluate(&cold, &program, StopWhen::Exit);
-    let stats = cold.stats().disk.expect("disk tier configured");
+    let stats = cold
+        .report(&EvalRequest::new(), &[])
+        .disk
+        .expect("disk tier configured");
     assert!(stats.stores > 0, "cold run persists artifacts");
 
     let warm = engine(2, true, disk());
     let warm_rows = evaluate(&warm, &program, StopWhen::Exit);
-    let stats = warm.stats().disk.expect("disk tier configured");
+    let stats = warm
+        .report(&EvalRequest::new(), &[])
+        .disk
+        .expect("disk tier configured");
     assert!(stats.hits > 0, "traced engine must hit untraced entries");
     assert_eq!(
         stats.stores, 0,

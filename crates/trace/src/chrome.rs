@@ -3,7 +3,7 @@
 //! complete events, instants become `ph:"i"`; one `tid` per recorded
 //! thread ring, in registration order.
 
-use crate::metrics::json_string;
+use crate::json::JsonWriter;
 use crate::{Event, EventKind};
 
 /// Microseconds (the format's unit) from our nanosecond timestamps,
@@ -12,73 +12,69 @@ fn us(t_ns: u64) -> f64 {
     t_ns as f64 / 1000.0
 }
 
-fn args_json(detail: &str, root: bool) -> String {
-    let mut parts = Vec::new();
-    if !detail.is_empty() {
-        parts.push(format!("\"detail\":{}", json_string(detail)));
-    }
-    if root {
-        parts.push("\"root\":true".to_string());
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!(",\"args\":{{{}}}", parts.join(","))
-    }
-}
-
-fn span_json(name: &str, detail: &str, root: bool, start: u64, end: u64, tid: usize) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}{}}}",
-        json_string(name),
-        us(start),
-        us(end.saturating_sub(start)),
-        args_json(detail, root),
-    )
-}
-
-fn instant_json(name: &str, detail: &str, root: bool, t: u64, tid: usize) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\"pid\":1,\"tid\":{tid}{}}}",
-        json_string(name),
-        us(t),
-        args_json(detail, root),
-    )
+/// One trace event: the span `ev` begins, closed at `end` (`ph:"X"`),
+/// or the instant `ev` (`ph:"i"`) when `end` is `None`.
+fn event_json(w: &mut JsonWriter, ev: &Event, end: Option<u64>, tid: usize) {
+    w.object(|w| {
+        w.field("name", ev.name);
+        match end {
+            Some(end) => {
+                let dur = end.saturating_sub(ev.t_ns);
+                w.field("ph", "X")
+                    .field("ts", us(ev.t_ns))
+                    .field("dur", us(dur))
+            }
+            None => w.field("ph", "i").field("ts", us(ev.t_ns)).field("s", "t"),
+        };
+        w.field("pid", 1u32).field("tid", tid);
+        if !ev.detail.is_empty() || ev.root {
+            w.key("args").object(|w| {
+                if !ev.detail.is_empty() {
+                    w.field("detail", &ev.detail);
+                }
+                if ev.root {
+                    w.field("root", true);
+                }
+            });
+        }
+    });
 }
 
 /// Renders per-thread event buffers (as returned by
 /// [`crate::Tracer::events`]) as a Chrome-trace JSON document.
 #[must_use]
 pub fn chrome_trace_json(threads: &[Vec<Event>]) -> String {
-    let mut lines: Vec<String> = Vec::new();
-    for (i, events) in threads.iter().enumerate() {
-        let tid = i + 1;
-        let last_ts = events.last().map_or(0, |e| e.t_ns);
-        // (name, detail, root, start) of currently-open spans.
-        let mut stack: Vec<(&'static str, &str, bool, u64)> = Vec::new();
-        for ev in events {
-            match ev.kind {
-                EventKind::Begin => stack.push((ev.name, &ev.detail, ev.root, ev.t_ns)),
-                EventKind::End => {
-                    if let Some((name, detail, root, start)) = stack.pop() {
-                        lines.push(span_json(name, detail, root, start, ev.t_ns, tid));
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("traceEvents").array(|w| {
+            for (i, events) in threads.iter().enumerate() {
+                let tid = i + 1;
+                let last_ts = events.last().map_or(0, |e| e.t_ns);
+                // Begin events of the currently-open spans.
+                let mut open: Vec<&Event> = Vec::new();
+                for ev in events {
+                    match ev.kind {
+                        EventKind::Begin => open.push(ev),
+                        EventKind::End => {
+                            if let Some(begin) = open.pop() {
+                                event_json(w, begin, Some(ev.t_ns), tid);
+                            }
+                        }
+                        EventKind::Instant => event_json(w, ev, None, tid),
                     }
                 }
-                EventKind::Instant => {
-                    lines.push(instant_json(ev.name, &ev.detail, ev.root, ev.t_ns, tid));
+                // Spans still open at collection close at the last timestamp.
+                while let Some(begin) = open.pop() {
+                    event_json(w, begin, Some(last_ts), tid);
                 }
             }
-        }
-        // Spans still open at collection close at the last timestamp.
-        while let Some((name, detail, root, start)) = stack.pop() {
-            lines.push(span_json(name, detail, root, start, last_ts, tid));
-        }
-    }
-    format!(
-        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\",\
-         \"otherData\":{{\"generator\":\"nimage-trace\"}}}}",
-        lines.join(",\n")
-    )
+        });
+        w.field("displayTimeUnit", "ms");
+        w.key("otherData").object(|w| {
+            w.field("generator", "nimage-trace");
+        });
+    });
+    w.finish()
 }
 
 #[cfg(test)]

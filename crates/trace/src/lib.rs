@@ -2,7 +2,8 @@
 //!
 //! The observability layer behind the engine's stage timings, the
 //! `nimage bench --trace-out` Chrome-trace export and the versioned JSON
-//! report (DESIGN.md §14).
+//! report (DESIGN.md §14), plus [`JsonWriter`], the one writer every JSON
+//! document of the workspace is rendered through.
 //!
 //! ## Model
 //!
@@ -33,10 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod tree;
 
 pub use chrome::chrome_trace_json;
+pub use json::JsonWriter;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use tree::{
     aggregate, canonical_shape, logical_roots, physical_forest, NodeKind, SpanNode, StageAgg,

@@ -6,6 +6,8 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::json::JsonWriter;
+
 /// A log₂-bucketed histogram: bucket `i` holds values whose bit length
 /// is `i` (bucket 0 holds zero), so `[1,1]→b1`, `[2,3]→b2`, `[4,7]→b3`…
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,69 +142,36 @@ impl MetricsSnapshot {
     /// `{"counters":{...},"gauges":{...},"histograms":{k:{count,sum,min,max,mean}}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_string(k)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(k), json_f64(*v)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
-                json_string(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                json_f64(h.mean()),
-            ));
-        }
-        out.push_str("}}");
-        out
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
-}
 
-/// JSON string literal (quotes + escapes) for `s`.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON-safe rendering of an `f64` (JSON has no NaN/Inf — clamp to 0).
-#[must_use]
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them numbers.
-        s
-    } else {
-        "0".to_string()
+    /// Writes [`MetricsSnapshot::to_json`]'s object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("counters").object(|w| {
+                for (k, v) in &self.counters {
+                    w.field(k, v);
+                }
+            });
+            w.key("gauges").object(|w| {
+                for (k, v) in &self.gauges {
+                    w.field(k, v);
+                }
+            });
+            w.key("histograms").object(|w| {
+                for (k, h) in &self.histograms {
+                    w.key(k).object(|w| {
+                        w.field("count", h.count)
+                            .field("sum", h.sum)
+                            .field("min", h.min)
+                            .field("max", h.max)
+                            .field("mean", h.mean());
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -57,7 +57,7 @@ struct ReadmeDoctests;
 
 pub use nimage_core::{
     ArtifactCache, BuildOptions, BuildParts, BuildRequest, CacheKey, CellReport, Engine,
-    EngineOptions, EngineStats, EvalOutcome, EvalRequest, Evaluation, MatrixCell, Memo, MemoStats,
+    EngineOptions, EvalOutcome, EvalRequest, Evaluation, MatrixCell, Memo, MemoStats,
     MetricsSnapshot, Pipeline, PipelineError, ProfiledArtifacts, Report, RunParts, StageReport,
     StageTimes, Strategy, TraceOptions, TraceSummary, Tracer, WorkloadSpec, REPORT_VERSION,
 };

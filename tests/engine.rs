@@ -5,7 +5,7 @@
 
 use nimage::vm::StopWhen;
 use nimage::workloads::{Awfy, RuntimeScale};
-use nimage::{BuildOptions, Engine, EngineOptions, Pipeline, Strategy, WorkloadSpec};
+use nimage::{BuildOptions, Engine, EngineOptions, EvalRequest, Pipeline, Strategy, WorkloadSpec};
 
 /// Every observable field of an evaluation, rendered deterministically for
 /// comparison: plain Debug for the value-like fields, and the call-count
@@ -101,7 +101,7 @@ fn engine_computes_shared_artifacts_once_per_workload() {
 
     let by_name = |name: &str| {
         engine
-            .stats()
+            .report(&EvalRequest::new(), &[])
             .cache
             .iter()
             .find(|m| m.name == name)
@@ -129,12 +129,12 @@ fn engine_computes_shared_artifacts_once_per_workload() {
 
     // A second pass over the same workload is answered from the cache:
     // no stage misses again.
-    let misses_before: u64 = engine.stats().cache_misses();
+    let misses_before: u64 = engine.report(&EvalRequest::new(), &[]).cache_misses();
     engine
         .evaluate_matrix(std::slice::from_ref(&spec), &strategies)
         .unwrap();
     assert_eq!(
-        engine.stats().cache_misses(),
+        engine.report(&EvalRequest::new(), &[]).cache_misses(),
         misses_before,
         "fully warm cache must not recompute anything"
     );
@@ -148,11 +148,14 @@ fn engine_reports_stage_times_for_computed_work() {
     engine
         .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
         .unwrap();
-    let stages = engine.stats().stages;
-    assert!(stages.total_ns() > 0);
+    let stages = engine.report(&EvalRequest::new(), &[]).stages;
+    assert!(stages.iter().map(|s| s.exclusive_ns).sum::<u64>() > 0);
     for required in ["analyze", "compile", "snapshot", "order", "layout", "run"] {
-        let (_, ns) = stages.iter().find(|(n, _)| *n == required).unwrap();
-        assert!(ns > 0, "stage {required} must have recorded wall-clock");
+        let stage = stages.iter().find(|s| s.name == required).unwrap();
+        assert!(
+            stage.exclusive_ns > 0,
+            "stage {required} must have recorded wall-clock"
+        );
     }
 }
 
@@ -178,7 +181,7 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
             .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
             .unwrap();
         let rows: Vec<String> = cells.iter().map(|c| render(c.strategy, &c.eval)).collect();
-        let stats = engine.stats();
+        let stats = engine.report(&EvalRequest::new(), &[]);
         let spans = nimage_trace::aggregate(&engine.tracer().events());
         let count = |name: &str| spans.get(name).map_or(0, |a| a.count);
         let executions = engine
