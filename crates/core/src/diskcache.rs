@@ -50,10 +50,12 @@ use crate::ProfiledArtifacts;
 /// keys change (v4: the structural program fingerprint; v5: the
 /// `baseline-run` entry carries the run's access log, and the per-CU
 /// `lower` stage is gone; v6: every strategy's plan lives under the
-/// `order` stage, which replaces `optimize`); old entries are invisible to
+/// `order` stage, which replaces `optimize`; v7: the program fingerprint
+/// is absorbed a word per write instead of streamed through MurmurHash3,
+/// so every key moved); old entries are invisible to
 /// the new version (they live under the old `v<N>` directory) and get
 /// removed by `nimage cache clear`.
-pub const DISK_FORMAT_VERSION: u32 = 6;
+pub const DISK_FORMAT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 4] = b"NIMC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

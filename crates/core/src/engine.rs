@@ -311,12 +311,16 @@ impl Engine {
     {
         memo.get_or_try(key, || {
             if let Some(d) = &self.disk {
-                if let Some(v) = d.get_checked::<T>(stage, key, check) {
-                    // Root instant: which caller performs the (exactly
-                    // once per key) disk probe is scheduling-dependent,
-                    // but the probe's outcome is not.
-                    self.tracer
-                        .root_instant("disk-hit", || format!("stage={stage}"));
+                // Root span over read, validate, decode and check: which
+                // caller performs the (exactly once per key) disk probe is
+                // scheduling-dependent, but the probe's outcome is not.
+                let hit = {
+                    let _s = self
+                        .tracer
+                        .root_span("disk-load", || format!("stage={stage}"));
+                    d.get_checked::<T>(stage, key, check)
+                };
+                if let Some(v) = hit {
                     return Ok(v);
                 }
             }

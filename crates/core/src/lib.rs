@@ -337,8 +337,8 @@ pub struct LayoutOrders {
 impl LayoutOrders {
     /// Whether these orders can lay out the build `(compiled, snapshot)`
     /// under `options`: each order present covers its whole section —
-    /// every CU, every snapshot object, every native-tail page. With the
-    /// permutation and uniqueness checks of the disk decode, a plan that
+    /// every CU, every snapshot object exactly once, every native-tail
+    /// page. With the permutation checks of the disk decode, a plan that
     /// passes this never panics [`BinaryImage::build`] or
     /// [`BinaryImage::set_native_page_order`].
     pub fn fits(
@@ -350,15 +350,33 @@ impl LayoutOrders {
         self.cu_order
             .as_ref()
             .is_none_or(|o| o.len() == compiled.cus.len())
-            && self.object_order.as_ref().is_none_or(|o| {
-                o.len() == snapshot.entries().len()
-                    && o.iter().all(|&obj| snapshot.entry(obj).is_some())
-            })
+            && self
+                .object_order
+                .as_ref()
+                .is_none_or(|o| is_entry_permutation(o, snapshot))
             && self
                 .native_order
                 .as_ref()
                 .is_none_or(|o| o.len() as u64 == options.native_pages())
     }
+}
+
+/// Whether `order` names every entry of `snapshot` exactly once: one pass
+/// over a seen-bitmap indexed by default-order position.
+fn is_entry_permutation(order: &[ObjId], snapshot: &HeapSnapshot) -> bool {
+    if order.len() != snapshot.entries().len() {
+        return false;
+    }
+    let mut seen = vec![false; order.len()];
+    order
+        .iter()
+        .all(|&obj| match snapshot.index_of(obj).map(|i| &mut seen[i]) {
+            Some(s) if !*s => {
+                *s = true;
+                true
+            }
+            _ => false,
+        })
 }
 
 /// Predicted major-fault counts of the layout optimizer's candidate search:

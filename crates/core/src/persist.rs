@@ -690,15 +690,10 @@ impl DiskCodec for LayoutOrders {
             Some(perm(r)?.into_iter().map(CuId).collect::<Vec<_>>())
         })?;
         // Object ids are sparse (folded objects leave holes), so the order
-        // is duplicate-free but not a permutation of `0..len`.
+        // is not a permutation of `0..len`; `LayoutOrders::fits` checks it
+        // against the snapshot it is laid out with.
         let object_order = decode_option(r, |r| {
-            let ids = decode_u32_seq(r)?;
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            sorted
-                .windows(2)
-                .all(|w| w[0] != w[1])
-                .then(|| ids.into_iter().map(ObjId).collect::<Vec<_>>())
+            Some(decode_u32_seq(r)?.into_iter().map(ObjId).collect())
         })?;
         let native_order = decode_option(r, perm)?;
         let predicted = decode_option(r, |r| {

@@ -12,9 +12,9 @@ use nimage_compiler::InstrumentConfig;
 use nimage_core::{
     BuildOptions, CacheKey, DiskCacheOptions, DiskCodec, DiskStore, Engine, EngineOptions,
     EvalRequest, LayoutOrders, LayoutPrediction, Pipeline, PredictedFaults, RunParts, Strategy,
-    WorkloadSpec,
+    WorkloadSpec, DISK_FORMAT_VERSION,
 };
-use nimage_heap::ObjId;
+use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
 use nimage_workloads::{Awfy, RuntimeScale};
@@ -225,6 +225,48 @@ fn version_mismatch_invalidates() {
     std::fs::write(&path, &data).unwrap();
     assert_eq!(store.get::<HashMap<ObjId, u64>>("assign-ids", key), None);
     assert_eq!(store.stats().rejected, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache directory the previous format version wrote — entries under
+/// `v<N-1>/` with version `N-1` headers — reads as misses: a new engine
+/// neither hits nor rejects them, and recomputes the same rows.
+#[test]
+fn a_previous_format_version_directory_reads_as_misses() {
+    let dir = cache_root("prevformat");
+    let program = Awfy::Sieve.program_at(&RuntimeScale::small());
+    let evaluate = || {
+        let engine = Engine::new(EngineOptions {
+            n_threads: 1,
+            disk: Some(DiskCacheOptions::at(&dir)),
+            trace: Default::default(),
+        });
+        let spec = WorkloadSpec::new("t", &program, BuildOptions::default(), StopWhen::Exit);
+        let cells = engine
+            .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
+            .unwrap();
+        let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
+        (rows, engine.report(&EvalRequest::new(), &[]).disk.unwrap())
+    };
+    let (cold_rows, _) = evaluate();
+
+    let current = DiskStore::open(&DiskCacheOptions::at(&dir))
+        .root()
+        .to_path_buf();
+    let previous = dir.join(format!("v{}", DISK_FORMAT_VERSION - 1));
+    std::fs::rename(&current, &previous).unwrap();
+    let entries = bin_entries(&previous);
+    assert!(!entries.is_empty());
+    for path in &entries {
+        let mut data = std::fs::read(path).unwrap();
+        data[4..8].copy_from_slice(&(DISK_FORMAT_VERSION - 1).to_le_bytes());
+        std::fs::write(path, &data).unwrap();
+    }
+
+    let (warm_rows, stats) = evaluate();
+    assert_eq!((stats.hits, stats.rejected), (0, 0), "{stats:?}");
+    assert!(stats.misses > 0 && stats.stores > 0, "{stats:?}");
+    assert_eq!(cold_rows, warm_rows);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -700,13 +742,17 @@ fn a_logged_run_that_does_not_fit_the_build_is_recomputed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every strategy's `order` plan that is intact on disk but does not fit
-/// the build (here: a one-CU code order for a build of many CUs) is
-/// rejected when loaded and the plan is recomputed — never handed to the
-/// layout, which panics on an order that does not cover its section.
-#[test]
-fn a_plan_that_does_not_fit_the_build_is_recomputed() {
-    let dir = cache_root("badplan");
+/// Evaluates small Sieve cold, rewrites every persisted `order` plan —
+/// under a valid header and checksum — with `bad_plan(optimized
+/// snapshot)`, and evaluates again: each plan must be rejected when
+/// loaded and recomputed (never handed to the layout, which panics on an
+/// order that does not cover its section), with rows equal to the cold
+/// run's.
+fn plans_that_do_not_fit_are_recomputed(
+    tag: &str,
+    bad_plan: impl Fn(&HeapSnapshot) -> LayoutOrders,
+) {
+    let dir = cache_root(tag);
     let program = Awfy::Sieve.program_at(&RuntimeScale::small());
     let evaluate = || {
         let engine = Engine::new(EngineOptions {
@@ -724,15 +770,23 @@ fn a_plan_that_does_not_fit_the_build_is_recomputed() {
     };
     let (cold_rows, _) = evaluate();
 
-    // Rewrite every persisted plan, under a valid header and checksum,
-    // with a code order that covers one CU.
+    // The optimized build's snapshot is the persisted one with PEA-folded
+    // objects (the instrumented build folds none).
     let store = DiskStore::open(&DiskCacheOptions::at(&dir));
-    let one_cu = LayoutOrders {
-        cu_order: Some(vec![CuId(0)]),
-        ..LayoutOrders::default()
-    };
+    let snapshots: Vec<HeapSnapshot> = bin_entries(&store.root().join("snapshot"))
+        .iter()
+        .map(|path| {
+            store
+                .get("snapshot", key_of(path))
+                .expect("persisted snapshot")
+        })
+        .collect();
+    let optimized = snapshots
+        .iter()
+        .find(|s| !s.folded().is_empty())
+        .expect("the optimized snapshot folds objects");
     let mut payload = Vec::new();
-    one_cu.encode(&mut payload);
+    bad_plan(optimized).encode(&mut payload);
     let plans = bin_entries(&store.root().join("order"));
     assert_eq!(plans.len(), Strategy::all().len());
     for path in &plans {
@@ -744,4 +798,49 @@ fn a_plan_that_does_not_fit_the_build_is_recomputed() {
     assert_eq!(order.stores, plans.len() as u64, "{order:?}");
     assert_eq!(cold_rows, warm_rows);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The snapshot's objects in default order: an object order that fits.
+fn default_object_order(snapshot: &HeapSnapshot) -> Vec<ObjId> {
+    snapshot.entries().iter().map(|e| e.obj).collect()
+}
+
+/// A one-CU code order, for a build of many CUs.
+#[test]
+fn a_plan_that_does_not_fit_the_build_is_recomputed() {
+    plans_that_do_not_fit_are_recomputed("badplan", |_| LayoutOrders {
+        cu_order: Some(vec![CuId(0)]),
+        ..LayoutOrders::default()
+    });
+}
+
+/// An object order of the right length that names one object twice (and
+/// so misses another).
+#[test]
+fn a_plan_that_repeats_an_object_is_recomputed() {
+    plans_that_do_not_fit_are_recomputed("dupplan", |snapshot| {
+        let mut order = default_object_order(snapshot);
+        let last = order.len() - 1;
+        order[last] = order[0];
+        LayoutOrders {
+            object_order: Some(order),
+            ..LayoutOrders::default()
+        }
+    });
+}
+
+/// An object order of the right length that names an object the snapshot
+/// does not hold: one PEA folded away.
+#[test]
+fn a_plan_that_names_a_folded_object_is_recomputed() {
+    plans_that_do_not_fit_are_recomputed("foldplan", |snapshot| {
+        let mut order = default_object_order(snapshot);
+        let folded = *snapshot.folded().iter().min().expect("a folded object");
+        assert!(snapshot.entry(folded).is_none());
+        order[0] = folded;
+        LayoutOrders {
+            object_order: Some(order),
+            ..LayoutOrders::default()
+        }
+    });
 }

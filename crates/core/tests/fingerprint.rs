@@ -5,7 +5,7 @@
 
 use nimage_core::CacheKey;
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
-use nimage_workloads::Microservice;
+use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 fn key(p: &Program) -> CacheKey {
     CacheKey::of_hash("program", p)
@@ -88,19 +88,18 @@ fn tiny(s: &Shape) -> Program {
     pb.build().expect("valid program")
 }
 
-/// Pinned since disk format v4, and unchanged by v5 and v6 (which changed
-/// the `baseline-run` payload, dropped the `lower` stage and moved the
-/// plans to the `order` stage, not how the program is fingerprinted). If
-/// this fails, the byte sequence `Program`'s `Hash` writes (or the
-/// hasher, seed or tag framing) changed, and every `nimage` disk cache
-/// in the wild now misses on every key: when the change is intended, bump
-/// `DISK_FORMAT_VERSION` so the dead entries can be told apart and
-/// collected, then update the constant.
+/// Pinned since disk format v7, which replaced the MurmurHash3 stream
+/// with the fingerprint's own word hasher. If this fails, the sequence of
+/// writes `Program`'s `Hash` makes (or the hasher, seed or tag framing)
+/// changed, and every `nimage` disk cache in the wild now misses on every
+/// key: when the change is intended, bump `DISK_FORMAT_VERSION` so the
+/// dead entries can be told apart and collected, then update the
+/// constant.
 #[test]
 fn golden_key_of_a_tiny_program_is_pinned() {
     assert_eq!(
         key(&tiny(&Shape::base())),
-        CacheKey(0xb70a_beb6_3862_2ca1, 0xe8d1_42dd_9f15_10cf)
+        CacheKey(0x8ddc_583e_f36e_17b9, 0x48fa_c805_b316_bb2c)
     );
 }
 
@@ -163,4 +162,29 @@ fn bundled_program_keys_are_stable_and_see_the_public_fields() {
         .expect("bundled resources")
         .size += 1;
     assert_ne!(base, key(&resized));
+}
+
+/// Every bundled program — the three microservices and the fourteen AWFY
+/// programs, each at the default and the small runtime scale — has a key
+/// of its own.
+#[test]
+fn bundled_programs_have_pairwise_distinct_keys() {
+    let mut keyed: Vec<(String, CacheKey)> = vec![];
+    for (at, scale) in [
+        ("default", RuntimeScale::default()),
+        ("small", RuntimeScale::small()),
+    ] {
+        for m in Microservice::all() {
+            keyed.push((format!("{m:?} {at}"), key(&m.program_at(&scale))));
+        }
+        for a in Awfy::all() {
+            keyed.push((format!("{} {at}", a.name()), key(&a.program_at(&scale))));
+        }
+    }
+    assert_eq!(keyed.len(), 34);
+    for (i, (a, ka)) in keyed.iter().enumerate() {
+        for (b, kb) in &keyed[i + 1..] {
+            assert_ne!(ka, kb, "{a} fingerprints like {b}");
+        }
+    }
 }

@@ -110,8 +110,26 @@ impl Default for HeapBuildConfig {
 pub struct HeapSnapshot {
     heap: BuildHeap,
     entries: Vec<SnapEntry>,
-    index_of: HashMap<ObjId, usize>,
+    /// Default-order position of every heap object, indexed by `ObjId`
+    /// (dense by construction, [`BuildHeap::alloc`]); [`ABSENT`] for an
+    /// object the snapshot does not include.
+    index_of: Vec<u32>,
     folded: HashSet<ObjId>,
+}
+
+/// The [`HeapSnapshot`] index slot of an object that is not included.
+const ABSENT: u32 = u32::MAX;
+
+/// The dense index of `entries` over a heap of `n_objects` objects.
+///
+/// # Panics
+/// If an entry's object lies outside the heap.
+fn dense_index(n_objects: usize, entries: &[SnapEntry]) -> Vec<u32> {
+    let mut index = vec![ABSENT; n_objects];
+    for (i, e) in entries.iter().enumerate() {
+        index[e.obj.index()] = i as u32;
+    }
+    index
 }
 
 impl HeapSnapshot {
@@ -119,16 +137,16 @@ impl HeapSnapshot {
     /// [`HeapSnapshot::heap`]/[`HeapSnapshot::entries`]/[`HeapSnapshot::folded`]),
     /// recomputing the index; used when deserializing a persisted
     /// snapshot.
+    ///
+    /// # Panics
+    /// If an entry's object lies outside `heap` (the disk decode checks
+    /// every id against the heap before it gets here).
     pub fn from_parts(
         heap: BuildHeap,
         entries: Vec<SnapEntry>,
         folded: HashSet<ObjId>,
     ) -> HeapSnapshot {
-        let index_of = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.obj, i))
-            .collect();
+        let index_of = dense_index(heap.len(), &entries);
         HeapSnapshot {
             heap,
             entries,
@@ -148,13 +166,19 @@ impl HeapSnapshot {
     }
 
     /// The snapshot entry for `obj`, if included.
+    #[inline]
     pub fn entry(&self, obj: ObjId) -> Option<&SnapEntry> {
-        self.index_of.get(&obj).map(|&i| &self.entries[i])
+        self.index_of(obj).map(|i| &self.entries[i])
     }
 
-    /// Default-order index of `obj`, if included.
+    /// Default-order index of `obj`, if included. `None` also for an id
+    /// outside the heap.
+    #[inline]
     pub fn index_of(&self, obj: ObjId) -> Option<usize> {
-        self.index_of.get(&obj).copied()
+        match self.index_of.get(obj.index()) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Objects removed from the snapshot by PEA folding; at run time their
@@ -303,7 +327,7 @@ pub fn snapshot(
     // One traversal in root order against a shared `index_of`: an object
     // belongs to the first root that reaches it (Sec. 5.3).
     let mut entries: Vec<SnapEntry> = vec![];
-    let mut index_of: HashMap<ObjId, usize> = HashMap::new();
+    let mut index_of = vec![ABSENT; heap.len()];
     for (obj, reason, cu) in &roots {
         include(
             &heap,
@@ -351,18 +375,19 @@ fn include(
     heap: &BuildHeap,
     program: &Program,
     entries: &mut Vec<SnapEntry>,
-    index_of: &mut HashMap<ObjId, usize>,
+    index_of: &mut [u32],
     obj: ObjId,
     reason: &InclusionReason,
     cu: Option<CuId>,
 ) {
-    if index_of.contains_key(&obj) {
+    let included = |index_of: &[u32], o: ObjId| index_of[o.index()] != ABSENT;
+    if included(index_of, obj) {
         return;
     }
     let mut stack: Vec<(ObjId, Option<(ObjId, ParentLink)>)> = vec![(obj, None)];
     let mut first = true;
     while let Some((o, parent)) = stack.pop() {
-        if index_of.contains_key(&o) {
+        if included(index_of, o) {
             continue;
         }
         let entry = SnapEntry {
@@ -373,14 +398,14 @@ fn include(
             cu,
         };
         first = false;
-        index_of.insert(o, entries.len());
+        index_of[o.index()] = entries.len() as u32;
         entries.push(entry);
 
         let hobj = heap.get(o);
         let refs = hobj.references();
         // Push in reverse so the DFS visits slots in ascending order.
         for &(slot, child) in refs.iter().rev() {
-            if index_of.contains_key(&child) {
+            if included(index_of, child) {
                 continue;
             }
             let Some(link) = child_link(program, hobj, slot) else {
@@ -429,11 +454,11 @@ fn apply_pea_folding(
     // still expects a materialized object, so it must never fold. This is
     // the invariant `nimage-verify`'s PEA-soundness audit re-checks
     // independently.
-    let mut inbound: HashMap<ObjId, u32> = HashMap::new();
+    let mut inbound = vec![0u32; snap.heap.len()];
     for e in &snap.entries {
         for (_, child) in snap.heap.get(e.obj).references() {
-            if snap.index_of.contains_key(&child) {
-                *inbound.entry(child).or_insert(0) += 1;
+            if snap.index_of(child).is_some() {
+                inbound[child.index()] += 1;
             }
         }
     }
@@ -444,7 +469,7 @@ fn apply_pea_folding(
         if !matches!(snap.heap.get(e.obj).kind, HObjectKind::Instance { .. }) {
             continue;
         }
-        if inbound.get(&e.obj).copied().unwrap_or(0) != 1 {
+        if inbound[e.obj.index()] != 1 {
             continue;
         }
         let divisor = if parents.contains(&e.obj) {
@@ -492,11 +517,7 @@ fn apply_pea_folding(
         }
         new_entries.push(e);
     }
-    snap.index_of = new_entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.obj, i))
-        .collect();
+    snap.index_of = dense_index(snap.heap.len(), &new_entries);
     snap.entries = new_entries;
     snap.folded = folded;
 }
