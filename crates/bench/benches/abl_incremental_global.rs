@@ -122,7 +122,7 @@ fn stable_fraction(
                 if p.class(*class).name == "abl.Config" =>
             {
                 match fields[0] {
-                    nimage_heap::HValue::Int(v) => Some(v),
+                    nimage_ir::Value::Int(v) => Some(v),
                     _ => None,
                 }
             }

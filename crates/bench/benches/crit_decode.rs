@@ -11,6 +11,8 @@
 //!   against the build, as the engine checks a plan loaded from disk.
 //! - `snapshot/entry` — `HeapSnapshot::entry` for every heap object, the
 //!   lookup the layout makes per placed object.
+//! - `snapshot/fits` — `HeapSnapshot::fits` against the program, as the
+//!   engine checks a snapshot loaded from disk.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_bench::profile_program;
@@ -73,6 +75,9 @@ fn bench_decode(c: &mut Criterion) {
                 .map(|e| u64::from(e.size))
                 .sum::<u64>()
         })
+    });
+    c.bench_function("snapshot/fits", |b| {
+        b.iter(|| std::hint::black_box(snap).fits(&program))
     });
 }
 

@@ -8,9 +8,10 @@
 //!   `LoweredProgram` is supplied). `legacy` is the reference interpreter;
 //!   the name is kept so the series stays comparable across PRs.
 //! - `dispatch/lowered_shared` — the engine's steady state: one
-//!   `Arc<LoweredProgram>` + `Arc<HeapTemplate>` built up front and
-//!   shared across iterations, so the measured cost is pure step-loop
-//!   dispatch. This is the configuration the eval matrix runs in.
+//!   `Arc<LoweredProgram>` built up front and shared across iterations
+//!   (the VM reads the snapshot heap in place), so the measured cost is
+//!   pure step-loop dispatch. This is the configuration the eval matrix
+//!   runs in.
 //! - `dispatch/instrumented_shared` — the same steady state on the
 //!   `InstrumentConfig::FULL` Bounce build: path profiling, heap tracing
 //!   and probe costs, about two thirds of AWFY interpreter time.
@@ -19,23 +20,27 @@
 //! - `dispatch/int_shared` — the steady state on Queens-small, whose hot
 //!   loops are `Int` arithmetic, comparisons and array reads.
 //! - `lowering/build` — the one-time lowering pass itself.
+//! - `vm_build/micronaut` — `VmBuilder::build` on micronaut's optimized
+//!   build: the per-run setup every execution pays before its first
+//!   instruction, the runtime heap over the snapshot included.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nimage_bench::profile_program;
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, Pipeline, RunParts};
 use nimage_ir::Program;
-use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder};
-use nimage_workloads::{Awfy, RuntimeScale};
+use nimage_profiler::DumpMode;
+use nimage_vm::{LoweredProgram, StopWhen, VmBuilder};
+use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 /// Benches runs of `program`'s `instrument` build with the lowered program
-/// and heap template built once and shared, as the engine runs a build.
+/// built once and shared, as the engine runs a build.
 fn bench_shared(c: &mut Criterion, id: &str, program: &Program, instrument: InstrumentConfig) {
     let o = BuildOptions::default();
     let p = Pipeline::new(program, o.clone());
     let built = p.build_instrumented(instrument).unwrap();
-    let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
     let lowered = Arc::new(LoweredProgram::build(
         program,
         &built.compiled,
@@ -49,7 +54,6 @@ fn bench_shared(c: &mut Criterion, id: &str, program: &Program, instrument: Inst
                     &built.snapshot,
                     &built.image,
                 )
-                .heap(Some(template.clone()))
                 .lowered(Some(lowered.clone())),
                 StopWhen::Exit,
             )
@@ -81,7 +85,7 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| vm().run(StopWhen::Exit).unwrap())
     });
 
-    // Steady state: lowering and heap materialization amortized away.
+    // Steady state: lowering amortized away.
     bench_shared(
         c,
         "dispatch/lowered_shared",
@@ -121,5 +125,27 @@ fn bench_lowering(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_dispatch, bench_lowering);
+fn bench_vm_build(c: &mut Criterion) {
+    let program = Microservice::Micronaut.program();
+    let (pipeline, artifacts) =
+        profile_program(&program, StopWhen::FirstResponse, DumpMode::MemoryMapped);
+    let built = pipeline
+        .build_optimized(&artifacts, None)
+        .expect("optimized build");
+    c.bench_function("vm_build/micronaut", |b| {
+        b.iter(|| {
+            let built = std::hint::black_box(&built);
+            VmBuilder::new(
+                &program,
+                &built.compiled,
+                &built.snapshot,
+                &built.image,
+                pipeline.options().vm.clone(),
+            )
+            .build()
+        })
+    });
+}
+
+criterion_group!(benches, bench_dispatch, bench_lowering, bench_vm_build);
 criterion_main!(benches);

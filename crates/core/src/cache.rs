@@ -26,7 +26,7 @@ use nimage_compiler::CompiledProgram;
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_order::murmur3;
-use nimage_vm::{AccessLog, HeapTemplate, LoweredProgram, RunReport};
+use nimage_vm::{AccessLog, LoweredProgram, RunReport};
 
 use nimage_analysis::Reachability;
 
@@ -362,8 +362,6 @@ pub struct ArtifactCache {
     /// measurement plus its access log, from which every strategy cell
     /// pages its own layout ([`nimage_vm::relayout`]).
     pub runs: Memo<(RunReport, AccessLog)>,
-    /// Materialized snapshot heaps shared by every run of one snapshot.
-    pub heap_templates: Memo<HeapTemplate>,
     /// Full profiling-run artifacts (instrumented build + run + replay),
     /// keyed by program + options.
     pub profiles: Memo<ProfiledArtifacts>,
@@ -389,7 +387,6 @@ impl ArtifactCache {
             heap_ids: Memo::new("assign-ids"),
             images: Memo::new("layout"),
             runs: Memo::new("baseline-run"),
-            heap_templates: Memo::new("heap-template"),
             profiles: Memo::new("profile"),
             lowered: Memo::new("lower"),
             plans: Memo::new("order"),
@@ -405,7 +402,6 @@ impl ArtifactCache {
             self.heap_ids.stats(),
             self.images.stats(),
             self.runs.stats(),
-            self.heap_templates.stats(),
             self.profiles.stats(),
             self.lowered.stats(),
             self.plans.stats(),

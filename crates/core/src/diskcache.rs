@@ -36,11 +36,10 @@ use std::time::{Duration, SystemTime};
 
 use nimage_compiler::CallCountProfile;
 use nimage_heap::ObjId;
+use nimage_ir::Value;
 use nimage_order::{murmur3, CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 use nimage_profiler::{read_trace, write_trace, SessionStats, Trace};
-use nimage_vm::{
-    AccessLog, ExitKind, PageState, ResponsePoint, RtValue, RunReport, SectionFaults, Touch,
-};
+use nimage_vm::{AccessLog, ExitKind, PageState, ResponsePoint, RunReport, SectionFaults, Touch};
 
 use crate::cache::CacheKey;
 use crate::ProfiledArtifacts;
@@ -672,6 +671,46 @@ impl DiskCodec for SectionFaults {
     }
 }
 
+/// Writes a [`Value`]: a tag byte (null, bool, int, double, reference),
+/// then its payload.
+pub(crate) fn encode_value(out: &mut Vec<u8>, v: Value) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Bool(b) => {
+            out.push(1);
+            out.push(u8::from(b));
+        }
+        Value::Int(i) => {
+            out.push(2);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(3);
+            out.extend_from_slice(&d.to_bits().to_le_bytes());
+        }
+        Value::Ref(x) => {
+            out.push(4);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+/// Reads a value [`encode_value`] wrote; a reference is not range-checked.
+pub(crate) fn decode_value(r: &mut Reader<'_>) -> Option<Value> {
+    Some(match r.u8()? {
+        0 => Value::Null,
+        1 => match r.u8()? {
+            0 => Value::Bool(false),
+            1 => Value::Bool(true),
+            _ => return None,
+        },
+        2 => Value::Int(r.i64()?),
+        3 => Value::Double(r.f64()?),
+        4 => Value::Ref(r.u32()?),
+        _ => return None,
+    })
+}
+
 pub(crate) fn encode_option<T>(out: &mut Vec<u8>, v: &Option<T>, f: impl FnOnce(&T, &mut Vec<u8>)) {
     match v {
         Some(v) => {
@@ -769,25 +808,7 @@ impl DiskCodec for RunReport {
             ExitKind::FirstResponse => 1,
             ExitKind::OpsBudget => 2,
         });
-        encode_option(out, &self.entry_return, |v, out| match v {
-            RtValue::Null => out.push(0),
-            RtValue::Bool(b) => {
-                out.push(1);
-                out.push(u8::from(*b));
-            }
-            RtValue::Int(i) => {
-                out.push(2);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            RtValue::Double(d) => {
-                out.push(3);
-                out.extend_from_slice(&d.to_bits().to_le_bytes());
-            }
-            RtValue::Ref(x) => {
-                out.push(4);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        });
+        encode_option(out, &self.entry_return, |v, out| encode_value(out, *v));
         out.extend_from_slice(&(self.native_touch_pages.len() as u32).to_le_bytes());
         for p in &self.native_touch_pages {
             out.extend_from_slice(&p.to_le_bytes());
@@ -831,18 +852,7 @@ impl DiskCodec for RunReport {
             2 => ExitKind::OpsBudget,
             _ => return None,
         };
-        let entry_return = decode_option(r, |r| match r.u8()? {
-            0 => Some(RtValue::Null),
-            1 => match r.u8()? {
-                0 => Some(RtValue::Bool(false)),
-                1 => Some(RtValue::Bool(true)),
-                _ => None,
-            },
-            2 => Some(RtValue::Int(r.i64()?)),
-            3 => Some(RtValue::Double(r.f64()?)),
-            4 => Some(RtValue::Ref(r.u32()?)),
-            _ => None,
-        })?;
+        let entry_return = decode_option(r, decode_value)?;
         let n = r.u32()? as usize;
         let mut native_touch_pages = Vec::with_capacity(cap_alloc(n, r, 4));
         for _ in 0..n {

@@ -9,9 +9,9 @@
 //! 1. **profiles once per workload** (instrumented build + run + replay),
 //! 2. **caches every shared artifact** content-keyed in an
 //!    [`ArtifactCache`] — reachability, both compiles, both snapshots,
-//!    strategy ID maps, the materialized snapshot heap, the baseline
-//!    layout and the baseline measurement are each computed exactly once
-//!    per workload and shared by all strategies,
+//!    strategy ID maps, the baseline layout and the baseline measurement
+//!    are each computed exactly once per workload and shared by all
+//!    strategies,
 //! 3. **executes each optimized build once**: the baseline run also
 //!    records its first-touch [`AccessLog`], and every strategy cell pages
 //!    its own layout from that log ([`Pipeline::relayout`]) instead of
@@ -40,7 +40,7 @@ use nimage_image::BinaryImage;
 use nimage_ir::Program;
 use nimage_order::HeapStrategy;
 use nimage_trace::Tracer;
-use nimage_vm::{AccessLog, HeapTemplate, LoweredProgram, RunReport, StopWhen};
+use nimage_vm::{AccessLog, LoweredProgram, RunReport, StopWhen};
 
 use crate::cache::{ArtifactCache, CacheKey, Memo};
 use crate::diskcache::{DiskCacheOptions, DiskCodec, DiskStore};
@@ -680,10 +680,16 @@ impl Engine {
                 Ok(p.compile_stage((*reach).clone(), instr, pgo.map(|a| &a.call_counts)))
             },
         );
-        let snapshot = self.disk_backed(&self.cache.snapshots, "snapshot", snapshot_key, || {
-            let _s = self.tracer.root_span("snapshot", span_args);
-            p.snapshot_stage(&compiled, heap_cfg)
-        })?;
+        let snapshot = self.disk_backed_checked(
+            &self.cache.snapshots,
+            "snapshot",
+            snapshot_key,
+            |snap| snap.fits(ctx.spec.program),
+            || {
+                let _s = self.tracer.root_span("snapshot", span_args);
+                p.snapshot_stage(&compiled, heap_cfg)
+            },
+        )?;
         Ok(BuildFront {
             compiled,
             compile_key,
@@ -712,23 +718,6 @@ impl Engine {
                 LayoutOrders::default(),
                 None,
             )
-        })
-    }
-
-    /// The materialized heap of one build's snapshot, shared by every run
-    /// of that snapshot.
-    fn template_for(
-        &self,
-        ctx: &Ctx<'_, '_>,
-        key: CacheKey,
-        variant: &'static str,
-        front: &BuildFront,
-    ) -> Arc<HeapTemplate> {
-        self.cache.heap_templates.get_or(key, || {
-            let _s = self.tracer.root_span("snapshot", || {
-                format!("workload={} variant=template:{variant}", ctx.spec.name)
-            });
-            HeapTemplate::from_build_heap(front.snapshot.heap())
         })
     }
 
@@ -769,12 +758,6 @@ impl Engine {
                 "instrumented",
                 &front,
             )?;
-            let template = self.template_for(
-                ctx,
-                ctx.key("heap-template:instrumented"),
-                "instrumented",
-                &front,
-            );
             let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "instrumented");
             let report = {
                 let _s = self.tracer.span_with("run", || {
@@ -783,7 +766,6 @@ impl Engine {
                 self.tracer.count("vm.executions", 1);
                 p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .heap(Some(template))
                         .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
                     ctx.spec.stop,
@@ -800,7 +782,7 @@ impl Engine {
 
     /// The optimized build and its one execution, computed once per
     /// workload and shared by every strategy cell. The execution — default
-    /// layout, heap template, lowered program — happens only when the run
+    /// layout, lowered program — happens only when the run
     /// is neither in memory nor on disk; a disk entry whose log does not
     /// fit the build is rejected and recomputed.
     fn baseline_parts(
@@ -816,8 +798,6 @@ impl Engine {
             ctx.key("run:baseline"),
             |(report, log)| log.fits(report, &front.compiled, &front.snapshot, &p.options().image),
             || {
-                let template =
-                    self.template_for(ctx, ctx.key("heap-template:optimized"), "optimized", &front);
                 let image =
                     self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
                 let lowered =
@@ -828,7 +808,6 @@ impl Engine {
                 self.tracer.count("vm.executions", 1);
                 p.run_logged(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .heap(Some(template))
                         .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
                     ctx.spec.stop,

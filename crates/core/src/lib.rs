@@ -516,14 +516,13 @@ impl From<ReplayError> for PipelineError {
 }
 
 /// The parts of one VM run, as a builder: the three mandatory build
-/// artifacts plus the optional shared state (heap template, pre-lowered
-/// program) and an optional [`Tracer`] for VM-level fault events.
+/// artifacts plus an optional shared pre-lowered program and an optional
+/// [`Tracer`] for VM-level fault events. The VM reads the snapshot heap in
+/// place, so there is no heap state to share.
 ///
 /// ```ignore
 /// pipeline.run(
-///     RunParts::new(&compiled, &snapshot, &image)
-///         .heap(Some(template))
-///         .lowered(lowered),
+///     RunParts::new(&compiled, &snapshot, &image).lowered(lowered),
 ///     StopWhen::Exit,
 /// )?
 /// ```
@@ -532,14 +531,13 @@ pub struct RunParts<'a> {
     compiled: &'a CompiledProgram,
     snapshot: &'a HeapSnapshot,
     image: &'a BinaryImage,
-    heap: Option<Arc<HeapTemplate>>,
     lowered: Option<Arc<LoweredProgram>>,
     tracer: Tracer,
 }
 
 impl<'a> RunParts<'a> {
     /// Starts a run description from the three mandatory build artifacts.
-    /// No heap template, no shared lowered program, tracing disabled.
+    /// No shared lowered program, tracing disabled.
     pub fn new(
         compiled: &'a CompiledProgram,
         snapshot: &'a HeapSnapshot,
@@ -549,17 +547,17 @@ impl<'a> RunParts<'a> {
             compiled,
             snapshot,
             image,
-            heap: None,
             lowered: None,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Shares a pre-materialized heap template: the VM references the
-    /// snapshot heap copy-on-write instead of converting it again.
+    /// Reads nothing: the VM overlays the snapshot heap itself
+    /// ([`nimage_vm::HeapTemplate`] holds nothing). Kept because the repo
+    /// benchmark still calls it; deleted with that benchmark's
+    /// `staged.rs`.
     #[must_use]
-    pub fn heap(mut self, heap: Option<Arc<HeapTemplate>>) -> Self {
-        self.heap = heap;
+    pub fn heap(self, _heap: Option<Arc<HeapTemplate>>) -> Self {
         self
     }
 
@@ -693,7 +691,6 @@ impl<'p> Pipeline<'p> {
             parts.image,
             self.opts.vm.clone(),
         )
-        .heap_template(parts.heap)
         .lowered(parts.lowered)
         .tracer(parts.tracer)
         .build();

@@ -27,17 +27,21 @@ use nimage_compiler::{
     CallCountProfile, CompilationUnit, CompiledProgram, CuId, InlineNode, InstrumentConfig,
 };
 use nimage_heap::{
-    BuildHeap, HObject, HObjectKind, HValue, HeapSnapshot, InclusionReason, ObjId, ParentLink,
-    SnapEntry,
+    BuildHeap, HObject, HObjectKind, HeapSnapshot, InclusionReason, ObjId, ParentLink, SnapEntry,
 };
-use nimage_ir::{BinOp, ClassId, FieldId, Intrinsic, Local, MethodId, SelectorId, TypeRef, UnOp};
+use nimage_ir::{
+    BinOp, ClassId, FieldId, Intrinsic, Local, MethodId, SelectorId, TypeRef, UnOp, Value,
+};
 use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 use nimage_vm::lower::{
     JumpEdge, LoweredCallee, LoweredInstr, LoweredMethod, LoweredPaths, PathEdge,
 };
 use nimage_vm::LoweredShard;
 
-use crate::diskcache::{cap_alloc, decode_option, encode_option, put_string, DiskCodec, Reader};
+use crate::diskcache::{
+    cap_alloc, decode_option, decode_value, encode_option, encode_value, put_string, DiskCodec,
+    Reader,
+};
 use crate::{LayoutOrders, LayoutPrediction, PredictedFaults, ProfiledArtifacts};
 
 fn heap_file_name(strategy: HeapStrategy) -> &'static str {
@@ -400,49 +404,11 @@ fn decode_type_ref(r: &mut Reader<'_>) -> Option<TypeRef> {
     Some(ty)
 }
 
-fn encode_hvalue(out: &mut Vec<u8>, v: &HValue) {
-    match v {
-        HValue::Null => out.push(0),
-        HValue::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        HValue::Int(i) => {
-            out.push(2);
-            put_u64(out, *i as u64);
-        }
-        HValue::Double(d) => {
-            out.push(3);
-            put_u64(out, d.to_bits());
-        }
-        HValue::Ref(o) => {
-            out.push(4);
-            put_u32(out, o.0);
-        }
-    }
-}
-
-fn decode_hvalue(r: &mut Reader<'_>, n_objects: u32) -> Option<HValue> {
-    Some(match r.u8()? {
-        0 => HValue::Null,
-        1 => match r.u8()? {
-            0 => HValue::Bool(false),
-            1 => HValue::Bool(true),
-            _ => return None,
-        },
-        2 => HValue::Int(r.i64()?),
-        3 => HValue::Double(r.f64()?),
-        4 => {
-            let o = r.u32()?;
-            // BuildHeap::get panics out of range; validate here so a
-            // corrupt entry stays a miss.
-            if o >= n_objects {
-                return None;
-            }
-            HValue::Ref(ObjId(o))
-        }
-        _ => return None,
-    })
+/// A heap value: [`decode_value`], with a reference checked against the
+/// heap's `n_objects` objects (`BuildHeap::get` panics out of range, so a
+/// corrupt entry stays a miss).
+fn decode_heap_value(r: &mut Reader<'_>, n_objects: u32) -> Option<Value> {
+    decode_value(r).filter(|v| v.referent().is_none_or(|o| o < n_objects))
 }
 
 fn encode_hobject(out: &mut Vec<u8>, obj: &HObject) {
@@ -452,7 +418,7 @@ fn encode_hobject(out: &mut Vec<u8>, obj: &HObject) {
             put_u32(out, class.0);
             put_u32(out, fields.len() as u32);
             for v in fields {
-                encode_hvalue(out, v);
+                encode_value(out, *v);
             }
         }
         HObjectKind::Array { elem, elems } => {
@@ -460,7 +426,7 @@ fn encode_hobject(out: &mut Vec<u8>, obj: &HObject) {
             encode_type_ref(out, elem);
             put_u32(out, elems.len() as u32);
             for v in elems {
-                encode_hvalue(out, v);
+                encode_value(out, *v);
             }
         }
         HObjectKind::Str(s) => {
@@ -486,7 +452,7 @@ fn decode_hobject(r: &mut Reader<'_>, n_objects: u32) -> Option<HObject> {
             let n = r.u32()? as usize;
             let mut fields = Vec::with_capacity(cap_alloc(n, r, 1));
             for _ in 0..n {
-                fields.push(decode_hvalue(r, n_objects)?);
+                fields.push(decode_heap_value(r, n_objects)?);
             }
             HObjectKind::Instance { class, fields }
         }
@@ -495,7 +461,7 @@ fn decode_hobject(r: &mut Reader<'_>, n_objects: u32) -> Option<HObject> {
             let n = r.u32()? as usize;
             let mut elems = Vec::with_capacity(cap_alloc(n, r, 1));
             for _ in 0..n {
-                elems.push(decode_hvalue(r, n_objects)?);
+                elems.push(decode_heap_value(r, n_objects)?);
             }
             HObjectKind::Array { elem, elems }
         }
@@ -548,12 +514,12 @@ impl DiskCodec for HeapSnapshot {
         for obj in objects {
             encode_hobject(out, obj);
         }
-        let mut statics: Vec<(FieldId, HValue)> = heap.statics().collect();
+        let mut statics: Vec<(FieldId, Value)> = heap.statics().collect();
         statics.sort_unstable_by_key(|(f, _)| f.0);
         put_u32(out, statics.len() as u32);
         for (f, v) in &statics {
             put_u32(out, f.0);
-            encode_hvalue(out, v);
+            encode_value(out, *v);
         }
         // The interned table is recoverable from the object ids alone:
         // the key is the Str object's own content.
@@ -595,7 +561,7 @@ impl DiskCodec for HeapSnapshot {
         let mut statics = HashMap::with_capacity(cap_alloc(n_statics, r, 5));
         for _ in 0..n_statics {
             let f = FieldId(r.u32()?);
-            statics.insert(f, decode_hvalue(r, n_objects)?);
+            statics.insert(f, decode_heap_value(r, n_objects)?);
         }
         let interned_ids = decode_u32_seq(r)?;
         let mut interned = HashMap::with_capacity(interned_ids.len());

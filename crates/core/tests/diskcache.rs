@@ -14,8 +14,8 @@ use nimage_core::{
     EvalRequest, LayoutOrders, LayoutPrediction, Pipeline, PredictedFaults, RunParts, Strategy,
     WorkloadSpec, DISK_FORMAT_VERSION,
 };
-use nimage_heap::{HeapSnapshot, ObjId};
-use nimage_ir::{Program, ProgramBuilder, TypeRef};
+use nimage_heap::{BuildHeap, HObjectKind, HeapSnapshot, ObjId};
+use nimage_ir::{FieldId, Program, ProgramBuilder, TypeRef};
 use nimage_vm::{AccessLog, RunReport, StopWhen, Touch};
 use nimage_workloads::{Awfy, RuntimeScale};
 
@@ -842,5 +842,84 @@ fn a_plan_that_names_a_folded_object_is_recomputed() {
             object_order: Some(order),
             ..LayoutOrders::default()
         }
+    });
+}
+
+/// Evaluates small Sieve cold, rewrites the optimized build's persisted
+/// snapshot — under its real key, with a valid header and checksum — with
+/// `corrupt` applied to its heap, drops the persisted baseline run so the
+/// VM executes over whichever snapshot the engine accepts, and evaluates
+/// again: the snapshot must be rejected when loaded and recomputed (never
+/// handed to the VM, which indexes statics and fields without checks),
+/// with rows equal to the cold run's.
+fn snapshots_that_do_not_fit_are_recomputed(tag: &str, corrupt: impl Fn(&Program, &mut BuildHeap)) {
+    let dir = cache_root(tag);
+    let program = Awfy::Sieve.program_at(&RuntimeScale::small());
+    let evaluate = || {
+        let engine = Engine::new(EngineOptions {
+            n_threads: 1,
+            disk: Some(DiskCacheOptions::at(&dir)),
+            trace: Default::default(),
+        });
+        let spec = WorkloadSpec::new("t", &program, BuildOptions::default(), StopWhen::Exit);
+        let cells = engine
+            .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
+            .unwrap();
+        let rows: Vec<String> = cells.iter().map(|c| format!("{:?}", c.eval)).collect();
+        let snapshot = engine.report(&EvalRequest::new(), &[]).disk_stages.unwrap()["snapshot"];
+        (rows, snapshot)
+    };
+    let (cold_rows, _) = evaluate();
+
+    // The optimized build's snapshot is the persisted one with PEA-folded
+    // objects; a warm pass reads only it (the profile is a disk hit).
+    let store = DiskStore::open(&DiskCacheOptions::at(&dir));
+    let (key, optimized) = bin_entries(&store.root().join("snapshot"))
+        .iter()
+        .map(|path| {
+            let key = key_of(path);
+            let snap: HeapSnapshot = store.get("snapshot", key).expect("persisted snapshot");
+            (key, snap)
+        })
+        .find(|(_, s)| !s.folded().is_empty())
+        .expect("the optimized snapshot folds objects");
+    let mut heap = optimized.heap().clone();
+    corrupt(&program, &mut heap);
+    let bad = HeapSnapshot::from_parts(
+        heap,
+        optimized.entries().to_vec(),
+        optimized.folded().clone(),
+    );
+    store.put("snapshot", key, &bad);
+    for path in bin_entries(&store.root().join("baseline-run")) {
+        std::fs::remove_file(path).unwrap();
+    }
+
+    let (warm_rows, snapshot) = evaluate();
+    assert_eq!((snapshot.rejected, snapshot.stores), (1, 1), "{snapshot:?}");
+    assert_eq!(cold_rows, warm_rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A static field one past the program's last field.
+#[test]
+fn a_snapshot_with_a_static_past_the_program_is_recomputed() {
+    snapshots_that_do_not_fit_are_recomputed("badstatic", |program, heap| {
+        let (_, v) = heap.statics().next().expect("a set static");
+        heap.set_static(FieldId(program.fields().len() as u32), v);
+    });
+}
+
+/// Every instance one field short of its class's layout.
+#[test]
+fn a_snapshot_with_instances_short_of_their_layout_is_recomputed() {
+    snapshots_that_do_not_fit_are_recomputed("shortinstance", |_, heap| {
+        let mut dropped = 0;
+        for i in 0..heap.len() {
+            if let HObjectKind::Instance { fields, .. } = &mut heap.get_mut(ObjId(i as u32)).kind {
+                dropped += usize::from(fields.pop().is_some());
+            }
+        }
+        assert!(dropped > 0, "no instance field to drop");
     });
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, BuildParts, Pipeline, RunParts, Strategy};
 use nimage_ir::{BinOp, BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef, UnOp};
-use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen, VmBuilder, VmConfig};
+use nimage_vm::{LoweredProgram, StopWhen, VmBuilder, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 /// Runs one built image on both engines and returns the two reports'
@@ -396,8 +396,8 @@ fn edge_cells_in_a_hot_loop_match_between_engines() {
     }
 }
 
-/// Concurrent runs sharing one `Arc<LoweredProgram>` and one
-/// `Arc<HeapTemplate>` (the engine's matrix sharding) must each report
+/// Concurrent runs sharing one `Arc<LoweredProgram>` and one snapshot
+/// heap (the engine's matrix sharding) must each report
 /// exactly what an isolated serial run reports.
 #[test]
 fn shared_lowered_program_runs_are_isolated() {
@@ -405,7 +405,6 @@ fn shared_lowered_program_runs_are_isolated() {
     let o = BuildOptions::default();
     let p = Pipeline::new(&program, o.clone());
     let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
-    let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
     let lowered = Arc::new(LoweredProgram::build(
         &program,
         &built.compiled,
@@ -414,7 +413,6 @@ fn shared_lowered_program_runs_are_isolated() {
     let run_one = || {
         p.run(
             RunParts::new(&built.compiled, &built.snapshot, &built.image)
-                .heap(Some(template.clone()))
                 .lowered(Some(lowered.clone())),
             StopWhen::FirstResponse,
         )

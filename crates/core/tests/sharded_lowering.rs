@@ -11,7 +11,7 @@ use std::sync::Arc;
 use nimage_compiler::{CuId, InstrumentConfig};
 use nimage_core::{BuildOptions, Pipeline, RunParts};
 use nimage_ir::Program;
-use nimage_vm::{HeapTemplate, LoweredProgram, StopWhen};
+use nimage_vm::{LoweredProgram, StopWhen};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 /// Builds once, then runs the image twice over shared parts: once with a
@@ -26,7 +26,6 @@ fn lazy_vs_eager(
 ) -> (String, String, Arc<LoweredProgram>) {
     let p = Pipeline::new(program, o.clone());
     let built = p.build_instrumented(instrument).unwrap();
-    let template = Arc::new(HeapTemplate::from_build_heap(built.snapshot.heap()));
     let lazy = Arc::new(LoweredProgram::new(
         program,
         &built.compiled,
@@ -41,7 +40,6 @@ fn lazy_vs_eager(
         let r = p
             .run(
                 RunParts::new(&built.compiled, &built.snapshot, &built.image)
-                    .heap(Some(template.clone()))
                     .lowered(Some(lp.clone())),
                 stop,
             )

@@ -18,10 +18,10 @@ use std::fmt;
 
 use nimage_ir::{
     eval_bin, eval_intrinsic, eval_un, BinOp, Callee, FieldId, Instr, Intrinsic, MethodId, Program,
-    Terminator,
+    Terminator, Value,
 };
 
-use crate::object::{BuildHeap, HObjectKind, HValue, ObjId};
+use crate::object::{BuildHeap, HObjectKind, ObjId};
 
 /// Dynamic side effects observed while one class initializer (and
 /// everything it transitively called) executed at build time.
@@ -206,10 +206,10 @@ pub fn exec_method(
     program: &Program,
     heap: &mut BuildHeap,
     method: MethodId,
-    args: Vec<HValue>,
+    args: Vec<Value>,
     budget: &mut StepBudget,
     depth: usize,
-) -> Result<Option<HValue>, ClinitError> {
+) -> Result<Option<Value>, ClinitError> {
     exec_method_sunk(program, heap, method, args, budget, depth, &mut None)
 }
 
@@ -217,17 +217,17 @@ fn exec_method_sunk(
     program: &Program,
     heap: &mut BuildHeap,
     method: MethodId,
-    args: Vec<HValue>,
+    args: Vec<Value>,
     budget: &mut StepBudget,
     depth: usize,
     sink: &mut Option<EffectSink>,
-) -> Result<Option<HValue>, ClinitError> {
+) -> Result<Option<Value>, ClinitError> {
     if depth > MAX_DEPTH {
         return Err(ClinitError::StackOverflow);
     }
     let m = program.method(method);
     let sig = || program.method_signature(method);
-    let mut locals = vec![HValue::Null; m.n_locals as usize];
+    let mut locals = vec![Value::Null; m.n_locals as usize];
     locals[..args.len()].copy_from_slice(&args);
 
     let mut block = 0usize;
@@ -249,7 +249,7 @@ fn exec_method_sunk(
                 else_blk,
             } => {
                 let c = match locals[cond.index()] {
-                    HValue::Bool(b) => b,
+                    Value::Bool(b) => b,
                     other => {
                         return Err(ClinitError::TypeMismatch {
                             method: sig(),
@@ -272,7 +272,7 @@ fn exec_instr(
     program: &Program,
     heap: &mut BuildHeap,
     method: MethodId,
-    locals: &mut [HValue],
+    locals: &mut [Value],
     ins: &Instr,
     budget: &mut StepBudget,
     depth: usize,
@@ -284,14 +284,14 @@ fn exec_instr(
         detail,
     };
     match ins {
-        Instr::ConstInt(d, v) => locals[d.index()] = HValue::Int(*v),
-        Instr::ConstDouble(d, v) => locals[d.index()] = HValue::Double(*v),
-        Instr::ConstBool(d, v) => locals[d.index()] = HValue::Bool(*v),
+        Instr::ConstInt(d, v) => locals[d.index()] = Value::Int(*v),
+        Instr::ConstDouble(d, v) => locals[d.index()] = Value::Double(*v),
+        Instr::ConstBool(d, v) => locals[d.index()] = Value::Bool(*v),
         Instr::ConstStr(d, s) => {
             let o = heap.intern(s);
-            locals[d.index()] = HValue::Ref(o);
+            locals[d.index()] = Value::Ref(o.0);
         }
-        Instr::ConstNull(d) => locals[d.index()] = HValue::Null,
+        Instr::ConstNull(d) => locals[d.index()] = Value::Null,
         Instr::Move(d, s) => locals[d.index()] = locals[s.index()],
         Instr::Bin(op, d, a, b) => {
             locals[d.index()] =
@@ -306,7 +306,7 @@ fn exec_instr(
         }
         Instr::New(d, c) => {
             let o = heap.alloc_instance(program, *c);
-            locals[d.index()] = HValue::Ref(o);
+            locals[d.index()] = Value::Ref(o.0);
         }
         Instr::NewArray(d, elem, len) => {
             let n = as_int(locals[len.index()]).ok_or_else(|| type_err("array length".into()))?;
@@ -318,7 +318,7 @@ fn exec_instr(
                 });
             }
             let o = heap.alloc_array(elem.clone(), n as usize);
-            locals[d.index()] = HValue::Ref(o);
+            locals[d.index()] = Value::Ref(o.0);
         }
         Instr::GetField(d, obj, fid) => {
             let o = deref(locals[obj.index()], &sig)?;
@@ -381,12 +381,12 @@ fn exec_instr(
         Instr::ArrayLen(d, arr) => {
             let o = deref(locals[arr.index()], &sig)?;
             let len = array_elems(heap, o, &sig)?.len();
-            locals[d.index()] = HValue::Int(len as i64);
+            locals[d.index()] = Value::Int(len as i64);
         }
         Instr::StrLen(d, s) => {
             let o = deref(locals[s.index()], &sig)?;
             let len = str_content(heap, o, &sig)?.len();
-            locals[d.index()] = HValue::Int(len as i64);
+            locals[d.index()] = Value::Int(len as i64);
         }
         Instr::StrCharAt(d, s, i) => {
             let o = deref(locals[s.index()], &sig)?;
@@ -401,7 +401,7 @@ fn exec_instr(
                     index: idx,
                     len: content.len(),
                 })?;
-            locals[d.index()] = HValue::Int(i64::from(ch));
+            locals[d.index()] = Value::Int(i64::from(ch));
         }
         Instr::StrConcat(d, a, b) => {
             let s = format!(
@@ -410,10 +410,10 @@ fn exec_instr(
                 display_value(heap, locals[b.index()])
             );
             let o = heap.alloc(HObjectKind::Str(s));
-            locals[d.index()] = HValue::Ref(o);
+            locals[d.index()] = Value::Ref(o.0);
         }
         Instr::Call { dst, callee, args } => {
-            let argv: Vec<HValue> = args.iter().map(|l| locals[l.index()]).collect();
+            let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
             let target = match callee {
                 Callee::Static(m) => *m,
                 Callee::Virtual { selector, .. } => {
@@ -434,7 +434,7 @@ fn exec_instr(
             };
             let ret = exec_method_sunk(program, heap, target, argv, budget, depth + 1, sink)?;
             if let Some(d) = dst {
-                locals[d.index()] = ret.unwrap_or(HValue::Null);
+                locals[d.index()] = ret.unwrap_or(Value::Null);
             }
         }
         Instr::Intrinsic { dst, op, args } => {
@@ -444,10 +444,10 @@ fn exec_instr(
                 }
             }
             // `respond` is a runtime-only event; at build time it is inert.
-            let argv: Vec<HValue> = args.iter().map(|l| locals[l.index()]).collect();
+            let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
             let v = eval_intrinsic(*op, &argv);
             if let Some(d) = dst {
-                locals[d.index()] = v.unwrap_or(HValue::Null);
+                locals[d.index()] = v.unwrap_or(Value::Null);
             }
         }
         // Threads cannot be started at image build time; the spawn becomes
@@ -462,15 +462,16 @@ fn exec_instr(
     Ok(())
 }
 
-fn as_int(v: HValue) -> Option<i64> {
+fn as_int(v: Value) -> Option<i64> {
     match v {
-        HValue::Int(i) => Some(i),
+        Value::Int(i) => Some(i),
         _ => None,
     }
 }
 
-fn deref(v: HValue, sig: &dyn Fn() -> String) -> Result<ObjId, ClinitError> {
-    v.as_ref()
+fn deref(v: Value, sig: &dyn Fn() -> String) -> Result<ObjId, ClinitError> {
+    v.referent()
+        .map(ObjId)
         .ok_or_else(|| ClinitError::NullDeref { method: sig() })
 }
 
@@ -490,14 +491,14 @@ fn field_slot(
     }
 }
 
-fn instance_fields(heap: &BuildHeap, o: ObjId) -> &[HValue] {
+fn instance_fields(heap: &BuildHeap, o: ObjId) -> &[Value] {
     match &heap.get(o).kind {
         HObjectKind::Instance { fields, .. } => fields,
         _ => unreachable!("checked by field_slot"),
     }
 }
 
-fn instance_fields_mut(heap: &mut BuildHeap, o: ObjId) -> &mut [HValue] {
+fn instance_fields_mut(heap: &mut BuildHeap, o: ObjId) -> &mut [Value] {
     match &mut heap.get_mut(o).kind {
         HObjectKind::Instance { fields, .. } => fields,
         _ => unreachable!("checked by field_slot"),
@@ -508,7 +509,7 @@ fn array_elems<'h>(
     heap: &'h BuildHeap,
     o: ObjId,
     sig: &dyn Fn() -> String,
-) -> Result<&'h [HValue], ClinitError> {
+) -> Result<&'h [Value], ClinitError> {
     match &heap.get(o).kind {
         HObjectKind::Array { elems, .. } => Ok(elems),
         other => Err(ClinitError::TypeMismatch {
@@ -522,7 +523,7 @@ fn array_elems_mut<'h>(
     heap: &'h mut BuildHeap,
     o: ObjId,
     sig: &dyn Fn() -> String,
-) -> Result<&'h mut Vec<HValue>, ClinitError> {
+) -> Result<&'h mut Vec<Value>, ClinitError> {
     match &mut heap.get_mut(o).kind {
         HObjectKind::Array { elems, .. } => Ok(elems),
         other => Err(ClinitError::TypeMismatch {
@@ -546,13 +547,13 @@ fn str_content<'h>(
     }
 }
 
-fn display_value(heap: &BuildHeap, v: HValue) -> String {
+fn display_value(heap: &BuildHeap, v: Value) -> String {
     match v {
-        HValue::Null => "null".to_string(),
-        HValue::Bool(b) => b.to_string(),
-        HValue::Int(i) => i.to_string(),
-        HValue::Double(d) => format!("{d}"),
-        HValue::Ref(o) => match &heap.get(o).kind {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Double(d) => format!("{d}"),
+        Value::Ref(o) => match &heap.get(ObjId(o)).kind {
             HObjectKind::Str(s) => s.clone(),
             other => format!("<{other:?}>"),
         },
@@ -598,13 +599,13 @@ mod tests {
             pb.finish_body(cl, f);
         });
         let fld = p.class(p.class_by_name("t.C").unwrap()).static_fields[0];
-        let arr = heap.static_value(&p, fld).as_ref().unwrap();
+        let arr = ObjId(heap.static_value(&p, fld).referent().unwrap());
         match &heap.get(arr).kind {
             HObjectKind::Array { elems, .. } => {
                 let vals: Vec<i64> = elems
                     .iter()
                     .map(|v| match v {
-                        HValue::Int(i) => *i,
+                        Value::Int(i) => *i,
                         _ => panic!(),
                     })
                     .collect();
@@ -696,7 +697,7 @@ mod tests {
         pb.finish_body(cl, f);
         let p = pb.build().unwrap();
         let heap = run_initializers(&p, &[cl], StepBudget::default()).unwrap();
-        assert_eq!(heap.static_value(&p, out), HValue::Int(2));
+        assert_eq!(heap.static_value(&p, out), Value::Int(2));
     }
 
     #[test]

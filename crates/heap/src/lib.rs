@@ -41,7 +41,7 @@ pub use clinit::{
     exec_method, run_initializers, run_initializers_logged, ClinitEffects, ClinitError, EffectLog,
     StepBudget,
 };
-pub use object::{BuildHeap, HObject, HObjectKind, HValue, ObjId};
+pub use object::{BuildHeap, HObject, HObjectKind, ObjId};
 pub use snapshot::{
     init_order, snapshot, HeapBuildConfig, HeapSnapshot, InclusionReason, ParentLink, SnapEntry,
     SnapshotStats,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use nimage_ir::{ClassId, FieldId, Program, Scalar, TypeRef};
+use nimage_ir::{ClassId, FieldId, Program, TypeRef, Value};
 
 /// Index of an object in a [`BuildHeap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,73 +23,6 @@ impl fmt::Display for ObjId {
     }
 }
 
-/// A build-time value: the contents of locals, fields and array slots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HValue {
-    /// The null reference.
-    Null,
-    /// Boolean primitive.
-    Bool(bool),
-    /// 64-bit integer primitive.
-    Int(i64),
-    /// 64-bit float primitive.
-    Double(f64),
-    /// Reference to a heap object (instance, array, string, …).
-    Ref(ObjId),
-}
-
-/// The operator table's view of a build-time value.
-impl From<HValue> for Scalar {
-    #[inline]
-    fn from(v: HValue) -> Scalar {
-        match v {
-            HValue::Null => Scalar::Null,
-            HValue::Bool(b) => Scalar::Bool(b),
-            HValue::Int(i) => Scalar::Int(i),
-            HValue::Double(d) => Scalar::Double(d),
-            HValue::Ref(o) => Scalar::Ref(o.0),
-        }
-    }
-}
-
-impl From<Scalar> for HValue {
-    #[inline]
-    fn from(s: Scalar) -> HValue {
-        match s {
-            Scalar::Null => HValue::Null,
-            Scalar::Bool(b) => HValue::Bool(b),
-            Scalar::Int(i) => HValue::Int(i),
-            Scalar::Double(d) => HValue::Double(d),
-            Scalar::Ref(r) => HValue::Ref(ObjId(r)),
-        }
-    }
-}
-
-impl HValue {
-    /// The default value for a field of the given declared type.
-    pub fn default_for(ty: &TypeRef) -> HValue {
-        match ty {
-            TypeRef::Bool => HValue::Bool(false),
-            TypeRef::Int => HValue::Int(0),
-            TypeRef::Double => HValue::Double(0.0),
-            _ => HValue::Null,
-        }
-    }
-
-    /// The referenced object, if this is a reference.
-    pub fn as_ref(&self) -> Option<ObjId> {
-        match self {
-            HValue::Ref(o) => Some(*o),
-            _ => None,
-        }
-    }
-
-    /// Whether the value is a primitive (including null).
-    pub fn is_primitive(&self) -> bool {
-        !matches!(self, HValue::Ref(_))
-    }
-}
-
 /// The payload of one heap object.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HObjectKind {
@@ -99,14 +32,14 @@ pub enum HObjectKind {
         /// Dynamic class.
         class: ClassId,
         /// Field values in layout order.
-        fields: Vec<HValue>,
+        fields: Vec<Value>,
     },
     /// An array.
     Array {
         /// Element type.
         elem: TypeRef,
         /// Element values.
-        elems: Vec<HValue>,
+        elems: Vec<Value>,
     },
     /// An immutable string (interned strings and runtime concatenations).
     Str(String),
@@ -161,11 +94,11 @@ impl HObject {
     /// Outgoing references, in a well-defined order (field layout order for
     /// instances, index order for arrays).
     pub fn references(&self) -> Vec<(usize, ObjId)> {
-        let slot_refs = |values: &[HValue]| {
+        let slot_refs = |values: &[Value]| {
             values
                 .iter()
                 .enumerate()
-                .filter_map(|(i, v)| v.as_ref().map(|o| (i, o)))
+                .filter_map(|(i, v)| v.referent().map(|o| (i, ObjId(o))))
                 .collect::<Vec<_>>()
         };
         match &self.kind {
@@ -181,7 +114,7 @@ impl HObject {
 #[derive(Debug, Clone, Default)]
 pub struct BuildHeap {
     objects: Vec<HObject>,
-    statics: HashMap<FieldId, HValue>,
+    statics: HashMap<FieldId, Value>,
     interned: HashMap<String, ObjId>,
 }
 
@@ -213,21 +146,21 @@ impl BuildHeap {
         let fields = program
             .all_instance_fields(class)
             .iter()
-            .map(|&f| HValue::default_for(&program.field(f).ty))
+            .map(|&f| Value::default_for(&program.field(f).ty))
             .collect();
         self.alloc(HObjectKind::Instance { class, fields })
     }
 
     /// Allocates an array of `len` default-valued elements.
     pub fn alloc_array(&mut self, elem: TypeRef, len: usize) -> ObjId {
-        let elems = vec![HValue::default_for(&elem); len];
+        let elems = vec![Value::default_for(&elem); len];
         self.alloc(HObjectKind::Array { elem, elems })
     }
 
     /// Returns the interned string object for `s`, allocating it on first
     /// use (Java string interning).
     pub fn intern(&mut self, s: &str) -> ObjId {
-        if let Some(&o) = self.interned.get(s) {
+        if let Some(o) = self.interned_id(s) {
             return o;
         }
         let o = self.alloc(HObjectKind::Str(s.to_string()));
@@ -235,12 +168,9 @@ impl BuildHeap {
         o
     }
 
-    /// Whether `o` is an interned string.
-    pub fn is_interned(&self, o: ObjId) -> bool {
-        match &self.objects[o.index()].kind {
-            HObjectKind::Str(s) => self.interned.get(s) == Some(&o),
-            _ => false,
-        }
+    /// The interned string object for `s`, if `s` has been interned.
+    pub fn interned_id(&self, s: &str) -> Option<ObjId> {
+        self.interned.get(s).copied()
     }
 
     /// Immutable access to an object.
@@ -260,20 +190,20 @@ impl BuildHeap {
     }
 
     /// Current value of a static field (its declared default if never set).
-    pub fn static_value(&self, program: &Program, field: FieldId) -> HValue {
+    pub fn static_value(&self, program: &Program, field: FieldId) -> Value {
         self.statics
             .get(&field)
             .copied()
-            .unwrap_or_else(|| HValue::default_for(&program.field(field).ty))
+            .unwrap_or_else(|| Value::default_for(&program.field(field).ty))
     }
 
     /// Sets a static field.
-    pub fn set_static(&mut self, field: FieldId, value: HValue) {
+    pub fn set_static(&mut self, field: FieldId, value: Value) {
         self.statics.insert(field, value);
     }
 
     /// Iterates over all static fields explicitly set at build time.
-    pub fn statics(&self) -> impl Iterator<Item = (FieldId, HValue)> + '_ {
+    pub fn statics(&self) -> impl Iterator<Item = (FieldId, Value)> + '_ {
         self.statics.iter().map(|(&f, &v)| (f, v))
     }
 
@@ -292,7 +222,7 @@ impl BuildHeap {
     /// used when deserializing a persisted heap snapshot.
     pub fn from_parts(
         objects: Vec<HObject>,
-        statics: HashMap<FieldId, HValue>,
+        statics: HashMap<FieldId, Value>,
         interned: HashMap<String, ObjId>,
     ) -> BuildHeap {
         BuildHeap {
@@ -357,10 +287,11 @@ mod tests {
         let c = h.intern("world");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(h.is_interned(a));
+        assert_eq!(h.interned_id("hello"), Some(a));
+        assert_eq!(h.interned_id("absent"), None);
         // A plain Str allocation is not interned.
         let d = h.alloc(HObjectKind::Str("hello".into()));
-        assert!(!h.is_interned(d));
+        assert_ne!(h.interned_id("hello"), Some(d));
     }
 
     #[test]
@@ -385,7 +316,7 @@ mod tests {
         let o2 = h.alloc_instance(&p, b);
         let idx = BuildHeap::field_index(&p, b, fb);
         if let HObjectKind::Instance { fields, .. } = &mut h.get_mut(o1).kind {
-            fields[idx] = HValue::Ref(o2);
+            fields[idx] = Value::Ref(o2.0);
         }
         assert_eq!(h.get(o1).references(), vec![(idx, o2)]);
         assert!(h.get(o2).references().is_empty());
@@ -399,9 +330,9 @@ mod tests {
         let fr = pb.add_static_field(a, "R", TypeRef::Object(a));
         let p = pb.build().unwrap();
         let mut h = BuildHeap::new();
-        assert_eq!(h.static_value(&p, fi), HValue::Int(0));
-        assert_eq!(h.static_value(&p, fr), HValue::Null);
-        h.set_static(fi, HValue::Int(9));
-        assert_eq!(h.static_value(&p, fi), HValue::Int(9));
+        assert_eq!(h.static_value(&p, fi), Value::Int(0));
+        assert_eq!(h.static_value(&p, fr), Value::Null);
+        h.set_static(fi, Value::Int(9));
+        assert_eq!(h.static_value(&p, fi), Value::Int(9));
     }
 }

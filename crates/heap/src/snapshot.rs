@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, CuId};
-use nimage_ir::{FieldId, Instr, MethodId, Program};
+use nimage_ir::{ClassId, FieldId, Instr, MethodId, Program};
 
 use crate::clinit::{run_initializers, ClinitError, StepBudget};
 use crate::object::{BuildHeap, HObject, HObjectKind, ObjId};
@@ -160,6 +160,26 @@ impl HeapSnapshot {
         &self.heap
     }
 
+    /// Whether the VM can run `program` over this snapshot, which it
+    /// indexes without checks: every set static is a field of `program`,
+    /// and every instance is of a class of `program` with exactly as many
+    /// fields as that class's layout. One pass over the heap, with layout
+    /// lengths computed once per class. A snapshot decoded from disk that
+    /// fails this must be recomputed.
+    pub fn fits(&self, program: &Program) -> bool {
+        let n_fields = program.fields().len();
+        let layout_len: Vec<usize> = (0..program.classes().len())
+            .map(|c| program.all_instance_fields(ClassId(c as u32)).len())
+            .collect();
+        self.heap.statics().all(|(f, _)| f.index() < n_fields)
+            && self.heap.objects().iter().all(|o| match &o.kind {
+                HObjectKind::Instance { class, fields } => {
+                    layout_len.get(class.index()) == Some(&fields.len())
+                }
+                _ => true,
+            })
+    }
+
     /// Snapshot entries in default order.
     pub fn entries(&self) -> &[SnapEntry] {
         &self.entries
@@ -275,7 +295,7 @@ pub fn snapshot(
                         Instr::GetStatic(_, f) | Instr::PutStatic(f, _)
                             if rooted_fields.insert(*f) =>
                         {
-                            if let Some(o) = heap.static_value(program, *f).as_ref() {
+                            if let Some(o) = heap.static_value(program, *f).referent().map(ObjId) {
                                 roots.push((
                                     o,
                                     InclusionReason::StaticField(program.field_signature(*f)),
@@ -305,7 +325,7 @@ pub fn snapshot(
     // non-compiled paths, e.g. only from initializers).
     for &f in &reach.static_fields {
         if rooted_fields.insert(f) {
-            if let Some(o) = heap.static_value(program, f).as_ref() {
+            if let Some(o) = heap.static_value(program, f).referent().map(ObjId) {
                 roots.push((
                     o,
                     InclusionReason::StaticField(program.field_signature(f)),

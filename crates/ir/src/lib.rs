@@ -54,7 +54,7 @@ pub use builder::{BodyBuilder, ProgramBuilder};
 pub use cfg::Cfg;
 pub use eval::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
-    Scalar,
+    Value,
 };
 pub use instr::{BinOp, Block, Callee, Instr, Intrinsic, Terminator, UnOp};
 pub use program::{Class, Field, Method, MethodKind, Program, Resource, SelectorId};

@@ -6,7 +6,7 @@
 
 use std::cell::Cell;
 
-use nimage_ir::Scalar::{self, *};
+use nimage_ir::Value::{self, *};
 use nimage_ir::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
     BinOp, Intrinsic, UnOp,
@@ -32,10 +32,10 @@ const BIN_OPS: [BinOp; 16] = [
 ];
 const UN_OPS: [UnOp; 4] = [UnOp::Neg, UnOp::Not, UnOp::IntToDouble, UnOp::DoubleToInt];
 /// One (nonzero) sample per operand kind.
-const KINDS: [Scalar; 5] = [Null, Bool(true), Int(7), Double(2.5), Ref(3)];
+const KINDS: [Value; 5] = [Null, Bool(true), Int(7), Double(2.5), Ref(3)];
 
 /// Which `(op, left kind, right kind)` cells are well-typed.
-fn bin_is_typed(op: BinOp, a: Scalar, b: Scalar) -> bool {
+fn bin_is_typed(op: BinOp, a: Value, b: Value) -> bool {
     use BinOp::*;
     match (a, b) {
         (Int(_), Int(_)) => true,
@@ -46,7 +46,7 @@ fn bin_is_typed(op: BinOp, a: Scalar, b: Scalar) -> bool {
     }
 }
 
-fn un_is_typed(op: UnOp, a: Scalar) -> bool {
+fn un_is_typed(op: UnOp, a: Value) -> bool {
     matches!(
         (op, a),
         (UnOp::Neg, Int(_) | Double(_))
@@ -85,7 +85,7 @@ fn every_cell_is_defined_exactly_where_it_is_well_typed() {
             let typed = matches!(a, Double(_));
             assert_eq!(eval_intrinsic(op, &[a]).is_some(), typed, "{op:?} {a:?}");
         }
-        assert_eq!(eval_intrinsic::<Scalar>(op, &[]), None);
+        assert_eq!(eval_intrinsic(op, &[]), None);
     }
     // `respond` is an event: no value, whatever it is passed.
     assert_eq!(eval_intrinsic(Intrinsic::Respond, &[Int(200)]), None);
@@ -230,7 +230,7 @@ const DOUBLES: [f64; 8] = [
 
 /// A result with doubles compared bit for bit, so NaN equals NaN and
 /// `-0.0` differs from `0.0`.
-fn bits(v: Option<Scalar>) -> Option<(u8, u64)> {
+fn bits(v: Option<Value>) -> Option<(u8, u64)> {
     v.map(|v| match v {
         Null => (0, 0),
         Bool(x) => (1, u64::from(x)),
@@ -248,7 +248,7 @@ fn bits(v: Option<Scalar>) -> Option<(u8, u64)> {
 #[test]
 fn typed_cells_equal_the_generic_table() {
     let (puts, mut values) = (Cell::new(0), 0);
-    let put = |v: Scalar| {
+    let put = |v: Value| {
         puts.set(puts.get() + 1);
         v
     };
@@ -284,7 +284,7 @@ fn typed_cells_equal_the_generic_table() {
     }
     assert_eq!(puts.get(), values);
     // The places `None` must appear, spelled out.
-    let put = |v: Scalar| -> Scalar { panic!("no value expected, got {v:?}") };
+    let put = |v: Value| -> Value { panic!("no value expected, got {v:?}") };
     assert_eq!(eval_int_bin(BinOp::Div, 7, 0, put), None);
     assert_eq!(eval_int_bin(BinOp::Rem, 7, 0, put), None);
     for op in [BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Shl, BinOp::Shr] {

@@ -367,7 +367,7 @@ mod tests {
                     if p.class(*class).name == "t.Node" =>
                 {
                     match fields[0] {
-                        nimage_heap::HValue::Int(v) => Some(v),
+                        nimage_ir::Value::Int(v) => Some(v),
                         _ => None,
                     }
                 }

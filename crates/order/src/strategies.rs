@@ -12,9 +12,9 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use nimage_heap::{
-    BuildHeap, HObject, HObjectKind, HValue, HeapSnapshot, InclusionReason, ObjId, ParentLink,
+    BuildHeap, HObject, HObjectKind, HeapSnapshot, InclusionReason, ObjId, ParentLink,
 };
-use nimage_ir::{ClassId, Program, TypeRef};
+use nimage_ir::{ClassId, Program, TypeRef, Value};
 
 use crate::murmur3::Hasher128;
 
@@ -78,7 +78,7 @@ pub fn assign_ids(
                 .iter()
                 .map(|e| {
                     let mut h = Hasher128::with_seed(0);
-                    encoder.encode(&mut h, HValue::Ref(e.obj), 0);
+                    encoder.encode(&mut h, Value::Ref(e.obj.0), 0);
                     (e.obj, h.finish())
                 })
                 .collect()
@@ -234,22 +234,22 @@ impl<'a> Encoder<'a> {
     /// and indexed elements — recursing through references while `depth <
     /// max_depth`. Scalar fields and scalar-typed array elements are
     /// encoded at every depth.
-    fn encode(&self, h: &mut Hasher128, value: HValue, depth: u32) {
+    fn encode(&self, h: &mut Hasher128, value: Value, depth: u32) {
         let obj = match value {
-            HValue::Null => return h.write_u8(0),
-            HValue::Bool(b) => {
+            Value::Null => return h.write_u8(0),
+            Value::Bool(b) => {
                 h.write(b"bool");
                 return h.write_u8(u8::from(b));
             }
-            HValue::Int(i) => {
+            Value::Int(i) => {
                 h.write(b"int");
                 return h.write_i64(i);
             }
-            HValue::Double(d) => {
+            Value::Double(d) => {
                 h.write(b"double");
                 return h.write_u64(d.to_bits());
             }
-            HValue::Ref(o) => self.heap.get(o),
+            Value::Ref(o) => self.heap.get(ObjId(o)),
         };
         write_object_type(h, self.program, obj);
         let recurse = depth < self.max_depth;
@@ -284,10 +284,10 @@ impl<'a> Encoder<'a> {
 
     /// A primitive (not null) or a reference to a string: encoded even
     /// past the depth bound.
-    fn is_scalar(&self, value: HValue) -> bool {
+    fn is_scalar(&self, value: Value) -> bool {
         match value {
-            HValue::Null => false,
-            HValue::Ref(o) => matches!(self.heap.get(o).kind, HObjectKind::Str(_)),
+            Value::Null => false,
+            Value::Ref(o) => matches!(self.heap.get(ObjId(o)).kind, HObjectKind::Str(_)),
             _ => true,
         }
     }

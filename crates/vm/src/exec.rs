@@ -12,17 +12,17 @@
 use std::sync::Arc;
 
 use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, PathNumbering, ProfilingCfg};
-use nimage_heap::{HeapSnapshot, ObjId};
+use nimage_heap::{HObjectKind, HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
-    BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program, Terminator, UnOp,
+    BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program, Terminator, UnOp, Value,
 };
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
 
 use crate::access::{tail_pages, AccessLog, FirstTouches};
-use crate::heap_rt::{RtHeap, RtObject, RtValue};
+use crate::heap_rt::RtHeap;
 use crate::lower::{JumpEdge, LoweredCallee, LoweredInstr, LoweredProgram};
 use crate::paging::{PagingConfig, PagingConfigError, SectionFaults};
 use crate::report::{ExitKind, ResponsePoint, RunReport};
@@ -177,7 +177,7 @@ struct Frame {
     method: MethodId,
     cu: CuId,
     node: u32,
-    locals: Vec<RtValue>,
+    locals: Vec<Value>,
     block: usize,
     ip: usize,
     /// Caller local receiving this frame's return value.
@@ -203,7 +203,7 @@ pub struct Vm<'a> {
     config: VmConfig,
     /// First touches of this run, paged against the image at exit.
     touches: FirstTouches,
-    heap: RtHeap,
+    heap: RtHeap<'a>,
     session: Option<TraceSession>,
     /// The pre-lowered program [`Vm::run`] dispatches over (`None` until
     /// then unless the builder shared one, and throughout
@@ -226,12 +226,12 @@ pub struct Vm<'a> {
     /// Dynamic call counts, dense by method index.
     call_counts: Vec<u64>,
     first_response: Option<ResponsePoint>,
-    entry_return: Option<RtValue>,
+    entry_return: Option<Value>,
     native_touch_pages: Vec<u32>,
     /// Buffers of frames the lowered engine returned from, reused by its
     /// next calls: once the stack has been this deep, a call allocates
     /// nothing.
-    spare_locals: Vec<Vec<RtValue>>,
+    spare_locals: Vec<Vec<Value>>,
     spare_pending: Vec<Vec<u64>>,
     /// Extra cost factor for memory-mapped (mode 2) trace writes: every
     /// record is made durable immediately instead of staged in a local
@@ -245,15 +245,14 @@ pub struct Vm<'a> {
 }
 
 /// Builder for a [`Vm`]: the four mandatory inputs up front, everything
-/// shareable or optional — heap template, pre-lowered program, tracer —
-/// as chained setters. [`Vm::new`] is its no-options form.
+/// shareable or optional — pre-lowered program, tracer — as chained
+/// setters. [`Vm::new`] is its no-options form.
 pub struct VmBuilder<'a> {
     program: &'a Program,
     compiled: &'a CompiledProgram,
     snapshot: &'a HeapSnapshot,
     image: &'a BinaryImage,
     config: VmConfig,
-    template: Option<Arc<crate::HeapTemplate>>,
     lowered: Option<Arc<LoweredProgram>>,
     trace: Tracer,
 }
@@ -273,18 +272,9 @@ impl<'a> VmBuilder<'a> {
             snapshot,
             image,
             config,
-            template: None,
             lowered: None,
             trace: Tracer::disabled(),
         }
-    }
-
-    /// Shares a pre-materialized heap template (`None`: materialize a
-    /// private heap from the snapshot).
-    #[must_use]
-    pub fn heap_template(mut self, template: Option<Arc<crate::HeapTemplate>>) -> VmBuilder<'a> {
-        self.template = template;
-        self
     }
 
     /// Shares a pre-lowered program (`None`: lower lazily per CU). Must
@@ -316,14 +306,9 @@ impl<'a> VmBuilder<'a> {
             snapshot,
             image,
             config,
-            template,
             lowered,
             trace,
         } = self;
-        let heap = match template {
-            Some(t) => RtHeap::from_template(t),
-            None => RtHeap::from_build_heap(snapshot.heap()),
-        };
         let session = if compiled.instrumentation.any() {
             Some(TraceSession::new(config.dump_mode, config.trace_buffer))
         } else {
@@ -336,7 +321,7 @@ impl<'a> VmBuilder<'a> {
         let n_methods = program.methods().len();
         Vm {
             touches: FirstTouches::new(compiled, snapshot, &image.options),
-            heap,
+            heap: RtHeap::new(snapshot.heap(), program),
             program,
             compiled,
             image,
@@ -362,8 +347,8 @@ impl<'a> VmBuilder<'a> {
 }
 
 impl<'a> Vm<'a> {
-    /// Creates a VM over a built image, materializing a private copy of the
-    /// snapshot heap.
+    /// Creates a VM over a built image. The run reads the snapshot heap in
+    /// place and keeps its own writes to it private ([`RtHeap`]).
     pub fn new(
         program: &'a Program,
         compiled: &'a CompiledProgram,
@@ -411,8 +396,8 @@ impl<'a> Vm<'a> {
     /// A new locals buffer for a frame of `method`: `args`, then nulls.
     /// The reference interpreter's; the lowered engine recycles buffers
     /// ([`Vm::callee_locals`]).
-    fn fresh_locals(&self, method: MethodId, args: &[RtValue]) -> Vec<RtValue> {
-        let mut locals = vec![RtValue::Null; self.program.method(method).n_locals as usize];
+    fn fresh_locals(&self, method: MethodId, args: &[Value]) -> Vec<Value> {
+        let mut locals = vec![Value::Null; self.program.method(method).n_locals as usize];
         locals[..args.len()].copy_from_slice(args);
         locals
     }
@@ -420,11 +405,11 @@ impl<'a> Vm<'a> {
     /// The locals of a lowered call from thread `t`'s top frame to
     /// `method`: a buffer recycled from a returned frame when one is spare,
     /// with the arguments copied straight from the caller's locals.
-    fn callee_locals(&mut self, t: usize, method: MethodId, args: &[Local]) -> Vec<RtValue> {
+    fn callee_locals(&mut self, t: usize, method: MethodId, args: &[Local]) -> Vec<Value> {
         let n = self.program.method(method).n_locals as usize;
         let mut locals = self.spare_locals.pop().unwrap_or_default();
         locals.clear();
-        locals.resize(n, RtValue::Null);
+        locals.resize(n, Value::Null);
         let caller = &self.threads[t].frames.last().expect("frame").locals;
         for (slot, a) in locals[..args.len()].iter_mut().zip(args) {
             *slot = caller[a.index()];
@@ -448,7 +433,7 @@ impl<'a> Vm<'a> {
         method: MethodId,
         cu: CuId,
         node: u32,
-        locals: Vec<RtValue>,
+        locals: Vec<Value>,
         ret_slot: Option<Local>,
     ) {
         self.touches.code(cu, node);
@@ -486,7 +471,7 @@ impl<'a> Vm<'a> {
         &mut self,
         thread: usize,
         method: MethodId,
-        locals: Vec<RtValue>,
+        locals: Vec<Value>,
         ret_slot: Option<Local>,
     ) -> Result<(), VmError> {
         let cu = match &self.lowered {
@@ -945,18 +930,18 @@ impl<'a> Vm<'a> {
         }
         while n < budget {
             match &code[pc] {
-                LoweredInstr::ConstInt(d, v) => locals[d.index()] = RtValue::Int(*v),
-                LoweredInstr::ConstDouble(d, v) => locals[d.index()] = RtValue::Double(*v),
-                LoweredInstr::ConstBool(d, v) => locals[d.index()] = RtValue::Bool(*v),
-                LoweredInstr::ConstNull(d) => locals[d.index()] = RtValue::Null,
+                LoweredInstr::ConstInt(d, v) => locals[d.index()] = Value::Int(*v),
+                LoweredInstr::ConstDouble(d, v) => locals[d.index()] = Value::Double(*v),
+                LoweredInstr::ConstBool(d, v) => locals[d.index()] = Value::Bool(*v),
+                LoweredInstr::ConstNull(d) => locals[d.index()] = Value::Null,
                 // Copies tag and payload apart, as the typed cells below
                 // store them: a 16-byte load of a value stored that way
                 // cannot be forwarded from the two stores and stalls.
                 LoweredInstr::Move(d, s) => {
                     locals[d.index()] = match locals[s.index()] {
-                        RtValue::Int(x) => RtValue::Int(x),
-                        RtValue::Double(x) => RtValue::Double(x),
-                        RtValue::Bool(x) => RtValue::Bool(x),
+                        Value::Int(x) => Value::Int(x),
+                        Value::Double(x) => Value::Double(x),
+                        Value::Bool(x) => Value::Bool(x),
                         v => v,
                     }
                 }
@@ -970,10 +955,10 @@ impl<'a> Vm<'a> {
                 LoweredInstr::Bin(op, d, a, b) => {
                     let d = d.index();
                     let done = match (&locals[a.index()], &locals[b.index()]) {
-                        (&RtValue::Int(x), &RtValue::Int(y)) => {
+                        (&Value::Int(x), &Value::Int(y)) => {
                             eval_int_bin(*op, x, y, |v| locals[d] = v)
                         }
-                        (&RtValue::Double(x), &RtValue::Double(y)) => {
+                        (&Value::Double(x), &Value::Double(y)) => {
                             eval_double_bin(*op, x, y, |v| locals[d] = v)
                         }
                         (&va, &vb) => eval_bin(*op, va, vb).map(|v| locals[d] = v),
@@ -986,8 +971,8 @@ impl<'a> Vm<'a> {
                 LoweredInstr::Un(op, d, a) => {
                     let d = d.index();
                     let done = match locals[a.index()] {
-                        RtValue::Int(x) => eval_int_un(*op, x, |v| locals[d] = v),
-                        RtValue::Double(x) => eval_double_un(*op, x, |v| locals[d] = v),
+                        Value::Int(x) => eval_int_un(*op, x, |v| locals[d] = v),
+                        Value::Double(x) => eval_double_un(*op, x, |v| locals[d] = v),
                         va => eval_un(*op, va).map(|v| locals[d] = v),
                     };
                     if done.is_none() {
@@ -1000,7 +985,7 @@ impl<'a> Vm<'a> {
                     then_e,
                     else_e,
                 } => match locals[cond.index()] {
-                    RtValue::Bool(c) => edge!(if c { then_e } else { else_e }),
+                    Value::Bool(c) => edge!(if c { then_e } else { else_e }),
                     other => return Err(mismatch(format!("branch on {other:?}"))),
                 },
                 LoweredInstr::GetField(d, obj, fid) => {
@@ -1014,7 +999,7 @@ impl<'a> Vm<'a> {
                     let slot = field_slot(program, lp, heap, r, *fid, method)?.0;
                     access!(r, 16 + 8 * slot as u64);
                     match heap.get_mut(r) {
-                        RtObject::Instance { fields, .. } => fields[slot] = locals[src.index()],
+                        HObjectKind::Instance { fields, .. } => fields[slot] = locals[src.index()],
                         _ => unreachable!("field_slot checked"),
                     }
                 }
@@ -1022,7 +1007,7 @@ impl<'a> Vm<'a> {
                     let r = ref_of(program, method, locals[arr.index()])?;
                     let i = int_of(program, method, locals[idx.index()])?;
                     let v = match heap.get(r) {
-                        RtObject::Array { elems, .. } => *usize::try_from(i)
+                        HObjectKind::Array { elems, .. } => *usize::try_from(i)
                             .ok()
                             .and_then(|i| elems.get(i))
                             .ok_or_else(out_of_bounds)?,
@@ -1035,7 +1020,7 @@ impl<'a> Vm<'a> {
                     let r = ref_of(program, method, locals[arr.index()])?;
                     let i = int_of(program, method, locals[idx.index()])?;
                     let at = match heap.get(r) {
-                        RtObject::Array { elems, .. } => usize::try_from(i)
+                        HObjectKind::Array { elems, .. } => usize::try_from(i)
                             .ok()
                             .filter(|&i| i < elems.len())
                             .ok_or_else(out_of_bounds)?,
@@ -1043,7 +1028,7 @@ impl<'a> Vm<'a> {
                     };
                     access!(r, 24 + 8 * at as u64);
                     match heap.get_mut(r) {
-                        RtObject::Array { elems, .. } => elems[at] = locals[src.index()],
+                        HObjectKind::Array { elems, .. } => elems[at] = locals[src.index()],
                         _ => unreachable!("checked above"),
                     }
                 }
@@ -1131,12 +1116,12 @@ impl<'a> Vm<'a> {
                     r
                 };
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Ref(r));
+                self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::New(d, c) => {
                 let fields = lp.field_defaults(*c).to_vec();
-                let r = self.heap.alloc(RtObject::Instance { class: *c, fields });
-                self.set_local(t, *d, RtValue::Ref(r));
+                let r = self.heap.alloc(HObjectKind::Instance { class: *c, fields });
+                self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::NewArray(d, elem, len) => {
                 let n = self.as_int(t, *len, method)?;
@@ -1145,14 +1130,14 @@ impl<'a> Vm<'a> {
                         method: self.err_sig(method),
                     });
                 }
-                let r = self.heap.alloc(RtObject::Array {
+                let r = self.heap.alloc(HObjectKind::Array {
                     elem: elem.clone(),
-                    elems: vec![RtValue::default_for(elem); n as usize],
+                    elems: vec![Value::default_for(elem); n as usize],
                 });
-                self.set_local(t, *d, RtValue::Ref(r));
+                self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::GetStatic(d, fid) => {
-                let v = self.heap.static_value(self.program, *fid);
+                let v = self.heap.static_value(*fid);
                 self.set_local(t, *d, v);
             }
             LoweredInstr::PutStatic(fid, src) => {
@@ -1162,7 +1147,7 @@ impl<'a> Vm<'a> {
             LoweredInstr::ArrayLen(d, arr) => {
                 let r = self.as_ref_val(t, *arr, method)?;
                 let n = match self.heap.get(r) {
-                    RtObject::Array { elems, .. } => elems.len() as i64,
+                    HObjectKind::Array { elems, .. } => elems.len() as i64,
                     other => {
                         return Err(VmError::TypeMismatch {
                             method: self.err_sig(method),
@@ -1171,13 +1156,13 @@ impl<'a> Vm<'a> {
                     }
                 };
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Int(n));
+                self.set_local(t, *d, Value::Int(n));
             }
             LoweredInstr::StrLen(d, s) => {
                 let r = self.as_ref_val(t, *s, method)?;
                 let n = self.str_content(r, method)?.len() as i64;
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Int(n));
+                self.set_local(t, *d, Value::Int(n));
             }
             LoweredInstr::StrCharAt(d, s, i) => {
                 let r = self.as_ref_val(t, *s, method)?;
@@ -1193,13 +1178,13 @@ impl<'a> Vm<'a> {
                         method: self.err_sig(method),
                     })?;
                 self.touch_object(r, 24 + idx as u64);
-                self.set_local(t, *d, RtValue::Int(i64::from(ch)));
+                self.set_local(t, *d, Value::Int(i64::from(ch)));
             }
             LoweredInstr::StrConcat(d, a, b) => {
                 let sa = self.display_value(self.local(t, *a));
                 let sb = self.display_value(self.local(t, *b));
-                let r = self.heap.alloc(RtObject::Str(format!("{sa}{sb}")));
-                self.set_local(t, *d, RtValue::Ref(r));
+                let r = self.heap.alloc(HObjectKind::Str(format!("{sa}{sb}")));
+                self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::Call {
                 dst,
@@ -1213,7 +1198,7 @@ impl<'a> Vm<'a> {
                     LoweredCallee::Static(m2) => *m2,
                     LoweredCallee::Virtual(sel) => {
                         let recv = match args.first().map(|&l| self.local(t, l)) {
-                            Some(RtValue::Ref(r)) => r,
+                            Some(Value::Ref(r)) => r,
                             _ => {
                                 return Err(VmError::NullDeref {
                                     method: self.err_sig(method),
@@ -1221,7 +1206,7 @@ impl<'a> Vm<'a> {
                             }
                         };
                         let class = match self.heap.get(recv) {
-                            RtObject::Instance { class, .. } => *class,
+                            HObjectKind::Instance { class, .. } => *class,
                             other => {
                                 return Err(VmError::TypeMismatch {
                                     method: self.err_sig(method),
@@ -1264,13 +1249,13 @@ impl<'a> Vm<'a> {
             }
             LoweredInstr::Intrinsic { dst, op, args } => {
                 self.touch_native(self.intrinsic_page(*op));
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
+                let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 if *op == Intrinsic::Respond {
                     self.note_response();
                 }
                 let v = eval_intrinsic(*op, &argv);
                 if let Some(d) = dst {
-                    self.set_local(t, *d, v.unwrap_or(RtValue::Null));
+                    self.set_local(t, *d, v.unwrap_or(Value::Null));
                 }
             }
             LoweredInstr::Spawn { method: m2, args } => {
@@ -1292,7 +1277,7 @@ impl<'a> Vm<'a> {
                 let value = v.map(|l| frame.locals[l.index()]);
                 if let Some(parent) = self.threads[t].frames.last_mut() {
                     if let Some(slot) = frame.ret_slot {
-                        parent.locals[slot.index()] = value.unwrap_or(RtValue::Null);
+                        parent.locals[slot.index()] = value.unwrap_or(Value::Null);
                     }
                 } else if t == 0 && self.entry_return.is_none() {
                     self.entry_return = value;
@@ -1308,11 +1293,11 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    fn local(&self, t: usize, l: Local) -> RtValue {
+    fn local(&self, t: usize, l: Local) -> Value {
         self.threads[t].frames.last().expect("frame").locals[l.index()]
     }
 
-    fn set_local(&mut self, t: usize, l: Local, v: RtValue) {
+    fn set_local(&mut self, t: usize, l: Local, v: Value) {
         self.threads[t].frames.last_mut().expect("frame").locals[l.index()] = v;
     }
 
@@ -1326,16 +1311,16 @@ impl<'a> Vm<'a> {
 
     fn exec_instr(&mut self, t: usize, method: MethodId, ins: &Instr) -> Result<(), VmError> {
         match ins {
-            Instr::ConstInt(d, v) => self.set_local(t, *d, RtValue::Int(*v)),
-            Instr::ConstDouble(d, v) => self.set_local(t, *d, RtValue::Double(*v)),
-            Instr::ConstBool(d, v) => self.set_local(t, *d, RtValue::Bool(*v)),
-            Instr::ConstNull(d) => self.set_local(t, *d, RtValue::Null),
+            Instr::ConstInt(d, v) => self.set_local(t, *d, Value::Int(*v)),
+            Instr::ConstDouble(d, v) => self.set_local(t, *d, Value::Double(*v)),
+            Instr::ConstBool(d, v) => self.set_local(t, *d, Value::Bool(*v)),
+            Instr::ConstNull(d) => self.set_local(t, *d, Value::Null),
             Instr::ConstStr(d, s) => {
                 let r = self.heap.intern(s);
                 // Loading an interned literal reads its String object from
                 // the image heap.
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Ref(r));
+                self.set_local(t, *d, Value::Ref(r));
             }
             Instr::Move(d, s) => {
                 let v = self.local(t, *s);
@@ -1355,7 +1340,7 @@ impl<'a> Vm<'a> {
             }
             Instr::New(d, c) => {
                 let r = self.heap.alloc_instance(self.program, *c);
-                self.set_local(t, *d, RtValue::Ref(r));
+                self.set_local(t, *d, Value::Ref(r));
             }
             Instr::NewArray(d, elem, len) => {
                 let n = self.as_int(t, *len, method)?;
@@ -1364,11 +1349,11 @@ impl<'a> Vm<'a> {
                         method: self.err_sig(method),
                     });
                 }
-                let r = self.heap.alloc(RtObject::Array {
+                let r = self.heap.alloc(HObjectKind::Array {
                     elem: elem.clone(),
-                    elems: vec![RtValue::default_for(elem); n as usize],
+                    elems: vec![Value::default_for(elem); n as usize],
                 });
-                self.set_local(t, *d, RtValue::Ref(r));
+                self.set_local(t, *d, Value::Ref(r));
             }
             Instr::GetField(d, obj, fid) => {
                 let r = self.as_ref_val(t, *obj, method)?;
@@ -1382,12 +1367,12 @@ impl<'a> Vm<'a> {
                 let slot = self.field_slot(r, *fid, method)?.0;
                 self.heap_access(t, r, 16 + 8 * slot as u64);
                 match self.heap.get_mut(r) {
-                    RtObject::Instance { fields, .. } => fields[slot] = v,
+                    HObjectKind::Instance { fields, .. } => fields[slot] = v,
                     _ => unreachable!("field_slot validated"),
                 }
             }
             Instr::GetStatic(d, fid) => {
-                let v = self.heap.static_value(self.program, *fid);
+                let v = self.heap.static_value(*fid);
                 self.set_local(t, *d, v);
             }
             Instr::PutStatic(fid, src) => {
@@ -1398,7 +1383,7 @@ impl<'a> Vm<'a> {
                 let r = self.as_ref_val(t, *arr, method)?;
                 let i = self.as_int(t, *idx, method)?;
                 let v = match self.heap.get(r) {
-                    RtObject::Array { elems, .. } => *elems
+                    HObjectKind::Array { elems, .. } => *elems
                         .get(usize::try_from(i).map_err(|_| VmError::IndexOutOfBounds {
                             method: self.err_sig(method),
                         })?)
@@ -1422,7 +1407,7 @@ impl<'a> Vm<'a> {
                 self.heap_access(t, r, 24 + 8 * i.max(0) as u64);
                 let sig = self.err_sig(method);
                 match self.heap.get_mut(r) {
-                    RtObject::Array { elems, .. } => {
+                    HObjectKind::Array { elems, .. } => {
                         let len = elems.len();
                         *elems
                             .get_mut(usize::try_from(i).unwrap_or(len))
@@ -1439,7 +1424,7 @@ impl<'a> Vm<'a> {
             Instr::ArrayLen(d, arr) => {
                 let r = self.as_ref_val(t, *arr, method)?;
                 let n = match self.heap.get(r) {
-                    RtObject::Array { elems, .. } => elems.len() as i64,
+                    HObjectKind::Array { elems, .. } => elems.len() as i64,
                     other => {
                         return Err(VmError::TypeMismatch {
                             method: self.err_sig(method),
@@ -1448,13 +1433,13 @@ impl<'a> Vm<'a> {
                     }
                 };
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Int(n));
+                self.set_local(t, *d, Value::Int(n));
             }
             Instr::StrLen(d, s) => {
                 let r = self.as_ref_val(t, *s, method)?;
                 let n = self.str_content(r, method)?.len() as i64;
                 self.touch_object(r, 0);
-                self.set_local(t, *d, RtValue::Int(n));
+                self.set_local(t, *d, Value::Int(n));
             }
             Instr::StrCharAt(d, s, i) => {
                 let r = self.as_ref_val(t, *s, method)?;
@@ -1470,22 +1455,22 @@ impl<'a> Vm<'a> {
                         method: self.err_sig(method),
                     })?;
                 self.touch_object(r, 24 + idx as u64);
-                self.set_local(t, *d, RtValue::Int(i64::from(ch)));
+                self.set_local(t, *d, Value::Int(i64::from(ch)));
             }
             Instr::StrConcat(d, a, b) => {
                 let sa = self.display_value(self.local(t, *a));
                 let sb = self.display_value(self.local(t, *b));
-                let r = self.heap.alloc(RtObject::Str(format!("{sa}{sb}")));
-                self.set_local(t, *d, RtValue::Ref(r));
+                let r = self.heap.alloc(HObjectKind::Str(format!("{sa}{sb}")));
+                self.set_local(t, *d, Value::Ref(r));
             }
             Instr::Call { dst, callee, args } => {
                 self.ops += 1; // calls cost an extra op
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
+                let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 let target = match callee {
                     Callee::Static(m2) => *m2,
                     Callee::Virtual { selector, .. } => {
                         let recv = match argv.first() {
-                            Some(RtValue::Ref(r)) => *r,
+                            Some(Value::Ref(r)) => *r,
                             _ => {
                                 return Err(VmError::NullDeref {
                                     method: self.err_sig(method),
@@ -1493,7 +1478,7 @@ impl<'a> Vm<'a> {
                             }
                         };
                         let class = match self.heap.get(recv) {
-                            RtObject::Instance { class, .. } => *class,
+                            HObjectKind::Instance { class, .. } => *class,
                             other => {
                                 return Err(VmError::TypeMismatch {
                                     method: self.err_sig(method),
@@ -1539,17 +1524,17 @@ impl<'a> Vm<'a> {
             Instr::Intrinsic { dst, op, args } => {
                 // Intrinsics execute native code at the end of .text.
                 self.touch_native(self.intrinsic_page(*op));
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
+                let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 if *op == Intrinsic::Respond {
                     self.note_response();
                 }
                 let v = eval_intrinsic(*op, &argv);
                 if let Some(d) = dst {
-                    self.set_local(t, *d, v.unwrap_or(RtValue::Null));
+                    self.set_local(t, *d, v.unwrap_or(Value::Null));
                 }
             }
             Instr::Spawn { method: m2, args } => {
-                let argv: Vec<RtValue> = args.iter().map(|&l| self.local(t, l)).collect();
+                let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 self.threads.push(ThreadCtx {
                     frames: vec![],
                     handle: None,
@@ -1575,7 +1560,7 @@ impl<'a> Vm<'a> {
                 let value = v.map(|l| frame.locals[l.index()]);
                 if let Some(parent) = self.threads[t].frames.last_mut() {
                     if let Some(slot) = frame.ret_slot {
-                        parent.locals[slot.index()] = value.unwrap_or(RtValue::Null);
+                        parent.locals[slot.index()] = value.unwrap_or(Value::Null);
                     }
                 } else if t == 0 && self.entry_return.is_none() {
                     self.entry_return = value;
@@ -1593,7 +1578,7 @@ impl<'a> Vm<'a> {
                 else_blk,
             } => {
                 let c = match self.local(t, cond) {
-                    RtValue::Bool(b) => b,
+                    Value::Bool(b) => b,
                     other => {
                         return Err(VmError::TypeMismatch {
                             method: self.err_sig(method),
@@ -1616,9 +1601,9 @@ impl<'a> Vm<'a> {
         r: u32,
         fid: nimage_ir::FieldId,
         method: MethodId,
-    ) -> Result<(usize, RtValue), VmError> {
+    ) -> Result<(usize, Value), VmError> {
         match self.heap.get(r) {
-            RtObject::Instance { class, fields } => {
+            HObjectKind::Instance { class, fields } => {
                 let layout = self.program.all_instance_fields(*class);
                 let slot =
                     layout
@@ -1643,7 +1628,7 @@ impl<'a> Vm<'a> {
 
     fn str_content(&self, r: u32, method: MethodId) -> Result<&str, VmError> {
         match self.heap.get(r) {
-            RtObject::Str(s) => Ok(s),
+            HObjectKind::Str(s) => Ok(s),
             other => Err(VmError::TypeMismatch {
                 method: self.err_sig(method),
                 detail: format!("string op on {other:?}"),
@@ -1651,14 +1636,14 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn display_value(&self, v: RtValue) -> String {
+    fn display_value(&self, v: Value) -> String {
         match v {
-            RtValue::Null => "null".to_string(),
-            RtValue::Bool(b) => b.to_string(),
-            RtValue::Int(i) => i.to_string(),
-            RtValue::Double(d) => format!("{d}"),
-            RtValue::Ref(r) => match self.heap.get(r) {
-                RtObject::Str(s) => s.clone(),
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Double(d) => format!("{d}"),
+            Value::Ref(r) => match self.heap.get(r) {
+                HObjectKind::Str(s) => s.clone(),
                 other => format!("<{other:?}>"),
             },
         }
@@ -1687,7 +1672,7 @@ enum FastEnd {
 /// The error `Bin(op)` of `method` raises when the operator table has no
 /// value for `va, vb`. Both engines build it here.
 #[cold]
-fn bin_error(program: &Program, method: MethodId, op: BinOp, va: RtValue, vb: RtValue) -> VmError {
+fn bin_error(program: &Program, method: MethodId, op: BinOp, va: Value, vb: Value) -> VmError {
     match op {
         BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
             method: program.method_signature(method),
@@ -1702,7 +1687,7 @@ fn bin_error(program: &Program, method: MethodId, op: BinOp, va: RtValue, vb: Rt
 /// The error `Un(op)` of `method` raises when the operator table has no
 /// value for `va`. Both engines build it here.
 #[cold]
-fn un_error(program: &Program, method: MethodId, op: UnOp, va: RtValue) -> VmError {
+fn un_error(program: &Program, method: MethodId, op: UnOp, va: Value) -> VmError {
     VmError::TypeMismatch {
         method: program.method_signature(method),
         detail: format!("{op:?} on {va:?}"),
@@ -1711,10 +1696,10 @@ fn un_error(program: &Program, method: MethodId, op: UnOp, va: RtValue) -> VmErr
 
 /// `v` as an object reference, or the error an op of `method` raises.
 #[inline]
-fn ref_of(program: &Program, method: MethodId, v: RtValue) -> Result<u32, VmError> {
+fn ref_of(program: &Program, method: MethodId, v: Value) -> Result<u32, VmError> {
     match v {
-        RtValue::Ref(r) => Ok(r),
-        RtValue::Null => Err(VmError::NullDeref {
+        Value::Ref(r) => Ok(r),
+        Value::Null => Err(VmError::NullDeref {
             method: program.method_signature(method),
         }),
         other => Err(VmError::TypeMismatch {
@@ -1726,9 +1711,9 @@ fn ref_of(program: &Program, method: MethodId, v: RtValue) -> Result<u32, VmErro
 
 /// `v` as an int, or the error an op of `method` raises.
 #[inline]
-fn int_of(program: &Program, method: MethodId, v: RtValue) -> Result<i64, VmError> {
+fn int_of(program: &Program, method: MethodId, v: Value) -> Result<i64, VmError> {
     match v {
-        RtValue::Int(i) => Ok(i),
+        Value::Int(i) => Ok(i),
         other => Err(VmError::TypeMismatch {
             method: program.method_signature(method),
             detail: format!("expected int, got {other:?}"),
@@ -1744,13 +1729,13 @@ fn int_of(program: &Program, method: MethodId, v: RtValue) -> Result<i64, VmErro
 fn field_slot(
     program: &Program,
     lp: &LoweredProgram,
-    heap: &RtHeap,
+    heap: &RtHeap<'_>,
     r: u32,
     fid: nimage_ir::FieldId,
     method: MethodId,
-) -> Result<(usize, RtValue), VmError> {
+) -> Result<(usize, Value), VmError> {
     match heap.get(r) {
-        RtObject::Instance { class, fields } => match lp.field_slot(*class, fid) {
+        HObjectKind::Instance { class, fields } => match lp.field_slot(*class, fid) {
             Some(slot) => Ok((slot, fields[slot])),
             None => Err(VmError::TypeMismatch {
                 method: program.method_signature(method),
@@ -1771,7 +1756,7 @@ fn field_slot(
 /// Touches the `.svm_heap` bytes of an access to heap object `r`; `true`
 /// when the object is in the image.
 #[inline]
-fn touch_heap(heap: &RtHeap, touches: &mut FirstTouches, r: u32, byte_offset: u64) -> bool {
+fn touch_heap(heap: &RtHeap<'_>, touches: &mut FirstTouches, r: u32, byte_offset: u64) -> bool {
     heap.is_image_object(r) && touches.object(ObjId(r), byte_offset)
 }
 

@@ -1,238 +1,85 @@
-//! Runtime heap: the snapshot contents materialized for execution, plus
-//! dynamically allocated objects.
+//! Runtime heap: the build-time snapshot heap read in place, plus this
+//! run's writes and dynamically allocated objects.
 //!
-//! Objects with indices below [`RtHeap::snapshot_len`] correspond one-to-one
-//! to build-time objects ([`nimage_heap::ObjId`]); their first accesses are
-//! what faults `.svm_heap` pages in. Objects allocated at run time live in
-//! anonymous memory and never fault binary pages.
+//! Objects with indices below [`RtHeap::snapshot_len`] are the build-time
+//! objects of the same index ([`nimage_heap::ObjId`]): a reference
+//! `Value::Ref(i)` with `i < snapshot_len` *is* `ObjId(i)`. Their first
+//! accesses are what fault `.svm_heap` pages in. Objects allocated at run
+//! time live in anonymous memory and never fault binary pages.
 //!
-//! The materialization is split in two so one image can be executed many
-//! times (the evaluation engine measures the same baseline build once per
-//! strategy-matrix row): a [`HeapTemplate`] holds the immutable converted
-//! snapshot and is shared between runs behind an `Arc`, while [`RtHeap`]
-//! keeps only the per-run mutable state — a copy-on-write overlay for
-//! mutated snapshot objects and the dynamically allocated tail.
+//! One snapshot is executed many times (the evaluation engine measures the
+//! same baseline build once per strategy-matrix row), so the heap borrows
+//! the snapshot's [`BuildHeap`] and never converts or copies it: a run
+//! keeps only its private state — a copy-on-write overlay for mutated
+//! snapshot objects, the dynamically allocated tail, a dense static-field
+//! table and the strings it interned.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use nimage_heap::{BuildHeap, HObjectKind, HValue, ObjId};
-use nimage_ir::{ClassId, FieldId, Program, Scalar, TypeRef};
+use nimage_heap::{BuildHeap, HObject, HObjectKind, ObjId};
+use nimage_ir::{ClassId, FieldId, Program, Value};
 
-/// A runtime value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RtValue {
-    /// Null reference.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// 64-bit integer.
-    Int(i64),
-    /// 64-bit float.
-    Double(f64),
-    /// Reference into the [`RtHeap`] arena.
-    Ref(u32),
-}
-
-/// The operator table's view of a runtime value.
-impl From<RtValue> for Scalar {
-    #[inline]
-    fn from(v: RtValue) -> Scalar {
-        match v {
-            RtValue::Null => Scalar::Null,
-            RtValue::Bool(b) => Scalar::Bool(b),
-            RtValue::Int(i) => Scalar::Int(i),
-            RtValue::Double(d) => Scalar::Double(d),
-            RtValue::Ref(r) => Scalar::Ref(r),
-        }
-    }
-}
-
-impl From<Scalar> for RtValue {
-    #[inline]
-    fn from(s: Scalar) -> RtValue {
-        match s {
-            Scalar::Null => RtValue::Null,
-            Scalar::Bool(b) => RtValue::Bool(b),
-            Scalar::Int(i) => RtValue::Int(i),
-            Scalar::Double(d) => RtValue::Double(d),
-            Scalar::Ref(r) => RtValue::Ref(r),
-        }
-    }
-}
-
-impl RtValue {
-    /// Default value for a declared type.
-    pub fn default_for(ty: &TypeRef) -> RtValue {
-        match ty {
-            TypeRef::Bool => RtValue::Bool(false),
-            TypeRef::Int => RtValue::Int(0),
-            TypeRef::Double => RtValue::Double(0.0),
-            _ => RtValue::Null,
-        }
-    }
-}
-
-/// A runtime object's payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RtObject {
-    /// Class instance with fields in layout order.
-    Instance {
-        /// Dynamic class.
-        class: ClassId,
-        /// Field slots.
-        fields: Vec<RtValue>,
-    },
-    /// Array.
-    Array {
-        /// Element type.
-        elem: TypeRef,
-        /// Elements.
-        elems: Vec<RtValue>,
-    },
-    /// Immutable string.
-    Str(String),
-    /// Boxed FP constant (from the data section).
-    Boxed(f64),
-    /// Resource blob.
-    Blob {
-        /// Resource path.
-        name: String,
-        /// Size in bytes.
-        size: u32,
-    },
-}
-
-fn convert_value(v: HValue) -> RtValue {
-    match v {
-        HValue::Null => RtValue::Null,
-        HValue::Bool(b) => RtValue::Bool(b),
-        HValue::Int(i) => RtValue::Int(i),
-        HValue::Double(d) => RtValue::Double(d),
-        HValue::Ref(o) => RtValue::Ref(o.0),
-    }
-}
-
-/// The immutable materialization of a build-heap snapshot: every snapshot
-/// object converted to its runtime representation, plus the build-time
-/// static-field values and interned-string table.
-///
-/// A template is built once per snapshot and shared (via `Arc`) by every
-/// [`RtHeap`] — and therefore every VM run — over that snapshot.
+/// Builds and holds nothing: the VM reads the snapshot heap in place
+/// ([`RtHeap`]), so there is no template to share. Kept, with
+/// [`HeapTemplate::from_build_heap`] and `nimage_core::RunParts::heap`,
+/// because the repo benchmark still names them; deleted with that
+/// benchmark's `staged.rs`.
 #[derive(Debug)]
-pub struct HeapTemplate {
-    objects: Vec<RtObject>,
-    /// Build-time static-field values, dense by field index.
-    statics: Vec<Option<RtValue>>,
-    interned: HashMap<String, u32>,
-}
-
-/// Writes a static field into a dense table, growing it as needed.
-fn set_dense(statics: &mut Vec<Option<RtValue>>, field: FieldId, value: RtValue) {
-    let i = field.index();
-    if i >= statics.len() {
-        statics.resize(i + 1, None);
-    }
-    statics[i] = Some(value);
-}
-
-/// Reads a static field from a dense table (`None`: never written).
-fn get_dense(statics: &[Option<RtValue>], field: FieldId) -> Option<RtValue> {
-    statics.get(field.index()).copied().flatten()
-}
+pub struct HeapTemplate;
 
 impl HeapTemplate {
-    /// Converts a build heap. Indices of build objects are preserved, so
-    /// `RtValue::Ref(i)` with `i < len` denotes the build object `ObjId(i)`.
-    pub fn from_build_heap(heap: &BuildHeap) -> HeapTemplate {
-        let mut objects = Vec::with_capacity(heap.len());
-        let mut interned = HashMap::new();
-        for i in 0..heap.len() {
-            let o = heap.get(ObjId(i as u32));
-            let rt = match &o.kind {
-                HObjectKind::Instance { class, fields } => RtObject::Instance {
-                    class: *class,
-                    fields: fields.iter().map(|&v| convert_value(v)).collect(),
-                },
-                HObjectKind::Array { elem, elems } => RtObject::Array {
-                    elem: elem.clone(),
-                    elems: elems.iter().map(|&v| convert_value(v)).collect(),
-                },
-                HObjectKind::Str(s) => {
-                    if heap.is_interned(ObjId(i as u32)) {
-                        interned.insert(s.clone(), i as u32);
-                    }
-                    RtObject::Str(s.clone())
-                }
-                HObjectKind::Boxed(d) => RtObject::Boxed(*d),
-                HObjectKind::Blob { name, size } => RtObject::Blob {
-                    name: name.clone(),
-                    size: *size,
-                },
-            };
-            objects.push(rt);
-        }
-        let mut statics = vec![];
-        for (f, v) in heap.statics() {
-            set_dense(&mut statics, f, convert_value(v));
-        }
-        HeapTemplate {
-            objects,
-            statics,
-            interned,
-        }
-    }
-
-    /// Number of snapshot objects in the template.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Whether the snapshot had no objects.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+    /// Builds nothing (see [`HeapTemplate`]).
+    pub fn from_build_heap(_heap: &BuildHeap) -> HeapTemplate {
+        HeapTemplate
     }
 }
 
-/// The runtime heap: an immutable shared [`HeapTemplate`] plus this run's
-/// private state — copy-on-write copies of mutated snapshot objects,
-/// runtime allocations, static-field writes and runtime-interned strings.
+/// The runtime heap: the borrowed snapshot heap plus this run's private
+/// state — copy-on-write copies of mutated snapshot objects, runtime
+/// allocations, static fields and runtime-interned strings.
 #[derive(Debug, Clone)]
-pub struct RtHeap {
-    base: Arc<HeapTemplate>,
+pub struct RtHeap<'a> {
+    base: &'a BuildHeap,
     /// Copy-on-write overlay, dense by snapshot object: `0` reads the
-    /// template, `i + 1` reads this run's copy `copies[i]`.
+    /// snapshot, `i + 1` reads this run's copy `copies[i]`.
     overlay: Vec<u32>,
     /// This run's copies of mutated snapshot objects.
-    copies: Vec<RtObject>,
+    copies: Vec<HObject>,
     /// Objects allocated at run time; reference `snapshot_len + i`.
-    dynamic: Vec<RtObject>,
-    /// Static-field writes of this run, dense by field index; reads fall
-    /// back to the template.
-    statics: Vec<Option<RtValue>>,
+    dynamic: Vec<HObject>,
+    /// Every static field's current value, dense by field index: seeded
+    /// with the declared defaults and the snapshot's values.
+    statics: Vec<Value>,
     /// Strings interned at run time (build-time literals live in the
-    /// template and resolve to image objects).
+    /// snapshot and resolve to image objects).
     interned: HashMap<String, u32>,
     snapshot_len: u32,
 }
 
-impl RtHeap {
-    /// Materializes the build heap for execution (private template).
-    pub fn from_build_heap(heap: &BuildHeap) -> RtHeap {
-        RtHeap::from_template(Arc::new(HeapTemplate::from_build_heap(heap)))
-    }
-
-    /// Creates a run-private heap over a shared snapshot template without
-    /// copying any object.
-    pub fn from_template(base: Arc<HeapTemplate>) -> RtHeap {
+impl<'a> RtHeap<'a> {
+    /// A run-private heap over the snapshot heap `base` of `program`,
+    /// without copying any object.
+    ///
+    /// # Panics
+    /// If `base` sets a static that is not a field of `program`
+    /// ([`nimage_heap::HeapSnapshot::fits`] rules that out).
+    pub fn new(base: &'a BuildHeap, program: &Program) -> RtHeap<'a> {
+        let mut statics: Vec<Value> = program
+            .fields()
+            .iter()
+            .map(|f| Value::default_for(&f.ty))
+            .collect();
+        for (f, v) in base.statics() {
+            statics[f.index()] = v;
+        }
         RtHeap {
-            snapshot_len: base.objects.len() as u32,
-            overlay: vec![0; base.objects.len()],
             base,
+            overlay: vec![0; base.len()],
             copies: Vec::new(),
             dynamic: Vec::new(),
-            statics: Vec::new(),
+            statics,
             interned: HashMap::new(),
+            snapshot_len: base.len() as u32,
         }
     }
 
@@ -246,43 +93,44 @@ impl RtHeap {
         r < self.snapshot_len
     }
 
-    /// Immutable object access.
+    /// The payload of object `r`.
     ///
     /// # Panics
     /// Panics if `r` is out of range.
-    pub fn get(&self, r: u32) -> &RtObject {
+    pub fn get(&self, r: u32) -> &HObjectKind {
         if r < self.snapshot_len {
             match self.overlay[r as usize] {
-                0 => &self.base.objects[r as usize],
-                copy => &self.copies[copy as usize - 1],
+                0 => &self.base.objects()[r as usize].kind,
+                copy => &self.copies[copy as usize - 1].kind,
             }
         } else {
-            &self.dynamic[(r - self.snapshot_len) as usize]
+            &self.dynamic[(r - self.snapshot_len) as usize].kind
         }
     }
 
-    /// Mutable object access. The first mutation of a snapshot object
-    /// copies it out of the shared template into this run's overlay.
+    /// Mutable access to the payload of object `r`. The first mutation of
+    /// a snapshot object copies it out of the shared snapshot into this
+    /// run's overlay.
     ///
     /// # Panics
     /// Panics if `r` is out of range.
-    pub fn get_mut(&mut self, r: u32) -> &mut RtObject {
+    pub fn get_mut(&mut self, r: u32) -> &mut HObjectKind {
         if r < self.snapshot_len {
             let copy = &mut self.overlay[r as usize];
             if *copy == 0 {
-                self.copies.push(self.base.objects[r as usize].clone());
+                self.copies.push(self.base.get(ObjId(r)).clone());
                 *copy = self.copies.len() as u32;
             }
-            &mut self.copies[*copy as usize - 1]
+            &mut self.copies[*copy as usize - 1].kind
         } else {
-            &mut self.dynamic[(r - self.snapshot_len) as usize]
+            &mut self.dynamic[(r - self.snapshot_len) as usize].kind
         }
     }
 
     /// Allocates a runtime object, returning its reference.
-    pub fn alloc(&mut self, o: RtObject) -> u32 {
+    pub fn alloc(&mut self, kind: HObjectKind) -> u32 {
         let r = self.snapshot_len + self.dynamic.len() as u32;
-        self.dynamic.push(o);
+        self.dynamic.push(HObject { kind });
         r
     }
 
@@ -291,36 +139,36 @@ impl RtHeap {
         let fields = program
             .all_instance_fields(class)
             .iter()
-            .map(|&f| RtValue::default_for(&program.field(f).ty))
+            .map(|&f| Value::default_for(&program.field(f).ty))
             .collect();
-        self.alloc(RtObject::Instance { class, fields })
+        self.alloc(HObjectKind::Instance { class, fields })
     }
 
     /// Interned string lookup/allocation. Literals already interned at
     /// build time resolve to their image object (and thus to `.svm_heap`
     /// pages); new literals intern into anonymous memory.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&r) = self.base.interned.get(s) {
-            return r;
+        if let Some(o) = self.base.interned_id(s) {
+            return o.0;
         }
         if let Some(&r) = self.interned.get(s) {
             return r;
         }
-        let r = self.alloc(RtObject::Str(s.to_string()));
+        let r = self.alloc(HObjectKind::Str(s.to_string()));
         self.interned.insert(s.to_string(), r);
         r
     }
 
     /// Reads a static field.
-    pub fn static_value(&self, program: &Program, field: FieldId) -> RtValue {
-        get_dense(&self.statics, field)
-            .or_else(|| get_dense(&self.base.statics, field))
-            .unwrap_or_else(|| RtValue::default_for(&program.field(field).ty))
+    #[inline]
+    pub fn static_value(&self, field: FieldId) -> Value {
+        self.statics[field.index()]
     }
 
     /// Writes a static field.
-    pub fn set_static(&mut self, field: FieldId, value: RtValue) {
-        set_dense(&mut self.statics, field, value);
+    #[inline]
+    pub fn set_static(&mut self, field: FieldId, value: Value) {
+        self.statics[field.index()] = value;
     }
 
     /// Total number of live objects (image + dynamic).
@@ -337,23 +185,24 @@ impl RtHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimage_ir::{ProgramBuilder, TypeRef};
 
     #[test]
-    fn build_heap_conversion_preserves_indices() {
+    fn snapshot_objects_keep_their_indices() {
         let mut bh = BuildHeap::new();
         let s = bh.intern("hi");
         let arr = bh.alloc_array(TypeRef::Int, 3);
-        let rt = RtHeap::from_build_heap(&bh);
+        let rt = RtHeap::new(&bh, &Program::default());
         assert_eq!(rt.snapshot_len(), 2);
-        assert!(matches!(rt.get(s.0), RtObject::Str(x) if x == "hi"));
-        assert!(matches!(rt.get(arr.0), RtObject::Array { elems, .. } if elems.len() == 3));
+        assert!(matches!(rt.get(s.0), HObjectKind::Str(x) if x == "hi"));
+        assert!(matches!(rt.get(arr.0), HObjectKind::Array { elems, .. } if elems.len() == 3));
     }
 
     #[test]
     fn runtime_allocations_are_not_image_objects() {
         let bh = BuildHeap::new();
-        let mut rt = RtHeap::from_build_heap(&bh);
-        let r = rt.alloc(RtObject::Str("dyn".into()));
+        let mut rt = RtHeap::new(&bh, &Program::default());
+        let r = rt.alloc(HObjectKind::Str("dyn".into()));
         assert!(!rt.is_image_object(r));
     }
 
@@ -361,7 +210,7 @@ mod tests {
     fn interned_literals_resolve_to_image_objects() {
         let mut bh = BuildHeap::new();
         let s = bh.intern("lit");
-        let mut rt = RtHeap::from_build_heap(&bh);
+        let mut rt = RtHeap::new(&bh, &Program::default());
         assert_eq!(rt.intern("lit"), s.0);
         let fresh = rt.intern("new-at-runtime");
         assert!(!rt.is_image_object(fresh));
@@ -370,37 +219,47 @@ mod tests {
     }
 
     #[test]
-    fn shared_template_is_not_mutated_by_a_run() {
+    fn two_runs_over_one_build_heap_do_not_see_each_others_writes() {
         let mut bh = BuildHeap::new();
         let arr = bh.alloc_array(TypeRef::Int, 2);
-        let template = Arc::new(HeapTemplate::from_build_heap(&bh));
+        let program = Program::default();
 
-        let mut first = RtHeap::from_template(template.clone());
-        if let RtObject::Array { elems, .. } = first.get_mut(arr.0) {
-            elems[0] = RtValue::Int(42);
+        let mut first = RtHeap::new(&bh, &program);
+        if let HObjectKind::Array { elems, .. } = first.get_mut(arr.0) {
+            elems[0] = Value::Int(42);
         }
         assert!(matches!(
             first.get(arr.0),
-            RtObject::Array { elems, .. } if elems[0] == RtValue::Int(42)
+            HObjectKind::Array { elems, .. } if elems[0] == Value::Int(42)
         ));
 
-        // A second run over the same template sees the pristine snapshot.
-        let second = RtHeap::from_template(template);
+        // A second run over the same heap sees the pristine snapshot.
+        let second = RtHeap::new(&bh, &program);
         assert!(matches!(
             second.get(arr.0),
-            RtObject::Array { elems, .. } if elems[0] == RtValue::Int(0)
+            HObjectKind::Array { elems, .. } if elems[0] == Value::Int(0)
+        ));
+        assert!(matches!(
+            bh.get(arr).kind,
+            HObjectKind::Array { ref elems, .. } if elems[0] == Value::Int(0)
         ));
     }
 
     #[test]
-    fn static_writes_shadow_template_values() {
-        let bh = BuildHeap::new();
-        let template = Arc::new(HeapTemplate::from_build_heap(&bh));
-        let mut rt = RtHeap::from_template(template);
-        let program = Program::default();
-        rt.set_static(FieldId(0), RtValue::Int(7));
-        // The overlay value wins without consulting the program's field
-        // table (the empty program has no field f0 to fall back to).
-        assert_eq!(rt.static_value(&program, FieldId(0)), RtValue::Int(7));
+    fn statics_read_snapshot_values_defaults_and_run_writes() {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("t.A", None);
+        let set = pb.add_static_field(a, "SET", TypeRef::Int);
+        let unset = pb.add_static_field(a, "UNSET", TypeRef::Double);
+        let program = pb.build().unwrap();
+        let mut bh = BuildHeap::new();
+        bh.set_static(set, Value::Int(3));
+        let mut rt = RtHeap::new(&bh, &program);
+        assert_eq!(rt.static_value(set), Value::Int(3));
+        assert_eq!(rt.static_value(unset), Value::Double(0.0));
+        rt.set_static(set, Value::Int(7));
+        assert_eq!(rt.static_value(set), Value::Int(7));
+        // The write is the run's own: the snapshot keeps its value.
+        assert_eq!(bh.static_value(&program, set), Value::Int(3));
     }
 }

@@ -36,7 +36,11 @@ mod report;
 pub use access::{relayout, AccessLog, Touch};
 pub use exec::{ProbeCosts, StopWhen, Vm, VmBuilder, VmConfig, VmError};
 pub use faultmap::{render_ascii, summarize, touched_extent, PageMapSummary};
-pub use heap_rt::{HeapTemplate, RtHeap, RtObject, RtValue};
+pub use heap_rt::{HeapTemplate, RtHeap};
 pub use lower::{LoweredProgram, LoweredShard};
+/// The former name of the one value type, [`nimage_ir::Value`]. Kept
+/// because the repo benchmark still names it; deleted with that
+/// benchmark's `staged.rs`.
+pub use nimage_ir::Value as RtValue;
 pub use paging::{PageState, PagingConfig, PagingConfigError, PagingSim, SectionFaults};
 pub use report::{CostModel, ExitKind, ResponsePoint, RunReport};

@@ -55,10 +55,8 @@ use std::sync::OnceLock;
 use nimage_compiler::{CompiledProgram, CuId, PathNumbering, ProfilingCfg};
 use nimage_ir::{
     BinOp, Callee, ClassId, FieldId, Instr, Intrinsic, Local, MethodId, Program, SelectorId,
-    Terminator, TypeRef, UnOp,
+    Terminator, TypeRef, UnOp, Value,
 };
-
-use crate::heap_rt::RtValue;
 
 /// Sentinel for "absent" entries in the dense u32 lookup tables.
 pub const NO_ENTRY: u32 = u32::MAX;
@@ -319,7 +317,7 @@ pub struct LoweredProgram {
     n_fields: usize,
     /// Default field values per class, in `all_instance_fields` layout
     /// order (the `New` fast path).
-    field_defaults: Vec<Box<[RtValue]>>,
+    field_defaults: Vec<Box<[Value]>>,
     /// CU rooted at each method ([`NO_ENTRY`] = not a root).
     root_cu: Vec<u32>,
     /// Flattened Ball–Larus tables per method; realized with the owning
@@ -403,7 +401,7 @@ impl LoweredProgram {
             field_defaults.push(
                 layout
                     .iter()
-                    .map(|&f| RtValue::default_for(&program.field(f).ty))
+                    .map(|&f| Value::default_for(&program.field(f).ty))
                     .collect(),
             );
         }
@@ -600,7 +598,7 @@ impl LoweredProgram {
 
     /// Default field values of a class, in layout order.
     #[inline]
-    pub fn field_defaults(&self, class: ClassId) -> &[RtValue] {
+    pub fn field_defaults(&self, class: ClassId) -> &[Value] {
         &self.field_defaults[class.index()]
     }
 

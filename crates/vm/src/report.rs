@@ -1,9 +1,9 @@
 //! Execution reports and the time model.
 
 use nimage_compiler::CallCountProfile;
+use nimage_ir::Value;
 use nimage_profiler::{SessionStats, Trace};
 
-use crate::heap_rt::RtValue;
 use crate::paging::{PageState, SectionFaults};
 
 /// Why the VM stopped.
@@ -50,7 +50,7 @@ pub struct RunReport {
     /// Why the run stopped.
     pub exit: ExitKind,
     /// The value returned by the entry method, when it returned one.
-    pub entry_return: Option<RtValue>,
+    pub entry_return: Option<Value>,
     /// Logical pages of the native tail in first-touch order — the profile
     /// consumed by the native-reordering extension (the paper's Appendix A
     /// future work).

@@ -5,9 +5,9 @@ use nimage_analysis::{analyze, AnalysisConfig};
 use nimage_compiler::{compile, CompiledProgram, InlineConfig, InstrumentConfig};
 use nimage_heap::{snapshot, HeapBuildConfig, HeapSnapshot};
 use nimage_image::{BinaryImage, ImageOptions};
-use nimage_ir::{Program, ProgramBuilder, TypeRef};
+use nimage_ir::{Program, ProgramBuilder, TypeRef, Value};
 use nimage_profiler::Record;
-use nimage_vm::{ExitKind, RtValue, StopWhen, Vm, VmConfig};
+use nimage_vm::{ExitKind, StopWhen, Vm, VmConfig};
 
 fn build(
     program: &Program,
@@ -69,7 +69,7 @@ fn fib_computes_correctly() {
     let p = fib_program();
     let r = run(&p, InstrumentConfig::NONE, StopWhen::Exit);
     assert_eq!(r.exit, ExitKind::Exited);
-    assert_eq!(r.entry_return, Some(RtValue::Int(55)));
+    assert_eq!(r.entry_return, Some(Value::Int(55)));
 }
 
 #[test]
@@ -110,7 +110,7 @@ fn virtual_dispatch_selects_dynamic_target() {
     pb.set_entry(main);
     let p = pb.build().unwrap();
     let r = run(&p, InstrumentConfig::NONE, StopWhen::Exit);
-    assert_eq!(r.entry_return, Some(RtValue::Int(7)));
+    assert_eq!(r.entry_return, Some(Value::Int(7)));
 }
 
 /// A microservice-shaped program: main spawns a worker that responds.
@@ -246,9 +246,10 @@ fn array_scans_log_each_element_once_and_fault_each_page_once() {
     let (r, log) = Vm::new(&p, &cp, &snap, &img, cfg)
         .run_logged(StopWhen::Exit)
         .unwrap();
-    let Some((_, nimage_heap::HValue::Ref(big))) = snap.heap().statics().next() else {
+    let Some((_, Value::Ref(big))) = snap.heap().statics().next() else {
         panic!("the initializer stored the array");
     };
+    let big = nimage_heap::ObjId(big);
     let offsets: Vec<u64> = log
         .touches()
         .iter()

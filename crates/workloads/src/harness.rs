@@ -103,7 +103,8 @@ mod tests {
     use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_image::{BinaryImage, ImageOptions};
-    use nimage_vm::{RtValue, StopWhen, Vm, VmConfig};
+    use nimage_ir::Value;
+    use nimage_vm::{StopWhen, Vm, VmConfig};
 
     /// A trivial benchmark returning 7 per iteration.
     #[test]
@@ -133,7 +134,7 @@ mod tests {
         let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
             .run(StopWhen::Exit)
             .unwrap();
-        assert_eq!(r.entry_return, Some(RtValue::Int(21)));
+        assert_eq!(r.entry_return, Some(Value::Int(21)));
     }
 
     #[test]
@@ -176,6 +177,6 @@ mod tests {
         let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
             .run(StopWhen::Exit)
             .unwrap();
-        assert_eq!(r.entry_return, Some(RtValue::Int(22896 + 34761 + 34014)));
+        assert_eq!(r.entry_return, Some(Value::Int(22896 + 34761 + 34014)));
     }
 }

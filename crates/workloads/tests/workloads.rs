@@ -6,8 +6,8 @@ use nimage_analysis::{analyze, AnalysisConfig};
 use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
 use nimage_heap::{snapshot, HeapBuildConfig};
 use nimage_image::{BinaryImage, ImageOptions};
-use nimage_ir::Program;
-use nimage_vm::{ExitKind, RtValue, StopWhen, Vm, VmConfig};
+use nimage_ir::{Program, Value};
+use nimage_vm::{ExitKind, StopWhen, Vm, VmConfig};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 fn run(program: &Program, stop: StopWhen) -> nimage_vm::RunReport {
@@ -34,7 +34,7 @@ fn every_awfy_benchmark_builds_and_runs() {
         let r = run(&p, StopWhen::Exit);
         assert_eq!(r.exit, ExitKind::Exited, "{}", b.name());
         let v = match r.entry_return {
-            Some(RtValue::Int(v)) => v,
+            Some(Value::Int(v)) => v,
             other => panic!("{}: expected int result, got {other:?}", b.name()),
         };
         assert_ne!(v, 0, "{}: checksum must be nonzero", b.name());
@@ -54,7 +54,7 @@ fn closed_form_results_are_correct() {
         let iters = 2;
         assert_eq!(
             r.entry_return,
-            Some(RtValue::Int(expected * iters)),
+            Some(Value::Int(expected * iters)),
             "{}",
             b.name()
         );
@@ -226,7 +226,7 @@ fn bounce_matches_rust_mirror() {
 
     let p = Awfy::Bounce.program_at(&RuntimeScale::small());
     let r = run(&p, StopWhen::Exit);
-    assert_eq!(r.entry_return, Some(RtValue::Int(expected)));
+    assert_eq!(r.entry_return, Some(Value::Int(expected)));
 }
 
 /// Rust mirror of the Mandelbrot checksum.
@@ -267,7 +267,7 @@ fn mandelbrot_matches_rust_mirror() {
     let expected = mandelbrot(64); // one inner iteration
     let p = Awfy::Mandelbrot.program_at(&RuntimeScale::small());
     let r = run(&p, StopWhen::Exit);
-    assert_eq!(r.entry_return, Some(RtValue::Int(expected)));
+    assert_eq!(r.entry_return, Some(Value::Int(expected)));
 }
 
 /// Havlak must recognize exactly the constructed loops: 30 inner diamond
@@ -277,7 +277,7 @@ fn havlak_recognizes_constructed_loops() {
     let p = Awfy::Havlak.program_at(&RuntimeScale::small());
     let r = run(&p, StopWhen::Exit);
     let v = match r.entry_return {
-        Some(RtValue::Int(v)) => v,
+        Some(Value::Int(v)) => v,
         other => panic!("unexpected {other:?}"),
     };
     // checksum = loops * 1000 + collapsed body size (1 inner iteration).
@@ -315,5 +315,5 @@ fn list_matches_rust_mirror() {
     let expected = result.0.len() as i64 * 2; // two inner iterations
     let p = Awfy::List.program_at(&RuntimeScale::small());
     let r = run(&p, StopWhen::Exit);
-    assert_eq!(r.entry_return, Some(RtValue::Int(expected)));
+    assert_eq!(r.entry_return, Some(Value::Int(expected)));
 }

@@ -9,9 +9,9 @@ use nimage::analysis::{analyze, AnalysisConfig};
 use nimage::compiler::{compile, InlineConfig, InstrumentConfig, PathNumbering, ProfilingCfg};
 use nimage::heap::{snapshot, HeapBuildConfig, StepBudget};
 use nimage::image::{BinaryImage, ImageOptions};
-use nimage::ir::{BinOp, BodyBuilder, Program, ProgramBuilder, TypeRef};
+use nimage::ir::{BinOp, BodyBuilder, Program, ProgramBuilder, TypeRef, Value};
 use nimage::order::{assign_ids, murmur3, order_objects, HeapOrderProfile, HeapStrategy};
-use nimage::vm::{PagingConfig, PagingSim, RtValue, StopWhen, Vm, VmConfig};
+use nimage::vm::{PagingConfig, PagingSim, StopWhen, Vm, VmConfig};
 
 // ---------------------------------------------------------------- murmur3
 
@@ -130,7 +130,7 @@ fn program_of(e: &Expr) -> Program {
     pb.build().expect("generated program validates")
 }
 
-fn run_vm(program: &Program, instr: InstrumentConfig) -> RtValue {
+fn run_vm(program: &Program, instr: InstrumentConfig) -> Value {
     let reach = analyze(program, &AnalysisConfig::default());
     let compiled = compile(program, reach, &InlineConfig::default(), instr, None);
     let snap = snapshot(program, &compiled, &HeapBuildConfig::default()).unwrap();
@@ -149,7 +149,7 @@ proptest! {
     #[test]
     fn vm_matches_reference_semantics(e in expr_strategy()) {
         let program = program_of(&e);
-        prop_assert_eq!(run_vm(&program, InstrumentConfig::NONE), RtValue::Int(eval_expr(&e)));
+        prop_assert_eq!(run_vm(&program, InstrumentConfig::NONE), Value::Int(eval_expr(&e)));
     }
 
     /// Instrumentation must never change results ("heisenbug freedom").
@@ -174,7 +174,7 @@ proptest! {
                 .unwrap();
         let rt = run_vm(&program, InstrumentConfig::NONE);
         match (build_time, rt) {
-            (Some(nimage::heap::HValue::Int(a)), RtValue::Int(b)) => prop_assert_eq!(a, b),
+            (Some(Value::Int(a)), Value::Int(b)) => prop_assert_eq!(a, b),
             other => prop_assert!(false, "unexpected values {:?}", other),
         }
     }
