@@ -1013,7 +1013,7 @@ impl DiskCodec for ProfiledArtifacts {
         let cu_profile = decode_sigs(r)?;
         let method_profile = decode_sigs(r)?;
         let n_profiles = r.u32()? as usize;
-        let mut heap_profiles = HashMap::with_capacity(cap_alloc(n_profiles, r, 9));
+        let mut heap_profiles = HashMap::with_capacity(cap_alloc(n_profiles, r, 13));
         for _ in 0..n_profiles {
             let tag = r.u8()?;
             let arg = r.u32()?;

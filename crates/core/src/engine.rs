@@ -17,9 +17,11 @@
 //!    its own layout from that log ([`Pipeline::relayout`]) instead of
 //!    interpreting the same build again — exact, because a layout moves
 //!    bytes but never changes what executes (`nimage_vm::access`),
-//! 4. **fans the independent cells out** over a scoped thread pool with a
-//!    work-stealing job queue, returning results in deterministic
-//!    row-major (workload-major) order regardless of scheduling.
+//! 4. **fans the independent cells out** over a scoped thread pool that
+//!    takes jobs from one ordered queue — every row's serial front first,
+//!    largest program first, then the strategy cells — returning results
+//!    in deterministic row-major (workload-major) order regardless of
+//!    scheduling.
 //!
 //! Per-stage wall-clock and cache hit counts are read out through
 //! [`crate::Report`] (surfaced by `nimage bench --json`). Stage times are
@@ -376,14 +378,15 @@ impl Engine {
         specs: &[WorkloadSpec<'p>],
         strategies: &[Strategy],
     ) -> Result<Vec<MatrixCell>, PipelineError> {
-        // One context per row, fingerprinted by the first cell of the row
-        // to run: the workers start on different rows, so the program
-        // hashes of different workloads overlap instead of queueing ahead
-        // of the fan-out.
+        // One context per row, fingerprinted by the row's front: the fronts
+        // start before any other cell, so the program hashes of different
+        // workloads overlap instead of queueing ahead of the fan-out.
         let ctxs: Vec<OnceLock<Ctx<'p, '_>>> = specs.iter().map(|_| OnceLock::new()).collect();
         let jobs: Vec<(usize, usize)> = (0..specs.len())
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
+        let sizes: Vec<usize> = specs.iter().map(|s| ir_size(s.program)).collect();
+        let order = job_order(&sizes, strategies.len());
         // Capped at the host's parallelism (workers beyond it only
         // contend) and gated on the cell-count cutoff. This is the
         // pipeline's only fan-out: every stage inside a cell is serial.
@@ -392,19 +395,11 @@ impl Engine {
             jobs.len(),
             nimage_par::cutoff::RUN_MIN_CELLS,
         );
-        // Seed worker deques workload-major so workers start on different
-        // rows (the shared per-row stages serialize behind the cache
-        // slots); stealing rebalances the strategy cells.
-        let results = nimage_par::parallel_map_seeded(
-            workers,
-            jobs.len(),
-            |j| jobs[j].0,
-            |j| {
-                let (wi, si) = jobs[j];
-                let ctx = ctxs[wi].get_or_init(|| self.ctx(&specs[wi]));
-                self.run_job(ctx, strategies[si])
-            },
-        );
+        let results = nimage_par::parallel_map_ordered(workers, &order, |j| {
+            let (wi, si) = jobs[j];
+            let ctx = ctxs[wi].get_or_init(|| self.ctx(&specs[wi]));
+            self.run_job(ctx, strategies[si])
+        });
 
         let mut out = Vec::with_capacity(jobs.len());
         for (result, &(wi, si)) in results.into_iter().zip(&jobs) {
@@ -595,7 +590,7 @@ impl Engine {
 
     fn run_job(&self, ctx: &Ctx<'_, '_>, strategy: Strategy) -> Result<Evaluation, PipelineError> {
         // The cell span is a logical root: cells are the unit of
-        // work-stealing, so their thread and physical parent vary.
+        // scheduling, so their thread and physical parent vary.
         let _cell = self.tracer.root_span("cell", || {
             format!("workload={} strategy={}", ctx.spec.name, strategy.name())
         });
@@ -844,10 +839,63 @@ impl Engine {
     }
 }
 
+/// A program's IR size: every block's instructions plus its terminator,
+/// over all methods. It ranks rows by the length of their front.
+fn ir_size(program: &Program) -> usize {
+    program
+        .methods()
+        .iter()
+        .flat_map(|m| &m.blocks)
+        .map(|b| b.instrs.len() + 1)
+        .sum()
+}
+
+/// The start order of a matrix's cells, as row-major job indices
+/// (`row * n_strategies + strategy`), given each row's [`ir_size`].
+///
+/// A row's first cell is its *front*: it runs the row's serial chain —
+/// fingerprint, analyze, compile, snapshot, instrumented run, replay,
+/// optimized compile, snapshot, baseline run — that every other cell of
+/// the row waits on. All fronts start first, largest program first, so
+/// the longest chains overlap and no worker blocks on a row whose chain
+/// another worker has not reached. The remaining cells follow row by row
+/// in the same order. The sort is stable: equal sizes keep row order.
+fn job_order(row_sizes: &[usize], n_strategies: usize) -> Vec<usize> {
+    if n_strategies == 0 {
+        return vec![];
+    }
+    let mut rows: Vec<usize> = (0..row_sizes.len()).collect();
+    rows.sort_by_key(|&r| std::cmp::Reverse(row_sizes[r]));
+    let fronts = rows.iter().map(|&r| r * n_strategies);
+    let rest = rows
+        .iter()
+        .flat_map(|&r| (1..n_strategies).map(move |s| r * n_strategies + s));
+    fronts.chain(rest).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nimage_trace::Tracer;
+
+    #[test]
+    fn fronts_start_first_largest_program_first() {
+        // micro's rows: micronaut, quarkus, spring.
+        let order = job_order(&[297_393, 245_499, 391_745], 8);
+        let mut expected = vec![16, 0, 8];
+        expected.extend(17..24);
+        expected.extend(1..8);
+        expected.extend(9..16);
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn equal_sizes_keep_row_order() {
+        assert_eq!(job_order(&[5, 7, 5, 7], 2), [2, 6, 0, 4, 3, 7, 1, 5]);
+        assert_eq!(job_order(&[3, 3, 3], 1), [0, 1, 2]);
+        assert_eq!(job_order(&[3, 3], 0), Vec::<usize>::new());
+        assert_eq!(job_order(&[], 8), Vec::<usize>::new());
+    }
 
     #[test]
     fn report_stages_list_stage_names_in_pipeline_order() {

@@ -553,7 +553,8 @@ impl DiskCodec for HeapSnapshot {
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let n_objects = r.u32()?;
-        let mut objects = Vec::with_capacity(cap_alloc(n_objects as usize, r, 1));
+        // The shortest object is an empty string: a tag and its length.
+        let mut objects = Vec::with_capacity(cap_alloc(n_objects as usize, r, 5));
         for _ in 0..n_objects {
             objects.push(decode_hobject(r, n_objects)?);
         }
@@ -1129,7 +1130,7 @@ impl DiskCodec for LoweredShard {
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let cu = r.u32()?;
         let n_methods = r.u32()? as usize;
-        let mut methods = Vec::with_capacity(cap_alloc(n_methods, r, 12));
+        let mut methods = Vec::with_capacity(cap_alloc(n_methods, r, 16));
         for _ in 0..n_methods {
             let mi = r.u32()?;
             methods.push((mi, decode_lowered_method(r)?));

@@ -9,10 +9,6 @@ use nimage_par::{cutoff, host_parallelism, workers_for};
 use nimage_vm::StopWhen;
 use nimage_workloads::{Awfy, RuntimeScale};
 
-fn program() -> nimage_ir::Program {
-    Awfy::Bounce.program_at(&RuntimeScale::small())
-}
-
 /// Guards the thread-invariance test of this suite against going vacuous:
 /// it compares a serial run with a "parallel" run, which is only a
 /// comparison of two code paths if the matrix actually crosses the
@@ -27,20 +23,37 @@ fn live_cutoffs() {
     );
 }
 
-/// Every cell of the Bounce × all-strategies matrix — baseline and
+/// A program's IR size, as the engine ranks rows: every block's
+/// instructions plus its terminator.
+fn ir_size(p: &nimage_ir::Program) -> usize {
+    p.methods()
+        .iter()
+        .flat_map(|m| &m.blocks)
+        .map(|b| b.instrs.len() + 1)
+        .sum()
+}
+
+/// Every cell of a three-program × all-strategies matrix — baseline and
 /// optimized run reports, bit for bit through `Debug` — is the same at 1
-/// worker as at 2, 4 and 8.
+/// worker as at 2, 4 and 8. The rows are not in size order, so the
+/// engine starts them in a different order than it returns them.
 #[test]
 fn engine_matrix_is_thread_count_invariant() {
-    let p = program();
+    let rows = [Awfy::Bounce, Awfy::Richards, Awfy::Towers];
+    let programs: Vec<_> = rows
+        .iter()
+        .map(|a| a.program_at(&RuntimeScale::small()))
+        .collect();
+    let sizes: Vec<usize> = programs.iter().map(ir_size).collect();
+    assert!(
+        sizes.windows(2).any(|w| w[0] < w[1]),
+        "rows already in descending size order: {sizes:?}"
+    );
     let cells = |threads: usize| -> Vec<String> {
         EvalRequest::new()
-            .workload(WorkloadSpec::new(
-                "Bounce",
-                &p,
-                BuildOptions::default(),
-                StopWhen::Exit,
-            ))
+            .workloads(rows.iter().zip(&programs).map(|(a, p)| {
+                WorkloadSpec::new(a.name(), p, BuildOptions::default(), StopWhen::Exit)
+            }))
             .strategies(Strategy::all())
             .threads(threads)
             .run()
@@ -51,7 +64,7 @@ fn engine_matrix_is_thread_count_invariant() {
             .collect()
     };
     let serial = cells(1);
-    assert_eq!(serial.len(), Strategy::all().len());
+    assert_eq!(serial.len(), rows.len() * Strategy::all().len());
     for threads in [2, 4, 8] {
         assert_eq!(
             serial,

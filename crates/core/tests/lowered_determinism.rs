@@ -419,7 +419,8 @@ fn shared_lowered_program_runs_are_isolated() {
         .unwrap()
     };
     let reference = format!("{:?}", run_one());
-    let reports = nimage_par::parallel_map_seeded(4, 6, |j| j, |_| format!("{:?}", run_one()));
+    let order: Vec<usize> = (0..6).collect();
+    let reports = nimage_par::parallel_map_ordered(4, &order, |_| format!("{:?}", run_one()));
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(&reference, r, "sharded run {i} differs from serial");
     }

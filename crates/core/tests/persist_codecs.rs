@@ -5,7 +5,10 @@
 //! be total — arbitrary or truncated bytes are rejected, never a panic or
 //! an oversized allocation. Damaged copies of valid entries of every codec
 //! (bit flips, truncations, a splice of two entries) must decode to `None`
-//! or to a value that survives its own re-encoding unchanged.
+//! or to a value that survives its own re-encoding unchanged, and no
+//! damaged decode may make an allocation larger than [`ALLOC_FACTOR`]
+//! times its input plus [`ALLOC_SLACK`] bytes: a counting allocator
+//! records the largest single allocation while each decode runs.
 //!
 //! Debug builds try fewer sampled positions than release builds.
 
@@ -22,8 +25,13 @@ use nimage_core::{
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_order::{assign_ids, HeapStrategy};
+use nimage_vm::lower::LoweredInstr;
 use nimage_vm::{AccessLog, LoweredProgram, LoweredShard, RunReport, StopWhen, Touch};
 use nimage_workloads::{Awfy, RuntimeScale};
+
+#[path = "support/peak_alloc.rs"]
+mod peak_alloc;
+use peak_alloc::largest_allocation;
 
 /// The `baseline-run` disk entry.
 type LoggedRun = (RunReport, AccessLog);
@@ -279,10 +287,38 @@ const SAMPLES: usize = if cfg!(debug_assertions) { 16 } else { 96 };
 /// Entries up to this size are truncated at every length.
 const SMALL: usize = if cfg!(debug_assertions) { 512 } else { 4096 };
 
-/// Decodes `bytes` as a `T`. A value must re-encode to bytes that decode
-/// and re-encode to the same bytes again; returns whether it decoded.
+/// The most bytes a decode may allocate at once per input byte. Decoders
+/// size each buffer from its length prefix, capped at the bytes left
+/// divided by the element's shortest encoding, so one input byte can claim
+/// at most an element's in-memory size divided by that length. The largest such ratio
+/// is a lowered instruction's: 40 bytes in memory against 2 for the
+/// shortest, `Ret(None)`. (A heap value is 16 over 1 for `Null`.)
+const ALLOC_FACTOR: usize = 20;
+
+/// A constant allowance on top of [`ALLOC_FACTOR`] for the fixed minimum
+/// sizes of small buffers and hash tables.
+const ALLOC_SLACK: usize = 256;
+
+/// Pins [`ALLOC_FACTOR`]'s derivation to the type it is derived from.
+#[test]
+fn alloc_factor_covers_the_widest_element() {
+    assert!(std::mem::size_of::<LoweredInstr>() <= 2 * ALLOC_FACTOR);
+    assert!(std::mem::size_of::<nimage_ir::Value>() <= ALLOC_FACTOR);
+}
+
+/// Decodes `bytes` as a `T`, whose largest single allocation must stay
+/// within [`ALLOC_FACTOR`] × `bytes.len()` + [`ALLOC_SLACK`]. A value must
+/// re-encode to bytes that decode and re-encode to the same bytes again;
+/// returns whether it decoded.
 fn decodes_stably<T: DiskCodec>(bytes: &[u8]) -> bool {
-    let Some(value) = T::decode(&mut Reader::new(bytes)) else {
+    let (decoded, peak) = largest_allocation(|| T::decode(&mut Reader::new(bytes)));
+    assert!(
+        peak <= ALLOC_FACTOR * bytes.len() + ALLOC_SLACK,
+        "{}: decoding {} bytes allocated {peak} bytes at once",
+        std::any::type_name::<T>(),
+        bytes.len()
+    );
+    let Some(value) = decoded else {
         return false;
     };
     let mut once = Vec::new();

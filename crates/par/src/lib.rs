@@ -7,20 +7,19 @@
 //! merge in a deterministic order that does not depend on execution
 //! interleaving**. This crate provides the building block:
 //!
-//! - [`parallel_map_seeded`] — an index-ordered parallel map over a
-//!   work-stealing queue (each worker owns a deque seeded with the jobs
-//!   the caller homes on it, pops locally from the front and steals from
-//!   other workers' backs when its own runs dry): results come back in
-//!   job-index order regardless of which worker ran which job, so callers
-//!   get scheduling-independent output for free.
+//! - [`parallel_map_ordered`] — an index-ordered parallel map over one
+//!   shared queue: workers take jobs in the start order the caller gives
+//!   (a permutation of the job indices) from one atomic cursor, and
+//!   results come back in job-index order regardless of which worker ran
+//!   which job, so callers get scheduling-independent output for free.
 //!
 //! [`Parallelism`] carries a thread-count knob through configuration
 //! structs whose derived `Debug` rendering doubles as a cache
 //! fingerprint: its `Debug` output is a constant, because the thread
 //! count must never change *what* is computed, only *how fast*.
 
-use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A thread-count knob, carried by `nimage_core::BuildOptions::threads`.
@@ -68,8 +67,8 @@ impl fmt::Debug for Parallelism {
 /// serial loop.
 ///
 /// [`workers_for`] applies them: under the cutoff it returns 1, making the
-/// "parallel" path literally the serial path (`parallel_map_seeded` with
-/// one worker is a plain loop), so a sub-1× speedup is impossible by
+/// "parallel" path literally the serial path (`parallel_map_ordered`
+/// with one worker is a plain loop), so a sub-1× speedup is impossible by
 /// construction.
 ///
 /// Every cutoff here is crossed by some bundled workload (pinned by
@@ -120,93 +119,66 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A work-stealing job queue: each worker owns a deque seeded with its
-/// share of the jobs, pops locally from the front and steals from other
-/// workers' backs when its own runs dry.
-struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    /// Creates a queue with one deque per worker.
-    fn new(n_workers: usize) -> StealQueue {
-        StealQueue {
-            deques: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-        }
-    }
-
-    /// Appends a job to `worker`'s own deque.
-    fn seed(&self, worker: usize, job: usize) {
-        lock_unpoisoned(&self.deques[worker]).push_back(job);
-    }
-
-    /// Takes the next job for `worker`: its own front, else a steal from
-    /// another worker's back, else `None` (all deques dry).
-    fn pop(&self, worker: usize) -> Option<usize> {
-        if let Some(j) = lock_unpoisoned(&self.deques[worker]).pop_front() {
-            return Some(j);
-        }
-        let n = self.deques.len();
-        for victim in (worker + 1..n).chain(0..worker) {
-            if let Some(j) = lock_unpoisoned(&self.deques[victim]).pop_back() {
-                return Some(j);
-            }
-        }
-        None
-    }
-}
-
-/// Runs `f(0..n_jobs)` across up to `threads` workers and returns the
-/// results in job-index order. Job `j` is seeded onto worker
-/// `home(j) % n_workers` (in job order), and stealing rebalances from
-/// there. The seeding decides only which jobs tend to run next to each
-/// other — results are still in job-index order and every job still runs
-/// exactly once, whatever `home` returns. With `threads <= 1` (or fewer
-/// than two jobs) this degenerates to a plain serial loop, so the serial
-/// and parallel paths share one code path and trivially agree.
+/// Runs `f` on every job index `0..order.len()` across up to `threads`
+/// workers and returns the results in job-index order. Jobs *start* in
+/// the order `order` lists them: each worker takes the next entry from
+/// one shared atomic cursor, so at any moment the started jobs are a
+/// prefix of `order`. The order decides only when a job starts —
+/// results are still in job-index order and every job still runs exactly
+/// once. With `threads <= 1` (or fewer than two jobs) this is a plain
+/// serial loop over `order`, so the serial and parallel paths share one
+/// code path and trivially agree.
 ///
 /// The output order — and therefore everything a caller derives from it —
 /// is independent of scheduling; determinism of a parallel stage reduces
 /// to the purity of `f`.
-pub fn parallel_map_seeded<T, H, F>(threads: usize, n_jobs: usize, home: H, f: F) -> Vec<T>
+///
+/// # Panics
+/// Panics, before any job runs, if `order` is not a permutation of
+/// `0..order.len()`.
+pub fn parallel_map_ordered<T, F>(threads: usize, order: &[usize], f: F) -> Vec<T>
 where
     T: Send,
-    H: Fn(usize) -> usize,
     F: Fn(usize) -> T + Sync,
 {
-    let n_workers = threads.clamp(1, n_jobs.max(1));
-    if n_workers <= 1 {
-        return (0..n_jobs).map(f).collect();
-    }
-    let queue = StealQueue::new(n_workers);
-    for j in 0..n_jobs {
-        queue.seed(home(j) % n_workers, j);
+    let n_jobs = order.len();
+    let mut seen = vec![false; n_jobs];
+    for &j in order {
+        assert!(
+            j < n_jobs && !std::mem::replace(&mut seen[j], true),
+            "job order is not a permutation of 0..{n_jobs}"
+        );
     }
     // Mutex-of-Option slots rather than OnceLock: they only need `T: Send`,
     // and each slot is written exactly once (its job runs on one worker).
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-    let (queue, slots_ref, f) = (&queue, &slots, &f);
-    std::thread::scope(|scope| {
-        for w in 0..n_workers {
-            scope.spawn(move || {
-                while let Some(j) = queue.pop(w) {
-                    *lock_unpoisoned(&slots_ref[j]) = Some(f(j));
-                }
-            });
+    // Every worker, the caller's thread on the serial path included, runs
+    // this loop: take the next job in `order`, run it, store its result.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            *lock_unpoisoned(&slots[j]) = Some(f(j));
         }
-    });
+    };
+    let n_workers = threads.clamp(1, n_jobs.max(1));
+    if n_workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..n_workers {
+                scope.spawn(work);
+            }
+        });
+    }
     slots
         .into_iter()
-        .map(|s| lock_unpoisoned(&s).take().expect("every seeded job ran"))
+        .map(|s| lock_unpoisoned(&s).take().expect("every ordered job ran"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallelism_debug_is_thread_count_invariant() {
@@ -220,49 +192,57 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_drains_own_then_steals() {
-        let q = StealQueue::new(2);
-        q.seed(0, 10);
-        q.seed(0, 11);
-        q.seed(1, 20);
-        assert_eq!(q.pop(0), Some(10), "own deque pops front");
-        assert_eq!(q.pop(1), Some(20));
-        assert_eq!(q.pop(1), Some(11), "steals from the other worker's back");
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), None);
-    }
-
-    #[test]
     fn parallel_map_preserves_index_order() {
+        let order: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 8] {
-            let out = parallel_map_seeded(threads, 100, |j| j, |i| i * i);
+            let out = parallel_map_ordered(threads, &order, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
+    /// `n` jobs as rows of 8: every row's first job, last row first, then
+    /// the rest in index order — the shape of the engine's matrix order.
+    fn fronts_first(n: usize) -> Vec<usize> {
+        let fronts = (0..n).step_by(8).rev();
+        fronts.chain((0..n).filter(|j| j % 8 != 0)).collect()
+    }
+
     #[test]
-    fn every_job_runs_exactly_once_in_index_order_under_any_seeding() {
-        // Identity seeding, then constant, striding, reversed
-        // and far-out-of-range homes (reduced modulo the worker count).
-        let homes: [fn(usize) -> usize; 5] =
-            [|j| j, |_| 0, |j| j / 8, |j| 63 - j, |j| usize::MAX - j];
-        for home in homes {
-            for threads in [1, 2, 3, 8] {
-                let calls: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-                let out = parallel_map_seeded(threads, 64, home, |j| {
-                    calls[j].fetch_add(1, Ordering::Relaxed);
-                    j * 3
-                });
-                assert_eq!(out, (0..64).map(|j| j * 3).collect::<Vec<_>>());
-                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    fn every_job_runs_exactly_once_in_index_order_under_any_order() {
+        for n in [0, 1, 64] {
+            let orders = [
+                (0..n).collect::<Vec<_>>(),
+                (0..n).rev().collect(),
+                fronts_first(n),
+            ];
+            for order in &orders {
+                for threads in [1, 2, 3, 8] {
+                    let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    let out = parallel_map_ordered(threads, order, |j| {
+                        calls[j].fetch_add(1, Ordering::Relaxed);
+                        j * 3
+                    });
+                    assert_eq!(out, (0..n).map(|j| j * 3).collect::<Vec<_>>());
+                    assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+                }
             }
         }
     }
 
     #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map_seeded(8, 0, |j| j, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map_seeded(8, 1, |j| j, |i| i + 1), vec![1]);
+    fn one_worker_starts_jobs_in_order() {
+        let order = fronts_first(24);
+        let started = Mutex::new(vec![]);
+        parallel_map_ordered(1, &order, |j| lock_unpoisoned(&started).push(j));
+        assert_eq!(started.into_inner().unwrap(), order);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn an_order_that_is_not_a_permutation_panics_before_any_job() {
+        parallel_map_ordered(2, &[0, 2, 2], |j| {
+            panic!("job {j} ran before the order was checked")
+        });
     }
 
     #[test]

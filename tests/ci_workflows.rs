@@ -138,3 +138,33 @@ fn cold_gate_checks_that_shards_are_lowered_on_demand() {
     let gate = "cold_shards['eager'] == 0 and cold_shards['lazy'] > 0";
     assert!(ci.contains(gate), "ci.yml lost the cold gate `{gate}`");
 }
+
+/// Two `nimage bench` processes share one cache directory at once: both
+/// must finish with no rejected entry and identical results, and no
+/// temporary file may be left behind.
+#[test]
+fn warm_cache_job_races_two_processes_on_one_cache_dir() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("readable ci.yml");
+    let bench = "./target/release/nimage bench micronaut --threads 2 --cache-dir .nimage-race";
+    for run in [
+        format!("{bench} --json BENCH_race_a.json &"),
+        format!("{bench} --json BENCH_race_b.json"),
+    ] {
+        assert!(
+            workflow_lines()
+                .iter()
+                .any(|(at, line)| at.contains("ci.yml") && *line == run),
+            "ci.yml lost the concurrent run `{run}`"
+        );
+    }
+    for gate in [
+        "wait \"$first\"",
+        "run['report']['disk']['rejected'] == 0",
+        "a['faults'] == b['faults']",
+        "a['report']['cells'] == b['report']['cells']",
+        "'.tmp.' in p.name",
+    ] {
+        assert!(ci.contains(gate), "ci.yml lost the race gate `{gate}`");
+    }
+}
