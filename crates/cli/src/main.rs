@@ -77,7 +77,7 @@ COMMANDS:
     cache gc [--cache-dir DIR] [--max-bytes N] [--max-entries N]
                                              sweep stale temp files and evict the
                                              oldest-accessed entries until under the caps
-    cache clear [--cache-dir DIR]            wipe the disk artifact cache
+    cache clear [--cache-dir DIR]            remove the cache's v<N> format directories
     help                                     this text
 
 STRATEGIES: cu, method, incremental-id, structural-hash, heap-path, cu+heap-path,

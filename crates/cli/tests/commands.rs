@@ -152,3 +152,38 @@ fn optimize_from_saved_profiles_matches_the_in_process_build() {
         "the image written from saved profiles differs from the in-process build"
     );
 }
+
+/// `cache clear` removes the store's format-version directories and
+/// nothing it did not write: a foreign file and a foreign directory in
+/// the cache root survive, and so does the root itself.
+#[test]
+fn cache_clear_removes_only_format_directories() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("commands-cache-clear");
+    let _ = std::fs::remove_dir_all(&dir);
+    for sub in ["src", "v6/order", "v7/order"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+    }
+    for file in [
+        "notes.txt",
+        "src/main.rs",
+        "v6/order/x.bin",
+        "v7/order/x.bin",
+    ] {
+        std::fs::write(dir.join(file), "x").unwrap();
+    }
+    let out = nimage(&["cache", "clear", "--cache-dir", dir.to_str().unwrap()]);
+    assert!(out.starts_with("cleared "), "stdout: {out}");
+    assert!(dir.join("notes.txt").is_file());
+    assert!(dir.join("src/main.rs").is_file());
+    assert!(!dir.join("v6").exists());
+    assert!(!dir.join("v7").exists());
+
+    // With nothing foreign left, the root goes too; clearing again is a
+    // no-op.
+    std::fs::remove_file(dir.join("notes.txt")).unwrap();
+    std::fs::remove_dir_all(dir.join("src")).unwrap();
+    std::fs::create_dir_all(dir.join("v7/order")).unwrap();
+    nimage(&["cache", "clear", "--cache-dir", dir.to_str().unwrap()]);
+    assert!(!dir.exists());
+    nimage(&["cache", "clear", "--cache-dir", dir.to_str().unwrap()]);
+}

@@ -25,8 +25,17 @@
 //! concurrent writers race benignly (one complete entry wins; readers
 //! never observe a partial file) and a crash mid-write leaves at most a
 //! stray `.tmp` file, never a truncated entry.
+//!
+//! `nimage cache clear` ([`DiskStore::clear`]) removes the `v<N>`
+//! directories of every format version and nothing else under the root.
+//!
+//! This module holds the store and the format's primitives: [`Reader`],
+//! the [`DiskCodec`] trait and the `put_*` writers, among them the one
+//! length-prefixed sequence pair ([`put_seq`], [`Reader::seq_with`]).
+//! What each stage's payload holds — every `DiskCodec` implementation —
+//! is stated in `persist.rs`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -34,15 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
-use nimage_compiler::CallCountProfile;
-use nimage_heap::ObjId;
-use nimage_ir::Value;
-use nimage_order::{murmur3, CodeOrderProfile, HeapOrderProfile, HeapStrategy};
-use nimage_profiler::{read_trace, write_trace, SessionStats, Trace};
-use nimage_vm::{AccessLog, ExitKind, PageState, ResponsePoint, RunReport, SectionFaults, Touch};
+use nimage_order::murmur3;
 
 use crate::cache::CacheKey;
-use crate::ProfiledArtifacts;
 
 /// Version of the on-disk entry format. Bump whenever the header layout,
 /// any codec, the semantics of a persisted stage or the derivation of the
@@ -314,9 +317,9 @@ impl DiskStore {
         ));
         let mut data = Vec::with_capacity(HEADER_LEN + payload.len());
         data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-        data.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        data.extend_from_slice(&murmur3::hash128(payload, CHECKSUM_SEED).0.to_le_bytes());
+        put_u32(&mut data, DISK_FORMAT_VERSION);
+        put_u64(&mut data, payload.len() as u64);
+        put_u64(&mut data, murmur3::hash128(payload, CHECKSUM_SEED).0);
         data.extend_from_slice(payload);
         if std::fs::write(&tmp, &data).is_err() {
             let _ = std::fs::remove_file(&tmp);
@@ -480,15 +483,32 @@ impl DiskStore {
         report
     }
 
-    /// Removes the whole cache root (every format version) at `dir`.
+    /// Removes every format-version directory (`v<digits>`, the current
+    /// one and orphaned ones) under the cache root `dir`, then `dir`
+    /// itself if that left it empty. Anything else in `dir` was not
+    /// written by the store and is left alone.
     ///
     /// # Errors
-    /// Propagates filesystem errors other than "not found".
+    /// Propagates filesystem errors; a missing `dir` is not one.
     pub fn clear(dir: &Path) -> io::Result<()> {
-        match std::fs::remove_dir_all(dir) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+        let rd = match std::fs::read_dir(dir) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            rd => rd?,
+        };
+        for e in rd {
+            let e = e?;
+            let name = e.file_name();
+            let is_version = name
+                .to_str()
+                .and_then(|n| n.strip_prefix('v'))
+                .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()));
+            if is_version && e.file_type()?.is_dir() {
+                std::fs::remove_dir_all(e.path())?;
+            }
+        }
+        match std::fs::remove_dir(dir) {
+            Err(e) if e.kind() == io::ErrorKind::DirectoryNotEmpty => Ok(()),
+            r => r,
         }
     }
 }
@@ -504,28 +524,21 @@ fn is_tmp_file(path: &Path) -> bool {
 /// Checks magic, version, length and checksum; returns the payload slice
 /// of a valid entry.
 fn validate_entry(data: &[u8]) -> Option<&[u8]> {
-    if data.len() < HEADER_LEN || &data[..4] != MAGIC {
+    let mut r = Reader::new(data);
+    if r.take(4)? != MAGIC || r.u32()? != DISK_FORMAT_VERSION {
         return None;
     }
-    let version = u32::from_le_bytes(data[4..8].try_into().ok()?);
-    if version != DISK_FORMAT_VERSION {
-        return None;
-    }
-    let len = u64::from_le_bytes(data[8..16].try_into().ok()?) as usize;
-    let checksum = u64::from_le_bytes(data[16..24].try_into().ok()?);
-    let payload = &data[HEADER_LEN..];
-    if payload.len() != len {
-        return None;
-    }
-    if murmur3::hash128(payload, CHECKSUM_SEED).0 != checksum {
-        return None;
-    }
-    Some(payload)
+    let (len, checksum) = (r.u64()?, r.u64()?);
+    let payload = r.take(r.remaining())?;
+    let valid =
+        payload.len() as u64 == len && murmur3::hash128(payload, CHECKSUM_SEED).0 == checksum;
+    valid.then_some(payload)
 }
 
 /// A bounds-checked little-endian cursor: every read returns `None` past
 /// the end instead of panicking, so arbitrary on-disk bytes can never
-/// crash a decode.
+/// crash a decode. A clone reads ahead without moving the original.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -542,10 +555,7 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    /// Bytes left to read. Length-prefixed decoders must clamp their
-    /// pre-allocations to this (see [`cap_alloc`]): a corrupt length
-    /// prefix may claim billions of elements, but a genuine encoding can
-    /// never hold more elements than there are bytes remaining.
+    /// Bytes left to read.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -564,6 +574,15 @@ impl<'a> Reader<'a> {
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
+    }
+
+    /// Reads a `bool` written as one byte, `0` or `1`.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 
     /// Reads a little-endian `u32`.
@@ -590,8 +609,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u32` length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes()?;
         std::str::from_utf8(bytes).ok().map(str::to_owned)
     }
 
@@ -600,449 +618,119 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+
+    /// Reads what [`put_option`] wrote: a `0` tag for `None`, or a `1` tag
+    /// and the value `some` decodes.
+    #[inline]
+    pub fn option<T>(&mut self, some: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => some(self).map(Some),
+            _ => None,
+        }
+    }
+
+    /// Reads what [`put_seq`] wrote: a `u32` count, then that many
+    /// elements, each handed to `push` with the collection that `new`
+    /// made. `new` gets the capacity to reserve: the count, clamped to
+    /// the elements that fit in the bytes left when each takes at least
+    /// `min_len`, so a damaged count cannot reserve more than the input
+    /// could hold. Fails at the first element `push` refuses.
+    #[inline]
+    pub fn seq_with<C>(
+        &mut self,
+        min_len: usize,
+        new: impl FnOnce(usize) -> C,
+        mut push: impl FnMut(&mut C, &mut Self) -> Option<()>,
+    ) -> Option<C> {
+        let n = self.u32()? as usize;
+        let mut items = new(cap_alloc(n, self, min_len));
+        for _ in 0..n {
+            push(&mut items, self)?;
+        }
+        Some(items)
+    }
+
+    /// [`Reader::seq_with`] into a `Vec`, one element per call of `elem`.
+    #[inline]
+    pub fn seq<T>(
+        &mut self,
+        min_len: usize,
+        mut elem: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        self.seq_with(min_len, Vec::with_capacity, |items, r| {
+            items.push(elem(r)?);
+            Some(())
+        })
+    }
 }
 
-/// Clamps a decoded element count `n` to what could possibly fit in the
-/// reader's remaining bytes, given each element occupies at least
-/// `elem_min` bytes. Used to size pre-allocations: decoding still reads
-/// exactly `n` elements (and fails cleanly when the buffer runs out), but
-/// a corrupt length prefix can no longer trigger a multi-GiB
-/// `with_capacity` before the first element is even read.
-pub(crate) fn cap_alloc(n: usize, r: &Reader<'_>, elem_min: usize) -> usize {
-    n.min(r.remaining() / elem_min.max(1))
+/// Clamps a decoded element count `n` to what could fit in the reader's
+/// remaining bytes, given each element occupies at least `min_len`
+/// bytes: a corrupt count may claim billions of elements, but a genuine
+/// encoding never holds more elements than there are bytes left.
+fn cap_alloc(n: usize, r: &Reader<'_>, min_len: usize) -> usize {
+    n.min(r.remaining() / min_len.max(1))
 }
 
-pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Writes a `u8`.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
 }
 
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+/// Writes a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Writes a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Writes a `u32` length-prefixed UTF-8 string.
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+/// Writes a `u32` length-prefixed byte slice.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
+}
+
+/// Writes an optional value: a `0` tag, or a `1` tag and what `some`
+/// writes. [`Reader::option`] reads it back.
+pub fn put_option<T>(out: &mut Vec<u8>, v: &Option<T>, some: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            put_u8(out, 1);
+            some(out, v);
+        }
+        None => put_u8(out, 0),
+    }
+}
+
+/// Writes a sequence: a `u32` count, then each item as `put` writes it.
+/// [`Reader::seq`] and [`Reader::seq_with`] read it back.
+pub fn put_seq<I>(out: &mut Vec<u8>, items: I, mut put: impl FnMut(&mut Vec<u8>, I::Item))
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
 }
 
 /// A value that can round-trip through a disk-cache entry payload. Decodes
 /// are total functions over arbitrary bytes: they may return `None`, never
-/// panic.
+/// panic. Every implementation lives in `persist.rs`.
 pub trait DiskCodec: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes a value, or `None` if the bytes are not a valid encoding.
     fn decode(r: &mut Reader<'_>) -> Option<Self>;
-}
-
-impl DiskCodec for HashMap<ObjId, u64> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Sorted for a canonical (diffable) encoding; decode accepts any
-        // order.
-        let mut pairs: Vec<(&ObjId, &u64)> = self.iter().collect();
-        pairs.sort_unstable_by_key(|(o, _)| o.0);
-        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for (obj, id) in pairs {
-            out.extend_from_slice(&obj.0.to_le_bytes());
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let n = r.u32()? as usize;
-        let mut map = HashMap::with_capacity(cap_alloc(n, r, 12));
-        for _ in 0..n {
-            let obj = ObjId(r.u32()?);
-            let id = r.u64()?;
-            map.insert(obj, id);
-        }
-        Some(map)
-    }
-}
-
-impl DiskCodec for SectionFaults {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.text.to_le_bytes());
-        out.extend_from_slice(&self.svm_heap.to_le_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(SectionFaults {
-            text: r.u64()?,
-            svm_heap: r.u64()?,
-        })
-    }
-}
-
-/// Writes a [`Value`]: a tag byte (null, bool, int, double, reference),
-/// then its payload.
-pub(crate) fn encode_value(out: &mut Vec<u8>, v: Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(3);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Ref(x) => {
-            out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-/// Reads a value [`encode_value`] wrote; a reference is not range-checked.
-pub(crate) fn decode_value(r: &mut Reader<'_>) -> Option<Value> {
-    Some(match r.u8()? {
-        0 => Value::Null,
-        1 => match r.u8()? {
-            0 => Value::Bool(false),
-            1 => Value::Bool(true),
-            _ => return None,
-        },
-        2 => Value::Int(r.i64()?),
-        3 => Value::Double(r.f64()?),
-        4 => Value::Ref(r.u32()?),
-        _ => return None,
-    })
-}
-
-pub(crate) fn encode_option<T>(out: &mut Vec<u8>, v: &Option<T>, f: impl FnOnce(&T, &mut Vec<u8>)) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            f(v, out);
-        }
-        None => out.push(0),
-    }
-}
-
-pub(crate) fn decode_option<T>(
-    r: &mut Reader<'_>,
-    f: impl FnOnce(&mut Reader<'_>) -> Option<T>,
-) -> Option<Option<T>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => f(r).map(Some),
-        _ => None,
-    }
-}
-
-fn encode_page_states(out: &mut Vec<u8>, states: &[PageState]) {
-    out.extend_from_slice(&(states.len() as u32).to_le_bytes());
-    for s in states {
-        out.push(match s {
-            PageState::Untouched => 0,
-            PageState::Resident => 1,
-            PageState::Faulted => 2,
-        });
-    }
-}
-
-fn decode_page_states(r: &mut Reader<'_>) -> Option<Vec<PageState>> {
-    let n = r.u32()? as usize;
-    let bytes = r.take(n)?;
-    bytes
-        .iter()
-        .map(|b| match b {
-            0 => Some(PageState::Untouched),
-            1 => Some(PageState::Resident),
-            2 => Some(PageState::Faulted),
-            _ => None,
-        })
-        .collect()
-}
-
-fn encode_spans(out: &mut Vec<u8>, spans: &[(u64, u64)]) {
-    out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
-    for (s, e) in spans {
-        out.extend_from_slice(&s.to_le_bytes());
-        out.extend_from_slice(&e.to_le_bytes());
-    }
-}
-
-fn decode_spans(r: &mut Reader<'_>) -> Option<Vec<(u64, u64)>> {
-    let n = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(cap_alloc(n, r, 16));
-    for _ in 0..n {
-        let s = r.u64()?;
-        let e = r.u64()?;
-        spans.push((s, e));
-    }
-    Some(spans)
-}
-
-impl DiskCodec for RunReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ops.to_le_bytes());
-        out.extend_from_slice(&self.probe_ops.to_le_bytes());
-        self.faults.encode(out);
-        encode_option(out, &self.first_response, |rp, out| {
-            out.extend_from_slice(&rp.ops.to_le_bytes());
-            out.extend_from_slice(&rp.probe_ops.to_le_bytes());
-            rp.faults.encode(out);
-        });
-        put_string(out, &self.call_counts.to_csv());
-        encode_option(out, &self.trace, |t: &Trace, out| {
-            put_bytes(out, &write_trace(t));
-        });
-        encode_option(out, &self.session_stats, |s, out| {
-            for v in [
-                s.cu_records,
-                s.method_records,
-                s.path_records,
-                s.obj_ids,
-                s.flushes,
-                s.remaps,
-                s.lost_records,
-            ] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        });
-        out.push(match self.exit {
-            ExitKind::Exited => 0,
-            ExitKind::FirstResponse => 1,
-            ExitKind::OpsBudget => 2,
-        });
-        encode_option(out, &self.entry_return, |v, out| encode_value(out, *v));
-        out.extend_from_slice(&(self.native_touch_pages.len() as u32).to_le_bytes());
-        for p in &self.native_touch_pages {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        encode_page_states(out, &self.text_page_states);
-        encode_page_states(out, &self.heap_page_states);
-        out.extend_from_slice(&(self.heap_touch_spans.len() as u32).to_le_bytes());
-        for (obj, spans) in &self.heap_touch_spans {
-            out.extend_from_slice(&obj.to_le_bytes());
-            encode_spans(out, spans);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let ops = r.u64()?;
-        let probe_ops = r.u64()?;
-        let faults = SectionFaults::decode(r)?;
-        let first_response = decode_option(r, |r| {
-            Some(ResponsePoint {
-                ops: r.u64()?,
-                probe_ops: r.u64()?,
-                faults: SectionFaults::decode(r)?,
-            })
-        })?;
-        let call_counts = CallCountProfile::from_csv(&r.string()?);
-        let trace = decode_option(r, |r| read_trace(r.bytes()?).ok())?;
-        let session_stats = decode_option(r, |r| {
-            Some(SessionStats {
-                cu_records: r.u64()?,
-                method_records: r.u64()?,
-                path_records: r.u64()?,
-                obj_ids: r.u64()?,
-                flushes: r.u64()?,
-                remaps: r.u64()?,
-                lost_records: r.u64()?,
-            })
-        })?;
-        let exit = match r.u8()? {
-            0 => ExitKind::Exited,
-            1 => ExitKind::FirstResponse,
-            2 => ExitKind::OpsBudget,
-            _ => return None,
-        };
-        let entry_return = decode_option(r, decode_value)?;
-        let n = r.u32()? as usize;
-        let mut native_touch_pages = Vec::with_capacity(cap_alloc(n, r, 4));
-        for _ in 0..n {
-            native_touch_pages.push(r.u32()?);
-        }
-        let text_page_states = decode_page_states(r)?;
-        let heap_page_states = decode_page_states(r)?;
-        let n = r.u32()? as usize;
-        let mut heap_touch_spans = Vec::with_capacity(cap_alloc(n, r, 8));
-        for _ in 0..n {
-            let obj = r.u32()?;
-            heap_touch_spans.push((obj, decode_spans(r)?));
-        }
-        Some(RunReport {
-            heap_touch_spans,
-            ops,
-            probe_ops,
-            faults,
-            first_response,
-            call_counts,
-            trace,
-            session_stats,
-            exit,
-            entry_return,
-            native_touch_pages,
-            text_page_states,
-            heap_page_states,
-        })
-    }
-}
-
-impl DiskCodec for AccessLog {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.touches().len() as u32).to_le_bytes());
-        for t in self.touches() {
-            match *t {
-                Touch::Code { cu, node } => {
-                    out.push(0);
-                    out.extend_from_slice(&cu.to_le_bytes());
-                    out.extend_from_slice(&node.to_le_bytes());
-                }
-                Touch::Object { obj, offset } => {
-                    out.push(1);
-                    out.extend_from_slice(&obj.to_le_bytes());
-                    out.extend_from_slice(&offset.to_le_bytes());
-                }
-                Touch::Native { page } => {
-                    out.push(2);
-                    out.extend_from_slice(&page.to_le_bytes());
-                }
-            }
-        }
-        encode_option(out, &self.respond_at(), |at, out| {
-            out.extend_from_slice(&(*at as u64).to_le_bytes());
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let n = r.u32()? as usize;
-        let mut touches = Vec::with_capacity(cap_alloc(n, r, 5));
-        for _ in 0..n {
-            touches.push(match r.u8()? {
-                0 => Touch::Code {
-                    cu: r.u32()?,
-                    node: r.u32()?,
-                },
-                1 => Touch::Object {
-                    obj: r.u32()?,
-                    offset: r.u64()?,
-                },
-                2 => Touch::Native { page: r.u32()? },
-                _ => return None,
-            });
-        }
-        let respond_at = decode_option(r, |r| usize::try_from(r.u64()?).ok())?;
-        AccessLog::from_parts(touches, respond_at)
-    }
-}
-
-/// The `baseline-run` entry: one execution's report and its access log.
-impl DiskCodec for (RunReport, AccessLog) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some((RunReport::decode(r)?, AccessLog::decode(r)?))
-    }
-}
-
-fn heap_strategy_tag(hs: HeapStrategy) -> (u8, u32) {
-    match hs {
-        HeapStrategy::IncrementalId => (0, 0),
-        HeapStrategy::StructuralHash { max_depth } => (1, max_depth),
-        HeapStrategy::HeapPath => (2, 0),
-        HeapStrategy::HeapPathSalted => (3, 0),
-    }
-}
-
-fn heap_strategy_from_tag(tag: u8, arg: u32) -> Option<HeapStrategy> {
-    match tag {
-        0 => Some(HeapStrategy::IncrementalId),
-        1 => Some(HeapStrategy::StructuralHash { max_depth: arg }),
-        2 => Some(HeapStrategy::HeapPath),
-        3 => Some(HeapStrategy::HeapPathSalted),
-        _ => None,
-    }
-}
-
-fn encode_sigs(out: &mut Vec<u8>, profile: &CodeOrderProfile) {
-    out.extend_from_slice(&(profile.sigs.len() as u32).to_le_bytes());
-    for s in &profile.sigs {
-        put_string(out, s);
-    }
-}
-
-fn decode_sigs(r: &mut Reader<'_>) -> Option<CodeOrderProfile> {
-    let n = r.u32()? as usize;
-    let mut sigs = Vec::with_capacity(cap_alloc(n, r, 4));
-    for _ in 0..n {
-        sigs.push(r.string()?);
-    }
-    Some(CodeOrderProfile { sigs })
-}
-
-impl DiskCodec for ProfiledArtifacts {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_string(out, &self.call_counts.to_csv());
-        encode_sigs(out, &self.cu_profile);
-        encode_sigs(out, &self.method_profile);
-        let mut profiles: Vec<(&HeapStrategy, &HeapOrderProfile)> =
-            self.heap_profiles.iter().collect();
-        profiles.sort_unstable_by_key(|(hs, _)| heap_strategy_tag(**hs));
-        out.extend_from_slice(&(profiles.len() as u32).to_le_bytes());
-        for (hs, profile) in profiles {
-            let (tag, arg) = heap_strategy_tag(*hs);
-            out.push(tag);
-            out.extend_from_slice(&arg.to_le_bytes());
-            out.extend_from_slice(&(profile.ids.len() as u32).to_le_bytes());
-            for id in &profile.ids {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-            out.extend_from_slice(&(profile.spans.len() as u32).to_le_bytes());
-            for spans in &profile.spans {
-                encode_spans(out, spans);
-            }
-        }
-        out.extend_from_slice(&(self.native_pages.len() as u32).to_le_bytes());
-        for p in &self.native_pages {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        self.instrumented_report.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let call_counts = CallCountProfile::from_csv(&r.string()?);
-        let cu_profile = decode_sigs(r)?;
-        let method_profile = decode_sigs(r)?;
-        let n_profiles = r.u32()? as usize;
-        let mut heap_profiles = HashMap::with_capacity(cap_alloc(n_profiles, r, 13));
-        for _ in 0..n_profiles {
-            let tag = r.u8()?;
-            let arg = r.u32()?;
-            let hs = heap_strategy_from_tag(tag, arg)?;
-            let n_ids = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(cap_alloc(n_ids, r, 8));
-            for _ in 0..n_ids {
-                ids.push(r.u64()?);
-            }
-            let n_spans = r.u32()? as usize;
-            let mut spans = Vec::with_capacity(cap_alloc(n_spans, r, 4));
-            for _ in 0..n_spans {
-                spans.push(decode_spans(r)?);
-            }
-            heap_profiles.insert(hs, HeapOrderProfile { ids, spans });
-        }
-        let n = r.u32()? as usize;
-        let mut native_pages = Vec::with_capacity(cap_alloc(n, r, 4));
-        for _ in 0..n {
-            native_pages.push(r.u32()?);
-        }
-        let instrumented_report = RunReport::decode(r)?;
-        Some(ProfiledArtifacts {
-            call_counts,
-            cu_profile,
-            method_profile,
-            heap_profiles,
-            native_pages,
-            instrumented_report,
-        })
-    }
 }

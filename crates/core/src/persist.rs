@@ -1,9 +1,28 @@
-//! Persistence of profiling artifacts.
+//! The disk format, and the profile directory.
 //!
-//! The paper's post-processing framework emits "a CSV file that is used by
-//! Native Image" per ordering analysis (Sec. 6.2). This module writes and
-//! reads that profile directory, so profiling and optimizing builds can run
-//! in separate processes (as they do in the real toolchain):
+//! The paper's toolchain runs the profiling build and the optimizing build
+//! in separate processes (Sec. 6.2), so profiles and artifacts cross a
+//! file boundary. This module states both of the forms they cross it in.
+//!
+//! **The disk format.** Every [`DiskCodec`] lives here: the payload of
+//! each cache stage the engine persists (`compile`, `snapshot`,
+//! `assign-ids`, `profile`, `order`, `baseline-run`) and of a lowered
+//! shard. Each is built from the primitives next to
+//! [`Reader`](crate::diskcache::Reader): the `put_*` writers, and one
+//! length-prefixed sequence pair ([`put_seq`] / [`Reader::seq`]), whose
+//! reader alone sizes pre-allocations, from each element's shortest
+//! encoding. A fieldless enum's tag numbering is stated once, in a
+//! `tag_table!`. Encodings are canonical (maps and sets are written
+//! sorted), so identical artifacts produce identical bytes. Decodes are
+//! total over arbitrary bytes: they validate every index that downstream
+//! code would otherwise index-panic on and bound the nesting of array
+//! types, so a corrupt cache entry is always a miss, never a crash. The
+//! store around these payloads (header, checksum, files) is
+//! [`crate::diskcache`].
+//!
+//! **The profile directory.** The paper's post-processing framework
+//! emits "a CSV file that is used by Native Image" per ordering analysis.
+//! [`save_profiles`] and [`load_profiles`] write and read that directory:
 //!
 //! ```text
 //! <dir>/cu_order.csv          one CU-root signature per line
@@ -33,14 +52,16 @@ use nimage_ir::{
     BinOp, ClassId, FieldId, Intrinsic, Local, MethodId, SelectorId, TypeRef, UnOp, Value,
 };
 use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy};
+use nimage_profiler::{read_trace, write_trace, SessionStats};
 use nimage_vm::lower::{
     JumpEdge, LoweredCallee, LoweredInstr, LoweredMethod, LoweredPaths, PathEdge,
 };
-use nimage_vm::LoweredShard;
+use nimage_vm::{
+    AccessLog, ExitKind, LoweredShard, PageState, ResponsePoint, RunReport, SectionFaults, Touch,
+};
 
 use crate::diskcache::{
-    cap_alloc, decode_option, decode_value, encode_option, encode_value, put_string, DiskCodec,
-    Reader,
+    put_bytes, put_option, put_seq, put_string, put_u32, put_u64, put_u8, DiskCodec, Reader,
 };
 use crate::{LayoutOrders, LayoutPrediction, PredictedFaults, ProfiledArtifacts};
 
@@ -157,36 +178,348 @@ impl SavedProfiles {
 }
 
 // ---------------------------------------------------------------------------
-// Disk codecs for the per-stage artifacts the engine persists: the compiled
-// program and the heap snapshot. Encodings are canonical (maps and sets are
-// written sorted) so identical artifacts produce identical bytes; decodes
-// are total over arbitrary bytes and validate every index that downstream
-// code would otherwise index-panic on, so a corrupt cache entry is always a
-// miss, never a crash.
+// The disk format: every `DiskCodec`, built from the primitives next to
+// `Reader` in `diskcache.rs`.
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// One fieldless enum's tag numbering, stated once, as its `DiskCodec`:
+/// one tag byte. The encoder is an exhaustive `match`, so a new variant
+/// fails to compile until it has a tag; the decoder refuses a tag the
+/// table does not name.
+macro_rules! tag_table {
+    ($ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl DiskCodec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_u8(out, match self { $(Self::$variant => $tag),+ });
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($tag => Self::$variant,)+
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+tag_table!(BinOp {
+    Add = 0,
+    Sub = 1,
+    Mul = 2,
+    Div = 3,
+    Rem = 4,
+    And = 5,
+    Or = 6,
+    Xor = 7,
+    Shl = 8,
+    Shr = 9,
+    Lt = 10,
+    Le = 11,
+    Gt = 12,
+    Ge = 13,
+    Eq = 14,
+    Ne = 15,
+});
+tag_table!(UnOp {
+    Neg = 0,
+    Not = 1,
+    IntToDouble = 2,
+    DoubleToInt = 3,
+});
+tag_table!(Intrinsic {
+    Sqrt = 0,
+    Abs = 1,
+    Floor = 2,
+    Cos = 3,
+    Sin = 4,
+    Respond = 5,
+});
+tag_table!(PageState {
+    Untouched = 0,
+    Resident = 1,
+    Faulted = 2,
+});
+tag_table!(ExitKind {
+    Exited = 0,
+    FirstResponse = 1,
+    OpsBudget = 2,
+});
+
+/// A sequence of `u32` ids, each read as `id` of its number.
+fn ids<T>(r: &mut Reader<'_>, id: impl Fn(u32) -> T) -> Option<Vec<T>> {
+    r.seq(4, |r| r.u32().map(&id))
 }
 
-fn encode_u32_seq(out: &mut Vec<u8>, it: impl ExactSizeIterator<Item = u32>) {
-    put_u32(out, it.len() as u32);
-    for v in it {
-        put_u32(out, v);
+/// One touched byte range, `(start, end)`.
+fn put_span(out: &mut Vec<u8>, &(start, end): &(u64, u64)) {
+    put_u64(out, start);
+    put_u64(out, end);
+}
+
+fn span(r: &mut Reader<'_>) -> Option<(u64, u64)> {
+    Some((r.u64()?, r.u64()?))
+}
+
+/// Writes a [`Value`]: a tag byte (null, bool, int, double, reference),
+/// then its payload.
+fn encode_value(out: &mut Vec<u8>, v: &Value) {
+    match *v {
+        Value::Null => put_u8(out, 0),
+        Value::Bool(b) => {
+            put_u8(out, 1);
+            put_u8(out, u8::from(b));
+        }
+        Value::Int(i) => {
+            put_u8(out, 2);
+            put_u64(out, i as u64);
+        }
+        Value::Double(d) => {
+            put_u8(out, 3);
+            put_u64(out, d.to_bits());
+        }
+        Value::Ref(x) => {
+            put_u8(out, 4);
+            put_u32(out, x);
+        }
     }
 }
 
-fn decode_u32_seq(r: &mut Reader<'_>) -> Option<Vec<u32>> {
-    let n = r.u32()? as usize;
-    let mut v = Vec::with_capacity(cap_alloc(n, r, 4));
-    for _ in 0..n {
-        v.push(r.u32()?);
+/// Reads a value [`encode_value`] wrote; a reference is not range-checked.
+fn decode_value(r: &mut Reader<'_>) -> Option<Value> {
+    Some(match r.u8()? {
+        0 => Value::Null,
+        1 => Value::Bool(r.bool()?),
+        2 => Value::Int(r.i64()?),
+        3 => Value::Double(r.f64()?),
+        4 => Value::Ref(r.u32()?),
+        _ => return None,
+    })
+}
+
+/// The `assign-ids` entry: one strategy's id of every object.
+impl DiskCodec for HashMap<ObjId, u64> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        // Sorted for a canonical (diffable) encoding; decode accepts any
+        // order.
+        let mut pairs: Vec<(&ObjId, &u64)> = self.iter().collect();
+        pairs.sort_unstable_by_key(|(o, _)| o.0);
+        put_seq(out, pairs, |out, (obj, id)| {
+            put_u32(out, obj.0);
+            put_u64(out, *id);
+        });
     }
-    Some(v)
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        r.seq_with(12, HashMap::with_capacity, |map, r| {
+            map.insert(ObjId(r.u32()?), r.u64()?);
+            Some(())
+        })
+    }
+}
+
+impl DiskCodec for SectionFaults {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.text);
+        put_u64(out, self.svm_heap);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(SectionFaults {
+            text: r.u64()?,
+            svm_heap: r.u64()?,
+        })
+    }
+}
+
+impl DiskCodec for RunReport {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.ops);
+        put_u64(out, self.probe_ops);
+        self.faults.encode(out);
+        put_option(out, &self.first_response, |out, rp| {
+            put_u64(out, rp.ops);
+            put_u64(out, rp.probe_ops);
+            rp.faults.encode(out);
+        });
+        put_string(out, &self.call_counts.to_csv());
+        put_option(out, &self.trace, |out, t| put_bytes(out, &write_trace(t)));
+        put_option(out, &self.session_stats, |out, s| {
+            for v in [
+                s.cu_records,
+                s.method_records,
+                s.path_records,
+                s.obj_ids,
+                s.flushes,
+                s.remaps,
+                s.lost_records,
+            ] {
+                put_u64(out, v);
+            }
+        });
+        self.exit.encode(out);
+        put_option(out, &self.entry_return, encode_value);
+        put_seq(out, self.native_touch_pages.iter().copied(), put_u32);
+        put_seq(out, &self.text_page_states, |out, s| s.encode(out));
+        put_seq(out, &self.heap_page_states, |out, s| s.encode(out));
+        put_seq(out, &self.heap_touch_spans, |out, (obj, spans)| {
+            put_u32(out, *obj);
+            put_seq(out, spans, put_span);
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(RunReport {
+            ops: r.u64()?,
+            probe_ops: r.u64()?,
+            faults: SectionFaults::decode(r)?,
+            first_response: r.option(|r| {
+                Some(ResponsePoint {
+                    ops: r.u64()?,
+                    probe_ops: r.u64()?,
+                    faults: SectionFaults::decode(r)?,
+                })
+            })?,
+            call_counts: CallCountProfile::from_csv(&r.string()?),
+            trace: r.option(|r| read_trace(r.bytes()?).ok())?,
+            session_stats: r.option(|r| {
+                Some(SessionStats {
+                    cu_records: r.u64()?,
+                    method_records: r.u64()?,
+                    path_records: r.u64()?,
+                    obj_ids: r.u64()?,
+                    flushes: r.u64()?,
+                    remaps: r.u64()?,
+                    lost_records: r.u64()?,
+                })
+            })?,
+            exit: ExitKind::decode(r)?,
+            entry_return: r.option(decode_value)?,
+            native_touch_pages: r.seq(4, Reader::u32)?,
+            text_page_states: r.seq(1, PageState::decode)?,
+            heap_page_states: r.seq(1, PageState::decode)?,
+            heap_touch_spans: r.seq(8, |r| Some((r.u32()?, r.seq(16, span)?)))?,
+        })
+    }
+}
+
+impl DiskCodec for AccessLog {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.touches(), |out, t| match *t {
+            Touch::Code { cu, node } => {
+                put_u8(out, 0);
+                put_u32(out, cu);
+                put_u32(out, node);
+            }
+            Touch::Object { obj, offset } => {
+                put_u8(out, 1);
+                put_u32(out, obj);
+                put_u64(out, offset);
+            }
+            Touch::Native { page } => {
+                put_u8(out, 2);
+                put_u32(out, page);
+            }
+        });
+        put_option(out, &self.respond_at(), |out, &at| put_u64(out, at as u64));
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let touches = r.seq(5, |r| {
+            Some(match r.u8()? {
+                0 => Touch::Code {
+                    cu: r.u32()?,
+                    node: r.u32()?,
+                },
+                1 => Touch::Object {
+                    obj: r.u32()?,
+                    offset: r.u64()?,
+                },
+                2 => Touch::Native { page: r.u32()? },
+                _ => return None,
+            })
+        })?;
+        let respond_at = r.option(|r| usize::try_from(r.u64()?).ok())?;
+        AccessLog::from_parts(touches, respond_at)
+    }
+}
+
+/// The `baseline-run` entry: one execution's report and its access log.
+impl DiskCodec for (RunReport, AccessLog) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some((RunReport::decode(r)?, AccessLog::decode(r)?))
+    }
+}
+
+/// A heap strategy's tag and argument (`max_depth` for the structural
+/// hash, else 0); carrying an argument, it has no `tag_table!`.
+fn heap_strategy_tag(hs: HeapStrategy) -> (u8, u32) {
+    match hs {
+        HeapStrategy::IncrementalId => (0, 0),
+        HeapStrategy::StructuralHash { max_depth } => (1, max_depth),
+        HeapStrategy::HeapPath => (2, 0),
+        HeapStrategy::HeapPathSalted => (3, 0),
+    }
+}
+
+fn heap_strategy_from_tag(tag: u8, arg: u32) -> Option<HeapStrategy> {
+    match tag {
+        0 => Some(HeapStrategy::IncrementalId),
+        1 => Some(HeapStrategy::StructuralHash { max_depth: arg }),
+        2 => Some(HeapStrategy::HeapPath),
+        3 => Some(HeapStrategy::HeapPathSalted),
+        _ => None,
+    }
+}
+
+/// The `profile` entry.
+impl DiskCodec for ProfiledArtifacts {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_string(out, &self.call_counts.to_csv());
+        for profile in [&self.cu_profile, &self.method_profile] {
+            put_seq(out, &profile.sigs, |out, s| put_string(out, s));
+        }
+        let mut profiles: Vec<(&HeapStrategy, &HeapOrderProfile)> =
+            self.heap_profiles.iter().collect();
+        profiles.sort_unstable_by_key(|(hs, _)| heap_strategy_tag(**hs));
+        put_seq(out, profiles, |out, (hs, profile)| {
+            let (tag, arg) = heap_strategy_tag(*hs);
+            put_u8(out, tag);
+            put_u32(out, arg);
+            put_seq(out, profile.ids.iter().copied(), put_u64);
+            put_seq(out, &profile.spans, |out, spans| {
+                put_seq(out, spans, put_span)
+            });
+        });
+        put_seq(out, self.native_pages.iter().copied(), put_u32);
+        self.instrumented_report.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(ProfiledArtifacts {
+            call_counts: CallCountProfile::from_csv(&r.string()?),
+            cu_profile: CodeOrderProfile {
+                sigs: r.seq(4, Reader::string)?,
+            },
+            method_profile: CodeOrderProfile {
+                sigs: r.seq(4, Reader::string)?,
+            },
+            heap_profiles: r.seq_with(13, HashMap::with_capacity, |profiles, r| {
+                let hs = heap_strategy_from_tag(r.u8()?, r.u32()?)?;
+                let ids = r.seq(8, Reader::u64)?;
+                let spans = r.seq(4, |r| r.seq(16, span))?;
+                profiles.insert(hs, HeapOrderProfile { ids, spans });
+                Some(())
+            })?,
+            native_pages: r.seq(4, Reader::u32)?,
+            instrumented_report: RunReport::decode(r)?,
+        })
+    }
 }
 
 fn encode_call_site(out: &mut Vec<u8>, s: &CallSite) {
@@ -198,95 +531,73 @@ fn encode_call_site(out: &mut Vec<u8>, s: &CallSite) {
 }
 
 fn decode_call_site(r: &mut Reader<'_>) -> Option<CallSite> {
-    let method = MethodId(r.u32()?);
-    let block = usize::try_from(r.u64()?).ok()?;
-    let instr = usize::try_from(r.u64()?).ok()?;
     Some(CallSite {
-        method,
-        block,
-        instr,
+        method: MethodId(r.u32()?),
+        block: usize::try_from(r.u64()?).ok()?,
+        instr: usize::try_from(r.u64()?).ok()?,
     })
 }
 
 fn encode_reachability(out: &mut Vec<u8>, reach: &Reachability) {
-    encode_u32_seq(out, reach.methods.iter().map(|m| m.0));
-    encode_u32_seq(out, reach.instantiated.iter().map(|c| c.0));
-    encode_u32_seq(out, reach.classes.iter().map(|c| c.0));
-    encode_u32_seq(out, reach.static_fields.iter().map(|f| f.0));
-    encode_u32_seq(out, reach.instance_fields.iter().map(|f| f.0));
-    encode_u32_seq(out, reach.build_time_inits.iter().map(|m| m.0));
+    put_seq(out, reach.methods.iter().map(|m| m.0), put_u32);
+    put_seq(out, reach.instantiated.iter().map(|c| c.0), put_u32);
+    put_seq(out, reach.classes.iter().map(|c| c.0), put_u32);
+    put_seq(out, reach.static_fields.iter().map(|f| f.0), put_u32);
+    put_seq(out, reach.instance_fields.iter().map(|f| f.0), put_u32);
+    put_seq(out, reach.build_time_inits.iter().map(|m| m.0), put_u32);
     let mut vt: Vec<(&CallSite, &Vec<MethodId>)> = reach.virtual_targets.iter().collect();
     vt.sort_unstable_by_key(|(s, _)| (s.method.0, s.block, s.instr));
-    put_u32(out, vt.len() as u32);
-    for (site, targets) in vt {
+    put_seq(out, vt, |out, (site, targets)| {
         encode_call_site(out, site);
-        encode_u32_seq(out, targets.iter().map(|m| m.0));
-    }
+        put_seq(out, targets.iter().map(|m| m.0), put_u32);
+    });
     let mut sat: Vec<u32> = reach.saturated.iter().map(|s| s.0).collect();
     sat.sort_unstable();
-    encode_u32_seq(out, sat.into_iter());
-    put_u32(out, reach.direct_edges.len() as u32);
-    for (a, b) in &reach.direct_edges {
+    put_seq(out, sat, put_u32);
+    put_seq(out, &reach.direct_edges, |out, (a, b)| {
         put_u32(out, a.0);
         put_u32(out, b.0);
-    }
+    });
 }
 
 fn decode_reachability(r: &mut Reader<'_>) -> Option<Reachability> {
-    let methods = decode_u32_seq(r)?.into_iter().map(MethodId).collect();
-    let instantiated = decode_u32_seq(r)?.into_iter().map(ClassId).collect();
-    let classes = decode_u32_seq(r)?.into_iter().map(ClassId).collect();
-    let static_fields = decode_u32_seq(r)?.into_iter().map(FieldId).collect();
-    let instance_fields = decode_u32_seq(r)?.into_iter().map(FieldId).collect();
-    let build_time_inits = decode_u32_seq(r)?.into_iter().map(MethodId).collect();
-    let n_vt = r.u32()? as usize;
-    let mut virtual_targets = HashMap::with_capacity(cap_alloc(n_vt, r, 24));
-    for _ in 0..n_vt {
-        let site = decode_call_site(r)?;
-        let targets = decode_u32_seq(r)?.into_iter().map(MethodId).collect();
-        virtual_targets.insert(site, targets);
-    }
-    let saturated = decode_u32_seq(r)?.into_iter().map(SelectorId).collect();
-    let n_edges = r.u32()? as usize;
-    let mut direct_edges = Vec::with_capacity(cap_alloc(n_edges, r, 8));
-    for _ in 0..n_edges {
-        direct_edges.push((MethodId(r.u32()?), MethodId(r.u32()?)));
-    }
     Some(Reachability {
-        methods,
-        instantiated,
-        classes,
-        static_fields,
-        instance_fields,
-        build_time_inits,
-        virtual_targets,
-        saturated,
-        direct_edges,
+        methods: ids(r, MethodId)?,
+        instantiated: ids(r, ClassId)?,
+        classes: ids(r, ClassId)?,
+        static_fields: ids(r, FieldId)?,
+        instance_fields: ids(r, FieldId)?,
+        build_time_inits: ids(r, MethodId)?,
+        virtual_targets: r.seq_with(24, HashMap::with_capacity, |targets, r| {
+            targets.insert(decode_call_site(r)?, ids(r, MethodId)?);
+            Some(())
+        })?,
+        saturated: ids(r, SelectorId)?.into_iter().collect(),
+        direct_edges: r.seq(8, |r| Some((MethodId(r.u32()?), MethodId(r.u32()?))))?,
     })
 }
 
+/// The `compile` entry.
 impl DiskCodec for CompiledProgram {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.cus.len() as u32);
-        for cu in &self.cus {
+        put_seq(out, &self.cus, |out, cu| {
             put_u32(out, cu.id.0);
             put_u32(out, cu.root.0);
             put_u32(out, cu.size);
-            put_u32(out, cu.nodes.len() as u32);
-            for node in &cu.nodes {
+            put_seq(out, &cu.nodes, |out, node| {
                 put_u32(out, node.method.0);
-                encode_option(out, &node.parent, |p, out| put_u32(out, *p));
+                put_option(out, &node.parent, |out, &p| put_u32(out, p));
                 put_u32(out, node.offset);
                 put_u32(out, node.size);
-                put_u32(out, node.children.len() as u32);
-                for (site, child) in &node.children {
+                put_seq(out, &node.children, |out, (site, child)| {
                     encode_call_site(out, site);
                     put_u32(out, *child);
-                }
-            }
-        }
+                });
+            });
+        });
         let cfg = &self.instrumentation;
-        out.push(
+        put_u8(
+            out,
             u8::from(cfg.trace_cu)
                 | (u8::from(cfg.trace_methods) << 1)
                 | (u8::from(cfg.trace_heap) << 2),
@@ -296,51 +607,37 @@ impl DiskCodec for CompiledProgram {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let n_cus = r.u32()? as usize;
-        let mut cus = Vec::with_capacity(cap_alloc(n_cus, r, 16));
-        for i in 0..n_cus {
+        let cus = r.seq(16, |r| {
             let id = CuId(r.u32()?);
-            // CompiledProgram::cu indexes the list by id, so ids must
-            // equal positions.
-            if id.index() != i {
-                return None;
-            }
             let root = MethodId(r.u32()?);
             let size = r.u32()?;
-            let n_nodes = r.u32()? as usize;
-            let mut nodes = Vec::with_capacity(cap_alloc(n_nodes, r, 18));
-            for _ in 0..n_nodes {
-                let method = MethodId(r.u32()?);
-                let parent = decode_option(r, |r| r.u32())?;
-                let offset = r.u32()?;
-                let size = r.u32()?;
-                let n_children = r.u32()? as usize;
-                let mut children = Vec::with_capacity(cap_alloc(n_children, r, 24));
-                for _ in 0..n_children {
-                    let site = decode_call_site(r)?;
-                    children.push((site, r.u32()?));
-                }
-                nodes.push(InlineNode {
-                    method,
-                    parent,
-                    offset,
-                    size,
-                    children,
-                });
-            }
-            let n = nodes.len() as u32;
+            let nodes = r.seq(17, |r| {
+                Some(InlineNode {
+                    method: MethodId(r.u32()?),
+                    parent: r.option(Reader::u32)?,
+                    offset: r.u32()?,
+                    size: r.u32()?,
+                    children: r.seq(24, |r| Some((decode_call_site(r)?, r.u32()?)))?,
+                })
+            })?;
             // Inline-tree indices must stay in range.
+            let n = nodes.len() as u32;
             if nodes.iter().any(|node| {
                 node.parent.is_some_and(|p| p >= n) || node.children.iter().any(|&(_, c)| c >= n)
             }) {
                 return None;
             }
-            cus.push(CompilationUnit {
+            Some(CompilationUnit {
                 id,
                 root,
                 nodes,
                 size,
-            });
+            })
+        })?;
+        // CompiledProgram::cu indexes the list by id, so ids must equal
+        // positions.
+        if cus.iter().enumerate().any(|(i, cu)| cu.id.index() != i) {
+            return None;
         }
         let mask = r.u8()?;
         if mask > 7 {
@@ -362,21 +659,28 @@ impl DiskCodec for CompiledProgram {
     }
 }
 
+/// The deepest array nesting a persisted element type may have: 255, the
+/// JVM's limit on the dimensions of an array type. Every array in the
+/// bundled programs is one-dimensional (its element type nests no array
+/// at all). A decoded type is dropped recursively, one frame per level,
+/// so a damaged or forged entry nesting 100 000 levels would overflow a
+/// worker's stack; one nested deeper than this is refused instead.
+const MAX_ARRAY_DEPTH: usize = 255;
+
 fn encode_type_ref(out: &mut Vec<u8>, ty: &TypeRef) {
-    // One tag byte per array level, so decode depth is naturally bounded
-    // by the payload size (no recursion, no unbounded nesting).
+    // One tag byte per array level, so decode needs no recursion.
     let mut t = ty;
     while let TypeRef::Array(inner) = t {
-        out.push(5);
+        put_u8(out, 5);
         t = inner;
     }
     match t {
-        TypeRef::Bool => out.push(0),
-        TypeRef::Int => out.push(1),
-        TypeRef::Double => out.push(2),
-        TypeRef::Str => out.push(3),
+        TypeRef::Bool => put_u8(out, 0),
+        TypeRef::Int => put_u8(out, 1),
+        TypeRef::Double => put_u8(out, 2),
+        TypeRef::Str => put_u8(out, 3),
         TypeRef::Object(c) => {
-            out.push(4);
+            put_u8(out, 4);
             put_u32(out, c.0);
         }
         TypeRef::Array(_) => unreachable!("array levels consumed above"),
@@ -388,6 +692,9 @@ fn decode_type_ref(r: &mut Reader<'_>) -> Option<TypeRef> {
     let mut tag = r.u8()?;
     while tag == 5 {
         depth += 1;
+        if depth > MAX_ARRAY_DEPTH {
+            return None;
+        }
         tag = r.u8()?;
     }
     let mut ty = match tag {
@@ -404,67 +711,47 @@ fn decode_type_ref(r: &mut Reader<'_>) -> Option<TypeRef> {
     Some(ty)
 }
 
-/// A heap value: [`decode_value`], with a reference checked against the
-/// heap's `n_objects` objects (`BuildHeap::get` panics out of range, so a
-/// corrupt entry stays a miss).
-fn decode_heap_value(r: &mut Reader<'_>, n_objects: u32) -> Option<Value> {
-    decode_value(r).filter(|v| v.referent().is_none_or(|o| o < n_objects))
-}
-
 fn encode_hobject(out: &mut Vec<u8>, obj: &HObject) {
     match &obj.kind {
         HObjectKind::Instance { class, fields } => {
-            out.push(0);
+            put_u8(out, 0);
             put_u32(out, class.0);
-            put_u32(out, fields.len() as u32);
-            for v in fields {
-                encode_value(out, *v);
-            }
+            put_seq(out, fields, encode_value);
         }
         HObjectKind::Array { elem, elems } => {
-            out.push(1);
+            put_u8(out, 1);
             encode_type_ref(out, elem);
-            put_u32(out, elems.len() as u32);
-            for v in elems {
-                encode_value(out, *v);
-            }
+            put_seq(out, elems, encode_value);
         }
         HObjectKind::Str(s) => {
-            out.push(2);
+            put_u8(out, 2);
             put_string(out, s);
         }
         HObjectKind::Boxed(d) => {
-            out.push(3);
+            put_u8(out, 3);
             put_u64(out, d.to_bits());
         }
         HObjectKind::Blob { name, size } => {
-            out.push(4);
+            put_u8(out, 4);
             put_string(out, name);
             put_u32(out, *size);
         }
     }
 }
 
-fn decode_hobject(r: &mut Reader<'_>, n_objects: u32) -> Option<HObject> {
+/// Reads an object [`encode_hobject`] wrote, refusing a field or element
+/// that is not `valid`.
+fn decode_hobject(r: &mut Reader<'_>, valid: impl Fn(&Value) -> bool) -> Option<HObject> {
+    let value = |r: &mut Reader<'_>| decode_value(r).filter(&valid);
     let kind = match r.u8()? {
-        0 => {
-            let class = ClassId(r.u32()?);
-            let n = r.u32()? as usize;
-            let mut fields = Vec::with_capacity(cap_alloc(n, r, 1));
-            for _ in 0..n {
-                fields.push(decode_heap_value(r, n_objects)?);
-            }
-            HObjectKind::Instance { class, fields }
-        }
-        1 => {
-            let elem = decode_type_ref(r)?;
-            let n = r.u32()? as usize;
-            let mut elems = Vec::with_capacity(cap_alloc(n, r, 1));
-            for _ in 0..n {
-                elems.push(decode_heap_value(r, n_objects)?);
-            }
-            HObjectKind::Array { elem, elems }
-        }
+        0 => HObjectKind::Instance {
+            class: ClassId(r.u32()?),
+            fields: r.seq(1, value)?,
+        },
+        1 => HObjectKind::Array {
+            elem: decode_type_ref(r)?,
+            elems: r.seq(1, value)?,
+        },
         2 => HObjectKind::Str(r.string()?),
         3 => HObjectKind::Boxed(r.f64()?),
         4 => HObjectKind::Blob {
@@ -479,17 +766,17 @@ fn decode_hobject(r: &mut Reader<'_>, n_objects: u32) -> Option<HObject> {
 fn encode_reason(out: &mut Vec<u8>, reason: &InclusionReason) {
     match reason {
         InclusionReason::StaticField(sig) => {
-            out.push(0);
+            put_u8(out, 0);
             put_string(out, sig);
         }
         InclusionReason::MethodConstant(sig) => {
-            out.push(1);
+            put_u8(out, 1);
             put_string(out, sig);
         }
-        InclusionReason::InternedString => out.push(2),
-        InclusionReason::DataSection => out.push(3),
+        InclusionReason::InternedString => put_u8(out, 2),
+        InclusionReason::DataSection => put_u8(out, 3),
         InclusionReason::Resource(name) => {
-            out.push(4);
+            put_u8(out, 4);
             put_string(out, name);
         }
     }
@@ -506,113 +793,89 @@ fn decode_reason(r: &mut Reader<'_>) -> Option<InclusionReason> {
     })
 }
 
+/// The `snapshot` entry.
 impl DiskCodec for HeapSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         let heap = self.heap();
-        let objects = heap.objects();
-        put_u32(out, objects.len() as u32);
-        for obj in objects {
-            encode_hobject(out, obj);
-        }
+        put_seq(out, heap.objects(), encode_hobject);
         let mut statics: Vec<(FieldId, Value)> = heap.statics().collect();
         statics.sort_unstable_by_key(|(f, _)| f.0);
-        put_u32(out, statics.len() as u32);
-        for (f, v) in &statics {
+        put_seq(out, &statics, |out, (f, v)| {
             put_u32(out, f.0);
-            encode_value(out, *v);
-        }
+            encode_value(out, v);
+        });
         // The interned table is recoverable from the object ids alone:
         // the key is the Str object's own content.
-        let mut interned: Vec<ObjId> = heap.interned().map(|(_, o)| o).collect();
+        let mut interned: Vec<u32> = heap.interned().map(|(_, o)| o.0).collect();
         interned.sort_unstable();
-        encode_u32_seq(out, interned.iter().map(|o| o.0));
-        put_u32(out, self.entries().len() as u32);
-        for e in self.entries() {
+        put_seq(out, interned, put_u32);
+        put_seq(out, self.entries(), |out, e| {
             put_u32(out, e.obj.0);
             put_u32(out, e.size);
-            encode_option(out, &e.parent, |(p, link), out| {
+            put_option(out, &e.parent, |out, (p, link)| {
                 put_u32(out, p.0);
                 match link {
                     ParentLink::Field(f) => {
-                        out.push(0);
+                        put_u8(out, 0);
                         put_u32(out, f.0);
                     }
                     ParentLink::Index(i) => {
-                        out.push(1);
+                        put_u8(out, 1);
                         put_u32(out, *i);
                     }
                 }
             });
-            encode_option(out, &e.root, |reason, out| encode_reason(out, reason));
-            encode_option(out, &e.cu, |cu, out| put_u32(out, cu.0));
-        }
-        let mut folded: Vec<ObjId> = self.folded().iter().copied().collect();
+            put_option(out, &e.root, encode_reason);
+            put_option(out, &e.cu, |out, cu| put_u32(out, cu.0));
+        });
+        let mut folded: Vec<u32> = self.folded().iter().map(|o| o.0).collect();
         folded.sort_unstable();
-        encode_u32_seq(out, folded.iter().map(|o| o.0));
+        put_seq(out, folded, put_u32);
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let n_objects = r.u32()?;
+        // `BuildHeap::get` panics out of range, so every reference must
+        // name an object for a corrupt entry to stay a miss: values are
+        // checked as they are read, against the count that prefixes the
+        // objects.
+        let n_objects = r.clone().u32()?;
+        let in_heap = |v: &Value| v.referent().is_none_or(|o| o < n_objects);
         // The shortest object is an empty string: a tag and its length.
-        let mut objects = Vec::with_capacity(cap_alloc(n_objects as usize, r, 5));
-        for _ in 0..n_objects {
-            objects.push(decode_hobject(r, n_objects)?);
-        }
-        let n_statics = r.u32()? as usize;
-        let mut statics = HashMap::with_capacity(cap_alloc(n_statics, r, 5));
-        for _ in 0..n_statics {
-            let f = FieldId(r.u32()?);
-            statics.insert(f, decode_heap_value(r, n_objects)?);
-        }
-        let interned_ids = decode_u32_seq(r)?;
-        let mut interned = HashMap::with_capacity(interned_ids.len());
-        for o in interned_ids {
-            if o >= n_objects {
-                return None;
-            }
-            let HObjectKind::Str(s) = &objects[o as usize].kind else {
+        let objects = r.seq(5, |r| decode_hobject(r, in_heap))?;
+        let statics = r.seq_with(5, HashMap::with_capacity, |statics, r| {
+            statics.insert(FieldId(r.u32()?), decode_value(r).filter(in_heap)?);
+            Some(())
+        })?;
+        let interned = r.seq_with(4, HashMap::with_capacity, |interned, r| {
+            let o = r.u32()?;
+            let HObjectKind::Str(s) = &objects.get(o as usize)?.kind else {
                 return None;
             };
             interned.insert(s.clone(), ObjId(o));
-        }
-        let n_entries = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(cap_alloc(n_entries, r, 11));
-        for _ in 0..n_entries {
-            let obj = r.u32()?;
-            if obj >= n_objects {
-                return None;
-            }
-            let size = r.u32()?;
-            let parent = decode_option(r, |r| {
-                let p = r.u32()?;
-                if p >= n_objects {
-                    return None;
-                }
-                let link = match r.u8()? {
-                    0 => ParentLink::Field(FieldId(r.u32()?)),
-                    1 => ParentLink::Index(r.u32()?),
-                    _ => return None,
-                };
-                Some((ObjId(p), link))
-            })?;
-            let root = decode_option(r, decode_reason)?;
-            let cu = decode_option(r, |r| Some(CuId(r.u32()?)))?;
-            entries.push(SnapEntry {
-                obj: ObjId(obj),
-                size,
-                parent,
-                root,
-                cu,
-            });
-        }
-        let folded_ids = decode_u32_seq(r)?;
-        let mut folded = HashSet::with_capacity(folded_ids.len());
-        for o in folded_ids {
-            if o >= n_objects {
-                return None;
-            }
-            folded.insert(ObjId(o));
-        }
+            Some(())
+        })?;
+        let object = |r: &mut Reader<'_>| r.u32().filter(|&o| o < n_objects).map(ObjId);
+        let entries = r.seq(11, |r| {
+            Some(SnapEntry {
+                obj: object(r)?,
+                size: r.u32()?,
+                parent: r.option(|r| {
+                    let p = object(r)?;
+                    let link = match r.u8()? {
+                        0 => ParentLink::Field(FieldId(r.u32()?)),
+                        1 => ParentLink::Index(r.u32()?),
+                        _ => return None,
+                    };
+                    Some((p, link))
+                })?,
+                root: r.option(decode_reason)?,
+                cu: r.option(|r| r.u32().map(CuId))?,
+            })
+        })?;
+        let folded = r.seq_with(4, HashSet::with_capacity, |folded, r| {
+            folded.insert(object(r)?);
+            Some(())
+        })?;
         let heap = BuildHeap::from_parts(objects, statics, interned);
         Some(HeapSnapshot::from_parts(heap, entries, folded))
     }
@@ -632,54 +895,52 @@ fn is_self_permutation(ids: &[u32]) -> bool {
     true
 }
 
+/// The `order` entry: one strategy's plan.
 impl DiskCodec for LayoutOrders {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_option(out, &self.cu_order, |order, out| {
-            encode_u32_seq(out, order.iter().map(|c| c.0));
+        put_option(out, &self.cu_order, |out, order| {
+            put_seq(out, order.iter().map(|c| c.0), put_u32);
         });
-        encode_option(out, &self.object_order, |order, out| {
-            encode_u32_seq(out, order.iter().map(|o| o.0));
+        put_option(out, &self.object_order, |out, order| {
+            put_seq(out, order.iter().map(|o| o.0), put_u32);
         });
-        encode_option(out, &self.native_order, |order, out| {
-            encode_u32_seq(out, order.iter().copied());
+        put_option(out, &self.native_order, |out, order| {
+            put_seq(out, order.iter().copied(), put_u32);
         });
-        encode_option(out, &self.predicted, |p, out| {
-            put_u64(out, p.first_touch.text);
-            put_u64(out, p.first_touch.heap);
-            put_u64(out, p.optimized.text);
-            put_u64(out, p.optimized.heap);
+        put_option(out, &self.predicted, |out, p| {
+            for v in [
+                p.first_touch.text,
+                p.first_touch.heap,
+                p.optimized.text,
+                p.optimized.heap,
+            ] {
+                put_u64(out, v);
+            }
         });
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let perm = |r: &mut Reader<'_>| decode_u32_seq(r).filter(|ids| is_self_permutation(ids));
-        let cu_order = decode_option(r, |r| {
-            Some(perm(r)?.into_iter().map(CuId).collect::<Vec<_>>())
-        })?;
-        // Object ids are sparse (folded objects leave holes), so the order
-        // is not a permutation of `0..len`; `LayoutOrders::fits` checks it
-        // against the snapshot it is laid out with.
-        let object_order = decode_option(r, |r| {
-            Some(decode_u32_seq(r)?.into_iter().map(ObjId).collect())
-        })?;
-        let native_order = decode_option(r, perm)?;
-        let predicted = decode_option(r, |r| {
-            Some(LayoutPrediction {
-                first_touch: PredictedFaults {
-                    text: r.u64()?,
-                    heap: r.u64()?,
-                },
-                optimized: PredictedFaults {
-                    text: r.u64()?,
-                    heap: r.u64()?,
-                },
-            })
-        })?;
+        let perm =
+            |r: &mut Reader<'_>| r.seq(4, Reader::u32).filter(|ids| is_self_permutation(ids));
         Some(LayoutOrders {
-            cu_order,
-            object_order,
-            native_order,
-            predicted,
+            cu_order: r.option(|r| Some(perm(r)?.into_iter().map(CuId).collect()))?,
+            // Object ids are sparse (folded objects leave holes), so the
+            // order is not a permutation of `0..len`; `LayoutOrders::fits`
+            // checks it against the snapshot it is laid out with.
+            object_order: r.option(|r| ids(r, ObjId))?,
+            native_order: r.option(perm)?,
+            predicted: r.option(|r| {
+                Some(LayoutPrediction {
+                    first_touch: PredictedFaults {
+                        text: r.u64()?,
+                        heap: r.u64()?,
+                    },
+                    optimized: PredictedFaults {
+                        text: r.u64()?,
+                        heap: r.u64()?,
+                    },
+                })
+            })?,
         })
     }
 }
@@ -688,125 +949,16 @@ impl DiskCodec for LayoutOrders {
 // One CU's lowering. No cache stage persists it (shards are realized in
 // memory by the one run of each build); the codec stays for the benchmark's
 // typed round trip. Locals travel as u32 (the reader has no u16
-// primitive); operator enums as one tag byte in declaration order. Decode
-// validates tags and value ranges totally; it does not check bounds
-// relative to a build (locals vs. n_locals, string indices, jump targets).
+// primitive); operator enums as their tag tables. Decode validates tags
+// and value ranges totally; it does not check bounds relative to a build
+// (locals vs. n_locals, string indices, jump targets).
 
-fn put_local(out: &mut Vec<u8>, l: Local) {
+fn put_local(out: &mut Vec<u8>, l: &Local) {
     put_u32(out, u32::from(l.0));
 }
 
 fn decode_local(r: &mut Reader<'_>) -> Option<Local> {
     Some(Local(u16::try_from(r.u32()?).ok()?))
-}
-
-fn encode_locals(out: &mut Vec<u8>, ls: &[Local]) {
-    put_u32(out, ls.len() as u32);
-    for l in ls {
-        put_local(out, *l);
-    }
-}
-
-fn decode_locals(r: &mut Reader<'_>) -> Option<Box<[Local]>> {
-    let n = r.u32()? as usize;
-    let mut v = Vec::with_capacity(cap_alloc(n, r, 4));
-    for _ in 0..n {
-        v.push(decode_local(r)?);
-    }
-    Some(v.into_boxed_slice())
-}
-
-fn encode_opt_local(out: &mut Vec<u8>, l: &Option<Local>) {
-    encode_option(out, l, |l, out| put_local(out, *l));
-}
-
-fn decode_opt_local(r: &mut Reader<'_>) -> Option<Option<Local>> {
-    decode_option(r, decode_local)
-}
-
-fn bin_op_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Rem => 4,
-        BinOp::And => 5,
-        BinOp::Or => 6,
-        BinOp::Xor => 7,
-        BinOp::Shl => 8,
-        BinOp::Shr => 9,
-        BinOp::Lt => 10,
-        BinOp::Le => 11,
-        BinOp::Gt => 12,
-        BinOp::Ge => 13,
-        BinOp::Eq => 14,
-        BinOp::Ne => 15,
-    }
-}
-
-fn bin_op_from(tag: u8) -> Option<BinOp> {
-    Some(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Rem,
-        5 => BinOp::And,
-        6 => BinOp::Or,
-        7 => BinOp::Xor,
-        8 => BinOp::Shl,
-        9 => BinOp::Shr,
-        10 => BinOp::Lt,
-        11 => BinOp::Le,
-        12 => BinOp::Gt,
-        13 => BinOp::Ge,
-        14 => BinOp::Eq,
-        15 => BinOp::Ne,
-        _ => return None,
-    })
-}
-
-fn un_op_tag(op: UnOp) -> u8 {
-    match op {
-        UnOp::Neg => 0,
-        UnOp::Not => 1,
-        UnOp::IntToDouble => 2,
-        UnOp::DoubleToInt => 3,
-    }
-}
-
-fn un_op_from(tag: u8) -> Option<UnOp> {
-    Some(match tag {
-        0 => UnOp::Neg,
-        1 => UnOp::Not,
-        2 => UnOp::IntToDouble,
-        3 => UnOp::DoubleToInt,
-        _ => return None,
-    })
-}
-
-fn intrinsic_tag(op: Intrinsic) -> u8 {
-    match op {
-        Intrinsic::Sqrt => 0,
-        Intrinsic::Abs => 1,
-        Intrinsic::Floor => 2,
-        Intrinsic::Cos => 3,
-        Intrinsic::Sin => 4,
-        Intrinsic::Respond => 5,
-    }
-}
-
-fn intrinsic_from(tag: u8) -> Option<Intrinsic> {
-    Some(match tag {
-        0 => Intrinsic::Sqrt,
-        1 => Intrinsic::Abs,
-        2 => Intrinsic::Floor,
-        3 => Intrinsic::Cos,
-        4 => Intrinsic::Sin,
-        5 => Intrinsic::Respond,
-        _ => return None,
-    })
 }
 
 fn encode_jump_edge(out: &mut Vec<u8>, e: &JumpEdge) {
@@ -824,113 +976,113 @@ fn decode_jump_edge(r: &mut Reader<'_>) -> Option<JumpEdge> {
 fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
     match ins {
         LoweredInstr::ConstInt(d, v) => {
-            out.push(0);
-            put_local(out, *d);
+            put_u8(out, 0);
+            put_local(out, d);
             put_u64(out, *v as u64);
         }
         LoweredInstr::ConstDouble(d, v) => {
-            out.push(1);
-            put_local(out, *d);
+            put_u8(out, 1);
+            put_local(out, d);
             put_u64(out, v.to_bits());
         }
         LoweredInstr::ConstBool(d, v) => {
-            out.push(2);
-            put_local(out, *d);
-            out.push(u8::from(*v));
+            put_u8(out, 2);
+            put_local(out, d);
+            put_u8(out, u8::from(*v));
         }
         LoweredInstr::ConstStr(d, s) => {
-            out.push(3);
-            put_local(out, *d);
+            put_u8(out, 3);
+            put_local(out, d);
             put_u32(out, *s);
         }
         LoweredInstr::ConstNull(d) => {
-            out.push(4);
-            put_local(out, *d);
+            put_u8(out, 4);
+            put_local(out, d);
         }
         LoweredInstr::Move(d, s) => {
-            out.push(5);
-            put_local(out, *d);
-            put_local(out, *s);
+            put_u8(out, 5);
+            put_local(out, d);
+            put_local(out, s);
         }
         LoweredInstr::Bin(op, d, a, b) => {
-            out.push(6);
-            out.push(bin_op_tag(*op));
-            put_local(out, *d);
-            put_local(out, *a);
-            put_local(out, *b);
+            put_u8(out, 6);
+            op.encode(out);
+            put_local(out, d);
+            put_local(out, a);
+            put_local(out, b);
         }
         LoweredInstr::Un(op, d, a) => {
-            out.push(7);
-            out.push(un_op_tag(*op));
-            put_local(out, *d);
-            put_local(out, *a);
+            put_u8(out, 7);
+            op.encode(out);
+            put_local(out, d);
+            put_local(out, a);
         }
         LoweredInstr::New(d, c) => {
-            out.push(8);
-            put_local(out, *d);
+            put_u8(out, 8);
+            put_local(out, d);
             put_u32(out, c.0);
         }
         LoweredInstr::NewArray(d, elem, len) => {
-            out.push(9);
-            put_local(out, *d);
+            put_u8(out, 9);
+            put_local(out, d);
             encode_type_ref(out, elem);
-            put_local(out, *len);
+            put_local(out, len);
         }
         LoweredInstr::GetField(d, o, f) => {
-            out.push(10);
-            put_local(out, *d);
-            put_local(out, *o);
+            put_u8(out, 10);
+            put_local(out, d);
+            put_local(out, o);
             put_u32(out, f.0);
         }
         LoweredInstr::PutField(o, f, s) => {
-            out.push(11);
-            put_local(out, *o);
+            put_u8(out, 11);
+            put_local(out, o);
             put_u32(out, f.0);
-            put_local(out, *s);
+            put_local(out, s);
         }
         LoweredInstr::GetStatic(d, f) => {
-            out.push(12);
-            put_local(out, *d);
+            put_u8(out, 12);
+            put_local(out, d);
             put_u32(out, f.0);
         }
         LoweredInstr::PutStatic(f, s) => {
-            out.push(13);
+            put_u8(out, 13);
             put_u32(out, f.0);
-            put_local(out, *s);
+            put_local(out, s);
         }
         LoweredInstr::ArrayGet(d, a, i) => {
-            out.push(14);
-            put_local(out, *d);
-            put_local(out, *a);
-            put_local(out, *i);
+            put_u8(out, 14);
+            put_local(out, d);
+            put_local(out, a);
+            put_local(out, i);
         }
         LoweredInstr::ArraySet(a, i, s) => {
-            out.push(15);
-            put_local(out, *a);
-            put_local(out, *i);
-            put_local(out, *s);
+            put_u8(out, 15);
+            put_local(out, a);
+            put_local(out, i);
+            put_local(out, s);
         }
         LoweredInstr::ArrayLen(d, a) => {
-            out.push(16);
-            put_local(out, *d);
-            put_local(out, *a);
+            put_u8(out, 16);
+            put_local(out, d);
+            put_local(out, a);
         }
         LoweredInstr::StrLen(d, s) => {
-            out.push(17);
-            put_local(out, *d);
-            put_local(out, *s);
+            put_u8(out, 17);
+            put_local(out, d);
+            put_local(out, s);
         }
         LoweredInstr::StrCharAt(d, s, i) => {
-            out.push(18);
-            put_local(out, *d);
-            put_local(out, *s);
-            put_local(out, *i);
+            put_u8(out, 18);
+            put_local(out, d);
+            put_local(out, s);
+            put_local(out, i);
         }
         LoweredInstr::StrConcat(d, a, b) => {
-            out.push(19);
-            put_local(out, *d);
-            put_local(out, *a);
-            put_local(out, *b);
+            put_u8(out, 19);
+            put_local(out, d);
+            put_local(out, a);
+            put_local(out, b);
         }
         LoweredInstr::Call {
             dst,
@@ -939,39 +1091,39 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
             site_block,
             site_instr,
         } => {
-            out.push(20);
-            encode_opt_local(out, dst);
+            put_u8(out, 20);
+            put_option(out, dst, put_local);
             match target {
                 LoweredCallee::Static(m) => {
-                    out.push(0);
+                    put_u8(out, 0);
                     put_u32(out, m.0);
                 }
                 LoweredCallee::Virtual(s) => {
-                    out.push(1);
+                    put_u8(out, 1);
                     put_u32(out, s.0);
                 }
             }
-            encode_locals(out, args);
+            put_seq(out, args.iter(), put_local);
             put_u32(out, *site_block);
             put_u32(out, *site_instr);
         }
         LoweredInstr::Intrinsic { dst, op, args } => {
-            out.push(21);
-            encode_opt_local(out, dst);
-            out.push(intrinsic_tag(*op));
-            encode_locals(out, args);
+            put_u8(out, 21);
+            put_option(out, dst, put_local);
+            op.encode(out);
+            put_seq(out, args.iter(), put_local);
         }
         LoweredInstr::Spawn { method, args } => {
-            out.push(22);
+            put_u8(out, 22);
             put_u32(out, method.0);
-            encode_locals(out, args);
+            put_seq(out, args.iter(), put_local);
         }
         LoweredInstr::Ret(v) => {
-            out.push(23);
-            encode_opt_local(out, v);
+            put_u8(out, 23);
+            put_option(out, v, put_local);
         }
         LoweredInstr::Jump(e) => {
-            out.push(24);
+            put_u8(out, 24);
             encode_jump_edge(out, e);
         }
         LoweredInstr::Br {
@@ -979,8 +1131,8 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
             then_e,
             else_e,
         } => {
-            out.push(25);
-            put_local(out, *cond);
+            put_u8(out, 25);
+            put_local(out, cond);
             encode_jump_edge(out, then_e);
             encode_jump_edge(out, else_e);
         }
@@ -988,27 +1140,21 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
 }
 
 fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
+    let locals = |r: &mut Reader<'_>| Some(r.seq(4, decode_local)?.into_boxed_slice());
     Some(match r.u8()? {
         0 => LoweredInstr::ConstInt(decode_local(r)?, r.i64()?),
         1 => LoweredInstr::ConstDouble(decode_local(r)?, r.f64()?),
-        2 => {
-            let d = decode_local(r)?;
-            match r.u8()? {
-                0 => LoweredInstr::ConstBool(d, false),
-                1 => LoweredInstr::ConstBool(d, true),
-                _ => return None,
-            }
-        }
+        2 => LoweredInstr::ConstBool(decode_local(r)?, r.bool()?),
         3 => LoweredInstr::ConstStr(decode_local(r)?, r.u32()?),
         4 => LoweredInstr::ConstNull(decode_local(r)?),
         5 => LoweredInstr::Move(decode_local(r)?, decode_local(r)?),
         6 => LoweredInstr::Bin(
-            bin_op_from(r.u8()?)?,
+            BinOp::decode(r)?,
             decode_local(r)?,
             decode_local(r)?,
             decode_local(r)?,
         ),
-        7 => LoweredInstr::Un(un_op_from(r.u8()?)?, decode_local(r)?, decode_local(r)?),
+        7 => LoweredInstr::Un(UnOp::decode(r)?, decode_local(r)?, decode_local(r)?),
         8 => LoweredInstr::New(decode_local(r)?, ClassId(r.u32()?)),
         9 => LoweredInstr::NewArray(decode_local(r)?, decode_type_ref(r)?, decode_local(r)?),
         10 => LoweredInstr::GetField(decode_local(r)?, decode_local(r)?, FieldId(r.u32()?)),
@@ -1021,36 +1167,27 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
         17 => LoweredInstr::StrLen(decode_local(r)?, decode_local(r)?),
         18 => LoweredInstr::StrCharAt(decode_local(r)?, decode_local(r)?, decode_local(r)?),
         19 => LoweredInstr::StrConcat(decode_local(r)?, decode_local(r)?, decode_local(r)?),
-        20 => {
-            let dst = decode_opt_local(r)?;
-            let target = match r.u8()? {
+        20 => LoweredInstr::Call {
+            dst: r.option(decode_local)?,
+            target: match r.u8()? {
                 0 => LoweredCallee::Static(MethodId(r.u32()?)),
                 1 => LoweredCallee::Virtual(SelectorId(r.u32()?)),
                 _ => return None,
-            };
-            let args = decode_locals(r)?;
-            LoweredInstr::Call {
-                dst,
-                target,
-                args,
-                site_block: r.u32()?,
-                site_instr: r.u32()?,
-            }
-        }
-        21 => {
-            let dst = decode_opt_local(r)?;
-            let op = intrinsic_from(r.u8()?)?;
-            LoweredInstr::Intrinsic {
-                dst,
-                op,
-                args: decode_locals(r)?,
-            }
-        }
+            },
+            args: locals(r)?,
+            site_block: r.u32()?,
+            site_instr: r.u32()?,
+        },
+        21 => LoweredInstr::Intrinsic {
+            dst: r.option(decode_local)?,
+            op: Intrinsic::decode(r)?,
+            args: locals(r)?,
+        },
         22 => LoweredInstr::Spawn {
             method: MethodId(r.u32()?),
-            args: decode_locals(r)?,
+            args: locals(r)?,
         },
-        23 => LoweredInstr::Ret(decode_opt_local(r)?),
+        23 => LoweredInstr::Ret(r.option(decode_local)?),
         24 => LoweredInstr::Jump(decode_jump_edge(r)?),
         25 => LoweredInstr::Br {
             cond: decode_local(r)?,
@@ -1063,85 +1200,59 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
 
 fn encode_lowered_method(out: &mut Vec<u8>, m: &LoweredMethod) {
     put_u32(out, u32::from(m.n_locals));
-    encode_u32_seq(out, m.block_start.iter().copied());
-    put_u32(out, m.code.len() as u32);
-    for ins in &m.code {
-        encode_lowered_instr(out, ins);
-    }
+    put_seq(out, m.block_start.iter().copied(), put_u32);
+    put_seq(out, &m.code, encode_lowered_instr);
 }
 
 fn decode_lowered_method(r: &mut Reader<'_>) -> Option<LoweredMethod> {
-    let n_locals = u16::try_from(r.u32()?).ok()?;
-    let block_start = decode_u32_seq(r)?;
-    let n_code = r.u32()? as usize;
-    let mut code = Vec::with_capacity(cap_alloc(n_code, r, 2));
-    for _ in 0..n_code {
-        code.push(decode_lowered_instr(r)?);
-    }
     Some(LoweredMethod {
-        code,
-        block_start,
-        n_locals,
+        n_locals: u16::try_from(r.u32()?).ok()?,
+        block_start: r.seq(4, Reader::u32)?,
+        code: r.seq(2, decode_lowered_instr)?,
     })
 }
 
 fn encode_lowered_paths(out: &mut Vec<u8>, p: &LoweredPaths) {
     let (block_head, edges, n_blocks) = p.raw_parts();
-    encode_u32_seq(out, block_head.iter().copied());
+    put_seq(out, block_head.iter().copied(), put_u32);
     put_u32(out, n_blocks);
-    put_u32(out, edges.len() as u32);
-    for e in edges {
-        out.push(u8::from(e.cut));
+    put_seq(out, edges, |out, e| {
+        put_u8(out, u8::from(e.cut));
         put_u64(out, e.inc);
-    }
+    });
 }
 
 fn decode_lowered_paths(r: &mut Reader<'_>) -> Option<LoweredPaths> {
-    let block_head = decode_u32_seq(r)?;
+    let block_head = r.seq(4, Reader::u32)?;
     let n_blocks = r.u32()?;
-    let n_edges = r.u32()? as usize;
-    let mut edges = Vec::with_capacity(cap_alloc(n_edges, r, 9));
-    for _ in 0..n_edges {
-        let cut = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        edges.push(PathEdge { cut, inc: r.u64()? });
-    }
+    let edges = r.seq(9, |r| {
+        Some(PathEdge {
+            cut: r.bool()?,
+            inc: r.u64()?,
+        })
+    })?;
     LoweredPaths::from_raw(block_head, edges, n_blocks)
 }
 
 impl DiskCodec for LoweredShard {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.cu);
-        put_u32(out, self.methods.len() as u32);
-        for (mi, m) in &self.methods {
+        put_seq(out, &self.methods, |out, (mi, m)| {
             put_u32(out, *mi);
             encode_lowered_method(out, m);
-        }
-        put_u32(out, self.paths.len() as u32);
-        for (mi, p) in &self.paths {
+        });
+        put_seq(out, &self.paths, |out, (mi, p)| {
             put_u32(out, *mi);
             encode_lowered_paths(out, p);
-        }
+        });
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let cu = r.u32()?;
-        let n_methods = r.u32()? as usize;
-        let mut methods = Vec::with_capacity(cap_alloc(n_methods, r, 16));
-        for _ in 0..n_methods {
-            let mi = r.u32()?;
-            methods.push((mi, decode_lowered_method(r)?));
-        }
-        let n_paths = r.u32()? as usize;
-        let mut paths = Vec::with_capacity(cap_alloc(n_paths, r, 16));
-        for _ in 0..n_paths {
-            let mi = r.u32()?;
-            paths.push((mi, decode_lowered_paths(r)?));
-        }
-        Some(LoweredShard { cu, methods, paths })
+        Some(LoweredShard {
+            cu: r.u32()?,
+            methods: r.seq(16, |r| Some((r.u32()?, decode_lowered_method(r)?)))?,
+            paths: r.seq(16, |r| Some((r.u32()?, decode_lowered_paths(r)?)))?,
+        })
     }
 }
 

@@ -440,3 +440,33 @@ fn mutated_entries_decode_or_reject_without_panicking() {
     damage(&entries(&program(3, 24)));
     damage(&entries(&Awfy::Bounce.program_at(&RuntimeScale::small())));
 }
+
+/// A heap snapshot of one empty array whose element type nests `depth`
+/// array levels: one tag byte `5` per level, then `Int`.
+fn nested_array_snapshot(depth: usize) -> Vec<u8> {
+    let mut bytes = 1u32.to_le_bytes().to_vec();
+    bytes.push(1);
+    bytes.extend(std::iter::repeat_n(5u8, depth));
+    bytes.push(1);
+    // No elements, statics, interned strings, entries or folded objects.
+    bytes.extend_from_slice(&[0; 20]);
+    bytes
+}
+
+/// An element type nested deeper than the decoder's bound is rejected.
+/// Unbounded, 100 000 levels decode, and dropping the type overflows the
+/// 2 MiB stack the engine's workers run on.
+#[test]
+fn deeply_nested_array_types_are_rejected() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let shallow = nested_array_snapshot(8);
+            assert!(HeapSnapshot::decode(&mut Reader::new(&shallow)).is_some());
+            let deep = nested_array_snapshot(100_000);
+            assert!(HeapSnapshot::decode(&mut Reader::new(&deep)).is_none());
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
