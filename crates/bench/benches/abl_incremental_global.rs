@@ -9,6 +9,7 @@
 //! (`Config`). Per-type counters keep every `Config` identity stable;
 //! a global counter shifts them all.
 
+use nimage_compiler::{ProgramIndex, DEFAULT_MAX_PATHS};
 use std::collections::HashMap;
 
 use nimage_heap::{HeapBuildConfig, HeapSnapshot, ObjId};
@@ -97,13 +98,18 @@ fn program(extra_scratch: bool) -> Program {
 fn snapshot_of(p: &Program) -> HeapSnapshot {
     let reach = nimage_analysis::analyze(p, &nimage_analysis::AnalysisConfig::default());
     let cp = nimage_compiler::compile(
-        p,
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
         reach,
         &nimage_compiler::InlineConfig::default(),
         nimage_compiler::InstrumentConfig::NONE,
         None,
     );
-    nimage_heap::snapshot(p, &cp, &HeapBuildConfig::default()).unwrap()
+    nimage_heap::snapshot(
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap()
 }
 
 /// Fraction of Config objects whose identity is unchanged between the

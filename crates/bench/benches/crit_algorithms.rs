@@ -4,7 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig, PathNumbering, ProfilingCfg};
+use nimage_compiler::{
+    compile, InlineConfig, InstrumentConfig, PathNumbering, ProfilingCfg, ProgramIndex,
+    DEFAULT_MAX_PATHS,
+};
 use nimage_heap::{snapshot, HeapBuildConfig};
 use nimage_order::{assign_ids, murmur3, HeapStrategy};
 use nimage_workloads::{Awfy, RuntimeScale};
@@ -20,13 +23,18 @@ fn bench_strategies(c: &mut Criterion) {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
     let reach = analyze(&program, &AnalysisConfig::default());
     let compiled = compile(
-        &program,
+        &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    let snap = snapshot(&program, &compiled, &HeapBuildConfig::default()).unwrap();
+    let snap = snapshot(
+        &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
+        &compiled,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     for strat in [
         HeapStrategy::IncrementalId,
         HeapStrategy::structural_default(),
@@ -55,7 +63,7 @@ fn bench_compile(c: &mut Criterion) {
         b.iter(|| {
             let reach = analyze(&program, &AnalysisConfig::default());
             compile(
-                std::hint::black_box(&program),
+                &ProgramIndex::new(std::hint::black_box(&program), DEFAULT_MAX_PATHS),
                 reach,
                 &InlineConfig::default(),
                 InstrumentConfig::NONE,

@@ -25,8 +25,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use nimage_core::{
-    load_profiles, save_profiles, BuildOptions, BuildRequest, DiskCacheOptions, DiskStore, Engine,
-    EngineOptions, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions, WorkloadSpec,
+    load_profiles, save_profiles, BuildOptions, DiskCacheOptions, DiskStore, Engine, EngineOptions,
+    EvalOutcome, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions, WorkloadSpec,
     DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
@@ -369,7 +369,14 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let req = EvalRequest::new()
         .workload(spec.clone())
         .strategies(strategies);
-    let outcome = engine.evaluate(&req)?;
+    // One handle for the matrix and every later query: the program is
+    // fingerprinted and indexed once.
+    let handle = engine.workload(&spec);
+    let cells = handle.evaluate(&strategies)?;
+    let outcome = EvalOutcome {
+        report: engine.report(&req, &cells),
+        cells,
+    };
     let engine_ns = t1.elapsed().as_nanos() as u64;
     let rows: Vec<&Evaluation> = outcome.cells.iter().map(|c| &c.eval).collect();
 
@@ -393,11 +400,11 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     // Per-strategy measured major faults against the no-reorder baseline,
     // with the layout optimizer's predictions for the clustered
     // strategies (every plan below is a cache hit after the engine run).
-    let engine_artifacts = engine.profile_workload(&spec)?;
+    let engine_artifacts = handle.profile()?;
     let fault_rows: Vec<FaultRow> = rows
         .iter()
         .map(|e| {
-            let plan = engine.layout_plan(&spec, &engine_artifacts, e.strategy)?;
+            let plan = handle.layout_plan(&engine_artifacts, e.strategy)?;
             Ok(FaultRow {
                 strategy: e.strategy,
                 text: e.optimized.faults.text,
@@ -725,8 +732,9 @@ fn cmd_heapstats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
         workload.stop(),
     );
     eprintln!("profiling {} …", workload.name());
-    let artifacts = engine.profile_workload(&spec)?;
-    let built = engine.instrumented_parts(&spec)?;
+    let handle = engine.workload(&spec);
+    let artifacts = handle.profile()?;
+    let built = handle.instrumented_parts()?;
     let snap = &*built.snapshot;
 
     let stats = snap.stats();
@@ -956,7 +964,8 @@ fn lint_workload(
     // Family 1: IR dataflow lints (use-before-def, dead stores — both on
     // the worklist solver), then vtable soundness against the instrumented
     // build's devirtualization.
-    let built = engine.instrumented_parts(&spec)?;
+    let handle = engine.workload(&spec);
+    let built = handle.instrumented_parts()?;
     timed!("ir", {
         diags.extend(irlint::lint_program(&program));
         diags.extend(irlint::lint_virtual_targets(
@@ -977,7 +986,7 @@ fn lint_workload(
     // collision audits, profile coverage, layout + matching contract of the
     // optimized build.
     eprintln!("profiling {} …", workload.name());
-    let artifacts = engine.profile_workload(&spec)?;
+    let artifacts = handle.profile()?;
     let trace = artifacts
         .instrumented_report
         .trace
@@ -1019,11 +1028,7 @@ fn lint_workload(
         }
     });
 
-    let opt = engine.optimized_image(&BuildRequest {
-        spec: &spec,
-        artifacts: &artifacts,
-        strategy: Some(strategy),
-    })?;
+    let opt = handle.optimized_image(&artifacts, Some(strategy))?;
     timed!("layout-optimized", {
         diags.extend(checks::check_layout(&checks::LayoutView::from_image(
             &program,
@@ -1107,8 +1112,11 @@ fn lint_workload(
         diags.extend(nimage_verify::purity::check_clinit_purity(
             &program, &inits, &summaries,
         ));
-        let (_heap, log) =
-            nimage_heap::run_initializers_logged(&program, &inits, opts.heap_optimized.budget)?;
+        let (_heap, log) = nimage_heap::run_initializers_logged(
+            &nimage_compiler::ProgramIndex::new(&program, opts.vm.max_paths),
+            &inits,
+            opts.heap_optimized.budget,
+        )?;
         diags.extend(nimage_verify::purity::check_effect_log(
             &program, &summaries, &log,
         ));

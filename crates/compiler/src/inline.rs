@@ -22,6 +22,7 @@ use nimage_analysis::{CallSite, Reachability};
 use nimage_ir::{Callee, Instr, MethodId, Program};
 
 use crate::cu::{CompilationUnit, CompiledProgram, CuId, InlineNode};
+use crate::index::ProgramIndex;
 use crate::instrument::{instrumented_method_size, InstrumentConfig, CU_PROBE_BYTES};
 use crate::pgo::CallCountProfile;
 
@@ -67,12 +68,13 @@ impl Default for InlineConfig {
 /// (the paper's alphabetical default `.text` order) renumbers CUs into a
 /// total order that does not depend on worklist order.
 pub fn compile(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     reachability: Reachability,
     inline_cfg: &InlineConfig,
     instr_cfg: InstrumentConfig,
     profile: Option<&CallCountProfile>,
 ) -> CompiledProgram {
+    let program = index.program();
     let mut root_seen: HashSet<MethodId> = HashSet::new();
     let mut frontier: Vec<MethodId> = vec![];
     let push_root = |m: MethodId, frontier: &mut Vec<MethodId>, seen: &mut HashSet<MethodId>| {
@@ -84,11 +86,10 @@ pub fn compile(
         push_root(e, &mut frontier, &mut root_seen);
     }
     for &m in &reachability.methods {
-        for b in &program.method(m).blocks {
-            for i in &b.instrs {
-                if let Instr::Spawn { method, .. } = i {
-                    push_root(*method, &mut frontier, &mut root_seen);
-                }
+        let body = program.method(m);
+        for &(b, i) in index.call_sites(m) {
+            if let Instr::Spawn { method, .. } = &body.blocks[b as usize].instrs[i as usize] {
+                push_root(*method, &mut frontier, &mut root_seen);
             }
         }
     }
@@ -100,7 +101,7 @@ pub fn compile(
         }
     }
 
-    let mut facts = MethodFacts::new(program, &instr_cfg, profile);
+    let mut facts = MethodFacts::new(index, &instr_cfg, profile);
     let mut built: Vec<CompilationUnit> = vec![];
     while !frontier.is_empty() {
         let mut next: Vec<MethodId> = vec![];
@@ -117,7 +118,7 @@ pub fn compile(
     // Default .text order: alphabetical by root signature (Sec. 2). The
     // root id tiebreak makes the order total even if two roots shared a
     // signature.
-    built.sort_by_cached_key(|cu| (program.method_signature(cu.root), cu.root));
+    built.sort_by_key(|cu| (index.sig(cu.root), cu.root));
     let mut root_to_cu = HashMap::new();
     for (i, cu) in built.iter_mut().enumerate() {
         cu.id = CuId(i as u32);
@@ -144,44 +145,39 @@ fn direct_target(reach: &Reachability, callee: &Callee, site: CallSite) -> Optio
     }
 }
 
-/// The per-method inputs of the inline decisions, each computed on first
-/// use and kept for the rest of one [`compile`] call: a method's
-/// instrumented size walks all its blocks, and its profiled call count
-/// formats its signature.
-struct MethodFacts<'a> {
-    program: &'a Program,
+/// The per-method inputs of the inline decisions: a method's instrumented
+/// size from the program index, and its profiled call count, memoized for
+/// the rest of one [`compile`] call (each lookup hashes its signature).
+struct MethodFacts<'a, 'p> {
+    index: &'a ProgramIndex<'p>,
     instr: &'a InstrumentConfig,
     profile: Option<&'a CallCountProfile>,
-    sizes: Vec<Option<u32>>,
     counts: Vec<Option<u64>>,
 }
 
-impl<'a> MethodFacts<'a> {
+impl<'a, 'p> MethodFacts<'a, 'p> {
     fn new(
-        program: &'a Program,
+        index: &'a ProgramIndex<'p>,
         instr: &'a InstrumentConfig,
         profile: Option<&'a CallCountProfile>,
     ) -> Self {
-        let n = program.methods().len();
         MethodFacts {
-            program,
+            index,
             instr,
             profile,
-            sizes: vec![None; n],
-            counts: vec![None; n],
+            counts: vec![None; index.program().methods().len()],
         }
     }
 
     /// [`instrumented_method_size`] of `m`.
-    fn size(&mut self, m: MethodId) -> u32 {
-        *self.sizes[m.index()]
-            .get_or_insert_with(|| instrumented_method_size(self.program, m, self.instr))
+    fn size(&self, m: MethodId) -> u32 {
+        instrumented_method_size(self.index, m, self.instr)
     }
 
     /// The profiled call count of `m`; `None` without a profile.
     fn count(&mut self, m: MethodId) -> Option<u64> {
         let profile = self.profile?;
-        Some(*self.counts[m.index()].get_or_insert_with(|| profile.count(self.program, m)))
+        Some(*self.counts[m.index()].get_or_insert_with(|| profile.count(self.index, m)))
     }
 }
 
@@ -245,20 +241,17 @@ fn build_cu(
         // order, keeping offsets deterministic.
         let method = program.method(w.method);
         let mut sites: Vec<(CallSite, MethodId)> = vec![];
-        for (bi, block) in method.blocks.iter().enumerate() {
-            for (ii, ins) in block.instrs.iter().enumerate() {
-                if let Instr::Call { callee, .. } = ins {
-                    let site = CallSite {
-                        method: w.method,
-                        block: bi,
-                        instr: ii,
-                    };
-                    match direct_target(reach, callee, site) {
-                        Some(t) => sites.push((site, t)),
-                        None => {
-                            // Polymorphic: targets were made roots already.
-                        }
-                    }
+        for &(bi, ii) in facts.index.call_sites(w.method) {
+            if let Instr::Call { callee, .. } = &method.blocks[bi as usize].instrs[ii as usize] {
+                let site = CallSite {
+                    method: w.method,
+                    block: bi as usize,
+                    instr: ii as usize,
+                };
+                // Polymorphic calls have no direct target: their targets
+                // were made roots already.
+                if let Some(t) = direct_target(reach, callee, site) {
+                    sites.push((site, t));
                 }
             }
         }
@@ -309,6 +302,7 @@ fn build_cu(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_MAX_PATHS;
     use nimage_analysis::{analyze, AnalysisConfig};
     use nimage_ir::{ProgramBuilder, TypeRef};
 
@@ -353,7 +347,13 @@ mod tests {
 
     fn compile_default(p: &nimage_ir::Program, instr: InstrumentConfig) -> CompiledProgram {
         let reach = analyze(p, &AnalysisConfig::default());
-        compile(p, reach, &InlineConfig::default(), instr, None)
+        compile(
+            &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+            reach,
+            &InlineConfig::default(),
+            instr,
+            None,
+        )
     }
 
     #[test]
@@ -396,7 +396,13 @@ mod tests {
             inline_threshold: 40,
             ..InlineConfig::default()
         };
-        let instrumented = compile(&p, reach, &tight, InstrumentConfig::FULL, None);
+        let instrumented = compile(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            reach,
+            &tight,
+            InstrumentConfig::FULL,
+            None,
+        );
         // The instrumented build must not produce the identical CU set.
         let sigs = |cp: &CompiledProgram| cp.root_signatures(&p);
         assert_ne!(sigs(&regular), sigs(&instrumented));
@@ -409,7 +415,7 @@ mod tests {
         // Empty profile: every callee is cold, nothing is inlined.
         let profile = CallCountProfile::new();
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
@@ -496,7 +502,13 @@ mod tests {
             cu_budget: 64,
             ..InlineConfig::default()
         };
-        let cp = compile(&p, reach, &cfg, InstrumentConfig::NONE, None);
+        let cp = compile(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            reach,
+            &cfg,
+            InstrumentConfig::NONE,
+            None,
+        );
         for cu in &cp.cus {
             assert!(cu.size <= 64 || cu.nodes.len() == 1);
         }

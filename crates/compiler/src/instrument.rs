@@ -10,7 +10,9 @@
 //! sizes, so an instrumented build groups methods into different CUs than
 //! the optimized build that later consumes its profiles.
 
-use nimage_ir::{Instr, MethodId, Program};
+use nimage_ir::{Instr, Method, MethodId};
+
+use crate::ProgramIndex;
 
 /// Which traces the instrumented binary collects.
 ///
@@ -56,8 +58,7 @@ pub const CU_PROBE_BYTES: u32 = 18;
 pub const HEAP_PROBE_BYTES: u32 = 26;
 
 /// Number of field/array access sites in a method body.
-pub fn heap_access_sites(program: &Program, method: MethodId) -> u32 {
-    let m = program.method(method);
+pub(crate) fn heap_access_sites(m: &Method) -> u32 {
     let mut n = 0;
     for b in &m.blocks {
         for i in &b.instrs {
@@ -81,16 +82,16 @@ pub fn heap_access_sites(program: &Program, method: MethodId) -> u32 {
 /// The CU-entry probe is *not* included here — it applies once per CU root
 /// and is added by the inliner when it seeds a compilation unit.
 pub fn instrumented_method_size(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     method: MethodId,
     cfg: &InstrumentConfig,
 ) -> u32 {
-    let mut size = program.method(method).code_size();
+    let mut size = index.code_size(method);
     if cfg.trace_methods {
         size += METHOD_PROBE_BYTES;
     }
     if cfg.trace_heap {
-        size += HEAP_PROBE_BYTES * heap_access_sites(program, method);
+        size += HEAP_PROBE_BYTES * index.heap_access_sites(method);
     }
     size
 }
@@ -98,7 +99,7 @@ pub fn instrumented_method_size(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nimage_ir::{ProgramBuilder, TypeRef};
+    use nimage_ir::{Program, ProgramBuilder, TypeRef};
 
     fn program_with_accesses() -> (Program, MethodId) {
         let mut pb = ProgramBuilder::new();
@@ -120,14 +121,14 @@ mod tests {
     #[test]
     fn counts_heap_access_sites() {
         let (p, m) = program_with_accesses();
-        assert_eq!(heap_access_sites(&p, m), 3);
+        assert_eq!(heap_access_sites(p.method(m)), 3);
     }
 
     #[test]
     fn none_config_is_plain_code_size() {
         let (p, m) = program_with_accesses();
         assert_eq!(
-            instrumented_method_size(&p, m, &InstrumentConfig::NONE),
+            instrumented_method_size(&ProgramIndex::new(&p, 1), m, &InstrumentConfig::NONE),
             p.method(m).code_size()
         );
     }
@@ -136,7 +137,7 @@ mod tests {
     fn probes_inflate_size() {
         let (p, m) = program_with_accesses();
         let base = p.method(m).code_size();
-        let full = instrumented_method_size(&p, m, &InstrumentConfig::FULL);
+        let full = instrumented_method_size(&ProgramIndex::new(&p, 1), m, &InstrumentConfig::FULL);
         assert_eq!(full, base + METHOD_PROBE_BYTES + 3 * HEAP_PROBE_BYTES);
     }
 

@@ -16,13 +16,15 @@
 #![warn(missing_docs)]
 
 mod cu;
+mod index;
 mod inline;
 mod instrument;
 mod path;
 mod pgo;
 
 pub use cu::{CompilationUnit, CompiledProgram, CuId, InlineNode};
+pub use index::{MethodPaths, ProgramIndex, SigId};
 pub use inline::{compile, InlineConfig};
 pub use instrument::{instrumented_method_size, InstrumentConfig};
-pub use path::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent};
+pub use path::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent, DEFAULT_MAX_PATHS};
 pub use pgo::CallCountProfile;

@@ -24,9 +24,11 @@
 //!   access sites), so decoding a `(start, path id)` record replays the
 //!   exact event sequence of the path.
 
-use std::collections::{HashMap, HashSet};
-
 use nimage_ir::{Instr, Method, Terminator};
+
+/// The default Ball–Larus path limit per start node (the VM's default
+/// `max_paths`).
+pub const DEFAULT_MAX_PATHS: u64 = 1 << 14;
 
 /// Index of a mini-block in a [`ProfilingCfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -185,14 +187,52 @@ impl ProfilingCfg {
 }
 
 /// Ball–Larus numbering of a [`ProfilingCfg`].
+///
+/// Edge facts are dense: mini `i`'s out-edges are
+/// `edges[first[i]..first[i + 1]]`, parallel to its `succs`, so a lookup
+/// scans the few out-edges of one mini instead of hashing an edge key.
 #[derive(Debug, Clone)]
 pub struct PathNumbering {
     /// numPaths per mini-block (over non-cut edges).
     num_paths: Vec<u64>,
-    /// increment per non-cut edge.
-    increments: HashMap<(u32, u32), u64>,
-    /// cut edges (call boundaries, back edges, overflow cuts).
-    cut: HashSet<(u32, u32)>,
+    /// Start of each mini's out-edges in `edges`, plus one end sentinel.
+    first: Vec<u32>,
+    /// Every mini's out-edges, in `succs` order.
+    edges: Vec<Edge>,
+}
+
+/// One out-edge of a mini-block.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: u32,
+    /// Increment of a non-cut edge; 0 for a cut edge.
+    inc: u64,
+    /// Call boundary, back edge or overflow cut: terminates the path.
+    cut: bool,
+}
+
+/// The out-edge lists of a [`ProfilingCfg`] as flat arrays: mini `i`'s
+/// targets are `to[first[i]..first[i + 1]]`.
+struct EdgeLists {
+    first: Vec<u32>,
+    to: Vec<u32>,
+}
+
+impl EdgeLists {
+    fn of(cfg: &ProfilingCfg) -> EdgeLists {
+        let mut first = Vec::with_capacity(cfg.minis.len() + 1);
+        let mut to = Vec::new();
+        for m in &cfg.minis {
+            first.push(to.len() as u32);
+            to.extend(m.succs.iter().map(|s| s.0));
+        }
+        first.push(to.len() as u32);
+        EdgeLists { first, to }
+    }
+
+    fn out(&self, v: usize) -> std::ops::Range<usize> {
+        self.first[v] as usize..self.first[v + 1] as usize
+    }
 }
 
 impl PathNumbering {
@@ -204,14 +244,15 @@ impl PathNumbering {
     pub fn compute(cfg: &ProfilingCfg, max_paths: u64) -> PathNumbering {
         assert!(max_paths > 0, "max_paths must be positive");
         let n = cfg.minis.len();
-        let mut cut: HashSet<(u32, u32)> = HashSet::new();
+        let lists = EdgeLists::of(cfg);
+        let mut cut = vec![false; lists.to.len()];
 
         // Intra-block call-boundary edges are always cut: a mini whose
         // segment ends in a call hands control away.
-        for (i, m) in cfg.minis.iter().enumerate() {
-            for &s in &m.succs {
-                if cfg.mini(s).block == m.block {
-                    cut.insert((i as u32, s.0));
+        for (v, m) in cfg.minis.iter().enumerate() {
+            for e in lists.out(v) {
+                if cfg.minis[lists.to[e] as usize].block == m.block {
+                    cut[e] = true;
                 }
             }
         }
@@ -225,24 +266,23 @@ impl PathNumbering {
             if color[root] != 0 {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            let mut stack: Vec<(usize, usize)> = vec![(root, lists.out(root).start)];
             color[root] = 1;
-            while let Some(&mut (v, ref mut ei)) = stack.last_mut() {
-                let succs = &cfg.minis[v].succs;
-                if *ei < succs.len() {
-                    let w = succs[*ei].index();
-                    *ei += 1;
-                    let e = (v as u32, w as u32);
-                    if cut.contains(&e) {
+            while let Some(&mut (v, ref mut e)) = stack.last_mut() {
+                if *e < lists.out(v).end {
+                    let edge = *e;
+                    *e += 1;
+                    if cut[edge] {
                         continue;
                     }
+                    let w = lists.to[edge] as usize;
                     match color[w] {
                         0 => {
                             color[w] = 1;
-                            stack.push((w, 0));
+                            stack.push((w, lists.out(w).start));
                         }
                         1 => {
-                            cut.insert(e); // back edge
+                            cut[edge] = true; // back edge
                         }
                         _ => {}
                     }
@@ -254,41 +294,37 @@ impl PathNumbering {
         }
 
         loop {
-            let (num_paths, increments) = number(cfg, &cut);
+            let (num_paths, inc) = number(&lists, &cut);
             let worst = num_paths.iter().copied().max().unwrap_or(1);
-            if worst <= max_paths {
-                return PathNumbering {
-                    num_paths,
-                    increments,
-                    cut,
-                };
-            }
             // Overflow: cut the non-cut edge with the largest contribution
-            // (increment + target's numPaths heuristic).
-            let mut best: Option<((u32, u32), u64)> = None;
-            for (i, m) in cfg.minis.iter().enumerate() {
-                for &s in &m.succs {
-                    let e = (i as u32, s.0);
-                    if cut.contains(&e) {
-                        continue;
+            // (increment + target's numPaths heuristic). With every edge
+            // cut, each path is a single mini-block.
+            let best = (worst > max_paths)
+                .then(|| {
+                    let mut best: Option<(usize, u64)> = None;
+                    for (e, &to) in lists.to.iter().enumerate() {
+                        let w = num_paths[to as usize];
+                        if !cut[e] && best.is_none_or(|(_, bw)| w > bw) {
+                            best = Some((e, w));
+                        }
                     }
-                    let w = num_paths[s.index()];
-                    if best.is_none_or(|(_, bw)| w > bw) {
-                        best = Some((e, w));
-                    }
-                }
-            }
+                    best
+                })
+                .flatten();
             match best {
-                Some((e, _)) => {
-                    cut.insert(e);
-                }
+                Some((e, _)) => cut[e] = true,
                 None => {
-                    // Every edge is cut; each path is a single mini-block.
-                    let (num_paths, increments) = number(cfg, &cut);
+                    let edges = lists
+                        .to
+                        .iter()
+                        .zip(inc)
+                        .zip(cut)
+                        .map(|((&to, inc), cut)| Edge { to, inc, cut })
+                        .collect();
                     return PathNumbering {
                         num_paths,
-                        increments,
-                        cut,
+                        first: lists.first,
+                        edges,
                     };
                 }
             }
@@ -305,23 +341,38 @@ impl PathNumbering {
         self.num_paths[start.index()]
     }
 
+    /// The out-edges of `from`, parallel to its `succs`.
+    fn out(&self, from: MiniBlockId) -> &[Edge] {
+        &self.edges[self.first[from.index()] as usize..self.first[from.index() + 1] as usize]
+    }
+
+    /// The edge `from → to`, if the CFG has it.
+    fn edge(&self, from: MiniBlockId, to: MiniBlockId) -> Option<&Edge> {
+        self.out(from).iter().find(|e| e.to == to.0)
+    }
+
     /// The increment contributed by traversing edge `from → to` (0 for cut
     /// edges, which instead terminate the current path).
     pub fn increment(&self, from: MiniBlockId, to: MiniBlockId) -> u64 {
-        self.increments.get(&(from.0, to.0)).copied().unwrap_or(0)
+        self.edge(from, to).map_or(0, |e| e.inc)
     }
 
     /// Whether the edge terminates the current path.
     pub fn is_cut(&self, from: MiniBlockId, to: MiniBlockId) -> bool {
-        self.cut.contains(&(from.0, to.0))
+        self.edge(from, to).is_some_and(|e| e.cut)
     }
 
     /// Decodes a `(start, path id)` record back into the mini-block sequence
-    /// it encodes.
+    /// it encodes. `cfg` is the CFG the numbering was computed over.
     ///
     /// # Panics
     /// Panics if `path_id` is out of range for `start`.
     pub fn decode(&self, cfg: &ProfilingCfg, start: MiniBlockId, path_id: u64) -> Vec<MiniBlockId> {
+        debug_assert_eq!(
+            cfg.minis.len(),
+            self.num_paths.len(),
+            "numbering of another CFG"
+        );
         assert!(
             path_id < self.num_paths[start.index()].max(1),
             "path id {path_id} out of range at {start:?}"
@@ -333,13 +384,9 @@ impl PathNumbering {
             // Among non-cut out-edges, pick the one with the largest
             // increment ≤ rem (standard Ball–Larus decode).
             let mut next: Option<(MiniBlockId, u64)> = None;
-            for &s in &cfg.mini(cur).succs {
-                if self.cut.contains(&(cur.0, s.0)) {
-                    continue;
-                }
-                let inc = self.increment(cur, s);
-                if inc <= rem && next.is_none_or(|(_, bi)| inc >= bi) {
-                    next = Some((s, inc));
+            for e in self.out(cur).iter().filter(|e| !e.cut) {
+                if e.inc <= rem && next.is_none_or(|(_, bi)| e.inc >= bi) {
+                    next = Some((MiniBlockId(e.to), e.inc));
                 }
             }
             match next {
@@ -356,9 +403,10 @@ impl PathNumbering {
     }
 }
 
-/// Computes numPaths and edge increments over the non-cut subgraph (a DAG).
-fn number(cfg: &ProfilingCfg, cut: &HashSet<(u32, u32)>) -> (Vec<u64>, HashMap<(u32, u32), u64>) {
-    let n = cfg.minis.len();
+/// Computes numPaths and edge increments (parallel to `lists.to`; 0 on cut
+/// edges) over the non-cut subgraph (a DAG).
+fn number(lists: &EdgeLists, cut: &[bool]) -> (Vec<u64>, Vec<u64>) {
+    let n = lists.first.len() - 1;
     // Reverse-topological order via DFS on the DAG.
     let mut order: Vec<usize> = vec![];
     let mut visited = vec![false; n];
@@ -366,25 +414,26 @@ fn number(cfg: &ProfilingCfg, cut: &HashSet<(u32, u32)>) -> (Vec<u64>, HashMap<(
         if visited[start] {
             continue;
         }
-        let mut stack = vec![(start, 0usize)];
+        let mut stack = vec![(start, lists.out(start).start)];
         visited[start] = true;
-        while let Some(&mut (v, ref mut ei)) = stack.last_mut() {
-            let succs = &cfg.minis[v].succs;
+        while let Some(&mut (v, ref mut e)) = stack.last_mut() {
+            let end = lists.out(v).end;
             let mut advanced = false;
-            while *ei < succs.len() {
-                let w = succs[*ei].index();
-                *ei += 1;
-                if cut.contains(&(v as u32, w as u32)) || visited[w] {
+            while *e < end {
+                let edge = *e;
+                *e += 1;
+                let w = lists.to[edge] as usize;
+                if cut[edge] || visited[w] {
                     continue;
                 }
                 visited[w] = true;
-                stack.push((w, 0));
+                stack.push((w, lists.out(w).start));
                 advanced = true;
                 break;
             }
             if !advanced && stack.last().map(|&(v2, _)| v2) == Some(v) {
                 // All successors handled.
-                if stack.last().unwrap().1 >= succs.len() {
+                if stack.last().unwrap().1 >= end {
                     order.push(v);
                     stack.pop();
                 }
@@ -393,26 +442,18 @@ fn number(cfg: &ProfilingCfg, cut: &HashSet<(u32, u32)>) -> (Vec<u64>, HashMap<(
     }
 
     let mut num_paths = vec![1u64; n];
-    let mut increments = HashMap::new();
+    let mut inc = vec![0u64; lists.to.len()];
     for &v in &order {
-        let succs: Vec<u32> = cfg.minis[v]
-            .succs
-            .iter()
-            .map(|s| s.0)
-            .filter(|&s| !cut.contains(&(v as u32, s)))
-            .collect();
-        if succs.is_empty() {
-            num_paths[v] = 1;
-        } else {
-            let mut total = 0u64;
-            for s in succs {
-                increments.insert((v as u32, s), total);
-                total = total.saturating_add(num_paths[s as usize]);
-            }
-            num_paths[v] = total;
+        let mut total = 0u64;
+        let mut any = false;
+        for e in lists.out(v).filter(|&e| !cut[e]) {
+            any = true;
+            inc[e] = total;
+            total = total.saturating_add(num_paths[lists.to[e] as usize]);
         }
+        num_paths[v] = if any { total } else { 1 };
     }
-    (num_paths, increments)
+    (num_paths, inc)
 }
 
 #[cfg(test)]

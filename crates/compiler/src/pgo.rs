@@ -9,7 +9,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use nimage_ir::{MethodId, Program};
+use nimage_ir::MethodId;
+
+use crate::ProgramIndex;
 
 /// Method call counts gathered by an instrumented run.
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -38,15 +40,18 @@ impl CallCountProfile {
 
     /// Records `n` additional calls of the method with the given signature.
     pub fn record(&mut self, signature: &str, n: u64) {
-        *self.counts.entry(signature.to_string()).or_insert(0) += n;
+        match self.counts.get_mut(signature) {
+            Some(c) => *c += n,
+            None => {
+                self.counts.insert(signature.to_string(), n);
+            }
+        }
     }
 
-    /// Call count for a method of `program`, resolved via its signature.
-    pub fn count(&self, program: &Program, method: MethodId) -> u64 {
-        self.counts
-            .get(&program.method_signature(method))
-            .copied()
-            .unwrap_or(0)
+    /// Call count for a method of the indexed program, resolved via its
+    /// signature: methods sharing a signature share one count.
+    pub fn count(&self, index: &ProgramIndex<'_>, method: MethodId) -> u64 {
+        self.counts.get(index.sig(method)).copied().unwrap_or(0)
     }
 
     /// Number of distinct methods in the profile.
@@ -115,7 +120,7 @@ mod tests {
         let mut prof = CallCountProfile::new();
         prof.record("t.A.hot(0)", 10);
         prof.record("t.A.hot(0)", 5);
-        assert_eq!(prof.count(&p, m), 15);
+        assert_eq!(prof.count(&ProgramIndex::new(&p, 1), m), 15);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, CompiledProgram, InlineConfig, InstrumentConfig};
+use nimage_compiler::{
+    compile, CompiledProgram, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+};
 use nimage_ir::{MethodId, Program, ProgramBuilder, TypeRef};
 
 /// Builds a program of `n` methods where method `i` calls the methods named
@@ -50,7 +52,13 @@ fn compiled(p: &Program, budget: u32, threshold: u32) -> CompiledProgram {
         inline_threshold: threshold,
         ..InlineConfig::default()
     };
-    compile(p, reach, &cfg, InstrumentConfig::NONE, None)
+    compile(
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+        reach,
+        &cfg,
+        InstrumentConfig::NONE,
+        None,
+    )
 }
 
 fn tree_inputs() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<u8>>)> {

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use nimage_analysis::Reachability;
-use nimage_compiler::{CompiledProgram, InstrumentConfig};
+use nimage_compiler::{CompiledProgram, InstrumentConfig, ProgramIndex};
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::Program;
@@ -176,20 +176,122 @@ pub struct ShardStats {
     pub cus: u64,
 }
 
-/// Per-workload context: the spec plus its content fingerprint, computed
-/// once per workload by [`Engine::ctx`].
-struct Ctx<'p, 's> {
+/// One workload of an engine, from [`Engine::workload`]: the spec, its
+/// content fingerprint, computed once, and one lazily built
+/// [`ProgramIndex`] every stage of the workload reads. Every operation on
+/// the workload goes through its handle, so however many builds, plans
+/// and cells a caller asks for, the program is hashed once and each fact
+/// of the index is derived once.
+///
+/// The index belongs to the handle, not to the program: the program's
+/// derived `Hash` is its cache fingerprint, and a workload whose stages
+/// are all cache hits never builds it.
+#[derive(Clone)]
+pub struct Workload<'e, 'p, 's> {
+    engine: &'e Engine,
     spec: &'s WorkloadSpec<'p>,
     base: CacheKey,
+    index: Arc<ProgramIndex<'p>>,
 }
 
-impl<'p, 's> Ctx<'p, 's> {
+impl<'e, 'p, 's> Workload<'e, 'p, 's> {
+    /// Profiles the workload (steps 1–3 of Fig. 1), cached in memory and
+    /// on disk.
+    ///
+    /// # Errors
+    /// Propagates pipeline failures.
+    pub fn profile(&self) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
+        self.engine.profiled(self)
+    }
+
+    /// Builds the fully instrumented image ([`InstrumentConfig::FULL`])
+    /// with the compile and snapshot stages shared behind the cache and
+    /// disk tier. The parts equal `Pipeline::build_instrumented`'s.
+    ///
+    /// # Errors
+    /// Propagates pipeline failures.
+    pub fn instrumented_parts(&self) -> Result<BuildParts, PipelineError> {
+        let p = self.pipeline();
+        let front = self.engine.build_front(self, &p, None)?;
+        let image = self.engine.default_image(
+            self,
+            &p,
+            self.key("layout:instrumented"),
+            "instrumented",
+            &front,
+        )?;
+        Ok(BuildParts {
+            compiled: front.compiled,
+            snapshot: front.snapshot,
+            image,
+        })
+    }
+
+    /// Builds the profile-guided optimized image under `strategy` (`None`
+    /// = the baseline layout) with the compile and snapshot stages shared
+    /// behind the cache and disk tier. The parts equal
+    /// `Pipeline::build_optimized`'s.
+    ///
+    /// # Errors
+    /// Propagates pipeline failures.
+    pub fn optimized_image(
+        &self,
+        artifacts: &ProfiledArtifacts,
+        strategy: Option<Strategy>,
+    ) -> Result<BuildParts, PipelineError> {
+        let p = self.pipeline();
+        let e = self.engine;
+        let front = e.build_front(self, &p, Some(artifacts))?;
+        let image = match strategy {
+            None => e.default_image(self, &p, self.key("layout:baseline"), "baseline", &front)?,
+            Some(s) => Arc::new(e.strategy_image(self, &p, artifacts, &front, s)?),
+        };
+        Ok(BuildParts {
+            compiled: front.compiled,
+            snapshot: front.snapshot,
+            image,
+        })
+    }
+
+    /// The ordering plan for `strategy` — the chosen orders plus, for the
+    /// clustered strategies, the cost model's predicted fault counts —
+    /// computed through the cache (a hit after any evaluation of the same
+    /// cell).
+    ///
+    /// # Errors
+    /// Propagates pipeline failures.
+    pub fn layout_plan(
+        &self,
+        artifacts: &ProfiledArtifacts,
+        strategy: Strategy,
+    ) -> Result<LayoutOrders, PipelineError> {
+        let p = self.pipeline();
+        let front = self.engine.build_front(self, &p, Some(artifacts))?;
+        Ok((*self
+            .engine
+            .orders_for(self, &p, artifacts, &front, strategy))
+        .clone())
+    }
+
+    /// Evaluates this workload's row of the matrix: one cell per
+    /// strategy, as [`Engine::evaluate_matrix`] does for each of its rows.
+    ///
+    /// # Errors
+    /// Returns the first failing cell's error.
+    pub fn evaluate(&self, strategies: &[Strategy]) -> Result<Vec<MatrixCell>, PipelineError> {
+        self.engine.run_matrix(
+            std::slice::from_ref(self.spec),
+            &[OnceLock::from(self.clone())],
+            strategies,
+        )
+    }
+
     fn key(&self, stage: &str) -> CacheKey {
         CacheKey::for_stage(stage, &[self.base])
     }
 
     fn pipeline(&self) -> Pipeline<'p> {
-        Pipeline::new(self.spec.program, self.spec.opts.clone())
+        Pipeline::indexed(self.index.clone(), self.spec.opts.clone())
     }
 }
 
@@ -336,10 +438,12 @@ impl Engine {
         })
     }
 
-    /// Fingerprints one workload. The program — megabytes of IR — is
-    /// hashed structurally through its `Hash` impl; options and stop
-    /// condition are a few hundred bytes and keep going through `Debug`.
-    fn ctx<'p, 's>(&self, spec: &'s WorkloadSpec<'p>) -> Ctx<'p, 's> {
+    /// The handle of one workload: fingerprints it — the program, megabytes
+    /// of IR, structurally through its `Hash` impl; options and stop
+    /// condition, a few hundred bytes, through `Debug` — and attaches an
+    /// empty program index, which counts `index.builds` when it builds its
+    /// first table.
+    pub fn workload<'p, 's>(&self, spec: &'s WorkloadSpec<'p>) -> Workload<'_, 'p, 's> {
         let _s = self
             .tracer
             .root_span("fingerprint", || format!("workload={}", spec.name));
@@ -350,9 +454,14 @@ impl Engine {
             CacheKey::of_debug("options", &spec.opts),
             CacheKey::of_debug("stop", &spec.stop),
         ];
-        Ctx {
+        let tracer = self.tracer.clone();
+        let index = ProgramIndex::new(spec.program, spec.opts.vm.max_paths)
+            .on_first_build(move || tracer.count("index.builds", 1));
+        Workload {
+            engine: self,
             spec,
             base: CacheKey::for_stage("workload", &parts),
+            index: Arc::new(index),
         }
     }
 
@@ -378,10 +487,22 @@ impl Engine {
         specs: &[WorkloadSpec<'p>],
         strategies: &[Strategy],
     ) -> Result<Vec<MatrixCell>, PipelineError> {
-        // One context per row, fingerprinted by the row's front: the fronts
+        // One handle per row, fingerprinted by the row's front: the fronts
         // start before any other cell, so the program hashes of different
         // workloads overlap instead of queueing ahead of the fan-out.
-        let ctxs: Vec<OnceLock<Ctx<'p, '_>>> = specs.iter().map(|_| OnceLock::new()).collect();
+        let rows: Vec<OnceLock<Workload<'_, 'p, '_>>> =
+            specs.iter().map(|_| OnceLock::new()).collect();
+        self.run_matrix(specs, &rows, strategies)
+    }
+
+    /// [`Engine::evaluate_matrix`] over row handles, each made on first
+    /// use when not given.
+    fn run_matrix<'e, 'p, 's>(
+        &'e self,
+        specs: &'s [WorkloadSpec<'p>],
+        rows: &[OnceLock<Workload<'e, 'p, 's>>],
+        strategies: &[Strategy],
+    ) -> Result<Vec<MatrixCell>, PipelineError> {
         let jobs: Vec<(usize, usize)> = (0..specs.len())
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
@@ -397,8 +518,8 @@ impl Engine {
         );
         let results = nimage_par::parallel_map_ordered(workers, &order, |j| {
             let (wi, si) = jobs[j];
-            let ctx = ctxs[wi].get_or_init(|| self.ctx(&specs[wi]));
-            self.run_job(ctx, strategies[si])
+            let w = rows[wi].get_or_init(|| self.workload(&specs[wi]));
+            self.run_job(w, strategies[si])
         });
 
         let mut out = Vec::with_capacity(jobs.len());
@@ -436,8 +557,7 @@ impl Engine {
         Some(r)
     }
 
-    /// Profiles one workload (steps 1–3 of Fig. 1), cached in memory and
-    /// on disk.
+    /// Profiles one workload: [`Workload::profile`] on a new handle.
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -445,36 +565,20 @@ impl Engine {
         &self,
         spec: &WorkloadSpec<'_>,
     ) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
-        self.profiled(&self.ctx(spec))
+        self.workload(spec).profile()
     }
 
-    /// Builds the fully instrumented image ([`InstrumentConfig::FULL`])
-    /// with the compile and snapshot stages shared behind the cache and
-    /// disk tier. The parts equal `Pipeline::build_instrumented`'s.
+    /// The instrumented build: [`Workload::instrumented_parts`] on a new
+    /// handle.
     ///
     /// # Errors
     /// Propagates pipeline failures.
     pub fn instrumented_parts(&self, spec: &WorkloadSpec<'_>) -> Result<BuildParts, PipelineError> {
-        let ctx = self.ctx(spec);
-        let p = ctx.pipeline();
-        let front = self.build_front(&ctx, &p, None)?;
-        let image = self.default_image(
-            &ctx,
-            &p,
-            ctx.key("layout:instrumented"),
-            "instrumented",
-            &front,
-        )?;
-        Ok(BuildParts {
-            compiled: front.compiled,
-            snapshot: front.snapshot,
-            image,
-        })
+        self.workload(spec).instrumented_parts()
     }
 
-    /// Builds the profile-guided optimized image described by `req` with
-    /// the compile and snapshot stages shared behind the cache and disk
-    /// tier. The parts equal `Pipeline::build_optimized`'s.
+    /// The optimized build `req` describes: [`Workload::optimized_image`]
+    /// on a new handle.
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -482,18 +586,8 @@ impl Engine {
         &self,
         req: &BuildRequest<'_, '_, '_>,
     ) -> Result<BuildParts, PipelineError> {
-        let ctx = self.ctx(req.spec);
-        let p = ctx.pipeline();
-        let front = self.build_front(&ctx, &p, Some(req.artifacts))?;
-        let image = match req.strategy {
-            None => self.default_image(&ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?,
-            Some(s) => Arc::new(self.strategy_image(&ctx, &p, req.artifacts, &front, s)?),
-        };
-        Ok(BuildParts {
-            compiled: front.compiled,
-            snapshot: front.snapshot,
-            image,
-        })
+        self.workload(req.spec)
+            .optimized_image(req.artifacts, req.strategy)
     }
 
     /// The ordering-stage output for one workload × strategy: a plan
@@ -504,7 +598,7 @@ impl Engine {
     /// when the plan is computed.
     fn orders_for(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
         artifacts: &ProfiledArtifacts,
         front: &BuildFront,
@@ -512,7 +606,7 @@ impl Engine {
     ) -> Arc<LayoutOrders> {
         let key = CacheKey::for_stage(
             "order",
-            &[ctx.base, CacheKey::of_debug("strategy", &strategy)],
+            &[w.base, CacheKey::of_debug("strategy", &strategy)],
         );
         match self.disk_backed_checked::<_, std::convert::Infallible>(
             &self.cache.plans,
@@ -520,11 +614,11 @@ impl Engine {
             key,
             |plan| plan.fits(&front.compiled, &front.snapshot, &p.options().image),
             || {
-                let ids = ctx
+                let ids = w
                     .spec
                     .opts
                     .heap_strategy_for(strategy)
-                    .map(|hs| self.heap_ids(ctx, front.snapshot_key, &front.snapshot, hs));
+                    .map(|hs| self.heap_ids(w, front.snapshot_key, &front.snapshot, hs));
                 // The layout optimizer's search keeps its own span name.
                 let span = if strategy.clustered() {
                     "optimize"
@@ -532,7 +626,7 @@ impl Engine {
                     "order"
                 };
                 let _s = self.tracer.root_span(span, || {
-                    format!("workload={} strategy={}", ctx.spec.name, strategy.name())
+                    format!("workload={} strategy={}", w.spec.name, strategy.name())
                 });
                 Ok(p.order_stage(
                     artifacts,
@@ -547,10 +641,8 @@ impl Engine {
         }
     }
 
-    /// The ordering plan for one workload × strategy — the chosen orders
-    /// plus, for the clustered strategies, the cost model's predicted
-    /// fault counts — computed through the cache (a hit after any
-    /// evaluation of the same cell).
+    /// One workload × strategy's ordering plan: [`Workload::layout_plan`]
+    /// on a new handle.
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -560,25 +652,22 @@ impl Engine {
         artifacts: &ProfiledArtifacts,
         strategy: Strategy,
     ) -> Result<LayoutOrders, PipelineError> {
-        let ctx = self.ctx(spec);
-        let p = ctx.pipeline();
-        let front = self.build_front(&ctx, &p, Some(artifacts))?;
-        Ok((*self.orders_for(&ctx, &p, artifacts, &front, strategy)).clone())
+        self.workload(spec).layout_plan(artifacts, strategy)
     }
 
     /// One strategy's image: its cached plan laid out with the profiled
     /// native pages. Unmemoized — every cell's layout is its own.
     fn strategy_image(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
         artifacts: &ProfiledArtifacts,
         front: &BuildFront,
         strategy: Strategy,
     ) -> Result<BinaryImage, PipelineError> {
-        let orders = self.orders_for(ctx, p, artifacts, front, strategy);
+        let orders = self.orders_for(w, p, artifacts, front, strategy);
         let _s = self.tracer.span_with("layout", || {
-            format!("workload={} strategy={}", ctx.spec.name, strategy.name())
+            format!("workload={} strategy={}", w.spec.name, strategy.name())
         });
         p.layout_stage(
             &front.compiled,
@@ -588,29 +677,33 @@ impl Engine {
         )
     }
 
-    fn run_job(&self, ctx: &Ctx<'_, '_>, strategy: Strategy) -> Result<Evaluation, PipelineError> {
+    fn run_job(
+        &self,
+        w: &Workload<'_, '_, '_>,
+        strategy: Strategy,
+    ) -> Result<Evaluation, PipelineError> {
         // The cell span is a logical root: cells are the unit of
         // scheduling, so their thread and physical parent vary.
         let _cell = self.tracer.root_span("cell", || {
-            format!("workload={} strategy={}", ctx.spec.name, strategy.name())
+            format!("workload={} strategy={}", w.spec.name, strategy.name())
         });
-        let artifacts = self.profiled(ctx)?;
-        let parts = self.baseline_parts(ctx, &artifacts)?;
-        self.evaluate_cell(ctx, &artifacts, &parts, strategy)
+        let artifacts = self.profiled(w)?;
+        let parts = self.baseline_parts(w, &artifacts)?;
+        self.evaluate_cell(w, &artifacts, &parts, strategy)
     }
 
-    fn reach(&self, ctx: &Ctx<'_, '_>, p: &Pipeline<'_>) -> Arc<Reachability> {
-        self.cache.reach.get_or(ctx.key("analyze"), || {
+    fn reach(&self, w: &Workload<'_, '_, '_>, p: &Pipeline<'_>) -> Arc<Reachability> {
+        self.cache.reach.get_or(w.key("analyze"), || {
             let _s = self
                 .tracer
-                .root_span("analyze", || format!("workload={}", ctx.spec.name));
+                .root_span("analyze", || format!("workload={}", w.spec.name));
             p.analyze_stage()
         })
     }
 
     fn heap_ids(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         snap_key: CacheKey,
         snap: &HeapSnapshot,
         hs: HeapStrategy,
@@ -626,8 +719,8 @@ impl Engine {
             || {
                 let _s = self
                     .tracer
-                    .root_span("order", || format!("workload={} ids={hs:?}", ctx.spec.name));
-                Ok(nimage_order::assign_ids(ctx.spec.program, snap, hs))
+                    .root_span("order", || format!("workload={} ids={hs:?}", w.spec.name));
+                Ok(nimage_order::assign_ids(w.spec.program, snap, hs))
             },
         ) {
             Ok(v) => v,
@@ -641,28 +734,28 @@ impl Engine {
     /// one, the PGO-optimized build compiled under its call counts.
     fn build_front(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
         pgo: Option<&ProfiledArtifacts>,
     ) -> Result<BuildFront, PipelineError> {
-        let opts = &ctx.spec.opts;
+        let opts = &w.spec.opts;
         let (variant, compile_key, snapshot_key, instr, heap_cfg) = match pgo {
             None => (
                 "instrumented",
-                ctx.key("compile:instrumented"),
-                ctx.key("snapshot:instrumented"),
+                w.key("compile:instrumented"),
+                w.key("snapshot:instrumented"),
                 InstrumentConfig::FULL,
                 &opts.heap_instrumented,
             ),
             Some(_) => (
                 "optimized",
-                ctx.key("compile:optimized"),
-                ctx.key("snapshot:optimized"),
+                w.key("compile:optimized"),
+                w.key("snapshot:optimized"),
                 InstrumentConfig::NONE,
                 &opts.heap_optimized,
             ),
         };
-        let span_args = || format!("workload={} variant={variant}", ctx.spec.name);
+        let span_args = || format!("workload={} variant={variant}", w.spec.name);
         let Ok(compiled) = self.disk_backed::<_, std::convert::Infallible>(
             &self.cache.compiled,
             "compile",
@@ -670,7 +763,7 @@ impl Engine {
             || {
                 // Only a compile that actually runs needs reachability: a
                 // disk hit above never analyzes.
-                let reach = self.reach(ctx, p);
+                let reach = self.reach(w, p);
                 let _s = self.tracer.root_span("compile", span_args);
                 Ok(p.compile_stage((*reach).clone(), instr, pgo.map(|a| &a.call_counts)))
             },
@@ -679,7 +772,7 @@ impl Engine {
             &self.cache.snapshots,
             "snapshot",
             snapshot_key,
-            |snap| snap.fits(ctx.spec.program),
+            |snap| snap.fits(w.spec.program),
             || {
                 let _s = self.tracer.root_span("snapshot", span_args);
                 p.snapshot_stage(&compiled, heap_cfg)
@@ -697,7 +790,7 @@ impl Engine {
     /// `baseline`), shared across cells behind the image memo.
     fn default_image(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
         key: CacheKey,
         variant: &'static str,
@@ -705,7 +798,7 @@ impl Engine {
     ) -> Result<Arc<BinaryImage>, PipelineError> {
         self.cache.images.get_or_try(key, || {
             let _s = self.tracer.root_span("layout", || {
-                format!("workload={} variant={variant}", ctx.spec.name)
+                format!("workload={} variant={variant}", w.spec.name)
             });
             p.layout_stage(
                 &front.compiled,
@@ -723,7 +816,7 @@ impl Engine {
     /// method bodies are lowered per CU on first call, inside the run.
     fn lowered_for(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         compile_key: CacheKey,
         compiled: &CompiledProgram,
         variant: &'static str,
@@ -731,46 +824,41 @@ impl Engine {
         let key = CacheKey::for_stage("lower", &[compile_key]);
         self.cache.lowered.get_or(key, || {
             let _s = self.tracer.root_span("lower", || {
-                format!("workload={} variant={variant}", ctx.spec.name)
+                format!("workload={} variant={variant}", w.spec.name)
             });
-            LoweredProgram::new(ctx.spec.program, compiled, ctx.spec.opts.vm.max_paths)
+            LoweredProgram::indexed(&w.index, compiled)
         })
     }
 
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
     /// workload.
-    fn profiled(&self, ctx: &Ctx<'_, '_>) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
-        self.disk_backed(&self.cache.profiles, "profile", ctx.key("profile"), || {
+    fn profiled(&self, w: &Workload<'_, '_, '_>) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
+        self.disk_backed(&self.cache.profiles, "profile", w.key("profile"), || {
             let _p = self
                 .tracer
-                .root_span("profile", || format!("workload={}", ctx.spec.name));
-            let p = ctx.pipeline();
-            let front = self.build_front(ctx, &p, None)?;
-            let image = self.default_image(
-                ctx,
-                &p,
-                ctx.key("layout:instrumented"),
-                "instrumented",
-                &front,
-            )?;
-            let lowered = self.lowered_for(ctx, front.compile_key, &front.compiled, "instrumented");
+                .root_span("profile", || format!("workload={}", w.spec.name));
+            let p = w.pipeline();
+            let front = self.build_front(w, &p, None)?;
+            let image =
+                self.default_image(w, &p, w.key("layout:instrumented"), "instrumented", &front)?;
+            let lowered = self.lowered_for(w, front.compile_key, &front.compiled, "instrumented");
             let report = {
                 let _s = self.tracer.span_with("run", || {
-                    format!("workload={} variant=instrumented", ctx.spec.name)
+                    format!("workload={} variant=instrumented", w.spec.name)
                 });
                 self.tracer.count("vm.executions", 1);
                 p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
                         .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
-                    ctx.spec.stop,
+                    w.spec.stop,
                 )?
             };
             let _s = self
                 .tracer
-                .span_with("replay", || format!("workload={}", ctx.spec.name));
+                .span_with("replay", || format!("workload={}", w.spec.name));
             p.post_process(report, &mut |hs| {
-                self.heap_ids(ctx, front.snapshot_key, &front.snapshot, hs)
+                self.heap_ids(w, front.snapshot_key, &front.snapshot, hs)
             })
         })
     }
@@ -782,30 +870,29 @@ impl Engine {
     /// fit the build is rejected and recomputed.
     fn baseline_parts(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         artifacts: &ProfiledArtifacts,
     ) -> Result<BaselineParts, PipelineError> {
-        let p = ctx.pipeline();
-        let front = self.build_front(ctx, &p, Some(artifacts))?;
+        let p = w.pipeline();
+        let front = self.build_front(w, &p, Some(artifacts))?;
         let run = self.disk_backed_checked(
             &self.cache.runs,
             "baseline-run",
-            ctx.key("run:baseline"),
+            w.key("run:baseline"),
             |(report, log)| log.fits(report, &front.compiled, &front.snapshot, &p.options().image),
             || {
                 let image =
-                    self.default_image(ctx, &p, ctx.key("layout:baseline"), "baseline", &front)?;
-                let lowered =
-                    self.lowered_for(ctx, front.compile_key, &front.compiled, "optimized");
+                    self.default_image(w, &p, w.key("layout:baseline"), "baseline", &front)?;
+                let lowered = self.lowered_for(w, front.compile_key, &front.compiled, "optimized");
                 let _s = self.tracer.root_span("run", || {
-                    format!("workload={} variant=baseline", ctx.spec.name)
+                    format!("workload={} variant=baseline", w.spec.name)
                 });
                 self.tracer.count("vm.executions", 1);
                 p.run_logged(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
                         .lowered(Some(lowered))
                         .tracer(self.vm_tracer()),
-                    ctx.spec.stop,
+                    w.spec.stop,
                 )
             },
         )?;
@@ -816,17 +903,17 @@ impl Engine {
     /// access log paged against it — no execution.
     fn evaluate_cell(
         &self,
-        ctx: &Ctx<'_, '_>,
+        w: &Workload<'_, '_, '_>,
         artifacts: &ProfiledArtifacts,
         parts: &BaselineParts,
         strategy: Strategy,
     ) -> Result<Evaluation, PipelineError> {
-        let p = ctx.pipeline();
+        let p = w.pipeline();
         let front = &parts.front;
-        let image = self.strategy_image(ctx, &p, artifacts, front, strategy)?;
+        let image = self.strategy_image(w, &p, artifacts, front, strategy)?;
         let optimized = {
             let _s = self.tracer.span_with("run", || {
-                format!("workload={} strategy={}", ctx.spec.name, strategy.name())
+                format!("workload={} strategy={}", w.spec.name, strategy.name())
             });
             self.tracer.count("vm.relayouts", 1);
             p.relayout(&parts.run, &front.compiled, &image, &self.vm_tracer())?

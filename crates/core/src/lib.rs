@@ -53,7 +53,7 @@ pub use diskcache::{
 };
 pub use engine::{
     BuildRequest, Engine, EngineOptions, MatrixCell, ShardStats, StageTimes, TraceOptions,
-    WorkloadSpec,
+    Workload, WorkloadSpec,
 };
 pub use nimage_trace::{MetricsSnapshot, TraceSummary, Tracer};
 pub use persist::{load_profiles, save_profiles, SavedProfiles};
@@ -66,7 +66,7 @@ use std::sync::Arc;
 
 use nimage_analysis::{analyze, AnalysisConfig, Reachability};
 use nimage_compiler::{
-    compile, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig,
+    compile, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig, ProgramIndex,
 };
 use nimage_heap::{snapshot, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
 pub use nimage_image::optimize::PredictedFaults;
@@ -75,8 +75,7 @@ use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
 use nimage_order::{
     assign_ids, order_cus, order_cus_split, order_objects, order_objects_split_spans,
-    replay_first_access, CodeGranularity, CodeOrderProfile, HeapOrderProfile, HeapStrategy,
-    ReplayError,
+    replay_indexed, CodeGranularity, CodeOrderProfile, HeapOrderProfile, HeapStrategy, ReplayError,
 };
 pub use nimage_par::Parallelism;
 use nimage_verify::{errors_of, irlint, pipeline as checks, Diagnostic};
@@ -583,13 +582,32 @@ impl<'a> RunParts<'a> {
 #[derive(Debug)]
 pub struct Pipeline<'p> {
     program: &'p Program,
+    /// The program's signatures, layouts, sizes and path tables, shared by
+    /// every stage.
+    index: Arc<ProgramIndex<'p>>,
     opts: BuildOptions,
 }
 
 impl<'p> Pipeline<'p> {
-    /// Creates a pipeline.
+    /// Creates a pipeline with its own lazily built program index.
     pub fn new(program: &'p Program, opts: BuildOptions) -> Self {
-        Pipeline { program, opts }
+        let index = Arc::new(ProgramIndex::new(program, opts.vm.max_paths));
+        Pipeline::indexed(index, opts)
+    }
+
+    /// Creates a pipeline over a shared program index, which must number
+    /// paths under `opts.vm.max_paths`.
+    pub fn indexed(index: Arc<ProgramIndex<'p>>, opts: BuildOptions) -> Self {
+        debug_assert_eq!(
+            index.max_paths(),
+            opts.vm.max_paths,
+            "index of another path limit"
+        );
+        Pipeline {
+            program: index.program(),
+            index,
+            opts,
+        }
     }
 
     /// The pipeline's options.
@@ -619,7 +637,7 @@ impl<'p> Pipeline<'p> {
         instr: InstrumentConfig,
         profile: Option<&CallCountProfile>,
     ) -> CompiledProgram {
-        compile(self.program, reach, &self.opts.inline, instr, profile)
+        compile(&self.index, reach, &self.opts.inline, instr, profile)
     }
 
     /// Stage: build-time initializer execution + heap snapshot under the
@@ -632,7 +650,7 @@ impl<'p> Pipeline<'p> {
         compiled: &CompiledProgram,
         cfg: &HeapBuildConfig,
     ) -> Result<HeapSnapshot, PipelineError> {
-        Ok(snapshot(self.program, compiled, cfg)?)
+        Ok(snapshot(&self.index, compiled, cfg)?)
     }
 
     /// Builds the instrumented image (steps 1–2 of Fig. 1's profiling
@@ -691,6 +709,7 @@ impl<'p> Pipeline<'p> {
             parts.image,
             self.opts.vm.clone(),
         )
+        .index(Some(self.index.clone()))
         .lowered(parts.lowered)
         .tracer(parts.tracer)
         .build();
@@ -764,7 +783,7 @@ impl<'p> Pipeline<'p> {
         // strategies assign ids to exactly the snapshot's objects, so any
         // strategy's map serves as the membership filter.
         let first_ids = ids_for(heap_strategies[0]);
-        let summary = replay_first_access(self.program, trace, &first_ids, self.opts.vm.max_paths)?;
+        let summary = replay_indexed(&self.index, trace, &first_ids)?;
         // The instrumented run's touched-byte spans, keyed by raw snapshot
         // object index — the same keying as `summary.object_order`, so each
         // identity's first-access entry picks up the bytes startup actually
@@ -842,7 +861,7 @@ impl<'p> Pipeline<'p> {
                     Strategy::Method => (&artifacts.method_profile, CodeGranularity::Method),
                     _ => (&artifacts.cu_profile, CodeGranularity::Cu),
                 };
-                Some(order_cus(self.program, compiled, profile, gran))
+                Some(order_cus(&self.index, compiled, profile, gran))
             }
             _ => None,
         };
@@ -879,7 +898,7 @@ impl<'p> Pipeline<'p> {
         heap_ids: Option<&HashMap<ObjId, u64>>,
     ) -> LayoutOrders {
         let (cu_first_touch, cu_hot) = order_cus_split(
-            self.program,
+            &self.index,
             compiled,
             &artifacts.cu_profile,
             CodeGranularity::Cu,

@@ -112,3 +112,30 @@ fn untouched_cus_are_never_lowered() {
         "every unlowered CU is observable through is_cu_lowered"
     );
 }
+
+/// The dense vtable, filled row by row from each superclass's row, answers
+/// every `(class, selector)` exactly as the IR's chain walk does, on every
+/// bundled program.
+#[test]
+fn the_dense_vtable_resolves_like_the_program() {
+    let scale = RuntimeScale::small();
+    let programs = Awfy::all()
+        .into_iter()
+        .map(|wl| wl.program_at(&scale))
+        .chain(Microservice::all().into_iter().map(|wl| wl.program()));
+    for program in programs {
+        let p = Pipeline::new(&program, BuildOptions::default());
+        let built = p.build_instrumented(InstrumentConfig::NONE).unwrap();
+        let lp = LoweredProgram::new(&program, &built.compiled, 1 << 14);
+        for c in 0..program.classes().len() {
+            let class = nimage_ir::ClassId(c as u32);
+            for s in 0..program.selectors().len() {
+                let selector = nimage_ir::SelectorId(s as u32);
+                assert_eq!(
+                    lp.resolve_virtual(class, selector),
+                    program.resolve_virtual(class, selector)
+                );
+            }
+        }
+    }
+}

@@ -17,9 +17,11 @@ use std::error::Error;
 use std::fmt;
 
 use nimage_ir::{
-    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, FieldId, Instr, Intrinsic, MethodId, Program,
+    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, FieldId, Instr, Intrinsic, MethodId,
     Terminator, Value,
 };
+
+use nimage_compiler::ProgramIndex;
 
 use crate::object::{BuildHeap, HObjectKind, ObjId};
 
@@ -158,14 +160,14 @@ const MAX_DEPTH: usize = 512;
 /// # Errors
 /// Propagates the first [`ClinitError`] raised by any initializer.
 pub fn run_initializers(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     inits: &[MethodId],
     budget: StepBudget,
 ) -> Result<BuildHeap, ClinitError> {
     let mut heap = BuildHeap::new();
     let mut budget = budget;
     for &m in inits {
-        exec_method(program, &mut heap, m, vec![], &mut budget, 0)?;
+        exec_method(index, &mut heap, m, vec![], &mut budget, 0)?;
     }
     Ok(heap)
 }
@@ -179,7 +181,7 @@ pub fn run_initializers(
 /// # Errors
 /// Propagates the first [`ClinitError`] raised by any initializer.
 pub fn run_initializers_logged(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     inits: &[MethodId],
     budget: StepBudget,
 ) -> Result<(BuildHeap, EffectLog), ClinitError> {
@@ -191,7 +193,7 @@ pub fn run_initializers_logged(
             fx: ClinitEffects::default(),
             watermark: heap.len(),
         });
-        exec_method_sunk(program, &mut heap, m, vec![], &mut budget, 0, &mut sink)?;
+        exec_method_sunk(index, &mut heap, m, vec![], &mut budget, 0, &mut sink)?;
         log.per_init.push((m, sink.unwrap().fx));
     }
     Ok((heap, log))
@@ -203,18 +205,18 @@ pub fn run_initializers_logged(
 /// # Errors
 /// See [`ClinitError`].
 pub fn exec_method(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     heap: &mut BuildHeap,
     method: MethodId,
     args: Vec<Value>,
     budget: &mut StepBudget,
     depth: usize,
 ) -> Result<Option<Value>, ClinitError> {
-    exec_method_sunk(program, heap, method, args, budget, depth, &mut None)
+    exec_method_sunk(index, heap, method, args, budget, depth, &mut None)
 }
 
 fn exec_method_sunk(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     heap: &mut BuildHeap,
     method: MethodId,
     args: Vec<Value>,
@@ -222,6 +224,7 @@ fn exec_method_sunk(
     depth: usize,
     sink: &mut Option<EffectSink>,
 ) -> Result<Option<Value>, ClinitError> {
+    let program = index.program();
     if depth > MAX_DEPTH {
         return Err(ClinitError::StackOverflow);
     }
@@ -238,7 +241,7 @@ fn exec_method_sunk(
                 return Err(ClinitError::BudgetExhausted);
             }
             budget.0 -= 1;
-            exec_instr(program, heap, method, &mut locals, ins, budget, depth, sink)?;
+            exec_instr(index, heap, method, &mut locals, ins, budget, depth, sink)?;
         }
         match &b.terminator {
             Terminator::Ret(v) => return Ok(v.map(|l| locals[l.index()])),
@@ -269,7 +272,7 @@ fn exec_method_sunk(
 
 #[allow(clippy::too_many_arguments)]
 fn exec_instr(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     heap: &mut BuildHeap,
     method: MethodId,
     locals: &mut [Value],
@@ -278,6 +281,7 @@ fn exec_instr(
     depth: usize,
     sink: &mut Option<EffectSink>,
 ) -> Result<(), ClinitError> {
+    let program = index.program();
     let sig = || program.method_signature(method);
     let type_err = |detail: String| ClinitError::TypeMismatch {
         method: program.method_signature(method),
@@ -305,7 +309,7 @@ fn exec_instr(
                 .ok_or_else(|| type_err(format!("{op:?} on incompatible operand")))?;
         }
         Instr::New(d, c) => {
-            let o = heap.alloc_instance(program, *c);
+            let o = heap.alloc_instance(index, *c);
             locals[d.index()] = Value::Ref(o.0);
         }
         Instr::NewArray(d, elem, len) => {
@@ -322,12 +326,12 @@ fn exec_instr(
         }
         Instr::GetField(d, obj, fid) => {
             let o = deref(locals[obj.index()], &sig)?;
-            let idx = field_slot(program, heap, o, *fid, &sig)?;
+            let idx = field_slot(index, heap, o, *fid, &sig)?;
             locals[d.index()] = instance_fields(heap, o)[idx];
         }
         Instr::PutField(obj, fid, src) => {
             let o = deref(locals[obj.index()], &sig)?;
-            let idx = field_slot(program, heap, o, *fid, &sig)?;
+            let idx = field_slot(index, heap, o, *fid, &sig)?;
             let v = locals[src.index()];
             if let Some(s) = sink {
                 s.note_heap_write(o);
@@ -432,7 +436,7 @@ fn exec_instr(
                     })?
                 }
             };
-            let ret = exec_method_sunk(program, heap, target, argv, budget, depth + 1, sink)?;
+            let ret = exec_method_sunk(index, heap, target, argv, budget, depth + 1, sink)?;
             if let Some(d) = dst {
                 locals[d.index()] = ret.unwrap_or(Value::Null);
             }
@@ -476,14 +480,14 @@ fn deref(v: Value, sig: &dyn Fn() -> String) -> Result<ObjId, ClinitError> {
 }
 
 fn field_slot(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     heap: &BuildHeap,
     o: ObjId,
     fid: nimage_ir::FieldId,
     sig: &dyn Fn() -> String,
 ) -> Result<usize, ClinitError> {
     match &heap.get(o).kind {
-        HObjectKind::Instance { class, .. } => Ok(BuildHeap::field_index(program, *class, fid)),
+        HObjectKind::Instance { class, .. } => Ok(BuildHeap::field_index(index, *class, fid)),
         other => Err(ClinitError::TypeMismatch {
             method: sig(),
             detail: format!("field access on {other:?}"),
@@ -563,11 +567,12 @@ fn display_value(heap: &BuildHeap, v: Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimage_compiler::DEFAULT_MAX_PATHS;
     use nimage_ir::{ProgramBuilder, TypeRef};
 
     fn run_single_clinit(
         build: impl FnOnce(&mut ProgramBuilder, nimage_ir::ClassId),
-    ) -> (Program, BuildHeap) {
+    ) -> (nimage_ir::Program, BuildHeap) {
         let mut pb = ProgramBuilder::new();
         let c = pb.add_class("t.C", None);
         build(&mut pb, c);
@@ -577,7 +582,12 @@ mod tests {
             .clinit
             .into_iter()
             .collect();
-        let heap = run_initializers(&p, &inits, StepBudget::default()).unwrap();
+        let heap = run_initializers(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &inits,
+            StepBudget::default(),
+        )
+        .unwrap();
         (p, heap)
     }
 
@@ -646,7 +656,12 @@ mod tests {
         f.ret(None);
         pb.finish_body(cl, f);
         let p = pb.build().unwrap();
-        let err = run_initializers(&p, &[cl], StepBudget(10_000)).unwrap_err();
+        let err = run_initializers(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &[cl],
+            StepBudget(10_000),
+        )
+        .unwrap_err();
         assert_eq!(err, ClinitError::BudgetExhausted);
     }
 
@@ -662,7 +677,12 @@ mod tests {
         f.ret(None);
         pb.finish_body(cl, f);
         let p = pb.build().unwrap();
-        let err = run_initializers(&p, &[cl], StepBudget::default()).unwrap_err();
+        let err = run_initializers(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &[cl],
+            StepBudget::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, ClinitError::NullDeref { .. }));
     }
 
@@ -696,7 +716,12 @@ mod tests {
         f.ret(None);
         pb.finish_body(cl, f);
         let p = pb.build().unwrap();
-        let heap = run_initializers(&p, &[cl], StepBudget::default()).unwrap();
+        let heap = run_initializers(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &[cl],
+            StepBudget::default(),
+        )
+        .unwrap();
         assert_eq!(heap.static_value(&p, out), Value::Int(2));
     }
 

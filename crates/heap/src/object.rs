@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use nimage_compiler::ProgramIndex;
 use nimage_ir::{ClassId, FieldId, Program, TypeRef, Value};
 
 /// Index of an object in a [`BuildHeap`].
@@ -142,9 +143,10 @@ impl BuildHeap {
     }
 
     /// Allocates a new instance of `class` with default field values.
-    pub fn alloc_instance(&mut self, program: &Program, class: ClassId) -> ObjId {
-        let fields = program
-            .all_instance_fields(class)
+    pub fn alloc_instance(&mut self, index: &ProgramIndex<'_>, class: ClassId) -> ObjId {
+        let program = index.program();
+        let fields = index
+            .layout(class)
             .iter()
             .map(|&f| Value::default_for(&program.field(f).ty))
             .collect();
@@ -236,24 +238,21 @@ impl BuildHeap {
     ///
     /// # Panics
     /// Panics if the field is not part of the class's layout.
-    pub fn field_index(program: &Program, class: ClassId, fid: FieldId) -> usize {
-        program
-            .all_instance_fields(class)
-            .iter()
-            .position(|&f| f == fid)
-            .unwrap_or_else(|| {
-                panic!(
-                    "field {} not in layout of {}",
-                    program.field_signature(fid),
-                    program.class(class).name
-                )
-            })
+    pub fn field_index(index: &ProgramIndex<'_>, class: ClassId, fid: FieldId) -> usize {
+        index.field_slot(class, fid).unwrap_or_else(|| {
+            panic!(
+                "field {} not in layout of {}",
+                index.field_sig(fid),
+                index.program().class(class).name
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimage_compiler::DEFAULT_MAX_PATHS;
     use nimage_ir::ProgramBuilder;
 
     fn two_class_program() -> (Program, ClassId, ClassId, FieldId, FieldId) {
@@ -270,13 +269,19 @@ mod tests {
     fn instance_layout_includes_inherited_fields() {
         let (p, _a, b, fa, fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o = h.alloc_instance(&p, b);
+        let o = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
         match &h.get(o).kind {
             HObjectKind::Instance { fields, .. } => assert_eq!(fields.len(), 2),
             _ => panic!("not an instance"),
         }
-        assert_eq!(BuildHeap::field_index(&p, b, fa), 0);
-        assert_eq!(BuildHeap::field_index(&p, b, fb), 1);
+        assert_eq!(
+            BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fa),
+            0
+        );
+        assert_eq!(
+            BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fb),
+            1
+        );
     }
 
     #[test]
@@ -298,7 +303,7 @@ mod tests {
     fn sizes_reflect_payload() {
         let (p, _a, b, _fa, _fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o = h.alloc_instance(&p, b);
+        let o = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
         assert_eq!(h.get(o).size_bytes(), 16 + 16);
         let arr = h.alloc_array(TypeRef::Int, 10);
         assert_eq!(h.get(arr).size_bytes(), 24 + 80);
@@ -312,9 +317,9 @@ mod tests {
     fn references_follow_layout_order() {
         let (p, _a, b, _fa, fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o1 = h.alloc_instance(&p, b);
-        let o2 = h.alloc_instance(&p, b);
-        let idx = BuildHeap::field_index(&p, b, fb);
+        let o1 = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
+        let o2 = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
+        let idx = BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fb);
         if let HObjectKind::Instance { fields, .. } = &mut h.get_mut(o1).kind {
             fields[idx] = Value::Ref(o2.0);
         }

@@ -8,7 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nimage_analysis::Reachability;
-use nimage_compiler::{CompiledProgram, CuId};
+use nimage_compiler::{CompiledProgram, CuId, ProgramIndex};
 use nimage_ir::{ClassId, FieldId, Instr, MethodId, Program};
 
 use crate::clinit::{run_initializers, ClinitError, StepBudget};
@@ -272,13 +272,14 @@ pub fn init_order(program: &Program, reach: &Reachability, cfg: &HeapBuildConfig
 /// # Errors
 /// Propagates build-time execution failures ([`ClinitError`]).
 pub fn snapshot(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     compiled: &CompiledProgram,
     cfg: &HeapBuildConfig,
 ) -> Result<HeapSnapshot, ClinitError> {
+    let program = index.program();
     let reach = &compiled.reachability;
     let inits = init_order(program, reach, cfg);
-    let mut heap = run_initializers(program, &inits, cfg.budget)?;
+    let mut heap = run_initializers(index, &inits, cfg.budget)?;
 
     let mut rooted_fields: HashSet<FieldId> = HashSet::new();
     let mut boxed_cache: HashMap<u64, ObjId> = HashMap::new();
@@ -289,33 +290,29 @@ pub fn snapshot(
     for cu in &compiled.cus {
         for node in &cu.nodes {
             let method = program.method(node.method);
-            for block in &method.blocks {
-                for ins in &block.instrs {
-                    match ins {
-                        Instr::GetStatic(_, f) | Instr::PutStatic(f, _)
-                            if rooted_fields.insert(*f) =>
-                        {
-                            if let Some(o) = heap.static_value(program, *f).referent().map(ObjId) {
-                                roots.push((
-                                    o,
-                                    InclusionReason::StaticField(program.field_signature(*f)),
-                                    Some(cu.id),
-                                ));
-                            }
+            for &(b, i) in index.data_sites(node.method) {
+                match &method.blocks[b as usize].instrs[i as usize] {
+                    Instr::GetStatic(_, f) | Instr::PutStatic(f, _) if rooted_fields.insert(*f) => {
+                        if let Some(o) = heap.static_value(program, *f).referent().map(ObjId) {
+                            roots.push((
+                                o,
+                                InclusionReason::StaticField(index.field_sig(*f).to_string()),
+                                Some(cu.id),
+                            ));
                         }
-                        Instr::ConstStr(_, s) => {
-                            let o = heap.intern(s);
-                            roots.push((o, InclusionReason::InternedString, Some(cu.id)));
-                        }
-                        Instr::ConstDouble(_, v) => {
-                            let bits = v.to_bits();
-                            let o = *boxed_cache
-                                .entry(bits)
-                                .or_insert_with(|| heap.alloc(HObjectKind::Boxed(*v)));
-                            roots.push((o, InclusionReason::DataSection, Some(cu.id)));
-                        }
-                        _ => {}
                     }
+                    Instr::ConstStr(_, s) => {
+                        let o = heap.intern(s);
+                        roots.push((o, InclusionReason::InternedString, Some(cu.id)));
+                    }
+                    Instr::ConstDouble(_, v) => {
+                        let bits = v.to_bits();
+                        let o = *boxed_cache
+                            .entry(bits)
+                            .or_insert_with(|| heap.alloc(HObjectKind::Boxed(*v)));
+                        roots.push((o, InclusionReason::DataSection, Some(cu.id)));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -328,7 +325,7 @@ pub fn snapshot(
             if let Some(o) = heap.static_value(program, f).referent().map(ObjId) {
                 roots.push((
                     o,
-                    InclusionReason::StaticField(program.field_signature(f)),
+                    InclusionReason::StaticField(index.field_sig(f).to_string()),
                     None,
                 ));
             }
@@ -349,15 +346,7 @@ pub fn snapshot(
     let mut entries: Vec<SnapEntry> = vec![];
     let mut index_of = vec![ABSENT; heap.len()];
     for (obj, reason, cu) in &roots {
-        include(
-            &heap,
-            program,
-            &mut entries,
-            &mut index_of,
-            *obj,
-            reason,
-            *cu,
-        );
+        include(&heap, index, &mut entries, &mut index_of, *obj, reason, *cu);
     }
 
     let mut snap = HeapSnapshot {
@@ -368,7 +357,7 @@ pub fn snapshot(
     };
 
     if cfg.pea_fold {
-        apply_pea_folding(program, compiled, cfg, &mut snap);
+        apply_pea_folding(index, compiled, cfg, &mut snap);
     }
 
     Ok(snap)
@@ -377,12 +366,9 @@ pub fn snapshot(
 /// The parent link by which `hobj`'s reference in `slot` was reached, or
 /// `None` for object kinds whose children carry no link (and are never
 /// pushed — their `references()` are empty anyway).
-fn child_link(program: &Program, hobj: &HObject, slot: usize) -> Option<ParentLink> {
+fn child_link(index: &ProgramIndex<'_>, hobj: &HObject, slot: usize) -> Option<ParentLink> {
     match &hobj.kind {
-        HObjectKind::Instance { class, .. } => {
-            let layout = program.all_instance_fields(*class);
-            Some(ParentLink::Field(layout[slot]))
-        }
+        HObjectKind::Instance { class, .. } => Some(ParentLink::Field(index.layout(*class)[slot])),
         HObjectKind::Array { .. } => Some(ParentLink::Index(slot as u32)),
         _ => None,
     }
@@ -393,7 +379,7 @@ fn child_link(program: &Program, hobj: &HObject, slot: usize) -> Option<ParentLi
 #[allow(clippy::too_many_arguments)]
 fn include(
     heap: &BuildHeap,
-    program: &Program,
+    index: &ProgramIndex<'_>,
     entries: &mut Vec<SnapEntry>,
     index_of: &mut [u32],
     obj: ObjId,
@@ -428,7 +414,7 @@ fn include(
             if included(index_of, child) {
                 continue;
             }
-            let Some(link) = child_link(program, hobj, slot) else {
+            let Some(link) = child_link(index, hobj, slot) else {
                 continue;
             };
             stack.push((child, Some((o, link))));
@@ -446,7 +432,7 @@ fn include(
 /// — they are now referenced by a constant pointer embedded in the code of
 /// the CU that pulled in the folded parent.
 fn apply_pea_folding(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     compiled: &CompiledProgram,
     cfg: &HeapBuildConfig,
     snap: &mut HeapSnapshot,
@@ -519,7 +505,7 @@ fn apply_pea_folding(
     // object becomes a MethodConstant root.
     let reroot_reason = |cu: Option<CuId>| {
         let sig = cu
-            .map(|c| program.method_signature(compiled.cu(c).root))
+            .map(|c| index.sig(compiled.cu(c).root).to_string())
             .unwrap_or_else(|| "<build-time>".to_string());
         InclusionReason::MethodConstant(sig)
     };
@@ -557,7 +543,7 @@ fn fnv_mix(a: u64, b: u64, c: u64) -> u64 {
 mod tests {
     use super::*;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{compile, InlineConfig, InstrumentConfig, DEFAULT_MAX_PATHS};
     use nimage_ir::{ProgramBuilder, TypeRef};
 
     /// A program whose clinit builds a small linked structure reachable from
@@ -598,15 +584,16 @@ mod tests {
     }
 
     fn build(p: &Program, cfg: &HeapBuildConfig) -> HeapSnapshot {
+        let index = ProgramIndex::new(p, DEFAULT_MAX_PATHS);
         let reach = analyze(p, &AnalysisConfig::default());
         let cp = compile(
-            p,
+            &index,
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        snapshot(p, &cp, cfg).unwrap()
+        snapshot(&index, &cp, cfg).unwrap()
     }
 
     #[test]
@@ -866,7 +853,7 @@ impl HeapSnapshot {
 mod stats_tests {
     use super::*;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{compile, InlineConfig, InstrumentConfig, DEFAULT_MAX_PATHS};
     use nimage_ir::{ProgramBuilder, TypeRef};
 
     #[test]
@@ -896,13 +883,18 @@ mod stats_tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
 
         let stats = snap.stats();
         assert_eq!(stats.objects(), snap.entries().len());

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{snapshot, HObjectKind, HeapBuildConfig, HeapSnapshot};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 
@@ -63,13 +63,13 @@ fn registry_program(chains: usize, depth: usize, blobs: usize) -> Program {
 fn build_snapshot(p: &Program, cfg: &HeapBuildConfig) -> HeapSnapshot {
     let reach = analyze(p, &AnalysisConfig::default());
     let cp = compile(
-        p,
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    snapshot(p, &cp, cfg).unwrap()
+    snapshot(&ProgramIndex::new(p, DEFAULT_MAX_PATHS), &cp, cfg).unwrap()
 }
 
 proptest! {

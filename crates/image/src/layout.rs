@@ -346,7 +346,9 @@ impl BinaryImage {
 mod tests {
     use super::*;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_ir::{Program, ProgramBuilder, TypeRef};
 
@@ -396,13 +398,18 @@ mod tests {
     fn build_all(p: &Program) -> (nimage_compiler::CompiledProgram, nimage_heap::HeapSnapshot) {
         let reach = analyze(p, &AnalysisConfig::default());
         let cp = compile(
-            p,
+            &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         (cp, snap)
     }
 

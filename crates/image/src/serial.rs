@@ -133,7 +133,9 @@ mod tests {
     use super::*;
     use crate::layout::ImageOptions;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_ir::{ProgramBuilder, TypeRef};
 
@@ -157,13 +159,18 @@ mod tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         BinaryImage::build(&cp, &snap, None, None, ImageOptions::default())
     }
 

@@ -24,7 +24,7 @@ use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use nimage_compiler::{MiniBlockId, PathNumbering, ProfilingCfg, StaticEvent};
+use nimage_compiler::{MiniBlockId, ProgramIndex, StaticEvent};
 use nimage_heap::ObjId;
 use nimage_ir::{MethodId, Program};
 use nimage_profiler::{Record, ThreadTrace, Trace};
@@ -229,14 +229,16 @@ impl BitSet {
     }
 }
 
-/// A multiply–xor hasher for the validation memo's integer keys. The memo
-/// probe is all the validation a repeated path record pays, and SipHash's
-/// per-key work would dominate it. Giving up SipHash's resistance to
-/// crafted collisions is safe here: a key enters the memo only after it
-/// validated against the program, so a trace read from a damaged cache
-/// can fill it with no more than the program's own path keys.
+/// A multiply–xor hasher for integer keys: the replay's validation memo
+/// and the object-order rank. The memo probe is all the validation a
+/// repeated path record pays, and SipHash's per-key work would dominate
+/// it. Giving up SipHash's resistance to crafted collisions is safe here:
+/// a key enters the memo only after it validated against the program, so
+/// a trace read from a damaged cache can fill it with no more than the
+/// program's own path keys, and a profile's ids rank at most one entry
+/// per profile line.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -263,35 +265,20 @@ impl Hasher for KeyHasher {
 /// heap-access count of a `(string index, start, path id)` key is a pure
 /// function of the key, so each distinct key is decoded once; every later
 /// record with that key costs one memo probe.
-struct PathValidator<'a> {
-    program: &'a Program,
-    max_paths: u64,
+struct PathValidator<'a, 'p> {
+    index: &'a ProgramIndex<'p>,
     /// The method each trace string names, by string index (`None` for a
     /// string that is no method signature).
     methods: Vec<Option<MethodId>>,
-    /// Each decoded method's path-numbering tables, built on first use.
-    tables: HashMap<MethodId, (ProfilingCfg, PathNumbering)>,
     /// `(string index, start, path id)` → heap-access sites on the path.
     expected: HashMap<(u32, u32, u64), usize, BuildHasherDefault<KeyHasher>>,
 }
 
-impl<'a> PathValidator<'a> {
-    fn new(program: &'a Program, trace: &Trace, max_paths: u64) -> Self {
-        let by_sig: HashMap<String, MethodId> = (0..program.methods().len())
-            .map(|i| {
-                let mid = MethodId::from(i);
-                (program.method_signature(mid), mid)
-            })
-            .collect();
+impl<'a, 'p> PathValidator<'a, 'p> {
+    fn new(index: &'a ProgramIndex<'p>, trace: &Trace) -> Self {
         PathValidator {
-            program,
-            max_paths,
-            methods: trace
-                .strings
-                .iter()
-                .map(|s| by_sig.get(s).copied())
-                .collect(),
-            tables: HashMap::new(),
+            index,
+            methods: trace.strings.iter().map(|s| index.method_of(s)).collect(),
             expected: HashMap::default(),
         }
     }
@@ -325,11 +312,7 @@ impl<'a> PathValidator<'a> {
         let sig = string_index(trace, method)?;
         let mid = self.methods[sig]
             .ok_or_else(|| ReplayError::UnknownSignature(trace.strings[sig].clone()))?;
-        let (cfg, num) = self.tables.entry(mid).or_insert_with(|| {
-            let cfg = ProfilingCfg::build(self.program.method(mid));
-            let num = PathNumbering::compute(&cfg, self.max_paths);
-            (cfg, num)
-        });
+        let (cfg, num) = self.index.paths(mid);
         if start as usize >= cfg.minis().len() {
             return Err(ReplayError::OutOfRange {
                 field: "start",
@@ -427,7 +410,9 @@ impl ReplaySummary {
 /// `in_snapshot` gates object accesses (an access to an object outside
 /// the heap snapshot is skipped): only its keys matter, and every
 /// strategy's identity map shares the same key set (the snapshot's
-/// objects). `max_paths` must match the VM's path-numbering limit.
+/// objects). `max_paths` must match the VM's path-numbering limit. A
+/// trace string names the method with that signature, the highest id of
+/// several ([`ProgramIndex::method_of`]).
 ///
 /// Method order comes from the explicit method-entry records (emitted by
 /// the method-ordering instrumentation); `MethodEntry` static events on
@@ -445,7 +430,21 @@ pub fn replay_first_access(
     in_snapshot: &HashMap<ObjId, u64>,
     max_paths: u64,
 ) -> Result<ReplaySummary, ReplayError> {
-    let mut paths = PathValidator::new(program, trace, max_paths);
+    replay_indexed(&ProgramIndex::new(program, max_paths), trace, in_snapshot)
+}
+
+/// [`replay_first_access`] over a program index, whose `max_paths` must
+/// match the VM's path-numbering limit: the pipeline's replay, which
+/// shares the index's path tables with lowering.
+///
+/// # Errors
+/// As [`replay_first_access`].
+pub fn replay_indexed(
+    index: &ProgramIndex<'_>,
+    trace: &Trace,
+    in_snapshot: &HashMap<ObjId, u64>,
+) -> Result<ReplaySummary, ReplayError> {
+    let mut paths = PathValidator::new(index, trace);
     let mut cu_seen = BitSet::new(trace.strings.len());
     let mut method_seen = BitSet::new(trace.strings.len());
     let n_objects = in_snapshot.keys().map(|o| o.index() + 1).max().unwrap_or(0);

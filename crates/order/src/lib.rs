@@ -39,8 +39,8 @@ mod quality;
 mod strategies;
 
 pub use analyses::{
-    replay_first_access, CodeOrderProfile, HeapOrderProfile, ObjectSpans, ReplayError,
-    ReplaySummary,
+    replay_first_access, replay_indexed, CodeOrderProfile, HeapOrderProfile, ObjectSpans,
+    ReplayError, ReplaySummary,
 };
 pub use ordering::{
     match_rate, order_cus, order_cus_split, order_objects, order_objects_split_spans,

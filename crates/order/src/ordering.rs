@@ -1,13 +1,13 @@
 //! Applying ordering profiles to a (possibly different) build: the
 //! cross-build matching of Sec. 4 and Sec. 5.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use nimage_compiler::{CompiledProgram, CuId};
+use nimage_compiler::{CompiledProgram, CuId, ProgramIndex};
 use nimage_heap::{HeapSnapshot, ObjId};
-use nimage_ir::Program;
 
-use crate::analyses::{CodeOrderProfile, HeapOrderProfile, ObjectSpans};
+use crate::analyses::{CodeOrderProfile, HeapOrderProfile, KeyHasher, ObjectSpans};
 
 /// Which code-ordering strategy produced the profile (Sec. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,40 +31,44 @@ pub enum CodeGranularity {
 /// default (alphabetical) relative order after the profiled ones, so cold
 /// code moves to the back.
 pub fn order_cus(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     compiled: &CompiledProgram,
     profile: &CodeOrderProfile,
     granularity: CodeGranularity,
 ) -> Vec<CuId> {
-    order_cus_split(program, compiled, profile, granularity).0
+    order_cus_split(index, compiled, profile, granularity).0
 }
 
 /// Like [`order_cus`], but also returns the length of the hot prefix: the
 /// number of CUs placed from the profile (the rest are the never-touched
 /// CUs exiled past the hot frontier). This is the hot/cold split the
 /// layout optimizer consumes.
+///
+/// Methods sharing a signature share its entry: at *cu* granularity the
+/// entry places the last CU in default order whose root has the
+/// signature, at *method* granularity the first CU containing a method
+/// with it.
 pub fn order_cus_split(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     compiled: &CompiledProgram,
     profile: &CodeOrderProfile,
     granularity: CodeGranularity,
 ) -> (Vec<CuId>, usize) {
-    // Signature → CU to place for that signature. A `BTreeMap` keeps this
-    // ordering-sensitive path independent of hasher state.
-    let mut sig_to_cu: BTreeMap<String, CuId> = BTreeMap::new();
+    // Signature id → CU to place for that signature.
+    let mut cu_of_sig = vec![NO_CU; index.n_sigs()];
     match granularity {
         CodeGranularity::Cu => {
             for cu in &compiled.cus {
-                sig_to_cu.insert(program.method_signature(cu.root), cu.id);
+                cu_of_sig[index.sig_id(cu.root) as usize] = cu.id.0;
             }
         }
         CodeGranularity::Method => {
-            // First CU (in default order) containing each method.
             for cu in &compiled.cus {
                 for m in cu.methods() {
-                    sig_to_cu
-                        .entry(program.method_signature(m))
-                        .or_insert(cu.id);
+                    let slot = &mut cu_of_sig[index.sig_id(m) as usize];
+                    if *slot == NO_CU {
+                        *slot = cu.id.0;
+                    }
                 }
             }
         }
@@ -73,11 +77,12 @@ pub fn order_cus_split(
     let mut placed = vec![false; compiled.cus.len()];
     let mut order: Vec<CuId> = vec![];
     for sig in &profile.sigs {
-        if let Some(&cu) = sig_to_cu.get(sig) {
-            if !placed[cu.index()] {
-                placed[cu.index()] = true;
-                order.push(cu);
-            }
+        let cu = index
+            .sig_id_of(sig)
+            .map_or(NO_CU, |s| cu_of_sig[s as usize]);
+        if cu != NO_CU && !placed[cu as usize] {
+            placed[cu as usize] = true;
+            order.push(CuId(cu));
         }
     }
     let hot = order.len();
@@ -93,6 +98,9 @@ pub fn order_cus_split(
     );
     (order, hot)
 }
+
+/// No CU for a signature.
+const NO_CU: u32 = u32::MAX;
 
 /// Computes the `.svm_heap` object order of the optimized build from a
 /// heap-ordering profile.
@@ -124,7 +132,8 @@ pub fn order_objects_split_spans(
     ids: &HashMap<ObjId, u64>,
     profile: &HeapOrderProfile,
 ) -> (Vec<ObjId>, usize, Vec<ObjectSpans>) {
-    let mut rank: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut rank: HashMap<u64, usize, BuildHasherDefault<KeyHasher>> =
+        HashMap::with_capacity_and_hasher(profile.ids.len(), Default::default());
     for (i, &id) in profile.ids.iter().enumerate() {
         rank.entry(id).or_insert(i);
     }
@@ -172,7 +181,9 @@ mod tests {
     use super::*;
     use crate::strategies::{assign_ids, HeapStrategy};
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_ir::{Program, ProgramBuilder, TypeRef};
 
@@ -226,7 +237,13 @@ mod tests {
             inline_threshold: 0,
             ..InlineConfig::default()
         };
-        compile(p, reach, &cfg, InstrumentConfig::NONE, None)
+        compile(
+            &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+            reach,
+            &cfg,
+            InstrumentConfig::NONE,
+            None,
+        )
     }
 
     #[test]
@@ -240,7 +257,12 @@ mod tests {
                 "t.Many.alpha(0)".into(),
             ],
         };
-        let order = order_cus(&p, &cp, &profile, CodeGranularity::Cu);
+        let order = order_cus(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &profile,
+            CodeGranularity::Cu,
+        );
         let sig = |cu: CuId| p.method_signature(cp.cu(cu).root);
         assert_eq!(sig(order[0]), "t.Many.main(0)");
         assert_eq!(sig(order[1]), "t.Many.gamma(0)");
@@ -258,7 +280,12 @@ mod tests {
         let profile = CodeOrderProfile {
             sigs: vec!["ghost.Klass.gone(0)".into(), "t.Many.beta(0)".into()],
         };
-        let order = order_cus(&p, &cp, &profile, CodeGranularity::Cu);
+        let order = order_cus(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &profile,
+            CodeGranularity::Cu,
+        );
         assert_eq!(p.method_signature(cp.cu(order[0]).root), "t.Many.beta(0)");
         assert_eq!(order.len(), cp.cus.len());
     }
@@ -283,7 +310,7 @@ mod tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
@@ -294,7 +321,12 @@ mod tests {
         let profile = CodeOrderProfile {
             sigs: vec!["t.In.helper(0)".into()],
         };
-        let order = order_cus(&p, &cp, &profile, CodeGranularity::Method);
+        let order = order_cus(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &profile,
+            CodeGranularity::Method,
+        );
         assert_eq!(cp.cu(order[0]).root, main);
     }
 
@@ -339,14 +371,19 @@ mod tests {
 
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
         // "Instrumented" snapshot: no folding.
-        let snap_a = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap_a = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         // "Optimized" snapshot: PEA folds some registry nodes.
         let cfg_b = HeapBuildConfig {
             pea_fold: true,
@@ -354,7 +391,7 @@ mod tests {
             pea_fold_ratio: 6,
             ..HeapBuildConfig::default()
         };
-        let snap_b = snapshot(&p, &cp, &cfg_b).unwrap();
+        let snap_b = snapshot(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), &cp, &cfg_b).unwrap();
         assert!(
             snap_b.entries().len() < snap_a.entries().len(),
             "folding must remove entries"
@@ -419,7 +456,12 @@ mod tests {
     fn order_objects_places_profiled_first_in_profile_order() {
         let p = many_cu_program();
         let cp = compiled(&p);
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         if snap.entries().len() < 2 {
             return; // nothing to reorder in this tiny snapshot
         }
@@ -442,7 +484,12 @@ mod tests {
     fn empty_profile_keeps_default_order() {
         let p = many_cu_program();
         let cp = compiled(&p);
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         let ids = assign_ids(&p, &snap, HeapStrategy::HeapPath);
         let order = order_objects(&snap, &ids, &HeapOrderProfile::default());
         let default: Vec<_> = snap.entries().iter().map(|e| e.obj).collect();

@@ -343,7 +343,9 @@ fn heap_path_hash(program: &Program, snapshot: &HeapSnapshot, obj: ObjId) -> u64
 mod tests {
     use super::*;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_ir::{Program, ProgramBuilder, TypeRef};
 
@@ -385,13 +387,18 @@ mod tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         (p, snap)
     }
 
@@ -545,14 +552,14 @@ mod tests {
         let p = nimage_workloads::Awfy::Bounce.program();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
         let snap_prof = snapshot(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             &cp,
             &HeapBuildConfig {
                 clinit_seed: 1,
@@ -561,7 +568,7 @@ mod tests {
         )
         .unwrap();
         let snap_opt = snapshot(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             &cp,
             &HeapBuildConfig {
                 clinit_seed: 2,

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{snapshot, HeapBuildConfig, HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_order::{assign_ids, order_objects, CodeOrderProfile, HeapOrderProfile, HeapStrategy};
@@ -43,13 +43,18 @@ fn cells_snapshot(n: i64) -> (Program, HeapSnapshot) {
     let p = pb.build().unwrap();
     let reach = analyze(&p, &AnalysisConfig::default());
     let cp = compile(
-        &p,
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+    let snap = snapshot(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     (p, snap)
 }
 

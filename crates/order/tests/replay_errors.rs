@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{snapshot, HeapBuildConfig, ObjId};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
@@ -29,13 +29,18 @@ fn fixture() -> &'static Fixture {
         let program = Awfy::Bounce.program_at(&RuntimeScale::small());
         let reach = analyze(&program, &AnalysisConfig::default());
         let compiled = compile(
-            &program,
+            &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::FULL,
             None,
         );
-        let snap = snapshot(&program, &compiled, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
+            &compiled,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         let image = BinaryImage::build(&compiled, &snap, None, None, ImageOptions::default());
         let cfg = VmConfig::default();
         let report = Vm::new(&program, &compiled, &snap, &image, cfg.clone())

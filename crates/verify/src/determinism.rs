@@ -18,12 +18,12 @@
 use std::collections::HashMap;
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex};
 use nimage_heap::{snapshot, HeapBuildConfig};
 use nimage_image::{write_image_file, BinaryImage, ImageOptions};
 use nimage_ir::Program;
 use nimage_order::{
-    assign_ids, order_cus, order_objects, replay_first_access, CodeGranularity, CodeOrderProfile,
+    assign_ids, order_cus, order_objects, replay_indexed, CodeGranularity, CodeOrderProfile,
     HeapOrderProfile, HeapStrategy,
 };
 use nimage_profiler::write_trace;
@@ -139,20 +139,21 @@ pub fn audit_determinism(program: &Program, inputs: &DeterminismInputs<'_>) -> D
 }
 
 fn run_once(program: &Program, inputs: &DeterminismInputs<'_>) -> Result<RunArtifacts, String> {
+    let index = ProgramIndex::new(program, VmConfig::default().max_paths);
     let reach = analyze(program, &AnalysisConfig::default());
     let compiled = compile(
-        program,
+        &index,
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    let snap = snapshot(program, &compiled, &HeapBuildConfig::default())
+    let snap = snapshot(&index, &compiled, &HeapBuildConfig::default())
         .map_err(|e| format!("heap snapshot failed: {e:?}"))?;
 
     let cu_order = inputs
         .cu_profile
-        .map(|p| order_cus(program, &compiled, p, CodeGranularity::Cu));
+        .map(|p| order_cus(&index, &compiled, p, CodeGranularity::Cu));
     let strategy = inputs.heap_strategy.unwrap_or(HeapStrategy::HeapPath);
     let ids = assign_ids(program, &snap, strategy);
     let object_order = inputs.heap_profile.map(|p| order_objects(&snap, &ids, p));
@@ -281,15 +282,16 @@ pub fn audit_profiling_determinism(
 }
 
 fn profiling_run_once(program: &Program, stop: StopWhen) -> Result<ProfilingArtifacts, String> {
+    let index = ProgramIndex::new(program, VmConfig::default().max_paths);
     let reach = analyze(program, &AnalysisConfig::default());
     let compiled = compile(
-        program,
+        &index,
         reach,
         &InlineConfig::default(),
         InstrumentConfig::FULL,
         None,
     );
-    let snap = snapshot(program, &compiled, &HeapBuildConfig::default())
+    let snap = snapshot(&index, &compiled, &HeapBuildConfig::default())
         .map_err(|e| format!("heap snapshot failed: {e:?}"))?;
     let image = BinaryImage::build(&compiled, &snap, None, None, ImageOptions::default());
 
@@ -302,8 +304,8 @@ fn profiling_run_once(program: &Program, stop: StopWhen) -> Result<ProfilingArti
     let trace_bytes = write_trace(&trace).to_vec();
 
     let ids = assign_ids(program, &snap, HeapStrategy::HeapPath);
-    let summary = replay_first_access(program, &trace, &ids, cfg.max_paths)
-        .map_err(|e| format!("replay failed: {e:?}"))?;
+    let summary =
+        replay_indexed(&index, &trace, &ids).map_err(|e| format!("replay failed: {e:?}"))?;
 
     let mut profile_csv = String::from("artifact,value\n");
     for sig in &summary.cu_order {

@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use nimage_analysis::{analyze, AnalysisConfig, CallGraph};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{
     run_initializers_logged, snapshot, ClinitEffects, EffectLog, HeapBuildConfig, HeapSnapshot,
     ObjId, StepBudget,
@@ -71,13 +71,18 @@ fn alias_program() -> Program {
 fn alias_snapshot(p: &Program) -> HeapSnapshot {
     let reach = analyze(p, &AnalysisConfig::default());
     let cp = compile(
-        p,
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    snapshot(p, &cp, &HeapBuildConfig::default()).expect("snapshot")
+    snapshot(
+        &ProgramIndex::new(p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .expect("snapshot")
 }
 
 /// Rebuilds `snap` with every object satisfying `pick` force-folded —
@@ -171,7 +176,7 @@ fn pipeline_folds_are_audited_clean() {
     let p = alias_program();
     let reach = analyze(&p, &AnalysisConfig::default());
     let cp = compile(
-        &p,
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
@@ -182,7 +187,7 @@ fn pipeline_folds_are_audited_clean() {
         pea_fold_ratio: 1,
         ..HeapBuildConfig::default()
     };
-    let snap = snapshot(&p, &cp, &cfg).expect("snapshot");
+    let snap = snapshot(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), &cp, &cfg).expect("snapshot");
     let diags = check_pea_soundness(&p, &snap);
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -328,8 +333,12 @@ fn static_summaries_cover_real_execution() {
     for p in [alias_program(), order_dependent_program().0] {
         let reach = analyze(&p, &AnalysisConfig::default());
         let inits: Vec<MethodId> = nimage_heap::init_order(&p, &reach, &HeapBuildConfig::default());
-        let (_heap, log) =
-            run_initializers_logged(&p, &inits, StepBudget::default()).expect("inits run");
+        let (_heap, log) = run_initializers_logged(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &inits,
+            StepBudget::default(),
+        )
+        .expect("inits run");
         let cg = CallGraph::build(&p);
         let summaries = effect_summaries(&p, &cg);
         let diags = check_effect_log(&p, &summaries, &log);
@@ -345,7 +354,7 @@ fn trace_escape_and_unknown_cu_are_errors() {
     let p = alias_program();
     let reach = analyze(&p, &AnalysisConfig::default());
     let cp = compile(
-        &p,
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::FULL,
@@ -394,7 +403,13 @@ fn two_cu_parts() -> (Program, nimage_compiler::CompiledProgram) {
         inline_threshold: 0,
         ..InlineConfig::default()
     };
-    let cp = compile(&p, reach, &inline, InstrumentConfig::FULL, None);
+    let cp = compile(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        reach,
+        &inline,
+        InstrumentConfig::FULL,
+        None,
+    );
     (p, cp)
 }
 

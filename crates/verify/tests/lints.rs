@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use nimage_analysis::{analyze, AnalysisConfig, CallSite};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{snapshot, HeapBuildConfig};
 use nimage_ir::{Instr, Local, MethodId, Program, ProgramBuilder, TypeRef};
 use nimage_order::{assign_ids, order_objects, HeapOrderProfile, HeapStrategy};
@@ -409,13 +409,18 @@ fn matching_contract_verified_on_real_snapshot() {
     let program = Awfy::Bounce.program_at(&RuntimeScale::small());
     let reach = analyze(&program, &AnalysisConfig::default());
     let compiled = compile(
-        &program,
+        &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    let snap = snapshot(&program, &compiled, &HeapBuildConfig::default()).expect("snapshot");
+    let snap = snapshot(
+        &ProgramIndex::new(&program, DEFAULT_MAX_PATHS),
+        &compiled,
+        &HeapBuildConfig::default(),
+    )
+    .expect("snapshot");
     let ids = assign_ids(&program, &snap, HeapStrategy::IncrementalId);
     assert!(snap.entries().len() >= 4, "snapshot too small for the test");
 

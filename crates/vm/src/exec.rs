@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, PathNumbering, ProfilingCfg};
+use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, ProgramIndex};
 use nimage_heap::{HObjectKind, HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
@@ -85,7 +85,7 @@ impl Default for VmConfig {
             dump_mode: DumpMode::OnFull,
             trace_buffer: 64 * 1024,
             startup_native_pages: 6,
-            max_paths: 1 << 14,
+            max_paths: nimage_compiler::DEFAULT_MAX_PATHS,
         }
     }
 }
@@ -198,6 +198,8 @@ struct ThreadCtx {
 /// The virtual machine for one image execution.
 pub struct Vm<'a> {
     program: &'a Program,
+    /// The program's signatures, field layouts and path tables.
+    index: Arc<ProgramIndex<'a>>,
     compiled: &'a CompiledProgram,
     image: &'a BinaryImage,
     config: VmConfig,
@@ -213,9 +215,6 @@ pub struct Vm<'a> {
     /// `u32::MAX` = not yet interned). Interning stays lazy so the string
     /// table's insertion order matches the reference interpreter exactly.
     sig_ids: Vec<u32>,
-    /// Lazily built Ball–Larus tables of the reference interpreter (dense
-    /// by method index).
-    path_tables: Vec<Option<Box<(ProfilingCfg, PathNumbering)>>>,
     /// Heap refs of already-interned string literals, dense by
     /// string-table index (`u32::MAX` = not yet interned; interning is
     /// stable, so caching the ref skips the hash lookup).
@@ -253,6 +252,7 @@ pub struct VmBuilder<'a> {
     snapshot: &'a HeapSnapshot,
     image: &'a BinaryImage,
     config: VmConfig,
+    index: Option<Arc<ProgramIndex<'a>>>,
     lowered: Option<Arc<LoweredProgram>>,
     trace: Tracer,
 }
@@ -272,9 +272,19 @@ impl<'a> VmBuilder<'a> {
             snapshot,
             image,
             config,
+            index: None,
             lowered: None,
             trace: Tracer::disabled(),
         }
+    }
+
+    /// Shares the program's index (`None`: the VM indexes the program
+    /// itself). Must index the program given to [`VmBuilder::new`] under
+    /// the config's `max_paths`.
+    #[must_use]
+    pub fn index(mut self, index: Option<Arc<ProgramIndex<'a>>>) -> VmBuilder<'a> {
+        self.index = index;
+        self
     }
 
     /// Shares a pre-lowered program (`None`: lower lazily per CU). Must
@@ -306,9 +316,15 @@ impl<'a> VmBuilder<'a> {
             snapshot,
             image,
             config,
+            index,
             lowered,
             trace,
         } = self;
+        let index = index.unwrap_or_else(|| Arc::new(ProgramIndex::new(program, config.max_paths)));
+        debug_assert!(
+            std::ptr::eq(index.program(), program) && index.max_paths() == config.max_paths,
+            "index of another program or path limit"
+        );
         let session = if compiled.instrumentation.any() {
             Some(TraceSession::new(config.dump_mode, config.trace_buffer))
         } else {
@@ -323,13 +339,13 @@ impl<'a> VmBuilder<'a> {
             touches: FirstTouches::new(compiled, snapshot, &image.options),
             heap: RtHeap::new(snapshot.heap(), program),
             program,
+            index,
             compiled,
             image,
             config,
             session,
             lowered,
             sig_ids: vec![u32::MAX; n_methods],
-            path_tables: vec![None; n_methods],
             str_refs: vec![],
             threads: vec![],
             ops: 0,
@@ -364,28 +380,17 @@ impl<'a> Vm<'a> {
         if cached != u32::MAX {
             return cached;
         }
-        let sig = self.program.method_signature(m);
         let i = self
             .session
             .as_mut()
             .expect("sig interning requires a session")
-            .intern(&sig);
+            .intern(self.index.sig(m));
         self.sig_ids[m.index()] = i;
         i
     }
 
     fn trace_heap(&self) -> bool {
         self.compiled.instrumentation.trace_heap
-    }
-
-    fn path_table(&mut self, m: MethodId) -> &(ProfilingCfg, PathNumbering) {
-        let i = m.index();
-        if self.path_tables[i].is_none() {
-            let cfg = ProfilingCfg::build(self.program.method(m));
-            let num = PathNumbering::compute(&cfg, self.config.max_paths);
-            self.path_tables[i] = Some(Box::new((cfg, num)));
-        }
-        self.path_tables[i].as_deref().expect("just filled")
     }
 
     /// Runtime error helper.
@@ -487,7 +492,7 @@ impl<'a> Vm<'a> {
         // once per lazily lowered shard — but on whichever sharing run got
         // there first, hence the *root* (logically detached) event.
         if let Some(lp) = &self.lowered {
-            if lp.ensure_cu(self.program, self.compiled, cu) {
+            if lp.ensure_cu(&self.index, self.compiled, cu) {
                 self.trace
                     .root_instant("shard-fault", || format!("cu={}", cu.index()));
             }
@@ -553,7 +558,7 @@ impl<'a> Vm<'a> {
             (f.method, f.mini)
         };
         let (head, cut, inc) = {
-            let (cfg, num) = self.path_table(method);
+            let (cfg, num) = self.index.paths(method);
             let from = nimage_compiler::MiniBlockId(from_mini);
             let head = cfg.head_of_block(target_block);
             (head, num.is_cut(from, head), num.increment(from, head))
@@ -649,11 +654,7 @@ impl<'a> Vm<'a> {
         let lp = self.lowered.take().unwrap_or_else(|| {
             // Standalone runs get the lazy sharded container; shards
             // fault in per CU as execution first enters them.
-            Arc::new(LoweredProgram::new(
-                self.program,
-                self.compiled,
-                self.config.max_paths,
-            ))
+            Arc::new(LoweredProgram::indexed(&self.index, self.compiled))
         });
         self.str_refs = vec![u32::MAX; lp.n_strings()];
         self.lowered = Some(lp);
@@ -746,7 +747,7 @@ impl<'a> Vm<'a> {
         let mut call_counts = CallCountProfile::new();
         for (i, &n) in self.call_counts.iter().enumerate() {
             if n > 0 {
-                call_counts.record(&self.program.method_signature(MethodId(i as u32)), n);
+                call_counts.record(self.index.sig(MethodId(i as u32)), n);
             }
         }
 
@@ -1339,7 +1340,7 @@ impl<'a> Vm<'a> {
                 self.set_local(t, *d, r);
             }
             Instr::New(d, c) => {
-                let r = self.heap.alloc_instance(self.program, *c);
+                let r = self.heap.alloc_instance(&self.index, *c);
                 self.set_local(t, *d, Value::Ref(r));
             }
             Instr::NewArray(d, elem, len) => {
@@ -1604,11 +1605,9 @@ impl<'a> Vm<'a> {
     ) -> Result<(usize, Value), VmError> {
         match self.heap.get(r) {
             HObjectKind::Instance { class, fields } => {
-                let layout = self.program.all_instance_fields(*class);
                 let slot =
-                    layout
-                        .iter()
-                        .position(|&f| f == fid)
+                    self.index
+                        .field_slot(*class, fid)
                         .ok_or_else(|| VmError::TypeMismatch {
                             method: self.err_sig(method),
                             detail: format!(

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use nimage_compiler::ProgramIndex;
 use nimage_heap::{BuildHeap, HObject, HObjectKind, ObjId};
 use nimage_ir::{ClassId, FieldId, Program, Value};
 
@@ -135,9 +136,10 @@ impl<'a> RtHeap<'a> {
     }
 
     /// Allocates an instance with default field values.
-    pub fn alloc_instance(&mut self, program: &Program, class: ClassId) -> u32 {
-        let fields = program
-            .all_instance_fields(class)
+    pub fn alloc_instance(&mut self, index: &ProgramIndex<'_>, class: ClassId) -> u32 {
+        let program = index.program();
+        let fields = index
+            .layout(class)
             .iter()
             .map(|&f| Value::default_for(&program.field(f).ty))
             .collect();

@@ -52,10 +52,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use nimage_compiler::{CompiledProgram, CuId, PathNumbering, ProfilingCfg};
+use nimage_compiler::{CompiledProgram, CuId, PathNumbering, ProfilingCfg, ProgramIndex};
 use nimage_ir::{
-    BinOp, Callee, ClassId, FieldId, Instr, Intrinsic, Local, MethodId, Program, SelectorId,
-    Terminator, TypeRef, UnOp, Value,
+    BinOp, Callee, ClassId, FieldId, Instr, Intrinsic, Local, MethodId, MethodKind, Program,
+    SelectorId, Terminator, TypeRef, UnOp, Value,
 };
 
 /// Sentinel for "absent" entries in the dense u32 lookup tables.
@@ -354,6 +354,15 @@ impl LoweredProgram {
     /// `max_paths` must match the executing VM's configured Ball–Larus
     /// path limit (the numbering depends on it).
     pub fn new(program: &Program, compiled: &CompiledProgram, max_paths: u64) -> LoweredProgram {
+        LoweredProgram::indexed(&ProgramIndex::new(program, max_paths), compiled)
+    }
+
+    /// [`LoweredProgram::new`] over a program index, whose `max_paths`
+    /// plays the limit's part. The engine's lowering: the field layouts
+    /// come from the index, as do the path tables of the shards
+    /// [`LoweredProgram::ensure_cu`] realizes with the same index.
+    pub fn indexed(index: &ProgramIndex<'_>, compiled: &CompiledProgram) -> LoweredProgram {
+        let program = index.program();
         let n_methods = program.methods().len();
         let n_classes = program.classes().len();
         let n_fields = program.fields().len();
@@ -365,27 +374,44 @@ impl LoweredProgram {
         let mut strings: Vec<String> = vec![];
         let mut string_idx: HashMap<String, u32> = HashMap::new();
         for mi in 0..n_methods {
-            let m = program.method(MethodId(mi as u32));
-            for b in &m.blocks {
-                for ins in &b.instrs {
-                    if let Instr::ConstStr(_, s) = ins {
-                        if !string_idx.contains_key(s.as_str()) {
-                            let i = strings.len() as u32;
-                            strings.push(s.clone());
-                            string_idx.insert(s.clone(), i);
-                        }
+            let m = MethodId(mi as u32);
+            let blocks = &program.method(m).blocks;
+            for &(b, i) in index.data_sites(m) {
+                if let Instr::ConstStr(_, s) = &blocks[b as usize].instrs[i as usize] {
+                    if !string_idx.contains_key(s.as_str()) {
+                        let i = strings.len() as u32;
+                        strings.push(s.clone());
+                        string_idx.insert(s.clone(), i);
                     }
                 }
             }
         }
 
-        // Dense vtable via the exact resolve_virtual walk.
+        // Dense vtable with `resolve_virtual`'s answers: a class's row is its
+        // superclass's row overridden by its own virtual methods (the first
+        // of a selector wins), so rows are filled superclasses first.
         let mut vtable = vec![NO_ENTRY; n_classes * n_selectors];
+        let mut filled = vec![false; n_classes];
         for c in 0..n_classes {
-            for s in 0..n_selectors {
-                if let Some(m) = program.resolve_virtual(ClassId(c as u32), SelectorId(s as u32)) {
-                    vtable[c * n_selectors + s] = m.0;
+            let mut chain = vec![];
+            let mut cur = Some(ClassId(c as u32));
+            while let Some(k) = cur.filter(|k| !filled[k.index()]) {
+                chain.push(k);
+                cur = program.class(k).superclass;
+            }
+            for &k in chain.iter().rev() {
+                let row = k.index() * n_selectors;
+                if let Some(sup) = program.class(k).superclass {
+                    let sup = sup.index() * n_selectors;
+                    vtable.copy_within(sup..sup + n_selectors, row);
                 }
+                for &m in program.class(k).methods.iter().rev() {
+                    let method = program.method(m);
+                    if method.kind == MethodKind::Virtual {
+                        vtable[row + method.selector.index()] = m.0;
+                    }
+                }
+                filled[k.index()] = true;
             }
         }
 
@@ -394,7 +420,7 @@ impl LoweredProgram {
         let mut field_slots = vec![NO_SLOT; n_classes * n_fields];
         let mut field_defaults = Vec::with_capacity(n_classes);
         for c in 0..n_classes {
-            let layout = program.all_instance_fields(ClassId(c as u32));
+            let layout = index.layout(ClassId(c as u32));
             for (slot, f) in layout.iter().enumerate() {
                 field_slots[c * n_fields + f.index()] = slot as u16;
             }
@@ -424,7 +450,7 @@ impl LoweredProgram {
             paths: (0..n_methods).map(|_| OnceLock::new()).collect(),
             cus: (0..compiled.cus.len()).map(|_| OnceLock::new()).collect(),
             trace_heap: compiled.instrumentation.trace_heap,
-            max_paths,
+            max_paths: index.max_paths(),
             lazy_shards: AtomicU64::new(0),
             eager_shards: AtomicU64::new(0),
         }
@@ -436,9 +462,10 @@ impl LoweredProgram {
     /// want the complete lowering immediately (and as the differential
     /// reference the lazy path is pinned against).
     pub fn build(program: &Program, compiled: &CompiledProgram, max_paths: u64) -> LoweredProgram {
-        let lp = LoweredProgram::new(program, compiled, max_paths);
+        let index = ProgramIndex::new(program, max_paths);
+        let lp = LoweredProgram::indexed(&index, compiled);
         for cu in &compiled.cus {
-            lp.fault_cu(program, compiled, cu.id, &lp.eager_shards);
+            lp.fault_cu(&index, compiled, cu.id, &lp.eager_shards);
         }
         // Whole-program lowering also covered methods outside every CU's
         // inline tree (never executable, but part of the full lowering).
@@ -454,16 +481,19 @@ impl LoweredProgram {
     }
 
     /// Lowers every method of `cu`'s inline tree, plus its Ball–Larus
-    /// tables on heap-tracing builds.
-    fn realize_cu(&self, program: &Program, compiled: &CompiledProgram, cu: CuId) {
+    /// tables (flattened from the index's) on heap-tracing builds.
+    fn realize_cu(&self, index: &ProgramIndex<'_>, compiled: &CompiledProgram, cu: CuId) {
+        debug_assert_eq!(
+            index.max_paths(),
+            self.max_paths,
+            "index of another path limit"
+        );
         for node in &compiled.cu(cu).nodes {
-            self.realize_method(program, node.method);
+            self.realize_method(index.program(), node.method);
             if self.trace_heap {
                 self.paths[node.method.index()].get_or_init(|| {
-                    let m = program.method(node.method);
-                    let cfg = ProfilingCfg::build(m);
-                    let num = PathNumbering::compute(&cfg, self.max_paths);
-                    LoweredPaths::build(&cfg, &num, m.blocks.len())
+                    let (cfg, num) = index.paths(node.method);
+                    LoweredPaths::build(cfg, num, index.program().method(node.method).blocks.len())
                 });
             }
         }
@@ -476,7 +506,7 @@ impl LoweredProgram {
     /// exactly one caller per CU, so callers can attribute the fault.
     fn fault_cu(
         &self,
-        program: &Program,
+        index: &ProgramIndex<'_>,
         compiled: &CompiledProgram,
         cu: CuId,
         counter: &AtomicU64,
@@ -487,7 +517,7 @@ impl LoweredProgram {
         }
         let mut fresh = false;
         slot.get_or_init(|| {
-            self.realize_cu(program, compiled, cu);
+            self.realize_cu(index, compiled, cu);
             fresh = true;
         });
         if fresh {
@@ -500,8 +530,13 @@ impl LoweredProgram {
     /// call into the CU. Counted as a lazily lowered shard; `true` when
     /// this call did the lowering (the VM's shard-fault trace event).
     #[inline]
-    pub fn ensure_cu(&self, program: &Program, compiled: &CompiledProgram, cu: CuId) -> bool {
-        self.fault_cu(program, compiled, cu, &self.lazy_shards)
+    pub fn ensure_cu(
+        &self,
+        index: &ProgramIndex<'_>,
+        compiled: &CompiledProgram,
+        cu: CuId,
+    ) -> bool {
+        self.fault_cu(index, compiled, cu, &self.lazy_shards)
     }
 
     /// Extracts the serializable shard of `cu`, realizing it first if
@@ -512,7 +547,10 @@ impl LoweredProgram {
         compiled: &CompiledProgram,
         cu: CuId,
     ) -> LoweredShard {
-        self.fault_cu(program, compiled, cu, &self.eager_shards);
+        if !self.is_cu_lowered(cu) {
+            let index = ProgramIndex::new(program, self.max_paths);
+            self.fault_cu(&index, compiled, cu, &self.eager_shards);
+        }
         let mut mids: Vec<u32> = compiled.cu(cu).nodes.iter().map(|n| n.method.0).collect();
         mids.sort_unstable();
         mids.dedup();

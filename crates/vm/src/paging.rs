@@ -249,7 +249,9 @@ impl PagingSim {
 mod tests {
     use super::*;
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_image::ImageOptions;
     use nimage_ir::{ProgramBuilder, TypeRef};
@@ -276,13 +278,18 @@ mod tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         BinaryImage::build(&cp, &snap, None, None, ImageOptions::default())
     }
 

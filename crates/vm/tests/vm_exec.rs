@@ -2,7 +2,9 @@
 //! image → run.
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, CompiledProgram, InlineConfig, InstrumentConfig};
+use nimage_compiler::{
+    compile, CompiledProgram, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+};
 use nimage_heap::{snapshot, HeapBuildConfig, HeapSnapshot};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::{Program, ProgramBuilder, TypeRef, Value};
@@ -14,8 +16,19 @@ fn build(
     instr: InstrumentConfig,
 ) -> (CompiledProgram, HeapSnapshot, BinaryImage) {
     let reach = analyze(program, &AnalysisConfig::default());
-    let cp = compile(program, reach, &InlineConfig::default(), instr, None);
-    let snap = snapshot(program, &cp, &HeapBuildConfig::default()).unwrap();
+    let cp = compile(
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
+        reach,
+        &InlineConfig::default(),
+        instr,
+        None,
+    );
+    let snap = snapshot(
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
     (cp, snap, img)
 }
@@ -323,7 +336,12 @@ fn instrumented_run_collects_trace_and_counts() {
     // Probe ops were charged.
     assert!(r.probe_ops > 0);
     // The PGO profile saw the hot method.
-    assert!(r.call_counts.count(&p, nimage_ir::MethodId(0)) >= 170);
+    assert!(
+        r.call_counts.count(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            nimage_ir::MethodId(0)
+        ) >= 170
+    );
 }
 
 #[test]
@@ -406,8 +424,19 @@ fn packing_hot_cus_first_reduces_text_faults() {
         inline_threshold: 0,
         ..InlineConfig::default()
     };
-    let cp = compile(&p, reach, &cfg, InstrumentConfig::NONE, None);
-    let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+    let cp = compile(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        reach,
+        &cfg,
+        InstrumentConfig::NONE,
+        None,
+    );
+    let snap = snapshot(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
 
     // Disable fault-around so fault counts equal distinct pages touched;
     // the workload here is far smaller than a real binary.

@@ -100,7 +100,9 @@ mod tests {
     use super::*;
     use crate::runtime::{install_runtime, RuntimeScale};
     use nimage_analysis::{analyze, AnalysisConfig};
-    use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+    use nimage_compiler::{
+        compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS,
+    };
     use nimage_heap::{snapshot, HeapBuildConfig};
     use nimage_image::{BinaryImage, ImageOptions};
     use nimage_ir::Value;
@@ -123,13 +125,18 @@ mod tests {
 
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
         let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
             .run(StopWhen::Exit)
@@ -166,13 +173,18 @@ mod tests {
         let p = pb.build().unwrap();
         let reach = analyze(&p, &AnalysisConfig::default());
         let cp = compile(
-            &p,
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
             reach,
             &InlineConfig::default(),
             InstrumentConfig::NONE,
             None,
         );
-        let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+        let snap = snapshot(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &cp,
+            &HeapBuildConfig::default(),
+        )
+        .unwrap();
         let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
         let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
             .run(StopWhen::Exit)

@@ -3,7 +3,7 @@
 //! computes the right answer.
 
 use nimage_analysis::{analyze, AnalysisConfig};
-use nimage_compiler::{compile, InlineConfig, InstrumentConfig};
+use nimage_compiler::{compile, InlineConfig, InstrumentConfig, ProgramIndex, DEFAULT_MAX_PATHS};
 use nimage_heap::{snapshot, HeapBuildConfig};
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::{Program, Value};
@@ -13,13 +13,18 @@ use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 fn run(program: &Program, stop: StopWhen) -> nimage_vm::RunReport {
     let reach = analyze(program, &AnalysisConfig::default());
     let cp = compile(
-        program,
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::NONE,
         None,
     );
-    let snap = snapshot(program, &cp, &HeapBuildConfig::default()).unwrap();
+    let snap = snapshot(
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
     Vm::new(program, &cp, &snap, &img, VmConfig::default())
         .run(stop)
@@ -81,7 +86,7 @@ fn awfy_touches_only_a_small_fraction_of_snapshot_objects() {
     let p = Awfy::Sieve.program(); // default (large) runtime scale
     let reach = analyze(&p, &AnalysisConfig::default());
     let cp = compile(
-        &p,
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig {
@@ -90,7 +95,12 @@ fn awfy_touches_only_a_small_fraction_of_snapshot_objects() {
         },
         None,
     );
-    let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+    let snap = snapshot(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
     let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
         .run(StopWhen::Exit)
@@ -133,13 +143,18 @@ fn microservices_are_multi_threaded() {
     let p = Microservice::Spring.program_at(&scale);
     let reach = analyze(&p, &AnalysisConfig::default());
     let cp = compile(
-        &p,
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
         reach,
         &InlineConfig::default(),
         InstrumentConfig::FULL,
         None,
     );
-    let snap = snapshot(&p, &cp, &HeapBuildConfig::default()).unwrap();
+    let snap = snapshot(
+        &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+        &cp,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     let img = BinaryImage::build(&cp, &snap, None, None, ImageOptions::default());
     let r = Vm::new(&p, &cp, &snap, &img, VmConfig::default())
         .run(StopWhen::FirstResponse)

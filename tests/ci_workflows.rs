@@ -96,6 +96,14 @@ fn ci_runs_the_decode_bench() {
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
+/// CI runs the order bench once, so the ordering kernels and the program
+/// index they join over keep compiling and keep executing.
+#[test]
+fn ci_runs_the_order_bench() {
+    let step = "cargo bench -p nimage-bench --bench crit_order -- --test";
+    assert!(ci_runs(step), "ci.yml lost the `{step}` step");
+}
+
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit, and order nothing, since all eight strategy plans are disk

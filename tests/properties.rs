@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 
 use nimage::analysis::{analyze, AnalysisConfig};
-use nimage::compiler::{compile, InlineConfig, InstrumentConfig, PathNumbering, ProfilingCfg};
+use nimage::compiler::{
+    compile, InlineConfig, InstrumentConfig, PathNumbering, ProfilingCfg, ProgramIndex,
+    DEFAULT_MAX_PATHS,
+};
 use nimage::heap::{snapshot, HeapBuildConfig, StepBudget};
 use nimage::image::{BinaryImage, ImageOptions};
 use nimage::ir::{BinOp, BodyBuilder, Program, ProgramBuilder, TypeRef, Value};
@@ -132,8 +135,19 @@ fn program_of(e: &Expr) -> Program {
 
 fn run_vm(program: &Program, instr: InstrumentConfig) -> Value {
     let reach = analyze(program, &AnalysisConfig::default());
-    let compiled = compile(program, reach, &InlineConfig::default(), instr, None);
-    let snap = snapshot(program, &compiled, &HeapBuildConfig::default()).unwrap();
+    let compiled = compile(
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
+        reach,
+        &InlineConfig::default(),
+        instr,
+        None,
+    );
+    let snap = snapshot(
+        &ProgramIndex::new(program, DEFAULT_MAX_PATHS),
+        &compiled,
+        &HeapBuildConfig::default(),
+    )
+    .unwrap();
     let image = BinaryImage::build(&compiled, &snap, None, None, ImageOptions::default());
     Vm::new(program, &compiled, &snap, &image, VmConfig::default())
         .run(StopWhen::Exit)
@@ -170,7 +184,7 @@ proptest! {
         let mut heap = nimage::heap::BuildHeap::new();
         let mut budget = StepBudget::default();
         let build_time =
-            nimage::heap::exec_method(&program, &mut heap, entry, vec![], &mut budget, 0)
+            nimage::heap::exec_method(&ProgramIndex::new(&program, DEFAULT_MAX_PATHS), &mut heap, entry, vec![], &mut budget, 0)
                 .unwrap();
         let rt = run_vm(&program, InstrumentConfig::NONE);
         match (build_time, rt) {
@@ -236,8 +250,8 @@ proptest! {
         let program = pb.build().unwrap();
 
         let reach = analyze(&program, &AnalysisConfig::default());
-        let compiled = compile(&program, reach, &InlineConfig::default(), InstrumentConfig::NONE, None);
-        let snap = snapshot(&program, &compiled, &HeapBuildConfig::default()).unwrap();
+        let compiled = compile(&ProgramIndex::new(&program, DEFAULT_MAX_PATHS), reach, &InlineConfig::default(), InstrumentConfig::NONE, None);
+        let snap = snapshot(&ProgramIndex::new(&program, DEFAULT_MAX_PATHS), &compiled, &HeapBuildConfig::default()).unwrap();
         let ids = assign_ids(&program, &snap, HeapStrategy::HeapPath);
         let order = order_objects(&snap, &ids, &HeapOrderProfile { ids: profile_ids, spans: vec![] });
         prop_assert_eq!(order.len(), snap.entries().len());
@@ -264,8 +278,8 @@ proptest! {
         let e = Expr::Const(1);
         let program = program_of(&e);
         let reach = analyze(&program, &AnalysisConfig::default());
-        let compiled = compile(&program, reach, &InlineConfig::default(), InstrumentConfig::NONE, None);
-        let snap = snapshot(&program, &compiled, &HeapBuildConfig::default()).unwrap();
+        let compiled = compile(&ProgramIndex::new(&program, DEFAULT_MAX_PATHS), reach, &InlineConfig::default(), InstrumentConfig::NONE, None);
+        let snap = snapshot(&ProgramIndex::new(&program, DEFAULT_MAX_PATHS), &compiled, &HeapBuildConfig::default()).unwrap();
         let image = BinaryImage::build(&compiled, &snap, None, None, ImageOptions::default());
         let window = 1u64 << window_log;
         let mut sim = PagingSim::new(&image, PagingConfig { fault_around_pages: window });
