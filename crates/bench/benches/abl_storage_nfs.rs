@@ -3,8 +3,8 @@
 //! Fault *counts* are storage-independent; the speedups grow with per-fault
 //! latency but keep the same ordering.
 
-use nimage_bench::{evaluate_program, geomean};
-use nimage_core::Strategy;
+use nimage_bench::{eval_options, geomean};
+use nimage_core::{Engine, Strategy, WorkloadSpec};
 use nimage_profiler::DumpMode;
 use nimage_vm::{CostModel, StopWhen};
 use nimage_workloads::Awfy;
@@ -17,33 +17,37 @@ fn main() {
     );
     let ssd = CostModel::ssd();
     let nfs = CostModel::nfs();
+    let programs = [Awfy::Bounce, Awfy::Sieve, Awfy::Storage].map(|b| (b.name(), b.program()));
+    let specs: Vec<WorkloadSpec<'_>> = programs
+        .iter()
+        .map(|(name, program)| {
+            WorkloadSpec::new(
+                *name,
+                program,
+                eval_options(DumpMode::OnFull),
+                StopWhen::Exit,
+            )
+        })
+        .collect();
+    let strategies = [Strategy::Cu, Strategy::CuPlusHeapPath];
+    let cells = Engine::default()
+        .evaluate_matrix(&specs, &strategies)
+        .expect("storage ablation evaluation");
     let mut cols: [Vec<f64>; 4] = [vec![], vec![], vec![], vec![]];
-    for b in [Awfy::Bounce, Awfy::Sieve, Awfy::Storage] {
-        let program = b.program();
-        let rows = evaluate_program(b.name(), &program, StopWhen::Exit, DumpMode::OnFull);
-        let get = |s: Strategy, cm: &CostModel| {
-            rows.rows
-                .iter()
-                .find(|(st, _)| *st == s)
-                .map(|(_, e)| e.speedup(cm))
-                .unwrap()
-        };
+    for row in cells.chunks(strategies.len()) {
+        let (cu, both) = (&row[0].eval, &row[1].eval);
         let vals = [
-            get(Strategy::Cu, &ssd),
-            get(Strategy::Cu, &nfs),
-            get(Strategy::CuPlusHeapPath, &ssd),
-            get(Strategy::CuPlusHeapPath, &nfs),
+            cu.speedup(&ssd),
+            cu.speedup(&nfs),
+            both.speedup(&ssd),
+            both.speedup(&nfs),
         ];
         for (c, v) in cols.iter_mut().zip(vals) {
             c.push(v);
         }
         println!(
             "{:<12} {:>11.2}x {:>11.2}x {:>11.2}x {:>11.2}x",
-            b.name(),
-            vals[0],
-            vals[1],
-            vals[2],
-            vals[3]
+            row[0].workload, vals[0], vals[1], vals[2], vals[3]
         );
     }
     println!(

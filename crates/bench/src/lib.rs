@@ -1,26 +1,26 @@
 //! # nimage-bench
 //!
-//! The evaluation harness: one bench target per table/figure of the paper
-//! (run with `cargo bench`), plus criterion microbenches of the core
-//! algorithms.
+//! The evaluation harness: [`Figures`] regenerates the paper's Sec. 7
+//! tables from one matrix on one [`Engine`]; the other bench targets are
+//! ablations, extensions and criterion microbenches (run with
+//! `cargo bench`).
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `fig2_awfy_pagefaults` | Fig. 2 — page-fault reductions, AWFY |
-//! | `fig3_micro_pagefaults` | Fig. 3 — page-fault reductions, microservices |
-//! | `fig4_micro_speedups` | Fig. 4 — execution-time speedups, microservices |
-//! | `fig5_awfy_speedups` | Fig. 5 — execution-time speedups, AWFY |
-//! | `tab_profiling_overhead` | Sec. 7.4 — profiling overhead factors |
+//! | `figures` | Fig. 2–5 and the Sec. 7.4 profiling-overhead table |
 //! | `fig6_pagemap` | Fig. 6 — visual `.text` page map, Bounce |
 //! | `abl_fault_around` | ablation — fault-around window sweep |
 //! | `abl_structural_depth` | ablation — structural-hash `MAX_DEPTH` sweep |
-//! | `crit_algorithms` | criterion microbenches of hashing/ordering |
+//! | `abl_incremental_global` | ablation — per-type vs global id counters |
+//! | `abl_storage_nfs` | ablation — SSD vs NFS cost models |
+//! | `ext_native_tail` | extension — native-tail reordering (Appendix A) |
+//! | `crit_*` | criterion microbenches of hashing, ordering, dispatch, decode |
 
 #![warn(missing_docs)]
 
 use nimage_core::{
-    BuildOptions, Engine, Evaluation, MatrixCell, Pipeline, ProfiledArtifacts, Strategy,
-    WorkloadSpec,
+    BuildOptions, Engine, Evaluation, MatrixCell, Pipeline, ProfiledArtifacts, ProfilingOverhead,
+    Strategy, WorkloadSpec,
 };
 use nimage_ir::Program;
 use nimage_profiler::DumpMode;
@@ -40,70 +40,6 @@ pub fn eval_options(dump_mode: DumpMode) -> BuildOptions {
     }
 }
 
-/// Result rows of one workload's evaluation across all strategies.
-#[derive(Debug)]
-pub struct WorkloadRows {
-    /// Workload display name.
-    pub name: String,
-    /// `(strategy, evaluation)` in figure order.
-    pub rows: Vec<(Strategy, Evaluation)>,
-}
-
-/// Runs the full pipeline (profile once, evaluate every strategy) for one
-/// program on a transient [`Engine`].
-///
-/// # Panics
-/// Panics if any pipeline stage fails — the harness treats that as a
-/// broken experiment.
-pub fn evaluate_program(
-    name: &str,
-    program: &Program,
-    stop: StopWhen,
-    dump_mode: DumpMode,
-) -> WorkloadRows {
-    evaluate_program_with(&Engine::default(), name, program, stop, dump_mode)
-}
-
-/// [`evaluate_program`] on a caller-provided [`Engine`], sharing its
-/// artifact cache (and worker pool) across calls.
-///
-/// # Panics
-/// Panics if any pipeline stage fails.
-pub fn evaluate_program_with(
-    engine: &Engine,
-    name: &str,
-    program: &Program,
-    stop: StopWhen,
-    dump_mode: DumpMode,
-) -> WorkloadRows {
-    let spec = WorkloadSpec::new(name, program, eval_options(dump_mode), stop);
-    let cells = engine
-        .evaluate_matrix(std::slice::from_ref(&spec), &Strategy::all())
-        .unwrap_or_else(|e| panic!("{name}: evaluation failed: {e}"));
-    WorkloadRows {
-        name: name.to_string(),
-        rows: cells.into_iter().map(|c| (c.strategy, c.eval)).collect(),
-    }
-}
-
-/// Regroups row-major matrix cells into per-workload rows.
-fn rows_from_cells(cells: Vec<MatrixCell>) -> Vec<WorkloadRows> {
-    let mut out: Vec<WorkloadRows> = Vec::new();
-    for cell in cells {
-        if out.last().is_none_or(|w| w.name != cell.workload) {
-            out.push(WorkloadRows {
-                name: cell.workload.clone(),
-                rows: Vec::with_capacity(Strategy::all().len()),
-            });
-        }
-        out.last_mut()
-            .unwrap()
-            .rows
-            .push((cell.strategy, cell.eval));
-    }
-    out
-}
-
 /// Profiling artifacts for overhead-style experiments that need the raw
 /// pipeline.
 ///
@@ -119,72 +55,6 @@ pub fn profile_program(
     (pipeline, artifacts)
 }
 
-/// Evaluates all 14 AWFY benchmarks (end-to-end execution, dump mode 1) on
-/// a transient [`Engine`].
-pub fn evaluate_awfy() -> Vec<WorkloadRows> {
-    evaluate_awfy_with(&Engine::default())
-}
-
-/// [`evaluate_awfy`] on a caller-provided [`Engine`]: all
-/// `14 workloads × 6 strategies` cells go through one matrix evaluation.
-///
-/// # Panics
-/// Panics if any pipeline stage fails.
-pub fn evaluate_awfy_with(engine: &Engine) -> Vec<WorkloadRows> {
-    let programs: Vec<_> = Awfy::all()
-        .into_iter()
-        .map(|b| (b.name(), b.program()))
-        .collect();
-    let specs: Vec<WorkloadSpec<'_>> = programs
-        .iter()
-        .map(|(name, program)| {
-            WorkloadSpec::new(
-                *name,
-                program,
-                eval_options(DumpMode::OnFull),
-                StopWhen::Exit,
-            )
-        })
-        .collect();
-    let cells = engine
-        .evaluate_matrix(&specs, &Strategy::all())
-        .unwrap_or_else(|e| panic!("awfy evaluation failed: {e}"));
-    rows_from_cells(cells)
-}
-
-/// Evaluates the three microservices (time to first response, dump mode 2 —
-/// the memory-mapped buffers that survive the `SIGKILL`) on a transient
-/// [`Engine`].
-pub fn evaluate_micro() -> Vec<WorkloadRows> {
-    evaluate_micro_with(&Engine::default())
-}
-
-/// [`evaluate_micro`] on a caller-provided [`Engine`].
-///
-/// # Panics
-/// Panics if any pipeline stage fails.
-pub fn evaluate_micro_with(engine: &Engine) -> Vec<WorkloadRows> {
-    let programs: Vec<_> = Microservice::all()
-        .into_iter()
-        .map(|m| (m.name(), m.program()))
-        .collect();
-    let specs: Vec<WorkloadSpec<'_>> = programs
-        .iter()
-        .map(|(name, program)| {
-            WorkloadSpec::new(
-                *name,
-                program,
-                eval_options(DumpMode::MemoryMapped),
-                StopWhen::FirstResponse,
-            )
-        })
-        .collect();
-    let cells = engine
-        .evaluate_matrix(&specs, &Strategy::all())
-        .unwrap_or_else(|e| panic!("microservice evaluation failed: {e}"));
-    rows_from_cells(cells)
-}
-
 /// Geometric mean.
 ///
 /// # Panics
@@ -194,34 +64,235 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Prints a figure-style table: one row per workload, one column per
-/// strategy, using `metric` to extract the reported number, with a final
-/// geo.mean row (as under the paper's figures).
-pub fn print_table(title: &str, results: &[WorkloadRows], metric: impl Fn(&Evaluation) -> f64) {
-    println!("\n=== {title} ===");
-    print!("{:<12}", "benchmark");
-    for s in Strategy::all() {
-        print!(" {:>15}", s.name());
-    }
-    println!();
-    let mut columns: Vec<Vec<f64>> = vec![vec![]; Strategy::all().len()];
-    for w in results {
-        print!("{:<12}", w.name);
-        for (i, (_s, eval)) in w.rows.iter().enumerate() {
-            let v = metric(eval);
-            columns[i].push(v);
-            print!(" {:>15.2}", v);
-        }
-        println!();
-    }
-    print!("{:<12}", "geo.mean");
-    for col in &columns {
-        print!(" {:>15.2}", geomean(col));
-    }
-    println!();
+/// One workload class of Sec. 6.1, evaluated.
+#[derive(Debug)]
+struct ClassResults {
+    /// Row-major cells: each workload × [`Strategy::all`].
+    cells: Vec<MatrixCell>,
+    /// Sec. 7.4 factors per workload, in row order.
+    overhead: Vec<(String, ProfilingOverhead)>,
 }
 
-/// The SSD cost model used by the speedup figures.
-pub fn cost_model() -> CostModel {
-    CostModel::ssd()
+/// The paper's Sec. 7 results: all 17 workloads × [`Strategy::all`] and
+/// the Sec. 7.4 profiling overhead of each workload.
+#[derive(Debug)]
+pub struct Figures {
+    /// The 14 AWFY benchmarks: run to exit, dump mode 1.
+    awfy: ClassResults,
+    /// The three microservices: run to the first response, dump mode 2
+    /// (the memory-mapped buffers that survive the `SIGKILL`).
+    micro: ClassResults,
+}
+
+impl Figures {
+    /// Evaluates every workload × strategy cell in one
+    /// [`Engine::evaluate_matrix`] call, then measures each workload's
+    /// profiling overhead on the serial pipeline.
+    ///
+    /// # Panics
+    /// Panics if any pipeline stage fails — the harness treats that as a
+    /// broken experiment.
+    pub fn evaluate(engine: &Engine) -> Figures {
+        let awfy = Awfy::all().map(|b| (b.name(), b.program()));
+        let micro = Microservice::all().map(|m| (m.name(), m.program()));
+        let specs: Vec<WorkloadSpec<'_>> = awfy
+            .iter()
+            .map(|(name, program)| {
+                let opts = eval_options(DumpMode::OnFull);
+                WorkloadSpec::new(*name, program, opts, StopWhen::Exit)
+            })
+            .chain(micro.iter().map(|(name, program)| {
+                let opts = eval_options(DumpMode::MemoryMapped);
+                WorkloadSpec::new(*name, program, opts, StopWhen::FirstResponse)
+            }))
+            .collect();
+        let mut cells = engine
+            .evaluate_matrix(&specs, &Strategy::all())
+            .unwrap_or_else(|e| panic!("figure matrix evaluation failed: {e}"));
+        let mut overhead: Vec<(String, ProfilingOverhead)> = specs
+            .iter()
+            .map(|s| {
+                let factors = Pipeline::new(s.program, s.opts.clone())
+                    .profiling_overhead(s.stop)
+                    .unwrap_or_else(|e| panic!("{}: overhead run failed: {e}", s.name));
+                (s.name.clone(), factors)
+            })
+            .collect();
+        let micro = ClassResults {
+            cells: cells.split_off(awfy.len() * Strategy::all().len()),
+            overhead: overhead.split_off(awfy.len()),
+        };
+        Figures {
+            awfy: ClassResults { cells, overhead },
+            micro,
+        }
+    }
+
+    /// The five tables, in the paper's order: Fig. 2, 3, 4, 5, Sec. 7.4.
+    pub fn tables(&self) -> [Table; 5] {
+        let ssd = CostModel::ssd();
+        let faults = |e: &Evaluation| e.reported_fault_reduction();
+        let speedup = |e: &Evaluation| e.speedup(&ssd);
+        [
+            Table::of_strategies(
+                "Fig. 2",
+                "page-fault reduction, AWFY (higher is better)",
+                &self.awfy,
+                faults,
+            ),
+            Table::of_strategies(
+                "Fig. 3",
+                "page-fault reduction, microservices (higher is better)",
+                &self.micro,
+                faults,
+            ),
+            Table::of_strategies(
+                "Fig. 4",
+                "time-to-first-response speedup, microservices (higher is better)",
+                &self.micro,
+                speedup,
+            ),
+            Table::of_strategies(
+                "Fig. 5",
+                "execution-time speedup, AWFY (higher is better)",
+                &self.awfy,
+                speedup,
+            ),
+            Table {
+                heading: "Sec. 7.4",
+                title: "tracing-profiler overhead factors",
+                columns: ProfilingOverhead::MODES.to_vec(),
+                width: 8,
+                groups: [
+                    (&self.awfy, "   (AWFY geo.mean, dump mode 1)"),
+                    (&self.micro, "   (microservices geo.mean, dump mode 2)"),
+                ]
+                .map(|(class, note)| RowGroup {
+                    rows: class
+                        .overhead
+                        .iter()
+                        .map(|(name, o)| (name.clone(), o.factors().to_vec()))
+                        .collect(),
+                    note,
+                })
+                .into(),
+            },
+        ]
+    }
+
+    /// Every table under its `=== heading: title ===` banner, as the
+    /// `figures` bench target prints them.
+    pub fn render(&self) -> String {
+        self.tables()
+            .iter()
+            .map(|t| format!("\n=== {}: {} ===\n{}", t.heading, t.title, t.render()))
+            .collect()
+    }
+}
+
+/// One table of the paper's evaluation: a row per workload, a column per
+/// strategy or tracing mode, and a geo.mean row under each group of rows.
+#[derive(Debug)]
+pub struct Table {
+    /// The figure or section it reproduces (`"Fig. 2"`, …, `"Sec. 7.4"`),
+    /// which is also the start of its EXPERIMENTS.md heading.
+    pub heading: &'static str,
+    /// What it measures.
+    title: &'static str,
+    /// Column names.
+    columns: Vec<&'static str>,
+    /// Width of each value column.
+    width: usize,
+    /// Row groups, each closed by its geo.mean row.
+    groups: Vec<RowGroup>,
+}
+
+/// Rows of one workload class, closed by their geo.mean row.
+#[derive(Debug)]
+struct RowGroup {
+    /// `(workload, one value per column)`.
+    rows: Vec<(String, Vec<f64>)>,
+    /// Text after the geo.mean row's values.
+    note: &'static str,
+}
+
+impl RowGroup {
+    /// The geometric mean of each column.
+    fn geomeans(&self) -> Vec<f64> {
+        let columns = self.rows[0].1.len();
+        (0..columns)
+            .map(|c| geomean(&self.rows.iter().map(|(_, v)| v[c]).collect::<Vec<_>>()))
+            .collect()
+    }
+}
+
+impl Table {
+    /// A Fig. 2–5 table: `metric` of every cell of one class, a column per
+    /// strategy of [`Strategy::all`].
+    fn of_strategies(
+        heading: &'static str,
+        title: &'static str,
+        class: &ClassResults,
+        metric: impl Fn(&Evaluation) -> f64,
+    ) -> Table {
+        let rows = class
+            .cells
+            .chunks(Strategy::all().len())
+            .map(|row| {
+                let values = row.iter().map(|c| metric(&c.eval)).collect();
+                (row[0].workload.clone(), values)
+            })
+            .collect();
+        Table {
+            heading,
+            title,
+            columns: Strategy::all().map(|s| s.name()).to_vec(),
+            width: 15,
+            groups: vec![RowGroup { rows, note: "" }],
+        }
+    }
+
+    /// The table as text: a header line, then each group's rows and its
+    /// geo.mean row, values to two decimals.
+    pub fn render(&self) -> String {
+        let w = self.width;
+        let line = |name: &str, cells: String| format!("{name:<12}{cells}\n");
+        let values = |vs: &[f64]| vs.iter().map(|v| format!(" {v:>w$.2}")).collect::<String>();
+        let mut out = line(
+            "benchmark",
+            self.columns.iter().map(|c| format!(" {c:>w$}")).collect(),
+        );
+        for group in &self.groups {
+            for (name, vs) in &group.rows {
+                out += &line(name, values(vs));
+            }
+            out += &line("geo.mean", values(&group.geomeans()) + group.note);
+        }
+        out
+    }
+
+    /// The geo.mean of `column` over row group `group` (0 for the Fig.
+    /// 2–5 tables; 0 = AWFY and 1 = microservices in Sec. 7.4).
+    ///
+    /// # Panics
+    /// Panics if the group or column does not exist.
+    pub fn geomean(&self, group: usize, column: &str) -> f64 {
+        let c = self
+            .columns
+            .iter()
+            .position(|&name| name == column)
+            .unwrap_or_else(|| panic!("{}: no column {column:?}", self.heading));
+        self.groups[group].geomeans()[c]
+    }
+
+    /// Every value of the table, the geo.mean rows included.
+    pub fn values(&self) -> Vec<f64> {
+        self.groups
+            .iter()
+            .flat_map(|g| {
+                let rows = g.rows.iter().flat_map(|(_, vs)| vs.iter().copied());
+                rows.chain(g.geomeans()).collect::<Vec<_>>()
+            })
+            .collect()
+    }
 }

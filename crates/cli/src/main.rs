@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use nimage_core::{
     load_profiles, save_profiles, BuildOptions, DiskCacheOptions, DiskStore, Engine, EngineOptions,
-    EvalOutcome, EvalRequest, Evaluation, Pipeline, Report, Strategy, TraceOptions, WorkloadSpec,
-    DISK_FORMAT_VERSION,
+    EvalOutcome, EvalRequest, Evaluation, Pipeline, ProfilingOverhead, Report, Strategy,
+    TraceOptions, WorkloadSpec, DISK_FORMAT_VERSION,
 };
 use nimage_profiler::{write_trace, DumpMode};
 use nimage_trace::JsonWriter;
@@ -1190,29 +1190,6 @@ fn cmd_overhead(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::resolve(parsed.one_positional("workload")?)?;
     let program = workload.program()?;
     let pipeline = Pipeline::new(&program, pipeline_for(&workload));
-    let modes: [(&str, nimage_compiler::InstrumentConfig); 3] = [
-        (
-            "cu",
-            nimage_compiler::InstrumentConfig {
-                trace_cu: true,
-                ..nimage_compiler::InstrumentConfig::NONE
-            },
-        ),
-        (
-            "method",
-            nimage_compiler::InstrumentConfig {
-                trace_methods: true,
-                ..nimage_compiler::InstrumentConfig::NONE
-            },
-        ),
-        (
-            "heap",
-            nimage_compiler::InstrumentConfig {
-                trace_heap: true,
-                ..nimage_compiler::InstrumentConfig::NONE
-            },
-        ),
-    ];
     println!(
         "{} (dump mode {}):",
         workload.name(),
@@ -1221,8 +1198,8 @@ fn cmd_overhead(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             DumpMode::MemoryMapped => "2: memory-mapped",
         }
     );
-    for (name, cfg) in modes {
-        let f = pipeline.profiling_overhead(cfg, workload.stop())?;
+    let overhead = pipeline.profiling_overhead(workload.stop())?;
+    for (name, f) in ProfilingOverhead::MODES.into_iter().zip(overhead.factors()) {
         println!("  {name:<8} {f:.2}x");
     }
     Ok(())

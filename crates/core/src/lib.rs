@@ -1065,8 +1065,9 @@ impl<'p> Pipeline<'p> {
             .collect()
     }
 
-    /// Sec. 7.4: the execution-time overhead factor of one instrumentation
-    /// mode, `time(instrumented) / time(regular)`.
+    /// Sec. 7.4: the execution-time overhead factors of the three
+    /// single-probe instrumentation modes, each `time(instrumented) /
+    /// time(regular)` against one run of the regular build.
     ///
     /// The paper measures profiling overhead in the usual warm-cache
     /// benchmarking setup (profiling happens once, offline), so the ratio
@@ -1075,20 +1076,53 @@ impl<'p> Pipeline<'p> {
     ///
     /// # Errors
     /// Propagates build or run failures.
-    pub fn profiling_overhead(
-        &self,
-        instr: InstrumentConfig,
-        stop: StopWhen,
-    ) -> Result<f64, PipelineError> {
-        let regular = self.build_instrumented(InstrumentConfig::NONE)?;
-        let reg_report = self.run_image(&regular, stop)?;
-        let instrumented = self.build_instrumented(instr)?;
-        let ins_report = self.run_image(&instrumented, stop)?;
+    pub fn profiling_overhead(&self, stop: StopWhen) -> Result<ProfilingOverhead, PipelineError> {
         let cpu = |r: &RunReport| match r.first_response {
             Some(rp) => (rp.ops + rp.probe_ops) as f64,
             None => (r.ops + r.probe_ops) as f64,
         };
-        Ok(cpu(&ins_report) / cpu(&reg_report))
+        let work = |instr: InstrumentConfig| -> Result<f64, PipelineError> {
+            let built = self.build_instrumented(instr)?;
+            Ok(cpu(&self.run_image(&built, stop)?))
+        };
+        let regular = work(InstrumentConfig::NONE)?;
+        let factor = |instr: InstrumentConfig| Ok::<_, PipelineError>(work(instr)? / regular);
+        Ok(ProfilingOverhead {
+            cu: factor(InstrumentConfig {
+                trace_cu: true,
+                ..InstrumentConfig::NONE
+            })?,
+            method: factor(InstrumentConfig {
+                trace_methods: true,
+                ..InstrumentConfig::NONE
+            })?,
+            heap: factor(InstrumentConfig {
+                trace_heap: true,
+                ..InstrumentConfig::NONE
+            })?,
+        })
+    }
+}
+
+/// Sec. 7.4's profiling-overhead factors of one workload: CPU work of the
+/// build instrumented with one probe kind over the regular build's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfilingOverhead {
+    /// CU-entry tracing (`trace_cu`).
+    pub cu: f64,
+    /// Method-entry tracing (`trace_methods`).
+    pub method: f64,
+    /// Heap-access tracing (`trace_heap`).
+    pub heap: f64,
+}
+
+impl ProfilingOverhead {
+    /// The mode names, in the paper's column order.
+    pub const MODES: [&'static str; 3] = ["cu", "method", "heap"];
+
+    /// The factors in [`ProfilingOverhead::MODES`] order.
+    pub fn factors(&self) -> [f64; 3] {
+        [self.cu, self.method, self.heap]
     }
 }
 

@@ -4,7 +4,6 @@
 //! scattered subset of both.
 
 use nimage_compiler::InlineConfig;
-use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, Evaluation, Pipeline, Strategy};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_vm::{CostModel, PagingConfig, StopWhen, VmConfig};
@@ -221,33 +220,8 @@ fn combined_strategy_reduces_both_sections() {
 fn profiling_overhead_factors_are_ordered_like_the_paper() {
     let p = workload();
     let pipeline = Pipeline::new(&p, options());
-    let cu = pipeline
-        .profiling_overhead(
-            InstrumentConfig {
-                trace_cu: true,
-                ..InstrumentConfig::NONE
-            },
-            StopWhen::Exit,
-        )
-        .unwrap();
-    let method = pipeline
-        .profiling_overhead(
-            InstrumentConfig {
-                trace_methods: true,
-                ..InstrumentConfig::NONE
-            },
-            StopWhen::Exit,
-        )
-        .unwrap();
-    let heap = pipeline
-        .profiling_overhead(
-            InstrumentConfig {
-                trace_heap: true,
-                ..InstrumentConfig::NONE
-            },
-            StopWhen::Exit,
-        )
-        .unwrap();
+    let overhead = pipeline.profiling_overhead(StopWhen::Exit).unwrap();
+    let (cu, method, heap) = (overhead.cu, overhead.method, overhead.heap);
     assert!(cu >= 1.0 && method >= 1.0 && heap >= 1.0);
     assert!(
         method > cu,

@@ -104,6 +104,15 @@ fn ci_runs_the_order_bench() {
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
+/// `tests/paper_figures.rs` pins Fig. 2–5 and Sec. 7.4 but is ignored
+/// in debug builds (the full matrix is too slow unoptimized), so CI's
+/// release workspace step is the one that runs it.
+#[test]
+fn ci_runs_the_release_workspace_tests() {
+    let step = "cargo test --workspace -q --release";
+    assert!(ci_runs(step), "ci.yml lost the `{step}` step");
+}
+
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit, and order nothing, since all eight strategy plans are disk
