@@ -122,7 +122,7 @@ impl CallGraph {
             for block in &method.blocks {
                 for instr in &block.instrs {
                     match instr {
-                        Instr::Call { callee, .. } => match callee {
+                        Instr::Call(call) => match &call.callee {
                             Callee::Static(t) => callees[m].push(*t),
                             Callee::Virtual { declared, selector } => {
                                 for c in program.subclasses_of(*declared) {
@@ -132,7 +132,7 @@ impl CallGraph {
                                 }
                             }
                         },
-                        Instr::Spawn { method: t, .. } => spawns[m].push(*t),
+                        Instr::Spawn(s) => spawns[m].push(s.method),
                         _ => {}
                     }
                 }
@@ -229,7 +229,7 @@ pub fn analyze(program: &Program, config: &AnalysisConfig) -> Reachability {
                         }
                         st.mark_class(program, program.field(*f).owner);
                     }
-                    Instr::Call { callee, .. } => match callee {
+                    Instr::Call(call) => match &call.callee {
                         Callee::Static(callee_m) => st.mark_method(*callee_m),
                         Callee::Virtual { declared, selector } => {
                             let site = CallSite {
@@ -244,7 +244,7 @@ pub fn analyze(program: &Program, config: &AnalysisConfig) -> Reachability {
                             resolve_selector(program, config, &mut st, *declared, *selector);
                         }
                     },
-                    Instr::Spawn { method: m, .. } => st.mark_method(*m),
+                    Instr::Spawn(s) => st.mark_method(s.method),
                     _ => {}
                 }
             }
@@ -269,8 +269,8 @@ pub fn analyze(program: &Program, config: &AnalysisConfig) -> Reachability {
         let method = program.method(m);
         for (bi, block) in method.blocks.iter().enumerate() {
             for (ii, instr) in block.instrs.iter().enumerate() {
-                if let Instr::Call { callee, .. } = instr {
-                    match callee {
+                if let Instr::Call(call) = instr {
+                    match &call.callee {
                         Callee::Static(c) => direct_edges.push((m, *c)),
                         Callee::Virtual { .. } => {
                             let site = CallSite {

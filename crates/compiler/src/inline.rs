@@ -88,8 +88,8 @@ pub fn compile(
     for &m in &reachability.methods {
         let body = program.method(m);
         for &(b, i) in index.call_sites(m) {
-            if let Instr::Spawn { method, .. } = &body.blocks[b as usize].instrs[i as usize] {
-                push_root(*method, &mut frontier, &mut root_seen);
+            if let Instr::Spawn(s) = &body.blocks[b as usize].instrs[i as usize] {
+                push_root(s.method, &mut frontier, &mut root_seen);
             }
         }
     }
@@ -242,7 +242,7 @@ fn build_cu(
         let method = program.method(w.method);
         let mut sites: Vec<(CallSite, MethodId)> = vec![];
         for &(bi, ii) in facts.index.call_sites(w.method) {
-            if let Instr::Call { callee, .. } = &method.blocks[bi as usize].instrs[ii as usize] {
+            if let Instr::Call(call) = &method.blocks[bi as usize].instrs[ii as usize] {
                 let site = CallSite {
                     method: w.method,
                     block: bi as usize,
@@ -250,7 +250,7 @@ fn build_cu(
                 };
                 // Polymorphic calls have no direct target: their targets
                 // were made roots already.
-                if let Some(t) = direct_target(reach, callee, site) {
+                if let Some(t) = direct_target(reach, &call.callee, site) {
                     sites.push((site, t));
                 }
             }

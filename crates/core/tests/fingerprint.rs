@@ -188,3 +188,87 @@ fn bundled_programs_have_pairwise_distinct_keys() {
         }
     }
 }
+
+/// The key of every bundled program as the workloads build it (`program()`,
+/// the scale `nimage eval` runs). Pinned so that a change to how the IR is
+/// stored — `Instr`'s layout, boxed payloads, exact-size blocks — can be
+/// shown to leave the `Hash` stream, and so every disk cache, where it was.
+/// If this fails, see [`golden_key_of_a_tiny_program_is_pinned`].
+#[test]
+fn golden_keys_of_the_bundled_programs_are_pinned() {
+    const GOLDEN: [(&str, CacheKey); 17] = [
+        (
+            "micronaut",
+            CacheKey(0xf54b_abb1_fb04_995d, 0xda24_e123_bd2c_107a),
+        ),
+        (
+            "quarkus",
+            CacheKey(0x62d5_9604_4451_5411, 0xac10_491c_8efe_bd94),
+        ),
+        (
+            "spring",
+            CacheKey(0xaf58_bba0_e15c_2878, 0xa857_49d3_966a_1c63),
+        ),
+        (
+            "Bounce",
+            CacheKey(0xf6e6_59cb_1cd7_95ad, 0xedba_3682_a02c_2b15),
+        ),
+        ("CD", CacheKey(0x40ae_56cc_d00e_d01f, 0xfaa6_b8dd_09c9_3653)),
+        (
+            "DeltaBlue",
+            CacheKey(0x5661_6c3e_f9d9_3750, 0x59dc_d972_f308_6c8c),
+        ),
+        (
+            "Havlak",
+            CacheKey(0x754b_bb94_72f8_c88d, 0xfba2_3377_89f3_18f8),
+        ),
+        (
+            "Json",
+            CacheKey(0x264b_c373_0d0e_3243, 0xc2fa_7c38_10fb_6a1c),
+        ),
+        (
+            "List",
+            CacheKey(0x8b7c_5296_b4b2_c7e5, 0x0188_7d46_4512_8478),
+        ),
+        (
+            "Mandelbrot",
+            CacheKey(0xc232_a204_fe6d_2cc3, 0x1ed6_d4ac_014d_e9d1),
+        ),
+        (
+            "NBody",
+            CacheKey(0x9e72_b1d0_9649_6236, 0xae79_bf9f_4c43_4af6),
+        ),
+        (
+            "Permute",
+            CacheKey(0x2718_1621_1f00_c603, 0xf685_1902_71e3_e7da),
+        ),
+        (
+            "Queens",
+            CacheKey(0xe969_de48_ead5_4aac, 0x9d38_137c_754b_cf11),
+        ),
+        (
+            "Richards",
+            CacheKey(0xa5d9_79da_d429_2dad, 0xffbe_5cbb_f1a8_7051),
+        ),
+        (
+            "Sieve",
+            CacheKey(0x0159_7944_8601_410e, 0x91b5_95a0_370e_3551),
+        ),
+        (
+            "Storage",
+            CacheKey(0x3476_85b0_a362_25a6, 0x08a6_c9bb_f2db_fa90),
+        ),
+        (
+            "Towers",
+            CacheKey(0x33db_4279_d372_054b, 0xff08_3684_3ee5_f346),
+        ),
+    ];
+    let micro = Microservice::all().map(|m| (m.name(), m.program()));
+    let awfy = Awfy::all().map(|a| (a.name(), a.program()));
+    let actual: Vec<(&str, CacheKey)> = micro
+        .iter()
+        .chain(&awfy)
+        .map(|(name, p)| (*name, key(p)))
+        .collect();
+    assert_eq!(actual, GOLDEN);
+}

@@ -17,8 +17,8 @@ use std::error::Error;
 use std::fmt;
 
 use nimage_ir::{
-    eval_bin, eval_intrinsic, eval_un, BinOp, Callee, FieldId, Instr, Intrinsic, MethodId,
-    Terminator, Value,
+    eval_bin, eval_intrinsic, eval_un, BinOp, Call, Callee, FieldId, Instr, Intrinsic,
+    IntrinsicCall, MethodId, Terminator, Value,
 };
 
 use nimage_compiler::ProgramIndex;
@@ -321,7 +321,7 @@ fn exec_instr(
                     len: 0,
                 });
             }
-            let o = heap.alloc_array(elem.clone(), n as usize);
+            let o = heap.alloc_array((**elem).clone(), n as usize);
             locals[d.index()] = Value::Ref(o.0);
         }
         Instr::GetField(d, obj, fid) => {
@@ -416,7 +416,8 @@ fn exec_instr(
             let o = heap.alloc(HObjectKind::Str(s));
             locals[d.index()] = Value::Ref(o.0);
         }
-        Instr::Call { dst, callee, args } => {
+        Instr::Call(call) => {
+            let Call { dst, callee, args } = &**call;
             let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
             let target = match callee {
                 Callee::Static(m) => *m,
@@ -441,7 +442,8 @@ fn exec_instr(
                 locals[d.index()] = ret.unwrap_or(Value::Null);
             }
         }
-        Instr::Intrinsic { dst, op, args } => {
+        Instr::Intrinsic(call) => {
+            let IntrinsicCall { dst, op, args } = &**call;
             if *op == Intrinsic::Respond {
                 if let Some(s) = sink {
                     s.fx.io_events += 1;

@@ -1,6 +1,6 @@
 //! Ergonomic construction of programs, classes and method bodies.
 
-use crate::instr::{BinOp, Callee, Instr, Intrinsic, Terminator, UnOp};
+use crate::instr::{BinOp, Call, Callee, Instr, Intrinsic, IntrinsicCall, Spawn, Terminator, UnOp};
 use crate::program::{Class, Field, Method, MethodKind, Program, Resource, SelectorId};
 use crate::types::{BlockId, ClassId, FieldId, Local, MethodId, TypeRef};
 use crate::validate::{validate, ValidateError};
@@ -284,7 +284,9 @@ impl BodyBuilder {
     fn terminate(&mut self, t: Terminator) {
         let cur = self.current.take().expect("terminate after terminator");
         self.blocks[cur.index()] = Some(crate::instr::Block {
-            instrs: std::mem::take(&mut self.current_instrs),
+            // Moved out at exact length; `current_instrs` keeps its growth
+            // buffer for the next block.
+            instrs: self.current_instrs.drain(..).collect(),
             terminator: t,
         });
     }
@@ -334,7 +336,7 @@ impl BodyBuilder {
 
     /// `dst = "literal"` (interned string)
     pub fn sconst(&mut self, v: &str) -> Local {
-        let s = v.to_string();
+        let s = Box::new(v.to_string());
         self.with_dst(|d| Instr::ConstStr(d, s))
     }
 
@@ -370,7 +372,7 @@ impl BodyBuilder {
 
     /// `dst = new elem[len]`
     pub fn new_array(&mut self, elem: TypeRef, len: Local) -> Local {
-        self.with_dst(|d| Instr::NewArray(d, elem, len))
+        self.with_dst(|d| Instr::NewArray(d, Box::new(elem), len))
     }
 
     /// `dst = obj.field`
@@ -433,11 +435,11 @@ impl BodyBuilder {
         has_ret: bool,
     ) -> Option<Local> {
         let dst = if has_ret { Some(self.local()) } else { None };
-        self.emit(Instr::Call {
+        self.emit(Instr::Call(Box::new(Call {
             dst,
             callee: Callee::Static(method),
             args: args.to_vec(),
-        });
+        })));
         dst
     }
 
@@ -450,31 +452,31 @@ impl BodyBuilder {
         has_ret: bool,
     ) -> Option<Local> {
         let dst = if has_ret { Some(self.local()) } else { None };
-        self.emit(Instr::Call {
+        self.emit(Instr::Call(Box::new(Call {
             dst,
             callee: Callee::Virtual { declared, selector },
             args: args.to_vec(),
-        });
+        })));
         dst
     }
 
     /// Emits an intrinsic operation.
     pub fn intrinsic(&mut self, op: Intrinsic, args: &[Local], has_ret: bool) -> Option<Local> {
         let dst = if has_ret { Some(self.local()) } else { None };
-        self.emit(Instr::Intrinsic {
+        self.emit(Instr::Intrinsic(Box::new(IntrinsicCall {
             dst,
             op,
             args: args.to_vec(),
-        });
+        })));
         dst
     }
 
     /// Spawns a thread running a static method.
     pub fn spawn(&mut self, method: MethodId, args: &[Local]) {
-        self.emit(Instr::Spawn {
+        self.emit(Instr::Spawn(Box::new(Spawn {
             method,
             args: args.to_vec(),
-        });
+        })));
     }
 
     // ---- arithmetic sugar ------------------------------------------------
@@ -624,12 +626,14 @@ impl BodyBuilder {
             "method body finished with unterminated block {:?}",
             self.current
         );
-        let blocks = self
+        let mut blocks: Vec<_> = self
             .blocks
             .into_iter()
             .enumerate()
             .map(|(i, b)| b.unwrap_or_else(|| panic!("block b{i} reserved but never built")))
             .collect();
+        // The collect reuses the growth buffer of `self.blocks`.
+        blocks.shrink_to_fit();
         (blocks, self.next_local)
     }
 }

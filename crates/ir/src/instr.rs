@@ -78,7 +78,44 @@ pub enum Callee {
     },
 }
 
+/// Payload of [`Instr::Call`]: `dst? = call(args...)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Call {
+    /// Destination local for the return value, if the callee returns one.
+    pub dst: Option<Local>,
+    /// Call target.
+    pub callee: Callee,
+    /// Argument locals; for virtual calls `args[0]` is the receiver.
+    pub args: Vec<Local>,
+}
+
+/// Payload of [`Instr::Intrinsic`]: `dst? = intrinsic(args...)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct IntrinsicCall {
+    /// Destination local, if the intrinsic produces a value.
+    pub dst: Option<Local>,
+    /// Which intrinsic.
+    pub op: Intrinsic,
+    /// Argument locals.
+    pub args: Vec<Local>,
+}
+
+/// Payload of [`Instr::Spawn`]: a new thread running a static method.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Spawn {
+    /// Static entry method of the new thread.
+    pub method: MethodId,
+    /// Arguments passed to the thread's entry method.
+    pub args: Vec<Local>,
+}
+
 /// A non-terminator instruction of the register machine.
+///
+/// Every program keeps its whole IR in memory, so the type is kept at 16
+/// bytes: the variants that would not fit — calls, intrinsics, spawns, a
+/// string literal, an array's element type; together about 1.5 % of the
+/// instructions of a bundled program — hold their payload behind a thin
+/// `Box`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// `dst = <int literal>`
@@ -90,7 +127,7 @@ pub enum Instr {
     ConstBool(Local, bool),
     /// `dst = "literal"` — string literals are interned, mirroring Java
     /// interned strings (an `InternedString` heap-snapshot root).
-    ConstStr(Local, String),
+    ConstStr(Local, Box<String>),
     /// `dst = null`
     ConstNull(Local),
     /// `dst = src`
@@ -103,7 +140,7 @@ pub enum Instr {
     /// `init` method explicitly for constructor logic.
     New(Local, ClassId),
     /// `dst = new elem[len]`
-    NewArray(Local, TypeRef, Local),
+    NewArray(Local, Box<TypeRef>, Local),
     /// `dst = obj.field`
     GetField(Local, Local, FieldId),
     /// `obj.field = src`
@@ -125,41 +162,27 @@ pub enum Instr {
     /// `dst = a + b` (string concatenation; either side may be int or str)
     StrConcat(Local, Local, Local),
     /// `dst? = call(args...)`
-    Call {
-        /// Destination local for the return value, if the callee returns one.
-        dst: Option<Local>,
-        /// Call target.
-        callee: Callee,
-        /// Argument locals; for virtual calls `args[0]` is the receiver.
-        args: Vec<Local>,
-    },
+    Call(Box<Call>),
     /// `dst? = intrinsic(args...)`
-    Intrinsic {
-        /// Destination local, if the intrinsic produces a value.
-        dst: Option<Local>,
-        /// Which intrinsic.
-        op: Intrinsic,
-        /// Argument locals.
-        args: Vec<Local>,
-    },
+    Intrinsic(Box<IntrinsicCall>),
     /// Spawn a new thread executing a static method with the given arguments.
     ///
     /// Used by the microservice workloads; threads are scheduled
     /// deterministically by `nimage-vm`.
-    Spawn {
-        /// Static entry method of the new thread.
-        method: MethodId,
-        /// Arguments passed to the thread's entry method.
-        args: Vec<Local>,
-    },
+    Spawn(Box<Spawn>),
 }
+
+const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
 /// Hand-written only because `f64` is not `Hash`: a double literal hashes
 /// by bit pattern, so `0.0`/`-0.0` and distinct NaN payloads — different
 /// data-section bytes — hash apart (stricter than the derived `PartialEq`,
 /// which is why `Instr` is not `Eq`). The tags are part of the program
 /// fingerprint, like every field: each variant is destructured in full, so
-/// a new field does not compile until it is hashed too.
+/// a new field does not compile until it is hashed too. A boxed payload
+/// hashes as what it holds, and a payload struct's derived `Hash` writes
+/// its fields in order, as the tuple it replaced did, so boxing a variant
+/// does not move the stream.
 impl Hash for Instr {
     fn hash<H: Hasher>(&self, h: &mut H) {
         match self {
@@ -183,9 +206,9 @@ impl Hash for Instr {
             Instr::StrLen(dst, s) => (17u8, dst, s).hash(h),
             Instr::StrCharAt(dst, s, i) => (18u8, dst, s, i).hash(h),
             Instr::StrConcat(dst, a, b) => (19u8, dst, a, b).hash(h),
-            Instr::Call { dst, callee, args } => (20u8, dst, callee, args).hash(h),
-            Instr::Intrinsic { dst, op, args } => (21u8, dst, op, args).hash(h),
-            Instr::Spawn { method, args } => (22u8, method, args).hash(h),
+            Instr::Call(c) => (20u8, c).hash(h),
+            Instr::Intrinsic(c) => (21u8, c).hash(h),
+            Instr::Spawn(s) => (22u8, s).hash(h),
         }
     }
 }
@@ -215,16 +238,16 @@ impl Instr {
             Instr::StrLen(..) => 5,
             Instr::StrCharAt(..) => 8,
             Instr::StrConcat(..) => 18,
-            Instr::Call { args, callee, .. } => {
+            Instr::Call(c) => {
                 // Virtual dispatch needs a vtable load on top of the call.
-                let base = match callee {
+                let base = match c.callee {
                     Callee::Static(_) => 5,
                     Callee::Virtual { .. } => 12,
                 };
-                base + 2 * args.len() as u32
+                base + 2 * c.args.len() as u32
             }
-            Instr::Intrinsic { args, .. } => 6 + 2 * args.len() as u32,
-            Instr::Spawn { args, .. } => 24 + 2 * args.len() as u32,
+            Instr::Intrinsic(c) => 6 + 2 * c.args.len() as u32,
+            Instr::Spawn(s) => 24 + 2 * s.args.len() as u32,
         }
     }
 
@@ -248,11 +271,11 @@ impl Instr {
             | Instr::StrLen(d, _)
             | Instr::StrCharAt(d, _, _)
             | Instr::StrConcat(d, _, _) => Some(*d),
-            Instr::Call { dst, .. } | Instr::Intrinsic { dst, .. } => *dst,
-            Instr::PutField(..)
-            | Instr::PutStatic(..)
-            | Instr::ArraySet(..)
-            | Instr::Spawn { .. } => None,
+            Instr::Call(c) => c.dst,
+            Instr::Intrinsic(c) => c.dst,
+            Instr::PutField(..) | Instr::PutStatic(..) | Instr::ArraySet(..) | Instr::Spawn(_) => {
+                None
+            }
         }
     }
 
@@ -279,9 +302,9 @@ impl Instr {
             | Instr::StrConcat(_, a, b)
             | Instr::PutField(a, _, b) => vec![*a, *b],
             Instr::ArraySet(a, b, c) => vec![*a, *b, *c],
-            Instr::Call { args, .. }
-            | Instr::Intrinsic { args, .. }
-            | Instr::Spawn { args, .. } => args.clone(),
+            Instr::Call(c) => c.args.clone(),
+            Instr::Intrinsic(c) => c.args.clone(),
+            Instr::Spawn(s) => s.args.clone(),
         }
     }
 }
@@ -329,8 +352,9 @@ impl Terminator {
 /// A basic block: straight-line instructions plus one terminator.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Block {
-    /// Straight-line instructions.
-    pub instrs: Vec<Instr>,
+    /// Straight-line instructions, exactly as many slots as instructions
+    /// (a boxed slice holds no spare capacity).
+    pub instrs: Box<[Instr]>,
     /// Block terminator.
     pub terminator: Terminator,
 }
@@ -350,35 +374,35 @@ mod tests {
     #[test]
     fn sizes_are_positive_and_call_scales_with_args() {
         let l = Local(0);
-        let c0 = Instr::Call {
+        let c0 = Instr::Call(Box::new(Call {
             dst: None,
             callee: Callee::Static(MethodId(0)),
             args: vec![],
-        };
-        let c2 = Instr::Call {
+        }));
+        let c2 = Instr::Call(Box::new(Call {
             dst: None,
             callee: Callee::Static(MethodId(0)),
             args: vec![l, l],
-        };
+        }));
         assert!(c0.size_bytes() > 0);
         assert_eq!(c2.size_bytes(), c0.size_bytes() + 4);
     }
 
     #[test]
     fn virtual_call_larger_than_static() {
-        let stat = Instr::Call {
+        let stat = Instr::Call(Box::new(Call {
             dst: None,
             callee: Callee::Static(MethodId(0)),
             args: vec![],
-        };
-        let virt = Instr::Call {
+        }));
+        let virt = Instr::Call(Box::new(Call {
             dst: None,
             callee: Callee::Virtual {
                 declared: ClassId(0),
                 selector: crate::program::SelectorId(0),
             },
             args: vec![],
-        };
+        }));
         assert!(virt.size_bytes() > stat.size_bytes());
     }
 
@@ -411,7 +435,7 @@ mod tests {
     #[test]
     fn block_size_sums_instrs_and_terminator() {
         let b = Block {
-            instrs: vec![Instr::ConstInt(Local(0), 7)],
+            instrs: Box::new([Instr::ConstInt(Local(0), 7)]),
             terminator: Terminator::Ret(Some(Local(0))),
         };
         assert_eq!(

@@ -56,7 +56,9 @@ pub use eval::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
     Value,
 };
-pub use instr::{BinOp, Block, Callee, Instr, Intrinsic, Terminator, UnOp};
+pub use instr::{
+    BinOp, Block, Call, Callee, Instr, Intrinsic, IntrinsicCall, Spawn, Terminator, UnOp,
+};
 pub use program::{Class, Field, Method, MethodKind, Program, Resource, SelectorId};
 pub use types::{BlockId, ClassId, FieldId, Local, MethodId, TypeRef};
 pub use validate::ValidateError;

@@ -154,22 +154,21 @@ pub fn validate(p: &Program) -> Result<(), ValidateError> {
                 for s in ins.sources() {
                     check_local(s)?;
                 }
+                let target = match ins {
+                    Instr::Call(c) => match c.callee {
+                        Callee::Static(m) => Some(m),
+                        Callee::Virtual { .. } => None,
+                    },
+                    Instr::Spawn(s) => Some(s.method),
+                    _ => None,
+                };
+                if let Some(callee) = target.filter(|m| m.index() >= p.methods().len()) {
+                    return Err(ValidateError::BadMethodRef {
+                        method: sig.clone(),
+                        callee,
+                    });
+                }
                 match ins {
-                    Instr::Call {
-                        callee: Callee::Static(c),
-                        ..
-                    } if c.index() >= p.methods().len() => {
-                        return Err(ValidateError::BadMethodRef {
-                            method: sig.clone(),
-                            callee: *c,
-                        });
-                    }
-                    Instr::Spawn { method, .. } if method.index() >= p.methods().len() => {
-                        return Err(ValidateError::BadMethodRef {
-                            method: sig.clone(),
-                            callee: *method,
-                        });
-                    }
                     Instr::GetField(_, _, fid) | Instr::PutField(_, fid, _) => {
                         check_field(p, &sig, *fid, false)?;
                     }

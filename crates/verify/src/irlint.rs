@@ -19,7 +19,9 @@
 use std::collections::BTreeSet;
 
 use nimage_analysis::Reachability;
-use nimage_ir::{Callee, Cfg, Instr, Local, Method, MethodId, MethodKind, Program, Terminator};
+use nimage_ir::{
+    Call, Callee, Cfg, Instr, Local, Method, MethodId, MethodKind, Program, Terminator,
+};
 
 use crate::dataflow::{self, Analysis, BitFact, Direction};
 use crate::Diagnostic;
@@ -272,7 +274,8 @@ fn lint_instr_consistency(
 ) {
     let at = format!("b{b}[{i}]");
     match instr {
-        Instr::Call { dst, callee, args } => {
+        Instr::Call(call) => {
+            let Call { dst, callee, args } = &**call;
             let target = match callee {
                 Callee::Static(m) => Some(*m),
                 Callee::Virtual { declared, selector } => {
@@ -357,12 +360,10 @@ pub fn lint_virtual_targets(program: &Program, reach: &Reachability) -> Vec<Diag
             .blocks
             .get(site.block)
             .and_then(|blk| blk.instrs.get(site.instr));
-        let Some(Instr::Call {
-            callee: Callee::Virtual { declared, selector },
-            args,
-            ..
-        }) = instr
-        else {
+        let Some((Callee::Virtual { declared, selector }, args)) = instr.and_then(|i| match i {
+            Instr::Call(call) => Some((&call.callee, &call.args)),
+            _ => None,
+        }) else {
             out.push(Diagnostic::error(
                 "ir::vtable",
                 &caller_sig,

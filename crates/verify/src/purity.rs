@@ -125,14 +125,14 @@ impl Analysis for MayForeign {
                     fact.remove(d.index());
                 }
             }
-            Instr::Call { dst, .. } => {
-                if let Some(d) = dst {
+            Instr::Call(call) => {
+                if let Some(d) = call.dst {
                     fact.insert(d.index());
                 }
             }
             // Intrinsics return scalars (or nothing).
-            Instr::Intrinsic { dst, .. } => {
-                if let Some(d) = dst {
+            Instr::Intrinsic(call) => {
+                if let Some(d) = call.dst {
                     fact.remove(d.index());
                 }
             }
@@ -171,7 +171,7 @@ fn local_summary(m: &Method) -> EffectSummary {
                 Instr::ArraySet(arr, _, _) if fact.contains(arr.index()) => {
                     s.may_foreign_write = true;
                 }
-                Instr::Intrinsic { op, .. } if *op == Intrinsic::Respond => {
+                Instr::Intrinsic(call) if call.op == Intrinsic::Respond => {
                     s.io = true;
                 }
                 Instr::Spawn { .. } => {

@@ -16,7 +16,8 @@ use nimage_heap::{HObjectKind, HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
-    BinOp, Callee, Instr, Intrinsic, Local, MethodId, Program, Terminator, UnOp, Value,
+    BinOp, Call, Callee, Instr, Intrinsic, IntrinsicCall, Local, MethodId, Program, Spawn,
+    Terminator, UnOp, Value,
 };
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
@@ -1351,7 +1352,7 @@ impl<'a> Vm<'a> {
                     });
                 }
                 let r = self.heap.alloc(HObjectKind::Array {
-                    elem: elem.clone(),
+                    elem: (**elem).clone(),
                     elems: vec![Value::default_for(elem); n as usize],
                 });
                 self.set_local(t, *d, Value::Ref(r));
@@ -1464,7 +1465,8 @@ impl<'a> Vm<'a> {
                 let r = self.heap.alloc(HObjectKind::Str(format!("{sa}{sb}")));
                 self.set_local(t, *d, Value::Ref(r));
             }
-            Instr::Call { dst, callee, args } => {
+            Instr::Call(call) => {
+                let Call { dst, callee, args } = &**call;
                 self.ops += 1; // calls cost an extra op
                 let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 let target = match callee {
@@ -1522,7 +1524,8 @@ impl<'a> Vm<'a> {
                     None => self.enter_cu(t, target, locals, *dst)?,
                 }
             }
-            Instr::Intrinsic { dst, op, args } => {
+            Instr::Intrinsic(call) => {
+                let IntrinsicCall { dst, op, args } = &**call;
                 // Intrinsics execute native code at the end of .text.
                 self.touch_native(self.intrinsic_page(*op));
                 let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
@@ -1534,7 +1537,8 @@ impl<'a> Vm<'a> {
                     self.set_local(t, *d, v.unwrap_or(Value::Null));
                 }
             }
-            Instr::Spawn { method: m2, args } => {
+            Instr::Spawn(spawn) => {
+                let Spawn { method: m2, args } = &**spawn;
                 let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 self.threads.push(ThreadCtx {
                     frames: vec![],

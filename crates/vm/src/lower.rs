@@ -380,8 +380,8 @@ impl LoweredProgram {
                 if let Instr::ConstStr(_, s) = &blocks[b as usize].instrs[i as usize] {
                     if !string_idx.contains_key(s.as_str()) {
                         let i = strings.len() as u32;
-                        strings.push(s.clone());
-                        string_idx.insert(s.clone(), i);
+                        strings.push(String::clone(s));
+                        string_idx.insert(String::clone(s), i);
                     }
                 }
             }
@@ -723,7 +723,7 @@ fn lower_instr(
         Instr::Bin(op, d, a, b) => LoweredInstr::Bin(*op, *d, *a, *b),
         Instr::Un(op, d, a) => LoweredInstr::Un(*op, *d, *a),
         Instr::New(d, c) => LoweredInstr::New(*d, *c),
-        Instr::NewArray(d, elem, len) => LoweredInstr::NewArray(*d, elem.clone(), *len),
+        Instr::NewArray(d, elem, len) => LoweredInstr::NewArray(*d, (**elem).clone(), *len),
         Instr::GetField(d, o, f) => LoweredInstr::GetField(*d, *o, *f),
         Instr::PutField(o, f, s) => LoweredInstr::PutField(*o, *f, *s),
         Instr::GetStatic(d, f) => LoweredInstr::GetStatic(*d, *f),
@@ -734,24 +734,24 @@ fn lower_instr(
         Instr::StrLen(d, s) => LoweredInstr::StrLen(*d, *s),
         Instr::StrCharAt(d, s, i) => LoweredInstr::StrCharAt(*d, *s, *i),
         Instr::StrConcat(d, a, b) => LoweredInstr::StrConcat(*d, *a, *b),
-        Instr::Call { dst, callee, args } => LoweredInstr::Call {
-            dst: *dst,
-            target: match callee {
-                Callee::Static(m) => LoweredCallee::Static(*m),
-                Callee::Virtual { selector, .. } => LoweredCallee::Virtual(*selector),
+        Instr::Call(call) => LoweredInstr::Call {
+            dst: call.dst,
+            target: match call.callee {
+                Callee::Static(m) => LoweredCallee::Static(m),
+                Callee::Virtual { selector, .. } => LoweredCallee::Virtual(selector),
             },
-            args: args.clone().into_boxed_slice(),
+            args: call.args.as_slice().into(),
             site_block: block as u32,
             site_instr: instr as u32,
         },
-        Instr::Intrinsic { dst, op, args } => LoweredInstr::Intrinsic {
-            dst: *dst,
-            op: *op,
-            args: args.clone().into_boxed_slice(),
+        Instr::Intrinsic(call) => LoweredInstr::Intrinsic {
+            dst: call.dst,
+            op: call.op,
+            args: call.args.as_slice().into(),
         },
-        Instr::Spawn { method, args } => LoweredInstr::Spawn {
-            method: *method,
-            args: args.clone().into_boxed_slice(),
+        Instr::Spawn(spawn) => LoweredInstr::Spawn {
+            method: spawn.method,
+            args: spawn.args.as_slice().into(),
         },
     }
 }

@@ -104,6 +104,15 @@ fn ci_runs_the_order_bench() {
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
+/// CI runs the fingerprint bench once, so the program-fingerprint kernels
+/// — the hash every workload's cache keys hang off — keep compiling and
+/// keep executing.
+#[test]
+fn ci_runs_the_fingerprint_bench() {
+    let step = "cargo bench -p nimage-bench --bench crit_fingerprint -- --test";
+    assert!(ci_runs(step), "ci.yml lost the `{step}` step");
+}
+
 /// `tests/paper_figures.rs` pins Fig. 2–5 and Sec. 7.4 but is ignored
 /// in debug builds (the full matrix is too slow unoptimized), so CI's
 /// release workspace step is the one that runs it.
