@@ -68,7 +68,7 @@ use nimage_analysis::{analyze, AnalysisConfig, Reachability};
 use nimage_compiler::{
     compile, CallCountProfile, CompiledProgram, CuId, InlineConfig, InstrumentConfig, ProgramIndex,
 };
-use nimage_heap::{snapshot, ClinitError, HeapBuildConfig, HeapSnapshot, ObjId};
+use nimage_heap::{snapshot, ExecError, HeapBuildConfig, HeapSnapshot, ObjId};
 pub use nimage_image::optimize::PredictedFaults;
 use nimage_image::optimize::{optimize_layout, split_native_tail, CodeInput, HeapInput};
 use nimage_image::{BinaryImage, ImageOptions};
@@ -466,7 +466,7 @@ impl Evaluation {
 #[derive(Debug)]
 pub enum PipelineError {
     /// Build-time initializer execution failed.
-    Clinit(ClinitError),
+    Clinit(ExecError),
     /// The VM hit a runtime error.
     Vm(VmError),
     /// Trace post-processing failed.
@@ -498,8 +498,8 @@ impl fmt::Display for PipelineError {
 
 impl Error for PipelineError {}
 
-impl From<ClinitError> for PipelineError {
-    fn from(e: ClinitError) -> Self {
+impl From<ExecError> for PipelineError {
+    fn from(e: ExecError) -> Self {
         PipelineError::Clinit(e)
     }
 }
@@ -1245,7 +1245,7 @@ mod tests {
     fn pipeline_error_displays_sources() {
         let e = PipelineError::NoTrace;
         assert!(e.to_string().contains("no trace"));
-        let e = PipelineError::Clinit(ClinitError::BudgetExhausted);
+        let e = PipelineError::Clinit(ExecError::BudgetExhausted);
         assert!(e.to_string().contains("build-time"));
     }
 }

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 
 use nimage_compiler::InstrumentConfig;
-use nimage_core::{BuildOptions, BuildParts, Pipeline, RunParts, Strategy};
+use nimage_core::{BuildOptions, BuildParts, Pipeline, PipelineError, RunParts, Strategy};
 use nimage_ir::{BinOp, BodyBuilder, FieldId, Local, Program, ProgramBuilder, TypeRef, UnOp};
-use nimage_vm::{LoweredProgram, StopWhen, VmBuilder, VmConfig};
+use nimage_vm::{LoweredProgram, StopWhen, VmBuilder, VmConfig, VmError};
 use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 /// Runs one built image on both engines and returns the two reports'
@@ -196,34 +196,49 @@ fn recycled_locals_read_as_fresh_ones() {
 }
 
 /// A hot loop of 1 000 iterations over `obj.field`, each adding what
-/// `fail(f, obj, field, i)` computes — which fails at iteration 300.
-fn failing_loop(fail: impl Fn(&mut BodyBuilder, Local, FieldId, Local) -> Local) -> Program {
-    let mut pb = ProgramBuilder::new();
-    let c = pb.add_class("t.Hot", None);
-    let field = pb.add_instance_field(c, "f", TypeRef::Int);
-    let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
-    let mut f = pb.body(main);
-    let obj = f.new_object(c);
-    let from = f.iconst(0);
-    let to = f.iconst(1_000);
-    let acc = f.iconst(0);
-    f.for_range(from, to, |f, i| {
-        let v = f.get_field(obj, field);
-        let s = f.add(v, i);
-        f.put_field(obj, field, s);
-        let x = fail(f, obj, field, i);
-        let s = f.add(acc, x);
-        f.assign(acc, s);
-    });
-    f.ret(Some(acc));
-    pb.finish_body(main, f);
-    pb.set_entry(main);
-    pb.build().unwrap()
+/// `fail(f, obj, field, i)` computes — which fails at iteration 300. The
+/// second program is the first with a class initializer that calls `main`,
+/// so building its image runs the same loop at build time.
+fn failing_loop(
+    fail: impl Fn(&mut BodyBuilder, Local, FieldId, Local) -> Local,
+) -> (Program, Program) {
+    let build = |in_clinit: bool| {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("t.Hot", None);
+        let field = pb.add_instance_field(c, "f", TypeRef::Int);
+        let main = pb.declare_static(c, "main", &[], Some(TypeRef::Int));
+        let mut f = pb.body(main);
+        let obj = f.new_object(c);
+        let from = f.iconst(0);
+        let to = f.iconst(1_000);
+        let acc = f.iconst(0);
+        f.for_range(from, to, |f, i| {
+            let v = f.get_field(obj, field);
+            let s = f.add(v, i);
+            f.put_field(obj, field, s);
+            let x = fail(f, obj, field, i);
+            let s = f.add(acc, x);
+            f.assign(acc, s);
+        });
+        f.ret(Some(acc));
+        pb.finish_body(main, f);
+        pb.set_entry(main);
+        if in_clinit {
+            let init = pb.declare_clinit(c);
+            let mut f = pb.body(init);
+            f.call_static(main, &[], false);
+            f.ret(None);
+            pb.finish_body(init, f);
+        }
+        pb.build().unwrap()
+    };
+    (build(false), build(true))
 }
 
 /// A runtime error inside a hot loop — where the lowered engine runs on
 /// its fast path — is the same error, raised at the same op, on both
-/// engines.
+/// engines, and the build-time interpreter raises that error too when a
+/// class initializer runs the loop.
 #[test]
 fn errors_in_a_hot_loop_match_between_engines() {
     let divide_by_zero = failing_loop(|f, _, _, i| {
@@ -271,15 +286,45 @@ fn errors_in_a_hot_loop_match_between_engines() {
         });
         f.add(i, x)
     });
+    let branch_on_int = failing_loop(|f, _, _, i| {
+        let k = f.iconst(300);
+        let hit = f.eq(i, k);
+        let cond = f.bconst(false);
+        f.if_then(hit, |f| f.assign(cond, i));
+        let x = f.copy(i);
+        f.if_then(cond, |f| {
+            let zero = f.iconst(0);
+            f.assign(x, zero);
+        });
+        x
+    });
+    let read_field_of_int = failing_loop(|f, obj, field, i| {
+        let k = f.iconst(300);
+        let hit = f.eq(i, k);
+        let target = f.copy(obj);
+        f.if_then(hit, |f| f.assign(target, i));
+        f.get_field(target, field)
+    });
     let o = BuildOptions::default();
-    for (program, what) in [
+    for ((program, in_clinit), what) in [
         (&divide_by_zero, "DivisionByZero"),
         (&remainder_by_zero, "DivisionByZero"),
         (&add_int_to_double, "TypeMismatch"),
+        (&branch_on_int, "TypeMismatch"),
         (&read_null, "NullDeref"),
+        (&read_field_of_int, "TypeMismatch"),
         (&read_past_end, "IndexOutOfBounds"),
         (&write_below_zero, "IndexOutOfBounds"),
     ] {
+        let build_time =
+            match Pipeline::new(in_clinit, o.clone()).build_instrumented(InstrumentConfig::NONE) {
+                Err(PipelineError::Clinit(e)) => e,
+                other => panic!("{what}: the build did not fail in the initializer: {other:?}"),
+            };
+        assert!(
+            format!("{build_time:?}").starts_with(what),
+            "{build_time:?}"
+        );
         for instrument in [InstrumentConfig::FULL, InstrumentConfig::NONE] {
             let built = Pipeline::new(program, o.clone())
                 .build_instrumented(instrument)
@@ -296,8 +341,12 @@ fn errors_in_a_hot_loop_match_between_engines() {
             };
             let reference = vm().run_reference(StopWhen::Exit).unwrap_err();
             let lowered = vm().run(StopWhen::Exit).unwrap_err();
-            assert!(format!("{lowered:?}").starts_with(what), "{lowered:?}");
             assert_eq!(reference, lowered, "{what} ({instrument:?})");
+            assert_eq!(
+                lowered,
+                VmError::Exec(build_time.clone()),
+                "{what} ({instrument:?}) differs between build time and run time"
+            );
         }
     }
 }

@@ -13,17 +13,16 @@
 //! process" (Sec. 2).
 
 use std::collections::BTreeSet;
-use std::error::Error;
-use std::fmt;
 
 use nimage_ir::{
-    eval_bin, eval_intrinsic, eval_un, BinOp, Call, Callee, FieldId, Instr, Intrinsic,
-    IntrinsicCall, MethodId, Terminator, Value,
+    eval_intrinsic, Call, Callee, FieldId, Instr, Intrinsic, IntrinsicCall, MethodId, Terminator,
+    Value,
 };
 
 use nimage_compiler::ProgramIndex;
 
-use crate::object::{BuildHeap, HObjectKind, ObjId};
+use crate::exec::{branch_error, exec_data, no_such_method, receiver_class, ExecError, ExecHooks};
+use crate::object::BuildHeap;
 
 /// Dynamic side effects observed while one class initializer (and
 /// everything it transitively called) executed at build time.
@@ -55,8 +54,21 @@ pub struct EffectLog {
     pub per_init: Vec<(MethodId, ClinitEffects)>,
 }
 
-/// Observation state threaded through build-time execution when effect
-/// logging is on.
+/// What build-time execution observes: the data ops' heap accesses
+/// ([`ExecHooks`]) plus the intrinsics and spawns this interpreter runs
+/// itself. `()` observes nothing; [`EffectSink`] fills an [`EffectLog`]
+/// entry. Which one runs is fixed per monomorphised copy of the
+/// interpreter, not tested per instruction.
+trait Effects: ExecHooks {
+    /// A `respond` intrinsic ran.
+    fn io_event(&mut self) {}
+    /// A `spawn` was reached.
+    fn spawn_event(&mut self) {}
+}
+
+impl Effects for () {}
+
+/// The effects of the current initializer, for [`run_initializers_logged`].
 struct EffectSink {
     fx: ClinitEffects,
     /// Heap size when the current initializer started; any object with a
@@ -64,18 +76,33 @@ struct EffectSink {
     watermark: usize,
 }
 
-impl EffectSink {
-    fn note_heap_write(&mut self, target: ObjId) {
-        if target.index() < self.watermark {
+impl ExecHooks for EffectSink {
+    fn write(&mut self, r: u32) {
+        if (r as usize) < self.watermark {
             self.fx.foreign_writes += 1;
         }
+    }
+    fn read_static(&mut self, field: FieldId) {
+        self.fx.statics_read.insert(field);
+    }
+    fn write_static(&mut self, field: FieldId) {
+        self.fx.statics_written.insert(field);
+    }
+}
+
+impl Effects for EffectSink {
+    fn io_event(&mut self) {
+        self.fx.io_events += 1;
+    }
+    fn spawn_event(&mut self) {
+        self.fx.spawn_events += 1;
     }
 }
 
 /// Remaining instruction budget for build-time execution.
 ///
 /// Class initializers must terminate; the budget turns accidental infinite
-/// loops into a [`ClinitError::BudgetExhausted`] instead of a hang.
+/// loops into an [`ExecError::BudgetExhausted`] instead of a hang.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepBudget(pub u64);
 
@@ -84,70 +111,6 @@ impl Default for StepBudget {
         StepBudget(50_000_000)
     }
 }
-
-/// An error raised during build-time initializer execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClinitError {
-    /// The step budget ran out (likely a non-terminating initializer).
-    BudgetExhausted,
-    /// Dereferenced null.
-    NullDeref {
-        /// Signature of the executing method.
-        method: String,
-    },
-    /// Array index out of bounds.
-    IndexOutOfBounds {
-        /// Signature of the executing method.
-        method: String,
-        /// The offending index.
-        index: i64,
-        /// Array length.
-        len: usize,
-    },
-    /// Integer division by zero.
-    DivisionByZero {
-        /// Signature of the executing method.
-        method: String,
-    },
-    /// A value had the wrong kind for the operation (a builder bug).
-    TypeMismatch {
-        /// Signature of the executing method.
-        method: String,
-        /// Description of the mismatch.
-        detail: String,
-    },
-    /// Virtual dispatch failed to resolve.
-    NoSuchMethod {
-        /// Receiver class name.
-        class: String,
-        /// Selector name.
-        selector: String,
-    },
-    /// Call stack exceeded the depth limit.
-    StackOverflow,
-}
-
-impl fmt::Display for ClinitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClinitError::BudgetExhausted => write!(f, "build-time step budget exhausted"),
-            ClinitError::NullDeref { method } => write!(f, "null dereference in {method}"),
-            ClinitError::IndexOutOfBounds { method, index, len } => {
-                write!(f, "index {index} out of bounds (len {len}) in {method}")
-            }
-            ClinitError::DivisionByZero { method } => write!(f, "division by zero in {method}"),
-            ClinitError::TypeMismatch { method, detail } => {
-                write!(f, "type mismatch in {method}: {detail}")
-            }
-            ClinitError::NoSuchMethod { class, selector } => {
-                write!(f, "no method {selector} on {class}")
-            }
-            ClinitError::StackOverflow => write!(f, "build-time call stack overflow"),
-        }
-    }
-}
-
-impl Error for ClinitError {}
 
 const MAX_DEPTH: usize = 512;
 
@@ -158,12 +121,12 @@ const MAX_DEPTH: usize = 512;
 /// [`crate::HeapBuildConfig`]).
 ///
 /// # Errors
-/// Propagates the first [`ClinitError`] raised by any initializer.
+/// Propagates the first [`ExecError`] raised by any initializer.
 pub fn run_initializers(
     index: &ProgramIndex<'_>,
     inits: &[MethodId],
     budget: StepBudget,
-) -> Result<BuildHeap, ClinitError> {
+) -> Result<BuildHeap, ExecError> {
     let mut heap = BuildHeap::new();
     let mut budget = budget;
     for &m in inits {
@@ -179,31 +142,31 @@ pub fn run_initializers(
 /// order, the effects of the initializer and everything it called.
 ///
 /// # Errors
-/// Propagates the first [`ClinitError`] raised by any initializer.
+/// Propagates the first [`ExecError`] raised by any initializer.
 pub fn run_initializers_logged(
     index: &ProgramIndex<'_>,
     inits: &[MethodId],
     budget: StepBudget,
-) -> Result<(BuildHeap, EffectLog), ClinitError> {
+) -> Result<(BuildHeap, EffectLog), ExecError> {
     let mut heap = BuildHeap::new();
     let mut budget = budget;
     let mut log = EffectLog::default();
     for &m in inits {
-        let mut sink = Some(EffectSink {
+        let mut sink = EffectSink {
             fx: ClinitEffects::default(),
             watermark: heap.len(),
-        });
-        exec_method_sunk(index, &mut heap, m, vec![], &mut budget, 0, &mut sink)?;
-        log.per_init.push((m, sink.unwrap().fx));
+        };
+        exec_observed(index, &mut heap, m, vec![], &mut budget, 0, &mut sink)?;
+        log.per_init.push((m, sink.fx));
     }
     Ok((heap, log))
 }
 
-/// Executes one method at build time. Public so the snapshot tests and the
-/// microservice framework models can run helper methods directly.
+/// Executes one method at build time, as a class initializer would call
+/// it. Public so tests can run a method at build time directly.
 ///
 /// # Errors
-/// See [`ClinitError`].
+/// See [`ExecError`].
 pub fn exec_method(
     index: &ProgramIndex<'_>,
     heap: &mut BuildHeap,
@@ -211,25 +174,27 @@ pub fn exec_method(
     args: Vec<Value>,
     budget: &mut StepBudget,
     depth: usize,
-) -> Result<Option<Value>, ClinitError> {
-    exec_method_sunk(index, heap, method, args, budget, depth, &mut None)
+) -> Result<Option<Value>, ExecError> {
+    exec_observed(index, heap, method, args, budget, depth, &mut ())
 }
 
-fn exec_method_sunk(
+/// [`exec_method`] reporting its effects to `fx`. Data instructions run
+/// through [`exec_data`]; calls, intrinsics, spawns and terminators run
+/// here.
+fn exec_observed<K: Effects>(
     index: &ProgramIndex<'_>,
     heap: &mut BuildHeap,
     method: MethodId,
     args: Vec<Value>,
     budget: &mut StepBudget,
     depth: usize,
-    sink: &mut Option<EffectSink>,
-) -> Result<Option<Value>, ClinitError> {
+    fx: &mut K,
+) -> Result<Option<Value>, ExecError> {
     let program = index.program();
     if depth > MAX_DEPTH {
-        return Err(ClinitError::StackOverflow);
+        return Err(ExecError::StackOverflow);
     }
     let m = program.method(method);
-    let sig = || program.method_signature(method);
     let mut locals = vec![Value::Null; m.n_locals as usize];
     locals[..args.len()].copy_from_slice(&args);
 
@@ -238,10 +203,48 @@ fn exec_method_sunk(
         let b = &m.blocks[block];
         for ins in &b.instrs {
             if budget.0 == 0 {
-                return Err(ClinitError::BudgetExhausted);
+                return Err(ExecError::BudgetExhausted);
             }
             budget.0 -= 1;
-            exec_instr(index, heap, method, &mut locals, ins, budget, depth, sink)?;
+            match ins {
+                Instr::Call(call) => {
+                    let Call { dst, callee, args } = &**call;
+                    let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
+                    let target = match callee {
+                        Callee::Static(m) => *m,
+                        Callee::Virtual { selector, .. } => {
+                            let class =
+                                receiver_class(program, method, heap, argv.first().copied())?;
+                            program
+                                .resolve_virtual(class, *selector)
+                                .ok_or_else(|| no_such_method(program, class, *selector))?
+                        }
+                    };
+                    let ret = exec_observed(index, heap, target, argv, budget, depth + 1, fx)?;
+                    if let Some(d) = dst {
+                        locals[d.index()] = ret.unwrap_or(Value::Null);
+                    }
+                }
+                // `respond` is a runtime-only event; at build time it is
+                // inert.
+                Instr::Intrinsic(call) => {
+                    let IntrinsicCall { dst, op, args } = &**call;
+                    if *op == Intrinsic::Respond {
+                        fx.io_event();
+                    }
+                    let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
+                    let v = eval_intrinsic(*op, &argv);
+                    if let Some(d) = dst {
+                        locals[d.index()] = v.unwrap_or(Value::Null);
+                    }
+                }
+                // Threads cannot be started at image build time; the spawn
+                // becomes a recorded no-op, like Native Image rejecting
+                // runtime-only operations in initializers that it then
+                // defers to run time.
+                Instr::Spawn(_) => fx.spawn_event(),
+                data => exec_data(index, heap, method, &mut locals, data, fx)?,
+            }
         }
         match &b.terminator {
             Terminator::Ret(v) => return Ok(v.map(|l| locals[l.index()])),
@@ -251,324 +254,20 @@ fn exec_method_sunk(
                 then_blk,
                 else_blk,
             } => {
-                let c = match locals[cond.index()] {
-                    Value::Bool(b) => b,
-                    other => {
-                        return Err(ClinitError::TypeMismatch {
-                            method: sig(),
-                            detail: format!("branch on non-bool {other:?}"),
-                        })
-                    }
-                };
-                block = if c {
-                    then_blk.index()
-                } else {
-                    else_blk.index()
+                block = match locals[cond.index()] {
+                    Value::Bool(true) => then_blk.index(),
+                    Value::Bool(false) => else_blk.index(),
+                    other => return Err(branch_error(program, method, other)),
                 };
             }
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_instr(
-    index: &ProgramIndex<'_>,
-    heap: &mut BuildHeap,
-    method: MethodId,
-    locals: &mut [Value],
-    ins: &Instr,
-    budget: &mut StepBudget,
-    depth: usize,
-    sink: &mut Option<EffectSink>,
-) -> Result<(), ClinitError> {
-    let program = index.program();
-    let sig = || program.method_signature(method);
-    let type_err = |detail: String| ClinitError::TypeMismatch {
-        method: program.method_signature(method),
-        detail,
-    };
-    match ins {
-        Instr::ConstInt(d, v) => locals[d.index()] = Value::Int(*v),
-        Instr::ConstDouble(d, v) => locals[d.index()] = Value::Double(*v),
-        Instr::ConstBool(d, v) => locals[d.index()] = Value::Bool(*v),
-        Instr::ConstStr(d, s) => {
-            let o = heap.intern(s);
-            locals[d.index()] = Value::Ref(o.0);
-        }
-        Instr::ConstNull(d) => locals[d.index()] = Value::Null,
-        Instr::Move(d, s) => locals[d.index()] = locals[s.index()],
-        Instr::Bin(op, d, a, b) => {
-            locals[d.index()] =
-                eval_bin(*op, locals[a.index()], locals[b.index()]).ok_or_else(|| match op {
-                    BinOp::Div | BinOp::Rem => ClinitError::DivisionByZero { method: sig() },
-                    _ => type_err(format!("{op:?} on incompatible operands")),
-                })?;
-        }
-        Instr::Un(op, d, a) => {
-            locals[d.index()] = eval_un(*op, locals[a.index()])
-                .ok_or_else(|| type_err(format!("{op:?} on incompatible operand")))?;
-        }
-        Instr::New(d, c) => {
-            let o = heap.alloc_instance(index, *c);
-            locals[d.index()] = Value::Ref(o.0);
-        }
-        Instr::NewArray(d, elem, len) => {
-            let n = as_int(locals[len.index()]).ok_or_else(|| type_err("array length".into()))?;
-            if n < 0 {
-                return Err(ClinitError::IndexOutOfBounds {
-                    method: sig(),
-                    index: n,
-                    len: 0,
-                });
-            }
-            let o = heap.alloc_array((**elem).clone(), n as usize);
-            locals[d.index()] = Value::Ref(o.0);
-        }
-        Instr::GetField(d, obj, fid) => {
-            let o = deref(locals[obj.index()], &sig)?;
-            let idx = field_slot(index, heap, o, *fid, &sig)?;
-            locals[d.index()] = instance_fields(heap, o)[idx];
-        }
-        Instr::PutField(obj, fid, src) => {
-            let o = deref(locals[obj.index()], &sig)?;
-            let idx = field_slot(index, heap, o, *fid, &sig)?;
-            let v = locals[src.index()];
-            if let Some(s) = sink {
-                s.note_heap_write(o);
-            }
-            instance_fields_mut(heap, o)[idx] = v;
-        }
-        Instr::GetStatic(d, fid) => {
-            if let Some(s) = sink {
-                s.fx.statics_read.insert(*fid);
-            }
-            locals[d.index()] = heap.static_value(program, *fid);
-        }
-        Instr::PutStatic(fid, src) => {
-            if let Some(s) = sink {
-                s.fx.statics_written.insert(*fid);
-            }
-            heap.set_static(*fid, locals[src.index()]);
-        }
-        Instr::ArrayGet(d, arr, idx) => {
-            let o = deref(locals[arr.index()], &sig)?;
-            let i = as_int(locals[idx.index()]).ok_or_else(|| type_err("array index".into()))?;
-            let elems = array_elems(heap, o, &sig)?;
-            let len = elems.len();
-            if i < 0 || i as usize >= len {
-                return Err(ClinitError::IndexOutOfBounds {
-                    method: sig(),
-                    index: i,
-                    len,
-                });
-            }
-            locals[d.index()] = elems[i as usize];
-        }
-        Instr::ArraySet(arr, idx, src) => {
-            let o = deref(locals[arr.index()], &sig)?;
-            let i = as_int(locals[idx.index()]).ok_or_else(|| type_err("array index".into()))?;
-            let v = locals[src.index()];
-            if let Some(s) = sink {
-                s.note_heap_write(o);
-            }
-            let elems = array_elems_mut(heap, o, &sig)?;
-            let len = elems.len();
-            if i < 0 || i as usize >= len {
-                return Err(ClinitError::IndexOutOfBounds {
-                    method: sig(),
-                    index: i,
-                    len,
-                });
-            }
-            elems[i as usize] = v;
-        }
-        Instr::ArrayLen(d, arr) => {
-            let o = deref(locals[arr.index()], &sig)?;
-            let len = array_elems(heap, o, &sig)?.len();
-            locals[d.index()] = Value::Int(len as i64);
-        }
-        Instr::StrLen(d, s) => {
-            let o = deref(locals[s.index()], &sig)?;
-            let len = str_content(heap, o, &sig)?.len();
-            locals[d.index()] = Value::Int(len as i64);
-        }
-        Instr::StrCharAt(d, s, i) => {
-            let o = deref(locals[s.index()], &sig)?;
-            let idx = as_int(locals[i.index()]).ok_or_else(|| type_err("charAt index".into()))?;
-            let content = str_content(heap, o, &sig)?;
-            let ch = content
-                .as_bytes()
-                .get(idx as usize)
-                .copied()
-                .ok_or_else(|| ClinitError::IndexOutOfBounds {
-                    method: sig(),
-                    index: idx,
-                    len: content.len(),
-                })?;
-            locals[d.index()] = Value::Int(i64::from(ch));
-        }
-        Instr::StrConcat(d, a, b) => {
-            let s = format!(
-                "{}{}",
-                display_value(heap, locals[a.index()]),
-                display_value(heap, locals[b.index()])
-            );
-            let o = heap.alloc(HObjectKind::Str(s));
-            locals[d.index()] = Value::Ref(o.0);
-        }
-        Instr::Call(call) => {
-            let Call { dst, callee, args } = &**call;
-            let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
-            let target = match callee {
-                Callee::Static(m) => *m,
-                Callee::Virtual { selector, .. } => {
-                    let recv = deref(argv[0], &sig)?;
-                    let class = match &heap.get(recv).kind {
-                        HObjectKind::Instance { class, .. } => *class,
-                        other => {
-                            return Err(type_err(format!("virtual call on {other:?}")));
-                        }
-                    };
-                    program.resolve_virtual(class, *selector).ok_or_else(|| {
-                        ClinitError::NoSuchMethod {
-                            class: program.class(class).name.clone(),
-                            selector: program.selector_name(*selector).to_string(),
-                        }
-                    })?
-                }
-            };
-            let ret = exec_method_sunk(index, heap, target, argv, budget, depth + 1, sink)?;
-            if let Some(d) = dst {
-                locals[d.index()] = ret.unwrap_or(Value::Null);
-            }
-        }
-        Instr::Intrinsic(call) => {
-            let IntrinsicCall { dst, op, args } = &**call;
-            if *op == Intrinsic::Respond {
-                if let Some(s) = sink {
-                    s.fx.io_events += 1;
-                }
-            }
-            // `respond` is a runtime-only event; at build time it is inert.
-            let argv: Vec<Value> = args.iter().map(|l| locals[l.index()]).collect();
-            let v = eval_intrinsic(*op, &argv);
-            if let Some(d) = dst {
-                locals[d.index()] = v.unwrap_or(Value::Null);
-            }
-        }
-        // Threads cannot be started at image build time; the spawn becomes
-        // a recorded no-op, like Native Image rejecting runtime-only
-        // operations in initializers that it then defers to run time.
-        Instr::Spawn { .. } => {
-            if let Some(s) = sink {
-                s.fx.spawn_events += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn as_int(v: Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(i),
-        _ => None,
-    }
-}
-
-fn deref(v: Value, sig: &dyn Fn() -> String) -> Result<ObjId, ClinitError> {
-    v.referent()
-        .map(ObjId)
-        .ok_or_else(|| ClinitError::NullDeref { method: sig() })
-}
-
-fn field_slot(
-    index: &ProgramIndex<'_>,
-    heap: &BuildHeap,
-    o: ObjId,
-    fid: nimage_ir::FieldId,
-    sig: &dyn Fn() -> String,
-) -> Result<usize, ClinitError> {
-    match &heap.get(o).kind {
-        HObjectKind::Instance { class, .. } => Ok(BuildHeap::field_index(index, *class, fid)),
-        other => Err(ClinitError::TypeMismatch {
-            method: sig(),
-            detail: format!("field access on {other:?}"),
-        }),
-    }
-}
-
-fn instance_fields(heap: &BuildHeap, o: ObjId) -> &[Value] {
-    match &heap.get(o).kind {
-        HObjectKind::Instance { fields, .. } => fields,
-        _ => unreachable!("checked by field_slot"),
-    }
-}
-
-fn instance_fields_mut(heap: &mut BuildHeap, o: ObjId) -> &mut [Value] {
-    match &mut heap.get_mut(o).kind {
-        HObjectKind::Instance { fields, .. } => fields,
-        _ => unreachable!("checked by field_slot"),
-    }
-}
-
-fn array_elems<'h>(
-    heap: &'h BuildHeap,
-    o: ObjId,
-    sig: &dyn Fn() -> String,
-) -> Result<&'h [Value], ClinitError> {
-    match &heap.get(o).kind {
-        HObjectKind::Array { elems, .. } => Ok(elems),
-        other => Err(ClinitError::TypeMismatch {
-            method: sig(),
-            detail: format!("array access on {other:?}"),
-        }),
-    }
-}
-
-fn array_elems_mut<'h>(
-    heap: &'h mut BuildHeap,
-    o: ObjId,
-    sig: &dyn Fn() -> String,
-) -> Result<&'h mut Vec<Value>, ClinitError> {
-    match &mut heap.get_mut(o).kind {
-        HObjectKind::Array { elems, .. } => Ok(elems),
-        other => Err(ClinitError::TypeMismatch {
-            method: sig(),
-            detail: format!("array access on {other:?}"),
-        }),
-    }
-}
-
-fn str_content<'h>(
-    heap: &'h BuildHeap,
-    o: ObjId,
-    sig: &dyn Fn() -> String,
-) -> Result<&'h str, ClinitError> {
-    match &heap.get(o).kind {
-        HObjectKind::Str(s) => Ok(s),
-        other => Err(ClinitError::TypeMismatch {
-            method: sig(),
-            detail: format!("string op on {other:?}"),
-        }),
-    }
-}
-
-fn display_value(heap: &BuildHeap, v: Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Double(d) => format!("{d}"),
-        Value::Ref(o) => match &heap.get(ObjId(o)).kind {
-            HObjectKind::Str(s) => s.clone(),
-            other => format!("<{other:?}>"),
-        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::{HObjectKind, ObjId};
     use nimage_compiler::DEFAULT_MAX_PATHS;
     use nimage_ir::{ProgramBuilder, TypeRef};
 
@@ -664,7 +363,7 @@ mod tests {
             StepBudget(10_000),
         )
         .unwrap_err();
-        assert_eq!(err, ClinitError::BudgetExhausted);
+        assert_eq!(err, ExecError::BudgetExhausted);
     }
 
     #[test]
@@ -685,7 +384,37 @@ mod tests {
             StepBudget::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, ClinitError::NullDeref { .. }));
+        assert!(matches!(err, ExecError::NullDeref { .. }));
+    }
+
+    /// A field outside the receiver's layout is the VM's type mismatch,
+    /// not a panic.
+    #[test]
+    fn field_outside_the_layout_is_a_type_mismatch() {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("t.A", None);
+        let b = pb.add_class("t.B", None);
+        let bx = pb.add_instance_field(b, "x", TypeRef::Int);
+        let cl = pb.declare_clinit(a);
+        let mut f = pb.body(cl);
+        let o = f.new_object(a);
+        let _ = f.get_field(o, bx);
+        f.ret(None);
+        pb.finish_body(cl, f);
+        let p = pb.build().unwrap();
+        let err = run_initializers(
+            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
+            &[cl],
+            StepBudget::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::TypeMismatch {
+                method: p.method_signature(cl),
+                detail: "field t.B.x not on t.A".into(),
+            }
+        );
     }
 
     #[test]

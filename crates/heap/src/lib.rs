@@ -4,7 +4,9 @@
 //! Image's *heap snapshotting* (Sec. 2 of the paper).
 //!
 //! At image build time, the class initializers of all reachable classes are
-//! executed by a small interpreter ([`run_initializers`]); the resulting
+//! executed by a small interpreter ([`run_initializers`]), whose data
+//! instructions run through the function the VM's reference interpreter
+//! runs them with ([`exec`]); the resulting
 //! object graph is then traversed in a well-defined order
 //! ([`snapshot`]) starting from
 //!
@@ -34,13 +36,14 @@
 #![warn(missing_docs)]
 
 mod clinit;
+pub mod exec;
 mod object;
 mod snapshot;
 
 pub use clinit::{
-    exec_method, run_initializers, run_initializers_logged, ClinitEffects, ClinitError, EffectLog,
-    StepBudget,
+    exec_method, run_initializers, run_initializers_logged, ClinitEffects, EffectLog, StepBudget,
 };
+pub use exec::{ExecError, ExecHeap, ExecHooks};
 pub use object::{BuildHeap, HObject, HObjectKind, ObjId};
 pub use snapshot::{
     init_order, snapshot, HeapBuildConfig, HeapSnapshot, InclusionReason, ParentLink, SnapEntry,

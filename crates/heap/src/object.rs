@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use nimage_compiler::ProgramIndex;
 use nimage_ir::{ClassId, FieldId, Program, TypeRef, Value};
 
 /// Index of an object in a [`BuildHeap`].
@@ -142,23 +141,6 @@ impl BuildHeap {
         id
     }
 
-    /// Allocates a new instance of `class` with default field values.
-    pub fn alloc_instance(&mut self, index: &ProgramIndex<'_>, class: ClassId) -> ObjId {
-        let program = index.program();
-        let fields = index
-            .layout(class)
-            .iter()
-            .map(|&f| Value::default_for(&program.field(f).ty))
-            .collect();
-        self.alloc(HObjectKind::Instance { class, fields })
-    }
-
-    /// Allocates an array of `len` default-valued elements.
-    pub fn alloc_array(&mut self, elem: TypeRef, len: usize) -> ObjId {
-        let elems = vec![Value::default_for(&elem); len];
-        self.alloc(HObjectKind::Array { elem, elems })
-    }
-
     /// Returns the interned string object for `s`, allocating it on first
     /// use (Java string interning).
     pub fn intern(&mut self, s: &str) -> ObjId {
@@ -233,25 +215,13 @@ impl BuildHeap {
             interned,
         }
     }
-
-    /// The layout index of instance field `fid` in objects of class `class`.
-    ///
-    /// # Panics
-    /// Panics if the field is not part of the class's layout.
-    pub fn field_index(index: &ProgramIndex<'_>, class: ClassId, fid: FieldId) -> usize {
-        index.field_slot(class, fid).unwrap_or_else(|| {
-            panic!(
-                "field {} not in layout of {}",
-                index.field_sig(fid),
-                index.program().class(class).name
-            )
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::new_instance;
+    use nimage_compiler::ProgramIndex;
     use nimage_compiler::DEFAULT_MAX_PATHS;
     use nimage_ir::ProgramBuilder;
 
@@ -269,19 +239,14 @@ mod tests {
     fn instance_layout_includes_inherited_fields() {
         let (p, _a, b, fa, fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
+        let o = h.alloc(new_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b));
         match &h.get(o).kind {
             HObjectKind::Instance { fields, .. } => assert_eq!(fields.len(), 2),
             _ => panic!("not an instance"),
         }
-        assert_eq!(
-            BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fa),
-            0
-        );
-        assert_eq!(
-            BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fb),
-            1
-        );
+        let index = ProgramIndex::new(&p, DEFAULT_MAX_PATHS);
+        assert_eq!(index.field_slot(b, fa), Some(0));
+        assert_eq!(index.field_slot(b, fb), Some(1));
     }
 
     #[test]
@@ -303,11 +268,17 @@ mod tests {
     fn sizes_reflect_payload() {
         let (p, _a, b, _fa, _fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
+        let o = h.alloc(new_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b));
         assert_eq!(h.get(o).size_bytes(), 16 + 16);
-        let arr = h.alloc_array(TypeRef::Int, 10);
+        let arr = h.alloc(HObjectKind::Array {
+            elem: TypeRef::Int,
+            elems: vec![Value::Int(0); 10],
+        });
         assert_eq!(h.get(arr).size_bytes(), 24 + 80);
-        let barr = h.alloc_array(TypeRef::Bool, 10);
+        let barr = h.alloc(HObjectKind::Array {
+            elem: TypeRef::Bool,
+            elems: vec![Value::Bool(false); 10],
+        });
         assert_eq!(h.get(barr).size_bytes(), 24 + 10);
         let s = h.intern("abcd");
         assert_eq!(h.get(s).size_bytes(), 28);
@@ -317,9 +288,11 @@ mod tests {
     fn references_follow_layout_order() {
         let (p, _a, b, _fa, fb) = two_class_program();
         let mut h = BuildHeap::new();
-        let o1 = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
-        let o2 = h.alloc_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b);
-        let idx = BuildHeap::field_index(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b, fb);
+        let o1 = h.alloc(new_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b));
+        let o2 = h.alloc(new_instance(&ProgramIndex::new(&p, DEFAULT_MAX_PATHS), b));
+        let idx = ProgramIndex::new(&p, DEFAULT_MAX_PATHS)
+            .field_slot(b, fb)
+            .unwrap();
         if let HObjectKind::Instance { fields, .. } = &mut h.get_mut(o1).kind {
             fields[idx] = Value::Ref(o2.0);
         }

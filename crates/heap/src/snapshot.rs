@@ -11,7 +11,8 @@ use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, CuId, ProgramIndex};
 use nimage_ir::{ClassId, FieldId, Instr, MethodId, Program};
 
-use crate::clinit::{run_initializers, ClinitError, StepBudget};
+use crate::clinit::{run_initializers, StepBudget};
+use crate::exec::ExecError;
 use crate::object::{BuildHeap, HObject, HObjectKind, ObjId};
 
 /// Why an object became a root of the heap object graph (Sec. 5.3).
@@ -270,12 +271,12 @@ pub fn init_order(program: &Program, reach: &Reachability, cfg: &HeapBuildConfig
 /// Runs the reachable class initializers and snapshots the heap.
 ///
 /// # Errors
-/// Propagates build-time execution failures ([`ClinitError`]).
+/// Propagates build-time execution failures ([`ExecError`]).
 pub fn snapshot(
     index: &ProgramIndex<'_>,
     compiled: &CompiledProgram,
     cfg: &HeapBuildConfig,
-) -> Result<HeapSnapshot, ClinitError> {
+) -> Result<HeapSnapshot, ExecError> {
     let program = index.program();
     let reach = &compiled.reachability;
     let inits = init_order(program, reach, cfg);

@@ -12,11 +12,12 @@
 //! `Int` and `Double` cells of [`eval_un`] are [`eval_int_un`] and
 //! [`eval_double_un`]; `eval_bin` / `eval_un` match the operand tags,
 //! delegate to them and hold the Bool, reference and null cells
-//! themselves. The build-time interpreter and the VM's reference
-//! interpreter call `eval_bin` / `eval_un`. The VM's lowered engine
-//! matches the tags of its operands where they lie and calls the typed
-//! cells directly; any other operand pair, and any typed cell without a
-//! value, goes through `eval_bin` / `eval_un`.
+//! themselves. The one data-op function of the build-time interpreter
+//! and the VM's reference interpreter, `nimage_heap::exec::exec_data`,
+//! and the VM's lowered engine match the tags of their operands where
+//! they lie and call the typed cells directly; any other operand pair,
+//! and any typed cell without a value, goes through `eval_bin` /
+//! `eval_un`.
 
 use crate::instr::{BinOp, Intrinsic, UnOp};
 use crate::types::TypeRef;

@@ -12,12 +12,16 @@
 use std::sync::Arc;
 
 use nimage_compiler::{CallCountProfile, CompiledProgram, CuId, ProgramIndex};
-use nimage_heap::{HObjectKind, HeapSnapshot, ObjId};
+use nimage_heap::exec::{
+    array_len, bin_error, branch_error, char_at, display_value, exec_data, field_slot, int_of,
+    kind_error, no_such_method, out_of_bounds, receiver_class, ref_of, str_of, un_error,
+};
+use nimage_heap::{ExecError, ExecHeap, ExecHooks, HObjectKind, HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_ir::{
     eval_bin, eval_double_bin, eval_double_un, eval_int_bin, eval_int_un, eval_intrinsic, eval_un,
-    BinOp, Call, Callee, Instr, Intrinsic, IntrinsicCall, Local, MethodId, Program, Spawn,
-    Terminator, UnOp, Value,
+    Call, Callee, Instr, Intrinsic, IntrinsicCall, Local, MethodId, Program, Spawn, Terminator,
+    Value,
 };
 use nimage_profiler::{DumpMode, ThreadHandle, TraceSession};
 use nimage_trace::Tracer;
@@ -101,38 +105,12 @@ pub enum StopWhen {
     FirstResponse,
 }
 
-/// A runtime error (mirrors the build-time [`nimage_heap::ClinitError`]).
+/// A runtime error: an instruction's failure, which the build-time
+/// interpreter raises alike, or one only a VM run can hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
-    /// Null dereference.
-    NullDeref {
-        /// Signature of the executing method.
-        method: String,
-    },
-    /// Out-of-bounds array or string index.
-    IndexOutOfBounds {
-        /// Signature of the executing method.
-        method: String,
-    },
-    /// Division by zero.
-    DivisionByZero {
-        /// Signature of the executing method.
-        method: String,
-    },
-    /// Operand kind mismatch (a workload-builder bug).
-    TypeMismatch {
-        /// Signature of the executing method.
-        method: String,
-        /// Details.
-        detail: String,
-    },
-    /// Virtual dispatch failure.
-    NoSuchMethod {
-        /// Receiver class.
-        class: String,
-        /// Selector.
-        selector: String,
-    },
+    /// An instruction failed.
+    Exec(ExecError),
     /// A call target had no compilation unit (compiler invariant breach).
     MissingCu {
         /// Signature of the target method.
@@ -149,15 +127,7 @@ pub enum VmError {
 impl std::fmt::Display for VmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VmError::NullDeref { method } => write!(f, "null dereference in {method}"),
-            VmError::IndexOutOfBounds { method } => write!(f, "index out of bounds in {method}"),
-            VmError::DivisionByZero { method } => write!(f, "division by zero in {method}"),
-            VmError::TypeMismatch { method, detail } => {
-                write!(f, "type mismatch in {method}: {detail}")
-            }
-            VmError::NoSuchMethod { class, selector } => {
-                write!(f, "no method {selector} on {class}")
-            }
+            VmError::Exec(e) => e.fmt(f),
             VmError::MissingCu { method } => write!(f, "no compilation unit for {method}"),
             VmError::Config { detail } => write!(f, "invalid VM configuration: {detail}"),
         }
@@ -165,6 +135,12 @@ impl std::fmt::Display for VmError {
 }
 
 impl std::error::Error for VmError {}
+
+impl From<ExecError> for VmError {
+    fn from(e: ExecError) -> Self {
+        VmError::Exec(e)
+    }
+}
 
 impl From<PagingConfigError> for VmError {
     fn from(e: PagingConfigError) -> Self {
@@ -394,11 +370,6 @@ impl<'a> Vm<'a> {
         self.compiled.instrumentation.trace_heap
     }
 
-    /// Runtime error helper.
-    fn err_sig(&self, m: MethodId) -> String {
-        self.program.method_signature(m)
-    }
-
     /// A new locals buffer for a frame of `method`: `args`, then nulls.
     /// The reference interpreter's; the lowered engine recycles buffers
     /// ([`Vm::callee_locals`]).
@@ -485,7 +456,7 @@ impl<'a> Vm<'a> {
             None => self.compiled.cu_of_root(method),
         }
         .ok_or_else(|| VmError::MissingCu {
-            method: self.err_sig(method),
+            method: self.program.method_signature(method),
         })?;
         // Fault the CU's lowering shard in on first entry (no-op once
         // realized; a whole-program lowering never hits the slow path). The
@@ -611,22 +582,7 @@ impl<'a> Vm<'a> {
     /// Touches the `.svm_heap` bytes of an object access; `true` when the
     /// object is in the image.
     fn touch_object(&mut self, r: u32, byte_offset: u64) -> bool {
-        touch_heap(&self.heap, &mut self.touches, r, byte_offset)
-    }
-
-    /// Records a traced heap access (paging + pending trace id + probe cost).
-    fn heap_access(&mut self, thread: usize, r: u32, byte_offset: u64) {
-        let in_image = self.touch_object(r, byte_offset);
-        if self.trace_heap() {
-            let id = trace_id(r, in_image);
-            self.probe_ops += self.config.probe_costs.obj_id * self.probe_scale;
-            self.threads[thread]
-                .frames
-                .last_mut()
-                .expect("frame")
-                .pending
-                .push(id);
-        }
+        touch_heap(self.heap.snapshot_len(), &mut self.touches, r, byte_offset)
     }
 
     /// Runs the program on the pre-lowered engine: index-driven dispatch
@@ -664,7 +620,8 @@ impl<'a> Vm<'a> {
 
     /// Runs the program on the reference interpreter: a tree-walker over
     /// the IR itself, sharing no dispatch code with [`Vm::run`] and ignoring
-    /// any [`VmBuilder::lowered`] program. It is the differential oracle —
+    /// any [`VmBuilder::lowered`] program. Its data instructions run
+    /// through [`exec_data`], as the build-time interpreter's do. It is the differential oracle —
     /// every observable (report, trace, faults) must be bit-identical to
     /// [`Vm::run`]'s, which `core/tests/lowered_determinism.rs` pins — and
     /// has no other caller; nothing in a configuration selects it.
@@ -888,23 +845,16 @@ impl<'a> Vm<'a> {
         let locals = &mut locals[..];
         let heap = &mut self.heap;
         let touches = &mut self.touches;
-        let mismatch = |detail: String| VmError::TypeMismatch {
-            method: program.method_signature(method),
-            detail,
-        };
-        let out_of_bounds = || VmError::IndexOutOfBounds {
-            method: program.method_signature(method),
-        };
         let mut pc = *ip;
         let mut n = 0;
         let mut probe = 0;
         let mut end = FastEnd::Ran;
         let mut cut_to = None;
         // A heap access: its first touch and, on heap-traced builds, the
-        // object's trace id and probe cost (`Vm::heap_access`).
+        // object's trace id and probe cost (`RefHooks::access`).
         macro_rules! access {
             ($r:expr, $offset:expr) => {{
-                let in_image = touch_heap(heap, touches, $r, $offset);
+                let in_image = touch_heap(heap.snapshot_len(), touches, $r, $offset);
                 if trace_heap {
                     probe += obj_cost;
                     pending.push(trace_id($r, in_image));
@@ -967,7 +917,7 @@ impl<'a> Vm<'a> {
                     };
                     if done.is_none() {
                         let (va, vb) = (locals[a.index()], locals[b.index()]);
-                        return Err(bin_error(program, method, *op, va, vb));
+                        return Err(bin_error(program, method, *op, va, vb).into());
                     }
                 }
                 LoweredInstr::Un(op, d, a) => {
@@ -978,7 +928,7 @@ impl<'a> Vm<'a> {
                         va => eval_un(*op, va).map(|v| locals[d] = v),
                     };
                     if done.is_none() {
-                        return Err(un_error(program, method, *op, locals[a.index()]));
+                        return Err(un_error(program, method, *op, locals[a.index()]).into());
                     }
                 }
                 LoweredInstr::Jump(e) => edge!(e),
@@ -988,19 +938,24 @@ impl<'a> Vm<'a> {
                     else_e,
                 } => match locals[cond.index()] {
                     Value::Bool(c) => edge!(if c { then_e } else { else_e }),
-                    other => return Err(mismatch(format!("branch on {other:?}"))),
+                    other => return Err(branch_error(program, method, other).into()),
                 },
                 LoweredInstr::GetField(d, obj, fid) => {
                     let r = ref_of(program, method, locals[obj.index()])?;
-                    let (slot, v) = field_slot(program, lp, heap, r, *fid, method)?;
+                    let (slot, v) = field_slot(program, method, heap.object(r), *fid, |c| {
+                        lp.field_slot(c, *fid)
+                    })?;
                     access!(r, 16 + 8 * slot as u64);
                     locals[d.index()] = v;
                 }
                 LoweredInstr::PutField(obj, fid, src) => {
                     let r = ref_of(program, method, locals[obj.index()])?;
-                    let slot = field_slot(program, lp, heap, r, *fid, method)?.0;
+                    let slot = field_slot(program, method, heap.object(r), *fid, |c| {
+                        lp.field_slot(c, *fid)
+                    })?
+                    .0;
                     access!(r, 16 + 8 * slot as u64);
-                    match heap.get_mut(r) {
+                    match heap.object_mut(r) {
                         HObjectKind::Instance { fields, .. } => fields[slot] = locals[src.index()],
                         _ => unreachable!("field_slot checked"),
                     }
@@ -1008,12 +963,14 @@ impl<'a> Vm<'a> {
                 LoweredInstr::ArrayGet(d, arr, idx) => {
                     let r = ref_of(program, method, locals[arr.index()])?;
                     let i = int_of(program, method, locals[idx.index()])?;
-                    let v = match heap.get(r) {
+                    let v = match heap.object(r) {
                         HObjectKind::Array { elems, .. } => *usize::try_from(i)
                             .ok()
                             .and_then(|i| elems.get(i))
-                            .ok_or_else(out_of_bounds)?,
-                        other => return Err(mismatch(format!("array access on {other:?}"))),
+                            .ok_or_else(|| out_of_bounds(program, method, i, elems.len()))?,
+                        other => {
+                            return Err(kind_error(program, method, "array access", other).into())
+                        }
                     };
                     access!(r, 24 + 8 * i as u64);
                     locals[d.index()] = v;
@@ -1021,15 +978,17 @@ impl<'a> Vm<'a> {
                 LoweredInstr::ArraySet(arr, idx, src) => {
                     let r = ref_of(program, method, locals[arr.index()])?;
                     let i = int_of(program, method, locals[idx.index()])?;
-                    let at = match heap.get(r) {
+                    let at = match heap.object(r) {
                         HObjectKind::Array { elems, .. } => usize::try_from(i)
                             .ok()
                             .filter(|&i| i < elems.len())
-                            .ok_or_else(out_of_bounds)?,
-                        other => return Err(mismatch(format!("array access on {other:?}"))),
+                            .ok_or_else(|| out_of_bounds(program, method, i, elems.len()))?,
+                        other => {
+                            return Err(kind_error(program, method, "array access", other).into())
+                        }
                     };
                     access!(r, 24 + 8 * at as u64);
-                    match heap.get_mut(r) {
+                    match heap.object_mut(r) {
                         HObjectKind::Array { elems, .. } => elems[at] = locals[src.index()],
                         _ => unreachable!("checked above"),
                     }
@@ -1062,12 +1021,10 @@ impl<'a> Vm<'a> {
         let method = frame.method;
         let block = frame.block;
         let ip = frame.ip;
-        let m = self.program.method(method);
-        if ip < m.blocks[block].instrs.len() {
-            // Clone is avoided: instructions are small except Call/Spawn
-            // argument vectors.
-            let ins = m.blocks[block].instrs[ip].clone();
-            self.exec_instr(t, method, &ins)?;
+        // Borrowed through the `&'a Program`, not through `self`.
+        let program = self.program;
+        if let Some(ins) = program.method(method).blocks[block].instrs.get(ip) {
+            self.exec_instr(t, method, ins)?;
             // exec_instr may have pushed a frame; ip of *this* frame was
             // already advanced inside exec_instr for calls. For non-calls,
             // advance here.
@@ -1113,7 +1070,7 @@ impl<'a> Vm<'a> {
                 let r = if cached != u32::MAX {
                     cached
                 } else {
-                    let r = self.heap.intern(lp.string(*sidx));
+                    let r = self.heap.intern_str(lp.string(*sidx));
                     self.str_refs[*sidx as usize] = r;
                     r
                 };
@@ -1122,70 +1079,54 @@ impl<'a> Vm<'a> {
             }
             LoweredInstr::New(d, c) => {
                 let fields = lp.field_defaults(*c).to_vec();
-                let r = self.heap.alloc(HObjectKind::Instance { class: *c, fields });
+                let r = self
+                    .heap
+                    .alloc_object(HObjectKind::Instance { class: *c, fields });
                 self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::NewArray(d, elem, len) => {
-                let n = self.as_int(t, *len, method)?;
-                if n < 0 {
-                    return Err(VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    });
-                }
-                let r = self.heap.alloc(HObjectKind::Array {
+                let n = int_of(self.program, method, self.local(t, *len))?;
+                let n =
+                    usize::try_from(n).map_err(|_| out_of_bounds(self.program, method, n, 0))?;
+                let r = self.heap.alloc_object(HObjectKind::Array {
                     elem: elem.clone(),
-                    elems: vec![Value::default_for(elem); n as usize],
+                    elems: vec![Value::default_for(elem); n],
                 });
                 self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::GetStatic(d, fid) => {
-                let v = self.heap.static_value(*fid);
+                let v = self.heap.read_static(self.program, *fid);
                 self.set_local(t, *d, v);
             }
             LoweredInstr::PutStatic(fid, src) => {
                 let v = self.local(t, *src);
-                self.heap.set_static(*fid, v);
+                self.heap.write_static(*fid, v);
             }
             LoweredInstr::ArrayLen(d, arr) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let n = match self.heap.get(r) {
-                    HObjectKind::Array { elems, .. } => elems.len() as i64,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("array length on {other:?}"),
-                        })
-                    }
-                };
+                let r = ref_of(self.program, method, self.local(t, *arr))?;
+                let n = array_len(self.program, method, self.heap.object(r))?;
                 self.touch_object(r, 0);
                 self.set_local(t, *d, Value::Int(n));
             }
             LoweredInstr::StrLen(d, s) => {
-                let r = self.as_ref_val(t, *s, method)?;
-                let n = self.str_content(r, method)?.len() as i64;
+                let r = ref_of(self.program, method, self.local(t, *s))?;
+                let n = str_of(self.program, method, self.heap.object(r))?.len() as i64;
                 self.touch_object(r, 0);
                 self.set_local(t, *d, Value::Int(n));
             }
             LoweredInstr::StrCharAt(d, s, i) => {
-                let r = self.as_ref_val(t, *s, method)?;
-                let idx = self.as_int(t, *i, method)?;
-                let content = self.str_content(r, method)?;
-                let ch = content
-                    .as_bytes()
-                    .get(usize::try_from(idx).map_err(|_| VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    })?)
-                    .copied()
-                    .ok_or_else(|| VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    })?;
-                self.touch_object(r, 24 + idx as u64);
-                self.set_local(t, *d, Value::Int(i64::from(ch)));
+                let r = ref_of(self.program, method, self.local(t, *s))?;
+                let at = int_of(self.program, method, self.local(t, *i))?;
+                let ch = char_at(self.program, method, self.heap.object(r), at)?;
+                self.touch_object(r, 24 + at as u64);
+                self.set_local(t, *d, Value::Int(ch));
             }
             LoweredInstr::StrConcat(d, a, b) => {
-                let sa = self.display_value(self.local(t, *a));
-                let sb = self.display_value(self.local(t, *b));
-                let r = self.heap.alloc(HObjectKind::Str(format!("{sa}{sb}")));
+                let sa = display_value(&self.heap, self.local(t, *a));
+                let sb = display_value(&self.heap, self.local(t, *b));
+                let r = self
+                    .heap
+                    .alloc_object(HObjectKind::Str(format!("{sa}{sb}")));
                 self.set_local(t, *d, Value::Ref(r));
             }
             LoweredInstr::Call {
@@ -1199,28 +1140,10 @@ impl<'a> Vm<'a> {
                 let target_m = match target {
                     LoweredCallee::Static(m2) => *m2,
                     LoweredCallee::Virtual(sel) => {
-                        let recv = match args.first().map(|&l| self.local(t, l)) {
-                            Some(Value::Ref(r)) => r,
-                            _ => {
-                                return Err(VmError::NullDeref {
-                                    method: self.err_sig(method),
-                                })
-                            }
-                        };
-                        let class = match self.heap.get(recv) {
-                            HObjectKind::Instance { class, .. } => *class,
-                            other => {
-                                return Err(VmError::TypeMismatch {
-                                    method: self.err_sig(method),
-                                    detail: format!("virtual call on {other:?}"),
-                                })
-                            }
-                        };
+                        let recv = args.first().map(|&l| self.local(t, l));
+                        let class = receiver_class(self.program, method, &self.heap, recv)?;
                         lp.resolve_virtual(class, *sel)
-                            .ok_or_else(|| VmError::NoSuchMethod {
-                                class: self.program.class(class).name.clone(),
-                                selector: self.program.selector_name(*sel).to_string(),
-                            })?
+                            .ok_or_else(|| no_such_method(self.program, class, *sel))?
                     }
                 };
                 let locals = self.callee_locals(t, target_m, args);
@@ -1303,168 +1226,11 @@ impl<'a> Vm<'a> {
         self.threads[t].frames.last_mut().expect("frame").locals[l.index()] = v;
     }
 
-    fn as_ref_val(&self, t: usize, l: Local, m: MethodId) -> Result<u32, VmError> {
-        ref_of(self.program, m, self.local(t, l))
-    }
-
-    fn as_int(&self, t: usize, l: Local, m: MethodId) -> Result<i64, VmError> {
-        int_of(self.program, m, self.local(t, l))
-    }
-
+    /// Executes instruction `ins` of `method` on thread `t`: calls,
+    /// intrinsics and spawns here, every data op through the shared
+    /// [`exec_data`].
     fn exec_instr(&mut self, t: usize, method: MethodId, ins: &Instr) -> Result<(), VmError> {
         match ins {
-            Instr::ConstInt(d, v) => self.set_local(t, *d, Value::Int(*v)),
-            Instr::ConstDouble(d, v) => self.set_local(t, *d, Value::Double(*v)),
-            Instr::ConstBool(d, v) => self.set_local(t, *d, Value::Bool(*v)),
-            Instr::ConstNull(d) => self.set_local(t, *d, Value::Null),
-            Instr::ConstStr(d, s) => {
-                let r = self.heap.intern(s);
-                // Loading an interned literal reads its String object from
-                // the image heap.
-                self.touch_object(r, 0);
-                self.set_local(t, *d, Value::Ref(r));
-            }
-            Instr::Move(d, s) => {
-                let v = self.local(t, *s);
-                self.set_local(t, *d, v);
-            }
-            Instr::Bin(op, d, a, b) => {
-                let va = self.local(t, *a);
-                let vb = self.local(t, *b);
-                let r = eval_bin(*op, va, vb)
-                    .ok_or_else(|| bin_error(self.program, method, *op, va, vb))?;
-                self.set_local(t, *d, r);
-            }
-            Instr::Un(op, d, a) => {
-                let va = self.local(t, *a);
-                let r = eval_un(*op, va).ok_or_else(|| un_error(self.program, method, *op, va))?;
-                self.set_local(t, *d, r);
-            }
-            Instr::New(d, c) => {
-                let r = self.heap.alloc_instance(&self.index, *c);
-                self.set_local(t, *d, Value::Ref(r));
-            }
-            Instr::NewArray(d, elem, len) => {
-                let n = self.as_int(t, *len, method)?;
-                if n < 0 {
-                    return Err(VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    });
-                }
-                let r = self.heap.alloc(HObjectKind::Array {
-                    elem: (**elem).clone(),
-                    elems: vec![Value::default_for(elem); n as usize],
-                });
-                self.set_local(t, *d, Value::Ref(r));
-            }
-            Instr::GetField(d, obj, fid) => {
-                let r = self.as_ref_val(t, *obj, method)?;
-                let (slot, v) = self.field_slot(r, *fid, method)?;
-                self.heap_access(t, r, 16 + 8 * slot as u64);
-                self.set_local(t, *d, v);
-            }
-            Instr::PutField(obj, fid, src) => {
-                let r = self.as_ref_val(t, *obj, method)?;
-                let v = self.local(t, *src);
-                let slot = self.field_slot(r, *fid, method)?.0;
-                self.heap_access(t, r, 16 + 8 * slot as u64);
-                match self.heap.get_mut(r) {
-                    HObjectKind::Instance { fields, .. } => fields[slot] = v,
-                    _ => unreachable!("field_slot validated"),
-                }
-            }
-            Instr::GetStatic(d, fid) => {
-                let v = self.heap.static_value(*fid);
-                self.set_local(t, *d, v);
-            }
-            Instr::PutStatic(fid, src) => {
-                let v = self.local(t, *src);
-                self.heap.set_static(*fid, v);
-            }
-            Instr::ArrayGet(d, arr, idx) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let i = self.as_int(t, *idx, method)?;
-                let v = match self.heap.get(r) {
-                    HObjectKind::Array { elems, .. } => *elems
-                        .get(usize::try_from(i).map_err(|_| VmError::IndexOutOfBounds {
-                            method: self.err_sig(method),
-                        })?)
-                        .ok_or_else(|| VmError::IndexOutOfBounds {
-                            method: self.err_sig(method),
-                        })?,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("array access on {other:?}"),
-                        })
-                    }
-                };
-                self.heap_access(t, r, 24 + 8 * i as u64);
-                self.set_local(t, *d, v);
-            }
-            Instr::ArraySet(arr, idx, src) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let i = self.as_int(t, *idx, method)?;
-                let v = self.local(t, *src);
-                self.heap_access(t, r, 24 + 8 * i.max(0) as u64);
-                let sig = self.err_sig(method);
-                match self.heap.get_mut(r) {
-                    HObjectKind::Array { elems, .. } => {
-                        let len = elems.len();
-                        *elems
-                            .get_mut(usize::try_from(i).unwrap_or(len))
-                            .ok_or(VmError::IndexOutOfBounds { method: sig })? = v;
-                    }
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: sig,
-                            detail: format!("array access on {other:?}"),
-                        })
-                    }
-                }
-            }
-            Instr::ArrayLen(d, arr) => {
-                let r = self.as_ref_val(t, *arr, method)?;
-                let n = match self.heap.get(r) {
-                    HObjectKind::Array { elems, .. } => elems.len() as i64,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("array length on {other:?}"),
-                        })
-                    }
-                };
-                self.touch_object(r, 0);
-                self.set_local(t, *d, Value::Int(n));
-            }
-            Instr::StrLen(d, s) => {
-                let r = self.as_ref_val(t, *s, method)?;
-                let n = self.str_content(r, method)?.len() as i64;
-                self.touch_object(r, 0);
-                self.set_local(t, *d, Value::Int(n));
-            }
-            Instr::StrCharAt(d, s, i) => {
-                let r = self.as_ref_val(t, *s, method)?;
-                let idx = self.as_int(t, *i, method)?;
-                let content = self.str_content(r, method)?;
-                let ch = content
-                    .as_bytes()
-                    .get(usize::try_from(idx).map_err(|_| VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    })?)
-                    .copied()
-                    .ok_or_else(|| VmError::IndexOutOfBounds {
-                        method: self.err_sig(method),
-                    })?;
-                self.touch_object(r, 24 + idx as u64);
-                self.set_local(t, *d, Value::Int(i64::from(ch)));
-            }
-            Instr::StrConcat(d, a, b) => {
-                let sa = self.display_value(self.local(t, *a));
-                let sb = self.display_value(self.local(t, *b));
-                let r = self.heap.alloc(HObjectKind::Str(format!("{sa}{sb}")));
-                self.set_local(t, *d, Value::Ref(r));
-            }
             Instr::Call(call) => {
                 let Call { dst, callee, args } = &**call;
                 self.ops += 1; // calls cost an extra op
@@ -1472,29 +1238,15 @@ impl<'a> Vm<'a> {
                 let target = match callee {
                     Callee::Static(m2) => *m2,
                     Callee::Virtual { selector, .. } => {
-                        let recv = match argv.first() {
-                            Some(Value::Ref(r)) => *r,
-                            _ => {
-                                return Err(VmError::NullDeref {
-                                    method: self.err_sig(method),
-                                })
-                            }
-                        };
-                        let class = match self.heap.get(recv) {
-                            HObjectKind::Instance { class, .. } => *class,
-                            other => {
-                                return Err(VmError::TypeMismatch {
-                                    method: self.err_sig(method),
-                                    detail: format!("virtual call on {other:?}"),
-                                })
-                            }
-                        };
+                        let class = receiver_class(
+                            self.program,
+                            method,
+                            &self.heap,
+                            argv.first().copied(),
+                        )?;
                         self.program
                             .resolve_virtual(class, *selector)
-                            .ok_or_else(|| VmError::NoSuchMethod {
-                                class: self.program.class(class).name.clone(),
-                                selector: self.program.selector_name(*selector).to_string(),
-                            })?
+                            .ok_or_else(|| no_such_method(self.program, class, *selector))?
                     }
                 };
                 // End the caller's current path at the call boundary.
@@ -1552,13 +1304,35 @@ impl<'a> Vm<'a> {
                 let locals = self.fresh_locals(*m2, &argv);
                 self.enter_cu(nt, *m2, locals, None)?;
             }
+            data => {
+                let frame = self.threads[t].frames.last_mut().expect("frame");
+                let mut hooks = RefHooks {
+                    snapshot_len: self.heap.snapshot_len(),
+                    touches: &mut self.touches,
+                    pending: self
+                        .compiled
+                        .instrumentation
+                        .trace_heap
+                        .then_some(&mut frame.pending),
+                    probe_ops: &mut self.probe_ops,
+                    obj_cost: self.config.probe_costs.obj_id * self.probe_scale,
+                };
+                exec_data(
+                    &self.index,
+                    &mut self.heap,
+                    method,
+                    &mut frame.locals,
+                    data,
+                    &mut hooks,
+                )?;
+            }
         }
         Ok(())
     }
 
     fn exec_terminator(&mut self, t: usize, method: MethodId, block: usize) -> Result<(), VmError> {
-        let m = self.program.method(method);
-        match m.blocks[block].terminator.clone() {
+        let program = self.program;
+        match &program.method(method).blocks[block].terminator {
             Terminator::Ret(v) => {
                 self.flush_path(t);
                 let frame = self.threads[t].frames.pop().expect("frame");
@@ -1582,16 +1356,11 @@ impl<'a> Vm<'a> {
                 then_blk,
                 else_blk,
             } => {
-                let c = match self.local(t, cond) {
-                    Value::Bool(b) => b,
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!("branch on {other:?}"),
-                        })
-                    }
+                let target = match self.local(t, *cond) {
+                    Value::Bool(true) => then_blk,
+                    Value::Bool(false) => else_blk,
+                    other => return Err(branch_error(program, method, other).into()),
                 };
-                let target = if c { then_blk } else { else_blk };
                 self.path_block_edge(t, target.index());
                 let frame = self.threads[t].frames.last_mut().expect("frame");
                 frame.block = target.index();
@@ -1599,57 +1368,6 @@ impl<'a> Vm<'a> {
             }
         }
         Ok(())
-    }
-
-    fn field_slot(
-        &self,
-        r: u32,
-        fid: nimage_ir::FieldId,
-        method: MethodId,
-    ) -> Result<(usize, Value), VmError> {
-        match self.heap.get(r) {
-            HObjectKind::Instance { class, fields } => {
-                let slot =
-                    self.index
-                        .field_slot(*class, fid)
-                        .ok_or_else(|| VmError::TypeMismatch {
-                            method: self.err_sig(method),
-                            detail: format!(
-                                "field {} not on {}",
-                                self.program.field_signature(fid),
-                                self.program.class(*class).name
-                            ),
-                        })?;
-                Ok((slot, fields[slot]))
-            }
-            other => Err(VmError::TypeMismatch {
-                method: self.err_sig(method),
-                detail: format!("field access on {other:?}"),
-            }),
-        }
-    }
-
-    fn str_content(&self, r: u32, method: MethodId) -> Result<&str, VmError> {
-        match self.heap.get(r) {
-            HObjectKind::Str(s) => Ok(s),
-            other => Err(VmError::TypeMismatch {
-                method: self.err_sig(method),
-                detail: format!("string op on {other:?}"),
-            }),
-        }
-    }
-
-    fn display_value(&self, v: Value) -> String {
-        match v {
-            Value::Null => "null".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Double(d) => format!("{d}"),
-            Value::Ref(r) => match self.heap.get(r) {
-                HObjectKind::Str(s) => s.clone(),
-                other => format!("<{other:?}>"),
-            },
-        }
     }
 }
 
@@ -1672,95 +1390,37 @@ enum FastEnd {
     Slow,
 }
 
-/// The error `Bin(op)` of `method` raises when the operator table has no
-/// value for `va, vb`. Both engines build it here.
-#[cold]
-fn bin_error(program: &Program, method: MethodId, op: BinOp, va: Value, vb: Value) -> VmError {
-    match op {
-        BinOp::Div | BinOp::Rem => VmError::DivisionByZero {
-            method: program.method_signature(method),
-        },
-        _ => VmError::TypeMismatch {
-            method: program.method_signature(method),
-            detail: format!("{op:?} on {va:?}, {vb:?}"),
-        },
-    }
-}
-
-/// The error `Un(op)` of `method` raises when the operator table has no
-/// value for `va`. Both engines build it here.
-#[cold]
-fn un_error(program: &Program, method: MethodId, op: UnOp, va: Value) -> VmError {
-    VmError::TypeMismatch {
-        method: program.method_signature(method),
-        detail: format!("{op:?} on {va:?}"),
-    }
-}
-
-/// `v` as an object reference, or the error an op of `method` raises.
-#[inline]
-fn ref_of(program: &Program, method: MethodId, v: Value) -> Result<u32, VmError> {
-    match v {
-        Value::Ref(r) => Ok(r),
-        Value::Null => Err(VmError::NullDeref {
-            method: program.method_signature(method),
-        }),
-        other => Err(VmError::TypeMismatch {
-            method: program.method_signature(method),
-            detail: format!("expected reference, got {other:?}"),
-        }),
-    }
-}
-
-/// `v` as an int, or the error an op of `method` raises.
-#[inline]
-fn int_of(program: &Program, method: MethodId, v: Value) -> Result<i64, VmError> {
-    match v {
-        Value::Int(i) => Ok(i),
-        other => Err(VmError::TypeMismatch {
-            method: program.method_signature(method),
-            detail: format!("expected int, got {other:?}"),
-        }),
-    }
-}
-
-/// The slot and value of field `fid` of object `r`, through the
-/// pre-lowered `class × field` table; error messages match
-/// [`Vm::field_slot`] byte for byte. Forced inline so the `(slot, value)`
-/// result stays out of memory on [`Vm::run_fast`]'s path.
-#[inline(always)]
-fn field_slot(
-    program: &Program,
-    lp: &LoweredProgram,
-    heap: &RtHeap<'_>,
-    r: u32,
-    fid: nimage_ir::FieldId,
-    method: MethodId,
-) -> Result<(usize, Value), VmError> {
-    match heap.get(r) {
-        HObjectKind::Instance { class, fields } => match lp.field_slot(*class, fid) {
-            Some(slot) => Ok((slot, fields[slot])),
-            None => Err(VmError::TypeMismatch {
-                method: program.method_signature(method),
-                detail: format!(
-                    "field {} not on {}",
-                    program.field_signature(fid),
-                    program.class(*class).name
-                ),
-            }),
-        },
-        other => Err(VmError::TypeMismatch {
-            method: program.method_signature(method),
-            detail: format!("field access on {other:?}"),
-        }),
-    }
-}
-
 /// Touches the `.svm_heap` bytes of an access to heap object `r`; `true`
 /// when the object is in the image.
 #[inline]
-fn touch_heap(heap: &RtHeap<'_>, touches: &mut FirstTouches, r: u32, byte_offset: u64) -> bool {
-    heap.is_image_object(r) && touches.object(ObjId(r), byte_offset)
+fn touch_heap(snapshot_len: u32, touches: &mut FirstTouches, r: u32, byte_offset: u64) -> bool {
+    r < snapshot_len && touches.object(ObjId(r), byte_offset)
+}
+
+/// What the reference interpreter records of a data op's heap accesses:
+/// first touches, and on heap-traced builds each accessed object's trace
+/// id and probe cost, as [`Vm::run_fast`]'s `access!` does.
+struct RefHooks<'v> {
+    snapshot_len: u32,
+    touches: &'v mut FirstTouches,
+    /// The executing frame's pending trace ids, on heap-traced builds.
+    pending: Option<&'v mut Vec<u64>>,
+    probe_ops: &'v mut u64,
+    obj_cost: u64,
+}
+
+impl ExecHooks for RefHooks<'_> {
+    fn touch(&mut self, r: u32, offset: u64) {
+        touch_heap(self.snapshot_len, self.touches, r, offset);
+    }
+
+    fn access(&mut self, r: u32, offset: u64) {
+        let in_image = touch_heap(self.snapshot_len, self.touches, r, offset);
+        if let Some(pending) = &mut self.pending {
+            *self.probe_ops += self.obj_cost;
+            pending.push(trace_id(r, in_image));
+        }
+    }
 }
 
 /// The 64-bit profile identifier traced for an access to heap object `r`

@@ -16,9 +16,8 @@
 
 use std::collections::HashMap;
 
-use nimage_compiler::ProgramIndex;
-use nimage_heap::{BuildHeap, HObject, HObjectKind, ObjId};
-use nimage_ir::{ClassId, FieldId, Program, Value};
+use nimage_heap::{BuildHeap, ExecHeap, HObject, HObjectKind, ObjId};
+use nimage_ir::{FieldId, Program, Value};
 
 /// Builds and holds nothing: the VM reads the snapshot heap in place
 /// ([`RtHeap`]), so there is no template to share. Kept, with
@@ -88,17 +87,19 @@ impl<'a> RtHeap<'a> {
     pub fn snapshot_len(&self) -> u32 {
         self.snapshot_len
     }
+}
 
-    /// Whether `r` refers to a build-time (image) object.
-    pub fn is_image_object(&self, r: u32) -> bool {
-        r < self.snapshot_len
-    }
-
-    /// The payload of object `r`.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    pub fn get(&self, r: u32) -> &HObjectKind {
+/// Objects at indices below the snapshot's length are the snapshot's own
+/// until this run first writes them; the first write copies the object
+/// into the run's overlay. Literals already interned at build time resolve
+/// to their image object (and thus to `.svm_heap` pages); new ones intern
+/// into anonymous memory.
+///
+/// # Panics
+/// [`ExecHeap::object`] and [`ExecHeap::object_mut`] panic if `r` is out of
+/// range.
+impl ExecHeap for RtHeap<'_> {
+    fn object(&self, r: u32) -> &HObjectKind {
         if r < self.snapshot_len {
             match self.overlay[r as usize] {
                 0 => &self.base.objects()[r as usize].kind,
@@ -109,13 +110,7 @@ impl<'a> RtHeap<'a> {
         }
     }
 
-    /// Mutable access to the payload of object `r`. The first mutation of
-    /// a snapshot object copies it out of the shared snapshot into this
-    /// run's overlay.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    pub fn get_mut(&mut self, r: u32) -> &mut HObjectKind {
+    fn object_mut(&mut self, r: u32) -> &mut HObjectKind {
         if r < self.snapshot_len {
             let copy = &mut self.overlay[r as usize];
             if *copy == 0 {
@@ -128,59 +123,32 @@ impl<'a> RtHeap<'a> {
         }
     }
 
-    /// Allocates a runtime object, returning its reference.
-    pub fn alloc(&mut self, kind: HObjectKind) -> u32 {
+    fn alloc_object(&mut self, kind: HObjectKind) -> u32 {
         let r = self.snapshot_len + self.dynamic.len() as u32;
         self.dynamic.push(HObject { kind });
         r
     }
 
-    /// Allocates an instance with default field values.
-    pub fn alloc_instance(&mut self, index: &ProgramIndex<'_>, class: ClassId) -> u32 {
-        let program = index.program();
-        let fields = index
-            .layout(class)
-            .iter()
-            .map(|&f| Value::default_for(&program.field(f).ty))
-            .collect();
-        self.alloc(HObjectKind::Instance { class, fields })
-    }
-
-    /// Interned string lookup/allocation. Literals already interned at
-    /// build time resolve to their image object (and thus to `.svm_heap`
-    /// pages); new literals intern into anonymous memory.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    fn intern_str(&mut self, s: &str) -> u32 {
         if let Some(o) = self.base.interned_id(s) {
             return o.0;
         }
         if let Some(&r) = self.interned.get(s) {
             return r;
         }
-        let r = self.alloc(HObjectKind::Str(s.to_string()));
+        let r = self.alloc_object(HObjectKind::Str(s.to_string()));
         self.interned.insert(s.to_string(), r);
         r
     }
 
-    /// Reads a static field.
     #[inline]
-    pub fn static_value(&self, field: FieldId) -> Value {
+    fn read_static(&self, _program: &Program, field: FieldId) -> Value {
         self.statics[field.index()]
     }
 
-    /// Writes a static field.
     #[inline]
-    pub fn set_static(&mut self, field: FieldId, value: Value) {
+    fn write_static(&mut self, field: FieldId, value: Value) {
         self.statics[field.index()] = value;
-    }
-
-    /// Total number of live objects (image + dynamic).
-    pub fn len(&self) -> usize {
-        self.snapshot_len as usize + self.dynamic.len()
-    }
-
-    /// Whether the heap has no objects at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -193,19 +161,22 @@ mod tests {
     fn snapshot_objects_keep_their_indices() {
         let mut bh = BuildHeap::new();
         let s = bh.intern("hi");
-        let arr = bh.alloc_array(TypeRef::Int, 3);
+        let arr = bh.alloc(HObjectKind::Array {
+            elem: TypeRef::Int,
+            elems: vec![Value::Int(0); 3],
+        });
         let rt = RtHeap::new(&bh, &Program::default());
         assert_eq!(rt.snapshot_len(), 2);
-        assert!(matches!(rt.get(s.0), HObjectKind::Str(x) if x == "hi"));
-        assert!(matches!(rt.get(arr.0), HObjectKind::Array { elems, .. } if elems.len() == 3));
+        assert!(matches!(rt.object(s.0), HObjectKind::Str(x) if x == "hi"));
+        assert!(matches!(rt.object(arr.0), HObjectKind::Array { elems, .. } if elems.len() == 3));
     }
 
     #[test]
     fn runtime_allocations_are_not_image_objects() {
         let bh = BuildHeap::new();
         let mut rt = RtHeap::new(&bh, &Program::default());
-        let r = rt.alloc(HObjectKind::Str("dyn".into()));
-        assert!(!rt.is_image_object(r));
+        let r = rt.alloc_object(HObjectKind::Str("dyn".into()));
+        assert!(r >= rt.snapshot_len());
     }
 
     #[test]
@@ -213,32 +184,35 @@ mod tests {
         let mut bh = BuildHeap::new();
         let s = bh.intern("lit");
         let mut rt = RtHeap::new(&bh, &Program::default());
-        assert_eq!(rt.intern("lit"), s.0);
-        let fresh = rt.intern("new-at-runtime");
-        assert!(!rt.is_image_object(fresh));
+        assert_eq!(rt.intern_str("lit"), s.0);
+        let fresh = rt.intern_str("new-at-runtime");
+        assert!(fresh >= rt.snapshot_len());
         // Interning is stable at runtime too.
-        assert_eq!(rt.intern("new-at-runtime"), fresh);
+        assert_eq!(rt.intern_str("new-at-runtime"), fresh);
     }
 
     #[test]
     fn two_runs_over_one_build_heap_do_not_see_each_others_writes() {
         let mut bh = BuildHeap::new();
-        let arr = bh.alloc_array(TypeRef::Int, 2);
+        let arr = bh.alloc(HObjectKind::Array {
+            elem: TypeRef::Int,
+            elems: vec![Value::Int(0); 2],
+        });
         let program = Program::default();
 
         let mut first = RtHeap::new(&bh, &program);
-        if let HObjectKind::Array { elems, .. } = first.get_mut(arr.0) {
+        if let HObjectKind::Array { elems, .. } = first.object_mut(arr.0) {
             elems[0] = Value::Int(42);
         }
         assert!(matches!(
-            first.get(arr.0),
+            first.object(arr.0),
             HObjectKind::Array { elems, .. } if elems[0] == Value::Int(42)
         ));
 
         // A second run over the same heap sees the pristine snapshot.
         let second = RtHeap::new(&bh, &program);
         assert!(matches!(
-            second.get(arr.0),
+            second.object(arr.0),
             HObjectKind::Array { elems, .. } if elems[0] == Value::Int(0)
         ));
         assert!(matches!(
@@ -257,10 +231,10 @@ mod tests {
         let mut bh = BuildHeap::new();
         bh.set_static(set, Value::Int(3));
         let mut rt = RtHeap::new(&bh, &program);
-        assert_eq!(rt.static_value(set), Value::Int(3));
-        assert_eq!(rt.static_value(unset), Value::Double(0.0));
-        rt.set_static(set, Value::Int(7));
-        assert_eq!(rt.static_value(set), Value::Int(7));
+        assert_eq!(rt.read_static(&program, set), Value::Int(3));
+        assert_eq!(rt.read_static(&program, unset), Value::Double(0.0));
+        rt.write_static(set, Value::Int(7));
+        assert_eq!(rt.read_static(&program, set), Value::Int(7));
         // The write is the run's own: the snapshot keeps its value.
         assert_eq!(bh.static_value(&program, set), Value::Int(3));
     }

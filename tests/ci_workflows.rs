@@ -122,6 +122,20 @@ fn ci_runs_the_release_workspace_tests() {
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
+/// Tier-1's plain `cargo test` at the root runs every crate's suites,
+/// in debug: the root manifest's `default-members` names the facade and
+/// `crates/*`, and leaves the vendored stand-ins out.
+#[test]
+fn plain_cargo_test_runs_every_crate() {
+    let manifest = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+        .expect("readable root manifest");
+    let setting = r#"default-members = [".", "crates/*"]"#;
+    assert!(
+        manifest.lines().any(|l| l.trim() == setting),
+        "the root Cargo.toml lost `{setting}`"
+    );
+}
+
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit, and order nothing, since all eight strategy plans are disk

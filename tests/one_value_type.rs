@@ -5,6 +5,11 @@
 //! heap instead of converting it). So no production source (each file up
 //! to its first `#[cfg(test)]`) may declare another enum with `Value`'s
 //! variants, nor bring back the VM's former object enum `RtObject`.
+//!
+//! Both interpreters also run the same instructions through one function
+//! and fail alike, so exactly one production enum declares the execution
+//! failures they share, only its file words them, and the build-time
+//! interpreter's former `ClinitError` does not come back.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -14,6 +19,28 @@ const VALUE_HOME: &str = "crates/ir/src/eval.rs";
 
 /// `Value`'s variants, sorted.
 const VALUE_VARIANTS: [&str; 5] = ["Bool", "Double", "Int", "Null", "Ref"];
+
+/// The file that declares the one execution-failure enum.
+const EXEC_HOME: &str = "crates/heap/src/exec.rs";
+
+/// The failures both interpreters raise, sorted.
+const SHARED_FAILURES: [&str; 5] = [
+    "DivisionByZero",
+    "IndexOutOfBounds",
+    "NoSuchMethod",
+    "NullDeref",
+    "TypeMismatch",
+];
+
+/// How [`EXEC_HOME`] words the shared failures; no other production code
+/// may.
+const FAILURE_WORDING: [&str; 5] = [
+    "null dereference in",
+    "out of bounds (len",
+    "division by zero in",
+    "type mismatch in",
+    "no method ",
+];
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -82,6 +109,7 @@ fn heap_contents_have_one_value_type_and_one_object_type() {
 
     let mut offenders = vec![];
     let mut value_found = false;
+    let mut failure_enums = vec![];
     for file in &files {
         let rel = file
             .strip_prefix(root)
@@ -93,9 +121,23 @@ fn heap_contents_have_one_value_type_and_one_object_type() {
             .lines()
             .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
             .collect();
+        if rel != EXEC_HOME {
+            for (at, line) in production.iter().enumerate() {
+                let code = line.split("//").next().unwrap_or("");
+                if let Some(w) = FAILURE_WORDING.iter().find(|w| code.contains(*w)) {
+                    offenders.push(format!("{rel}:{}: words a shared failure ({w:?})", at + 1));
+                }
+            }
+        }
         for (line, name, variants) in enums(&production) {
-            if name == "RtObject" {
-                offenders.push(format!("{rel}:{line}: enum RtObject"));
+            if SHARED_FAILURES
+                .iter()
+                .all(|v| variants.iter().any(|x| x == v))
+            {
+                failure_enums.push(format!("{rel}:{line}: enum {name}"));
+            }
+            if name == "RtObject" || name == "ClinitError" {
+                offenders.push(format!("{rel}:{line}: enum {name}"));
             } else if variants == VALUE_VARIANTS {
                 if rel == VALUE_HOME && name == "Value" {
                     value_found = true;
@@ -111,4 +153,8 @@ fn heap_contents_have_one_value_type_and_one_object_type() {
         offenders.join("\n")
     );
     assert!(value_found, "no `enum Value` in {VALUE_HOME}");
+    assert!(
+        failure_enums.len() == 1 && failure_enums[0].starts_with(&format!("{EXEC_HOME}:")),
+        "the shared execution failures must be declared once, in {EXEC_HOME}: {failure_enums:?}"
+    );
 }
