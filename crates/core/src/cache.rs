@@ -26,7 +26,7 @@ use nimage_compiler::CompiledProgram;
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
 use nimage_order::murmur3;
-use nimage_vm::{AccessLog, LoweredProgram, RunReport};
+use nimage_vm::{AccessLog, RunReport};
 
 use nimage_analysis::Reachability;
 
@@ -302,22 +302,6 @@ impl<V> Memo<V> {
         }
     }
 
-    /// Snapshot of every completed artifact in the table (in-flight
-    /// computes are skipped, not waited for). Used to aggregate interior
-    /// state across artifacts — e.g. the lazy/eager shard counters of the
-    /// cached [`LoweredProgram`] containers.
-    pub fn values(&self) -> Vec<Arc<V>> {
-        let slots: Vec<Slot<V>> = lock_unpoisoned(&self.slots).values().cloned().collect();
-        slots
-            .iter()
-            .filter_map(|s| match s.try_lock() {
-                Ok(g) => g.clone(),
-                Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner().clone(),
-                Err(std::sync::TryLockError::WouldBlock) => None,
-            })
-            .collect()
-    }
-
     /// Hit/miss counters.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
@@ -341,7 +325,9 @@ impl<V> fmt::Debug for Memo<V> {
 
 /// The shared artifact store of one [`crate::Engine`]: one memo table per
 /// pipeline stage whose output can be reused across strategies (and, for
-/// identical programs/options, across workloads).
+/// identical programs/options, across workloads). Lowered code has no
+/// table: each build runs once, so its lowering is built for that run and
+/// dropped when the run ends (`Engine::lowered_for`).
 #[derive(Debug)]
 pub struct ArtifactCache {
     /// Reachability analysis results, keyed by program + analysis config.
@@ -365,11 +351,6 @@ pub struct ArtifactCache {
     /// Full profiling-run artifacts (instrumented build + run + replay),
     /// keyed by program + options.
     pub profiles: Memo<ProfiledArtifacts>,
-    /// Sharded execution programs, keyed by compile key: one lazy
-    /// container per compiled build, lent (`Arc`) to the VM run of that
-    /// build. Method bodies fault in per CU on first call. Memory only: a
-    /// build whose run is a disk hit is never lowered.
-    pub lowered: Memo<LoweredProgram>,
     /// Every strategy's ordering plan, keyed by workload + strategy: the
     /// orders (plus, for the clustered strategies, the layout optimizer's
     /// predicted fault counts) are computed once per cell and reused by
@@ -388,7 +369,6 @@ impl ArtifactCache {
             images: Memo::new("layout"),
             runs: Memo::new("baseline-run"),
             profiles: Memo::new("profile"),
-            lowered: Memo::new("lower"),
             plans: Memo::new("order"),
         }
     }
@@ -403,7 +383,6 @@ impl ArtifactCache {
             self.images.stats(),
             self.runs.stats(),
             self.profiles.stats(),
-            self.lowered.stats(),
             self.plans.stats(),
         ]
     }

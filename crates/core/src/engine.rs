@@ -33,7 +33,7 @@
 //! child-duration stack.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use nimage_analysis::Reachability;
 use nimage_compiler::{CompiledProgram, InstrumentConfig, ProgramIndex};
@@ -159,20 +159,20 @@ pub struct MatrixCell {
     pub eval: Evaluation,
 }
 
-/// How many lowering shards the engine's cached containers realized, and
-/// by which path. `lazy` counts shards faulted in by the interpreter on
-/// first call into a CU; `eager` counts shards realized ahead of execution
-/// (shard extraction, whole-program builds). The engine lowers only on
-/// demand, so from the engine `eager` is always 0; the field stays because
-/// the repo benchmark reads it. `cus` is the total shard count, so
-/// `cus - lazy - eager` shards were never lowered at all.
+/// How many lowering shards the engine's runs realized, and by which path,
+/// summed over every run as it ends. `lazy` counts shards faulted in by
+/// the interpreter on first call into a CU; `eager` counts shards realized
+/// ahead of execution (shard extraction, whole-program builds). The engine
+/// lowers only on demand, so from the engine `eager` is always 0; the
+/// field stays because the repo benchmark reads it. `cus` is the total
+/// shard count, so `cus - lazy - eager` shards were never lowered at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shards realized by the interpreter's fault-in path.
     pub lazy: u64,
     /// Shards realized ahead of execution.
     pub eager: u64,
-    /// Total shards (= CUs) across the cached containers.
+    /// Total shards (= CUs) across the lowered builds.
     pub cus: u64,
 }
 
@@ -295,11 +295,10 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     }
 }
 
-/// [`Engine::build_front`]'s output, with the cache keys downstream stages
-/// derive theirs from.
+/// [`Engine::build_front`]'s output, with the snapshot's cache key, which
+/// the identity maps derive theirs from.
 struct BuildFront {
     compiled: Arc<CompiledProgram>,
-    compile_key: CacheKey,
     snapshot: Arc<HeapSnapshot>,
     snapshot_key: CacheKey,
 }
@@ -316,6 +315,7 @@ struct BaselineParts {
 #[derive(Debug)]
 pub struct Engine {
     cache: ArtifactCache,
+    shards: Mutex<ShardStats>,
     disk: Option<DiskStore>,
     tracer: Tracer,
     opts: EngineOptions,
@@ -333,6 +333,7 @@ impl Engine {
     pub fn new(opts: EngineOptions) -> Engine {
         Engine {
             cache: ArtifactCache::new(),
+            shards: Mutex::default(),
             disk: opts.disk.as_ref().map(DiskStore::open),
             // The engine's own tracer is always on: stage/cell spans are
             // a few hundred events per evaluation and are what
@@ -351,6 +352,11 @@ impl Engine {
     /// The engine's construction options.
     pub fn options(&self) -> &EngineOptions {
         &self.opts
+    }
+
+    /// The lowering shards the engine's runs have realized so far.
+    pub(crate) fn shard_stats(&self) -> ShardStats {
+        *self.shards.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The engine's disk tier, when configured.
@@ -780,7 +786,6 @@ impl Engine {
         )?;
         Ok(BuildFront {
             compiled,
-            compile_key,
             snapshot,
             snapshot_key,
         })
@@ -809,25 +814,36 @@ impl Engine {
         })
     }
 
-    /// The sharded execution program of one compile: one lazy container
-    /// per compile key, lent (`Arc`) to the run of that build.
+    /// The sharded execution program for the one run of a compiled build.
+    /// Nothing shares it: each build runs once, and its run is memoised.
     ///
     /// Constructing the container builds only the cheap global tables;
     /// method bodies are lowered per CU on first call, inside the run.
+    /// When the run ends its caller hands the container to
+    /// [`Engine::retire_lowered`].
     fn lowered_for(
         &self,
         w: &Workload<'_, '_, '_>,
-        compile_key: CacheKey,
         compiled: &CompiledProgram,
         variant: &'static str,
     ) -> Arc<LoweredProgram> {
-        let key = CacheKey::for_stage("lower", &[compile_key]);
-        self.cache.lowered.get_or(key, || {
-            let _s = self.tracer.root_span("lower", || {
-                format!("workload={} variant={variant}", w.spec.name)
-            });
-            LoweredProgram::indexed(&w.index, compiled)
-        })
+        let _s = self.tracer.root_span("lower", || {
+            format!("workload={} variant={variant}", w.spec.name)
+        });
+        Arc::new(LoweredProgram::indexed(&w.index, compiled))
+    }
+
+    /// Adds a finished run's shard counts to the engine's and drops its
+    /// lowered code: inside the caller's `run` span, on the worker that ran
+    /// it.
+    fn retire_lowered(&self, lowered: Arc<LoweredProgram>) {
+        let mut s = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
+        s.lazy += lowered.shards_lowered_lazy();
+        s.eager += lowered.shards_lowered_eager();
+        s.cus += lowered.n_cus() as u64;
+        drop(s);
+        // The last reference: the run's code is freed here, outside the lock.
+        drop(lowered);
     }
 
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
@@ -841,18 +857,20 @@ impl Engine {
             let front = self.build_front(w, &p, None)?;
             let image =
                 self.default_image(w, &p, w.key("layout:instrumented"), "instrumented", &front)?;
-            let lowered = self.lowered_for(w, front.compile_key, &front.compiled, "instrumented");
+            let lowered = self.lowered_for(w, &front.compiled, "instrumented");
             let report = {
                 let _s = self.tracer.span_with("run", || {
                     format!("workload={} variant=instrumented", w.spec.name)
                 });
                 self.tracer.count("vm.executions", 1);
-                p.run(
+                let report = p.run(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .lowered(Some(lowered))
+                        .lowered(Some(lowered.clone()))
                         .tracer(self.vm_tracer()),
                     w.spec.stop,
-                )?
+                );
+                self.retire_lowered(lowered);
+                report?
             };
             let _s = self
                 .tracer
@@ -883,17 +901,19 @@ impl Engine {
             || {
                 let image =
                     self.default_image(w, &p, w.key("layout:baseline"), "baseline", &front)?;
-                let lowered = self.lowered_for(w, front.compile_key, &front.compiled, "optimized");
+                let lowered = self.lowered_for(w, &front.compiled, "optimized");
                 let _s = self.tracer.root_span("run", || {
                     format!("workload={} variant=baseline", w.spec.name)
                 });
                 self.tracer.count("vm.executions", 1);
-                p.run_logged(
+                let run = p.run_logged(
                     RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .lowered(Some(lowered))
+                        .lowered(Some(lowered.clone()))
                         .tracer(self.vm_tracer()),
                     w.spec.stop,
-                )
+                );
+                self.retire_lowered(lowered);
+                run
             },
         )?;
         Ok(BaselineParts { front, run })

@@ -515,7 +515,7 @@ impl From<ReplayError> for PipelineError {
 }
 
 /// The parts of one VM run, as a builder: the three mandatory build
-/// artifacts plus an optional shared pre-lowered program and an optional
+/// artifacts plus an optional pre-lowered program and an optional
 /// [`Tracer`] for VM-level fault events. The VM reads the snapshot heap in
 /// place, so there is no heap state to share.
 ///
@@ -560,7 +560,8 @@ impl<'a> RunParts<'a> {
         self
     }
 
-    /// Shares a pre-built [`LoweredProgram`]; without one the VM builds a
+    /// Lends the run a pre-built [`LoweredProgram`], whose shard counters
+    /// the caller can read once the run ends; without one the VM builds a
     /// private lazy container and lowers each CU on first entry.
     #[must_use]
     pub fn lowered(mut self, lowered: Option<Arc<LoweredProgram>>) -> Self {

@@ -54,7 +54,8 @@ use nimage_ir::{
 use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy};
 use nimage_profiler::{read_trace, write_trace, SessionStats};
 use nimage_vm::lower::{
-    JumpEdge, LoweredCallee, LoweredInstr, LoweredMethod, LoweredPaths, PathEdge,
+    JumpEdge, LoweredCall, LoweredCallee, LoweredInstr, LoweredIntrinsic, LoweredMethod,
+    LoweredPaths, LoweredSpawn, PathEdge,
 };
 use nimage_vm::{
     AccessLog, ExitKind, LoweredShard, PageState, ResponsePoint, RunReport, SectionFaults, Touch,
@@ -949,9 +950,11 @@ impl DiskCodec for LayoutOrders {
 // One CU's lowering. No cache stage persists it (shards are realized in
 // memory by the one run of each build); the codec stays for the benchmark's
 // typed round trip. Locals travel as u32 (the reader has no u16
-// primitive); operator enums as their tag tables. Decode validates tags
-// and value ranges totally; it does not check bounds relative to a build
-// (locals vs. n_locals, string indices, jump targets).
+// primitive); operator enums as their tag tables. A jump edge travels as
+// its target's flat code index and block index; memory keeps only the
+// block, so decode accepts an edge only if the index is that block's start.
+// Otherwise decode validates tags and value ranges totally; it does not
+// check bounds relative to a build (locals vs. n_locals, string indices).
 
 fn put_local(out: &mut Vec<u8>, l: &Local) {
     put_u32(out, u32::from(l.0));
@@ -961,19 +964,18 @@ fn decode_local(r: &mut Reader<'_>) -> Option<Local> {
     Some(Local(u16::try_from(r.u32()?).ok()?))
 }
 
-fn encode_jump_edge(out: &mut Vec<u8>, e: &JumpEdge) {
-    put_u32(out, e.pc);
+fn encode_jump_edge(out: &mut Vec<u8>, e: &JumpEdge, block_start: &[u32]) {
+    put_u32(out, block_start[e.block as usize]);
     put_u32(out, e.block);
 }
 
-fn decode_jump_edge(r: &mut Reader<'_>) -> Option<JumpEdge> {
-    Some(JumpEdge {
-        pc: r.u32()?,
-        block: r.u32()?,
-    })
+fn decode_jump_edge(r: &mut Reader<'_>, block_start: &[u32]) -> Option<JumpEdge> {
+    let pc = r.u32()?;
+    let block = r.u32()?;
+    (block_start.get(block as usize) == Some(&pc)).then_some(JumpEdge { block })
 }
 
-fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
+fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr, block_start: &[u32]) {
     match ins {
         LoweredInstr::ConstInt(d, v) => {
             put_u8(out, 0);
@@ -1084,13 +1086,14 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
             put_local(out, a);
             put_local(out, b);
         }
-        LoweredInstr::Call {
-            dst,
-            target,
-            args,
-            site_block,
-            site_instr,
-        } => {
+        LoweredInstr::Call(call) => {
+            let LoweredCall {
+                dst,
+                target,
+                args,
+                site_block,
+                site_instr,
+            } = &**call;
             put_u8(out, 20);
             put_option(out, dst, put_local);
             match target {
@@ -1107,13 +1110,15 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
             put_u32(out, *site_block);
             put_u32(out, *site_instr);
         }
-        LoweredInstr::Intrinsic { dst, op, args } => {
+        LoweredInstr::Intrinsic(call) => {
+            let LoweredIntrinsic { dst, op, args } = &**call;
             put_u8(out, 21);
             put_option(out, dst, put_local);
             op.encode(out);
             put_seq(out, args.iter(), put_local);
         }
-        LoweredInstr::Spawn { method, args } => {
+        LoweredInstr::Spawn(spawn) => {
+            let LoweredSpawn { method, args } = &**spawn;
             put_u8(out, 22);
             put_u32(out, method.0);
             put_seq(out, args.iter(), put_local);
@@ -1124,7 +1129,7 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
         }
         LoweredInstr::Jump(e) => {
             put_u8(out, 24);
-            encode_jump_edge(out, e);
+            encode_jump_edge(out, e, block_start);
         }
         LoweredInstr::Br {
             cond,
@@ -1133,13 +1138,13 @@ fn encode_lowered_instr(out: &mut Vec<u8>, ins: &LoweredInstr) {
         } => {
             put_u8(out, 25);
             put_local(out, cond);
-            encode_jump_edge(out, then_e);
-            encode_jump_edge(out, else_e);
+            encode_jump_edge(out, then_e, block_start);
+            encode_jump_edge(out, else_e, block_start);
         }
     }
 }
 
-fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
+fn decode_lowered_instr(r: &mut Reader<'_>, block_start: &[u32]) -> Option<LoweredInstr> {
     let locals = |r: &mut Reader<'_>| Some(r.seq(4, decode_local)?.into_boxed_slice());
     Some(match r.u8()? {
         0 => LoweredInstr::ConstInt(decode_local(r)?, r.i64()?),
@@ -1156,7 +1161,11 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
         ),
         7 => LoweredInstr::Un(UnOp::decode(r)?, decode_local(r)?, decode_local(r)?),
         8 => LoweredInstr::New(decode_local(r)?, ClassId(r.u32()?)),
-        9 => LoweredInstr::NewArray(decode_local(r)?, decode_type_ref(r)?, decode_local(r)?),
+        9 => LoweredInstr::NewArray(
+            decode_local(r)?,
+            Box::new(decode_type_ref(r)?),
+            decode_local(r)?,
+        ),
         10 => LoweredInstr::GetField(decode_local(r)?, decode_local(r)?, FieldId(r.u32()?)),
         11 => LoweredInstr::PutField(decode_local(r)?, FieldId(r.u32()?), decode_local(r)?),
         12 => LoweredInstr::GetStatic(decode_local(r)?, FieldId(r.u32()?)),
@@ -1167,7 +1176,7 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
         17 => LoweredInstr::StrLen(decode_local(r)?, decode_local(r)?),
         18 => LoweredInstr::StrCharAt(decode_local(r)?, decode_local(r)?, decode_local(r)?),
         19 => LoweredInstr::StrConcat(decode_local(r)?, decode_local(r)?, decode_local(r)?),
-        20 => LoweredInstr::Call {
+        20 => LoweredInstr::Call(Box::new(LoweredCall {
             dst: r.option(decode_local)?,
             target: match r.u8()? {
                 0 => LoweredCallee::Static(MethodId(r.u32()?)),
@@ -1177,22 +1186,22 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
             args: locals(r)?,
             site_block: r.u32()?,
             site_instr: r.u32()?,
-        },
-        21 => LoweredInstr::Intrinsic {
+        })),
+        21 => LoweredInstr::Intrinsic(Box::new(LoweredIntrinsic {
             dst: r.option(decode_local)?,
             op: Intrinsic::decode(r)?,
             args: locals(r)?,
-        },
-        22 => LoweredInstr::Spawn {
+        })),
+        22 => LoweredInstr::Spawn(Box::new(LoweredSpawn {
             method: MethodId(r.u32()?),
             args: locals(r)?,
-        },
+        })),
         23 => LoweredInstr::Ret(r.option(decode_local)?),
-        24 => LoweredInstr::Jump(decode_jump_edge(r)?),
+        24 => LoweredInstr::Jump(decode_jump_edge(r, block_start)?),
         25 => LoweredInstr::Br {
             cond: decode_local(r)?,
-            then_e: decode_jump_edge(r)?,
-            else_e: decode_jump_edge(r)?,
+            then_e: decode_jump_edge(r, block_start)?,
+            else_e: decode_jump_edge(r, block_start)?,
         },
         _ => return None,
     })
@@ -1201,14 +1210,19 @@ fn decode_lowered_instr(r: &mut Reader<'_>) -> Option<LoweredInstr> {
 fn encode_lowered_method(out: &mut Vec<u8>, m: &LoweredMethod) {
     put_u32(out, u32::from(m.n_locals));
     put_seq(out, m.block_start.iter().copied(), put_u32);
-    put_seq(out, &m.code, encode_lowered_instr);
+    put_seq(out, &m.code[..], |out, ins| {
+        encode_lowered_instr(out, ins, &m.block_start)
+    });
 }
 
 fn decode_lowered_method(r: &mut Reader<'_>) -> Option<LoweredMethod> {
+    let n_locals = u16::try_from(r.u32()?).ok()?;
+    let block_start = r.seq(4, Reader::u32)?;
+    let code = r.seq(2, |r| decode_lowered_instr(r, &block_start))?;
     Some(LoweredMethod {
-        n_locals: u16::try_from(r.u32()?).ok()?,
-        block_start: r.seq(4, Reader::u32)?,
-        code: r.seq(2, decode_lowered_instr)?,
+        n_locals,
+        block_start: block_start.into_boxed_slice(),
+        code: code.into_boxed_slice(),
     })
 }
 

@@ -340,12 +340,7 @@ impl Engine {
             })
             .collect();
         let cache = self.cache().stats();
-        let mut lowered_shards = ShardStats::default();
-        for lp in self.cache().lowered.values() {
-            lowered_shards.lazy += lp.shards_lowered_lazy();
-            lowered_shards.eager += lp.shards_lowered_eager();
-            lowered_shards.cus += lp.n_cus() as u64;
-        }
+        let lowered_shards = self.shard_stats();
         let cm = CostModel::ssd();
         let cell_reports = cells
             .iter()

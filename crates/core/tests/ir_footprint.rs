@@ -2,13 +2,19 @@
 //! pipeline builds each program twice), so its footprint is guarded here:
 //! `Instr` is 16 bytes (a compile-time assertion in `nimage-ir`), the
 //! builder stores every list at exact length, and a bundled service holds
-//! at most a fixed number of heap bytes per instruction.
+//! at most a fixed number of heap bytes per instruction. The lowered form
+//! the VM runs is held to the same standard: `LoweredInstr` is 16 bytes (a
+//! compile-time assertion in `nimage-vm`) and every lowered list is exact.
 
 #[path = "support/live_alloc.rs"]
 mod live_alloc;
 use live_alloc::retained_bytes;
 
-use nimage_ir::{Instr, Program};
+use nimage_compiler::InstrumentConfig;
+use nimage_core::{BuildOptions, Pipeline};
+use nimage_ir::{Instr, MethodId, Program};
+use nimage_vm::lower::LoweredInstr;
+use nimage_vm::LoweredProgram;
 use nimage_workloads::{Awfy, Microservice};
 
 /// Spare capacity: room allocated beyond what a list holds. A boxed slice
@@ -70,6 +76,35 @@ fn every_block_of_every_bundled_program_is_exact_size() {
                     };
                     assert_eq!(slack, 0, "{at}: {ins:?}");
                 }
+            }
+        }
+    }
+}
+
+/// Every method of every bundled program, lowered whole (every CU's shard
+/// and every method outside one), holds its code, its block table and the
+/// argument list of each boxed payload at exact length.
+#[test]
+fn every_lowered_method_of_every_bundled_program_is_exact_size() {
+    for (name, p) in bundled() {
+        let opts = BuildOptions::default();
+        let pipeline = Pipeline::new(&p, opts.clone());
+        let compiled =
+            pipeline.compile_stage(pipeline.analyze_stage(), InstrumentConfig::NONE, None);
+        let lowered = LoweredProgram::build(&p, &compiled, opts.vm.max_paths);
+        for mi in 0..p.methods().len() {
+            let m = lowered.method(MethodId(mi as u32));
+            let at = format!("{name} m{mi}");
+            assert_eq!(m.code.slack(), 0, "{at}: code");
+            assert_eq!(m.block_start.slack(), 0, "{at}: block starts");
+            for ins in &m.code[..] {
+                let slack = match ins {
+                    LoweredInstr::Call(c) => c.args.slack(),
+                    LoweredInstr::Intrinsic(c) => c.args.slack(),
+                    LoweredInstr::Spawn(s) => s.args.slack(),
+                    _ => 0,
+                };
+                assert_eq!(slack, 0, "{at}: {ins:?}");
             }
         }
     }

@@ -291,8 +291,8 @@ const SMALL: usize = if cfg!(debug_assertions) { 512 } else { 4096 };
 /// size each buffer from its length prefix, capped at the bytes left
 /// divided by the element's shortest encoding, so one input byte can claim
 /// at most an element's in-memory size divided by that length. The largest such ratio
-/// is a lowered instruction's: 40 bytes in memory against 2 for the
-/// shortest, `Ret(None)`. (A heap value is 16 over 1 for `Null`.)
+/// is a heap value's: 16 bytes in memory against 1 for `Null`. (A lowered
+/// instruction is 16 over 2 for the shortest, `Ret(None)`.)
 const ALLOC_FACTOR: usize = 20;
 
 /// A constant allowance on top of [`ALLOC_FACTOR`] for the fixed minimum

@@ -28,7 +28,10 @@ use nimage_trace::Tracer;
 
 use crate::access::{tail_pages, AccessLog, FirstTouches};
 use crate::heap_rt::RtHeap;
-use crate::lower::{JumpEdge, LoweredCallee, LoweredInstr, LoweredProgram};
+use crate::lower::{
+    JumpEdge, LoweredCall, LoweredCallee, LoweredInstr, LoweredIntrinsic, LoweredProgram,
+    LoweredSpawn,
+};
 use crate::paging::{PagingConfig, PagingConfigError, SectionFaults};
 use crate::report::{ExitKind, ResponsePoint, RunReport};
 
@@ -837,7 +840,8 @@ impl<'a> Vm<'a> {
             ..
         } = self.threads[t].frames.last_mut().expect("live frame");
         let method = *method;
-        let code = &lp.method(method).code[..];
+        let lowered = lp.method(method);
+        let (code, block_start) = (&lowered.code[..], &lowered.block_start[..]);
         let paths = trace_heap.then(|| {
             lp.paths(method)
                 .expect("path tables built for traced builds")
@@ -865,7 +869,7 @@ impl<'a> Vm<'a> {
         macro_rules! edge {
             ($e:expr) => {{
                 let e: &JumpEdge = $e;
-                pc = e.pc as usize;
+                pc = block_start[e.block as usize] as usize;
                 n += 1;
                 if let Some(p) = paths {
                     let head = p.block_head[e.block as usize];
@@ -1089,7 +1093,7 @@ impl<'a> Vm<'a> {
                 let n =
                     usize::try_from(n).map_err(|_| out_of_bounds(self.program, method, n, 0))?;
                 let r = self.heap.alloc_object(HObjectKind::Array {
-                    elem: elem.clone(),
+                    elem: (**elem).clone(),
                     elems: vec![Value::default_for(elem); n],
                 });
                 self.set_local(t, *d, Value::Ref(r));
@@ -1129,13 +1133,14 @@ impl<'a> Vm<'a> {
                     .alloc_object(HObjectKind::Str(format!("{sa}{sb}")));
                 self.set_local(t, *d, Value::Ref(r));
             }
-            LoweredInstr::Call {
-                dst,
-                target,
-                args,
-                site_block,
-                site_instr,
-            } => {
+            LoweredInstr::Call(call) => {
+                let LoweredCall {
+                    dst,
+                    target,
+                    args,
+                    site_block,
+                    site_instr,
+                } = &**call;
                 self.ops += 1; // calls cost an extra op
                 let target_m = match target {
                     LoweredCallee::Static(m2) => *m2,
@@ -1172,7 +1177,8 @@ impl<'a> Vm<'a> {
                 }
                 return Ok(());
             }
-            LoweredInstr::Intrinsic { dst, op, args } => {
+            LoweredInstr::Intrinsic(call) => {
+                let LoweredIntrinsic { dst, op, args } = &**call;
                 self.touch_native(self.intrinsic_page(*op));
                 let argv: Vec<Value> = args.iter().map(|&l| self.local(t, l)).collect();
                 if *op == Intrinsic::Respond {
@@ -1183,7 +1189,8 @@ impl<'a> Vm<'a> {
                     self.set_local(t, *d, v.unwrap_or(Value::Null));
                 }
             }
-            LoweredInstr::Spawn { method: m2, args } => {
+            LoweredInstr::Spawn(spawn) => {
+                let LoweredSpawn { method: m2, args } = &**spawn;
                 let locals = self.callee_locals(t, *m2, args);
                 self.threads.push(ThreadCtx {
                     frames: vec![],

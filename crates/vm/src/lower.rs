@@ -5,12 +5,13 @@
 //! [`nimage_ir::Instr`] out of `Program → Method → Block → Vec<Instr>` on
 //! every step. A [`LoweredProgram`] flattens method bodies:
 //!
-//! * each method becomes one contiguous `Vec<LoweredInstr>` with the block
-//!   terminators lowered to ordinary instructions, so the hot loop is a
-//!   single bounds-checked index into a slice and a `match` on a reference —
-//!   **no per-step allocation, no clone**;
-//! * jump targets are pre-resolved to flat code indices (plus the original
-//!   block index, which the Ball–Larus runtime still keys on);
+//! * each method becomes one exact-size slice of 16-byte [`LoweredInstr`]s
+//!   with the block terminators lowered to ordinary instructions, so the hot
+//!   loop is a single bounds-checked index into a slice and a `match` on a
+//!   reference — **no per-step allocation, no clone**;
+//! * a jump carries its target's block index (which the Ball–Larus runtime
+//!   keys on), and the method's `block_start` table maps it to the flat code
+//!   index of the block's head;
 //! * string literals are interned into a per-program table (`ConstStr`
 //!   carries a `u32` index instead of an owned `String`);
 //! * virtual dispatch reads a dense `class × selector → method` vtable and
@@ -41,12 +42,14 @@
 //! observable — including the trace string table and the run report —
 //! bit-identical between lazy and whole-program lowering.
 //!
-//! A `LoweredProgram` is shared across runs behind an `Arc`: the evaluation
-//! engine creates one container per compiled build, and concurrent runs
-//! against the same copy fault shards in exactly once (`OnceLock` guards
-//! make realization idempotent and race-free). Results are bit-identical to the tree-walking path by
-//! construction — the lowered tables are pure reindexings of the structures
-//! the reference interpreter consults lazily.
+//! A `LoweredProgram` lives as long as the one run it serves: the evaluation
+//! engine executes each build once, so it builds a fresh container for that
+//! run, reads its shard counters when the run ends and drops it on the
+//! worker that ran it. The container is still `Sync` — concurrent runs
+//! against one copy fault each shard in exactly once (`OnceLock` guards make
+//! realization idempotent and race-free). Results are bit-identical to the
+//! tree-walking path by construction — the lowered tables are pure
+//! reindexings of the structures the reference interpreter consults lazily.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,13 +67,11 @@ pub const NO_ENTRY: u32 = u32::MAX;
 /// Sentinel for "absent" entries in the dense field-slot table.
 pub const NO_SLOT: u16 = u16::MAX;
 
-/// A pre-resolved control-flow edge: the flat code index of the target
-/// block's first instruction plus the original block index (the unit the
-/// Ball–Larus tables are keyed on).
+/// A control-flow edge: the original block index of the target (the unit
+/// the Ball–Larus tables are keyed on). The target's flat code index is
+/// [`LoweredMethod::block_start`]`[block]`.
 #[derive(Debug, Clone, Copy)]
 pub struct JumpEdge {
-    /// Flat index into [`LoweredMethod::code`] of the target block's head.
-    pub pc: u32,
     /// Original basic-block index of the target.
     pub block: u32,
 }
@@ -79,6 +80,10 @@ pub struct JumpEdge {
 /// [`nimage_ir::Instr`] with owned-data operands replaced by table indices,
 /// plus the three block terminators lowered to ordinary instructions so the
 /// step loop never consults `Block::terminator`.
+///
+/// Like `Instr` it is 16 bytes: calls, intrinsics, spawns and an array's
+/// element type — the rare variants that would not fit — hold their
+/// payload behind a thin `Box`, and an edge is only its target block.
 #[derive(Debug, Clone)]
 pub enum LoweredInstr {
     /// `dst = <int literal>`
@@ -100,7 +105,7 @@ pub enum LoweredInstr {
     /// `dst = new C()`
     New(Local, ClassId),
     /// `dst = new elem[len]`
-    NewArray(Local, TypeRef, Local),
+    NewArray(Local, Box<TypeRef>, Local),
     /// `dst = obj.field`
     GetField(Local, Local, FieldId),
     /// `obj.field = src`
@@ -123,34 +128,11 @@ pub enum LoweredInstr {
     StrConcat(Local, Local, Local),
     /// `dst? = call(args...)` with the call site pre-baked for the inline
     /// lookup.
-    Call {
-        /// Destination local for the return value, if any.
-        dst: Option<Local>,
-        /// Pre-resolved call target.
-        target: LoweredCallee,
-        /// Argument locals.
-        args: Box<[Local]>,
-        /// Original block index of this call site.
-        site_block: u32,
-        /// Original instruction index within the block.
-        site_instr: u32,
-    },
+    Call(Box<LoweredCall>),
     /// `dst? = intrinsic(args...)`
-    Intrinsic {
-        /// Destination local, if the intrinsic produces a value.
-        dst: Option<Local>,
-        /// Which intrinsic.
-        op: Intrinsic,
-        /// Argument locals.
-        args: Box<[Local]>,
-    },
+    Intrinsic(Box<LoweredIntrinsic>),
     /// Spawn a new thread executing a static method.
-    Spawn {
-        /// Entry method of the new thread.
-        method: MethodId,
-        /// Argument locals.
-        args: Box<[Local]>,
-    },
+    Spawn(Box<LoweredSpawn>),
     /// Lowered `Terminator::Ret`.
     Ret(Option<Local>),
     /// Lowered `Terminator::Jump`.
@@ -164,6 +146,43 @@ pub enum LoweredInstr {
         /// Edge taken when the condition is false.
         else_e: JumpEdge,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<LoweredInstr>() == 16);
+
+/// Payload of [`LoweredInstr::Call`].
+#[derive(Debug, Clone)]
+pub struct LoweredCall {
+    /// Destination local for the return value, if any.
+    pub dst: Option<Local>,
+    /// Pre-resolved call target.
+    pub target: LoweredCallee,
+    /// Argument locals.
+    pub args: Box<[Local]>,
+    /// Original block index of this call site.
+    pub site_block: u32,
+    /// Original instruction index within the block.
+    pub site_instr: u32,
+}
+
+/// Payload of [`LoweredInstr::Intrinsic`].
+#[derive(Debug, Clone)]
+pub struct LoweredIntrinsic {
+    /// Destination local, if the intrinsic produces a value.
+    pub dst: Option<Local>,
+    /// Which intrinsic.
+    pub op: Intrinsic,
+    /// Argument locals.
+    pub args: Box<[Local]>,
+}
+
+/// Payload of [`LoweredInstr::Spawn`].
+#[derive(Debug, Clone)]
+pub struct LoweredSpawn {
+    /// Entry method of the new thread.
+    pub method: MethodId,
+    /// Argument locals.
+    pub args: Box<[Local]>,
 }
 
 /// Call target of a lowered call.
@@ -266,14 +285,14 @@ impl LoweredPaths {
     }
 }
 
-/// One flattened method body.
+/// One flattened method body, both arrays at exact size.
 #[derive(Debug, Clone)]
 pub struct LoweredMethod {
     /// Flat decoded instruction array; terminators included, so
     /// `code[block_start[b]..]` starts at block `b`'s first instruction.
-    pub code: Vec<LoweredInstr>,
+    pub code: Box<[LoweredInstr]>,
     /// Flat code index of each basic block's first instruction.
-    pub block_start: Vec<u32>,
+    pub block_start: Box<[u32]>,
     /// Local-slot count (copied from the IR method).
     pub n_locals: u16,
 }
@@ -296,7 +315,7 @@ pub struct LoweredShard {
 
 /// The sharded lowering of a (program, compiled build) pair. Global tables
 /// are eager; method bodies are grouped into per-CU shards realized on
-/// demand. Shared across VM runs behind an `Arc`.
+/// demand. Lent to a VM run behind an `Arc`.
 pub struct LoweredProgram {
     /// Flattened method bodies, indexed by dense method index; realized
     /// when the owning CU's shard is.
@@ -677,10 +696,7 @@ fn lower_method(
         for (ii, ins) in b.instrs.iter().enumerate() {
             code.push(lower_instr(ins, bi, ii, string_idx));
         }
-        let edge = |t: nimage_ir::BlockId| JumpEdge {
-            pc: block_start[t.index()],
-            block: t.0,
-        };
+        let edge = |t: nimage_ir::BlockId| JumpEdge { block: t.0 };
         code.push(match &b.terminator {
             Terminator::Ret(v) => LoweredInstr::Ret(*v),
             Terminator::Jump(t) => LoweredInstr::Jump(edge(*t)),
@@ -696,8 +712,8 @@ fn lower_method(
         });
     }
     LoweredMethod {
-        code,
-        block_start,
+        code: code.into_boxed_slice(),
+        block_start: block_start.into_boxed_slice(),
         n_locals: m.n_locals,
     }
 }
@@ -723,7 +739,7 @@ fn lower_instr(
         Instr::Bin(op, d, a, b) => LoweredInstr::Bin(*op, *d, *a, *b),
         Instr::Un(op, d, a) => LoweredInstr::Un(*op, *d, *a),
         Instr::New(d, c) => LoweredInstr::New(*d, *c),
-        Instr::NewArray(d, elem, len) => LoweredInstr::NewArray(*d, (**elem).clone(), *len),
+        Instr::NewArray(d, elem, len) => LoweredInstr::NewArray(*d, elem.clone(), *len),
         Instr::GetField(d, o, f) => LoweredInstr::GetField(*d, *o, *f),
         Instr::PutField(o, f, s) => LoweredInstr::PutField(*o, *f, *s),
         Instr::GetStatic(d, f) => LoweredInstr::GetStatic(*d, *f),
@@ -734,7 +750,7 @@ fn lower_instr(
         Instr::StrLen(d, s) => LoweredInstr::StrLen(*d, *s),
         Instr::StrCharAt(d, s, i) => LoweredInstr::StrCharAt(*d, *s, *i),
         Instr::StrConcat(d, a, b) => LoweredInstr::StrConcat(*d, *a, *b),
-        Instr::Call(call) => LoweredInstr::Call {
+        Instr::Call(call) => LoweredInstr::Call(Box::new(LoweredCall {
             dst: call.dst,
             target: match call.callee {
                 Callee::Static(m) => LoweredCallee::Static(m),
@@ -743,15 +759,15 @@ fn lower_instr(
             args: call.args.as_slice().into(),
             site_block: block as u32,
             site_instr: instr as u32,
-        },
-        Instr::Intrinsic(call) => LoweredInstr::Intrinsic {
+        })),
+        Instr::Intrinsic(call) => LoweredInstr::Intrinsic(Box::new(LoweredIntrinsic {
             dst: call.dst,
             op: call.op,
             args: call.args.as_slice().into(),
-        },
-        Instr::Spawn(spawn) => LoweredInstr::Spawn {
+        })),
+        Instr::Spawn(spawn) => LoweredInstr::Spawn(Box::new(LoweredSpawn {
             method: spawn.method,
             args: spawn.args.as_slice().into(),
-        },
+        })),
     }
 }

@@ -136,6 +136,33 @@ fn plain_cargo_test_runs_every_crate() {
     );
 }
 
+/// Those debug suites run at `opt-level = 1`, so that the slowest binary
+/// stays inside the 10 s budget, and keep `debug_assert!` and overflow
+/// checks on: the root manifest's `[profile.dev]` sets the level and turns
+/// neither check off.
+#[test]
+fn debug_test_binaries_are_optimised_with_checks_on() {
+    let manifest = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+        .expect("readable root manifest");
+    let dev: Vec<&str> = manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != "[profile.dev]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect();
+    assert!(
+        dev.contains(&"opt-level = 1"),
+        "the root Cargo.toml lost `[profile.dev]`'s `opt-level = 1`: {dev:?}"
+    );
+    for check in ["debug-assertions", "overflow-checks"] {
+        assert!(
+            !dev.iter().any(|l| l.starts_with(check)),
+            "`[profile.dev]` must leave `{check}` on: {dev:?}"
+        );
+    }
+}
+
 /// The warm-cache job gates on what a warm engine does: interpret nothing
 /// and lower nothing, since each build executes once and that run is a
 /// disk hit, and order nothing, since all eight strategy plans are disk

@@ -203,12 +203,21 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
         )
     };
 
-    let (cold_rows, cold, cold_analyze, _, _, _) = run();
+    let (cold_rows, cold, cold_analyze, _, _, cold_work) = run();
     assert!(
         cold.stores > 0 && cold.hits == 0,
         "cold run fills the cache"
     );
     assert_eq!(cold_analyze, 1, "one workload, one analysis");
+    // Both runs lower on demand, each build's code living only as long as
+    // its run: 101 of the two builds' 197 shards are ever called into, and
+    // the engine sums each run's counts as the run ends.
+    let shards = cold_work.1;
+    assert_eq!(
+        (shards.lazy, shards.eager, shards.cus),
+        (101, 0, 197),
+        "{shards:?}"
+    );
 
     let (warm_rows, warm, warm_analyze, warm_fingerprints, warm_orders, warm_work) = run();
     let (executions, shards, stages) = warm_work;
