@@ -1,6 +1,6 @@
 //! Criterion microbenches of the core algorithms: MurmurHash3, the three
-//! identity strategies, Ball–Larus numbering, the layout computation and
-//! the IR dataflow lints.
+//! identity strategies and the structural hash at depths 0–4, Ball–Larus
+//! numbering, the layout computation and the IR dataflow lints.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_analysis::{analyze, AnalysisConfig};
@@ -41,6 +41,15 @@ fn bench_strategies(c: &mut Criterion) {
         HeapStrategy::HeapPath,
     ] {
         c.bench_function(&format!("assign_ids/{}", strat.name()), |b| {
+            b.iter(|| assign_ids(std::hint::black_box(&program), &snap, strat))
+        });
+    }
+    // The structural hash's MAX_DEPTH trade-off (Sec. 5.2): deeper
+    // encodings cost more to compute (EXPERIMENTS.md's
+    // `abl_structural_depth` has what they buy).
+    for max_depth in 0..=4 {
+        let strat = HeapStrategy::StructuralHash { max_depth };
+        c.bench_function(&format!("assign_ids/structural/depth={max_depth}"), |b| {
             b.iter(|| assign_ids(std::hint::black_box(&program), &snap, strat))
         });
     }

@@ -15,9 +15,9 @@
 //!   engine checks a snapshot loaded from disk.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nimage_bench::profile_program;
+use nimage_bench::eval_options;
 use nimage_core::diskcache::Reader;
-use nimage_core::{DiskCodec, LayoutOrders, Strategy};
+use nimage_core::{DiskCodec, LayoutOrders, Pipeline, Strategy};
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_profiler::DumpMode;
 use nimage_vm::StopWhen;
@@ -25,8 +25,10 @@ use nimage_workloads::Microservice;
 
 fn bench_decode(c: &mut Criterion) {
     let program = Microservice::Micronaut.program();
-    let (pipeline, artifacts) =
-        profile_program(&program, StopWhen::FirstResponse, DumpMode::MemoryMapped);
+    let pipeline = Pipeline::new(&program, eval_options(DumpMode::MemoryMapped));
+    let artifacts = pipeline
+        .profiling_run(StopWhen::FirstResponse)
+        .expect("profiling run");
     let built = pipeline
         .build_optimized(&artifacts, None)
         .expect("optimized build");

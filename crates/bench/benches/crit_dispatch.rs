@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nimage_bench::profile_program;
+use nimage_bench::eval_options;
 use nimage_compiler::InstrumentConfig;
 use nimage_core::{BuildOptions, Pipeline, RunParts};
 use nimage_ir::Program;
@@ -127,8 +127,10 @@ fn bench_lowering(c: &mut Criterion) {
 
 fn bench_vm_build(c: &mut Criterion) {
     let program = Microservice::Micronaut.program();
-    let (pipeline, artifacts) =
-        profile_program(&program, StopWhen::FirstResponse, DumpMode::MemoryMapped);
+    let pipeline = Pipeline::new(&program, eval_options(DumpMode::MemoryMapped));
+    let artifacts = pipeline
+        .profiling_run(StopWhen::FirstResponse)
+        .expect("profiling run");
     let built = pipeline
         .build_optimized(&artifacts, None)
         .expect("optimized build");

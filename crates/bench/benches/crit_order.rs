@@ -19,9 +19,9 @@
 //! - `optimize_layout/cu` — the clustered cu strategy's code-only search.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nimage_bench::profile_program;
+use nimage_bench::eval_options;
 use nimage_compiler::ProgramIndex;
-use nimage_core::Strategy;
+use nimage_core::{Pipeline, Strategy};
 use nimage_image::optimize::{optimize_layout, CodeInput, HeapInput};
 use nimage_ir::ClassId;
 use nimage_order::{
@@ -33,8 +33,10 @@ use nimage_workloads::Microservice;
 
 fn bench_order(c: &mut Criterion) {
     let program = Microservice::Micronaut.program();
-    let (pipeline, artifacts) =
-        profile_program(&program, StopWhen::FirstResponse, DumpMode::MemoryMapped);
+    let pipeline = Pipeline::new(&program, eval_options(DumpMode::MemoryMapped));
+    let artifacts = pipeline
+        .profiling_run(StopWhen::FirstResponse)
+        .expect("profiling run");
     let built = pipeline
         .build_optimized(&artifacts, None)
         .expect("optimized build");

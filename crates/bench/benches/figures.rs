@@ -1,7 +1,6 @@
-//! Fig. 2–5 and the Sec. 7.4 profiling-overhead table: page-fault
-//! reductions and speedups of every ordering strategy on AWFY and the
-//! microservices, from one matrix on one engine. EXPERIMENTS.md carries
-//! the output, and `tests/paper_figures.rs` pins it byte for byte.
+//! Every table of EXPERIMENTS.md: Fig. 2–6, the Sec. 7.4 profiling
+//! overhead, the ablations and the native-tail extension, from one engine.
+//! `tests/paper_figures.rs` pins each block byte for byte.
 
 fn main() {
     let figures = nimage_bench::Figures::evaluate(&nimage_core::Engine::default());

@@ -1189,7 +1189,12 @@ fn lint_workload(
 fn cmd_overhead(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::resolve(parsed.one_positional("workload")?)?;
     let program = workload.program()?;
-    let pipeline = Pipeline::new(&program, pipeline_for(&workload));
+    let spec = WorkloadSpec::new(
+        workload.name(),
+        &program,
+        pipeline_for(&workload),
+        workload.stop(),
+    );
     println!(
         "{} (dump mode {}):",
         workload.name(),
@@ -1198,7 +1203,7 @@ fn cmd_overhead(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             DumpMode::MemoryMapped => "2: memory-mapped",
         }
     );
-    let overhead = pipeline.profiling_overhead(workload.stop())?;
+    let overhead = Engine::default().workload(&spec).profiling_overhead()?;
     for (name, f) in ProfilingOverhead::MODES.into_iter().zip(overhead.factors()) {
         println!("  {name:<8} {f:.2}x");
     }

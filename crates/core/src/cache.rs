@@ -327,7 +327,7 @@ impl<V> fmt::Debug for Memo<V> {
 /// pipeline stage whose output can be reused across strategies (and, for
 /// identical programs/options, across workloads). Lowered code has no
 /// table: each build runs once, so its lowering is built for that run and
-/// dropped when the run ends (`Engine::lowered_for`).
+/// dropped when the run ends (`Engine::run_default`).
 #[derive(Debug)]
 pub struct ArtifactCache {
     /// Reachability analysis results, keyed by program + analysis config.

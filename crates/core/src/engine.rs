@@ -48,7 +48,7 @@ use crate::cache::{ArtifactCache, CacheKey, Memo};
 use crate::diskcache::{DiskCacheOptions, DiskCodec, DiskStore};
 use crate::{
     BuildOptions, BuildParts, Evaluation, LayoutOrders, Pipeline, PipelineError, ProfiledArtifacts,
-    RunParts, Strategy,
+    ProfilingOverhead, RunParts, Strategy,
 };
 
 /// The pipeline's stages. A [`crate::Report`] lists its per-stage times
@@ -137,6 +137,10 @@ impl<'p> WorkloadSpec<'p> {
 
 /// A typed request for one optimized build: the workload, its profiling
 /// artifacts, and the layout strategy (`None` = the baseline layout).
+///
+/// It remains only because the repo benchmark (`benchmark/src/pass.rs`)
+/// calls [`Engine::optimized_image`] with it; ROADMAP item 1b removes it
+/// with that caller. Everything else asks [`Workload::optimized_image`].
 #[derive(Debug)]
 pub struct BuildRequest<'a, 'p, 's> {
     /// The workload to build.
@@ -212,14 +216,10 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     /// Propagates pipeline failures.
     pub fn instrumented_parts(&self) -> Result<BuildParts, PipelineError> {
         let p = self.pipeline();
-        let front = self.engine.build_front(self, &p, None)?;
-        let image = self.engine.default_image(
-            self,
-            &p,
-            self.key("layout:instrumented"),
-            "instrumented",
-            &front,
-        )?;
+        let front = self.engine.build_front(self, &p, Build::Instrumented)?;
+        let image = self
+            .engine
+            .default_image(self, &p, Build::Instrumented, &front)?;
         Ok(BuildParts {
             compiled: front.compiled,
             snapshot: front.snapshot,
@@ -241,9 +241,10 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     ) -> Result<BuildParts, PipelineError> {
         let p = self.pipeline();
         let e = self.engine;
-        let front = e.build_front(self, &p, Some(artifacts))?;
+        let build = Build::Optimized(artifacts);
+        let front = e.build_front(self, &p, build)?;
         let image = match strategy {
-            None => e.default_image(self, &p, self.key("layout:baseline"), "baseline", &front)?,
+            None => e.default_image(self, &p, build, &front)?,
             Some(s) => Arc::new(e.strategy_image(self, &p, artifacts, &front, s)?),
         };
         Ok(BuildParts {
@@ -266,11 +267,46 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
         strategy: Strategy,
     ) -> Result<LayoutOrders, PipelineError> {
         let p = self.pipeline();
-        let front = self.engine.build_front(self, &p, Some(artifacts))?;
+        let front = self
+            .engine
+            .build_front(self, &p, Build::Optimized(artifacts))?;
         Ok((*self
             .engine
             .orders_for(self, &p, artifacts, &front, strategy))
         .clone())
+    }
+
+    /// Sec. 7.4: the execution-time overhead factors of the three
+    /// single-probe instrumentation modes, each the CPU work of a run of
+    /// the build with that probe over a run of the regular build. The four
+    /// builds share the workload's analysis; their compiles, snapshots and
+    /// images are cached like every other build's, and their runs are not.
+    ///
+    /// The paper measures profiling overhead in the usual warm-cache
+    /// benchmarking setup (profiling happens once, offline), so the ratio
+    /// is computed over CPU work only: cold-start fault latency is the
+    /// subject of the other experiments, not of this one.
+    ///
+    /// # Errors
+    /// Propagates build or run failures.
+    pub fn profiling_overhead(&self) -> Result<ProfilingOverhead, PipelineError> {
+        let (e, p) = (self.engine, self.pipeline());
+        let work = |build: Build<'_>| -> Result<f64, PipelineError> {
+            let front = e.build_front(self, &p, build)?;
+            let (report, _) = e.run_default(self, &p, &front, build)?;
+            Ok(match report.first_response {
+                Some(rp) => (rp.ops + rp.probe_ops) as f64,
+                None => (report.ops + report.probe_ops) as f64,
+            })
+        };
+        let [regular, cu, method, heap] =
+            OVERHEAD_BUILDS.map(|(name, instr)| work(Build::Overhead(name, instr)));
+        let regular = regular?;
+        Ok(ProfilingOverhead {
+            cu: cu? / regular,
+            method: method? / regular,
+            heap: heap? / regular,
+        })
     }
 
     /// Evaluates this workload's row of the matrix: one cell per
@@ -292,6 +328,50 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
 
     fn pipeline(&self) -> Pipeline<'p> {
         Pipeline::indexed(self.index.clone(), self.spec.opts.clone())
+    }
+}
+
+/// Sec. 7.4's builds, named: the regular build, then one build per probe
+/// kind in [`ProfilingOverhead::MODES`] order.
+#[rustfmt::skip]
+const OVERHEAD_BUILDS: [(&str, InstrumentConfig); 4] = [
+    ("overhead-regular", InstrumentConfig::NONE),
+    ("overhead-cu", InstrumentConfig { trace_cu: true, ..InstrumentConfig::NONE }),
+    ("overhead-method", InstrumentConfig { trace_methods: true, ..InstrumentConfig::NONE }),
+    ("overhead-heap", InstrumentConfig { trace_heap: true, ..InstrumentConfig::NONE }),
+];
+
+/// One build of a workload: what its compile instruments and under which
+/// call counts, which heap configuration its snapshot uses, and the
+/// variant name its cache keys and spans carry.
+#[derive(Clone, Copy)]
+enum Build<'a> {
+    /// The profiling build: every probe on.
+    Instrumented,
+    /// One of Sec. 7.4's builds, named: the regular build or one probe kind
+    /// on.
+    Overhead(&'static str, InstrumentConfig),
+    /// The PGO build, compiled under a profile's call counts.
+    Optimized(&'a ProfiledArtifacts),
+}
+
+impl Build<'_> {
+    /// The variant in the build's compile and snapshot keys and spans.
+    fn name(self) -> &'static str {
+        match self {
+            Build::Instrumented => "instrumented",
+            Build::Overhead(name, _) => name,
+            Build::Optimized(_) => "optimized",
+        }
+    }
+
+    /// The variant of its default-order image and that image's run: the
+    /// optimized build's is the baseline.
+    fn image(self) -> &'static str {
+        match self {
+            Build::Optimized(_) => "baseline",
+            b => b.name(),
+        }
     }
 }
 
@@ -544,6 +624,25 @@ impl Engine {
         Ok(out)
     }
 
+    /// `f` on the handle of every workload of `specs`, fanned out over the
+    /// engine's workers, largest program first (as the matrix starts its
+    /// rows). The results come back in `specs` order.
+    pub fn map_workloads<'p, T: Send>(
+        &self,
+        specs: &[WorkloadSpec<'p>],
+        f: impl Fn(&Workload<'_, 'p, '_>) -> T + Sync,
+    ) -> Vec<T> {
+        let sizes: Vec<usize> = specs.iter().map(|s| ir_size(s.program)).collect();
+        let workers = nimage_par::workers_for(
+            self.threads(),
+            specs.len(),
+            nimage_par::cutoff::RUN_MIN_CELLS,
+        );
+        nimage_par::parallel_map_ordered(workers, &job_order(&sizes, 1), |i| {
+            f(&self.workload(&specs[i]))
+        })
+    }
+
     /// Enforces the configured disk-cache size caps: deletes stale temp
     /// files and evicts least-recently-accessed entries until the cache
     /// is under [`DiskCacheOptions::max_bytes`]/[`DiskCacheOptions::max_entries`].
@@ -565,6 +664,9 @@ impl Engine {
 
     /// Profiles one workload: [`Workload::profile`] on a new handle.
     ///
+    /// It remains only because the repo benchmark (`benchmark/src/pass.rs`)
+    /// calls it; ROADMAP item 1b removes it with that caller.
+    ///
     /// # Errors
     /// Propagates pipeline failures.
     pub fn profile_workload(
@@ -577,6 +679,9 @@ impl Engine {
     /// The instrumented build: [`Workload::instrumented_parts`] on a new
     /// handle.
     ///
+    /// It remains only because the repo benchmark (`benchmark/src/pass.rs`)
+    /// calls it; ROADMAP item 1b removes it with that caller.
+    ///
     /// # Errors
     /// Propagates pipeline failures.
     pub fn instrumented_parts(&self, spec: &WorkloadSpec<'_>) -> Result<BuildParts, PipelineError> {
@@ -585,6 +690,9 @@ impl Engine {
 
     /// The optimized build `req` describes: [`Workload::optimized_image`]
     /// on a new handle.
+    ///
+    /// It remains only because the repo benchmark (`benchmark/src/pass.rs`)
+    /// calls it; ROADMAP item 1b removes it with that caller.
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -645,20 +753,6 @@ impl Engine {
         ) {
             Ok(plan) => plan,
         }
-    }
-
-    /// One workload × strategy's ordering plan: [`Workload::layout_plan`]
-    /// on a new handle.
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    pub fn layout_plan(
-        &self,
-        spec: &WorkloadSpec<'_>,
-        artifacts: &ProfiledArtifacts,
-        strategy: Strategy,
-    ) -> Result<LayoutOrders, PipelineError> {
-        self.workload(spec).layout_plan(artifacts, strategy)
     }
 
     /// One strategy's image: its cached plan laid out with the profiled
@@ -733,45 +827,39 @@ impl Engine {
         }
     }
 
-    /// The strategy-independent front of one build variant — compile →
-    /// snapshot, each behind the cache and the disk tier; reachability
-    /// (memoized, never persisted) is resolved only by a compile that
-    /// misses both. Without a profile this is the instrumented build; with
-    /// one, the PGO-optimized build compiled under its call counts.
+    /// The strategy-independent front of one build — compile → snapshot,
+    /// each behind the cache and the disk tier; reachability (memoized,
+    /// never persisted, shared by every build of the workload) is resolved
+    /// only by a compile that misses both.
     fn build_front(
         &self,
         w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
-        pgo: Option<&ProfiledArtifacts>,
+        build: Build<'_>,
     ) -> Result<BuildFront, PipelineError> {
         let opts = &w.spec.opts;
-        let (variant, compile_key, snapshot_key, instr, heap_cfg) = match pgo {
-            None => (
-                "instrumented",
-                w.key("compile:instrumented"),
-                w.key("snapshot:instrumented"),
-                InstrumentConfig::FULL,
-                &opts.heap_instrumented,
-            ),
-            Some(_) => (
-                "optimized",
-                w.key("compile:optimized"),
-                w.key("snapshot:optimized"),
+        let (instr, counts, heap_cfg) = match build {
+            Build::Instrumented => (InstrumentConfig::FULL, None, &opts.heap_instrumented),
+            Build::Overhead(_, instr) => (instr, None, &opts.heap_instrumented),
+            Build::Optimized(a) => (
                 InstrumentConfig::NONE,
+                Some(&a.call_counts),
                 &opts.heap_optimized,
             ),
         };
+        let variant = build.name();
+        let snapshot_key = w.key(&format!("snapshot:{variant}"));
         let span_args = || format!("workload={} variant={variant}", w.spec.name);
         let Ok(compiled) = self.disk_backed::<_, std::convert::Infallible>(
             &self.cache.compiled,
             "compile",
-            compile_key,
+            w.key(&format!("compile:{variant}")),
             || {
                 // Only a compile that actually runs needs reachability: a
                 // disk hit above never analyzes.
                 let reach = self.reach(w, p);
                 let _s = self.tracer.root_span("compile", span_args);
-                Ok(p.compile_stage((*reach).clone(), instr, pgo.map(|a| &a.call_counts)))
+                Ok(p.compile_stage((*reach).clone(), instr, counts))
             },
         );
         let snapshot = self.disk_backed_checked(
@@ -791,46 +879,29 @@ impl Engine {
         })
     }
 
-    /// A build's default-order image (`variant` = `instrumented` or
-    /// `baseline`), shared across cells behind the image memo.
+    /// A build's default-order image, shared across cells behind the image
+    /// memo.
     fn default_image(
         &self,
         w: &Workload<'_, '_, '_>,
         p: &Pipeline<'_>,
-        key: CacheKey,
-        variant: &'static str,
+        build: Build<'_>,
         front: &BuildFront,
     ) -> Result<Arc<BinaryImage>, PipelineError> {
-        self.cache.images.get_or_try(key, || {
-            let _s = self.tracer.root_span("layout", || {
-                format!("workload={} variant={variant}", w.spec.name)
-            });
-            p.layout_stage(
-                &front.compiled,
-                &front.snapshot,
-                LayoutOrders::default(),
-                None,
-            )
-        })
-    }
-
-    /// The sharded execution program for the one run of a compiled build.
-    /// Nothing shares it: each build runs once, and its run is memoised.
-    ///
-    /// Constructing the container builds only the cheap global tables;
-    /// method bodies are lowered per CU on first call, inside the run.
-    /// When the run ends its caller hands the container to
-    /// [`Engine::retire_lowered`].
-    fn lowered_for(
-        &self,
-        w: &Workload<'_, '_, '_>,
-        compiled: &CompiledProgram,
-        variant: &'static str,
-    ) -> Arc<LoweredProgram> {
-        let _s = self.tracer.root_span("lower", || {
-            format!("workload={} variant={variant}", w.spec.name)
-        });
-        Arc::new(LoweredProgram::indexed(&w.index, compiled))
+        let variant = build.image();
+        self.cache
+            .images
+            .get_or_try(w.key(&format!("layout:{variant}")), || {
+                let _s = self.tracer.root_span("layout", || {
+                    format!("workload={} variant={variant}", w.spec.name)
+                });
+                p.layout_stage(
+                    &front.compiled,
+                    &front.snapshot,
+                    LayoutOrders::default(),
+                    None,
+                )
+            })
     }
 
     /// Adds a finished run's shard counts to the engine's and drops its
@@ -846,6 +917,45 @@ impl Engine {
         drop(lowered);
     }
 
+    /// One run of `build`'s default-order image, with the run's access log.
+    ///
+    /// The run executes on a sharded program that nothing else shares:
+    /// each build runs once, and its run is memoised or used once. Making
+    /// the container builds only the cheap global tables; method bodies
+    /// are lowered per CU on first call, inside the run, and the container
+    /// is retired ([`Engine::retire_lowered`]) inside the run's `run` span.
+    /// The baseline run, which every cell of its row shares, records a root
+    /// span; the others nest under their caller's span.
+    fn run_default(
+        &self,
+        w: &Workload<'_, '_, '_>,
+        p: &Pipeline<'_>,
+        front: &BuildFront,
+        build: Build<'_>,
+    ) -> Result<(RunReport, AccessLog), PipelineError> {
+        let image = self.default_image(w, p, build, front)?;
+        let lowered = {
+            let _s = self.tracer.root_span("lower", || {
+                format!("workload={} variant={}", w.spec.name, build.name())
+            });
+            Arc::new(LoweredProgram::indexed(&w.index, &front.compiled))
+        };
+        let detail = || format!("workload={} variant={}", w.spec.name, build.image());
+        let _s = match build {
+            Build::Optimized(_) => self.tracer.root_span("run", detail),
+            _ => self.tracer.span_with("run", detail),
+        };
+        self.tracer.count("vm.executions", 1);
+        let run = p.run_logged(
+            RunParts::new(&front.compiled, &front.snapshot, &image)
+                .lowered(Some(lowered.clone()))
+                .tracer(self.vm_tracer()),
+            w.spec.stop,
+        );
+        self.retire_lowered(lowered);
+        run
+    }
+
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
     /// workload.
     fn profiled(&self, w: &Workload<'_, '_, '_>) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
@@ -854,24 +964,8 @@ impl Engine {
                 .tracer
                 .root_span("profile", || format!("workload={}", w.spec.name));
             let p = w.pipeline();
-            let front = self.build_front(w, &p, None)?;
-            let image =
-                self.default_image(w, &p, w.key("layout:instrumented"), "instrumented", &front)?;
-            let lowered = self.lowered_for(w, &front.compiled, "instrumented");
-            let report = {
-                let _s = self.tracer.span_with("run", || {
-                    format!("workload={} variant=instrumented", w.spec.name)
-                });
-                self.tracer.count("vm.executions", 1);
-                let report = p.run(
-                    RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .lowered(Some(lowered.clone()))
-                        .tracer(self.vm_tracer()),
-                    w.spec.stop,
-                );
-                self.retire_lowered(lowered);
-                report?
-            };
+            let front = self.build_front(w, &p, Build::Instrumented)?;
+            let (report, _) = self.run_default(w, &p, &front, Build::Instrumented)?;
             let _s = self
                 .tracer
                 .span_with("replay", || format!("workload={}", w.spec.name));
@@ -892,29 +986,14 @@ impl Engine {
         artifacts: &ProfiledArtifacts,
     ) -> Result<BaselineParts, PipelineError> {
         let p = w.pipeline();
-        let front = self.build_front(w, &p, Some(artifacts))?;
+        let build = Build::Optimized(artifacts);
+        let front = self.build_front(w, &p, build)?;
         let run = self.disk_backed_checked(
             &self.cache.runs,
             "baseline-run",
             w.key("run:baseline"),
             |(report, log)| log.fits(report, &front.compiled, &front.snapshot, &p.options().image),
-            || {
-                let image =
-                    self.default_image(w, &p, w.key("layout:baseline"), "baseline", &front)?;
-                let lowered = self.lowered_for(w, &front.compiled, "optimized");
-                let _s = self.tracer.root_span("run", || {
-                    format!("workload={} variant=baseline", w.spec.name)
-                });
-                self.tracer.count("vm.executions", 1);
-                let run = p.run_logged(
-                    RunParts::new(&front.compiled, &front.snapshot, &image)
-                        .lowered(Some(lowered.clone()))
-                        .tracer(self.vm_tracer()),
-                    w.spec.stop,
-                );
-                self.retire_lowered(lowered);
-                run
-            },
+            || self.run_default(w, &p, &front, build),
         )?;
         Ok(BaselineParts { front, run })
     }

@@ -1065,44 +1065,6 @@ impl<'p> Pipeline<'p> {
             })
             .collect()
     }
-
-    /// Sec. 7.4: the execution-time overhead factors of the three
-    /// single-probe instrumentation modes, each `time(instrumented) /
-    /// time(regular)` against one run of the regular build.
-    ///
-    /// The paper measures profiling overhead in the usual warm-cache
-    /// benchmarking setup (profiling happens once, offline), so the ratio
-    /// is computed over CPU work only — cold-start fault latency is the
-    /// *subject* of the other experiments, not of this one.
-    ///
-    /// # Errors
-    /// Propagates build or run failures.
-    pub fn profiling_overhead(&self, stop: StopWhen) -> Result<ProfilingOverhead, PipelineError> {
-        let cpu = |r: &RunReport| match r.first_response {
-            Some(rp) => (rp.ops + rp.probe_ops) as f64,
-            None => (r.ops + r.probe_ops) as f64,
-        };
-        let work = |instr: InstrumentConfig| -> Result<f64, PipelineError> {
-            let built = self.build_instrumented(instr)?;
-            Ok(cpu(&self.run_image(&built, stop)?))
-        };
-        let regular = work(InstrumentConfig::NONE)?;
-        let factor = |instr: InstrumentConfig| Ok::<_, PipelineError>(work(instr)? / regular);
-        Ok(ProfilingOverhead {
-            cu: factor(InstrumentConfig {
-                trace_cu: true,
-                ..InstrumentConfig::NONE
-            })?,
-            method: factor(InstrumentConfig {
-                trace_methods: true,
-                ..InstrumentConfig::NONE
-            })?,
-            heap: factor(InstrumentConfig {
-                trace_heap: true,
-                ..InstrumentConfig::NONE
-            })?,
-        })
-    }
 }
 
 /// Sec. 7.4's profiling-overhead factors of one workload: CPU work of the

@@ -1,5 +1,6 @@
-//! Golden trace replays: every bundled workload's instrumented run,
-//! replayed into a [`ReplaySummary`] and digested as its three
+//! Golden trace replays: every bundled workload's instrumented run, and
+//! small-scale Bounce's, replayed into a [`ReplaySummary`] and digested as
+//! its three
 //! first-occurrence lists (CU order, method order, object order). The
 //! table pins the replay — and with it every profile, plan, fault count
 //! and disk entry derived from it — so a faster replay must reproduce the
@@ -16,11 +17,11 @@ use nimage_order::murmur3::Hasher128;
 use nimage_order::{assign_ids, replay_first_access, HeapStrategy, ReplaySummary};
 use nimage_profiler::DumpMode;
 use nimage_vm::{StopWhen, VmConfig};
-use nimage_workloads::{Awfy, Microservice};
+use nimage_workloads::{Awfy, Microservice, RuntimeScale};
 
 /// `(workload, [cu_order, method_order, object_order])` digests.
 #[rustfmt::skip]
-const GOLDEN: [(&str, [u64; 3]); 17] = [
+const GOLDEN: [(&str, [u64; 3]); 18] = [
     ("Bounce", [0xfc6ab99eda16551d, 0xa7bf021af50d0cf4, 0xeef4f9d89369654d]),
     ("CD", [0xdeb9455fd7b8eaed, 0xcc44c46c6dbb32d2, 0x0db9f5e4c9a365f3]),
     ("DeltaBlue", [0x23dcc66f2e9bbf90, 0xc39d0af5a4e5ec81, 0xb56a2bb3cea4574b]),
@@ -38,6 +39,7 @@ const GOLDEN: [(&str, [u64; 3]); 17] = [
     ("micronaut", [0x41891729963b59c7, 0x59c7f15614f5e838, 0x3d869bef35c3bf65]),
     ("quarkus", [0xba71e944e9a3ddbb, 0x444d500db97f0be7, 0x0ad24b50093d2c81]),
     ("spring", [0x00aae3cd80ee0451, 0x9068d6b58bb30e80, 0xc9fb6fbdf54c1af6]),
+    ("Bounce (small scale)", [0xd80e74e8123fc3e1, 0x5d59ac9d6ac21119, 0xd8488995e1eb6385]),
 ];
 
 fn digest_sigs(sigs: &[String]) -> u64 {
@@ -102,6 +104,14 @@ fn replays_match_the_golden_table() {
             ),
         ));
     }
+    actual.push((
+        "Bounce (small scale)",
+        replay_digest(
+            &Awfy::Bounce.program_at(&RuntimeScale::small()),
+            DumpMode::OnFull,
+            StopWhen::Exit,
+        ),
+    ));
     if actual[..] != GOLDEN[..] {
         let mut table = String::new();
         for (name, d) in &actual {

@@ -383,9 +383,10 @@ fn entries(program: &Program) -> Vec<Entry> {
         .expect("a CU");
     let engine = Engine::default();
     let spec = WorkloadSpec::new("codecs", program, opts, StopWhen::Exit);
-    let artifacts = engine.profile_workload(&spec).expect("profiles");
-    let plan = engine
-        .layout_plan(&spec, &artifacts, Strategy::CuClusteredPlusHeapPath)
+    let workload = engine.workload(&spec);
+    let artifacts = workload.profile().expect("profiles");
+    let plan = workload
+        .layout_plan(&artifacts, Strategy::CuClusteredPlusHeapPath)
         .expect("plans");
     assert!(plan.cu_order.is_some() && plan.object_order.is_some() && plan.predicted.is_some());
     vec![

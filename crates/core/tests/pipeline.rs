@@ -3,8 +3,8 @@
 //! large mostly-untouched heap snapshot, and a hot path that touches a
 //! scattered subset of both.
 
-use nimage_compiler::InlineConfig;
-use nimage_core::{BuildOptions, Evaluation, Pipeline, Strategy};
+use nimage_compiler::{InlineConfig, InstrumentConfig};
+use nimage_core::{BuildOptions, Engine, Evaluation, Pipeline, Strategy, WorkloadSpec};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
 use nimage_vm::{CostModel, PagingConfig, StopWhen, VmConfig};
 
@@ -219,14 +219,46 @@ fn combined_strategy_reduces_both_sections() {
 #[test]
 fn profiling_overhead_factors_are_ordered_like_the_paper() {
     let p = workload();
-    let pipeline = Pipeline::new(&p, options());
-    let overhead = pipeline.profiling_overhead(StopWhen::Exit).unwrap();
+    let spec = WorkloadSpec::new("synthetic", &p, options(), StopWhen::Exit);
+    let overhead = Engine::default()
+        .workload(&spec)
+        .profiling_overhead()
+        .unwrap();
     let (cu, method, heap) = (overhead.cu, overhead.method, overhead.heap);
     assert!(cu >= 1.0 && method >= 1.0 && heap >= 1.0);
     assert!(
         method > cu,
         "method tracing ({method:.3}) must cost more than cu tracing ({cu:.3})"
     );
+
+    // The serial pipeline's builds and runs give the same factors, bit for
+    // bit: CPU work (ops and probe ops) of each single-probe build over the
+    // regular build's.
+    let pipeline = Pipeline::new(&p, options());
+    let work = |instr| {
+        let report = pipeline
+            .run_image(&pipeline.build_instrumented(instr).unwrap(), StopWhen::Exit)
+            .unwrap();
+        (report.ops + report.probe_ops) as f64
+    };
+    let regular = work(InstrumentConfig::NONE);
+    let none = InstrumentConfig::NONE;
+    let serial = [
+        InstrumentConfig {
+            trace_cu: true,
+            ..none
+        },
+        InstrumentConfig {
+            trace_methods: true,
+            ..none
+        },
+        InstrumentConfig {
+            trace_heap: true,
+            ..none
+        },
+    ]
+    .map(|instr| (work(instr) / regular).to_bits());
+    assert_eq!(overhead.factors().map(f64::to_bits), serial);
 }
 
 #[test]

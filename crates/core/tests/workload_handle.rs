@@ -132,7 +132,7 @@ fn handle_results_equal_the_by_spec_methods() {
                 ));
                 out.push(format!(
                     "{:?}",
-                    by_spec.layout_plan(spec, &artifacts, s).unwrap()
+                    by_spec.workload(spec).layout_plan(&artifacts, s).unwrap()
                 ));
             }
             let cells = by_spec

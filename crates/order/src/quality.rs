@@ -85,6 +85,15 @@ pub fn layout_quality(
 /// problem). This is the metric behind the ROADMAP's salted-heap-ids
 /// question: salting trades id stability for collision freedom, and this
 /// ratio quantifies whether the trade pays.
+///
+/// It measures uniqueness, not correctness. It counts ids that are unique
+/// in both builds, and never checks that such an id names the *same*
+/// object in both: an id unique on each side but given to two different
+/// objects counts as matched. So the ratio can rank schemes against their
+/// fault reductions. On the three microservices it reads 1.000 for
+/// incremental id and 0.907 for the structural hash, above heap path's
+/// 0.806, while Fig. 3 ranks their fault reductions the other way round
+/// (heap path 1.79, incremental id 1.58, structural hash 1.36).
 pub fn matched_object_ratio(instrumented_ids: &[u64], optimized_ids: &[u64]) -> f64 {
     if optimized_ids.is_empty() {
         return 1.0;

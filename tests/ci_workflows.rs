@@ -113,13 +113,60 @@ fn ci_runs_the_fingerprint_bench() {
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
 }
 
-/// `tests/paper_figures.rs` pins Fig. 2–5 and Sec. 7.4 but is ignored
-/// in debug builds (the full matrix is too slow unoptimized), so CI's
-/// release workspace step is the one that runs it.
+/// CI's release workspace step is the one that runs the vendored
+/// stand-ins' suites, which tier-1's `default-members` leaves out, and
+/// every suite with optimizations on.
 #[test]
 fn ci_runs_the_release_workspace_tests() {
     let step = "cargo test --workspace -q --release";
     assert!(ci_runs(step), "ci.yml lost the `{step}` step");
+}
+
+/// The `[[bench]]` targets of `crates/bench/Cargo.toml`, as `(name,
+/// harness)`; `harness` is `None` when the entry does not set it.
+fn bench_targets() -> Vec<(String, Option<String>)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/Cargo.toml");
+    let manifest = fs::read_to_string(path).expect("readable bench manifest");
+    let value = |entry: &str, key: &str| {
+        entry.lines().find_map(|l| {
+            let (k, v) = l.split_once('=')?;
+            (k.trim() == key).then(|| v.trim().trim_matches('"').to_string())
+        })
+    };
+    manifest
+        .split("[[bench]]")
+        .skip(1)
+        .map(|entry| {
+            let entry = entry.split("\n[").next().unwrap_or(entry);
+            let name = value(entry, "name").expect("every [[bench]] has a name");
+            (name, value(entry, "harness"))
+        })
+        .collect()
+}
+
+/// Every bench target brings its own `main` (`criterion_main!` or the
+/// `figures` printer), so each must set `harness = false`: under libtest's
+/// harness that `main` is replaced, and the target runs zero benches under
+/// both `--bench` and `--test` without failing. CI runs every criterion
+/// target (`crit_*`) once, so each keeps compiling and keeps executing.
+#[test]
+fn every_bench_target_runs_its_own_main_and_every_crit_bench_runs_in_ci() {
+    let targets = bench_targets();
+    assert!(
+        targets.iter().any(|(n, _)| n == "figures"),
+        "found no `figures` bench target in {targets:?}"
+    );
+    for (name, harness) in &targets {
+        assert_eq!(
+            harness.as_deref(),
+            Some("false"),
+            "bench `{name}` must set `harness = false`"
+        );
+        if name.starts_with("crit_") {
+            let step = format!("cargo bench -p nimage-bench --bench {name} -- --test");
+            assert!(ci_runs(&step), "ci.yml has no `{step}` step");
+        }
+    }
 }
 
 /// Tier-1's plain `cargo test` at the root runs every crate's suites,
