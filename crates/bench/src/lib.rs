@@ -88,7 +88,8 @@ impl Figures {
     /// Evaluates everything on `engine`: the workload × strategy matrix and
     /// the variants' `cu+heap path` matrix, each in one
     /// [`Engine::evaluate_matrix`] call, each workload's profiling overhead
-    /// on the engine's workers, and the two ablations' builds.
+    /// on the engine's workers through the matrix's own row handles, and
+    /// the two ablations' builds.
     ///
     /// # Panics
     /// Panics if any pipeline stage fails — the harness treats that as a
@@ -107,11 +108,13 @@ impl Figures {
                 WorkloadSpec::new(*name, program, opts, StopWhen::FirstResponse)
             }))
             .collect();
-        let mut cells = engine
-            .evaluate_matrix(&specs, &Strategy::all())
+        // One handle per workload serves both the matrix and the overheads.
+        let rows = engine.rows(&specs);
+        let mut cells = rows
+            .evaluate(&Strategy::all())
             .unwrap_or_else(|e| panic!("figure matrix evaluation failed: {e}"));
-        let mut overhead: Vec<(String, ProfilingOverhead)> = engine
-            .map_workloads(&specs, |w| w.profiling_overhead())
+        let mut overhead: Vec<(String, ProfilingOverhead)> = rows
+            .map(|w| w.profiling_overhead())
             .into_iter()
             .zip(&specs)
             .map(|(o, s)| match o {

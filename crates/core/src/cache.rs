@@ -337,8 +337,8 @@ pub struct ArtifactCache {
     pub compiled: Memo<CompiledProgram>,
     /// Heap snapshots, keyed by compile key + heap-build config.
     pub snapshots: Memo<HeapSnapshot>,
-    /// Strategy identity maps (`assign_ids` output), keyed by snapshot key
-    /// + heap strategy.
+    /// The optimized snapshot's strategy identity maps (`assign_ids`
+    /// output), keyed by snapshot key + heap strategy.
     pub heap_ids: Memo<HashMap<ObjId, u64>>,
     /// Laid-out images shared across cells: the instrumented and the
     /// baseline layouts (strategy layouts are unique per evaluation cell

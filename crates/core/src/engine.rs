@@ -279,8 +279,9 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     /// Sec. 7.4: the execution-time overhead factors of the three
     /// single-probe instrumentation modes, each the CPU work of a run of
     /// the build with that probe over a run of the regular build. The four
-    /// builds share the workload's analysis; their compiles, snapshots and
-    /// images are cached like every other build's, and their runs are not.
+    /// builds share the workload's analysis. Nothing reads their compiles,
+    /// snapshots, images or runs again, so each lives only until its run
+    /// ends, outside the engine's memos and disk tier.
     ///
     /// The paper measures profiling overhead in the usual warm-cache
     /// benchmarking setup (profiling happens once, offline), so the ratio
@@ -315,11 +316,12 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     /// # Errors
     /// Returns the first failing cell's error.
     pub fn evaluate(&self, strategies: &[Strategy]) -> Result<Vec<MatrixCell>, PipelineError> {
-        self.engine.run_matrix(
-            std::slice::from_ref(self.spec),
-            &[OnceLock::from(self.clone())],
-            strategies,
-        )
+        Rows {
+            engine: self.engine,
+            specs: std::slice::from_ref(self.spec),
+            handles: vec![OnceLock::from(self.clone())],
+        }
+        .evaluate(strategies)
     }
 
     fn key(&self, stage: &str) -> CacheKey {
@@ -328,6 +330,72 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
 
     fn pipeline(&self) -> Pipeline<'p> {
         Pipeline::indexed(self.index.clone(), self.spec.opts.clone())
+    }
+}
+
+/// The rows of a matrix, from [`Engine::rows`]: one [`Workload`] handle
+/// per spec, made on first use by whichever operation reaches the row
+/// first. Every operation on the rows shares the handles, so a matrix and
+/// a later per-row map fingerprint and index each workload once.
+pub struct Rows<'e, 'p, 's> {
+    engine: &'e Engine,
+    specs: &'s [WorkloadSpec<'p>],
+    handles: Vec<OnceLock<Workload<'e, 'p, 's>>>,
+}
+
+impl<'e, 'p, 's> Rows<'e, 'p, 's> {
+    fn handle(&self, row: usize) -> &Workload<'e, 'p, 's> {
+        self.handles[row].get_or_init(|| self.engine.workload(&self.specs[row]))
+    }
+
+    /// [`Engine::evaluate_matrix`] over these rows.
+    ///
+    /// # Errors
+    /// Returns the first failing cell's error (in row-major order).
+    pub fn evaluate(&self, strategies: &[Strategy]) -> Result<Vec<MatrixCell>, PipelineError> {
+        let e = self.engine;
+        let jobs: Vec<(usize, usize)> = (0..self.specs.len())
+            .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
+            .collect();
+        let sizes: Vec<usize> = self.specs.iter().map(|s| ir_size(s.program)).collect();
+        let order = job_order(&sizes, strategies.len());
+        // Capped at the host's parallelism (workers beyond it only
+        // contend) and gated on the cell-count cutoff. This is the
+        // pipeline's only fan-out: every stage inside a cell is serial.
+        let workers =
+            nimage_par::workers_for(e.threads(), jobs.len(), nimage_par::cutoff::RUN_MIN_CELLS);
+        let results = nimage_par::parallel_map_ordered(workers, &order, |j| {
+            let (wi, si) = jobs[j];
+            e.run_job(self.handle(wi), strategies[si])
+        });
+
+        let mut out = Vec::with_capacity(jobs.len());
+        for (result, &(wi, si)) in results.into_iter().zip(&jobs) {
+            out.push(MatrixCell {
+                workload: self.specs[wi].name.clone(),
+                strategy: strategies[si],
+                eval: result?,
+            });
+        }
+        // Opportunistic lifecycle sweep: if this evaluation wrote new
+        // entries and the cache is capped, bring it back under the caps.
+        if e.disk.as_ref().is_some_and(|d| d.stats().stores > 0) {
+            e.gc_disk();
+        }
+        Ok(out)
+    }
+
+    /// `f` on every row's handle, fanned out over the engine's workers,
+    /// largest program first (as the matrix starts its rows). The results
+    /// come back in row order.
+    pub fn map<T: Send>(&self, f: impl Fn(&Workload<'e, 'p, 's>) -> T + Sync) -> Vec<T> {
+        let sizes: Vec<usize> = self.specs.iter().map(|s| ir_size(s.program)).collect();
+        let workers = nimage_par::workers_for(
+            self.engine.threads(),
+            self.specs.len(),
+            nimage_par::cutoff::RUN_MIN_CELLS,
+        );
+        nimage_par::parallel_map_ordered(workers, &job_order(&sizes, 1), |i| f(self.handle(i)))
     }
 }
 
@@ -363,6 +431,13 @@ impl Build<'_> {
             Build::Overhead(name, _) => name,
             Build::Optimized(_) => "optimized",
         }
+    }
+
+    /// Whether the build's compile, snapshot and default image go through
+    /// the engine's memos and disk tier: every build's but Sec. 7.4's,
+    /// which are each read once.
+    fn cached(self) -> bool {
+        !matches!(self, Build::Overhead(..))
     }
 
     /// The variant of its default-order image and that image's run: the
@@ -524,6 +599,28 @@ impl Engine {
         })
     }
 
+    /// One stage of `build`'s front: behind the memo and the disk tier
+    /// ([`Engine::disk_backed_checked`]) when the build is cached, computed
+    /// for the caller alone otherwise.
+    fn build_stage<T, E>(
+        &self,
+        build: Build<'_>,
+        memo: &Memo<T>,
+        stage: &'static str,
+        key: CacheKey,
+        check: impl FnOnce(&T) -> bool,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: DiskCodec,
+    {
+        if build.cached() {
+            self.disk_backed_checked(memo, stage, key, check, f)
+        } else {
+            f().map(Arc::new)
+        }
+    }
+
     /// The handle of one workload: fingerprints it — the program, megabytes
     /// of IR, structurally through its `Hash` impl; options and stop
     /// condition, a few hundred bytes, through `Debug` — and attaches an
@@ -568,79 +665,23 @@ impl Engine {
     ///
     /// # Errors
     /// Returns the first failing cell's error (in row-major order).
-    pub fn evaluate_matrix<'p>(
+    pub fn evaluate_matrix(
         &self,
-        specs: &[WorkloadSpec<'p>],
+        specs: &[WorkloadSpec<'_>],
         strategies: &[Strategy],
     ) -> Result<Vec<MatrixCell>, PipelineError> {
-        // One handle per row, fingerprinted by the row's front: the fronts
-        // start before any other cell, so the program hashes of different
-        // workloads overlap instead of queueing ahead of the fan-out.
-        let rows: Vec<OnceLock<Workload<'_, 'p, '_>>> =
-            specs.iter().map(|_| OnceLock::new()).collect();
-        self.run_matrix(specs, &rows, strategies)
+        self.rows(specs).evaluate(strategies)
     }
 
-    /// [`Engine::evaluate_matrix`] over row handles, each made on first
-    /// use when not given.
-    fn run_matrix<'e, 'p, 's>(
-        &'e self,
-        specs: &'s [WorkloadSpec<'p>],
-        rows: &[OnceLock<Workload<'e, 'p, 's>>],
-        strategies: &[Strategy],
-    ) -> Result<Vec<MatrixCell>, PipelineError> {
-        let jobs: Vec<(usize, usize)> = (0..specs.len())
-            .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
-            .collect();
-        let sizes: Vec<usize> = specs.iter().map(|s| ir_size(s.program)).collect();
-        let order = job_order(&sizes, strategies.len());
-        // Capped at the host's parallelism (workers beyond it only
-        // contend) and gated on the cell-count cutoff. This is the
-        // pipeline's only fan-out: every stage inside a cell is serial.
-        let workers = nimage_par::workers_for(
-            self.threads(),
-            jobs.len(),
-            nimage_par::cutoff::RUN_MIN_CELLS,
-        );
-        let results = nimage_par::parallel_map_ordered(workers, &order, |j| {
-            let (wi, si) = jobs[j];
-            let w = rows[wi].get_or_init(|| self.workload(&specs[wi]));
-            self.run_job(w, strategies[si])
-        });
-
-        let mut out = Vec::with_capacity(jobs.len());
-        for (result, &(wi, si)) in results.into_iter().zip(&jobs) {
-            out.push(MatrixCell {
-                workload: specs[wi].name.clone(),
-                strategy: strategies[si],
-                eval: result?,
-            });
+    /// The rows of `specs`, each handle made on first use: by the row's
+    /// front in [`Rows::evaluate`], so the program hashes of different
+    /// workloads overlap instead of queueing ahead of the fan-out.
+    pub fn rows<'p, 's>(&self, specs: &'s [WorkloadSpec<'p>]) -> Rows<'_, 'p, 's> {
+        Rows {
+            engine: self,
+            specs,
+            handles: specs.iter().map(|_| OnceLock::new()).collect(),
         }
-        // Opportunistic lifecycle sweep: if this evaluation wrote new
-        // entries and the cache is capped, bring it back under the caps.
-        if self.disk.as_ref().is_some_and(|d| d.stats().stores > 0) {
-            self.gc_disk();
-        }
-        Ok(out)
-    }
-
-    /// `f` on the handle of every workload of `specs`, fanned out over the
-    /// engine's workers, largest program first (as the matrix starts its
-    /// rows). The results come back in `specs` order.
-    pub fn map_workloads<'p, T: Send>(
-        &self,
-        specs: &[WorkloadSpec<'p>],
-        f: impl Fn(&Workload<'_, 'p, '_>) -> T + Sync,
-    ) -> Vec<T> {
-        let sizes: Vec<usize> = specs.iter().map(|s| ir_size(s.program)).collect();
-        let workers = nimage_par::workers_for(
-            self.threads(),
-            specs.len(),
-            nimage_par::cutoff::RUN_MIN_CELLS,
-        );
-        nimage_par::parallel_map_ordered(workers, &job_order(&sizes, 1), |i| {
-            f(&self.workload(&specs[i]))
-        })
     }
 
     /// Enforces the configured disk-cache size caps: deletes stale temp
@@ -801,6 +842,11 @@ impl Engine {
         })
     }
 
+    /// One scheme's identity of every object of the optimized snapshot
+    /// (`snap`), which [`Pipeline::order_stage`] matches a profile
+    /// against: memoised and persisted under `assign-ids`. A profile names
+    /// only its touched objects (`profiled`), so no instrumented snapshot
+    /// comes here.
     fn heap_ids(
         &self,
         w: &Workload<'_, '_, '_>,
@@ -850,10 +896,12 @@ impl Engine {
         let variant = build.name();
         let snapshot_key = w.key(&format!("snapshot:{variant}"));
         let span_args = || format!("workload={} variant={variant}", w.spec.name);
-        let Ok(compiled) = self.disk_backed::<_, std::convert::Infallible>(
+        let Ok(compiled) = self.build_stage::<_, std::convert::Infallible>(
+            build,
             &self.cache.compiled,
             "compile",
             w.key(&format!("compile:{variant}")),
+            |_| true,
             || {
                 // Only a compile that actually runs needs reachability: a
                 // disk hit above never analyzes.
@@ -862,7 +910,8 @@ impl Engine {
                 Ok(p.compile_stage((*reach).clone(), instr, counts))
             },
         );
-        let snapshot = self.disk_backed_checked(
+        let snapshot = self.build_stage(
+            build,
             &self.cache.snapshots,
             "snapshot",
             snapshot_key,
@@ -889,19 +938,23 @@ impl Engine {
         front: &BuildFront,
     ) -> Result<Arc<BinaryImage>, PipelineError> {
         let variant = build.image();
+        let layout = || {
+            let _s = self.tracer.root_span("layout", || {
+                format!("workload={} variant={variant}", w.spec.name)
+            });
+            p.layout_stage(
+                &front.compiled,
+                &front.snapshot,
+                LayoutOrders::default(),
+                None,
+            )
+        };
+        if !build.cached() {
+            return layout().map(Arc::new);
+        }
         self.cache
             .images
-            .get_or_try(w.key(&format!("layout:{variant}")), || {
-                let _s = self.tracer.root_span("layout", || {
-                    format!("workload={} variant={variant}", w.spec.name)
-                });
-                p.layout_stage(
-                    &front.compiled,
-                    &front.snapshot,
-                    LayoutOrders::default(),
-                    None,
-                )
-            })
+            .get_or_try(w.key(&format!("layout:{variant}")), layout)
     }
 
     /// Adds a finished run's shard counts to the engine's and drops its
@@ -969,8 +1022,14 @@ impl Engine {
             let _s = self
                 .tracer
                 .span_with("replay", || format!("workload={}", w.spec.name));
-            p.post_process(report, &mut |hs| {
-                self.heap_ids(w, front.snapshot_key, &front.snapshot, hs)
+            // Only the touched objects are named, so the instrumented
+            // snapshot's identities are neither memoised nor persisted.
+            let members = front.snapshot.entries().iter().map(|e| e.obj);
+            p.profiles(report, members, &mut |hs, objs| {
+                let _s = self
+                    .tracer
+                    .span_with("order", || format!("workload={} ids={hs:?}", w.spec.name));
+                nimage_order::ids_of(w.spec.program, &front.snapshot, hs, objs)
             })
         })
     }

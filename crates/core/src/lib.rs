@@ -52,7 +52,7 @@ pub use diskcache::{
     DISK_FORMAT_VERSION,
 };
 pub use engine::{
-    BuildRequest, Engine, EngineOptions, MatrixCell, ShardStats, StageTimes, TraceOptions,
+    BuildRequest, Engine, EngineOptions, MatrixCell, Rows, ShardStats, StageTimes, TraceOptions,
     Workload, WorkloadSpec,
 };
 pub use nimage_trace::{MetricsSnapshot, TraceSummary, Tracer};
@@ -74,7 +74,7 @@ use nimage_image::optimize::{optimize_layout, split_native_tail, CodeInput, Heap
 use nimage_image::{BinaryImage, ImageOptions};
 use nimage_ir::Program;
 use nimage_order::{
-    assign_ids, order_cus, order_cus_split, order_objects, order_objects_split_spans,
+    assign_ids, ids_of, order_cus, order_cus_split, order_objects, order_objects_split_spans,
     replay_indexed, CodeGranularity, CodeOrderProfile, HeapOrderProfile, HeapStrategy, ReplayError,
 };
 pub use nimage_par::Parallelism;
@@ -749,24 +749,63 @@ impl<'p> Pipeline<'p> {
     pub fn profiling_run(&self, stop: StopWhen) -> Result<ProfiledArtifacts, PipelineError> {
         let built = self.build_instrumented(InstrumentConfig::FULL)?;
         let report = self.run_image(&built, stop)?;
-        self.post_process(report, &mut |hs| {
-            Arc::new(assign_ids(self.program, &built.snapshot, hs))
-        })
+        self.replay_stage(report, &built.snapshot)
     }
 
     /// Stage: trace post-processing (step 3 of Fig. 1) — replays the
-    /// instrumented run's trace through the ordering analyses, producing
-    /// every ordering profile at once. `ids_for` supplies the strategy
-    /// identity maps of the *instrumented* snapshot; the serial path
-    /// computes them inline, the evaluation engine passes a cached lookup.
+    /// instrumented run's trace against the instrumented build's
+    /// `snapshot`, producing every ordering profile at once. Each heap
+    /// profile names only the objects the trace touched
+    /// ([`nimage_order::ids_of`]), never the whole snapshot.
     ///
     /// # Errors
     /// Fails when the report carries no trace, on replay errors, and on
     /// trace-verification findings when [`BuildOptions::verify`] is set.
+    pub fn replay_stage(
+        &self,
+        report: RunReport,
+        snapshot: &HeapSnapshot,
+    ) -> Result<ProfiledArtifacts, PipelineError> {
+        let members = snapshot.entries().iter().map(|e| e.obj);
+        self.profiles(report, members, &mut |hs, objs| {
+            ids_of(self.program, snapshot, hs, objs)
+        })
+    }
+
+    /// [`Pipeline::replay_stage`] from full identity maps of the
+    /// instrumented snapshot, which `ids_for` supplies per strategy. Every
+    /// map names exactly the snapshot's objects, so the first map's keys
+    /// stand for the snapshot, and the artifacts are
+    /// [`Pipeline::replay_stage`]'s.
+    ///
+    /// It remains only because the repo benchmark's stage-by-stage pass
+    /// (`benchmark/src/staged.rs`) calls it; ROADMAP item 1b removes it
+    /// with that file.
+    ///
+    /// # Errors
+    /// As [`Pipeline::replay_stage`].
     pub fn post_process(
         &self,
         report: RunReport,
         ids_for: &mut dyn FnMut(HeapStrategy) -> Arc<HashMap<ObjId, u64>>,
+    ) -> Result<ProfiledArtifacts, PipelineError> {
+        let members = ids_for(self.opts.heap_strategies()[0]);
+        self.profiles(report, members.keys().copied(), &mut |hs, objs| {
+            let ids = ids_for(hs);
+            objs.iter().map(|o| ids[o]).collect()
+        })
+    }
+
+    /// One serial replay of the trace, keeping accesses to `members`,
+    /// yields the raw first-access orders; every strategy's heap profile
+    /// is then the touched objects' identities under that strategy, from
+    /// `ids_of`, deduplicated in first-access order. The engine calls it
+    /// directly to time the naming.
+    pub(crate) fn profiles(
+        &self,
+        report: RunReport,
+        members: impl IntoIterator<Item = ObjId>,
+        ids_of: &mut dyn FnMut(HeapStrategy, &[ObjId]) -> Vec<u64>,
     ) -> Result<ProfiledArtifacts, PipelineError> {
         let trace = report.trace.as_ref().ok_or(PipelineError::NoTrace)?;
         if self.opts.verify {
@@ -775,27 +814,19 @@ impl<'p> Pipeline<'p> {
                 return Err(PipelineError::Verify(errors));
             }
         }
-
-        let heap_strategies = self.opts.heap_strategies();
-
-        // One serial replay of the trace yields the raw first-access
-        // orders; every strategy's heap profile is then derived by mapping
-        // the raw object order through that strategy's identity map. All
-        // strategies assign ids to exactly the snapshot's objects, so any
-        // strategy's map serves as the membership filter.
-        let first_ids = ids_for(heap_strategies[0]);
-        let summary = replay_indexed(&self.index, trace, &first_ids)?;
+        let summary = replay_indexed(&self.index, trace, members)?;
         // The instrumented run's touched-byte spans, keyed by raw snapshot
         // object index — the same keying as `summary.object_order`, so each
         // identity's first-access entry picks up the bytes startup actually
         // touched inside that object.
         let touch_spans: HashMap<u32, Vec<(u64, u64)>> =
             report.heap_touch_spans.iter().cloned().collect();
-        let mut heap_profiles = HashMap::new();
-        for &strat in &heap_strategies {
-            let ids = ids_for(strat);
-            heap_profiles.insert(strat, summary.heap_profile_with_spans(&ids, &touch_spans));
-        }
+        let heap_profiles = (self.opts.heap_strategies().into_iter())
+            .map(|hs| {
+                let ids = ids_of(hs, &summary.object_order);
+                (hs, summary.heap_profile_with_spans(&ids, &touch_spans))
+            })
+            .collect();
 
         Ok(ProfiledArtifacts {
             call_counts: report.call_counts.clone(),

@@ -261,6 +261,25 @@ fn profiling_overhead_factors_are_ordered_like_the_paper() {
     assert_eq!(overhead.factors().map(f64::to_bits), serial);
 }
 
+/// Sec. 7.4's four builds share the workload's analysis and leave nothing
+/// else behind: no compile, snapshot or image of theirs enters a memo.
+#[test]
+fn profiling_overhead_keeps_no_build() {
+    let p = workload();
+    let spec = WorkloadSpec::new("synthetic", &p, options(), StopWhen::Exit);
+    let engine = Engine::default();
+    engine.workload(&spec).profiling_overhead().unwrap();
+    let stats = engine.cache().stats();
+    let lookups = |name: &str| {
+        let m = stats.iter().find(|m| m.name == name).unwrap();
+        (m.hits, m.misses)
+    };
+    assert_eq!(lookups("analyze"), (3, 1), "one analysis, shared");
+    for stage in ["compile", "snapshot", "layout"] {
+        assert_eq!(lookups(stage), (0, 0), "{stage}");
+    }
+}
+
 #[test]
 fn evaluation_is_deterministic() {
     let p = workload();

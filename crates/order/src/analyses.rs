@@ -216,6 +216,14 @@ impl BitSet {
         was_clear
     }
 
+    /// Sets bit `i`, first growing the set to hold it.
+    fn insert_growing(&mut self, i: usize) {
+        if i / 64 >= self.0.len() {
+            self.0.resize(i / 64 + 1, 0);
+        }
+        self.insert(i);
+    }
+
     /// Clears bit `i` and returns whether it was set; an index past the
     /// set's length was never set.
     fn remove(&mut self, i: usize) -> bool {
@@ -362,35 +370,52 @@ pub struct ReplaySummary {
 
 impl ReplaySummary {
     /// Maps `object_order` through a strategy identity map into the
-    /// strategy's first-access heap profile.
+    /// strategy's first-access heap profile. Objects outside the map are
+    /// skipped.
     pub fn heap_profile(&self, id_map: &HashMap<ObjId, u64>) -> HeapOrderProfile {
-        self.heap_profile_with_spans(id_map, &HashMap::new())
+        let named =
+            (self.object_order.iter()).filter_map(|obj| id_map.get(obj).map(|&id| (*obj, id)));
+        first_accesses(named, &HashMap::new())
     }
 
-    /// Like [`Self::heap_profile`], but attaches measured touched-byte
-    /// spans to each identity's first-access entry. `touch_spans` is keyed
-    /// by raw snapshot object index (the `RunReport::heap_touch_spans`
+    /// The strategy's first-access heap profile from `ids`, the identity
+    /// of each object of `object_order` in that order
+    /// ([`crate::ids_of`]), with measured touched-byte spans attached to
+    /// each identity's first-access entry. `touch_spans` is keyed by raw
+    /// snapshot object index (the `RunReport::heap_touch_spans`
     /// convention); an identity kept from object `o` carries `o`'s spans.
     /// Identities without a measurement get an empty span list, so the
     /// profile's `spans` stays parallel to its `ids`.
+    ///
+    /// # Panics
+    /// If `ids` and `object_order` differ in length.
     pub fn heap_profile_with_spans(
         &self,
-        id_map: &HashMap<ObjId, u64>,
+        ids: &[u64],
         touch_spans: &HashMap<u32, Vec<(u64, u64)>>,
     ) -> HeapOrderProfile {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut ids: Vec<u64> = vec![];
-        let mut spans: Vec<Vec<(u64, u64)>> = vec![];
-        for obj in &self.object_order {
-            if let Some(&id) = id_map.get(obj) {
-                if seen.insert(id) {
-                    ids.push(id);
-                    spans.push(touch_spans.get(&obj.0).cloned().unwrap_or_default());
-                }
-            }
-        }
-        HeapOrderProfile { ids, spans }
+        assert_eq!(ids.len(), self.object_order.len(), "one id per object");
+        let named = self.object_order.iter().copied().zip(ids.iter().copied());
+        first_accesses(named, touch_spans)
     }
+}
+
+/// The first occurrence of each identity of `named` (objects in
+/// first-access order, with their identities), with its object's spans.
+fn first_accesses(
+    named: impl Iterator<Item = (ObjId, u64)>,
+    touch_spans: &HashMap<u32, Vec<(u64, u64)>>,
+) -> HeapOrderProfile {
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut ids: Vec<u64> = vec![];
+    let mut spans: Vec<Vec<(u64, u64)>> = vec![];
+    for (obj, id) in named {
+        if seen.insert(id) {
+            ids.push(id);
+            spans.push(touch_spans.get(&obj.0).cloned().unwrap_or_default());
+        }
+    }
+    HeapOrderProfile { ids, spans }
 }
 
 /// Replays a trace into a [`ReplaySummary`]: one serial scan of every
@@ -408,11 +433,10 @@ impl ReplaySummary {
 /// spawning workers and merging their chunks would cost.
 ///
 /// `in_snapshot` gates object accesses (an access to an object outside
-/// the heap snapshot is skipped): only its keys matter, and every
-/// strategy's identity map shares the same key set (the snapshot's
-/// objects). `max_paths` must match the VM's path-numbering limit. A
-/// trace string names the method with that signature, the highest id of
-/// several ([`ProgramIndex::method_of`]).
+/// the heap snapshot is skipped): only its keys matter. `max_paths` must
+/// match the VM's path-numbering limit. A trace string names the method
+/// with that signature, the highest id of several
+/// ([`ProgramIndex::method_of`]).
 ///
 /// Method order comes from the explicit method-entry records (emitted by
 /// the method-ordering instrumentation); `MethodEntry` static events on
@@ -430,27 +454,31 @@ pub fn replay_first_access(
     in_snapshot: &HashMap<ObjId, u64>,
     max_paths: u64,
 ) -> Result<ReplaySummary, ReplayError> {
-    replay_indexed(&ProgramIndex::new(program, max_paths), trace, in_snapshot)
+    replay_indexed(
+        &ProgramIndex::new(program, max_paths),
+        trace,
+        in_snapshot.keys().copied(),
+    )
 }
 
 /// [`replay_first_access`] over a program index, whose `max_paths` must
 /// match the VM's path-numbering limit: the pipeline's replay, which
-/// shares the index's path tables with lowering.
+/// shares the index's path tables with lowering. `in_snapshot` are the
+/// objects whose accesses are kept: the heap snapshot's entries.
 ///
 /// # Errors
 /// As [`replay_first_access`].
 pub fn replay_indexed(
     index: &ProgramIndex<'_>,
     trace: &Trace,
-    in_snapshot: &HashMap<ObjId, u64>,
+    in_snapshot: impl IntoIterator<Item = ObjId>,
 ) -> Result<ReplaySummary, ReplayError> {
     let mut paths = PathValidator::new(index, trace);
     let mut cu_seen = BitSet::new(trace.strings.len());
     let mut method_seen = BitSet::new(trace.strings.len());
-    let n_objects = in_snapshot.keys().map(|o| o.index() + 1).max().unwrap_or(0);
-    let mut unseen_objects = BitSet::new(n_objects);
-    for obj in in_snapshot.keys() {
-        unseen_objects.insert(obj.index());
+    let mut unseen_objects = BitSet::new(0);
+    for obj in in_snapshot {
+        unseen_objects.insert_growing(obj.index());
     }
 
     let mut summary = ReplaySummary::default();
@@ -509,10 +537,12 @@ mod tests {
         let ids: HashMap<ObjId, u64> = [(ObjId(4), 7), (ObjId(1), 3), (ObjId(9), 7)].into();
         let touched: HashMap<u32, Vec<(u64, u64)>> =
             [(4, vec![(0, 8)]), (9, vec![(16, 24)])].into();
-        let p = summary.heap_profile_with_spans(&ids, &touched);
+        let p = summary.heap_profile(&ids);
         assert_eq!(p.ids, vec![7, 3]);
-        assert_eq!(p.spans, vec![vec![(0, 8)], vec![]]);
-        assert_eq!(summary.heap_profile(&ids).ids, p.ids);
+        // With an id for every object, spans ride along.
+        let p = summary.heap_profile_with_spans(&[7, 3, 7, 5], &touched);
+        assert_eq!(p.ids, vec![7, 3, 5]);
+        assert_eq!(p.spans, vec![vec![(0, 8)], vec![], vec![]]);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   (Algorithm 1), *structural hash* (Algorithm 2, bounded by
 //!   `MAX_DEPTH`), and *heap path* (Algorithm 3, hashing the first
 //!   root-to-object path plus the root's inclusion reason).
+//!   [`ids_of`] names any subset of a snapshot's objects, [`assign_ids`]
+//!   all of them: a profile needs only the objects its trace touched, an
+//!   optimized build all of its own.
 //! * [`replay_first_access`] — the post-processing pass: scans per-thread
 //!   trace records (including Ball–Larus path records) and keeps first
 //!   occurrences, which is all any ordering analysis of Sec. 6.2 does. It
@@ -47,4 +50,4 @@ pub use ordering::{
     CodeGranularity,
 };
 pub use quality::{layout_quality, matched_object_ratio, LayoutQuality};
-pub use strategies::{assign_global_incremental_ids, assign_ids, HeapStrategy};
+pub use strategies::{assign_global_incremental_ids, assign_ids, ids_of, HeapStrategy};

@@ -5,7 +5,7 @@
 //! name, a field signature as owner, `"."` and name, a payload — straight
 //! into a [`Hasher128`] stream, which yields the digest of the
 //! concatenation; no encoding is ever assembled whole in a buffer or a
-//! `String`.
+//! `String`. Only array elements are staged, in bounded runs.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -63,79 +63,112 @@ impl HeapStrategy {
 }
 
 /// Computes the 64-bit identity of every snapshot object under `strategy`,
-/// in snapshot (encounter) order.
+/// in snapshot (encounter) order: [`ids_of`] over all entries.
 pub fn assign_ids(
     program: &Program,
     snapshot: &HeapSnapshot,
     strategy: HeapStrategy,
 ) -> HashMap<ObjId, u64> {
+    let objs: Vec<ObjId> = snapshot.entries().iter().map(|e| e.obj).collect();
+    let ids = ids_of(program, snapshot, strategy, &objs);
+    objs.into_iter().zip(ids).collect()
+}
+
+/// The identities of `objs`, entries of `snapshot`, under `strategy`, in
+/// `objs` order: each equals [`assign_ids`]' value for that object. A
+/// profile names only the objects its trace touched, so this is what
+/// profiling needs.
+///
+/// The structural hash and the heap path are functions of one object, so
+/// only `objs` are hashed. An incremental id is a rank among the objects
+/// of one type before it, and a salted heap path a rank among the objects
+/// sharing its path, so those two scan every entry once, in encounter
+/// order, and read `objs` off the scan.
+///
+/// # Panics
+/// Under the two rank schemes, if an object of `objs` is not an entry of
+/// `snapshot`.
+pub fn ids_of(
+    program: &Program,
+    snapshot: &HeapSnapshot,
+    strategy: HeapStrategy,
+    objs: &[ObjId],
+) -> Vec<u64> {
+    let ranked = |ids: Vec<u64>| -> Vec<u64> {
+        objs.iter()
+            .map(|&o| ids[snapshot.index_of(o).expect("a snapshot entry")])
+            .collect()
+    };
     match strategy {
-        HeapStrategy::IncrementalId => incremental_ids(program, snapshot),
+        HeapStrategy::IncrementalId => ranked(incremental_ids(program, snapshot)),
         HeapStrategy::StructuralHash { max_depth } => {
             let encoder = Encoder::new(program, snapshot.heap(), max_depth);
-            snapshot
-                .entries()
-                .iter()
-                .map(|e| {
+            objs.iter()
+                .map(|&o| {
                     let mut h = Hasher128::with_seed(0);
-                    encoder.encode(&mut h, Value::Ref(e.obj.0), 0);
-                    (e.obj, h.finish())
+                    encoder.encode(&mut h, Value::Ref(o.0), 0);
+                    h.finish()
                 })
                 .collect()
         }
-        HeapStrategy::HeapPath => snapshot
-            .entries()
+        HeapStrategy::HeapPath => objs
             .iter()
-            .map(|e| (e.obj, heap_path_hash(program, snapshot, e.obj)))
+            .map(|&o| heap_path_hash(program, snapshot, o))
             .collect(),
-        HeapStrategy::HeapPathSalted => salted_heap_path_ids(program, snapshot),
+        HeapStrategy::HeapPathSalted => ranked(salted_heap_path_ids(program, snapshot)),
     }
 }
 
-/// The salted variant of Algorithm 3: disambiguates heap-path collisions
-/// with a per-`(type, path)` occurrence counter in snapshot encounter
-/// order. The first object of each group keeps the plain heap-path hash
-/// (unique paths are unaffected); later members mix the type name and
-/// their occurrence index into the hash, so the k-th member of a group
-/// in the profiling build matches the k-th member in the optimized build.
-fn salted_heap_path_ids(program: &Program, snapshot: &HeapSnapshot) -> HashMap<ObjId, u64> {
+/// The salted variant of Algorithm 3, for every entry in snapshot order:
+/// disambiguates heap-path collisions with a per-`(type, path)`
+/// occurrence counter in snapshot encounter order. The first object of
+/// each group keeps the plain heap-path hash (unique paths are
+/// unaffected); later members mix the type name and their occurrence
+/// index into the hash, so the k-th member of a group in the profiling
+/// build matches the k-th member in the optimized build.
+fn salted_heap_path_ids(program: &Program, snapshot: &HeapSnapshot) -> Vec<u64> {
+    let mut types = TypeNameHashes::new(program);
     let mut occurrence: HashMap<(u64, u64), u32> = HashMap::new();
-    let mut ids = HashMap::new();
-    for e in snapshot.entries() {
-        let base = heap_path_hash(program, snapshot, e.obj);
-        let obj = snapshot.heap().get(e.obj);
-        let type_id = type_name_hash(program, obj);
-        let n = occurrence.entry((type_id, base)).or_insert(0);
-        *n += 1;
-        let id = if *n == 1 {
-            base
-        } else {
-            let mut h = Hasher128::with_seed(0);
-            h.write_u64(base);
-            write_object_type(&mut h, program, obj);
-            h.write_u32(*n);
-            h.finish()
-        };
-        ids.insert(e.obj, id);
-    }
-    ids
+    snapshot
+        .entries()
+        .iter()
+        .map(|e| {
+            let base = heap_path_hash(program, snapshot, e.obj);
+            let obj = snapshot.heap().get(e.obj);
+            let n = occurrence.entry((types.of(obj), base)).or_insert(0);
+            *n += 1;
+            if *n == 1 {
+                base
+            } else {
+                let mut h = Hasher128::with_seed(0);
+                h.write_u64(base);
+                write_object_type(&mut h, program, obj);
+                h.write_u32(*n);
+                h.finish()
+            }
+        })
+        .collect()
 }
 
-/// Algorithm 1: incremental IDs. "The most-significant 32 bits store a
-/// unique ID associated with the type while the least-significant 32 bits
-/// store an incremental ID"; types are identified by fully qualified name
-/// so the type half is stable across builds, and objects are numbered
-/// within their type so one extra object only shifts its own type's ids.
-fn incremental_ids(program: &Program, snapshot: &HeapSnapshot) -> HashMap<ObjId, u64> {
+/// Algorithm 1: incremental IDs, for every entry in snapshot order. "The
+/// most-significant 32 bits store a unique ID associated with the type
+/// while the least-significant 32 bits store an incremental ID"; types
+/// are identified by fully qualified name so the type half is stable
+/// across builds, and objects are numbered within their type so one extra
+/// object only shifts its own type's ids.
+fn incremental_ids(program: &Program, snapshot: &HeapSnapshot) -> Vec<u64> {
+    let mut types = TypeNameHashes::new(program);
     let mut counters: HashMap<u64, u32> = HashMap::new();
-    let mut ids = HashMap::new();
-    for e in snapshot.entries() {
-        let type_id = type_name_hash(program, snapshot.heap().get(e.obj)) & 0xffff_ffff;
-        let counter = counters.entry(type_id).or_insert(0);
-        *counter += 1;
-        ids.insert(e.obj, (type_id << 32) | u64::from(*counter));
-    }
-    ids
+    snapshot
+        .entries()
+        .iter()
+        .map(|e| {
+            let type_id = types.of(snapshot.heap().get(e.obj)) & 0xffff_ffff;
+            let counter = counters.entry(type_id).or_insert(0);
+            *counter += 1;
+            (type_id << 32) | u64::from(*counter)
+        })
+        .collect()
 }
 
 /// Ablation variant of Algorithm 1: one **global** counter instead of
@@ -185,12 +218,47 @@ fn write_object_type(h: &mut Hasher128, program: &Program, obj: &HObject) {
     }
 }
 
-/// MurmurHash3 of `obj`'s dynamic type name: the type half of the
-/// incremental and salted identities.
-fn type_name_hash(program: &Program, obj: &HObject) -> u64 {
-    let mut h = Hasher128::with_seed(0);
-    write_object_type(&mut h, program, obj);
-    h.finish()
+/// MurmurHash3 of an object's dynamic type name — the type half of the
+/// incremental and salted identities — computed once per type: a scan
+/// over thousands of objects of a few hundred types hashes each name
+/// once.
+struct TypeNameHashes<'a> {
+    program: &'a Program,
+    /// Per class, its instances' name hash.
+    classes: Vec<Option<u64>>,
+    /// Per element type, its arrays' name hash.
+    arrays: HashMap<&'a TypeRef, u64>,
+    /// Strings, boxed doubles and resource blobs.
+    others: [Option<u64>; 3],
+}
+
+impl<'a> TypeNameHashes<'a> {
+    fn new(program: &'a Program) -> Self {
+        TypeNameHashes {
+            program,
+            classes: vec![None; program.classes().len()],
+            arrays: HashMap::new(),
+            others: [None; 3],
+        }
+    }
+
+    /// The hash of `obj`'s dynamic type name (`HObject::type_name`).
+    fn of(&mut self, obj: &'a HObject) -> u64 {
+        let hash = || {
+            let mut h = Hasher128::with_seed(0);
+            write_object_type(&mut h, self.program, obj);
+            h.finish()
+        };
+        match &obj.kind {
+            HObjectKind::Instance { class, .. } => {
+                *self.classes[class.index()].get_or_insert_with(hash)
+            }
+            HObjectKind::Array { elem, .. } => *self.arrays.entry(elem).or_insert_with(hash),
+            HObjectKind::Str(_) => *self.others[0].get_or_insert_with(hash),
+            HObjectKind::Boxed(_) => *self.others[1].get_or_insert_with(hash),
+            HObjectKind::Blob { .. } => *self.others[2].get_or_insert_with(hash),
+        }
+    }
 }
 
 /// Algorithm 2's `encodeToBytes`, streamed: the structural hash of an
@@ -235,21 +303,13 @@ impl<'a> Encoder<'a> {
     /// max_depth`. Scalar fields and scalar-typed array elements are
     /// encoded at every depth.
     fn encode(&self, h: &mut Hasher128, value: Value, depth: u32) {
-        let obj = match value {
-            Value::Null => return h.write_u8(0),
-            Value::Bool(b) => {
-                h.write(b"bool");
-                return h.write_u8(u8::from(b));
+        let obj = match value.referent() {
+            Some(o) => self.heap.get(ObjId(o)),
+            None => {
+                let mut scalar = [0; MAX_SCALAR];
+                let n = put_scalar(value, &mut scalar);
+                return h.write(&scalar[..n]);
             }
-            Value::Int(i) => {
-                h.write(b"int");
-                return h.write_i64(i);
-            }
-            Value::Double(d) => {
-                h.write(b"double");
-                return h.write_u64(d.to_bits());
-            }
-            Value::Ref(o) => self.heap.get(ObjId(o)),
         };
         write_object_type(h, self.program, obj);
         let recurse = depth < self.max_depth;
@@ -266,10 +326,28 @@ impl<'a> Encoder<'a> {
                 write_type_name(h, self.program, elem);
                 h.write_u64(elems.len() as u64);
                 if recurse || elem.is_primitive() || matches!(elem, TypeRef::Str) {
+                    // Index and scalar element bytes go to the hasher in
+                    // runs: tables of thousands of scalars are most of the
+                    // bytes, and one write per run is cheaper than two per
+                    // element.
+                    let mut run = [0; 512];
+                    let mut len = 0;
                     for (k, &e) in elems.iter().enumerate() {
-                        h.write_u64(k as u64);
-                        self.encode(h, e, depth + 1);
+                        if len + 8 + MAX_SCALAR > run.len() {
+                            h.write(&run[..len]);
+                            len = 0;
+                        }
+                        run[len..len + 8].copy_from_slice(&(k as u64).to_le_bytes());
+                        len += 8;
+                        if e.referent().is_some() {
+                            h.write(&run[..len]);
+                            len = 0;
+                            self.encode(h, e, depth + 1);
+                        } else {
+                            len += put_scalar(e, &mut run[len..]);
+                        }
                     }
+                    h.write(&run[..len]);
                 }
             }
             HObjectKind::Str(s) => h.write(s.as_bytes()),
@@ -290,6 +368,38 @@ impl<'a> Encoder<'a> {
             Value::Ref(o) => matches!(self.heap.get(ObjId(o)).kind, HObjectKind::Str(_)),
             _ => true,
         }
+    }
+}
+
+/// The longest scalar encoding: `"double"` and eight payload bytes.
+const MAX_SCALAR: usize = 14;
+
+/// Writes Algorithm 2's encoding of the scalar `value` to the front of
+/// `out`, which holds at least [`MAX_SCALAR`] bytes, and returns its
+/// length: null as one zero byte, a primitive as its type name, then its
+/// payload. A reference is not a scalar: it writes nothing.
+fn put_scalar(value: Value, out: &mut [u8]) -> usize {
+    match value {
+        Value::Null => {
+            out[0] = 0;
+            1
+        }
+        Value::Bool(b) => {
+            out[..4].copy_from_slice(b"bool");
+            out[4] = u8::from(b);
+            5
+        }
+        Value::Int(i) => {
+            out[..3].copy_from_slice(b"int");
+            out[3..11].copy_from_slice(&i.to_le_bytes());
+            11
+        }
+        Value::Double(d) => {
+            out[..6].copy_from_slice(b"double");
+            out[6..14].copy_from_slice(&d.to_bits().to_le_bytes());
+            14
+        }
+        Value::Ref(_) => 0,
     }
 }
 
@@ -472,6 +582,46 @@ mod tests {
         let mut want = vec![crate::murmur3::hash64(&head), crate::murmur3::hash64(&tail)];
         want.sort_unstable();
         assert_eq!(node_ids, want);
+    }
+
+    /// Array elements are written in runs: every scalar kind and a
+    /// reference among them still hash as Algorithm 2's byte string.
+    #[test]
+    fn array_runs_hash_the_algorithm_2_bytes() {
+        let (p, _) = sample();
+        let mut heap = BuildHeap::new();
+        let s = heap.alloc(HObjectKind::Str("hi".into()));
+        let elems = vec![
+            Value::Int(7),
+            Value::Null,
+            Value::Bool(true),
+            Value::Double(1.5),
+            Value::Ref(s.0),
+        ];
+        // Longer than one run, so the runs are flushed mid-array too.
+        let long: Vec<Value> = (0..100).map(Value::Int).collect();
+        for elems in [elems, long] {
+            let arr = heap.alloc(HObjectKind::Array {
+                elem: TypeRef::Int,
+                elems: elems.clone(),
+            });
+            let mut want = [&b"int[]int"[..], &(elems.len() as u64).to_le_bytes()].concat();
+            for (k, e) in elems.iter().enumerate() {
+                want.extend((k as u64).to_le_bytes());
+                match *e {
+                    Value::Null => want.push(0),
+                    Value::Bool(b) => want.extend([&b"bool"[..], &[u8::from(b)]].concat()),
+                    Value::Int(i) => want.extend([&b"int"[..], &i.to_le_bytes()].concat()),
+                    Value::Double(d) => {
+                        want.extend([&b"double"[..], &d.to_bits().to_le_bytes()].concat())
+                    }
+                    Value::Ref(_) => want.extend(b"Stringhi"),
+                }
+            }
+            let mut h = Hasher128::with_seed(0);
+            Encoder::new(&p, &heap, 2).encode(&mut h, Value::Ref(arr.0), 0);
+            assert_eq!(h.finish(), crate::murmur3::hash64(&want));
+        }
     }
 
     #[test]

@@ -304,8 +304,9 @@ fn profiling_run_once(program: &Program, stop: StopWhen) -> Result<ProfilingArti
     let trace_bytes = write_trace(&trace).to_vec();
 
     let ids = assign_ids(program, &snap, HeapStrategy::HeapPath);
+    let members = snap.entries().iter().map(|e| e.obj);
     let summary =
-        replay_indexed(&index, &trace, &ids).map_err(|e| format!("replay failed: {e:?}"))?;
+        replay_indexed(&index, &trace, members).map_err(|e| format!("replay failed: {e:?}"))?;
 
     let mut profile_csv = String::from("artifact,value\n");
     for sig in &summary.cu_order {

@@ -120,6 +120,9 @@ fn engine_computes_shared_artifacts_once_per_workload() {
     // Instrumented + optimized compile and snapshot: two misses each.
     assert_eq!(by_name("compile").misses, 2);
     assert_eq!(by_name("snapshot").misses, 2);
+    // Identity maps of the optimized snapshot only, one per scheme: the
+    // profile names the instrumented snapshot's touched objects directly.
+    assert_eq!(by_name("assign-ids").misses, 3);
     // Two interpretations — the profiling run and the optimized build's
     // one run — and every strategy cell pages that run's log instead.
     let counters = engine.tracer().metrics().counters;
@@ -218,6 +221,10 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
         (101, 0, 197),
         "{shards:?}"
     );
+    // The optimized snapshot's three identity maps; none of the
+    // instrumented snapshot's.
+    let cold_stages = cold_work.2.expect("disk tier configured");
+    assert_eq!(cold_stages["assign-ids"].stores, 3, "{cold_stages:?}");
 
     let (warm_rows, warm, warm_analyze, warm_fingerprints, warm_orders, warm_work) = run();
     let (executions, shards, stages) = warm_work;
