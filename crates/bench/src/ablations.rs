@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use nimage_core::{BuildOptions, Engine, WorkloadSpec};
+use nimage_core::{BuildOptions, Engine, Workload, WorkloadSpec};
 use nimage_heap::{HObjectKind, HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef, Value};
 use nimage_order::{
@@ -14,14 +14,14 @@ use nimage_order::{
 use nimage_vm::StopWhen;
 
 /// `abl_structural_depth` — the structural hash's `MAX_DEPTH` trade-off
-/// (Sec. 5.2) on `spec`, a row per depth 0–4: the instrumented snapshot's
-/// distinct ids, and the share (%) of a profile naming every instrumented
-/// object, in snapshot order, that the optimized snapshot's ids resolve.
+/// (Sec. 5.2) on `program`, through its matrix row's handle `w`, a row per
+/// depth 0–4: the instrumented snapshot's distinct ids, and the share (%)
+/// of a profile naming every instrumented object, in snapshot order, that
+/// the optimized snapshot's ids resolve.
 pub(crate) fn structural_depth_rows(
-    engine: &Engine,
-    spec: &WorkloadSpec<'_>,
+    w: &Workload<'_, '_, '_>,
+    program: &Program,
 ) -> Vec<(String, Vec<f64>)> {
-    let w = engine.workload(spec);
     let artifacts = w.profile().expect("profiling run");
     let instrumented = w.instrumented_parts().expect("instrumented build");
     let optimized = w
@@ -30,7 +30,7 @@ pub(crate) fn structural_depth_rows(
     (0..=4)
         .map(|depth| {
             let strategy = HeapStrategy::StructuralHash { max_depth: depth };
-            let ids = assign_ids(spec.program, &instrumented.snapshot, strategy);
+            let ids = assign_ids(program, &instrumented.snapshot, strategy);
             let distinct: HashSet<u64> = ids.values().copied().collect();
             let profile = HeapOrderProfile {
                 ids: (instrumented.snapshot.entries().iter())
@@ -38,7 +38,7 @@ pub(crate) fn structural_depth_rows(
                     .collect(),
                 spans: vec![],
             };
-            let optimized_ids = assign_ids(spec.program, &optimized.snapshot, strategy);
+            let optimized_ids = assign_ids(program, &optimized.snapshot, strategy);
             let matched = 100.0 * match_rate(&optimized_ids, &profile);
             (depth.to_string(), vec![distinct.len() as f64, matched])
         })

@@ -123,7 +123,13 @@ impl Figures {
             })
             .collect();
 
-        let awfy_spec = |b: Awfy| specs.iter().find(|s| s.name == b.name()).expect("a row");
+        let awfy_row = |b: Awfy| {
+            specs
+                .iter()
+                .position(|s| s.name == b.name())
+                .expect("a row")
+        };
+        let awfy_spec = |b: Awfy| &specs[awfy_row(b)];
         let bounce = awfy_spec(Awfy::Bounce);
         let windows = WINDOWS
             .into_iter()
@@ -159,7 +165,10 @@ impl Figures {
             awfy: ClassResults { cells, overhead },
             micro,
             variants,
-            depths: ablations::structural_depth_rows(engine, bounce),
+            depths: ablations::structural_depth_rows(
+                rows.handle(awfy_row(Awfy::Bounce)),
+                bounce.program,
+            ),
             counters: ablations::counter_rows(engine),
         }
     }

@@ -618,10 +618,13 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let program = workload.program()?;
     let pipeline = Pipeline::new(&program, pipeline_for(&workload));
     eprintln!("profiling {} …", workload.name());
-    let artifacts = pipeline.profiling_run(workload.stop())?;
+    let built = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
+    let report = pipeline.run_image(&built, workload.stop())?;
+    let trace = report.trace.as_ref().map(write_trace);
+    let artifacts = pipeline.replay_stage(report, &built.snapshot)?;
     save_profiles(&artifacts, out)?;
-    if let Some(trace) = &artifacts.instrumented_report.trace {
-        std::fs::write(out.join("trace.ntrc"), write_trace(trace))?;
+    if let Some(bytes) = trace {
+        std::fs::write(out.join("trace.ntrc"), bytes)?;
     }
     println!(
         "wrote profiles to {} ({} CU entries, {} methods, {} heap ids)",
@@ -722,19 +725,15 @@ fn cmd_pagemap(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_heapstats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::resolve(parsed.one_positional("workload")?)?;
     let program = workload.program()?;
-    // One in-memory engine shares the instrumented build between the
-    // profiling run and the snapshot statistics below.
-    let engine = Engine::default();
-    let spec = WorkloadSpec::new(
-        workload.name(),
-        &program,
-        pipeline_for(&workload),
-        workload.stop(),
-    );
+    let pipeline = Pipeline::new(&program, pipeline_for(&workload));
     eprintln!("profiling {} …", workload.name());
-    let handle = engine.workload(&spec);
-    let artifacts = handle.profile()?;
-    let built = handle.instrumented_parts()?;
+    // One instrumented build serves the profiling run, the accessed-object
+    // table (from the run's trace) and the snapshot statistics below.
+    let built = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
+    let report = pipeline.run_image(&built, workload.stop())?;
+    let accessed = (report.trace.as_ref().map(accessed_objects))
+        .ok_or("instrumented run produced no trace")?;
+    let artifacts = pipeline.replay_stage(report, &built.snapshot)?;
     let snap = &*built.snapshot;
 
     let stats = snap.stats();
@@ -761,12 +760,6 @@ fn cmd_heapstats(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> 
         stats.roots[0], stats.roots[1], stats.roots[2], stats.roots[3], stats.roots[4]
     );
 
-    let trace = artifacts
-        .instrumented_report
-        .trace
-        .as_ref()
-        .ok_or("instrumented run produced no trace")?;
-    let accessed = accessed_objects(trace);
     println!(
         "
 accessed at startup: {} of {} objects ({:.1}%)",
@@ -932,8 +925,9 @@ fn lint_json(strategy: Strategy, outcomes: &[(&'static str, LintOutcome)]) -> St
 }
 
 /// Lints one workload end to end; returns the normalized diagnostics and
-/// per-lint-family timings. Builds go through `engine` so the
-/// compile/snapshot/profile stages hit the shared (and disk) caches. When
+/// per-lint-family timings. The optimized build goes through `engine`, so
+/// its stages hit the shared (and disk) caches; the profiling build and run
+/// are the lint's own, since it reads their trace. When
 /// `text` is false (JSON mode), the informational stdout lines are
 /// suppressed so stdout carries only the report.
 fn lint_workload(
@@ -965,7 +959,8 @@ fn lint_workload(
     // the worklist solver), then vtable soundness against the instrumented
     // build's devirtualization.
     let handle = engine.workload(&spec);
-    let built = handle.instrumented_parts()?;
+    let pipeline = Pipeline::new(&program, opts.clone());
+    let built = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
     timed!("ir", {
         diags.extend(irlint::lint_program(&program));
         diags.extend(irlint::lint_virtual_targets(
@@ -984,14 +979,14 @@ fn lint_workload(
 
     // Family 2: profiling-run invariants — trace well-formedness, identity
     // collision audits, profile coverage, layout + matching contract of the
-    // optimized build.
+    // optimized build. The trace is this run's of the build above.
     eprintln!("profiling {} …", workload.name());
-    let artifacts = handle.profile()?;
-    let trace = artifacts
-        .instrumented_report
+    let run = pipeline.run_image(&built, workload.stop())?;
+    let trace = &run
         .trace
-        .as_ref()
+        .clone()
         .ok_or("instrumented run produced no trace")?;
+    let artifacts = pipeline.replay_stage(run, &built.snapshot)?;
     timed!("trace", {
         diags.extend(checks::check_trace(trace));
     });
@@ -1287,10 +1282,9 @@ mod tests {
     fn quality_report_smoke() -> Result<(), Box<dyn std::error::Error>> {
         let program = quickstart::program()?;
         let pipeline = Pipeline::new(&program, BuildOptions::default());
-        let artifacts = pipeline.profiling_run(nimage_vm::StopWhen::Exit)?;
         let built = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
-        let trace = artifacts
-            .instrumented_report
+        let report = pipeline.run_image(&built, nimage_vm::StopWhen::Exit)?;
+        let trace = report
             .trace
             .as_ref()
             .ok_or("instrumented run produced no trace")?;

@@ -327,29 +327,31 @@ impl<V> fmt::Debug for Memo<V> {
 /// pipeline stage whose output can be reused across strategies (and, for
 /// identical programs/options, across workloads). Lowered code has no
 /// table: each build runs once, so its lowering is built for that run and
-/// dropped when the run ends (`Engine::run_default`).
+/// dropped when the run ends (`Engine::run_default`). Nor has the profiling
+/// build: it is read once, inside the profile's compute.
 #[derive(Debug)]
 pub struct ArtifactCache {
     /// Reachability analysis results, keyed by program + analysis config.
     pub reach: Memo<Reachability>,
-    /// Compiled programs, keyed by program + options + instrumentation +
-    /// PGO profile.
+    /// The optimized builds' compiled programs, keyed by program +
+    /// options.
     pub compiled: Memo<CompiledProgram>,
-    /// Heap snapshots, keyed by compile key + heap-build config.
+    /// The optimized builds' heap snapshots, keyed by program + options.
     pub snapshots: Memo<HeapSnapshot>,
     /// The optimized snapshot's strategy identity maps (`assign_ids`
     /// output), keyed by snapshot key + heap strategy.
     pub heap_ids: Memo<HashMap<ObjId, u64>>,
-    /// Laid-out images shared across cells: the instrumented and the
-    /// baseline layouts (strategy layouts are unique per evaluation cell
-    /// and computed inline there).
+    /// Laid-out images shared across cells: the baseline layouts
+    /// (strategy layouts are unique per evaluation cell and computed
+    /// inline there).
     pub images: Memo<BinaryImage>,
     /// The one execution of each optimized build: the baseline
     /// measurement plus its access log, from which every strategy cell
     /// pages its own layout ([`nimage_vm::relayout`]).
     pub runs: Memo<(RunReport, AccessLog)>,
-    /// Full profiling-run artifacts (instrumented build + run + replay),
-    /// keyed by program + options.
+    /// Full profiling-run artifacts (instrumented build + run + replay;
+    /// the profiles only, neither the build nor the trace), keyed by
+    /// program + options.
     pub profiles: Memo<ProfiledArtifacts>,
     /// Every strategy's ordering plan, keyed by workload + strategy: the
     /// orders (plus, for the clustered strategies, the layout optimizer's

@@ -7,11 +7,13 @@
 //! repeated six times — and everything runs serially. The engine instead:
 //!
 //! 1. **profiles once per workload** (instrumented build + run + replay),
+//!    keeping only the profiles: the profiling build and its trace are
+//!    freed as the replay ends,
 //! 2. **caches every shared artifact** content-keyed in an
-//!    [`ArtifactCache`] — reachability, both compiles, both snapshots,
-//!    strategy ID maps, the baseline layout and the baseline measurement
-//!    are each computed exactly once per workload and shared by all
-//!    strategies,
+//!    [`ArtifactCache`] — reachability, the profiles, the optimized
+//!    compile and snapshot, strategy ID maps, the baseline layout and the
+//!    baseline measurement are each computed exactly once per workload
+//!    and shared by all strategies,
 //! 3. **executes each optimized build once**: the baseline run also
 //!    records its first-touch [`AccessLog`], and every strategy cell pages
 //!    its own layout from that log ([`Pipeline::relayout`]) instead of
@@ -209,8 +211,9 @@ impl<'e, 'p, 's> Workload<'e, 'p, 's> {
     }
 
     /// Builds the fully instrumented image ([`InstrumentConfig::FULL`])
-    /// with the compile and snapshot stages shared behind the cache and
-    /// disk tier. The parts equal `Pipeline::build_instrumented`'s.
+    /// afresh on each call, outside the memos and the disk tier (only the
+    /// workload's analysis is shared). The parts equal
+    /// `Pipeline::build_instrumented`'s.
     ///
     /// # Errors
     /// Propagates pipeline failures.
@@ -344,7 +347,8 @@ pub struct Rows<'e, 'p, 's> {
 }
 
 impl<'e, 'p, 's> Rows<'e, 'p, 's> {
-    fn handle(&self, row: usize) -> &Workload<'e, 'p, 's> {
+    /// The handle of row `row`, made on first use.
+    pub fn handle(&self, row: usize) -> &Workload<'e, 'p, 's> {
         self.handles[row].get_or_init(|| self.engine.workload(&self.specs[row]))
     }
 
@@ -434,10 +438,11 @@ impl Build<'_> {
     }
 
     /// Whether the build's compile, snapshot and default image go through
-    /// the engine's memos and disk tier: every build's but Sec. 7.4's,
-    /// which are each read once.
+    /// the engine's memos and disk tier: the optimized build's only, which
+    /// every cell of its row reads. The profiling build is read once, by
+    /// the profile's compute, and Sec. 7.4's builds once each.
     fn cached(self) -> bool {
-        !matches!(self, Build::Overhead(..))
+        matches!(self, Build::Optimized(_))
     }
 
     /// The variant of its default-order image and that image's run: the
@@ -874,9 +879,10 @@ impl Engine {
     }
 
     /// The strategy-independent front of one build — compile → snapshot,
-    /// each behind the cache and the disk tier; reachability (memoized,
-    /// never persisted, shared by every build of the workload) is resolved
-    /// only by a compile that misses both.
+    /// each behind the cache and the disk tier when the build is cached
+    /// ([`Build::cached`]); reachability (memoized, never persisted, shared
+    /// by every build of the workload) is resolved only by a compile that
+    /// is computed.
     fn build_front(
         &self,
         w: &Workload<'_, '_, '_>,
@@ -929,7 +935,7 @@ impl Engine {
     }
 
     /// A build's default-order image, shared across cells behind the image
-    /// memo.
+    /// memo when the build is cached.
     fn default_image(
         &self,
         w: &Workload<'_, '_, '_>,
@@ -1010,7 +1016,9 @@ impl Engine {
     }
 
     /// The profiling half (steps 1–3 of Fig. 1), computed once per
-    /// workload.
+    /// workload. The instrumented build is made, run and replayed here and
+    /// freed when the compute ends; the replay consumes the run's trace,
+    /// so the memoised and persisted profile holds none.
     fn profiled(&self, w: &Workload<'_, '_, '_>) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
         self.disk_backed(&self.cache.profiles, "profile", w.key("profile"), || {
             let _p = self

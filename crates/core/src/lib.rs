@@ -309,7 +309,9 @@ pub struct ProfiledArtifacts {
     pub heap_profiles: HashMap<HeapStrategy, HeapOrderProfile>,
     /// Native-tail pages in first-touch order (the extension profile).
     pub native_pages: Vec<u32>,
-    /// The instrumented run's report (for overhead accounting).
+    /// The instrumented run's report (for overhead accounting), without
+    /// its trace, which the replay consumed: a caller that reads the trace
+    /// keeps it from its own run ([`Pipeline::replay_stage`]).
     pub instrumented_report: RunReport,
 }
 
@@ -742,7 +744,8 @@ impl<'p> Pipeline<'p> {
     }
 
     /// Performs the full profiling build + run + post-processing (steps 1–3
-    /// of Fig. 1), producing every ordering profile at once.
+    /// of Fig. 1), producing every ordering profile at once. Only the
+    /// profiles outlive the call: the build and the trace are dropped.
     ///
     /// # Errors
     /// Fails on build-time, runtime or post-processing errors.
@@ -756,7 +759,9 @@ impl<'p> Pipeline<'p> {
     /// instrumented run's trace against the instrumented build's
     /// `snapshot`, producing every ordering profile at once. Each heap
     /// profile names only the objects the trace touched
-    /// ([`nimage_order::ids_of`]), never the whole snapshot.
+    /// ([`nimage_order::ids_of`]), never the whole snapshot. The replay
+    /// consumes the report's trace; a caller that prints or checks it
+    /// clones it first.
     ///
     /// # Errors
     /// Fails when the report carries no trace, on replay errors, and on
@@ -799,22 +804,24 @@ impl<'p> Pipeline<'p> {
     /// One serial replay of the trace, keeping accesses to `members`,
     /// yields the raw first-access orders; every strategy's heap profile
     /// is then the touched objects' identities under that strategy, from
-    /// `ids_of`, deduplicated in first-access order. The engine calls it
-    /// directly to time the naming.
+    /// `ids_of`, deduplicated in first-access order. The replay consumes
+    /// the trace: the artifacts' `instrumented_report.trace` is `None`.
+    /// The engine calls it directly to time the naming.
     pub(crate) fn profiles(
         &self,
-        report: RunReport,
+        mut report: RunReport,
         members: impl IntoIterator<Item = ObjId>,
         ids_of: &mut dyn FnMut(HeapStrategy, &[ObjId]) -> Vec<u64>,
     ) -> Result<ProfiledArtifacts, PipelineError> {
-        let trace = report.trace.as_ref().ok_or(PipelineError::NoTrace)?;
+        let trace = report.trace.take().ok_or(PipelineError::NoTrace)?;
         if self.opts.verify {
-            let errors = errors_of(&checks::check_trace(trace));
+            let errors = errors_of(&checks::check_trace(&trace));
             if !errors.is_empty() {
                 return Err(PipelineError::Verify(errors));
             }
         }
-        let summary = replay_indexed(&self.index, trace, members)?;
+        let summary = replay_indexed(&self.index, &trace, members)?;
+        drop(trace);
         // The instrumented run's touched-byte spans, keyed by raw snapshot
         // object index — the same keying as `summary.object_order`, so each
         // identity's first-access entry picks up the bytes startup actually

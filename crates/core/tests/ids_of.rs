@@ -4,7 +4,9 @@
 //! for byte, the profiles built from full identity maps.
 //!
 //! Every bundled workload is evaluated once, on one engine, and both tests
-//! read the shared builds.
+//! read the shared builds. The engine's profile holds no trace, so the
+//! trace both tests replay is the one of a run of the engine's
+//! instrumented build made here.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -16,15 +18,17 @@ use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::Program;
 use nimage_order::{assign_ids, ids_of, replay_first_access, HeapStrategy};
 use nimage_profiler::DumpMode;
-use nimage_vm::{StopWhen, VmConfig};
+use nimage_vm::{RunReport, StopWhen, VmConfig};
 use nimage_workloads::{Awfy, Microservice};
 
-/// Both builds of one workload, as the engine made them.
+/// Both builds of one workload, as the engine made them, and a run of the
+/// instrumented build, with its trace.
 struct Built {
     name: String,
     opts: BuildOptions,
     profile: Arc<ProfiledArtifacts>,
     instrumented: Arc<HeapSnapshot>,
+    run: RunReport,
     optimized: Arc<HeapSnapshot>,
 }
 
@@ -62,21 +66,25 @@ fn builds() -> &'static (Vec<Program>, Vec<Built>) {
             n_threads: 2,
             ..EngineOptions::default()
         });
-        let built = engine.rows(&specs).map(|w| {
+        let rows: Vec<usize> = (0..specs.len()).collect();
+        let built = nimage_par::parallel_map_ordered(2, &rows, |i| {
+            let spec = &specs[i];
+            let w = engine.workload(spec);
             let profile = w.profile().expect("profiling run");
             let instrumented = w.instrumented_parts().expect("instrumented build");
+            let run = (Pipeline::new(spec.program, spec.opts.clone()))
+                .run_image(&instrumented, spec.stop)
+                .expect("instrumented run");
             let optimized = w.optimized_image(&profile, None).expect("optimized build");
-            (profile, instrumented.snapshot, optimized.snapshot)
-        });
-        let built = (specs.iter().zip(built))
-            .map(|(spec, (profile, instrumented, optimized))| Built {
+            Built {
                 name: spec.name.clone(),
                 opts: spec.opts.clone(),
                 profile,
-                instrumented,
-                optimized,
-            })
-            .collect();
+                instrumented: instrumented.snapshot,
+                run,
+                optimized: optimized.snapshot,
+            }
+        });
         drop(specs);
         (programs, built)
     })
@@ -110,7 +118,7 @@ fn sample(snapshot: &HeapSnapshot, n: usize, mut seed: u64) -> Vec<ObjId> {
 /// The objects the instrumented run touched, in first-access order.
 fn touched(program: &Program, built: &Built) -> Vec<ObjId> {
     let snap = &built.instrumented;
-    let trace = (built.profile.instrumented_report.trace.as_ref()).expect("a profiling trace");
+    let trace = built.run.trace.as_ref().expect("a profiling trace");
     let members = assign_ids(program, snap, HeapStrategy::HeapPath);
     replay_first_access(program, trace, &members, built.opts.vm.max_paths)
         .expect("replays")
@@ -167,7 +175,7 @@ fn engine_profiles_equal_the_full_map_profiles() {
         let p = Pipeline::new(program, built.opts.clone());
         let mut maps: HashMap<HeapStrategy, Arc<HashMap<ObjId, u64>>> = HashMap::new();
         let full = p
-            .post_process(built.profile.instrumented_report.clone(), &mut |hs| {
+            .post_process(built.run.clone(), &mut |hs| {
                 let map = maps.entry(hs);
                 map.or_insert_with(|| Arc::new(assign_ids(program, &built.instrumented, hs)))
                     .clone()

@@ -78,7 +78,7 @@ pub fn retained_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// allocated while `f` ran and had not freed when it returned: what the
 /// result holds, counting what threads that `f` started allocated for it,
 /// if nothing else in the process allocates meanwhile. A test binary that
-/// reads it must hold only the one test.
+/// reads it must run its tests one at a time.
 #[allow(dead_code)] // each test binary reads one of the two counters
 pub fn process_retained_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = PROCESS.load(Ordering::SeqCst);

@@ -46,22 +46,17 @@ fn main() -> Result<(), PipelineError> {
     );
 
     // The paper's answer: memory-mapped buffers survive the kill.
+    // The profiles consume the trace, so its thread count is read first.
     let pipeline = Pipeline::new(&program, options(DumpMode::MemoryMapped));
-    let artifacts = pipeline.profiling_run(StopWhen::FirstResponse)?;
-    let stats = artifacts
-        .instrumented_report
-        .session_stats
-        .expect("instrumented run");
+    let built = pipeline.build_instrumented(InstrumentConfig::FULL)?;
+    let report = pipeline.run_image(&built, StopWhen::FirstResponse)?;
+    let stats = report.session_stats.expect("instrumented run");
     println!(
         "dump mode 2 (memory-mapped): 0 lost, {} remaps, {} threads traced\n",
         stats.remaps,
-        artifacts
-            .instrumented_report
-            .trace
-            .as_ref()
-            .map(|t| t.threads.len())
-            .unwrap_or(0)
+        report.trace.as_ref().map_or(0, |t| t.threads.len())
     );
+    let artifacts = pipeline.replay_stage(report, &built.snapshot)?;
 
     let cm = CostModel::ssd();
     println!("{} helloworld, time to first response:", service.name());

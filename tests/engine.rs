@@ -109,17 +109,17 @@ fn engine_computes_shared_artifacts_once_per_workload() {
             .unwrap_or_else(|| panic!("no memo named {name}"))
     };
     // One workload: the profiling run and the baseline measurement each
-    // miss exactly once; the other five strategies hit. The shared layout
-    // memo misses twice — the instrumented and the baseline layout — and
-    // the plan memo once per strategy.
+    // miss exactly once; the other five strategies hit. The layout memo
+    // misses once — the baseline layout; the instrumented build lives only
+    // inside the profile's compute — and the plan memo once per strategy.
     assert_eq!(by_name("profile").misses, 1);
-    assert_eq!(by_name("layout").misses, 2);
+    assert_eq!(by_name("layout").misses, 1);
     assert_eq!(by_name("order").misses as usize, strategies.len());
     assert_eq!(by_name("baseline-run").misses, 1);
     assert_eq!(by_name("profile").hits as usize, strategies.len() - 1);
-    // Instrumented + optimized compile and snapshot: two misses each.
-    assert_eq!(by_name("compile").misses, 2);
-    assert_eq!(by_name("snapshot").misses, 2);
+    // The optimized compile and snapshot only: one miss each.
+    assert_eq!(by_name("compile").misses, 1);
+    assert_eq!(by_name("snapshot").misses, 1);
     // Identity maps of the optimized snapshot only, one per scheme: the
     // profile names the instrumented snapshot's touched objects directly.
     assert_eq!(by_name("assign-ids").misses, 3);
@@ -141,6 +141,9 @@ fn engine_computes_shared_artifacts_once_per_workload() {
         misses_before,
         "fully warm cache must not recompute anything"
     );
+    // The memoised profile holds no trace: the replay consumed it.
+    let profile = engine.workload(&spec).profile().unwrap();
+    assert!(profile.instrumented_report.trace.is_none());
 }
 
 #[test]
@@ -225,14 +228,18 @@ fn second_engine_on_a_warm_cache_dir_stores_rejects_and_analyzes_nothing() {
     // instrumented snapshot's.
     let cold_stages = cold_work.2.expect("disk tier configured");
     assert_eq!(cold_stages["assign-ids"].stores, 3, "{cold_stages:?}");
+    // The optimized build's compile and snapshot; the profiling build is
+    // never persisted.
+    assert_eq!(cold_stages["compile"].stores, 1, "{cold_stages:?}");
+    assert_eq!(cold_stages["snapshot"].stores, 1, "{cold_stages:?}");
 
     let (warm_rows, warm, warm_analyze, warm_fingerprints, warm_orders, warm_work) = run();
     let (executions, shards, stages) = warm_work;
     assert_eq!(warm.stores, 0, "a key moved between engines");
     assert_eq!(warm.rejected, 0);
     assert_eq!(warm.misses, 0);
-    // Fewer hits than stores: the `profile` hit stands in for the
-    // instrumented build's own entries.
+    // Fewer hits than stores: with every plan a hit, no identity map is
+    // looked up.
     assert!(warm.hits > 0 && warm.hits <= cold.stores);
     assert_eq!(warm_analyze, 0, "a disk-hit compile must not analyze");
     assert_eq!(warm_fingerprints, 1, "one fingerprint span per workload");
