@@ -14,9 +14,11 @@
 //! - `order_objects_split_spans/heap path` — the *heap path* profile
 //!   joined to the optimized build's snapshot.
 //! - `optimize_layout/cu+heap-path` — the clustered cu + heap-path
-//!   strategy's candidate search: first-touch CU and object orders with
-//!   their hot prefixes, sizes and measured object spans.
-//! - `optimize_layout/cu` — the clustered cu strategy's code-only search.
+//!   strategy's two-candidate plan (identity native order against the
+//!   native-tail split): first-touch CU and object orders with their hot
+//!   prefixes, sizes and measured object spans.
+//! - `optimize_layout/cu` — the clustered cu strategy's code-only
+//!   two-candidate plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimage_bench::eval_options;

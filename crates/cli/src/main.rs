@@ -81,7 +81,7 @@ COMMANDS:
     help                                     this text
 
 STRATEGIES: cu, method, incremental-id, structural-hash, heap-path, cu+heap-path,
-            cu-clustered, cu-clustered+heap-path (fault-cost-aware layout optimizer)
+            cu-clustered, cu-clustered+heap-path (cu / cu+heap-path plus the native-tail split)
 WORKLOADS:  the 14 AWFY benchmarks, micronaut/quarkus/spring, and `quickstart`
 
 `run` and `eval` accept --verify / --no-verify to toggle the nimage-verify

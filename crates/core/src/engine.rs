@@ -779,7 +779,7 @@ impl Engine {
                     .opts
                     .heap_strategy_for(strategy)
                     .map(|hs| self.heap_ids(w, front.snapshot_key, &front.snapshot, hs));
-                // The layout optimizer's search keeps its own span name.
+                // The layout optimizer keeps its own span name.
                 let span = if strategy.clustered() {
                     "optimize"
                 } else {

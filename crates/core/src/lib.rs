@@ -101,14 +101,14 @@ pub enum Strategy {
     /// The combination the paper reports end-to-end numbers for: *cu*
     /// code ordering plus *heap path* object ordering.
     CuPlusHeapPath,
-    /// Beyond the paper: *cu* first-touch ordering refined by the
-    /// fault-cost-aware layout optimizer (`nimage_image::optimize`)
-    /// — hot/cold splitting of the native tail plus fault-around-window
-    /// clustering of the hot CU prefix, chosen by candidate search under
-    /// the paging cost model.
+    /// Beyond the paper: *cu* first-touch ordering plus the hot/cold split
+    /// of the native tail (`nimage_image::optimize`), kept when the paging
+    /// cost model predicts strictly fewer faults than plain *cu*. A
+    /// native-split column that clusters nothing: the name stays because
+    /// the figures' headers and the benchmark's matrix use it.
     CuClustered,
-    /// [`Strategy::CuClustered`] code ordering plus *heap path* object
-    /// ordering, both refined by the layout optimizer.
+    /// *cu+heap path* plus the same native-tail split: first-touch CU and
+    /// heap-path object orders, unchanged, and the split when it pays.
     CuClusteredPlusHeapPath,
 }
 
@@ -178,9 +178,9 @@ impl Strategy {
         }
     }
 
-    /// Whether this strategy runs the fault-cost-aware layout optimizer
-    /// over its first-touch orders (and so also hot/cold-splits the
-    /// native tail).
+    /// Whether this strategy runs the layout optimizer over its first-touch
+    /// orders: a native-split column, which hot/cold-splits the native
+    /// tail when the cost model says it pays.
     pub fn clustered(&self) -> bool {
         matches!(
             self,
@@ -380,13 +380,14 @@ fn is_entry_permutation(order: &[ObjId], snapshot: &HeapSnapshot) -> bool {
         })
 }
 
-/// Predicted major-fault counts of the layout optimizer's candidate search:
-/// the plain first-touch placement it started from and the placement it
-/// chose. `optimized.total() <= first_touch.total()` by construction
-/// (first-touch is candidate 0 of the search).
+/// Predicted major-fault counts of the layout optimizer's two placements:
+/// the plain first-touch placement and the one it chose, which adds the
+/// native-tail split when that predicts strictly fewer faults. So
+/// `optimized.total() <= first_touch.total()` by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutPrediction {
-    /// Predicted faults of the first-touch placement (candidate 0).
+    /// Predicted faults of the first-touch placement (identity native
+    /// order).
     pub first_touch: PredictedFaults,
     /// Predicted faults of the chosen placement.
     pub optimized: PredictedFaults,
@@ -879,8 +880,8 @@ impl<'p> Pipeline<'p> {
     /// identities of `snap` (the evaluation engine caches them per
     /// snapshot × strategy); `None` computes them inline.
     ///
-    /// For the clustered strategies this runs the fault-cost-aware layout
-    /// optimizer over the first-touch orders (see [`optimize_layout`]);
+    /// For the clustered strategies this runs the layout optimizer over the
+    /// first-touch orders (see [`optimize_layout`]);
     /// for every other strategy it returns the profile-replay orders
     /// unchanged, with no native order and no prediction.
     pub fn order_stage(
@@ -924,10 +925,9 @@ impl<'p> Pipeline<'p> {
 
     /// The clustered strategies' ordering: replays the first-touch orders
     /// exactly like `cu` / `cu+heap path`, then hands them to the layout
-    /// optimizer's candidate search under the demand-paging cost model
-    /// (hot/cold native-tail splitting, fault-around-window clustering,
-    /// page-boundary packing). First-touch is candidate 0 of the search,
-    /// so the result never predicts more faults than the plain strategy.
+    /// optimizer, which adds the native-tail hot/cold split when the
+    /// demand-paging cost model predicts strictly fewer faults with it.
+    /// So the result never predicts more faults than the plain strategy.
     fn optimize_stage(
         &self,
         artifacts: &ProfiledArtifacts,

@@ -11,8 +11,7 @@
 //! window-aligned, so in one shared simulator `.text`'s last fault-around
 //! window can already have mapped the heap's first pages.
 //!
-//! Shared by `crates/core/tests/predictor_matches_simulator.rs` and the
-//! root package's smoke test of the same name.
+//! Used by `crates/core/tests/predictor_matches_simulator.rs`.
 
 use nimage_compiler::{CuId, InstrumentConfig};
 use nimage_core::{BuildOptions, LayoutOrders, Pipeline};

@@ -17,13 +17,12 @@
 //! slices to [`BinaryImage::build`]; everything else — offsets, page
 //! boundaries, fault attribution in `nimage-vm` — follows from the layout.
 //!
-//! [`optimize`] goes beyond the paper: a candidate search under the
-//! demand-paging cost model (hot/cold splitting of the native tail,
-//! fault-around-window clustering, page-boundary packing), anchored by
-//! first-touch order as candidate 0 so it never predicts worse than the
-//! paper's ordering. Its fault predictor places every candidate with the
-//! same cursor and section bases as [`BinaryImage::build`], so this crate
-//! is the one place that knows where bytes go.
+//! [`optimize`] goes beyond the paper: it splits the native tail into hot
+//! and cold pages when the demand-paging cost model predicts strictly
+//! fewer faults than the paper's first-touch placement, so it never
+//! predicts worse than the paper's ordering. Its fault predictor places
+//! both with the same cursor and section bases as [`BinaryImage::build`],
+//! so this crate is the one place that knows where bytes go.
 
 #![warn(missing_docs)]
 

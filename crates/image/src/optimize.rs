@@ -1,44 +1,31 @@
-//! Page-fault-cost-aware layout optimization: hot/cold splitting plus
-//! fault-around-window clustering.
+//! Page-fault-cost-aware layout optimization: the native tail's hot/cold
+//! split, kept when the fault-cost model says it pays.
 //!
 //! The paper's orderings (`order_cus` / `order_objects`) linearize entities
 //! in plain first-touch order. That is the right *hot/cold split* — touched
 //! entities form a dense prefix, never-touched ones are exiled past the hot
-//! frontier — but it leaves two costs of the demand-paging model on the
-//! table (`nimage_vm::paging`, the aligned fault-around window of
-//! `PagingConfig::fault_around_pages`):
+//! frontier — but it never touches the native tail, whose startup-touched
+//! pages are scattered across the whole tail, so each one faults its own
+//! fault-around window (`nimage_vm::paging`, the aligned window of
+//! `PagingConfig::fault_around_pages`). Packing them to the front of the
+//! tail ([`split_native_tail`], hot/cold splitting at page granularity)
+//! collapses those faults into the one or two windows that cover the
+//! packed prefix. The paper leaves this reordering as future work
+//! (Appendix A).
 //!
-//! 1. **The native tail is not split.** The startup-touched native pages
-//!    are scattered across the whole tail, so each one faults its own
-//!    fault-around window. Packing them to the front of the tail (hot/cold
-//!    splitting at page granularity) collapses those faults into the one or
-//!    two windows that cover the packed prefix.
-//! 2. **The hot prefix is packed by accident, not by cost.** Alignment
-//!    padding between hot entities and hot entities straddling a window
-//!    boundary can push the hot span over one more fault-around window than
-//!    its bytes need. Clustering co-accessed entities into window-sized
-//!    chains and packing chains against alignment waste shaves that slack
-//!    where it exists.
-//!
-//! The optimizer works by *candidate search under an exact cost model*: it
-//! generates a fixed, deterministic list of candidate placements — the
-//! first-touch order itself is always candidate 0 — scores each one with
-//! [`predict_faults`] (the placement rule of [`crate::BinaryImage::build`]
-//! plus the simulator's window-counting rule), and keeps the argmin, ties
-//! broken toward the lowest candidate index. Because first-touch is in the
-//! candidate set, the chosen placement never predicts more faults than the
-//! paper's ordering, and on workloads where neither the native split nor
-//! the clustering finds slack the optimizer *degenerates to first-touch
-//! order exactly* (see DESIGN.md §12).
-
-use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`optimize_layout`] keeps the first-touch CU and object orders and
+//! scores two placements with [`predict_faults`] (the placement rule of
+//! [`crate::BinaryImage::build`] plus the simulator's window-counting
+//! rule): the identity native order, which is the paper's placement, and
+//! the split. It keeps the split only when it predicts strictly fewer
+//! faults, so the plan never predicts more faults than the paper's
+//! ordering, and where the split finds no slack it *is* first-touch order
+//! exactly (see DESIGN.md §12).
 
 use nimage_compiler::CuId;
 use nimage_heap::ObjId;
 
-use crate::layout::{align_up, LayoutCursor};
+use crate::layout::LayoutCursor;
 use crate::ImageOptions;
 
 /// The `.text` half of the optimizer's input.
@@ -104,14 +91,16 @@ pub struct OrderPlan {
     /// tail page of logical page `i` (the `set_native_page_order`
     /// contract).
     pub native_order: Vec<u32>,
-    /// Predicted faults of plain first-touch order (candidate 0).
+    /// Predicted faults of plain first-touch order with the identity
+    /// native order: the paper's placement, which the plan is measured
+    /// against.
     pub first_touch_faults: PredictedFaults,
-    /// Predicted faults of the chosen placement (never more than
-    /// `first_touch_faults` in any section total).
+    /// Predicted faults of the chosen placement: `first_touch_faults`,
+    /// or the native split's when its total is strictly lower.
     pub predicted_faults: PredictedFaults,
 }
 
-/// The identity native-tail permutation (candidate 0: no native split).
+/// The identity native-tail permutation (no native split).
 fn identity_native_order(tail_pages: u64) -> Vec<u32> {
     (0..tail_pages as u32).collect()
 }
@@ -187,7 +176,7 @@ impl WindowSet {
     }
 }
 
-/// The candidate-independent half of the cost model, computed once per
+/// The placement-independent half of the cost model, computed once per
 /// [`optimize_layout`] call: which CUs and objects startup touches.
 struct Scorer<'a> {
     code: &'a CodeInput<'a>,
@@ -223,7 +212,7 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Scores one candidate placement: places it with `BinaryImage::build`'s
+    /// Scores one placement: places it with `BinaryImage::build`'s
     /// own [`LayoutCursor`] and section bases, and counts windows with the
     /// simulator's rule. Hot CUs are costed under the *full-extent*
     /// touch model (every hot CU touches all of its bytes; cold entities
@@ -233,7 +222,7 @@ impl<'a> Scorer<'a> {
     ///
     /// The full-extent model is an upper bound on the real run's touched
     /// byte set — the VM touches inline nodes and object fields
-    /// individually — but it is the *same* upper bound for every candidate,
+    /// individually — but it is the *same* upper bound for every placement,
     /// and the native-tail part is page-exact (startup touches whole
     /// pages), so the comparison is meaningful and the native savings are
     /// exact. Measured heap spans tighten that bound to the bytes startup
@@ -270,7 +259,7 @@ impl<'a> Scorer<'a> {
 
         let mut heap_faults = 0u64;
         if let Some(h) = self.heap {
-            let order = object_order.expect("heap input requires a candidate object order");
+            let order = object_order.expect("heap input requires an object order");
             let mut heap_set = WindowSet::new(self.fault_around_pages);
             let mut cursor = LayoutCursor::new(options.heap_start(native_start), options.obj_align);
             for &obj in order {
@@ -304,186 +293,13 @@ impl<'a> Scorer<'a> {
     }
 }
 
-/// No successor: the entity is its chain's tail.
-const NONE: usize = usize::MAX;
-
-/// The smallest current chain head `>= k` (`n` when there is none).
-/// `heads[h] == h` exactly for heads; every other entry links towards
-/// a larger index and is shortened as it is followed (path halving).
-fn next_head(heads: &mut [usize], mut k: usize) -> usize {
-    while heads[k] != k {
-        heads[k] = heads[heads[k]];
-        k = heads[k];
-    }
-    k
-}
-
-/// Ext-TSP-style chain clustering (greedy Pettis–Hansen merge) over the
-/// co-access graph of the hot first-touch sequence.
-///
-/// Two hot entities `i < j` are *startup-window neighbors* when the bytes
-/// between them along the first-touch layout, `dist(i, j)`, are fewer than
-/// one fault-around window; the closer, the heavier the edge. Entities
-/// start as singleton chains; edges are taken by descending weight —
-/// ascending `(dist, i, j)` — and merge two chains end-to-end when the
-/// edge runs from the tail of one to the head of the other and the merged
-/// chain still fits one window. Every merge appends a chain that starts
-/// after the other one's tail, so each chain runs in increasing first-touch
-/// rank (a merge can never close a cycle), and chains are emitted by their
-/// heads — their earliest members — so clustering never moves an entity
-/// far from its startup position.
-///
-/// The edges are never materialised: the graph is nearly complete when the
-/// whole hot set spans a window or two. A merge only ever *removes* a tail
-/// (`i`) and a head (`j`) and never creates one, so an edge whose `i` is no
-/// longer a tail or whose `j` is no longer a head is rejected whenever it
-/// comes up and can be skipped unseen. Each tail keeps one cursor — its
-/// next edge to a current head, in `j` order, which for a fixed `i` is also
-/// `dist` order — in a min-heap keyed `(dist, i, j)`, so the heap yields
-/// exactly the surviving edges of the sorted list, in its order.
-fn cluster_hot(hot_sizes: &[u64], window_bytes: u64) -> Vec<usize> {
-    let n = hot_sizes.len();
-    // Prefix byte positions along the first-touch sequence.
-    let mut pos = Vec::with_capacity(n + 1);
-    pos.push(0u64);
-    for &s in hot_sizes {
-        pos.push(pos[pos.len() - 1] + s);
-    }
-    let cursor = |i: usize, j: usize| {
-        let dist = pos[j] - pos[i + 1];
-        (j < n && dist < window_bytes).then_some(Reverse((dist, i, j)))
-    };
-
-    // Chain bookkeeping: `succ` links each member to the next; `end` maps a
-    // head to its tail and a tail to its head; a chain's bytes sit at its
-    // head.
-    let mut succ = vec![NONE; n];
-    let mut end: Vec<usize> = (0..n).collect();
-    let mut bytes = hot_sizes.to_vec();
-    let mut heads: Vec<usize> = (0..=n).collect();
-    let mut cursors: BinaryHeap<_> = (0..n.saturating_sub(1))
-        .filter_map(|i| cursor(i, i + 1))
-        .collect();
-    while let Some(Reverse((_, i, j))) = cursors.pop() {
-        if heads[j] != j {
-            // `j` was merged behind another chain since this cursor was
-            // set: move on to the next current head.
-            cursors.extend(cursor(i, next_head(&mut heads, j)));
-            continue;
-        }
-        let head = end[i];
-        if bytes[head] + bytes[j] <= window_bytes {
-            // `i` stops being a tail, so its cursor ends here.
-            let tail = end[j];
-            succ[i] = j;
-            end[head] = tail;
-            end[tail] = head;
-            bytes[head] += bytes[j];
-            heads[j] = j + 1;
-        } else {
-            cursors.extend(cursor(i, next_head(&mut heads, j + 1)));
-        }
-    }
-
-    let members =
-        |h: usize| std::iter::successors(Some(h), |&m| Some(succ[m]).filter(|&s| s != NONE));
-    (0..n)
-        .filter(|&h| heads[h] == h)
-        .flat_map(members)
-        .collect()
-}
-
-/// Page-boundary-aware packing: walks the hot prefix in order and, when
-/// the next hot entity would straddle a page boundary, moves the best-fit
-/// cold entity (largest that fits the gap to the boundary, ties: first in
-/// cold order) in front of it as a filler. Cold entities are untouched, so
-/// a filler costs nothing where the page is already hot — but it does push
-/// later hot bytes back, which is why the result is only *kept* when the
-/// predictor scores it no worse than the unpacked candidate.
-fn pack_page_boundaries<T: Copy>(
-    hot: &[T],
-    cold: &[T],
-    size_of: impl Fn(T) -> u64,
-    align: u64,
-    page_size: u64,
-) -> Vec<T> {
-    let mut used = vec![false; cold.len()];
-    let mut out = Vec::with_capacity(hot.len() + cold.len());
-    let mut cursor = LayoutCursor::new(0, align);
-    for &h in hot {
-        let at = cursor.next();
-        let size = size_of(h);
-        let gap = align_up(at, page_size) - at;
-        if gap > 0 && size > gap {
-            // Find the largest unused cold entity that fits the gap.
-            let mut best: Option<(u64, usize)> = None;
-            for (i, &c) in cold.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                let cs = size_of(c);
-                if cs <= gap && best.is_none_or(|(bs, _)| cs > bs) {
-                    best = Some((cs, i));
-                }
-            }
-            if let Some((cs, i)) = best {
-                used[i] = true;
-                out.push(cold[i]);
-                cursor.place(cs);
-            }
-        }
-        out.push(h);
-        cursor.place(size);
-    }
-    for (i, &c) in cold.iter().enumerate() {
-        if !used[i] {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The three orders of one section the candidates draw on: plain
-/// first-touch (borrowed), the window-clustered hot prefix followed by the
-/// cold rest, and the clustered prefix page-boundary-packed with cold
-/// fillers.
-fn section_orders<'a, T: Copy>(
-    first_touch: &'a [T],
-    hot: usize,
-    size_of: impl Fn(T) -> u64,
-    align: u64,
-    page_size: u64,
-    window_bytes: u64,
-) -> [Cow<'a, [T]>; 3] {
-    let (hot, cold) = first_touch.split_at(hot);
-    let hot_sizes: Vec<u64> = hot.iter().map(|&e| size_of(e)).collect();
-    let clustered: Vec<T> = cluster_hot(&hot_sizes, window_bytes)
-        .into_iter()
-        .map(|i| hot[i])
-        .collect();
-    let packed = pack_page_boundaries(&clustered, cold, size_of, align, page_size);
-    let clustered_order = clustered.iter().chain(cold).copied().collect();
-    [
-        Cow::Borrowed(first_touch),
-        Cow::Owned(clustered_order),
-        Cow::Owned(packed),
-    ]
-}
-
-/// The code candidates as `(CU order, native order)` indices into
-/// [`section_orders`]' three CU orders and `[identity, hot/cold split]`:
-/// 0 is the paper's ordering, untouched; 1 adds the native-tail hot/cold
-/// split; 2 clusters the hot prefix; 3 also packs page boundaries.
-const CODE_CANDIDATES: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 1), (2, 1)];
-
-/// Optimizes the placement of CUs (and objects, when `heap` is given)
-/// against the fault-cost model: generates the deterministic candidate
-/// set — every code candidate paired with every heap order — scores each
-/// with [`predict_faults`]' model, and keeps the argmin, ties broken toward
-/// the lowest candidate index, so the plan degenerates to plain
-/// first-touch order (plus, always, the native-tail hot/cold split when it
-/// helps) whenever clustering finds no slack. Candidates are scored by
-/// reference; only the chosen one is copied into the plan.
+/// Plans the placement of CUs (and objects, when `heap` is given) against
+/// the fault-cost model. Both sections keep their first-touch order; the
+/// only choice is the native tail's. The plan scores two placements with
+/// [`predict_faults`]' model, the identity native order (plain first-touch
+/// order, scored as `first_touch_faults`) and the native-tail hot/cold
+/// split, and keeps the split only when it predicts strictly fewer faults
+/// in total.
 ///
 /// `options` is the geometry the plan's image will be built with and
 /// `fault_around_pages` the simulator's window (`PagingConfig`).
@@ -498,65 +314,29 @@ pub fn optimize_layout(
         "fault_around_pages must be a power of two"
     );
     let scorer = Scorer::new(code, heap, options, fault_around_pages);
-    let (ps, window_bytes) = (options.page_size, options.page_size * fault_around_pages);
-    let cu_orders = section_orders(
-        code.first_touch,
-        code.hot,
-        |cu: CuId| code.sizes[cu.index()],
-        options.cu_align,
-        ps,
-        window_bytes,
-    );
+    let object_order = heap.map(|h| h.first_touch);
     let tail = options.native_pages();
-    let native_orders = [
-        identity_native_order(tail),
-        split_native_tail(code.native_pages, tail),
-    ];
-    let object_orders = heap.map(|h| {
-        section_orders(
-            h.first_touch,
-            h.hot,
-            |o: ObjId| h.sizes[o.index()],
-            options.obj_align,
-            ps,
-            window_bytes,
-        )
-    });
-    let object_choices: Vec<Option<&[ObjId]>> = match &object_orders {
-        None => vec![None],
-        Some(orders) => orders.iter().map(|o| Some(&o[..])).collect(),
+    let identity = identity_native_order(tail);
+    let first_touch_faults = scorer.predict(code.first_touch, &identity, object_order);
+    let split = split_native_tail(code.native_pages, tail);
+    let split_faults = scorer.predict(code.first_touch, &split, object_order);
+    let (native_order, predicted_faults) = if split_faults.total() < first_touch_faults.total() {
+        (split, split_faults)
+    } else {
+        (identity, first_touch_faults)
     };
 
-    let mut scored = CODE_CANDIDATES
-        .iter()
-        .flat_map(|&(c, n)| object_choices.iter().map(move |&o| (c, n, o)))
-        .map(|(c, n, o)| {
-            (
-                scorer.predict(&cu_orders[c], &native_orders[n], o),
-                (c, n, o),
-            )
-        });
-    let first = scored.next().expect("candidate set is never empty");
-    let first_touch_faults = first.0;
-    let (predicted_faults, (c, n, o)) = scored.fold(first, |best, next| {
-        if next.0.total() < best.0.total() {
-            next
-        } else {
-            best
-        }
-    });
-
     OrderPlan {
-        cu_order: cu_orders[c].to_vec(),
-        object_order: o.map(<[ObjId]>::to_vec),
-        native_order: native_orders[n].clone(),
+        cu_order: code.first_touch.to_vec(),
+        object_order: object_order.map(<[ObjId]>::to_vec),
+        native_order,
         first_touch_faults,
         predicted_faults,
     }
 }
 
 /// Predicts the major-fault counts of one placement under the cost model —
-/// the same scoring [`optimize_layout`] uses for its candidates, exposed
+/// the same scoring [`optimize_layout`] uses for its two placements, exposed
 /// for reporting: the caller passes any CU/object orders (e.g. a
 /// strategy's first-touch orders) and gets the per-section predicted fault
 /// counts of that placement.
@@ -587,85 +367,6 @@ pub fn predict_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The rule [`cluster_hot`] implements, written the direct way: every
-    /// window-neighbor edge materialised with its weight, sorted by
-    /// descending weight (ties: lower endpoints first), then merged
-    /// tail → head under the window cap.
-    fn cluster_hot_spec(sizes: &[u64], window: u64) -> Vec<usize> {
-        let n = sizes.len();
-        let mut pos = vec![0u64];
-        for &s in sizes {
-            pos.push(pos[pos.len() - 1] + s);
-        }
-        let mut edges = vec![];
-        for i in 0..n {
-            for j in i + 1..n {
-                let dist = pos[j] - pos[i + 1];
-                if dist >= window {
-                    break;
-                }
-                edges.push((window - dist, i, j));
-            }
-        }
-        edges.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut chain_of: Vec<usize> = (0..n).collect();
-        let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-        for (_, a, b) in edges {
-            let (ca, cb) = (chain_of[a], chain_of[b]);
-            let bytes = |c: usize| members[c].iter().map(|&m| sizes[m]).sum::<u64>();
-            if ca == cb
-                || members[ca].last() != Some(&a)
-                || members[cb].first() != Some(&b)
-                || bytes(ca) + bytes(cb) > window
-            {
-                continue;
-            }
-            let moved = std::mem::take(&mut members[cb]);
-            for &m in &moved {
-                chain_of[m] = ca;
-            }
-            members[ca].extend(moved);
-        }
-        let mut chains: Vec<Vec<usize>> = members.into_iter().filter(|m| !m.is_empty()).collect();
-        chains.sort_by_key(|m| *m.iter().min().unwrap());
-        chains.concat()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The lazy merge is exactly the materialised one: runs of equal
-        /// sizes — zero, tiny, larger than any window, whole fractions of
-        /// one — give long stretches of tied distances, rejected caps and
-        /// chains that fill a window to the byte.
-        #[test]
-        fn lazy_merge_equals_the_sorted_edge_list(
-            runs in proptest::collection::vec(
-                (
-                    prop_oneof![
-                        Just(0u64),
-                        1u64..16,
-                        1u64..5000,
-                        1u64..100_000,
-                        // Whole fractions of a window: chains that fill
-                        // one exactly.
-                        prop_oneof![Just(125u64), Just(512), Just(4096)],
-                    ],
-                    1usize..24,
-                ),
-                0..16,
-            ),
-            window in prop_oneof![Just(1000u64), Just(4096), Just(65536)],
-        ) {
-            let sizes: Vec<u64> = runs
-                .iter()
-                .flat_map(|&(size, len)| std::iter::repeat_n(size, len))
-                .collect();
-            prop_assert_eq!(cluster_hot(&sizes, window), cluster_hot_spec(&sizes, window));
-        }
-    }
 
     /// The simulator's default fault-around window, in pages.
     const WINDOW: u64 = 16;
@@ -799,9 +500,9 @@ mod tests {
 
     #[test]
     fn degenerates_to_first_touch_when_no_slack() {
-        // One hot CU, no native touches: every candidate predicts the same
-        // cost, so the tie-break keeps candidate 0 (plain first-touch,
-        // identity native order).
+        // One hot CU, no native touches: the split predicts the same cost
+        // as the identity, so the plan keeps plain first-touch order and
+        // the identity native order.
         let order = cus(3);
         let sizes = vec![64, 64, 64];
         let code = CodeInput {

@@ -1,12 +1,15 @@
 //! Property tests of the layout optimizer's contract: whatever the input,
-//! the output is a permutation of it, never predicts worse than first
-//! touch, and reports predictions consistent with the scorer.
+//! the output is a permutation of it, keeps the first-touch orders, takes
+//! the native-tail split exactly when it predicts strictly fewer faults,
+//! and reports predictions consistent with the scorer.
 
 use proptest::prelude::*;
 
 use nimage_compiler::CuId;
 use nimage_heap::ObjId;
-use nimage_image::optimize::{optimize_layout, predict_faults, CodeInput, HeapInput};
+use nimage_image::optimize::{
+    optimize_layout, predict_faults, split_native_tail, CodeInput, HeapInput, OrderPlan,
+};
 use nimage_image::ImageOptions;
 
 /// Native-tail pages of the test geometry.
@@ -15,8 +18,8 @@ const TAIL_PAGES: u32 = 64;
 /// The simulator's default fault-around window, in pages.
 const WINDOW: u64 = 16;
 
-/// A small image geometry (64-page native tail) so the candidate search
-/// exercises window sharing without megabyte-sized inputs.
+/// A small image geometry (64-page native tail) so the optimizer exercises
+/// window sharing without megabyte-sized inputs.
 fn options() -> ImageOptions {
     ImageOptions {
         native_tail: u64::from(TAIL_PAGES) * 4096,
@@ -43,13 +46,24 @@ fn sorted(ids: Vec<u32>) -> Vec<u32> {
     ids
 }
 
+/// The native order the plan must hold: the split of `native` exactly when
+/// the plan predicts strictly fewer faults than first touch, else the
+/// identity.
+fn expected_native_order(plan: &OrderPlan, native: &[u32]) -> Vec<u32> {
+    if plan.predicted_faults.total() < plan.first_touch_faults.total() {
+        split_native_tail(native, u64::from(TAIL_PAGES))
+    } else {
+        (0..TAIL_PAGES).collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The optimizer returns permutations of its inputs, its chosen
-    /// placement never predicts more faults than first touch (candidate 0
-    /// of its own search), and its reported prediction matches a re-score
-    /// of the returned orders.
+    /// The optimizer returns permutations of its inputs, keeps the
+    /// first-touch CU and object orders, takes the native split exactly
+    /// when it predicts strictly fewer faults than first touch, and its
+    /// reported prediction matches a re-score of the returned orders.
     #[test]
     fn optimizer_is_an_anchored_permutation(
         cu_sizes in proptest::collection::vec(1u64..3000, 1..48),
@@ -100,8 +114,14 @@ proptest! {
         // Anchored by first touch: never predicted worse.
         prop_assert!(plan.predicted_faults.total() <= plan.first_touch_faults.total());
 
+        // Both sections keep their first-touch order; only the native
+        // tail's order is chosen.
+        prop_assert_eq!(&plan.cu_order, &first_touch);
+        prop_assert_eq!(plan.object_order.as_deref(), Some(&obj_first[..]));
+        prop_assert_eq!(&plan.native_order, &expected_native_order(&plan, &native));
+
         // The reported prediction is the scorer's verdict on the
-        // returned orders, not a stale candidate's.
+        // returned orders, not the other placement's.
         let rescored = predict_faults(
             &code,
             Some(&heap),
@@ -138,5 +158,7 @@ proptest! {
             (0..cu_sizes.len() as u32).collect::<Vec<_>>()
         );
         prop_assert!(plan.predicted_faults.total() <= plan.first_touch_faults.total());
+        prop_assert_eq!(&plan.cu_order, &first_touch);
+        prop_assert_eq!(&plan.native_order, &expected_native_order(&plan, &native));
     }
 }
