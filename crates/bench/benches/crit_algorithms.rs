@@ -41,11 +41,7 @@ fn bench_strategies(c: &mut Criterion) {
         &HeapBuildConfig::default(),
     )
     .unwrap();
-    for strat in [
-        HeapStrategy::IncrementalId,
-        HeapStrategy::structural_default(),
-        HeapStrategy::HeapPath,
-    ] {
+    for strat in HeapStrategy::all() {
         c.bench_function(&format!("assign_ids/{}", strat.name()), |b| {
             b.iter(|| assign_ids(std::hint::black_box(&program), &snap, strat))
         });
@@ -89,11 +85,7 @@ fn bench_touched_ids(c: &mut Criterion) {
         touched.len(),
         all.len()
     );
-    for strat in [
-        HeapStrategy::IncrementalId,
-        HeapStrategy::structural_default(),
-        HeapStrategy::HeapPath,
-    ] {
+    for strat in HeapStrategy::all() {
         for (subset, objs) in [("touched", &touched), ("all", &all)] {
             c.bench_function(&format!("ids_of/{subset}/{}", strat.name()), |b| {
                 b.iter(|| ids_of(std::hint::black_box(&program), snap, strat, objs))

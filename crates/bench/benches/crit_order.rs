@@ -44,12 +44,7 @@ fn bench_order(c: &mut Criterion) {
         .expect("optimized build");
     let (compiled, snap) = (&built.compiled, &built.snapshot);
 
-    for scheme in [
-        HeapStrategy::IncrementalId,
-        HeapStrategy::structural_default(),
-        HeapStrategy::HeapPath,
-        HeapStrategy::HeapPathSalted,
-    ] {
+    for scheme in HeapStrategy::all() {
         c.bench_function(&format!("assign_ids/{}", scheme.name()), |b| {
             b.iter(|| assign_ids(std::hint::black_box(&program), snap, scheme))
         });
@@ -89,8 +84,8 @@ fn bench_order(c: &mut Criterion) {
         sizes: &cu_sizes,
         native_pages: &artifacts.native_pages,
     };
-    let hs = opts
-        .heap_strategy_for(Strategy::CuClusteredPlusHeapPath)
+    let hs = Strategy::CuClusteredPlusHeapPath
+        .heap_strategy()
         .expect("a heap strategy");
     let ids = assign_ids(&program, snap, hs);
     let heap_profile = &artifacts.heap_profiles[&hs];

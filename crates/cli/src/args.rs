@@ -29,8 +29,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Option keys that take a value; everything else starting with `--` is a
-/// boolean flag.
+/// Option keys that take a value.
 const VALUED: &[&str] = &[
     "strategy",
     "format",
@@ -49,11 +48,25 @@ const VALUED: &[&str] = &[
 /// records a flag. `-` is an ordinary value (conventionally stdout).
 const OPTIONAL_VALUED: &[&str] = &["json"];
 
+/// Boolean switches. Any other `--name` is an error, so a misspelt flag
+/// cannot silently leave a default in place.
+const FLAGS: &[&str] = &[
+    "all",
+    "json",
+    "no-disk-cache",
+    "no-verify",
+    "verify",
+    "report",
+    "trace-events",
+];
+
 /// Parses `args` (without the program name).
 ///
+/// A leading `--help` is the `--help` subcommand.
+///
 /// # Errors
-/// Returns [`ArgError`] when a valued option is missing its value or no
-/// subcommand is present.
+/// Returns [`ArgError`] when a valued option is missing its value, a
+/// `--name` is no known option or flag, or no subcommand is present.
 pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
     let mut parsed = ParsedArgs::default();
     let mut it = args.iter().peekable();
@@ -72,8 +85,12 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
                     }
                     _ => parsed.flags.push(name.to_string()),
                 }
-            } else {
+            } else if FLAGS.contains(&name) {
                 parsed.flags.push(name.to_string());
+            } else if name == "help" && parsed.command.is_empty() {
+                parsed.command = a.clone();
+            } else {
+                return Err(ArgError(format!("unknown flag --{name}")));
             }
         } else if parsed.command.is_empty() {
             parsed.command = a.clone();
@@ -139,6 +156,16 @@ mod tests {
             assert!(
                 crate::HELP.contains(&format!("--{key} ")),
                 "--{key} takes a value but `nimage help` does not mention it"
+            );
+        }
+    }
+
+    #[test]
+    fn every_flag_is_documented_in_help() {
+        for flag in FLAGS {
+            assert!(
+                crate::HELP.contains(&format!("--{flag}")),
+                "--{flag} is a flag but `nimage help` does not mention it"
             );
         }
     }

@@ -91,8 +91,7 @@ $XDG_CACHE_HOME/nimage (else ~/.cache/nimage); --cache-dir DIR relocates
 it, --no-disk-cache disables it. --max-bytes N / --max-entries N cap the
 cache: the engine sweeps it opportunistically after storing new entries,
 and `cache gc` sweeps on demand. --threads N sets the engine's worker
-count (0 = auto); every stage inside a cell runs serially. --salted-heap-ids
-enables per-type salting of heap-path identities (`run`/`eval`).
+count (0 = auto); every stage inside a cell runs serially.
 ";
 
 fn strategy_of(name: &str) -> Result<Strategy, ArgError> {
@@ -229,7 +228,6 @@ fn cmd_eval(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let program = workload.program()?;
     let mut opts = pipeline_for(&workload);
     opts.verify = verify_flag(parsed);
-    opts.salted_heap_ids = parsed.has_flag("salted-heap-ids");
     let engine = Engine::new(EngineOptions {
         n_threads: threads_of(parsed)?,
         disk: disk_of(parsed)?,
@@ -289,7 +287,6 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let program = workload.program()?;
     let mut opts = pipeline_for(&workload);
     opts.verify = verify_flag(parsed);
-    opts.salted_heap_ids = parsed.has_flag("salted-heap-ids");
     let pipeline = Pipeline::new(&program, opts);
     let built = match strategy {
         Some(_) => {
@@ -392,10 +389,20 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let report = &outcome.report;
     let speedup = serial_ns as f64 / engine_ns.max(1) as f64;
 
-    // ROADMAP follow-up: does per-type salting of heap-path identities pay
-    // off? Quantified as the fraction of optimized-build objects whose id
-    // matches the instrumented build unambiguously.
-    let ratios = matched_ratio_rows(&program, &workload)?;
+    // The fraction of objects whose heap-path id is unambiguous in both
+    // the serial pipeline's instrumented and optimized (baseline-layout)
+    // snapshots.
+    let matched_ratio = {
+        use nimage_order::{assign_ids, matched_object_ratio, HeapStrategy};
+        let instrumented = pipeline.build_instrumented(nimage_compiler::InstrumentConfig::FULL)?;
+        let optimized = pipeline.build_optimized(&artifacts, None)?;
+        let ids = |parts: &nimage_core::BuildParts| -> Vec<u64> {
+            assign_ids(&program, &parts.snapshot, HeapStrategy::HeapPath)
+                .into_values()
+                .collect()
+        };
+        matched_object_ratio(&ids(&instrumented), &ids(&optimized))
+    };
 
     // Per-strategy measured major faults against the no-reorder baseline,
     // with the layout optimizer's predictions for the clustered
@@ -445,9 +452,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     eprintln!("  matched-object ratio (instrumented → optimized):");
-    for (name, r) in &ratios {
-        eprintln!("    {name:<17} {r:.4}");
-    }
+    eprintln!("    heap-path         {matched_ratio:.4}");
     eprintln!("  measured major faults (text/heap/total):");
     eprintln!(
         "    {:<22} {:>5} {:>5} {:>6}",
@@ -488,7 +493,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
             serial_ns,
             engine_ns,
             results_match,
-            &ratios,
+            matched_ratio,
             baseline_faults,
             &fault_rows,
             &report,
@@ -523,36 +528,6 @@ struct FaultRow {
     predicted: Option<nimage_core::LayoutPrediction>,
 }
 
-/// Computes the matched-object ratio between the instrumented and the
-/// optimized snapshot for the plain and the salted heap-path strategy —
-/// the measurement behind the ROADMAP's `--salted-heap-ids` question. The
-/// two snapshots differ exactly the way the evaluation pipeline's do
-/// (different clinit seed, PEA folding only on the optimized side), so
-/// the ratio reflects the real cross-build matching problem.
-fn matched_ratio_rows(
-    program: &nimage_ir::Program,
-    workload: &Workload,
-) -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
-    use nimage_order::{assign_ids, matched_object_ratio, HeapStrategy};
-    let mut opts = pipeline_for(workload);
-    opts.verify = false;
-    let ps = Pipeline::new(program, opts.clone());
-    let reach = ps.analyze_stage();
-    let cs = ps.compile_stage(reach, nimage_compiler::InstrumentConfig::NONE, None);
-    let instr_snap = ps.snapshot_stage(&cs, &opts.heap_instrumented)?;
-    let opt_snap = ps.snapshot_stage(&cs, &opts.heap_optimized)?;
-    let mut rows = Vec::new();
-    for (name, hs) in [
-        ("heap-path", HeapStrategy::HeapPath),
-        ("heap-path-salted", HeapStrategy::HeapPathSalted),
-    ] {
-        let a: Vec<u64> = assign_ids(program, &instr_snap, hs).into_values().collect();
-        let b: Vec<u64> = assign_ids(program, &opt_snap, hs).into_values().collect();
-        rows.push((name, matched_object_ratio(&a, &b)));
-    }
-    Ok(rows)
-}
-
 /// Renders the `nimage bench` report as JSON.
 #[allow(clippy::too_many_arguments)]
 fn bench_json(
@@ -561,7 +536,7 @@ fn bench_json(
     serial_ns: u64,
     engine_ns: u64,
     results_match: bool,
-    matched_ratios: &[(&'static str, f64)],
+    matched_ratio: f64,
     baseline_faults: (u64, u64),
     fault_rows: &[FaultRow],
     report: &Report,
@@ -599,9 +574,7 @@ fn bench_json(
             });
         });
         w.key("matched_object_ratio").object(|w| {
-            for (name, r) in matched_ratios {
-                w.field(name, r);
-            }
+            w.field("heap-path", matched_ratio);
         });
         // The versioned engine report, verbatim — every engine counter
         // (stage spans, cache and disk tiers, shards, metrics, trace
@@ -1033,7 +1006,7 @@ fn lint_workload(
         )));
     });
     timed!("matching", {
-        if let Some(hs) = opts.heap_strategy_for(strategy) {
+        if let Some(hs) = strategy.heap_strategy() {
             let ids = nimage_order::assign_ids(&program, &opt.snapshot, hs);
             diags.extend(checks::id_collision_diagnostics(
                 &checks::audit_ids(ids.values().copied()),
@@ -1056,10 +1029,10 @@ fn lint_workload(
             &program,
             &DeterminismInputs {
                 cu_profile: Some(&artifacts.cu_profile),
-                heap_profile: opts
-                    .heap_strategy_for(strategy)
+                heap_profile: strategy
+                    .heap_strategy()
                     .map(|hs| &artifacts.heap_profiles[&hs]),
-                heap_strategy: opts.heap_strategy_for(strategy),
+                heap_strategy: strategy.heap_strategy(),
             },
         );
         if text {

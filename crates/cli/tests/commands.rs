@@ -2,7 +2,8 @@
 //! through the serial pipeline: `run`, `heapstats`, `pagemap`, and the
 //! `profile` → `optimize` round trip through files on disk. Each pin is
 //! the command's full stdout on the `quickstart` workload, so any change
-//! to what these commands build, run or print shows up here.
+//! to what these commands build, run or print shows up here. The last
+//! tests pin the command line itself: unknown flags, every flag, `--help`.
 
 #[path = "../src/quickstart.rs"]
 mod quickstart;
@@ -16,16 +17,19 @@ use nimage_vm::{StopWhen, VmConfig};
 
 /// Runs `nimage <args>` and returns its stdout; fails on a non-zero exit.
 fn nimage(args: &[&str]) -> String {
+    let (code, stdout, stderr) = nimage_status(args);
+    assert_eq!(code, Some(0), "nimage {args:?} failed: {stderr}");
+    stdout
+}
+
+/// Runs `nimage <args>` and returns its exit code, stdout and stderr.
+fn nimage_status(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_nimage"))
         .args(args)
         .output()
         .expect("nimage runs");
-    assert!(
-        out.status.success(),
-        "nimage {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
 }
 
 #[test]
@@ -101,13 +105,9 @@ fn pagemap_prints_both_sections() {
 /// work, not a panic inside the page-map renderer.
 #[test]
 fn pagemap_rejects_a_zero_width() {
-    let out = Command::new(env!("CARGO_BIN_EXE_nimage"))
-        .args(["pagemap", "quickstart", "--width", "0"])
-        .output()
-        .expect("nimage runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(out.stdout.is_empty());
+    let (code, stdout, stderr) = nimage_status(&["pagemap", "quickstart", "--width", "0"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stdout.is_empty());
     assert!(stderr.contains("--width"), "stderr: {stderr}");
     assert!(!stderr.contains("profiling"), "no work before the check");
 }
@@ -186,4 +186,45 @@ fn cache_clear_removes_only_format_directories() {
     nimage(&["cache", "clear", "--cache-dir", dir.to_str().unwrap()]);
     assert!(!dir.exists());
     nimage(&["cache", "clear", "--cache-dir", dir.to_str().unwrap()]);
+}
+
+/// A `--name` that is no option or flag is a usage error before any
+/// work: a misspelt `--no-disk-cache` would otherwise keep the disk tier,
+/// and the retired `--salted-heap-ids` would run plain heap path.
+#[test]
+fn unknown_flags_are_rejected() {
+    for flag in ["--no-disk-cahce", "--salted-heap-ids"] {
+        let (code, stdout, stderr) = nimage_status(&["eval", "quickstart", flag]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag}: {stdout}");
+        assert_eq!(stderr, format!("error: unknown flag {flag}\n"));
+    }
+}
+
+/// Every flag a command reads still parses.
+#[test]
+fn every_flag_parses() {
+    let listed = nimage(&["list"]);
+    let flags = [
+        "--all",
+        "--json",
+        "--no-disk-cache",
+        "--no-verify",
+        "--verify",
+        "--report",
+        "--trace-events",
+    ];
+    for flag in flags {
+        assert_eq!(nimage(&["list", flag]), listed, "{flag}");
+    }
+}
+
+/// `--help` and `-h` print the same text as `help`.
+#[test]
+fn help_flags_print_the_help_text() {
+    let help = nimage(&["help"]);
+    assert!(help.contains("COMMANDS:"), "{help}");
+    for arg in ["--help", "-h"] {
+        assert_eq!(nimage(&[arg]), help, "{arg}");
+    }
 }

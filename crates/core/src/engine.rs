@@ -774,10 +774,8 @@ impl Engine {
             key,
             |plan| plan.fits(&front.compiled, &front.snapshot, &p.options().image),
             || {
-                let ids = w
-                    .spec
-                    .opts
-                    .heap_strategy_for(strategy)
+                let ids = strategy
+                    .heap_strategy()
                     .map(|hs| self.heap_ids(w, front.snapshot_key, &front.snapshot, hs));
                 // The layout optimizer keeps its own span name.
                 let span = if strategy.clustered() {

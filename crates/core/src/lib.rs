@@ -224,12 +224,6 @@ pub struct BuildOptions {
     /// still sets it. [`Parallelism`]'s `Debug` rendering is constant, so
     /// the field never enters cache fingerprints.
     pub threads: Parallelism,
-    /// Upgrade the *heap path* identity scheme to its per-type salted
-    /// variant ([`HeapStrategy::HeapPathSalted`]), which disambiguates
-    /// colliding root-to-object paths with per-`(type, path)` occurrence
-    /// counters. Off by default so headline numbers match the paper's
-    /// Algorithm 3.
-    pub salted_heap_ids: bool,
 }
 
 impl Default for BuildOptions {
@@ -252,34 +246,23 @@ impl Default for BuildOptions {
             reorder_native: false,
             verify: false,
             threads: Parallelism::serial(),
-            salted_heap_ids: false,
         }
     }
 }
 
 impl BuildOptions {
-    /// The heap identity scheme `strategy` uses under these options:
-    /// [`Strategy::heap_strategy`], with *heap path* upgraded to the salted
-    /// variant when [`BuildOptions::salted_heap_ids`] is set.
+    /// [`Strategy::heap_strategy`]. It remains only because the repo
+    /// benchmark's stage-by-stage pass (`benchmark/src/staged.rs`) calls
+    /// it; ROADMAP item 1b removes it with that file.
     pub fn heap_strategy_for(&self, strategy: Strategy) -> Option<HeapStrategy> {
-        strategy.heap_strategy().map(|hs| match hs {
-            HeapStrategy::HeapPath if self.salted_heap_ids => HeapStrategy::HeapPathSalted,
-            other => other,
-        })
+        strategy.heap_strategy()
     }
 
-    /// The heap identity schemes post-processing produces profiles for
-    /// under these options, in the paper's order.
+    /// [`HeapStrategy::all`]. It remains only because the repo benchmark's
+    /// stage-by-stage pass (`benchmark/src/staged.rs`) calls it; ROADMAP
+    /// item 1b removes it with that file.
     pub fn heap_strategies(&self) -> [HeapStrategy; 3] {
-        [
-            HeapStrategy::IncrementalId,
-            HeapStrategy::structural_default(),
-            if self.salted_heap_ids {
-                HeapStrategy::HeapPathSalted
-            } else {
-                HeapStrategy::HeapPath
-            },
-        ]
+        HeapStrategy::all()
     }
 }
 
@@ -795,7 +778,7 @@ impl<'p> Pipeline<'p> {
         report: RunReport,
         ids_for: &mut dyn FnMut(HeapStrategy) -> Arc<HashMap<ObjId, u64>>,
     ) -> Result<ProfiledArtifacts, PipelineError> {
-        let members = ids_for(self.opts.heap_strategies()[0]);
+        let members = ids_for(HeapStrategy::all()[0]);
         self.profiles(report, members.keys().copied(), &mut |hs, objs| {
             let ids = ids_for(hs);
             objs.iter().map(|o| ids[o]).collect()
@@ -829,7 +812,8 @@ impl<'p> Pipeline<'p> {
         // touched inside that object.
         let touch_spans: HashMap<u32, Vec<(u64, u64)>> =
             report.heap_touch_spans.iter().cloned().collect();
-        let heap_profiles = (self.opts.heap_strategies().into_iter())
+        let heap_profiles = HeapStrategy::all()
+            .into_iter()
             .map(|hs| {
                 let ids = ids_of(hs, &summary.object_order);
                 (hs, summary.heap_profile_with_spans(&ids, &touch_spans))
@@ -905,7 +889,7 @@ impl<'p> Pipeline<'p> {
             }
             _ => None,
         };
-        let object_order = match strategy.and_then(|s| self.opts.heap_strategy_for(s)) {
+        let object_order = match strategy.and_then(|s| s.heap_strategy()) {
             Some(hs) => {
                 let profile = &artifacts.heap_profiles[&hs];
                 Some(match heap_ids {
@@ -952,7 +936,7 @@ impl<'p> Pipeline<'p> {
             sizes: &cu_sizes,
             native_pages: &artifacts.native_pages,
         };
-        let heap_data = self.opts.heap_strategy_for(strategy).map(|hs| {
+        let heap_data = strategy.heap_strategy().map(|hs| {
             let profile = &artifacts.heap_profiles[&hs];
             let (order, hot, hot_spans) = match heap_ids {
                 Some(ids) => order_objects_split_spans(snap, ids, profile),

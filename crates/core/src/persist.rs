@@ -29,7 +29,7 @@
 //! <dir>/method_order.csv      one method signature per line
 //! <dir>/heap_incremental.csv  one 64-bit hex id per line (+ touched spans)
 //! <dir>/heap_structural.csv
-//! <dir>/heap_path.csv         (heap_path_salted.csv with salted ids)
+//! <dir>/heap_path.csv
 //! <dir>/call_counts.csv       signature,count
 //! ```
 //!
@@ -71,7 +71,6 @@ fn heap_file_name(strategy: HeapStrategy) -> &'static str {
         HeapStrategy::IncrementalId => "heap_incremental.csv",
         HeapStrategy::StructuralHash { .. } => "heap_structural.csv",
         HeapStrategy::HeapPath => "heap_path.csv",
-        HeapStrategy::HeapPathSalted => "heap_path_salted.csv",
     }
 }
 
@@ -124,35 +123,12 @@ pub fn load_profiles(dir: &Path) -> io::Result<SavedProfiles> {
             Err(e) => Err(e),
         }
     };
-    let read_opt = |name: &str| -> io::Result<Option<String>> {
-        match std::fs::read_to_string(dir.join(name)) {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    };
     let mut heap_profiles = HashMap::new();
-    for strategy in [
-        HeapStrategy::IncrementalId,
-        HeapStrategy::structural_default(),
-    ] {
+    for strategy in HeapStrategy::all() {
         heap_profiles.insert(
             strategy,
             HeapOrderProfile::from_csv(&read(heap_file_name(strategy))?),
         );
-    }
-    // The path-based profile was written under whichever variant the
-    // profiling build used (plain or salted); load whichever file exists
-    // so the round-trip reproduces the saved map exactly.
-    let mut any_path_file = false;
-    for strategy in [HeapStrategy::HeapPath, HeapStrategy::HeapPathSalted] {
-        if let Some(s) = read_opt(heap_file_name(strategy))? {
-            heap_profiles.insert(strategy, HeapOrderProfile::from_csv(&s));
-            any_path_file = true;
-        }
-    }
-    if !any_path_file {
-        heap_profiles.insert(HeapStrategy::HeapPath, HeapOrderProfile::default());
     }
     Ok(SavedProfiles {
         cu_profile: CodeOrderProfile::from_csv(&read("cu_order.csv")?),
@@ -464,7 +440,6 @@ fn heap_strategy_tag(hs: HeapStrategy) -> (u8, u32) {
         HeapStrategy::IncrementalId => (0, 0),
         HeapStrategy::StructuralHash { max_depth } => (1, max_depth),
         HeapStrategy::HeapPath => (2, 0),
-        HeapStrategy::HeapPathSalted => (3, 0),
     }
 }
 
@@ -473,7 +448,6 @@ fn heap_strategy_from_tag(tag: u8, arg: u32) -> Option<HeapStrategy> {
         0 => Some(HeapStrategy::IncrementalId),
         1 => Some(HeapStrategy::StructuralHash { max_depth: arg }),
         2 => Some(HeapStrategy::HeapPath),
-        3 => Some(HeapStrategy::HeapPathSalted),
         _ => None,
     }
 }

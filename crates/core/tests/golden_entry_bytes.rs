@@ -34,7 +34,7 @@ const GOLDEN: [(&str, usize, usize, u64); 6] = [
     ("snapshot", 1, 349414, 0x819a6d538e37003e),
     ("assign-ids", 3, 240060, 0x60ec8d720eba5f88),
     ("profile", 1, 5235, 0xe79cf71eca0d660d),
-    ("order", 8, 136260, 0x58887d9753eab958),
+    ("order", 8, 136260, 0x289a1dcc0f1357e0),
     ("baseline-run", 1, 1295, 0xb9d6e5d547248a42),
 ];
 

@@ -90,14 +90,14 @@ fn builds() -> &'static (Vec<Program>, Vec<Built>) {
     })
 }
 
-/// Every identity scheme: Algorithm 1, Algorithm 2 at depths 0–4,
-/// Algorithm 3 and its salted variant.
+/// Every identity scheme: Algorithm 1, Algorithm 2 at depths 0–4 and
+/// Algorithm 3.
 fn schemes() -> Vec<HeapStrategy> {
     let structural = (0..=4).map(|max_depth| HeapStrategy::StructuralHash { max_depth });
     [HeapStrategy::IncrementalId]
         .into_iter()
         .chain(structural)
-        .chain([HeapStrategy::HeapPath, HeapStrategy::HeapPathSalted])
+        .chain([HeapStrategy::HeapPath])
         .collect()
 }
 

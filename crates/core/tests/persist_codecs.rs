@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use nimage_compiler::{CompiledProgram, InstrumentConfig};
 use nimage_core::diskcache::Reader;
 use nimage_core::{
-    BuildOptions, DiskCodec, Engine, LayoutOrders, Pipeline, ProfiledArtifacts, RunParts, Strategy,
-    WorkloadSpec,
+    BuildOptions, CacheKey, DiskCacheOptions, DiskCodec, DiskStore, Engine, LayoutOrders, Pipeline,
+    ProfiledArtifacts, RunParts, Strategy, WorkloadSpec,
 };
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
@@ -470,4 +470,44 @@ fn deeply_nested_array_types_are_rejected() {
         .unwrap()
         .join()
         .unwrap();
+}
+
+/// Tag 3 named the retired salted heap-path scheme and now names none: a
+/// `profile` entry carrying it decodes to `None`, so the store rejects it
+/// as a miss (the engine recomputes the profile), never a panic and never
+/// a profile filed under another scheme.
+#[test]
+fn a_profile_with_the_retired_salted_tag_is_a_miss() {
+    let program = program(2, 8);
+    let mut artifacts = Pipeline::new(&program, BuildOptions::default())
+        .profiling_run(StopWhen::Exit)
+        .expect("profiles");
+    let profile = artifacts.heap_profiles[&HeapStrategy::HeapPath].clone();
+    let mut encode_as = |hs: HeapStrategy| {
+        artifacts.heap_profiles = HashMap::from([(hs, profile.clone())]);
+        let mut bytes = Vec::new();
+        artifacts.encode(&mut bytes);
+        bytes
+    };
+    // The two encodings differ in the heap-strategy tag byte alone.
+    let mut bytes = encode_as(HeapStrategy::HeapPath);
+    let incremental = encode_as(HeapStrategy::IncrementalId);
+    let tags: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i] != incremental[i])
+        .collect();
+    assert_eq!(bytes.len(), incremental.len());
+    assert_eq!(tags.len(), 1);
+    assert_eq!((bytes[tags[0]], incremental[tags[0]]), (2, 0));
+    bytes[tags[0]] = 3;
+    assert!(ProfiledArtifacts::decode(&mut Reader::new(&bytes)).is_none());
+
+    let dir = std::env::temp_dir().join(format!("nimage-retired-tag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::open(&DiskCacheOptions::at(&dir));
+    let key = CacheKey(3, 3);
+    store.store("profile", key, &bytes);
+    assert!(store.get::<ProfiledArtifacts>("profile", key).is_none());
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.rejected), (0, 1), "{stats:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }

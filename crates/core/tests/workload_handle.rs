@@ -7,6 +7,7 @@ use nimage_core::{
     ProfiledArtifacts, Strategy, Workload, WorkloadSpec,
 };
 use nimage_ir::Program;
+use nimage_order::HeapStrategy;
 use nimage_vm::StopWhen;
 use nimage_workloads::{Awfy, RuntimeScale};
 
@@ -50,11 +51,9 @@ fn counter(engine: &Engine, name: &str) -> u64 {
 }
 
 /// `Debug` of the profiles, with the heap profiles (a `HashMap`) in the
-/// options' scheme order.
+/// paper's scheme order.
 fn render_profile(a: &ProfiledArtifacts) -> String {
-    let heap = BuildOptions::default()
-        .heap_strategies()
-        .map(|hs| format!("{hs:?}: {:?}", a.heap_profiles[&hs]));
+    let heap = HeapStrategy::all().map(|hs| format!("{hs:?}: {:?}", a.heap_profiles[&hs]));
     format!(
         "{:?} {:?} {:?} {heap:?} {:?} {:?}",
         a.call_counts, a.cu_profile, a.method_profile, a.native_pages, a.instrumented_report

@@ -79,8 +79,6 @@ pub struct SnapEntry {
 pub struct HeapBuildConfig {
     /// Seed for the parallel class-initialization order.
     pub clinit_seed: u64,
-    /// Whether initializers sharing a group are permuted at all.
-    pub shuffle_parallel_inits: bool,
     /// Whether partial-escape-analysis folding removes objects from the
     /// snapshot (enabled for profile-guided optimized builds).
     pub pea_fold: bool,
@@ -96,7 +94,6 @@ impl Default for HeapBuildConfig {
     fn default() -> Self {
         HeapBuildConfig {
             clinit_seed: 0,
-            shuffle_parallel_inits: true,
             pea_fold: false,
             pea_seed: 0,
             pea_fold_ratio: 12,
@@ -238,9 +235,6 @@ impl HeapSnapshot {
 /// dynamic effect log for it.
 pub fn init_order(program: &Program, reach: &Reachability, cfg: &HeapBuildConfig) -> Vec<MethodId> {
     let mut inits = reach.build_time_inits.clone();
-    if !cfg.shuffle_parallel_inits {
-        return inits;
-    }
     // Group positions by init group; shuffle members within each group that
     // has more than one, leaving the position multiset unchanged.
     let mut by_group: HashMap<u32, Vec<usize>> = HashMap::new();

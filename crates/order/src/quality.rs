@@ -82,9 +82,7 @@ pub fn layout_quality(
 /// optimized build **and** exactly once in the instrumented build — a
 /// colliding id group is unusable for cross-build ordering, because the
 /// orderer cannot tell which member the profile meant (Sec. 5's matching
-/// problem). This is the metric behind the ROADMAP's salted-heap-ids
-/// question: salting trades id stability for collision freedom, and this
-/// ratio quantifies whether the trade pays.
+/// problem).
 ///
 /// It measures uniqueness, not correctness. It counts ids that are unique
 /// in both builds, and never checks that such an id names the *same*

@@ -33,15 +33,6 @@ pub enum HeapStrategy {
     /// Algorithm 3: MurmurHash3 over the first root-to-object path and the
     /// root's heap-inclusion reason.
     HeapPath,
-    /// [`HeapStrategy::HeapPath`] with per-type collision salting: objects
-    /// sharing a `(type, path)` hash — e.g. same-type siblings re-rooted
-    /// under one `MethodConstant` reason by PEA folding, the source of the
-    /// `profile::id-collision` multiplicities flagged on Bounce — get an
-    /// occurrence counter (encounter order, per colliding group) mixed
-    /// into the hash. Unique paths keep the plain heap-path identity, and
-    /// like Algorithm 1's per-type counters, an extra or missing object
-    /// only perturbs later members of its own colliding group.
-    HeapPathSalted,
 }
 
 impl HeapStrategy {
@@ -51,13 +42,21 @@ impl HeapStrategy {
         HeapStrategy::StructuralHash { max_depth: 2 }
     }
 
+    /// The three schemes as the paper evaluates them, in its order.
+    pub fn all() -> [HeapStrategy; 3] {
+        [
+            HeapStrategy::IncrementalId,
+            HeapStrategy::structural_default(),
+            HeapStrategy::HeapPath,
+        ]
+    }
+
     /// Short display name matching the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
             HeapStrategy::IncrementalId => "incremental id",
             HeapStrategy::StructuralHash { .. } => "structural hash",
             HeapStrategy::HeapPath => "heap path",
-            HeapStrategy::HeapPathSalted => "heap path salted",
         }
     }
 }
@@ -81,26 +80,25 @@ pub fn assign_ids(
 ///
 /// The structural hash and the heap path are functions of one object, so
 /// only `objs` are hashed. An incremental id is a rank among the objects
-/// of one type before it, and a salted heap path a rank among the objects
-/// sharing its path, so those two scan every entry once, in encounter
-/// order, and read `objs` off the scan.
+/// of one type before it, so that scheme scans every entry once, in
+/// encounter order, and reads `objs` off the scan.
 ///
 /// # Panics
-/// Under the two rank schemes, if an object of `objs` is not an entry of
-/// `snapshot`.
+/// Under the incremental scheme, if an object of `objs` is not an entry
+/// of `snapshot`.
 pub fn ids_of(
     program: &Program,
     snapshot: &HeapSnapshot,
     strategy: HeapStrategy,
     objs: &[ObjId],
 ) -> Vec<u64> {
-    let ranked = |ids: Vec<u64>| -> Vec<u64> {
-        objs.iter()
-            .map(|&o| ids[snapshot.index_of(o).expect("a snapshot entry")])
-            .collect()
-    };
     match strategy {
-        HeapStrategy::IncrementalId => ranked(incremental_ids(program, snapshot)),
+        HeapStrategy::IncrementalId => {
+            let ids = incremental_ids(program, snapshot);
+            objs.iter()
+                .map(|&o| ids[snapshot.index_of(o).expect("a snapshot entry")])
+                .collect()
+        }
         HeapStrategy::StructuralHash { max_depth } => {
             let encoder = Encoder::new(program, snapshot.heap(), max_depth);
             objs.iter()
@@ -115,39 +113,7 @@ pub fn ids_of(
             .iter()
             .map(|&o| heap_path_hash(program, snapshot, o))
             .collect(),
-        HeapStrategy::HeapPathSalted => ranked(salted_heap_path_ids(program, snapshot)),
     }
-}
-
-/// The salted variant of Algorithm 3, for every entry in snapshot order:
-/// disambiguates heap-path collisions with a per-`(type, path)`
-/// occurrence counter in snapshot encounter order. The first object of
-/// each group keeps the plain heap-path hash (unique paths are
-/// unaffected); later members mix the type name and their occurrence
-/// index into the hash, so the k-th member of a group in the profiling
-/// build matches the k-th member in the optimized build.
-fn salted_heap_path_ids(program: &Program, snapshot: &HeapSnapshot) -> Vec<u64> {
-    let mut types = TypeNameHashes::new(program);
-    let mut occurrence: HashMap<(u64, u64), u32> = HashMap::new();
-    snapshot
-        .entries()
-        .iter()
-        .map(|e| {
-            let base = heap_path_hash(program, snapshot, e.obj);
-            let obj = snapshot.heap().get(e.obj);
-            let n = occurrence.entry((types.of(obj), base)).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                base
-            } else {
-                let mut h = Hasher128::with_seed(0);
-                h.write_u64(base);
-                write_object_type(&mut h, program, obj);
-                h.write_u32(*n);
-                h.finish()
-            }
-        })
-        .collect()
 }
 
 /// Algorithm 1: incremental IDs, for every entry in snapshot order. "The
@@ -219,7 +185,7 @@ fn write_object_type(h: &mut Hasher128, program: &Program, obj: &HObject) {
 }
 
 /// MurmurHash3 of an object's dynamic type name — the type half of the
-/// incremental and salted identities — computed once per type: a scan
+/// incremental identity — computed once per type: a scan
 /// over thousands of objects of a few hundred types hashes each name
 /// once.
 struct TypeNameHashes<'a> {
@@ -668,12 +634,7 @@ mod tests {
     fn hash_strategies_are_stable_across_identical_rebuilds() {
         let (p, snap_a) = sample();
         let (_, snap_b) = sample();
-        for strat in [
-            HeapStrategy::IncrementalId,
-            HeapStrategy::structural_default(),
-            HeapStrategy::HeapPath,
-            HeapStrategy::HeapPathSalted,
-        ] {
+        for strat in HeapStrategy::all() {
             let a = assign_ids(&p, &snap_a, strat);
             let b = assign_ids(&p, &snap_b, strat);
             // Same build config → identical snapshots → identical ids.
@@ -684,102 +645,9 @@ mod tests {
     #[test]
     fn ids_cover_every_snapshot_entry() {
         let (p, snap) = sample();
-        for strat in [
-            HeapStrategy::IncrementalId,
-            HeapStrategy::structural_default(),
-            HeapStrategy::HeapPath,
-            HeapStrategy::HeapPathSalted,
-        ] {
+        for strat in HeapStrategy::all() {
             let ids = assign_ids(&p, &snap, strat);
             assert_eq!(ids.len(), snap.entries().len(), "{}", strat.name());
         }
-    }
-
-    /// Profiling-shaped and optimized-shaped Bounce snapshots: same
-    /// compiled program, different clinit seeds, PEA folding only in the
-    /// optimized build — the divergence the pipeline actually faces.
-    fn bounce_snapshots() -> (Program, HeapSnapshot, HeapSnapshot) {
-        let p = nimage_workloads::Awfy::Bounce.program();
-        let reach = analyze(&p, &AnalysisConfig::default());
-        let cp = compile(
-            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
-            reach,
-            &InlineConfig::default(),
-            InstrumentConfig::NONE,
-            None,
-        );
-        let snap_prof = snapshot(
-            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
-            &cp,
-            &HeapBuildConfig {
-                clinit_seed: 1,
-                ..HeapBuildConfig::default()
-            },
-        )
-        .unwrap();
-        let snap_opt = snapshot(
-            &ProgramIndex::new(&p, DEFAULT_MAX_PATHS),
-            &cp,
-            &HeapBuildConfig {
-                clinit_seed: 2,
-                pea_fold: true,
-                pea_seed: 3,
-                ..HeapBuildConfig::default()
-            },
-        )
-        .unwrap();
-        (p, snap_prof, snap_opt)
-    }
-
-    fn id_multiset(ids: &HashMap<ObjId, u64>) -> HashMap<u64, usize> {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for v in ids.values() {
-            *counts.entry(*v).or_default() += 1;
-        }
-        counts
-    }
-
-    /// The `profile::id-collision` finding on Bounce: heap-path hashes
-    /// collide (objects whose first discovery path is structurally
-    /// identical — e.g. data-section constants sharing a root reason, or
-    /// PEA-rerooted same-type siblings). Salting must fully disambiguate
-    /// within a snapshot.
-    #[test]
-    fn salting_removes_heap_path_collisions_on_bounce() {
-        let (p, _, snap_opt) = bounce_snapshots();
-        let plain = id_multiset(&assign_ids(&p, &snap_opt, HeapStrategy::HeapPath));
-        let salted = id_multiset(&assign_ids(&p, &snap_opt, HeapStrategy::HeapPathSalted));
-        let plain_max = plain.values().copied().max().unwrap_or(0);
-        let salted_max = salted.values().copied().max().unwrap_or(0);
-        assert!(
-            plain_max > 1,
-            "expected heap-path collisions on Bounce, max multiplicity was {plain_max}"
-        );
-        assert_eq!(
-            salted_max, 1,
-            "salted ids must be collision-free within a snapshot"
-        );
-    }
-
-    /// An object is *matchable* only if its id is unambiguous in both
-    /// builds: unique within its own snapshot and unique within the other
-    /// build's snapshot. Colliding groups are unusable for cross-build
-    /// ordering; salting recovers them (the k-th member of a group matches
-    /// the k-th member on the other side), so the matched-object ratio
-    /// must strictly improve.
-    #[test]
-    fn salting_improves_matched_object_ratio_on_bounce() {
-        let (p, snap_prof, snap_opt) = bounce_snapshots();
-        let matched_ratio = |strategy: HeapStrategy| -> f64 {
-            let ids_prof: Vec<u64> = assign_ids(&p, &snap_prof, strategy).into_values().collect();
-            let ids_opt: Vec<u64> = assign_ids(&p, &snap_opt, strategy).into_values().collect();
-            crate::quality::matched_object_ratio(&ids_prof, &ids_opt)
-        };
-        let plain = matched_ratio(HeapStrategy::HeapPath);
-        let salted = matched_ratio(HeapStrategy::HeapPathSalted);
-        assert!(
-            salted > plain,
-            "salted matched ratio ({salted:.3}) must beat plain heap path ({plain:.3})"
-        );
     }
 }

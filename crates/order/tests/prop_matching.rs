@@ -101,11 +101,7 @@ proptest! {
     #[test]
     fn ids_are_total_and_deterministic(n in 4i64..24) {
         let (p, snap) = cells_snapshot(n);
-        for strat in [
-            HeapStrategy::IncrementalId,
-            HeapStrategy::structural_default(),
-            HeapStrategy::HeapPath,
-        ] {
+        for strat in HeapStrategy::all() {
             let a = assign_ids(&p, &snap, strat);
             let b = assign_ids(&p, &snap, strat);
             prop_assert_eq!(&a, &b);

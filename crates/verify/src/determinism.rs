@@ -328,7 +328,7 @@ fn profiling_run_once(program: &Program, stop: StopWhen) -> Result<ProfilingArti
 /// allocations of varying sizes and builds a few `HashMap`s so subsequent
 /// `RandomState` seeds and allocation addresses differ from the first
 /// run's. `std::hint::black_box` keeps the allocations live.
-fn perturb_allocator(n: usize) {
+pub fn perturb_allocator(n: usize) {
     let mut keep: Vec<Vec<u8>> = Vec::with_capacity(n);
     for i in 0..n {
         keep.push(vec![0u8; 17 + 31 * i]);

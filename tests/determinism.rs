@@ -4,6 +4,7 @@
 //! between them — must produce byte-identical images and identical ordering
 //! CSVs, both with and without ordering profiles from a real profiling run.
 
+use nimage::verify::determinism::perturb_allocator;
 use nimage::verify::{audit_determinism, DeterminismInputs};
 use nimage::vm::StopWhen;
 use nimage::workloads::{Awfy, RuntimeScale};
@@ -35,27 +36,6 @@ fn profiled_awfy_pipeline_is_deterministic() {
     };
     let report = audit_determinism(&program, &inputs);
     assert!(report.is_deterministic(), "{:?}", report.diagnostics);
-}
-
-/// Shifts allocator and hasher state the way the verify-crate audit does:
-/// interleaved heap allocations plus a few `HashMap`s, kept live with
-/// `black_box`, so later allocations land at different addresses and later
-/// `RandomState` seeds differ.
-fn perturb_allocator(n: usize) {
-    let mut keep: Vec<Vec<u8>> = Vec::with_capacity(n);
-    for i in 0..n {
-        keep.push(vec![0u8; 17 + 31 * i]);
-    }
-    let mut maps: Vec<std::collections::HashMap<usize, usize>> = vec![];
-    for _ in 0..4 {
-        let mut m = std::collections::HashMap::new();
-        for i in 0..n {
-            m.insert(i, i.wrapping_mul(0x9e37_79b9));
-        }
-        maps.push(m);
-    }
-    std::hint::black_box(&keep);
-    std::hint::black_box(&maps);
 }
 
 /// The engine's content-keyed cache and worker threads must not leak
